@@ -25,11 +25,11 @@ from .classical import (
     spin_table,
 )
 from .hamiltonians import HamiltonianSpec, assemble_dense, check_commuting_cut, defected_heisenberg_2d, defected_ising_1d
-from .lindblad import WeightFunction, build_ckg_generator, eigensystem, gibbs_state
+from .lindblad import QUAD_ABS_TOL, WeightFunction, build_ckg_generator, eigensystem, gibbs_state
 from .mixing import mixing_time_estimate
 from .pauli import single_site_paulis
 from .replica import SwapMode, build_replica_exchange_generator, joint_gibbs, theta
-from .spectral import partial_lindbladian_check, spectral_gap
+from .spectral import HERMITICITY_TOL, KERNEL_TOL, partial_lindbladian_check, spectral_gap
 from .verify import run_verification
 
 
@@ -49,7 +49,6 @@ DEFAULT_CONFIG = {
     "system": {"model": "defected_ising", "n": 3, "J": 3.0},
     "beta": 1.0,
     "weight": "metropolis",
-    "couplings": {"kind": "single_site", "sites": None},
     "replica": {"mode": "local_A", "swap_weight": "metropolis",
                 "weight": "gaussian", "beta2": None},
     "scenario": "gap",
@@ -66,7 +65,6 @@ class ExperimentConfig:
     system: dict
     beta: float
     weight: str
-    couplings: dict
     replica: dict
     scenario: str
     sweep: dict
@@ -80,7 +78,6 @@ class ExperimentConfig:
             "system": self.system,
             "beta": self.beta,
             "weight": self.weight,
-            "couplings": self.couplings,
             "replica": self.replica,
             "scenario": self.scenario,
             "sweep": self.sweep,
@@ -123,11 +120,14 @@ class Report:
 
 
 def validate_config(raw) -> ExperimentConfig:
+    if "couplings" in raw:
+        raise ConfigError("field 'couplings': not supported; the generators always use "
+                          "every single-site Pauli as a coupling")
     merged = {**DEFAULT_CONFIG, **raw}
     # system is a whole value (a raw fragment must not inherit the default
     # model name); the other dict fields merge field-by-field
     merged["system"] = dict(raw.get("system") or DEFAULT_CONFIG["system"])
-    for key in ("couplings", "replica", "sweep", "output"):
+    for key in ("replica", "sweep", "output"):
         base = dict(DEFAULT_CONFIG[key])
         base.update(merged.get(key) or {})
         merged[key] = base
@@ -159,7 +159,6 @@ def validate_config(raw) -> ExperimentConfig:
         system=merged["system"],
         beta=beta,
         weight=merged["weight"],
-        couplings=merged["couplings"],
         replica=merged["replica"],
         scenario=merged["scenario"],
         sweep=merged["sweep"],
@@ -277,7 +276,8 @@ def _sweep_point(args):
 def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
     """Dispatch on config.scenario and assemble the Report."""
     t0 = time.perf_counter()
-    tolerances = {"kernel_tol": 1e-9, "quad_abs_tol": 1e-12, "db_tol": 1e-8,
+    tolerances = {"kernel_tol": KERNEL_TOL, "quad_abs_tol": QUAD_ABS_TOL,
+                  "hermiticity_tol": HERMITICITY_TOL,
                   "max_dim": config.max_dim, "seed": config.seed}
     summary = {}
     scenario = config.scenario

@@ -54,9 +54,6 @@ class Eigensystem:
     def dim(self):
         return self.eigenvalues.size
 
-    def group_of(self, i, j):
-        return int(self.gid[i, j])
-
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -95,27 +92,68 @@ class GibbsState:
         return self.sigma.shape[0]
 
 
-@dataclass
+def congruence(M, P, R):
+    """Matrix of X -> P^dag L(R^dag X R) P, where M is the matrix of L.
+
+    That is kron(P^T, P^dag) @ M @ kron(R^T, R^dag), evaluated as four
+    leg-wise contractions of M viewed as a [j, i, l, k] tensor (row i + d*j,
+    column k + d*l): O(d^5) work against O(d^6) for the dense products.
+    """
+    d = P.shape[0]
+    T = (P.T @ M.reshape(d, -1)).reshape(-1, d) @ R.conj().T  # [j, i', l', k]
+    T = np.matmul(P.conj().T, T.reshape(d, d, d * d))  # [j, i, (l', k)]
+    T = np.matmul(R, T.reshape(d * d, d, d))  # [(j, i), l, k]
+    return T.reshape(d * d, d * d)
+
+
 class Superoperator:
-    """Dense matrix on column-stacked operators; tagged with its picture."""
+    """Dense matrix on column-stacked operators; tagged with its picture.
 
-    matrix: np.ndarray
-    picture: str  # "heisenberg" | "schrodinger"
+    The matrix is stored in the operator basis {U e_i e_j^T U^dag} of a
+    unitary ``basis`` U (None: the computational basis): ``local`` is the
+    matrix of X -> U^dag L(U X U^dag) U.  ``matrix`` is the computational-basis
+    matrix, computed on each access when a basis is set.
+    """
 
-    def __post_init__(self):
-        if self.picture not in ("heisenberg", "schrodinger"):
-            raise ValueError(f"unknown picture {self.picture!r}")
+    def __init__(self, local, picture, basis=None):
+        if picture not in ("heisenberg", "schrodinger"):
+            raise ValueError(f"unknown picture {picture!r}")
+        side = local.shape[0]
+        d = int(round(np.sqrt(side)))
+        if local.shape != (side, side) or d * d != side:
+            raise ValueError(f"superoperator matrix of shape {local.shape} is not d^2 x d^2")
+        if basis is not None and np.shape(basis) != (d, d):
+            raise ValueError(f"basis of shape {np.shape(basis)} does not match operator "
+                             f"dimension {d}")
+        self.local = local
+        self.picture = picture
+        self.basis = basis
 
     @property
     def dim(self):
-        return int(round(np.sqrt(self.matrix.shape[0])))
+        return int(round(np.sqrt(self.local.shape[0])))
+
+    @property
+    def matrix(self):
+        if self.basis is None:
+            return self.local
+        return congruence(self.local, self.basis.conj().T, self.basis)
+
+    def to_basis(self, X):
+        """Coordinates U^dag X U of an operator in the stored basis."""
+        X = np.asarray(X)
+        return X if self.basis is None else self.basis.conj().T @ X @ self.basis
+
+    def from_basis(self, Y):
+        """The operator U Y U^dag with coordinates Y in the stored basis."""
+        return Y if self.basis is None else self.basis @ Y @ self.basis.conj().T
 
     def apply(self, X):
-        return unvec(self.matrix @ vec(X))
+        return self.from_basis(unvec(self.local @ vec(self.to_basis(X))))
 
     def adjoint(self):
         other = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
-        return Superoperator(self.matrix.conj().T, other)
+        return Superoperator(np.conjugate(self.local.T, order="C"), other, self.basis)
 
 
 def eigensystem(H, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
@@ -335,11 +373,15 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
                         group_tol=BOHR_GROUP_TOL):
     """Assemble the detailed-balanced generator for (H, couplings, gamma).
 
-    Returns (heisenberg, schrodinger) Superoperators.  Couplings are square
-    matrices of the same dimension as H; hermiticity is not required.  The
-    double Bohr sum is evaluated element-wise in the eigenbasis:
+    Returns (heisenberg, schrodinger) Superoperators stored in the energy
+    eigenbasis, where they are assembled.  Couplings are square matrices of
+    the same dimension as H; hermiticity is not required.  The double Bohr
+    sum is evaluated element-wise in the eigenbasis:
 
       (L_diss X)_{ij} = sum_{kl} alpha(nu_ki, nu_lj) conj(S_ki) X_kl S_lj - ...
+
+    and only depends on the couplings through the coupling-summed products
+    C[k,i,l,j] = sum_a conj(S_a[k,i]) S_a[l,j].
     """
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
@@ -349,7 +391,6 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
     if es is None:
         es = eigensystem(H, group_tol=group_tol)
     U = es.eigenvectors
-    eye = np.eye(d)
     gid = es.gid
 
     # couplings in the eigenbasis, with numerically-zero entries removed so
@@ -362,41 +403,38 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
         St = np.where(np.abs(St) > cut, St, 0.0)
         tilted.append(St)
         used.update(np.unique(gid[np.abs(St) > 0]).tolist())
-    M = np.zeros((d * d, d * d), dtype=complex)
+    M4 = np.zeros((d, d, d, d), dtype=complex)  # [j, i, l, k]: row i + d*j, column k + d*l
     if used:
         idx, table = _alpha_table(used, es, w)
         slot = np.zeros(es.bohr.size, dtype=np.int64)
         for g, k in idx.items():
             slot[g] = k
-        sg = slot[gid]  # sg[k, i] = table slot of nu_{ki}
+        sgT = slot[gid].T  # sgT[i, k] = table slot of nu_{ki}
         nus = es.bohr[sorted(used)]
         tanh_tab = np.tanh(-w.beta * (nus[:, None] - nus[None, :]) / 4.0)
         Ktab = (tanh_tab / 2.0j) * table
-        G = np.zeros((d, d), dtype=complex)
-        N = np.zeros((d, d), dtype=complex)
-        for St in tilted:
-            # sandwich: T[i,k,j,l] = alpha[g(k,i), g(l,j)] conj(S[k,i]) S[l,j]
-            A4 = table[sg.T[:, :, None, None], sg.T[None, None, :, :]]
-            T = A4 * St.conj().T[:, :, None, None] * St.T[None, None, :, :]
-            M += T.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-            # anticommutator core and coherent core share the k-contraction
-            B3 = table[sg[:, :, None], sg[:, None, :]]
-            N += np.einsum("ki,kj,kij->ij", St.conj(), St, B3, optimize=True)
-            K3 = Ktab[sg[:, None, :], sg[:, :, None]]
-            G += np.einsum("ki,kj,kij->ij", St.conj(), St, K3, optimize=True)
-        M -= 0.5 * (np.kron(eye, N) + np.kron(N.T, eye))
-        M += 1j * (np.kron(eye, G) - np.kron(G.T, eye))
-    W = np.kron(U.conj(), U)
-    M = W @ M @ W.conj().T
-    heis = Superoperator(M, "heisenberg")
+        # C[j, l, i, k] = sum_a S_a[l, j] conj(S_a[k, i]), one rank-m product
+        Sji = np.stack([St.T for St in tilted]).reshape(len(tilted), d * d)
+        C = (Sji.T @ Sji.conj()).reshape(d, d, d, d)
+        # sandwich: M4[j, i, l, k] = alpha[g(k,i), g(l,j)] C[j, l, i, k]
+        for j in range(d):
+            np.multiply(table[sgT[:, None, :], sgT[j][None, :, None]],
+                        C[j].transpose(1, 0, 2), out=M4[j])
+        # anticommutator and coherent cores share the k = l slice of C:
+        # N[i,j] = sum_k alpha[g(k,i), g(k,j)] C[j,k,i,k], G likewise with Ktab
+        Ck = np.diagonal(C, axis1=1, axis2=3)  # [j, i, k]
+        pair = sgT[None, :, :] * len(nus) + sgT[:, None, :]  # [j, i, k] -> (g(k,i), g(k,j))
+        N = np.einsum("jik,jik->ij", Ck, table.reshape(-1)[pair])
+        G = np.einsum("jik,jik->ij", Ck, Ktab.T.reshape(-1)[pair])
+        del C, Ck  # full size; not needed by the result
+        # -1/2 {N, X} + i [G, X]: rows of X via kron(Id, .), columns via kron(.^T, Id)
+        left = -0.5 * N + 1j * G
+        right = (-0.5 * N - 1j * G).T
+        for j in range(d):
+            M4[j, :, j, :] += left
+            M4[:, j, :, j] += right
+    heis = Superoperator(M4.reshape(d * d, d * d), "heisenberg", basis=U)
     return heis, heis.adjoint()
-
-
-def single_site_coupling_set(n, sites=None):
-    """Single-site Pauli couplings P_A for the given sites (default all)."""
-    from .pauli import single_site_paulis
-
-    return single_site_paulis(n, sites)
 
 
 def _superop_norm_estimate(M, iters=40, seed=123):
@@ -434,7 +472,7 @@ def detailed_balance_residual(L: Superoperator, sigma: GibbsState, n_pairs=20, s
     if sigma.lambda_min <= 0:
         raise ValueError("sigma must be full rank")
     d = L.dim
-    norm_est = _superop_norm_estimate(L.matrix)
+    norm_est = _superop_norm_estimate(L.local)  # the basis change is unitary
     if norm_est == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)

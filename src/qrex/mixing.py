@@ -3,8 +3,9 @@
 For a detailed-balanced generator the Schrodinger flow factors through the
 symmetrized matrix: e^{t L^dag}(rho) = Phi(e^{t L_hat}(Phi^{-1}(rho))) with
 Phi(X) = sigma^{1/4} X sigma^{1/4}, so one Hermitian eigendecomposition
-serves every initial state and every time.  Non-detailed-balanced input
-falls back to a dense matrix exponential.
+serves every initial state and every time.  L_hat is taken in the basis the
+generator is stored in, whose unitary is folded into the Phi factors.
+Non-detailed-balanced input falls back to a dense matrix exponential.
 """
 
 import warnings
@@ -17,14 +18,13 @@ from .hamiltonians import assemble_dense
 from .lindblad import (
     Superoperator,
     build_ckg_generator,
-    detailed_balance_residual,
     eigensystem,
     gibbs_state,
     unvec,
     vec,
 )
 from .pauli import pauli_string_matrix, single_site_paulis
-from .spectral import DB_PRECONDITION, spectral_gap, symmetrize
+from .spectral import gap_from_eigenvalues, spectral_gap, symmetrize
 
 BISECTION_RTOL = 1e-3
 
@@ -63,6 +63,12 @@ class MixingReport:
         }
 
 
+def _phi_factors(sigma, U):
+    """(a, b) with Phi(U Y U^dag) = a Y b, for Y in the basis of the unitary U (None: identity)."""
+    s4 = sigma.power(0.25)
+    return (s4, s4) if U is None else (s4 @ U, U.conj().T @ s4)
+
+
 class SpectralPropagator:
     """Evolution e^{t L^dag} through the eigendecomposition of L_hat."""
 
@@ -70,12 +76,11 @@ class SpectralPropagator:
         if L.picture != "heisenberg":
             L = L.adjoint()
         self.sigma = sigma
-        Lhat = symmetrize(L, sigma)
-        self.evals, self.modes = np.linalg.eigh(Lhat)
-        s4 = sigma.power(0.25)
+        U = L.basis
+        self.evals, self.modes = np.linalg.eigh(symmetrize(L, sigma, U))
+        self._phi = _phi_factors(sigma, U)
         s4i = sigma.power(-0.25)
-        self._phi = (s4, s4)
-        self._phi_inv = (s4i, s4i)
+        self._phi_inv = (s4i, s4i) if U is None else (U.conj().T @ s4i, s4i @ U)
 
     def coefficients(self, rho0):
         a, b = self._phi_inv
@@ -101,13 +106,21 @@ def evolve(L: Superoperator, rho0, t, sigma=None):
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -1e-10:
         raise ValueError("rho0 must be positive semidefinite")
     heis = L if L.picture == "heisenberg" else L.adjoint()
-    schro = heis.adjoint()
-    if sigma is not None and detailed_balance_residual(heis, sigma) < DB_PRECONDITION:
-        prop = SpectralPropagator(heis, sigma)
-        return prop.state_at(prop.coefficients(rho0), t)
+    if sigma is not None:
+        try:
+            prop = SpectralPropagator(heis, sigma)
+        except ValueError:  # not detailed balanced
+            pass
+        else:
+            return prop.state_at(prop.coefficients(rho0), t)
     warnings.warn("generator not detailed balanced; using dense matrix exponential")
-    rho = unvec(expm(t * schro.matrix) @ vec(rho0))
+    rho = _expm_flow(heis.adjoint(), rho0, t)
     return 0.5 * (rho + rho.conj().T)
+
+
+def _expm_flow(schro: Superoperator, rho0, t):
+    """e^{t L^dag}(rho0) by a dense matrix exponential in the generator's own basis."""
+    return schro.from_basis(unvec(expm(t * schro.local) @ vec(schro.to_basis(rho0))))
 
 
 def mixing_bounds_from_gap(gap, lambda_min, epsilon):
@@ -190,9 +203,9 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     heis = L if L.picture == "heisenberg" else L.adjoint()
-    rep = spectral_gap(heis, sigma)
-    t_lower, t_upper = mixing_bounds_from_gap(rep.gap, sigma.lambda_min, epsilon)
     prop = SpectralPropagator(heis, sigma)
+    rep = gap_from_eigenvalues(-prop.evals[::-1])  # spectrum of -L_hat, ascending
+    t_lower, t_upper = mixing_bounds_from_gap(rep.gap, sigma.lambda_min, epsilon)
     states = family if family is not None else _initial_family(sigma, n_haar=n_haar, seed=seed)
     crossings = []
     for sid, rho0 in states:
@@ -211,6 +224,24 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
     )
 
 
+def _gap_and_mode(heis: Superoperator, sigma):
+    """Spectral gap and gap_mode_state from one eigendecomposition of -L_hat."""
+    Lhat = symmetrize(heis, sigma, heis.basis)
+    np.negative(Lhat, out=Lhat)
+    evals, modes = np.linalg.eigh(Lhat)
+    rep = gap_from_eigenvalues(evals)
+    a, b = _phi_factors(sigma, heis.basis)
+    X = unvec(modes[:, rep.kernel_dim])
+    Y = a @ X @ b  # sigma^{1/2} X sigma^{1/2} for the KMS eigenoperator X
+    Y = Y + Y.conj().T
+    if np.linalg.norm(Y) < 1e-12:
+        Y = a @ X @ b
+        Y = 1j * (Y - Y.conj().T)
+    Y /= np.linalg.norm(Y, 2)
+    alpha = sigma.lambda_min / 2.0
+    return rep.gap, sigma.sigma + alpha * Y
+
+
 def gap_mode_state(L: Superoperator, sigma):
     """The slow-mode perturbed state sigma + alpha Y used for lower bounds.
 
@@ -218,20 +249,7 @@ def gap_mode_state(L: Superoperator, sigma):
     sigma + alpha Y is a valid state (alpha = lambda_min / 2).
     """
     heis = L if L.picture == "heisenberg" else L.adjoint()
-    Lhat = symmetrize(heis, sigma)
-    evals, modes = np.linalg.eigh(-Lhat)
-    scale = max(np.abs(evals).max(), 1e-300)
-    idx = np.nonzero(evals > 1e-9 * scale)[0][0]
-    v = modes[:, idx]
-    s4 = sigma.power(0.25)
-    Y = s4 @ unvec(v) @ s4  # sigma^{1/2} X sigma^{1/2} for the KMS eigenoperator X
-    Y = Y + Y.conj().T
-    if np.linalg.norm(Y) < 1e-12:
-        Y = s4 @ unvec(v) @ s4
-        Y = 1j * (Y - Y.conj().T)
-    Y /= np.linalg.norm(Y, 2)
-    alpha = sigma.lambda_min / 2.0
-    return sigma.sigma + alpha * Y
+    return _gap_and_mode(heis, sigma)[1]
 
 
 def chi_square_rate_fit(L: Superoperator, sigma, rho0=None, window=(1.0, 3.0), npts=8):
@@ -243,14 +261,12 @@ def chi_square_rate_fit(L: Superoperator, sigma, rho0=None, window=(1.0, 3.0), n
     """
     heis = L if L.picture == "heisenberg" else L.adjoint()
     schro = heis.adjoint()
-    gap = spectral_gap(heis, sigma).gap
     if rho0 is None:
-        rho0 = gap_mode_state(heis, sigma)
+        gap, rho0 = _gap_and_mode(heis, sigma)
+    else:
+        gap = spectral_gap(heis, sigma).gap
     ts = np.linspace(window[0] / gap, window[1] / gap, npts)
-    logs = []
-    for t in ts:
-        rho_t = unvec(expm(t * schro.matrix) @ vec(rho0))
-        logs.append(np.log(chi_square(rho_t, sigma)))
+    logs = [np.log(chi_square(_expm_flow(schro, rho0, t), sigma)) for t in ts]
     slope = np.polyfit(ts, logs, 1)[0]
     return float(-slope)
 

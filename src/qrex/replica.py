@@ -158,30 +158,22 @@ def _swap_superop_labeled(js: JointStructure, beta):
     rows = (ii + d * jj).reshape(-1)
     cols = (p[ii] + d * p[jj]).reshape(-1)
     M[rows, cols] = coeff[ii, jj].reshape(-1)
-    # anticommutator with the decay operator D = diag(theta(beta * ws))
-    D = th
-    eye = np.eye(d)
-    M -= 0.5 * (np.kron(eye, np.diag(D)) + np.kron(np.diag(D), eye))
+    # anticommutator with the decay operator D = diag(theta(beta * ws)): the
+    # diagonal entry of vec index i + d*j is (D_i + D_j) / 2
+    M[np.diag_indices(d * d)] -= 0.5 * (np.tile(th, d) + np.repeat(th, d))
     return M
-
-
-def _conjugate_superop(M, V):
-    """Superoperator of X -> V L(V^dag X V) V^dag for a basis matrix V."""
-    K = np.kron(V.conj(), V)
-    return K @ M @ K.conj().T
 
 
 def swap_generator_closed_form(spec, beta) -> tuple:
     """Closed-form swap generator on the joint space, as a Superoperator pair.
 
-    Acts on C^{2^n} (x) C^{d_A} in the original site ordering; dissipative
-    only (the coherent part vanishes identically for the swap coupling).
+    Acts on C^{2^n} (x) C^{d_A} in the original site ordering and is stored in
+    the labeled |i_A j_B m_A> basis it is assembled in; dissipative only (the
+    coherent part vanishes identically for the swap coupling).
     """
     js = joint_structure(spec)
-    M = _swap_superop_labeled(js, beta)
-    V = js.labeled_to_original()
-    M = _conjugate_superop(M, V)
-    heis = Superoperator(M, "heisenberg")
+    heis = Superoperator(_swap_superop_labeled(js, beta), "heisenberg",
+                         basis=js.labeled_to_original())
     return heis, heis.adjoint()
 
 

@@ -5,7 +5,9 @@ A detailed-balanced generator L is self-adjoint in the KMS inner product
 Phi(X) = sigma^(1/4) X sigma^(1/4) carries that geometry to Hilbert-Schmidt,
 so L_hat = Phi o L o Phi^(-1) is an honest Hermitian matrix whose spectrum
 is the KMS spectrum of L.  Gaps, operator norms and kernel dimensions are
-read off a dense eigendecomposition of -L_hat.
+read off a dense eigendecomposition of -L_hat, formed in the basis the
+generator is stored in.  L is detailed balanced exactly when L_hat is
+Hermitian, so that residual is the detailed-balance check.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from .lindblad import (
     Superoperator,
     WeightFunction,
     build_ckg_generator,
-    detailed_balance_residual,
+    congruence,
     eigensystem,
     gibbs_state,
     kms_inner,
@@ -30,7 +32,9 @@ from .lindblad import (
 from .pauli import qubit_permutation, single_site_paulis
 
 KERNEL_TOL = 1e-9
-DB_PRECONDITION = 1e-8
+# relative Frobenius residual ||L_hat - L_hat^dag|| / max(1, ||L_hat||) above
+# which a generator is rejected as not detailed balanced
+HERMITICITY_TOL = 1e-9
 
 
 @dataclass
@@ -51,32 +55,39 @@ class GapReport:
         }
 
 
-def symmetrize(L: Superoperator, sigma) -> np.ndarray:
-    """Hermitian matrix of Phi o L o Phi^(-1); requires a detailed-balanced L."""
+def symmetrize(L: Superoperator, sigma, basis=None) -> np.ndarray:
+    """Hermitian matrix of Phi o L o Phi^(-1); requires a detailed-balanced L.
+
+    The matrix is taken in the operator basis of the unitary ``basis`` (see
+    Superoperator; None: the computational basis).  With ``basis=L.basis``
+    no change of basis is made.  Raises ValueError when the Hermiticity
+    residual of L_hat exceeds HERMITICITY_TOL.
+    """
     if L.picture != "heisenberg":
         L = L.adjoint()
-    resid = detailed_balance_residual(L, sigma)
-    if resid >= DB_PRECONDITION:
-        raise ValueError(f"generator is not detailed balanced (residual {resid:.2e})")
-    s4 = sigma.power(0.25)
-    s4i = sigma.power(-0.25)
-    phi = np.kron(s4.T, s4)
-    phi_inv = np.kron(s4i.T, s4i)
-    Lhat = phi @ L.matrix @ phi_inv
-    herm = np.linalg.norm(Lhat - Lhat.conj().T) / max(1.0, np.linalg.norm(Lhat))
-    if herm > 1e-9:
-        raise ValueError(f"symmetrized generator not Hermitian (residual {herm:.2e})")
-    return 0.5 * (Lhat + Lhat.conj().T)
+    # X -> P^dag L(R^dag X R) P with P = U^dag s4 V and R = V^dag s4i U
+    P, R = sigma.power(0.25), sigma.power(-0.25)
+    if L.basis is not None:
+        P, R = L.basis.conj().T @ P, R @ L.basis
+    if basis is not None:
+        P, R = P @ basis, basis.conj().T @ R
+    Lhat = congruence(L.local, P, R)
+    Lhat_h = Lhat.conj().T
+    herm = np.linalg.norm(Lhat - Lhat_h) / max(1.0, np.linalg.norm(Lhat))
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
+                         f"L_hat {herm:.2e})")
+    Lhat += Lhat_h
+    Lhat *= 0.5
+    return Lhat
 
 
-def spectral_gap(L: Superoperator, sigma, tol=KERNEL_TOL) -> GapReport:
-    """Kernel dimension and smallest nonzero eigenvalue of -L_hat.
+def gap_from_eigenvalues(evals, tol=KERNEL_TOL) -> GapReport:
+    """Kernel dimension and gap from the ascending eigenvalues of -L_hat.
 
     Errors out if the kernel threshold would split a near-degenerate cluster
     (first above-threshold eigenvalue within 10x of the threshold).
     """
-    Lhat = symmetrize(L, sigma)
-    evals = np.linalg.eigvalsh(-Lhat)
     scale = max(np.abs(evals).max(), 1e-300)
     threshold = tol * scale
     kernel_dim = int(np.sum(evals <= threshold))
@@ -96,12 +107,20 @@ def spectral_gap(L: Superoperator, sigma, tol=KERNEL_TOL) -> GapReport:
     )
 
 
+def spectral_gap(L: Superoperator, sigma, tol=KERNEL_TOL) -> GapReport:
+    """Kernel dimension and smallest nonzero eigenvalue of -L_hat."""
+    Lhat = symmetrize(L, sigma, L.basis)
+    np.negative(Lhat, out=Lhat)
+    return gap_from_eigenvalues(np.linalg.eigvalsh(Lhat), tol)
+
+
 def kms_operator_norm(L: Superoperator, sigma) -> float:
     """Largest eigenvalue of -L_hat (the KMS operator norm of -L)."""
-    Lhat = symmetrize(L, sigma)
+    Lhat = symmetrize(L, sigma, L.basis)
     if np.linalg.norm(Lhat) == 0.0:
         return 0.0
-    return float(np.linalg.eigvalsh(-Lhat)[-1])
+    np.negative(Lhat, out=Lhat)
+    return float(np.linalg.eigvalsh(Lhat)[-1])
 
 
 def _gap_of_psd(M, tol=1e-10):
@@ -275,11 +294,8 @@ def a_diagonal_restriction_gap(spec, beta, w: WeightFunction):
     es = eigensystem(H_perm)
     heis, _ = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es)
     sigma = gibbs_state(es, beta)
-    Lhat = symmetrize(heis, sigma)
-    # rotate so the A factor is labeled by |i_A>
-    W = np.kron(basis.vectors, np.eye(d_b))
-    WW = np.kron(W.conj(), W)
-    Lhat_w = WW.conj().T @ Lhat @ WW
+    # L_hat in a basis whose A factor is labeled by |i_A>
+    Lhat_w = symmetrize(heis, sigma, np.kron(basis.vectors, np.eye(d_b)))
     a_label = np.repeat(np.arange(d_a), d_b)  # A label of each Hilbert index
     row_a = np.tile(a_label, d)  # vec index = i + d*j, i minor
     col_a = np.repeat(a_label, d)

@@ -14,6 +14,8 @@ from qrex.harness import (
     run_scenario,
     validate_config,
 )
+from qrex.lindblad import QUAD_ABS_TOL
+from qrex.spectral import HERMITICITY_TOL, KERNEL_TOL
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -49,6 +51,14 @@ class TestParseConfig:
         path = write_config(tmp_path, {"weight": "boltzmann"})
         with pytest.raises(ConfigError, match="weight"):
             parse_config(path)
+
+    def test_couplings_field_rejected(self, tmp_path):
+        # the generators always couple through every single-site Pauli, so a
+        # coupling choice would be silently ignored
+        path = write_config(tmp_path, {"couplings": {"sites": [0, 1]}})
+        with pytest.raises(ConfigError, match="couplings"):
+            parse_config(path)
+        assert "couplings" not in validate_config({}).to_dict()
 
     def test_bad_sweep_param(self, tmp_path):
         path = write_config(tmp_path, {"sweep": {"param": "gamma", "values": [1]}})
@@ -189,6 +199,16 @@ class TestEmit:
         emit(report, "json", str(path))
         loaded = Report.from_json_dict(json.loads(path.read_text()))
         assert loaded == report
+
+    def test_json_tolerances_are_the_constants_in_force(self, tmp_path):
+        config = validate_config({"scenario": "gap", "replica": {"mode": "none"}})
+        path = tmp_path / "out.json"
+        emit(run_scenario(config), "json", str(path))
+        assert json.loads(path.read_text())["tolerances"] == {
+            "kernel_tol": KERNEL_TOL, "quad_abs_tol": QUAD_ABS_TOL,
+            "hermiticity_tol": HERMITICITY_TOL,
+            "max_dim": config.max_dim, "seed": config.seed,
+        }
 
     def test_csv_written_to_file(self, tmp_path):
         config = validate_config({"scenario": "verify"})
