@@ -316,8 +316,6 @@ def simultaneous_eigenbasis(ops, seed=7, tol=1e-10):
     """
     ops = [np.asarray(o, dtype=complex) for o in ops]
     d = ops[0].shape[0]
-    if not ops:
-        return np.eye(d, dtype=complex), 0.0
     rng = np.random.default_rng(seed)
 
     def _combo():

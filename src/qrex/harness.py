@@ -25,10 +25,18 @@ from .classical import (
     spin_table,
 )
 from .hamiltonians import HamiltonianSpec, assemble_dense, check_commuting_cut, defected_heisenberg_2d, defected_ising_1d
-from .lindblad import QUAD_ABS_TOL, WeightFunction, build_ckg_generator, eigensystem, gibbs_state
+from .lindblad import (
+    QUAD_ABS_TOL,
+    WeightFunction,
+    alpha_quadrature,
+    build_ckg_generator,
+    eigensystem,
+    gibbs_state,
+    theta,
+)
 from .mixing import mixing_time_estimate
 from .pauli import single_site_paulis
-from .replica import SwapMode, build_replica_exchange_generator, joint_gibbs, theta
+from .replica import SwapMode, build_replica_exchange_generator, joint_gibbs
 from .spectral import HERMITICITY_TOL, KERNEL_TOL, partial_lindbladian_check, spectral_gap
 from .verify import run_verification
 
@@ -227,16 +235,16 @@ def _guard_dims(config: ExperimentConfig, spec: HamiltonianSpec):
 def _single_gap(spec, beta, weight_kind):
     H = assemble_dense(spec)
     es = eigensystem(H)
-    heis, _ = build_ckg_generator(H, single_site_paulis(spec.n),
-                                  WeightFunction(weight_kind, beta), es=es)
-    return spectral_gap(heis, gibbs_state(es, beta))
+    L = build_ckg_generator(H, single_site_paulis(spec.n), WeightFunction(weight_kind, beta),
+                            es=es)
+    return spectral_gap(L, gibbs_state(es, beta))
 
 
 def _replica_gap(spec, beta, replica_cfg):
     w = WeightFunction(replica_cfg.get("weight", "gaussian"), beta)
     mode = SwapMode(replica_cfg["mode"], beta2=replica_cfg.get("beta2"))
-    heis, _ = build_replica_exchange_generator(spec, beta, w, w, mode)
-    return spectral_gap(heis, joint_gibbs(spec, beta))
+    L = build_replica_exchange_generator(spec, beta, w, w, mode)
+    return spectral_gap(L, joint_gibbs(spec, beta))
 
 
 def _sweep_point(args):
@@ -310,9 +318,9 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
         _guard_dims(config, spec)
         H = assemble_dense(spec)
         es = eigensystem(H)
-        heis, _ = build_ckg_generator(H, single_site_paulis(spec.n),
-                                      WeightFunction(config.weight, config.beta), es=es)
-        mrep = mixing_time_estimate(heis, gibbs_state(es, config.beta), config.epsilon,
+        L = build_ckg_generator(H, single_site_paulis(spec.n),
+                                WeightFunction(config.weight, config.beta), es=es)
+        mrep = mixing_time_estimate(L, gibbs_state(es, config.beta), config.epsilon,
                                     seed=config.seed)
         records = [{"state_id": sid, "t_cross": t} for sid, t in mrep.crossings]
         summary = {k: v for k, v in mrep.to_json_dict().items() if k != "crossings"}
@@ -324,19 +332,13 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
 
     elif scenario == "theta":
         beta = config.beta
-        w = WeightFunction("metropolis", beta)
-        from .lindblad import alpha_coeff
-
-        records = []
-        worst = 0.0
-        for x in np.linspace(-20.0, 20.0, 401):
-            closed = theta(x)
-            quad = alpha_coeff(x / beta, x / beta, w)
-            records.append({"beta_omega": float(x), "theta_closed": float(closed),
-                            "theta_quadrature": float(quad),
-                            "abs_diff": float(abs(closed - quad))})
-            worst = max(worst, abs(closed - quad))
-        summary["max_abs_diff"] = worst
+        xs = np.linspace(-20.0, 20.0, 401)
+        closed = theta(xs)
+        quad = alpha_quadrature(xs / beta, xs / beta, WeightFunction("metropolis", beta))
+        diff = np.abs(closed - quad)
+        records = [{"beta_omega": float(x), "theta_closed": float(c), "theta_quadrature": float(q),
+                    "abs_diff": float(e)} for x, c, q, e in zip(xs, closed, quad, diff)]
+        summary["max_abs_diff"] = float(diff.max())
 
     elif scenario == "classical":
         n = int(config.system.get("n", 4))

@@ -9,7 +9,9 @@ where S_v are the energy-resolved jump components of each coupling operator,
 alpha is the weighted overlap of two shifted Gaussian filters, and G is the
 coherent (Lamb-shift-like) term with the tanh kernel.  The frequency
 integral never appears at superoperator level: it collapses analytically to
-the finite alpha table over Bohr-frequency pairs.
+the finite alpha table over Bohr-frequency pairs, whose entries have closed
+forms for both weights (alpha_coeff).  States evolve under the
+Hilbert-Schmidt adjoint L^dag (Superoperator.apply_adjoint).
 
 Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
 """
@@ -17,13 +19,14 @@ Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erfc, erfcx
 
 BOHR_GROUP_TOL = 1e-9
 QUAD_ABS_TOL = 1e-12
-QUAD_MAX_DEPTH = 40
-# alpha(v1,v2) carries exp(-beta^2 (v1-v2)^2 / 8); beyond this separation it
-# is zero to far below quadrature tolerance
-ALPHA_SEPARATION_CUTOFF = 60.0
+# alpha_quadrature evaluates its composite rule at both panel counts and
+# raises when they differ by more than QUAD_ABS_TOL
+QUAD_PANELS = 32
+QUAD_PANELS_FINE = 64
 
 
 def vec(X):
@@ -107,17 +110,17 @@ def congruence(M, P, R):
 
 
 class Superoperator:
-    """Dense matrix on column-stacked operators; tagged with its picture.
+    """Dense matrix of a generator L acting on column-stacked observables.
 
     The matrix is stored in the operator basis {U e_i e_j^T U^dag} of a
     unitary ``basis`` U (None: the computational basis): ``local`` is the
     matrix of X -> U^dag L(U X U^dag) U.  ``matrix`` is the computational-basis
-    matrix, computed on each access when a basis is set.
+    matrix, computed on each access when a basis is set.  ``apply`` is the
+    action on observables and ``apply_adjoint`` the Schrodinger action on
+    states, its Hilbert-Schmidt adjoint.
     """
 
-    def __init__(self, local, picture, basis=None):
-        if picture not in ("heisenberg", "schrodinger"):
-            raise ValueError(f"unknown picture {picture!r}")
+    def __init__(self, local, basis=None):
         side = local.shape[0]
         d = int(round(np.sqrt(side)))
         if local.shape != (side, side) or d * d != side:
@@ -126,7 +129,6 @@ class Superoperator:
             raise ValueError(f"basis of shape {np.shape(basis)} does not match operator "
                              f"dimension {d}")
         self.local = local
-        self.picture = picture
         self.basis = basis
 
     @property
@@ -151,9 +153,10 @@ class Superoperator:
     def apply(self, X):
         return self.from_basis(unvec(self.local @ vec(self.to_basis(X))))
 
-    def adjoint(self):
-        other = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
-        return Superoperator(np.conjugate(self.local.T, order="C"), other, self.basis)
+    def apply_adjoint(self, rho):
+        """L^dag(rho), as conj(conj(v) @ local): no conjugate transpose of the matrix is formed."""
+        v = vec(self.to_basis(rho))
+        return self.from_basis(unvec((v.conj() @ self.local).conj()))
 
 
 def eigensystem(H, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
@@ -171,21 +174,11 @@ def eigensystem(H, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
     tol = group_tol * scale
     diffs = (lam[:, None] - lam[None, :]).reshape(-1)
     order = np.argsort(diffs, kind="stable")
-    sorted_diffs = diffs[order]
-    group_of_sorted = np.zeros(diffs.size, dtype=np.int64)
-    g = 0
-    for k in range(1, diffs.size):
-        if sorted_diffs[k] - sorted_diffs[k - 1] > tol:
-            g += 1
-        group_of_sorted[k] = g
+    # a new group starts wherever consecutive sorted differences exceed tol
+    group_of_sorted = np.concatenate(([0], np.cumsum(np.diff(diffs[order]) > tol)))
     gid_flat = np.empty(diffs.size, dtype=np.int64)
     gid_flat[order] = group_of_sorted
-    n_groups = g + 1
-    reps = np.zeros(n_groups)
-    counts = np.zeros(n_groups)
-    np.add.at(reps, gid_flat, diffs)
-    np.add.at(counts, gid_flat, 1.0)
-    reps /= counts
+    reps = np.bincount(gid_flat, weights=diffs) / np.bincount(gid_flat)
     # the group holding the diagonal differences is exactly zero
     zero_gid = gid_flat[0]  # difference lam[0] - lam[0]
     reps[zero_gid] = 0.0
@@ -236,77 +229,75 @@ def filter_fhat(omega, beta):
     return out if out.ndim else float(out)
 
 
-# 15-point Gauss-Legendre nodes/weights on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+def theta(x):
+    """Metropolis-weighted filter overlap as a function of x = beta * omega.
 
-
-def _alpha_many(nu1s, nu2s, w: WeightFunction):
-    """Adaptive-bisection quadrature for a batch of alpha integrals.
-
-    All active panels across all integrals are evaluated in one vectorized
-    pass per refinement generation; the accept rule and tolerance halving
-    match a scalar recursive bisection with absolute tolerance QUAD_ABS_TOL.
+    theta(x) = 1/2 [ erfc((1+2x)/(2 sqrt 2)) + e^{-x} erfc((1-2x)/(2 sqrt 2)) ].
+    The second term is evaluated through the scaled erfcx when its erfc
+    underflows; the combined exponent -(u - 1/sqrt 2)^2 never overflows.
     """
-    nu1s = np.asarray(nu1s, dtype=float).reshape(-1)
-    nu2s = np.asarray(nu2s, dtype=float).reshape(-1)
-    beta = w.beta
-    out = np.zeros(nu1s.size)
-    active = np.nonzero(np.abs(nu1s - nu2s) * beta <= ALPHA_SEPARATION_CUTOFF)[0]
-    if active.size == 0:
-        return out
-    kink = -1.0 / (2.0 * beta)
-    pan_id, pan_a, pan_b, pan_tol = [], [], [], []
-    for i in active:
-        lo = min(nu1s[i], nu2s[i]) - 12.0 / beta
-        hi = max(nu1s[i], nu2s[i]) + 12.0 / beta
-        pieces = [lo, hi]
-        if w.kind == "metropolis" and lo < kink < hi:
-            pieces = [lo, kink, hi]
-        share = QUAD_ABS_TOL / (len(pieces) - 1)
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            pan_id.append(i)
-            pan_a.append(a)
-            pan_b.append(b)
-            pan_tol.append(share)
-    pid = np.array(pan_id, dtype=np.int64)
-    A = np.array(pan_a)
-    B = np.array(pan_b)
-    tol = np.array(pan_tol)
-
-    def batch_panels(a, b, ids):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = weight(nodes, w) * filter_fhat(nodes - nu1s[ids][:, None], beta) \
-            * filter_fhat(nodes - nu2s[ids][:, None], beta)
-        return half * (vals @ _GL_WEIGHTS)
-
-    whole = batch_panels(A, B, pid)
-    for depth in range(QUAD_MAX_DEPTH + 1):
-        if pid.size == 0:
-            break
-        mid = 0.5 * (A + B)
-        left = batch_panels(A, mid, pid)
-        right = batch_panels(mid, B, pid)
-        err = np.abs(left + right - whole)
-        done = err <= tol
-        if depth == QUAD_MAX_DEPTH and not done.all():
-            raise RuntimeError("adaptive quadrature did not converge within max depth")
-        np.add.at(out, pid[done], (left + right)[done])
-        keep = ~done
-        pid = np.concatenate([pid[keep], pid[keep]])
-        A, B = np.concatenate([A[keep], mid[keep]]), np.concatenate([mid[keep], B[keep]])
-        whole = np.concatenate([left[keep], right[keep]])
-        tol = np.concatenate([0.5 * tol[keep], 0.5 * tol[keep]])
-    return out
+    x = np.asarray(x, dtype=float)
+    v = (1.0 + 2.0 * x) / (2.0 * np.sqrt(2.0))
+    u = (1.0 - 2.0 * x) / (2.0 * np.sqrt(2.0))
+    term1 = erfc(v)
+    upos = np.maximum(u, 0.0)
+    scaled = np.exp(-((upos - 1.0 / np.sqrt(2.0)) ** 2)) * erfcx(upos)
+    with np.errstate(over="ignore", invalid="ignore"):
+        naive = np.exp(-x) * erfc(u)
+    term2 = np.where(u >= 0.0, scaled, naive)
+    out = 0.5 * (term1 + term2)
+    return out if out.ndim else float(out)
 
 
-def alpha_coeff(nu1, nu2, w: WeightFunction) -> float:
-    """alpha(v1, v2) = int gamma(w) f^(w - v1) f^(w - v2) dw by adaptive quadrature.
+def alpha_coeff(nu1, nu2, w: WeightFunction):
+    """alpha(v1, v2) = int gamma(w) f^(w - v1) f^(w - v2) dw in closed form.
 
-    The window is [min(v) - 12/beta, max(v) + 12/beta]; for the Metropolis
-    weight a panel boundary is forced at the kink w = -1/(2 beta).
+    Completing the square in the two filters leaves exp(-beta^2 (v1-v2)^2/8)
+    times the diagonal value at the midpoint x = beta (v1+v2)/2, which is
+    2^{-1/2} exp(-(x+1)^2/4) for the Gaussian weight and theta(x) for the
+    Metropolis weight (Chen-Kastoryano-Gilyen, arXiv:2311.09207).  Accepts
+    scalars or broadcastable arrays.
     """
-    return float(_alpha_many([nu1], [nu2], w)[0])
+    nu1 = np.asarray(nu1, dtype=float)
+    nu2 = np.asarray(nu2, dtype=float)
+    b = w.beta
+    x = 0.5 * b * (nu1 + nu2)
+    mid = np.exp(-((x + 1.0) ** 2) / 4.0) / np.sqrt(2.0) if w.kind == "gaussian" else theta(x)
+    out = np.exp(-(b**2) * (nu1 - nu2) ** 2 / 8.0) * mid
+    return out if out.ndim else float(out)
+
+
+def alpha_quadrature(nu1, nu2, w: WeightFunction):
+    """alpha(v1, v2) by numerical quadrature: the independent check of alpha_coeff.
+
+    A composite 15-point Gauss-Legendre rule over [min(v) - 12/beta,
+    max(v) + 12/beta], split at the Metropolis kink w = -1/(2 beta) when it
+    lies inside, with QUAD_PANELS and QUAD_PANELS_FINE equal panels on each
+    piece.  Returns the finer result; raises RuntimeError when the two differ
+    by more than QUAD_ABS_TOL.  Vectorized over broadcastable arrays.
+    """
+    nu1, nu2 = np.broadcast_arrays(np.asarray(nu1, dtype=float), np.asarray(nu2, dtype=float))
+    b = w.beta
+    lo = np.minimum(nu1, nu2)[..., None] - 12.0 / b
+    hi = np.maximum(nu1, nu2)[..., None] + 12.0 / b
+    cut = np.clip(-0.5 / b, lo, hi) if w.kind == "metropolis" else hi
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(15)
+
+    def rule(panels):
+        t = np.linspace(0.0, 1.0, panels + 1)
+        edges = np.concatenate([lo + (cut - lo) * t, cut + (hi - cut) * t[1:]], axis=-1)
+        half = 0.5 * np.diff(edges, axis=-1)  # [..., 2 * panels]
+        nodes = (edges[..., :-1] + half)[..., None] + half[..., None] * gl_nodes
+        vals = weight(nodes, w) * filter_fhat(nodes - nu1[..., None, None], b) \
+            * filter_fhat(nodes - nu2[..., None, None], b)
+        return np.sum(half * (vals @ gl_weights), axis=-1)
+
+    coarse, fine = rule(QUAD_PANELS), rule(QUAD_PANELS_FINE)
+    err = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if err > QUAD_ABS_TOL:
+        raise RuntimeError(f"alpha quadrature did not converge: {QUAD_PANELS} and "
+                           f"{QUAD_PANELS_FINE} panels differ by {err:.2e}")
+    return fine if fine.ndim else float(fine)
 
 
 def jump_components(S, es: Eigensystem):
@@ -331,14 +322,8 @@ def _alpha_table(groups, es: Eigensystem, w: WeightFunction):
     """Symmetric alpha matrix over the given Bohr group ids."""
     groups = sorted(groups)
     idx = {g: k for k, g in enumerate(groups)}
-    m = len(groups)
-    iu, ju = np.triu_indices(m)
     nus = es.bohr[np.asarray(groups)]
-    vals = _alpha_many(nus[iu], nus[ju], w)
-    table = np.zeros((m, m))
-    table[iu, ju] = vals
-    table[ju, iu] = vals
-    return idx, table
+    return idx, alpha_coeff(nus[:, None], nus[None, :], w)
 
 
 def coherent_term(jumps_list, es: Eigensystem, w: WeightFunction) -> np.ndarray:
@@ -349,20 +334,13 @@ def coherent_term(jumps_list, es: Eigensystem, w: WeightFunction) -> np.ndarray:
     """
     d = es.dim
     G = np.zeros((d, d), dtype=complex)
-    cache = {}
     for comps in jumps_list:
         for nu1, S1 in comps.items():
             for nu2, S2 in comps.items():
                 t = np.tanh(-w.beta * (nu1 - nu2) / 4.0)
                 if t == 0.0:
                     continue
-                key = (min(nu1, nu2), max(nu1, nu2))
-                if key not in cache:
-                    cache[key] = alpha_coeff(key[0], key[1], w)
-                a = cache[key]
-                if a == 0.0:
-                    continue
-                G += (t / 2.0j) * a * (S2.conj().T @ S1)
+                G += (t / 2.0j) * alpha_coeff(nu1, nu2, w) * (S2.conj().T @ S1)
     herm_err = np.linalg.norm(G - G.conj().T)
     if herm_err > 1e-10 * max(1.0, np.linalg.norm(G)):
         raise ValueError(f"coherent term failed hermiticity check ({herm_err:.2e})")
@@ -373,8 +351,8 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
                         group_tol=BOHR_GROUP_TOL):
     """Assemble the detailed-balanced generator for (H, couplings, gamma).
 
-    Returns (heisenberg, schrodinger) Superoperators stored in the energy
-    eigenbasis, where they are assembled.  Couplings are square matrices of
+    Returns the generator on observables as a Superoperator stored in the
+    energy eigenbasis, where it is assembled.  Couplings are square matrices of
     the same dimension as H; hermiticity is not required.  The double Bohr
     sum is evaluated element-wise in the eigenbasis:
 
@@ -433,8 +411,7 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
         for j in range(d):
             M4[j, :, j, :] += left
             M4[:, j, :, j] += right
-    heis = Superoperator(M4.reshape(d * d, d * d), "heisenberg", basis=U)
-    return heis, heis.adjoint()
+    return Superoperator(M4.reshape(d * d, d * d), basis=U)
 
 
 def _superop_norm_estimate(M, iters=40, seed=123):
@@ -467,8 +444,6 @@ def detailed_balance_residual(L: Superoperator, sigma: GibbsState, n_pairs=20, s
     Normalized by the KMS norms of the pair and a power-iteration estimate of
     ||L||; zero maps return 0.
     """
-    if L.picture != "heisenberg":
-        L = L.adjoint()
     if sigma.lambda_min <= 0:
         raise ValueError("sigma must be full rank")
     d = L.dim

@@ -73,8 +73,6 @@ class SpectralPropagator:
     """Evolution e^{t L^dag} through the eigendecomposition of L_hat."""
 
     def __init__(self, L: Superoperator, sigma):
-        if L.picture != "heisenberg":
-            L = L.adjoint()
         self.sigma = sigma
         U = L.basis
         self.evals, self.modes = np.linalg.eigh(symmetrize(L, sigma, U))
@@ -94,7 +92,7 @@ class SpectralPropagator:
 
 
 def evolve(L: Superoperator, rho0, t, sigma=None):
-    """Propagate a density matrix to time t under the Schrodinger generator.
+    """Propagate a density matrix to time t under the Schrodinger flow e^{t L^dag}.
 
     Uses the spectral route when ``sigma`` is supplied and L is detailed
     balanced; otherwise falls back to a dense matrix exponential (with a
@@ -105,22 +103,21 @@ def evolve(L: Superoperator, rho0, t, sigma=None):
         raise ValueError("rho0 must have unit trace")
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -1e-10:
         raise ValueError("rho0 must be positive semidefinite")
-    heis = L if L.picture == "heisenberg" else L.adjoint()
     if sigma is not None:
         try:
-            prop = SpectralPropagator(heis, sigma)
+            prop = SpectralPropagator(L, sigma)
         except ValueError:  # not detailed balanced
             pass
         else:
             return prop.state_at(prop.coefficients(rho0), t)
     warnings.warn("generator not detailed balanced; using dense matrix exponential")
-    rho = _expm_flow(heis.adjoint(), rho0, t)
+    rho = _expm_flow(L, rho0, t)
     return 0.5 * (rho + rho.conj().T)
 
 
-def _expm_flow(schro: Superoperator, rho0, t):
+def _expm_flow(L: Superoperator, rho0, t):
     """e^{t L^dag}(rho0) by a dense matrix exponential in the generator's own basis."""
-    return schro.from_basis(unvec(expm(t * schro.local) @ vec(schro.to_basis(rho0))))
+    return L.from_basis(unvec(expm(t * L.local.conj().T) @ vec(L.to_basis(rho0))))
 
 
 def mixing_bounds_from_gap(gap, lambda_min, epsilon):
@@ -202,8 +199,7 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    heis = L if L.picture == "heisenberg" else L.adjoint()
-    prop = SpectralPropagator(heis, sigma)
+    prop = SpectralPropagator(L, sigma)
     rep = gap_from_eigenvalues(-prop.evals[::-1])  # spectrum of -L_hat, ascending
     t_lower, t_upper = mixing_bounds_from_gap(rep.gap, sigma.lambda_min, epsilon)
     states = family if family is not None else _initial_family(sigma, n_haar=n_haar, seed=seed)
@@ -224,13 +220,13 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
     )
 
 
-def _gap_and_mode(heis: Superoperator, sigma):
+def _gap_and_mode(L: Superoperator, sigma):
     """Spectral gap and gap_mode_state from one eigendecomposition of -L_hat."""
-    Lhat = symmetrize(heis, sigma, heis.basis)
+    Lhat = symmetrize(L, sigma, L.basis)
     np.negative(Lhat, out=Lhat)
     evals, modes = np.linalg.eigh(Lhat)
     rep = gap_from_eigenvalues(evals)
-    a, b = _phi_factors(sigma, heis.basis)
+    a, b = _phi_factors(sigma, L.basis)
     X = unvec(modes[:, rep.kernel_dim])
     Y = a @ X @ b  # sigma^{1/2} X sigma^{1/2} for the KMS eigenoperator X
     Y = Y + Y.conj().T
@@ -248,8 +244,7 @@ def gap_mode_state(L: Superoperator, sigma):
     Y is the gap eigenoperator carried to the Schrodinger side and scaled so
     sigma + alpha Y is a valid state (alpha = lambda_min / 2).
     """
-    heis = L if L.picture == "heisenberg" else L.adjoint()
-    return _gap_and_mode(heis, sigma)[1]
+    return _gap_and_mode(L, sigma)[1]
 
 
 def chi_square_rate_fit(L: Superoperator, sigma, rho0=None, window=(1.0, 3.0), npts=8):
@@ -259,14 +254,12 @@ def chi_square_rate_fit(L: Superoperator, sigma, rho0=None, window=(1.0, 3.0), n
     started in the gap mode this equals twice the spectral gap.  The expm
     propagation keeps this route independent of the eigendecomposition.
     """
-    heis = L if L.picture == "heisenberg" else L.adjoint()
-    schro = heis.adjoint()
     if rho0 is None:
-        gap, rho0 = _gap_and_mode(heis, sigma)
+        gap, rho0 = _gap_and_mode(L, sigma)
     else:
-        gap = spectral_gap(heis, sigma).gap
+        gap = spectral_gap(L, sigma).gap
     ts = np.linspace(window[0] / gap, window[1] / gap, npts)
-    logs = [np.log(chi_square(_expm_flow(schro, rho0, t), sigma)) for t in ts]
+    logs = [np.log(chi_square(_expm_flow(L, rho0, t), sigma)) for t in ts]
     slope = np.polyfit(ts, logs, 1)[0]
     return float(-slope)
 
@@ -310,10 +303,9 @@ def bottleneck_witness(spec, sites, beta, L: Superoperator | None = None,
     if L is None:
         from .lindblad import WeightFunction
 
-        L, _ = build_ckg_generator(H, single_site_paulis(n),
-                                   WeightFunction(weight_kind, beta), es=es)
-    heis = L if L.picture == "heisenberg" else L.adjoint()
-    out = heis.apply(pi_c)
+        L = build_ckg_generator(H, single_site_paulis(n),
+                                WeightFunction(weight_kind, beta), es=es)
+    out = L.apply(pi_c)
     scale = max(1.0, np.linalg.norm(out))
     containment = (np.linalg.norm(pi_a @ out) + np.linalg.norm(out @ pi_a)) / scale
     return {

@@ -3,10 +3,12 @@
 The auxiliary register is a copy of the slow region A with trivial
 Hamiltonian.  The swap coupling exchanges the two A registers and leaves B
 alone; with the Metropolis weight its generator has a fully closed form in
-the labeled product basis |i_A j_B m_A>:
+the labeled product basis |i_A j_B m_A>, in terms of the swap frequencies
+omega (``JointStructure.swap_frequencies``):
 
-  * decay coefficients theta(beta * omega) with omega = lam(i,j) - lam(m,j),
-  * sandwich coefficients exp(-beta^2 (w1-w2)^2/8) * theta(beta (w1+w2)/2),
+  * sandwich coefficients alpha(w1, w2) of the Metropolis weight
+    (``lindblad.alpha_coeff``),
+  * decay coefficients alpha(w, w) = theta(beta * w),
   * no coherent term.
 
 That route is cross-validated against the generic construction of
@@ -16,7 +18,6 @@ That route is cross-validated against the generic construction of
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 from .hamiltonians import (
     ABasis,
@@ -29,6 +30,7 @@ from .hamiltonians import (
 from .lindblad import (
     Superoperator,
     WeightFunction,
+    alpha_coeff,
     build_ckg_generator,
     eigensystem,
     gibbs_state,
@@ -52,26 +54,6 @@ class SwapMode:
     def __post_init__(self):
         if self.kind not in ("local_A", "global", "none"):
             raise ValueError(f"unknown swap mode {self.kind!r}")
-
-
-def theta(x):
-    """Metropolis-weighted filter overlap as a function of x = beta * omega.
-
-    theta(x) = 1/2 [ erfc((1+2x)/(2 sqrt 2)) + e^{-x} erfc((1-2x)/(2 sqrt 2)) ].
-    The second term is evaluated through the scaled erfcx when its erfc
-    underflows; the combined exponent -(u - 1/sqrt 2)^2 never overflows.
-    """
-    x = np.asarray(x, dtype=float)
-    v = (1.0 + 2.0 * x) / (2.0 * np.sqrt(2.0))
-    u = (1.0 - 2.0 * x) / (2.0 * np.sqrt(2.0))
-    term1 = erfc(v)
-    upos = np.maximum(u, 0.0)
-    scaled = np.exp(-((upos - 1.0 / np.sqrt(2.0)) ** 2)) * erfcx(upos)
-    with np.errstate(over="ignore", invalid="ignore"):
-        naive = np.exp(-x) * erfc(u)
-    term2 = np.where(u >= 0.0, scaled, naive)
-    out = 0.5 * (term1 + term2)
-    return out if out.ndim else float(out)
 
 
 def local_swap_unitary(d_a, d_b):
@@ -142,39 +124,35 @@ def joint_structure(spec) -> JointStructure:
 
 
 def _swap_superop_labeled(js: JointStructure, beta):
-    """Heisenberg swap generator in the labeled |i_A j_B m_A> basis."""
+    """Swap generator on observables in the labeled |i_A j_B m_A> basis."""
     d = js.joint_dim
     ws = js.swap_frequencies()
-    th = theta(beta * ws)
+    coeff = alpha_coeff(ws[:, None], ws[None, :], WeightFunction("metropolis", beta))
     # sandwich: out[(i,j)] reads X at the register-swapped element, weighted by
     # the two-frequency overlap alpha(ws_i, ws_j)
     idx = np.arange(d).reshape(js.d_a, js.d_b, js.d_a)
     p = idx.transpose(2, 1, 0).reshape(-1)
-    mid = 0.5 * beta * (ws[:, None] + ws[None, :])
-    gauss = np.exp(-(beta**2) * (ws[:, None] - ws[None, :]) ** 2 / 8.0)
-    coeff = gauss * theta(mid)
     M = np.zeros((d * d, d * d), dtype=complex)
     ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     rows = (ii + d * jj).reshape(-1)
     cols = (p[ii] + d * p[jj]).reshape(-1)
     M[rows, cols] = coeff[ii, jj].reshape(-1)
-    # anticommutator with the decay operator D = diag(theta(beta * ws)): the
+    # anticommutator with the decay operator D = diag(alpha(ws, ws)): the
     # diagonal entry of vec index i + d*j is (D_i + D_j) / 2
+    th = np.diagonal(coeff)
     M[np.diag_indices(d * d)] -= 0.5 * (np.tile(th, d) + np.repeat(th, d))
     return M
 
 
-def swap_generator_closed_form(spec, beta) -> tuple:
-    """Closed-form swap generator on the joint space, as a Superoperator pair.
+def swap_generator_closed_form(spec, beta) -> Superoperator:
+    """Closed-form swap generator on the joint space.
 
     Acts on C^{2^n} (x) C^{d_A} in the original site ordering and is stored in
     the labeled |i_A j_B m_A> basis it is assembled in; dissipative only (the
     coherent part vanishes identically for the swap coupling).
     """
     js = joint_structure(spec)
-    heis = Superoperator(_swap_superop_labeled(js, beta), "heisenberg",
-                         basis=js.labeled_to_original())
-    return heis, heis.adjoint()
+    return Superoperator(_swap_superop_labeled(js, beta), basis=js.labeled_to_original())
 
 
 def swap_unitary_original(js: JointStructure):
@@ -184,7 +162,7 @@ def swap_unitary_original(js: JointStructure):
     return P_joint.conj().T @ U @ P_joint
 
 
-def swap_generator_generic(spec, beta) -> tuple:
+def swap_generator_generic(spec, beta) -> Superoperator:
     """Swap generator via the generic construction; cross-validates the closed form."""
     js = joint_structure(spec)
     H = assemble_dense(spec)
@@ -225,12 +203,12 @@ def joint_hamiltonian(spec, mode: SwapMode):
 
 
 def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightFunction,
-                                     mode: SwapMode, swap_route="closed"):
-    """Joint generator L1 (x) Id + Id (x) L2 + L_swap as a Superoperator pair.
+                                     mode: SwapMode) -> Superoperator:
+    """Joint generator L1 (x) Id + Id (x) L2 + L_swap on observables.
 
     local_A: system couplings are all single-site Paulis, the auxiliary is a
     trivial-Hamiltonian copy of A with its own single-site Paulis, and the
-    swap exchanges the A registers (closed form by default).
+    swap exchanges the A registers (closed form).
     """
     H = assemble_dense(spec)
     d_n = H.shape[0]
@@ -241,24 +219,18 @@ def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightF
             raise ValueError("local_A mode needs a partition")
         n_a = len(spec.partition[0])
         d_a = 2**n_a
-        heis1, _ = build_ckg_generator(H, single_site_paulis(spec.n), w1)
-        heis2, _ = build_ckg_generator(np.eye(d_a), single_site_paulis(n_a), w2)
-        if swap_route == "closed":
-            swap_heis, _ = swap_generator_closed_form(spec, beta)
-        else:
-            swap_heis, _ = swap_generator_generic(spec, beta)
-        M = superop_kron_left(heis1.matrix, d_a)
-        M += superop_kron_right(heis2.matrix, d_n)
-        M += swap_heis.matrix
-        heis = Superoperator(M, "heisenberg")
-        return heis, heis.adjoint()
+        L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1)
+        L2 = build_ckg_generator(np.eye(d_a), single_site_paulis(n_a), w2)
+        M = superop_kron_left(L1.matrix, d_a)
+        M += superop_kron_right(L2.matrix, d_n)
+        M += swap_generator_closed_form(spec, beta).matrix
+        return Superoperator(M)
     # global: two full replicas at (beta, beta2), global swap, general form
     if spec.n > 4:
         raise ValueError("global swap gated at n <= 4")
     beta2 = mode.beta2 if mode.beta2 is not None else beta
-    heis1, _ = build_ckg_generator(H, single_site_paulis(spec.n), w1)
-    heis2, _ = build_ckg_generator(H, single_site_paulis(spec.n),
-                                   WeightFunction(w2.kind, beta2))
+    L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1)
+    L2 = build_ckg_generator(H, single_site_paulis(spec.n), WeightFunction(w2.kind, beta2))
     # swap piece: Hamiltonian beta1 H (x) I + beta2 I (x) H at unit temperature
     H_swap = beta * np.kron(H, np.eye(d_n)) + beta2 * np.kron(np.eye(d_n), H)
     d = d_n * d_n
@@ -266,12 +238,11 @@ def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightF
     idx = np.arange(d).reshape(d_n, d_n)
     p = idx.transpose(1, 0).reshape(-1)
     swap[p, np.arange(d)] = 1.0
-    swap_heis, _ = build_ckg_generator(H_swap, [swap], WeightFunction("metropolis", 1.0))
-    M = superop_kron_left(heis1.matrix, d_n)
-    M += superop_kron_right(heis2.matrix, d_n)
-    M += swap_heis.matrix
-    heis = Superoperator(M, "heisenberg")
-    return heis, heis.adjoint()
+    L_swap = build_ckg_generator(H_swap, [swap], WeightFunction("metropolis", 1.0))
+    M = superop_kron_left(L1.matrix, d_n)
+    M += superop_kron_right(L2.matrix, d_n)
+    M += L_swap.matrix
+    return Superoperator(M)
 
 
 def _labeled_sigma_weights(js: JointStructure, beta):

@@ -63,8 +63,6 @@ def symmetrize(L: Superoperator, sigma, basis=None) -> np.ndarray:
     no change of basis is made.  Raises ValueError when the Hermiticity
     residual of L_hat exceeds HERMITICITY_TOL.
     """
-    if L.picture != "heisenberg":
-        L = L.adjoint()
     # X -> P^dag L(R^dag X R) P with P = U^dag s4 V and R = V^dag s4i U
     P, R = sigma.power(0.25), sigma.power(-0.25)
     if L.basis is not None:
@@ -232,7 +230,7 @@ def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=7
     P = qubit_permutation(n, list(cut.perm_order))
     H_perm = P @ assemble_dense(spec) @ P.conj().T
     es_full = eigensystem(H_perm)
-    heis_b, _ = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es_full)
+    L_b = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es_full)
     # unnormalized exp(-beta H) for the compressed-Gibbs comparison
     shift = es_full.eigenvalues.min()
     expH = (es_full.eigenvectors * np.exp(-beta * (es_full.eigenvalues - shift))) @ \
@@ -245,19 +243,19 @@ def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=7
         proj = np.outer(v, v.conj())
         H_i = compress_onto(H_perm, v, ((tuple(range(n_a))), tuple(range(n_a, n))), n)
         es_i = eigensystem(H_i)
-        heis_i, _ = build_ckg_generator(H_i, single_site_paulis(n_b), w, es=es_i)
+        L_i = build_ckg_generator(H_i, single_site_paulis(n_b), w, es=es_i)
         resid = 0.0
         for _ in range(n_random):
             O = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
-            lhs = heis_b.apply(np.kron(proj, O))
-            rhs = np.kron(proj, heis_i.apply(O))
+            lhs = L_b.apply(np.kron(proj, O))
+            rhs = np.kron(proj, L_i.apply(O))
             resid = max(resid, np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
         sigma_i = gibbs_state(es_i, beta)
         comp = compress_onto(expH, v, ((tuple(range(n_a))), tuple(range(n_a, n))), n)
         comp = comp / np.trace(comp)
         sv = np.linalg.svd(sigma_i.sigma - comp, compute_uv=False)
         fixed_point_mismatch = float(np.sum(sv))
-        gap_i = spectral_gap(heis_i, sigma_i).gap
+        gap_i = spectral_gap(L_i, sigma_i).gap
         rows.append(
             {
                 "i_a": i,
@@ -292,10 +290,10 @@ def a_diagonal_restriction_gap(spec, beta, w: WeightFunction):
     P = qubit_permutation(n, list(cut.perm_order))
     H_perm = P @ assemble_dense(spec) @ P.conj().T
     es = eigensystem(H_perm)
-    heis, _ = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es)
+    L = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es)
     sigma = gibbs_state(es, beta)
     # L_hat in a basis whose A factor is labeled by |i_A>
-    Lhat_w = symmetrize(heis, sigma, np.kron(basis.vectors, np.eye(d_b)))
+    Lhat_w = symmetrize(L, sigma, np.kron(basis.vectors, np.eye(d_b)))
     a_label = np.repeat(np.arange(d_a), d_b)  # A label of each Hilbert index
     row_a = np.tile(a_label, d)  # vec index = i + d*j, i minor
     col_a = np.repeat(a_label, d)

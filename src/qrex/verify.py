@@ -20,10 +20,12 @@ from .lindblad import (
     Superoperator,
     WeightFunction,
     alpha_coeff,
+    alpha_quadrature,
     build_ckg_generator,
     eigensystem,
     gibbs_state,
     jump_components,
+    theta,
 )
 from .mixing import SpectralPropagator, chi_square_rate_fit, trace_distance, trace_norm
 from .pauli import single_site_paulis
@@ -35,7 +37,6 @@ from .replica import (
     swap_generator_generic,
     swap_only_kernel_analysis,
     swap_sector_lower_bounds,
-    theta,
 )
 from .spectral import (
     gap_composition_suite,
@@ -82,12 +83,12 @@ def run_verification(seed=42, beta=1.0):
     worst_fp = 0.0
     worst_tr = 0.0
     for w in (gm, gg):
-        heis, schro = build_ckg_generator(assemble_dense(spec3), single_site_paulis(3), w, es=es3)
-        worst_fp = max(worst_fp, trace_norm(schro.apply(sg3.sigma)))
+        L = build_ckg_generator(assemble_dense(spec3), single_site_paulis(3), w, es=es3)
+        worst_fp = max(worst_fp, trace_norm(L.apply_adjoint(sg3.sigma)))
         R = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         rho = R @ R.conj().T
         rho /= np.trace(rho)
-        worst_tr = max(worst_tr, abs(np.trace(schro.apply(rho))))
+        worst_tr = max(worst_tr, abs(np.trace(L.apply_adjoint(rho))))
     results.append(_check("lindblad.fixed_point", worst_fp < 1e-10, f"trace norm {worst_fp:.2e}"))
     results.append(_check("lindblad.trace_preservation", worst_tr < 1e-10, f"{worst_tr:.2e}"))
 
@@ -95,15 +96,15 @@ def run_verification(seed=42, beta=1.0):
     min_ev = 0.0
     for S in single_site_paulis(3):
         comps = jump_components(S, es3)
-        nus = [nu for nu, c in comps.items() if np.linalg.norm(c) > 1e-12]
-        A = np.array([[alpha_coeff(a, b, gm) for b in nus] for a in nus])
+        nus = np.array([nu for nu, c in comps.items() if np.linalg.norm(c) > 1e-12])
+        A = alpha_coeff(nus[:, None], nus[None, :], gm)
         ev = np.linalg.eigvalsh(A).min()
         min_ev = min(min_ev, ev)
         psd_ok &= ev >= -1e-10
     results.append(_check("lindblad.alpha_gram_psd", psd_ok, f"min eigenvalue {min_ev:.2e}"))
 
-    heis_m, _ = build_ckg_generator(assemble_dense(spec3), single_site_paulis(3), gm, es=es3)
-    Lhat = symmetrize(heis_m, sg3)
+    L_m = build_ckg_generator(assemble_dense(spec3), single_site_paulis(3), gm, es=es3)
+    Lhat = symmetrize(L_m, sg3)
     evals = np.linalg.eigvalsh(-Lhat)
     results.append(_check("lindblad.negativity", evals.min() >= -1e-9 * np.abs(evals).max(),
                           f"min {evals.min():.2e}"))
@@ -118,7 +119,7 @@ def run_verification(seed=42, beta=1.0):
                           f"range [{th.min():.3f}, {th.max():.3f}]"))
 
     quad_grid = np.linspace(-20, 20, 101)
-    diff = max(abs(theta(x) - alpha_coeff(x / beta, x / beta, gm)) for x in quad_grid)
+    diff = np.abs(theta(quad_grid) - alpha_quadrature(quad_grid / beta, quad_grid / beta, gm)).max()
     results.append(_check("replica.theta_quadrature", diff < 1e-8, f"max diff {diff:.2e}"))
 
     cs_ok = True
@@ -140,8 +141,8 @@ def run_verification(seed=42, beta=1.0):
                 erfc_ok = False
     results.append(_check("replica.erfc_mean_bound", erfc_ok, "50x50 grid"))
 
-    swap_closed, _ = swap_generator_closed_form(spec3, beta)
-    swap_generic, _ = swap_generator_generic(spec3, beta)
+    swap_closed = swap_generator_closed_form(spec3, beta)
+    swap_generic = swap_generator_generic(spec3, beta)
     rel = np.linalg.norm(swap_closed.matrix - swap_generic.matrix, 2) / \
         np.linalg.norm(swap_generic.matrix, 2)
     results.append(_check("replica.closed_vs_generic", rel <= 1e-9, f"rel diff {rel:.2e}"))
@@ -161,8 +162,8 @@ def run_verification(seed=42, beta=1.0):
                           kern["restricted_kernel_dim"] == 1 and cross_ok,
                           f"dim {kern['restricted_kernel_dim']}, cross {kern['cross_term_residuals']}"))
 
-    heis_re, _ = build_replica_exchange_generator(spec3, beta, gg, gg, SwapMode("local_A"))
-    rep_re = spectral_gap(heis_re, sgj)
+    L_re = build_replica_exchange_generator(spec3, beta, gg, gg, SwapMode("local_A"))
+    rep_re = spectral_gap(L_re, sgj)
     results.append(_check("replica.joint_kernel_dim", rep_re.kernel_dim == 1,
                           f"dim {rep_re.kernel_dim}"))
 
@@ -171,19 +172,19 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("spectral.gap_composition", comp_rep["passed"],
                           str({k: v["violations"] for k, v in comp_rep["cases"].items()})))
 
-    rep1 = spectral_gap(heis_m, sg3)
-    rep2 = spectral_gap(Superoperator(2.5 * heis_m.matrix, "heisenberg"), sg3)
+    rep1 = spectral_gap(L_m, sg3)
+    rep2 = spectral_gap(Superoperator(2.5 * L_m.matrix), sg3)
     scale_ok = abs(rep2.gap - 2.5 * rep1.gap) <= 1e-9 * rep2.gap
     results.append(_check("spectral.gap_rescaling", scale_ok, f"{rep2.gap / rep1.gap:.12f}"))
 
-    direct = np.sort(np.linalg.eigvals(heis_m.matrix).real)
+    direct = np.sort(np.linalg.eigvals(L_m.matrix).real)
     sym = np.sort(np.linalg.eigvalsh(Lhat))
     spec_ok = np.allclose(direct, sym, atol=1e-7 * max(1.0, np.abs(sym).max()))
     results.append(_check("spectral.symmetrize_consistency", spec_ok,
                           f"max dev {np.abs(direct - sym).max():.2e}"))
 
     # mixing
-    prop = SpectralPropagator(heis_m, sg3)
+    prop = SpectralPropagator(L_m, sg3)
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[0, 0] = 1.0
     coeffs = prop.coefficients(rho0)
@@ -195,10 +196,10 @@ def run_verification(seed=42, beta=1.0):
     spec2 = defected_ising_1d(3, 1.0)
     H2 = assemble_dense(spec2)
     es2 = eigensystem(H2)
-    heis2, _ = build_ckg_generator(H2, single_site_paulis(3), gm, es=es2)
+    L2 = build_ckg_generator(H2, single_site_paulis(3), gm, es=es2)
     sg2 = gibbs_state(es2, beta)
-    gap2 = spectral_gap(heis2, sg2).gap
-    rate = chi_square_rate_fit(heis2, sg2)
+    gap2 = spectral_gap(L2, sg2).gap
+    rate = chi_square_rate_fit(L2, sg2)
     chi_ok = abs(rate / (2 * gap2) - 1.0) <= 0.05
     results.append(_check("mixing.chi2_gap_consistency", chi_ok,
                           f"rate/2gap = {rate / (2 * gap2):.4f}"))

@@ -24,13 +24,14 @@ from qrex.hamiltonians import (
 )
 from qrex.lindblad import (
     WeightFunction,
-    alpha_coeff,
+    alpha_quadrature,
     build_ckg_generator,
     coherent_term,
     detailed_balance_residual,
     eigensystem,
     gibbs_state,
     jump_components,
+    theta,
 )
 from qrex.mixing import (
     bottleneck_witness,
@@ -48,7 +49,6 @@ from qrex.replica import (
     swap_generator_generic,
     swap_only_kernel_analysis,
     swap_unitary_original,
-    theta,
 )
 from qrex.spectral import (
     gap_composition_suite,
@@ -72,16 +72,16 @@ def single_generator(J, w=GM, n=3):
     spec = defected_ising_1d(n, J)
     H = assemble_dense(spec)
     es = eigensystem(H)
-    heis, schro = build_ckg_generator(H, single_site_paulis(n), w, es=es)
-    return heis, schro, gibbs_state(es, w.beta)
+    heis = build_ckg_generator(H, single_site_paulis(n), w, es=es)
+    return heis, gibbs_state(es, w.beta)
 
 
 def test_01_detailed_balance_and_fixed_point():
     worst_db, worst_fp = 0.0, 0.0
     for w in (GG, GM):
-        heis, schro, sg = single_generator(3.0, w)
+        heis, sg = single_generator(3.0, w)
         worst_db = max(worst_db, detailed_balance_residual(heis, sg))
-        worst_fp = max(worst_fp, trace_norm(schro.apply(sg.sigma)))
+        worst_fp = max(worst_fp, trace_norm(heis.apply_adjoint(sg.sigma)))
     announce(1, "detailed balance & fixed point", worst_db < 1e-10 and worst_fp < 1e-10,
              f"db={worst_db:.2e} fp={worst_fp:.2e}")
 
@@ -89,7 +89,7 @@ def test_01_detailed_balance_and_fixed_point():
 def test_02_theta_validation():
     grid = np.linspace(-20.0, 20.0, 401)
     closed = theta(grid)
-    quad = np.array([alpha_coeff(x / BETA, x / BETA, GM) for x in grid])
+    quad = alpha_quadrature(grid / BETA, grid / BETA, GM)
     max_diff = np.abs(closed - quad).max()
     theta0_ok = abs(theta(0.0) - 0.617) < 1e-3
     bounds_ok = np.all(closed >= 0) and np.all(closed <= 2.0) \
@@ -101,7 +101,7 @@ def test_02_theta_validation():
 def test_03_slow_mixing_gap_collapse():
     gaps = {}
     for J in (1.0, 2.0, 3.0, 4.0, 5.0):
-        heis, _, sg = single_generator(J, GM)
+        heis, sg = single_generator(J, GM)
         gaps[J] = spectral_gap(heis, sg).gap
     steps_ok = all(gaps[J + 1] / gaps[J] <= np.exp(-1.0) for J in (1.0, 2.0, 3.0, 4.0))
     total_ok = gaps[5.0] / gaps[1.0] <= np.exp(-6.0)
@@ -113,10 +113,10 @@ def test_04_replica_exchange_acceleration():
     gaps_re, gaps_single, bounds_ok = {}, {}, True
     for J in (1.0, 2.0, 3.0, 4.0, 5.0):
         spec = defected_ising_1d(3, J)
-        heis, _ = build_replica_exchange_generator(spec, BETA, GG, GG, SwapMode("local_A"))
+        heis = build_replica_exchange_generator(spec, BETA, GG, GG, SwapMode("local_A"))
         sg = joint_gibbs(spec, BETA)
         gaps_re[J] = spectral_gap(heis, sg).gap
-        h1, _, sg1 = single_generator(J, GM)
+        h1, sg1 = single_generator(J, GM)
         gaps_single[J] = spectral_gap(h1, sg1).gap
         part = partial_lindbladian_check(spec, BETA, GG)
         cut = check_commuting_cut(spec)
@@ -132,8 +132,8 @@ def test_04_replica_exchange_acceleration():
 
 def test_05_swap_generator_structure():
     spec = defected_ising_1d(3, 2.0)
-    closed, _ = swap_generator_closed_form(spec, BETA)
-    generic, _ = swap_generator_generic(spec, BETA)
+    closed = swap_generator_closed_form(spec, BETA)
+    generic = swap_generator_generic(spec, BETA)
     rel = np.linalg.norm(closed.matrix - generic.matrix, 2) / np.linalg.norm(generic.matrix, 2)
     sg = joint_gibbs(spec, BETA)
     norm = kms_operator_norm(closed, sg)
@@ -149,7 +149,7 @@ def test_05_swap_generator_structure():
 
 def test_06_kernel_characterization():
     spec = defected_ising_1d(3, 3.0)
-    heis, _ = build_replica_exchange_generator(spec, BETA, GG, GG, SwapMode("local_A"))
+    heis = build_replica_exchange_generator(spec, BETA, GG, GG, SwapMode("local_A"))
     rep = spectral_gap(heis, joint_gibbs(spec, BETA))
     kern = swap_only_kernel_analysis(spec, BETA)
     cross_ok = all(v < 1e-10 for v in kern["cross_term_residuals"].values())
@@ -177,7 +177,7 @@ def test_08_mixing_sandwich():
     spec = HamiltonianSpec(n=2, terms=(PauliTerm(-1.0, ((0, "Z"), (1, "Z"))),))
     H = assemble_dense(spec)
     es = eigensystem(H)
-    heis, _ = build_ckg_generator(H, single_site_paulis(2), GM, es=es)
+    heis = build_ckg_generator(H, single_site_paulis(2), GM, es=es)
     sg = gibbs_state(es, BETA)
     rep = mixing_time_estimate(heis, sg, 1e-2)
     in_bracket = rep.t_lower <= rep.t_measured <= rep.t_upper

@@ -3,11 +3,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc
 
+from qrex import lindblad
 from qrex.hamiltonians import assemble_dense, defected_ising_1d
 from qrex.lindblad import (
+    BOHR_GROUP_TOL,
     Superoperator,
     WeightFunction,
     alpha_coeff,
+    alpha_quadrature,
     build_ckg_generator,
     coherent_term,
     detailed_balance_residual,
@@ -50,6 +53,37 @@ class TestEigensystem:
         es = eigensystem(H)
         assert np.allclose(np.sort(es.bohr), np.sort(-es.bohr), atol=1e-9)
         assert 0.0 in es.bohr
+
+    def test_groups_chain_across_tolerance(self):
+        # 0, 0.6 tol, 1.2 tol: the outer pair is 1.2 tol apart, but each
+        # neighbour is within tol, so the three chain into one group
+        tol = BOHR_GROUP_TOL  # ||H|| = 1 sets the scale to 1
+        es = eigensystem(np.diag([0.0, 0.6 * tol, 1.2 * tol, 1.0]))
+        assert es.bohr.size == 3
+        assert es.bohr[1] == 0.0
+        assert es.bohr[0] == pytest.approx(-(1.0 - 0.6 * tol), abs=1e-15)
+        assert es.bohr[2] == pytest.approx(1.0 - 0.6 * tol, abs=1e-15)
+        expected = np.ones((4, 4), dtype=np.int64)
+        expected[3, :3] = 2
+        expected[:3, 3] = 0
+        assert np.array_equal(es.gid, expected)
+
+    def test_grouping_matches_loop_reference(self):
+        # the sequential chaining rule, one sorted difference at a time
+        rng = np.random.default_rng(12)
+        lam = np.round(rng.uniform(-3, 3, 7), 1)  # repeated Bohr differences
+        lam[1] = lam[0] + 0.4 * BOHR_GROUP_TOL  # a near-degenerate pair
+        es = eigensystem(np.diag(lam))
+        tol = BOHR_GROUP_TOL * max(1.0, np.abs(lam).max())
+        diffs = (es.eigenvalues[:, None] - es.eigenvalues[None, :]).reshape(-1)
+        order = np.argsort(diffs, kind="stable")
+        gid = np.empty(diffs.size, dtype=np.int64)
+        g = 0
+        for k, i in enumerate(order):
+            if k and diffs[i] - diffs[order[k - 1]] > tol:
+                g += 1
+            gid[i] = g
+        assert np.array_equal(es.gid, gid.reshape(7, 7))
 
 
 class TestGibbsState:
@@ -120,6 +154,21 @@ class TestFilter:
 
 
 class TestAlphaCoeff:
+    @pytest.mark.parametrize("kind", ["gaussian", "metropolis"])
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 3.0, 6.0])
+    def test_closed_form_matches_quadrature(self, kind, beta):
+        w = WeightFunction(kind, beta)
+        nus = np.linspace(-8.0, 8.0, 17) / beta  # beta * nu spans [-8, 8]
+        v1, v2 = nus[:, None], nus[None, :]  # diagonal and off-diagonal pairs
+        diff = np.abs(alpha_coeff(v1, v2, w) - alpha_quadrature(v1, v2, w))
+        assert diff.max() <= 1e-12
+
+    def test_quadrature_raises_when_not_converged(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "QUAD_PANELS", 1)
+        monkeypatch.setattr(lindblad, "QUAD_PANELS_FINE", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            alpha_quadrature(0.3, -0.2, GG)
+
     def test_metropolis_diagonal_at_zero(self):
         # paper's theta(0) = erfc(1/(2 sqrt 2)) ~ 0.617
         val = alpha_coeff(0.0, 0.0, GM)
@@ -198,21 +247,21 @@ def trace_norm(M):
 
 class TestBuildCkgGenerator:
     def test_depolarizing_rate_on_trivial_hamiltonian(self):
-        heis, _ = build_ckg_generator(np.eye(2), [X, Y, Z], GM)
+        heis = build_ckg_generator(np.eye(2), [X, Y, Z], GM)
         theta0 = erfc(1 / (2 * np.sqrt(2)))
         assert np.allclose(heis.apply(Z), -4 * theta0 * Z, atol=1e-10)
         assert np.allclose(heis.apply(X), -4 * theta0 * X, atol=1e-10)
 
     def test_unital_in_heisenberg_picture(self):
         H = assemble_dense(defected_ising_1d(3, 2.0))
-        heis, _ = build_ckg_generator(H, single_site_paulis(3), GM)
+        heis = build_ckg_generator(H, single_site_paulis(3), GM)
         assert np.linalg.norm(heis.apply(np.eye(8))) < 1e-10 * np.linalg.norm(heis.matrix)
 
     @pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
     def test_detailed_balance(self, w):
         H = assemble_dense(defected_ising_1d(3, 3.0))
         es = eigensystem(H)
-        heis, _ = build_ckg_generator(H, single_site_paulis(3), w, es=es)
+        heis = build_ckg_generator(H, single_site_paulis(3), w, es=es)
         sg = gibbs_state(es, w.beta)
         assert detailed_balance_residual(heis, sg) < 1e-10
 
@@ -220,19 +269,19 @@ class TestBuildCkgGenerator:
     def test_fixed_point(self, w):
         H = assemble_dense(defected_ising_1d(3, 3.0))
         es = eigensystem(H)
-        heis, schro = build_ckg_generator(H, single_site_paulis(3), w, es=es)
+        heis = build_ckg_generator(H, single_site_paulis(3), w, es=es)
         sg = gibbs_state(es, w.beta)
-        assert trace_norm(schro.apply(sg.sigma)) < 1e-10
+        assert trace_norm(heis.apply_adjoint(sg.sigma)) < 1e-10
 
     def test_trace_preservation(self):
         H = assemble_dense(defected_ising_1d(3, 1.5))
-        _, schro = build_ckg_generator(H, single_site_paulis(3), GM)
+        heis = build_ckg_generator(H, single_site_paulis(3), GM)
         rng = np.random.default_rng(9)
         for _ in range(5):
             R = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             rho = R @ R.conj().T
             rho /= np.trace(rho)
-            assert abs(np.trace(schro.apply(rho))) < 1e-10
+            assert abs(np.trace(heis.apply_adjoint(rho))) < 1e-10
 
     def test_alpha_gram_matrix_psd(self):
         # the alpha table restricted to each coupling's Bohr support is a Gram
@@ -251,7 +300,7 @@ class TestBuildCkgGenerator:
 
     def test_kernel_is_identity_span(self):
         H = assemble_dense(defected_ising_1d(3, 2.0))
-        heis, _ = build_ckg_generator(H, single_site_paulis(3), GM)
+        heis = build_ckg_generator(H, single_site_paulis(3), GM)
         evals = np.linalg.eigvals(heis.matrix)
         near_zero = np.sum(np.abs(evals) < 1e-8 * np.abs(evals).max())
         assert near_zero == 1
@@ -273,36 +322,39 @@ class TestSuperoperator:
         A, Xm, B = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3))
         assert np.allclose(np.kron(B.T, A) @ vec(Xm), vec(A @ Xm @ B))
 
-    def test_adjoint_roundtrip(self):
+    def test_hilbert_schmidt_duality(self):
+        # <Y, L(X)> = <L^dag(Y), X> with <A, B> = Tr[A^dag B], in any stored basis
         rng = np.random.default_rng(7)
         M = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        s = Superoperator(M, "heisenberg")
-        assert s.adjoint().picture == "schrodinger"
-        assert np.allclose(s.adjoint().adjoint().matrix, M)
+        U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        Xm, Ym = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+        for s in (Superoperator(M), Superoperator(M, basis=U)):
+            assert np.vdot(Ym, s.apply(Xm)) == pytest.approx(np.vdot(s.apply_adjoint(Ym), Xm),
+                                                             rel=1e-12)
 
     def test_schrodinger_annihilates_trace(self):
         H = assemble_dense(defected_ising_1d(3, 1.0))
-        _, schro = build_ckg_generator(H, single_site_paulis(3), GM)
+        heis = build_ckg_generator(H, single_site_paulis(3), GM)
         rng = np.random.default_rng(10)
         R = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert abs(np.trace(schro.apply(R))) <= 1e-10 * np.linalg.norm(R)
+        assert abs(np.trace(heis.apply_adjoint(R))) <= 1e-10 * np.linalg.norm(R)
 
 
 class TestDetailedBalanceResidual:
     def test_zero_map(self):
         sg = gibbs_state(eigensystem(Z), 1.0)
-        L = Superoperator(np.zeros((4, 4), dtype=complex), "heisenberg")
+        L = Superoperator(np.zeros((4, 4), dtype=complex))
         assert detailed_balance_residual(L, sg) == 0.0
 
     def test_perturbation_detected(self):
         H = assemble_dense(defected_ising_1d(3, 3.0))
         es = eigensystem(H)
-        heis, _ = build_ckg_generator(H, single_site_paulis(3), GG, es=es)
+        heis = build_ckg_generator(H, single_site_paulis(3), GG, es=es)
         sg = gibbs_state(es, 1.0)
         rng = np.random.default_rng(14)
         R = rng.standard_normal(heis.matrix.shape) + 1j * rng.standard_normal(heis.matrix.shape)
         scale = 1e-3 * np.linalg.norm(heis.matrix, 2) / np.linalg.norm(R, 2)
-        bad = Superoperator(heis.matrix + scale * R, "heisenberg")
+        bad = Superoperator(heis.matrix + scale * R)
         assert detailed_balance_residual(bad, sg) >= 1e-4
 
     def test_kms_inner_basics(self):

@@ -34,51 +34,51 @@ def two_qubit_ising(w=GM, beta=1.0):
     spec = HamiltonianSpec(n=2, terms=(PauliTerm(-1.0, ((0, "Z"), (1, "Z"))),))
     H = assemble_dense(spec)
     es = eigensystem(H)
-    heis, schro = build_ckg_generator(H, single_site_paulis(2), w, es=es)
-    return heis, schro, gibbs_state(es, beta)
+    heis = build_ckg_generator(H, single_site_paulis(2), w, es=es)
+    return heis, gibbs_state(es, beta)
 
 
 class TestEvolve:
     def test_time_zero_identity(self):
-        heis, schro, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
-        assert np.allclose(evolve(schro, rho0, 0.0, sigma=sg), rho0, atol=1e-12)
+        assert np.allclose(evolve(heis, rho0, 0.0, sigma=sg), rho0, atol=1e-12)
 
     def test_long_time_reaches_gibbs(self):
-        heis, schro, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         gap = spectral_gap(heis, sg).gap
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
-        rho_t = evolve(schro, rho0, 1e3 / gap, sigma=sg)
+        rho_t = evolve(heis, rho0, 1e3 / gap, sigma=sg)
         assert trace_distance(rho_t, sg.sigma) < 1e-8
 
     def test_trace_and_positivity_along_flow(self):
-        heis, schro, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         rho0 = np.diag([0.5, 0.5, 0, 0]).astype(complex)
         for t in np.logspace(-2, 2, 9):
-            rho_t = evolve(schro, rho0, t, sigma=sg)
+            rho_t = evolve(heis, rho0, t, sigma=sg)
             assert abs(np.trace(rho_t) - 1.0) < 1e-10
             assert np.linalg.eigvalsh(rho_t).min() >= -1e-10
 
     def test_matches_dense_exponential(self):
-        heis, schro, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         rho0 = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
         rho0[0, 3] = rho0[3, 0] = 0.1
         for t in (0.3, 1.7):
-            spectral = evolve(schro, rho0, t, sigma=sg)
-            dense = unvec(expm(t * schro.matrix) @ vec(rho0))
+            spectral = evolve(heis, rho0, t, sigma=sg)
+            dense = unvec(expm(t * heis.matrix.conj().T) @ vec(rho0))
             assert np.linalg.norm(spectral - dense) < 1e-9
 
     def test_non_db_falls_back_with_warning(self):
-        heis, schro, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         rho0 = np.eye(4, dtype=complex) / 4
         with pytest.warns(UserWarning):
-            out = evolve(schro, rho0, 0.5)
+            out = evolve(heis, rho0, 0.5)
         assert abs(np.trace(out) - 1.0) < 1e-10
 
     def test_invalid_state_rejected(self):
-        _, schro, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         with pytest.raises(ValueError):
-            evolve(schro, np.eye(4, dtype=complex), 0.1, sigma=sg)
+            evolve(heis, np.eye(4, dtype=complex), 0.1, sigma=sg)
 
 
 class TestMixingBounds:
@@ -105,7 +105,7 @@ class TestMixingTimeEstimate:
         # |0><0| the trace distance is exactly exp(-4 theta(0) t)
         H = np.eye(2)
         es = eigensystem(H)
-        heis, _ = build_ckg_generator(H, single_site_paulis(1), GM, es=es)
+        heis = build_ckg_generator(H, single_site_paulis(1), GM, es=es)
         sg = gibbs_state(es, 1.0)
         prop = SpectralPropagator(heis, sg)
         eps = 1e-2
@@ -114,19 +114,19 @@ class TestMixingTimeEstimate:
         assert tc == pytest.approx(analytic, rel=1e-2)
 
     def test_two_qubit_sandwich(self):
-        heis, _, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         rep = mixing_time_estimate(heis, sg, 1e-2)
         assert rep.t_lower <= rep.t_measured <= rep.t_upper
         assert rep.method == "spectral"
 
     def test_monotone_in_epsilon(self):
-        heis, _, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         rep1 = mixing_time_estimate(heis, sg, 1e-2, n_haar=5)
         rep2 = mixing_time_estimate(heis, sg, 1e-3, n_haar=5)
         assert rep2.t_measured >= rep1.t_measured
 
     def test_crossing_below_upper_bound_for_every_state(self):
-        heis, _, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         rep = mixing_time_estimate(heis, sg, 1e-2, n_haar=5)
         tol = rep.t_upper * 1e-3 + 1e-9
         assert all(t <= rep.t_upper + tol for _, t in rep.crossings)
@@ -135,7 +135,7 @@ class TestMixingTimeEstimate:
         spec = defected_ising_1d(3, 4.0)
         H = assemble_dense(spec)
         es = eigensystem(H)
-        heis, _ = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
+        heis = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
         sg = gibbs_state(es, 1.0)
         rep = mixing_time_estimate(heis, sg, 1e-2, n_haar=5)
         assert rep.t_lower <= rep.t_measured <= rep.t_upper
@@ -143,17 +143,17 @@ class TestMixingTimeEstimate:
 
 class TestChiSquare:
     def test_zero_at_fixed_point(self):
-        _, _, sg = two_qubit_ising()
+        _, sg = two_qubit_ising()
         assert chi_square(sg.sigma, sg) == pytest.approx(0.0, abs=1e-12)
 
     def test_saturated_by_min_weight_eigenstate(self):
-        _, _, sg = two_qubit_ising()
+        _, sg = two_qubit_ising()
         v = sg.eigenvectors[:, 0]  # eigenvalues stored ascending
         rho = np.outer(v, v.conj())
         assert chi_square(rho, sg) == pytest.approx(1 / sg.lambda_min - 1, rel=1e-10)
 
     def test_contraction_along_flow(self):
-        heis, schro, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         gap = spectral_gap(heis, sg).gap
         rng = np.random.default_rng(5)
         R = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -161,17 +161,17 @@ class TestChiSquare:
         rho0 /= np.trace(rho0)
         chi0 = chi_square(rho0, sg)
         for t in np.linspace(0.2, 3.0, 6):
-            rho_t = evolve(schro, rho0, t, sigma=sg)
+            rho_t = evolve(heis, rho0, t, sigma=sg)
             assert chi_square(rho_t, sg) <= np.exp(-2 * gap * t) * chi0 + 1e-12
 
     def test_rate_fit_matches_gap(self):
-        heis, _, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         gap = spectral_gap(heis, sg).gap
         rate = chi_square_rate_fit(heis, sg)
         assert abs(rate / (2 * gap) - 1.0) <= 0.05
 
     def test_gap_mode_state_is_valid(self):
-        heis, _, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         rho0 = gap_mode_state(heis, sg)
         assert abs(np.trace(rho0) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho0).min() >= -1e-12
@@ -179,7 +179,7 @@ class TestChiSquare:
 
 class TestTraceDistanceMonotone:
     def test_non_increasing_on_grid(self):
-        heis, schro, sg = two_qubit_ising()
+        heis, sg = two_qubit_ising()
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         prop = SpectralPropagator(heis, sg)
         coeffs = prop.coefficients(rho0)

@@ -6,11 +6,13 @@ from qrex.hamiltonians import assemble_dense, defected_ising_1d
 from qrex.lindblad import (
     WeightFunction,
     alpha_coeff,
+    alpha_quadrature,
     build_ckg_generator,
     coherent_term,
     eigensystem,
     gibbs_state,
     jump_components,
+    theta,
 )
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
@@ -26,7 +28,6 @@ from qrex.replica import (
     swap_only_kernel_analysis,
     swap_sector_lower_bounds,
     swap_unitary_original,
-    theta,
 )
 from qrex.spectral import kms_operator_norm, spectral_gap
 
@@ -75,11 +76,11 @@ class TestTheta:
         assert th[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_quadrature_route(self):
-        # theta(beta nu) must equal the diagonal alpha coefficient
+        # theta(beta nu) must equal the diagonal alpha integral
         for beta in (0.5, 1.0, 2.0):
             w = WeightFunction("metropolis", beta)
             for nu in (-6.0, -1.0, 0.0, 0.7, 4.0):
-                assert theta(beta * nu) == pytest.approx(alpha_coeff(nu, nu, w), abs=1e-10)
+                assert theta(beta * nu) == pytest.approx(alpha_quadrature(nu, nu, w), abs=1e-10)
 
     def test_cauchy_schwarz_cross_bound(self):
         # (int gamma_M fhat fhat)^2 <= sqrt(exp(-b w1) exp(-b w2))
@@ -134,8 +135,8 @@ class TestSwapGenerator:
         self.beta = 1.0
 
     def test_closed_form_matches_generic(self):
-        closed, _ = swap_generator_closed_form(self.spec, self.beta)
-        generic, _ = swap_generator_generic(self.spec, self.beta)
+        closed = swap_generator_closed_form(self.spec, self.beta)
+        generic = swap_generator_generic(self.spec, self.beta)
         diff = np.linalg.norm(closed.matrix - generic.matrix, 2)
         assert diff <= 1e-9 * np.linalg.norm(generic.matrix, 2)
 
@@ -148,12 +149,12 @@ class TestSwapGenerator:
         assert np.linalg.norm(G) < 1e-12
 
     def test_kms_norm_at_most_three(self):
-        heis, _ = swap_generator_closed_form(self.spec, self.beta)
+        heis = swap_generator_closed_form(self.spec, self.beta)
         sg = joint_gibbs(self.spec, self.beta)
         assert kms_operator_norm(heis, sg) <= 3.0 + 1e-6
 
     def test_unital(self):
-        heis, _ = swap_generator_closed_form(self.spec, self.beta)
+        heis = swap_generator_closed_form(self.spec, self.beta)
         d = heis.dim
         assert np.linalg.norm(heis.apply(np.eye(d))) < 1e-10 * np.linalg.norm(heis.matrix)
 
@@ -169,7 +170,7 @@ class TestSwapGenerator:
         ]
         assert pairs, "test model should have a degenerate A pair"
         a, c = pairs[0]
-        heis, _ = swap_generator_closed_form(self.spec, self.beta)
+        heis = swap_generator_closed_form(self.spec, self.beta)
         V = js.labeled_to_original()
         d = js.joint_dim
         ket = np.zeros(d)
@@ -188,12 +189,12 @@ class TestReplicaExchangeGenerator:
         self.beta = 1.0
 
     def test_fixed_point_is_joint_gibbs(self):
-        _, schro = build_replica_exchange_generator(self.spec, self.beta, GM, GM, SwapMode("local_A"))
+        heis = build_replica_exchange_generator(self.spec, self.beta, GM, GM, SwapMode("local_A"))
         sg = joint_gibbs(self.spec, self.beta)
-        assert trace_norm(schro.apply(sg.sigma)) < 1e-10
+        assert trace_norm(heis.apply_adjoint(sg.sigma)) < 1e-10
 
     def test_kernel_dimension_one(self):
-        heis, _ = build_replica_exchange_generator(self.spec, self.beta, GM, GM, SwapMode("local_A"))
+        heis = build_replica_exchange_generator(self.spec, self.beta, GM, GM, SwapMode("local_A"))
         sg = joint_gibbs(self.spec, self.beta)
         rep = spectral_gap(heis, sg)
         assert rep.kernel_dim == 1
@@ -205,10 +206,10 @@ class TestReplicaExchangeGenerator:
         gaps_re, gaps_single = [], []
         for J in (1.0, 5.0):
             spec = defected_ising_1d(3, J)
-            heis, _ = build_replica_exchange_generator(spec, self.beta, gg, gg, SwapMode("local_A"))
+            heis = build_replica_exchange_generator(spec, self.beta, gg, gg, SwapMode("local_A"))
             sg = joint_gibbs(spec, self.beta)
             gaps_re.append(spectral_gap(heis, sg).gap)
-            h_single, _ = build_ckg_generator(
+            h_single = build_ckg_generator(
                 assemble_dense(spec), single_site_paulis(3), GM
             )
             sg1 = gibbs_state(eigensystem(assemble_dense(spec)), self.beta)
@@ -218,7 +219,7 @@ class TestReplicaExchangeGenerator:
         assert gaps_single[0] / gaps_single[1] >= 100.0
 
     def test_mode_none_returns_single_system(self):
-        heis, _ = build_replica_exchange_generator(self.spec, self.beta, GM, GM, SwapMode("none"))
+        heis = build_replica_exchange_generator(self.spec, self.beta, GM, GM, SwapMode("none"))
         assert heis.dim == 8
 
     def test_global_mode_two_temperatures(self):
@@ -226,13 +227,13 @@ class TestReplicaExchangeGenerator:
 
         spec = HamiltonianSpec(n=2, terms=(PauliTerm(-2.0, ((0, "Z"), (1, "Z"))),))
         beta1, beta2 = 1.0, 0.25
-        heis, schro = build_replica_exchange_generator(
+        heis = build_replica_exchange_generator(
             spec, beta1, GM, GM, SwapMode("global", beta2=beta2)
         )
         H = assemble_dense(spec)
         s1 = gibbs_state(eigensystem(H), beta1).sigma
         s2 = gibbs_state(eigensystem(H), beta2).sigma
-        assert trace_norm(schro.apply(np.kron(s1, s2))) < 1e-9
+        assert trace_norm(heis.apply_adjoint(np.kron(s1, s2))) < 1e-9
 
 
 class TestSwapKernelAnalysis:

@@ -29,7 +29,7 @@ GG = WeightFunction("gaussian", 1.0)
 def ising_generator(n=3, J=2.0, w=GM):
     H = assemble_dense(defected_ising_1d(n, J))
     es = eigensystem(H)
-    heis, _ = build_ckg_generator(H, single_site_paulis(n), w, es=es)
+    heis = build_ckg_generator(H, single_site_paulis(n), w, es=es)
     return heis, gibbs_state(es, w.beta)
 
 
@@ -68,7 +68,7 @@ class TestSymmetrize:
     def test_maximally_mixed_sigma_is_plain_matrix(self):
         H = np.zeros((4, 4))
         es = eigensystem(H)
-        heis, _ = build_ckg_generator(H, single_site_paulis(2), GM, es=es)
+        heis = build_ckg_generator(H, single_site_paulis(2), GM, es=es)
         sg = gibbs_state(es, 1.0)
         assert np.allclose(symmetrize(heis, sg), heis.matrix, atol=1e-12)
 
@@ -76,8 +76,7 @@ class TestSymmetrize:
         heis, sg = ising_generator()
         rng = np.random.default_rng(2)
         R = rng.standard_normal(heis.matrix.shape)
-        bad = Superoperator(heis.matrix + 1e-2 * np.linalg.norm(heis.matrix, 2) * R / np.linalg.norm(R, 2),
-                            "heisenberg")
+        bad = Superoperator(heis.matrix + 1e-2 * np.linalg.norm(heis.matrix, 2) * R / np.linalg.norm(R, 2))
         with pytest.raises(ValueError):
             symmetrize(bad, sg)
 
@@ -94,7 +93,7 @@ class TestSpectralGap:
         # eigenoperators are Pauli strings; every weight-1 string decays at 4 theta(0)
         H = np.eye(2)
         es = eigensystem(H)
-        heis, _ = build_ckg_generator(H, [X, Y, Z], GM, es=es)
+        heis = build_ckg_generator(H, [X, Y, Z], GM, es=es)
         rep = spectral_gap(heis, gibbs_state(es, 1.0))
         theta0 = erfc(1 / (2 * np.sqrt(2)))
         assert rep.gap == pytest.approx(4 * theta0, rel=1e-8)
@@ -105,7 +104,7 @@ class TestSpectralGap:
         for beta in (0.3, 1.0, 2.5):
             H = np.eye(4)
             es = eigensystem(H)
-            heis, _ = build_ckg_generator(H, single_site_paulis(2), WeightFunction("metropolis", beta), es=es)
+            heis = build_ckg_generator(H, single_site_paulis(2), WeightFunction("metropolis", beta), es=es)
             gaps.append(spectral_gap(heis, gibbs_state(es, beta)).gap)
         assert np.allclose(gaps, gaps[0], rtol=1e-8)
         assert gaps[0] > 1.0  # Theta(1)
@@ -120,7 +119,7 @@ class TestSpectralGap:
     def test_rescaling_covariance(self):
         heis, sg = ising_generator()
         rep1 = spectral_gap(heis, sg)
-        rep2 = spectral_gap(Superoperator(3.0 * heis.matrix, "heisenberg"), sg)
+        rep2 = spectral_gap(Superoperator(3.0 * heis.matrix), sg)
         assert rep2.gap == pytest.approx(3.0 * rep1.gap, rel=1e-10)
 
     def test_negativity_of_spectrum(self):
@@ -133,7 +132,7 @@ class TestSpectralGap:
 class TestKmsOperatorNorm:
     def test_zero_map(self):
         _, sg = ising_generator()
-        L0 = Superoperator(np.zeros((64, 64), dtype=complex), "heisenberg")
+        L0 = Superoperator(np.zeros((64, 64), dtype=complex))
         assert kms_operator_norm(L0, sg) == 0.0
 
     def test_norm_dominates_gap(self):
