@@ -4,7 +4,8 @@ For a detailed-balanced generator the Schrodinger flow factors through the
 symmetrized matrix: e^{t L^dag}(rho) = Phi(e^{t L_hat}(Phi^{-1}(rho))) with
 Phi(X) = sigma^{1/4} X sigma^{1/4}, so one Hermitian eigendecomposition
 serves every initial state and every time.  L_hat is taken in the basis the
-generator is stored in, whose unitary is folded into the Phi factors.
+generator is stored in, whose unitary is folded into the Phi factors, and is
+decomposed block by block along its exact zero pattern (``block_eigh``).
 Non-detailed-balanced input falls back to a dense matrix exponential.
 """
 
@@ -24,7 +25,7 @@ from .lindblad import (
     vec,
 )
 from .pauli import pauli_string_matrix, single_site_paulis
-from .spectral import gap_from_eigenvalues, spectral_gap, symmetrize
+from .spectral import block_eigh, gap_from_eigenvalues, spectral_gap, symmetrize
 
 BISECTION_RTOL = 1e-3
 
@@ -70,22 +71,32 @@ def _phi_factors(sigma, U):
 
 
 class SpectralPropagator:
-    """Evolution e^{t L^dag} through the eigendecomposition of L_hat."""
+    """Evolution e^{t L^dag} through the block eigendecomposition of L_hat.
+
+    ``blocks`` holds (idx, w, V) for each block size (see ``block_eigh``);
+    ``evals`` is the whole spectrum of L_hat, ascending.  Coefficients are a
+    list with one (k, b) array per block size.
+    """
 
     def __init__(self, L: Superoperator, sigma):
         self.sigma = sigma
         U = L.basis
-        self.evals, self.modes = np.linalg.eigh(symmetrize(L, sigma, U))
+        self.blocks = block_eigh(symmetrize(L, sigma, U))
+        self.evals = np.sort(np.concatenate([w.ravel() for _, w, _ in self.blocks]))
         self._phi = _phi_factors(sigma, U)
         s4i = sigma.power(-0.25)
         self._phi_inv = (s4i, s4i) if U is None else (U.conj().T @ s4i, s4i @ U)
 
     def coefficients(self, rho0):
         a, b = self._phi_inv
-        return self.modes.conj().T @ vec(a @ rho0 @ b)
+        v = vec(a @ rho0 @ b).conj()
+        # V^dag x per block, as conj(conj(x) V) so no conjugate of V is formed
+        return [np.conj(v[idx][:, None, :] @ V)[:, 0, :] for idx, _, V in self.blocks]
 
     def state_at(self, coeffs, t):
-        v = self.modes @ (np.exp(t * self.evals) * coeffs)
+        v = np.empty(self.evals.size, dtype=complex)
+        for (idx, w, V), c in zip(self.blocks, coeffs):
+            v[idx] = (V @ (np.exp(t * w) * c)[:, :, None])[:, :, 0]
         a, b = self._phi
         rho = a @ unvec(v) @ b
         return 0.5 * (rho + rho.conj().T)
@@ -163,13 +174,14 @@ def first_crossing_time(prop: SpectralPropagator, rho0, epsilon, t_cap):
     """Earliest t with ||rho(t) - sigma||_Tr <= epsilon, by bisection.
 
     Trace distance to the fixed point is non-increasing along a CPTP
-    semigroup, so the crossing is unique.
+    semigroup, so the crossing is unique.  The propagated state is Hermitian,
+    so its distance is the sum of |eigenvalues| of rho(t) - sigma.
     """
     sig = prop.sigma.sigma
     coeffs = prop.coefficients(rho0)
 
     def dist(t):
-        return trace_distance(prop.state_at(coeffs, t), sig)
+        return float(np.abs(np.linalg.eigvalsh(prop.state_at(coeffs, t) - sig)).sum())
 
     if dist(0.0) <= epsilon:
         return 0.0
@@ -224,10 +236,21 @@ def _gap_and_mode(L: Superoperator, sigma):
     """Spectral gap and gap_mode_state from one eigendecomposition of -L_hat."""
     Lhat = symmetrize(L, sigma, L.basis)
     np.negative(Lhat, out=Lhat)
-    evals, modes = np.linalg.eigh(Lhat)
-    rep = gap_from_eigenvalues(evals)
+    blocks = block_eigh(Lhat)
+    evals = np.concatenate([w.ravel() for _, w, _ in blocks])
+    order = np.argsort(evals, kind="stable")
+    rep = gap_from_eigenvalues(evals[order])
+    # the eigenvector of the kernel_dim-th eigenvalue, taken from its block
+    k = order[rep.kernel_dim]
+    x = np.zeros(evals.size, dtype=complex)
+    for idx, w, V in blocks:
+        if k < w.size:
+            c, j = divmod(k, w.shape[1])
+            x[idx[c]] = V[c, :, j]
+            break
+        k -= w.size
     a, b = _phi_factors(sigma, L.basis)
-    X = unvec(modes[:, rep.kernel_dim])
+    X = unvec(x)
     Y = a @ X @ b  # sigma^{1/2} X sigma^{1/2} for the KMS eigenoperator X
     Y = Y + Y.conj().T
     if np.linalg.norm(Y) < 1e-12:

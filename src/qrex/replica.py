@@ -36,6 +36,7 @@ from .lindblad import (
     gibbs_state,
 )
 from .pauli import qubit_permutation, single_site_paulis
+from .spectral import block_eigvalsh
 
 CLOSED_FORM_RTOL = 1e-9
 
@@ -306,7 +307,7 @@ def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
     Q, _ = np.linalg.qr(C)
     R = Q.conj().T @ (-Lhat) @ Q
     evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
-    scale = max(np.abs(np.linalg.eigvalsh(-Lhat)).max(), 1e-300)
+    scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
     kernel_dim = int(np.sum(evals <= 1e-9 * scale))
 
     # cross terms of the diagonal/off-diagonal decompositions

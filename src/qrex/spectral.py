@@ -5,9 +5,16 @@ A detailed-balanced generator L is self-adjoint in the KMS inner product
 Phi(X) = sigma^(1/4) X sigma^(1/4) carries that geometry to Hilbert-Schmidt,
 so L_hat = Phi o L o Phi^(-1) is an honest Hermitian matrix whose spectrum
 is the KMS spectrum of L.  Gaps, operator norms and kernel dimensions are
-read off a dense eigendecomposition of -L_hat, formed in the basis the
-generator is stored in.  L is detailed balanced exactly when L_hat is
-Hermitian, so that residual is the detailed-balance check.
+read off the eigendecomposition of -L_hat, formed in the basis the generator
+is stored in.  L is detailed balanced exactly when L_hat is Hermitian, so
+that residual is the detailed-balance check.
+
+Every eigensolve of L_hat goes through ``block_eigh``: single-site jumps in
+a basis where H is diagonal leave most entries of L_hat exactly zero, and
+the connected components of that zero pattern are blocks solved on their
+own.  The spectrum of a matrix with exact zeros outside its blocks is the
+union of the block spectra, so this is exact; a matrix without zeros is one
+block.
 """
 
 from dataclasses import dataclass
@@ -71,13 +78,81 @@ def symmetrize(L: Superoperator, sigma, basis=None) -> np.ndarray:
         P, R = P @ basis, basis.conj().T @ R
     Lhat = congruence(L.local, P, R)
     Lhat_h = Lhat.conj().T
-    herm = np.linalg.norm(Lhat - Lhat_h) / max(1.0, np.linalg.norm(Lhat))
+    # the residual 64 rows at a time, so no third full-size matrix is formed
+    resid = np.sqrt(sum(np.linalg.norm(Lhat[k:k + 64] - Lhat_h[k:k + 64]) ** 2
+                        for k in range(0, Lhat.shape[0], 64)))
+    herm = resid / max(1.0, np.linalg.norm(Lhat))
     if herm > HERMITICITY_TOL:
         raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
                          f"L_hat {herm:.2e})")
     Lhat += Lhat_h
     Lhat *= 0.5
     return Lhat
+
+
+def _block_indices(A):
+    """Connected components of the nonzero pattern of the square A, grouped by size.
+
+    Entry (i, j) links i and j whichever triangle it sits in, so the blocks
+    are those of one simultaneous row/column permutation, also for a
+    non-Hermitian A.  Min-label propagation over the nonzero entries with
+    pointer jumping: every index ends labeled by the smallest index of its
+    component.  Returns one (k, b) index array per distinct component size
+    b, a row per component, indices ascending.
+    """
+    n = A.shape[0]
+    pattern = A != 0
+    if pattern.all():
+        return [np.arange(n)[None, :]]
+    rows, cols = np.nonzero(pattern)
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            break
+        label = new
+    sizes = np.bincount(label, minlength=n)
+    sizes = sizes[sizes > 0]  # component sizes, in the order of their smallest index
+    order = np.argsort(label, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == b][:, None] + np.arange(b)] for b in np.unique(sizes)]
+
+
+def block_eigh(A, vectors=True):
+    """Eigendecomposition of the Hermitian A, one batched eigh per block size.
+
+    Returns a list of (idx, w, V), one per distinct block size b: ``idx`` is
+    the (k, b) array of the indices of k blocks, ``w`` their (k, b) ascending
+    eigenvalues and ``V`` their (k, b, b) eigenvectors (None without
+    ``vectors``), so that A[i][:, i] @ V[c] = V[c] * w[c] with i = idx[c].
+    """
+    groups = []
+    for idx in _block_indices(A):
+        sub = A[None] if idx.shape[1] == A.shape[0] else A[idx[:, :, None], idx[:, None, :]]
+        if vectors:
+            w, V = np.linalg.eigh(sub)
+        else:
+            w, V = np.linalg.eigvalsh(sub), None
+        groups.append((idx, w, V))
+    return groups
+
+
+def block_eigvalsh(A):
+    """Ascending eigenvalues of the Hermitian A, solved block by block."""
+    return np.sort(np.concatenate([w.ravel() for _, w, _ in block_eigh(A, vectors=False)]))
+
+
+def spectral_norm(X):
+    """Largest singular value of the square X: sqrt of the top eigenvalue of X^dag X per block."""
+    top = 0.0
+    for idx in _block_indices(X):
+        sub = X[idx[:, :, None], idx[:, None, :]]
+        top = max(top, float(np.linalg.eigvalsh(sub.conj().transpose(0, 2, 1) @ sub)[:, -1].max()))
+    return float(np.sqrt(top))
 
 
 def gap_from_eigenvalues(evals, tol=KERNEL_TOL) -> GapReport:
@@ -109,7 +184,7 @@ def spectral_gap(L: Superoperator, sigma, tol=KERNEL_TOL) -> GapReport:
     """Kernel dimension and smallest nonzero eigenvalue of -L_hat."""
     Lhat = symmetrize(L, sigma, L.basis)
     np.negative(Lhat, out=Lhat)
-    return gap_from_eigenvalues(np.linalg.eigvalsh(Lhat), tol)
+    return gap_from_eigenvalues(block_eigvalsh(Lhat), tol)
 
 
 def kms_operator_norm(L: Superoperator, sigma) -> float:
@@ -118,7 +193,7 @@ def kms_operator_norm(L: Superoperator, sigma) -> float:
     if np.linalg.norm(Lhat) == 0.0:
         return 0.0
     np.negative(Lhat, out=Lhat)
-    return float(np.linalg.eigvalsh(Lhat)[-1])
+    return float(block_eigvalsh(Lhat)[-1])
 
 
 def _gap_of_psd(M, tol=1e-10):
@@ -299,9 +374,5 @@ def a_diagonal_restriction_gap(spec, beta, w: WeightFunction):
     col_a = np.repeat(a_label, d)
     keep = np.nonzero(row_a == col_a)[0]
     sub = Lhat_w[np.ix_(keep, keep)]
-    evals = np.linalg.eigvalsh(-0.5 * (sub + sub.conj().T))
-    scale = max(np.abs(evals).max(), 1e-300)
-    kernel = int(np.sum(evals <= KERNEL_TOL * scale))
-    if kernel == evals.size:
-        raise ValueError("restricted generator has no spectrum above threshold")
-    return float(evals[kernel])
+    np.negative(sub, out=sub)
+    return gap_from_eigenvalues(block_eigvalsh(sub)).gap

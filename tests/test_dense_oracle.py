@@ -5,7 +5,9 @@ coupling for the sandwich and the anticommutator/coherent cores, the dense
 rotation kron(U^*, U) M kron(U^*, U)^dag out of the eigenbasis, the dense
 KMS symmetrization kron(s4^T, s4) M kron(s4i^T, s4i), and K M K^dag for the
 swap generator's labeled basis.  It costs O(d^6) and is kept here only as an
-oracle for the leg-wise O(d^5) route of the library.
+oracle for the leg-wise O(d^5) route of the library.  Likewise the dense
+eigh of the whole L_hat is the oracle for the block eigensolves that gaps,
+norms and propagation use.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from qrex.lindblad import (
     unvec,
     vec,
 )
+from qrex.mixing import SpectralPropagator
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
     SwapMode,
@@ -34,7 +37,7 @@ from qrex.replica import (
     superop_kron_right,
     swap_generator_closed_form,
 )
-from qrex.spectral import KERNEL_TOL, spectral_gap, symmetrize
+from qrex.spectral import KERNEL_TOL, kms_operator_norm, spectral_gap, symmetrize
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -98,6 +101,21 @@ def dense_gap(M, sigma):
     return float(evals[kernel]), kernel
 
 
+def dense_propagation(M, sigma):
+    """Eigenvalues, coefficient map and state map of one dense eigh of L_hat."""
+    evals, modes = np.linalg.eigh(dense_symmetrize(M, sigma))
+    s4, s4i = sigma.power(0.25), sigma.power(-0.25)
+
+    def coefficients(rho0):
+        return modes.conj().T @ vec(s4i @ rho0 @ s4i)
+
+    def state_at(c, t):
+        rho = s4 @ unvec(modes @ (np.exp(t * evals) * c)) @ s4
+        return 0.5 * (rho + rho.conj().T)
+
+    return evals, coefficients, state_at
+
+
 def assert_close(actual, expected, rtol=RTOL):
     assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
 
@@ -157,6 +175,48 @@ def test_local_a_joint_generator_matches_dense_route():
     M_dense += superop_kron_right(dense_ckg(np.eye(d_a), single_site_paulis(2), GG), d_n)
     M_dense += dense_conjugate(_swap_superop_labeled(js, 1.0), js.labeled_to_original())
     check_against_oracle(heis, M_dense, joint_gibbs(spec, 1.0))
+
+
+def transverse_field_ring(n=3):
+    return assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * sum(single_site_paulis(n)[0::3])
+
+
+@pytest.mark.parametrize("H, n, single_block", [
+    (assemble_dense(defected_ising_1d(3, 2.0)), 3, False),
+    (assemble_dense(defected_ising_1d(4, 2.0)), 4, False),
+    (transverse_field_ring(3), 3, True),
+], ids=["ring3", "ring4", "transverse3"])
+def test_block_eigensolves_match_dense_eigh(H, n, single_block):
+    es = eigensystem(H)
+    heis = build_ckg_generator(H, single_site_paulis(n), GM, es=es)
+    sg = gibbs_state(es, 1.0)
+    M_dense = dense_ckg(H, single_site_paulis(n), GM)
+    evals, coefficients, state_at = dense_propagation(M_dense, sg)
+    prop = SpectralPropagator(heis, sg)
+    sizes = [idx.shape for idx, _, _ in prop.blocks]
+    assert (sizes == [(1, 4**n)]) == single_block
+    scale = np.abs(evals).max()
+    assert np.abs(prop.evals - evals).max() <= RTOL * scale
+
+    rng = np.random.default_rng(n)
+    R = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    rho0 = R @ R.conj().T / np.trace(R @ R.conj().T)
+    c_dense, c = coefficients(rho0), prop.coefficients(rho0)
+    # eigenvectors within a degenerate eigenspace are free, so the coefficients
+    # are compared through their spectral measure sum_j |c_j|^2 exp(t lambda_j)
+    w_blocks = np.concatenate([w.ravel() for _, w, _ in prop.blocks])
+    c_blocks = np.concatenate([x.ravel() for x in c])
+    for t in (0.0, 0.5, 3.0):
+        measure = np.sum(np.abs(c_blocks) ** 2 * np.exp(t * w_blocks))
+        assert measure == pytest.approx(np.sum(np.abs(c_dense) ** 2 * np.exp(t * evals)),
+                                        rel=RTOL)
+        assert_close(prop.state_at(c, t), state_at(c_dense, t))
+
+    assert kms_operator_norm(heis, sg) == pytest.approx(-evals[0], rel=RTOL)
+    rep = spectral_gap(heis, sg)
+    gap, kernel = dense_gap(M_dense, sg)
+    assert rep.kernel_dim == kernel
+    assert rep.gap == pytest.approx(gap, rel=RTOL)
 
 
 def test_congruence_matches_kron_products():

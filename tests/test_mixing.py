@@ -25,7 +25,7 @@ from qrex.mixing import (
     trace_distance,
 )
 from qrex.pauli import single_site_paulis
-from qrex.spectral import spectral_gap
+from qrex.spectral import block_eigh, spectral_gap, symmetrize
 
 GM = WeightFunction("metropolis", 1.0)
 
@@ -175,6 +175,25 @@ class TestChiSquare:
         rho0 = gap_mode_state(heis, sg)
         assert abs(np.trace(rho0) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho0).min() >= -1e-12
+
+    def test_gap_mode_decays_at_twice_gap_when_degenerate_across_blocks(self):
+        # on H = I the six weight-1 Pauli modes share the gap; L_hat splits
+        # them over several blocks, and the mode is taken from one of them
+        H = np.eye(4)
+        es = eigensystem(H)
+        heis = build_ckg_generator(H, single_site_paulis(2), GM, es=es)
+        sg = gibbs_state(es, 1.0)
+        gap = spectral_gap(heis, sg).gap
+        blocks = block_eigh(-symmetrize(heis, sg, heis.basis), vectors=False)
+        at_gap = sum(int(np.sum(np.any(np.abs(w - gap) <= 1e-12 * gap, axis=1)))
+                     for _, w, _ in blocks)
+        assert at_gap > 1
+        rho0 = gap_mode_state(heis, sg)
+        ts = np.linspace(0.5 / gap, 2.0 / gap, 4)
+        chis = [chi_square(evolve(heis, rho0, t, sigma=sg), sg) for t in ts]
+        rates = -np.diff(np.log(chis)) / np.diff(ts)
+        assert np.allclose(rates, 2 * gap, rtol=1e-9)
+        assert chi_square_rate_fit(heis, sg) == pytest.approx(2 * gap, rel=1e-9)
 
 
 class TestTraceDistanceMonotone:
