@@ -24,7 +24,7 @@ from .classical import (
     glauber_generator,
     spin_table,
 )
-from .hamiltonians import HamiltonianSpec, assemble_dense, check_commuting_cut, defected_heisenberg_2d, defected_ising_1d
+from .hamiltonians import HamiltonianSpec, assemble_dense, defected_heisenberg_2d, defected_ising_1d
 from .lindblad import (
     QUAD_ABS_TOL,
     WeightFunction,
@@ -36,7 +36,7 @@ from .lindblad import (
 )
 from .mixing import mixing_time_estimate
 from .pauli import single_site_paulis
-from .replica import SwapMode, build_replica_exchange_generator, joint_gibbs
+from .replica import SwapMode, build_replica_exchange_generator, joint_gibbs, joint_structure
 from .spectral import HERMITICITY_TOL, KERNEL_TOL, partial_lindbladian_check, spectral_gap
 from .verify import run_verification
 
@@ -240,11 +240,13 @@ def _single_gap(spec, beta, weight_kind):
     return spectral_gap(L, gibbs_state(es, beta))
 
 
-def _replica_gap(spec, beta, replica_cfg):
+def _replica_gap(spec, beta, replica_cfg, js=None):
     w = WeightFunction(replica_cfg.get("weight", "gaussian"), beta)
     mode = SwapMode(replica_cfg["mode"], beta2=replica_cfg.get("beta2"))
-    L = build_replica_exchange_generator(spec, beta, w, w, mode)
-    return spectral_gap(L, joint_gibbs(spec, beta))
+    if js is None:
+        js = joint_structure(spec)
+    L = build_replica_exchange_generator(spec, beta, w, w, mode, js=js)
+    return spectral_gap(L, joint_gibbs(spec, beta, js=js))
 
 
 def _sweep_point(args):
@@ -263,15 +265,18 @@ def _sweep_point(args):
     single = _single_gap(spec, beta, config.weight)
     rec["gap_single"] = single.gap
     if config.replica["mode"] != "none":
-        rep = _replica_gap(spec, beta, config.replica)
+        # one commuting-cut analysis serves the generator, the Gibbs state,
+        # the partial check and the bound
+        js = joint_structure(spec)
+        rep = _replica_gap(spec, beta, config.replica, js)
         rec["gap_re"] = rep.gap
         part = partial_lindbladian_check(
             spec, beta, WeightFunction(config.replica.get("weight", "gaussian"), beta),
-            seed=config.seed,
+            seed=config.seed, js=js,
         )
         rec["g_B"] = part["g_b"]
-        cut = check_commuting_cut(spec)
-        d_a = 2 ** len(spec.partition[0])
+        cut = js.cut
+        d_a = js.d_a
         denom = min(part["g_b"], 1.0)
         rec["bound_ratio"] = rep.gap * d_a * np.exp(4 * beta * cut.k_count * cut.v_max) / denom
     else:

@@ -40,11 +40,12 @@ def unvec(v):
 
 @dataclass
 class Eigensystem:
-    """Sorted eigendecomposition plus the grouped Bohr-frequency structure.
+    """Eigendecomposition plus the grouped Bohr-frequency structure.
 
-    ``bohr`` holds one representative per group (the group containing zero is
-    pinned to exactly 0.0); ``gid[i, j]`` is the group index of
-    eigenvalues[i] - eigenvalues[j].
+    ``eigenvalues[i]`` belongs to column i of ``eigenvectors`` (ascending when
+    built by ``eigensystem``).  ``bohr`` holds one representative per group
+    (the group containing zero is pinned to exactly 0.0); ``gid[i, j]`` is the
+    group index of eigenvalues[i] - eigenvalues[j].
     """
 
     eigenvalues: np.ndarray
@@ -74,21 +75,32 @@ class WeightFunction:
 
 @dataclass
 class GibbsState:
-    """Thermal state with cached eigendecomposition and fractional powers."""
+    """Thermal state sigma = U diag(weights) U^dag, with cached fractional powers.
+
+    ``basis`` is the unitary U it was built diagonal in and ``weights`` are
+    its eigenvalues in the column order of U.
+    """
 
     sigma: np.ndarray
     beta: float
-    eigenvalues: np.ndarray  # of sigma, ascending
-    eigenvectors: np.ndarray
-    lambda_min: float
+    weights: np.ndarray
+    basis: np.ndarray
     _powers: dict = field(default_factory=dict)
 
     def power(self, p):
         key = round(float(p), 12)
         if key not in self._powers:
-            w = self.eigenvalues**p
-            self._powers[key] = (self.eigenvectors * w) @ self.eigenvectors.conj().T
+            self._powers[key] = (self.basis * self.weights**p) @ self.basis.conj().T
         return self._powers[key]
+
+    @property
+    def lambda_min(self):
+        return float(self.weights.min())
+
+    @property
+    def eigenvectors(self):
+        """Columns of ``basis`` in ascending order of their weights."""
+        return self.basis[:, np.argsort(self.weights)]
 
     @property
     def dim(self):
@@ -160,18 +172,25 @@ class Superoperator:
 
 
 def eigensystem(H, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
-    """Diagonalize H and group its Bohr frequencies.
-
-    Two differences land in the same group iff they are within
-    group_tol * max(1, ||H||) after transitive chaining of the sorted gaps.
-    """
+    """Diagonalize H and group its Bohr frequencies (see eigensystem_from_pairs)."""
     H = np.asarray(H, dtype=complex)
     lam, U = np.linalg.eigh(H)
-    scale = max(1.0, float(np.linalg.norm(H, 2)))
+    scale = max(1.0, float(np.abs(lam).max()))  # ||H||_2 of the Hermitian H
     resid = np.linalg.norm(U.conj().T @ H @ U - np.diag(lam))
     if resid > 1e-11 * scale:
         raise ValueError(f"eigensolver residual {resid:.2e} too large")
-    tol = group_tol * scale
+    return eigensystem_from_pairs(lam, U, group_tol)
+
+
+def eigensystem_from_pairs(lam, U, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
+    """Eigensystem of known eigenpairs: column i of U has eigenvalue lam[i], any order.
+
+    Two differences land in the same group iff they are within
+    group_tol * max(1, max |lam|) (max |lam| is the norm of the Hermitian
+    matrix the pairs diagonalize) after transitive chaining of the sorted gaps.
+    """
+    lam = np.asarray(lam, dtype=float)
+    tol = group_tol * max(1.0, float(np.abs(lam).max()))
     diffs = (lam[:, None] - lam[None, :]).reshape(-1)
     order = np.argsort(diffs, kind="stable")
     # a new group starts wherever consecutive sorted differences exceed tol
@@ -193,22 +212,18 @@ def eigensystem(H, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
 
 
 def gibbs_state(es: Eigensystem, beta: float) -> GibbsState:
-    """sigma = exp(-beta H) / Z from a precomputed eigensystem."""
+    """sigma = exp(-beta H) / Z from a precomputed eigensystem, diagonal in its eigenvectors."""
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be finite and non-negative")
     w = np.exp(-beta * (es.eigenvalues - es.eigenvalues.min()))
-    w /= w.sum()
-    U = es.eigenvectors
-    sigma = (U * w) @ U.conj().T
+    return diagonal_gibbs_state(w / w.sum(), es.eigenvectors, beta)
+
+
+def diagonal_gibbs_state(weights, U, beta) -> GibbsState:
+    """The state U diag(weights) U^dag at inverse temperature beta; weights sum to one."""
+    sigma = (U * weights) @ U.conj().T
     sigma = 0.5 * (sigma + sigma.conj().T)
-    order = np.argsort(w)
-    return GibbsState(
-        sigma=sigma,
-        beta=float(beta),
-        eigenvalues=w[order],
-        eigenvectors=U[:, order],
-        lambda_min=float(w.min()),
-    )
+    return GibbsState(sigma=sigma, beta=float(beta), weights=weights, basis=U)
 
 
 def weight(omega, w: WeightFunction):

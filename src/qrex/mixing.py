@@ -159,8 +159,9 @@ def _initial_family(sigma, n_haar=20, seed=314):
         v = np.zeros(d, dtype=complex)
         v[k] = 1.0
         states.append((f"comp_{k}", np.outer(v, v.conj())))
+    V = sigma.eigenvectors
     for k in range(d):
-        v = sigma.eigenvectors[:, k]
+        v = V[:, k]
         states.append((f"eig_{k}", np.outer(v, v.conj())))
     rng = np.random.default_rng(seed)
     for k in range(n_haar):

@@ -13,6 +13,12 @@ omega (``JointStructure.swap_frequencies``):
 
 That route is cross-validated against the generic construction of
 ``build_ckg_generator`` applied to the swap unitary.
+
+The local_A joint generator is assembled in the same labeled basis: the
+system piece is built directly in the system factor of that basis, which
+diagonalizes H, the auxiliary piece in the A-side eigenbasis, and the pieces
+are summed with ``add_lifted``.  The joint Gibbs state is diagonal there
+(``joint_gibbs``), so its KMS symmetrization is a diagonal scaling.
 """
 
 from dataclasses import dataclass
@@ -32,8 +38,9 @@ from .lindblad import (
     WeightFunction,
     alpha_coeff,
     build_ckg_generator,
+    diagonal_gibbs_state,
     eigensystem,
-    gibbs_state,
+    eigensystem_from_pairs,
 )
 from .pauli import qubit_permutation, single_site_paulis
 from .spectral import block_eigvalsh
@@ -90,11 +97,13 @@ class JointStructure:
     def joint_dim(self):
         return self.d_a * self.d_b * self.d_a
 
+    def system_basis(self):
+        """Columns are the |i_A j_B> vectors in the original site ordering; they diagonalize H."""
+        return self.perm.conj().T @ np.kron(self.basis_a.vectors, self.basis_b.vectors)
+
     def labeled_to_original(self):
         """Columns are the |i_A j_B m_A> vectors in the original joint ordering."""
-        W3 = np.kron(np.kron(self.basis_a.vectors, self.basis_b.vectors), self.basis_a.vectors)
-        P_joint = np.kron(self.perm, np.eye(self.d_a))
-        return P_joint.conj().T @ W3
+        return np.kron(self.system_basis(), self.basis_a.vectors)
 
     def swap_frequencies(self):
         """omega[e(a,b,c)] = lam(c,b) - lam(a,b) over the labeled joint basis."""
@@ -145,14 +154,16 @@ def _swap_superop_labeled(js: JointStructure, beta):
     return M
 
 
-def swap_generator_closed_form(spec, beta) -> Superoperator:
+def swap_generator_closed_form(spec, beta, js: JointStructure | None = None) -> Superoperator:
     """Closed-form swap generator on the joint space.
 
     Acts on C^{2^n} (x) C^{d_A} in the original site ordering and is stored in
     the labeled |i_A j_B m_A> basis it is assembled in; dissipative only (the
-    coherent part vanishes identically for the swap coupling).
+    coherent part vanishes identically for the swap coupling).  ``js`` is the
+    precomputed joint_structure(spec), if any.
     """
-    js = joint_structure(spec)
+    if js is None:
+        js = joint_structure(spec)
     return Superoperator(_swap_superop_labeled(js, beta), basis=js.labeled_to_original())
 
 
@@ -166,30 +177,30 @@ def swap_unitary_original(js: JointStructure):
 def swap_generator_generic(spec, beta) -> Superoperator:
     """Swap generator via the generic construction; cross-validates the closed form."""
     js = joint_structure(spec)
-    H = assemble_dense(spec)
-    H_joint = np.kron(H, np.eye(js.d_a)) + np.eye(2**spec.n * js.d_a)
+    H_joint = joint_hamiltonian(spec, SwapMode("local_A"))
     U = swap_unitary_original(js)
     return build_ckg_generator(H_joint, [U], WeightFunction("metropolis", beta))
 
 
-def superop_kron_left(M, d2):
-    """Matrix of L (x) Id_{d2} given the matrix of L on a d1-dim factor."""
-    d1 = int(round(np.sqrt(M.shape[0])))
-    T = M.reshape(d1, d1, d1, d1)  # [j, i, J, I]; vec index = i + d*j
-    eye = np.eye(d2)
-    out = np.einsum("jiJI,bB,cC->jbicJBIC", T, eye, eye, optimize=True)
-    D = d1 * d2
-    return out.reshape(D * D, D * D)
+def add_lifted(out, M, dims, factor):
+    """out += matrix of L on one factor of C^dims[0] (x) C^dims[1], identity on the other.
 
-
-def superop_kron_right(M, d1):
-    """Matrix of Id_{d1} (x) L given the matrix of L on a d2-dim factor."""
-    d2 = int(round(np.sqrt(M.shape[0])))
-    T = M.reshape(d2, d2, d2, d2)
-    eye = np.eye(d1)
-    out = np.einsum("aA,jiJI,cC->ajciAJCI", eye, T, eye, optimize=True)
-    D = d1 * d2
-    return out.reshape(D * D, D * D)
+    ``M`` is the matrix of L on factor ``factor`` (0 or 1).  The sum is taken
+    through a strided view of ``out`` on the entries where the other factor's
+    row and column labels are unchanged; no lifted temporary is formed.
+    """
+    d1, d2 = dims
+    d = dims[factor]
+    L4 = M.reshape(d, d, d, d)  # [col, row, col', row']; vec index = row + d*col
+    # out as [j, b, i, c, J, B, I, C]: joint row (i, c), column (j, b), primes alike
+    T = out.reshape(d1, d2, d1, d2, d1, d2, d1, d2)
+    if factor == 0:
+        view = np.einsum("jbicJbIc->jbicJI", T)  # b = B, c = C
+        view += L4[:, None, :, None]
+    else:
+        view = np.einsum("jbicjBiC->jbicBC", T)  # j = J, i = I
+        view += L4[None, :, None]
+    return out
 
 
 def joint_hamiltonian(spec, mode: SwapMode):
@@ -204,12 +215,19 @@ def joint_hamiltonian(spec, mode: SwapMode):
 
 
 def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightFunction,
-                                     mode: SwapMode) -> Superoperator:
+                                     mode: SwapMode, js: JointStructure | None = None
+                                     ) -> Superoperator:
     """Joint generator L1 (x) Id + Id (x) L2 + L_swap on observables.
 
     local_A: system couplings are all single-site Paulis, the auxiliary is a
     trivial-Hamiltonian copy of A with its own single-site Paulis, and the
-    swap exchanges the A registers (closed form).
+    swap exchanges the A registers (closed form).  The three pieces are
+    assembled in the labeled |i_A j_B m_A> basis, where H and the joint Gibbs
+    state are diagonal, and the result is stored there.  ``js`` is the
+    precomputed joint_structure(spec), if any.
+
+    global: two full replicas, stored in the product U (x) U of the energy
+    eigenbasis, which diagonalizes both replicas and the swap Hamiltonian.
     """
     H = assemble_dense(spec)
     d_n = H.shape[0]
@@ -218,32 +236,38 @@ def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightF
     if mode.kind == "local_A":
         if spec.partition is None:
             raise ValueError("local_A mode needs a partition")
+        if js is None:
+            js = joint_structure(spec)
         n_a = len(spec.partition[0])
-        d_a = 2**n_a
-        L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1)
-        L2 = build_ckg_generator(np.eye(d_a), single_site_paulis(n_a), w2)
-        M = superop_kron_left(L1.matrix, d_a)
-        M += superop_kron_right(L2.matrix, d_n)
-        M += swap_generator_closed_form(spec, beta).matrix
-        return Superoperator(M)
+        es1 = eigensystem_from_pairs(js.lam2.reshape(-1), js.system_basis())
+        L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1, es=es1)
+        es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a.vectors)
+        L2 = build_ckg_generator(np.eye(js.d_a), single_site_paulis(n_a), w2, es=es2)
+        M = _swap_superop_labeled(js, beta)
+        add_lifted(M, L1.local, (d_n, js.d_a), 0)
+        add_lifted(M, L2.local, (d_n, js.d_a), 1)
+        return Superoperator(M, basis=js.labeled_to_original())
     # global: two full replicas at (beta, beta2), global swap, general form
     if spec.n > 4:
         raise ValueError("global swap gated at n <= 4")
     beta2 = mode.beta2 if mode.beta2 is not None else beta
-    L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1)
-    L2 = build_ckg_generator(H, single_site_paulis(spec.n), WeightFunction(w2.kind, beta2))
+    es = eigensystem(H)
+    L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1, es=es)
+    L2 = build_ckg_generator(H, single_site_paulis(spec.n), WeightFunction(w2.kind, beta2), es=es)
     # swap piece: Hamiltonian beta1 H (x) I + beta2 I (x) H at unit temperature
     H_swap = beta * np.kron(H, np.eye(d_n)) + beta2 * np.kron(np.eye(d_n), H)
+    lam = es.eigenvalues
+    U2 = np.kron(es.eigenvectors, es.eigenvectors)
+    es_swap = eigensystem_from_pairs((beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1), U2)
     d = d_n * d_n
     swap = np.zeros((d, d), dtype=complex)
     idx = np.arange(d).reshape(d_n, d_n)
     p = idx.transpose(1, 0).reshape(-1)
     swap[p, np.arange(d)] = 1.0
-    L_swap = build_ckg_generator(H_swap, [swap], WeightFunction("metropolis", 1.0))
-    M = superop_kron_left(L1.matrix, d_n)
-    M += superop_kron_right(L2.matrix, d_n)
-    M += L_swap.matrix
-    return Superoperator(M)
+    M = build_ckg_generator(H_swap, [swap], WeightFunction("metropolis", 1.0), es=es_swap).local
+    add_lifted(M, L1.local, (d_n, d_n), 0)
+    add_lifted(M, L2.local, (d_n, d_n), 1)
+    return Superoperator(M, basis=U2)
 
 
 def _labeled_sigma_weights(js: JointStructure, beta):
@@ -420,7 +444,15 @@ def swap_sector_lower_bounds(spec, beta, seed=42, n_random=20):
             "threshold": float(threshold)}
 
 
-def joint_gibbs(spec, beta):
-    """Gibbs state of the local_A joint Hamiltonian (sigma_H (x) I_A / d_A)."""
-    H_joint = joint_hamiltonian(spec, SwapMode("local_A"))
-    return gibbs_state(eigensystem(H_joint), beta)
+def joint_gibbs(spec, beta, js: JointStructure | None = None):
+    """Gibbs state of the local_A joint Hamiltonian (sigma_H (x) I_A / d_A).
+
+    Built diagonal in the labeled |i_A j_B m_A> basis from the commuting-cut
+    eigenvalues; ``js`` is the precomputed joint_structure(spec), if any.
+    """
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError("beta must be finite and non-negative")
+    if js is None:
+        js = joint_structure(spec)
+    _, s3 = _labeled_sigma_weights(js, beta)
+    return diagonal_gibbs_state(s3, js.labeled_to_original(), beta)

@@ -6,8 +6,13 @@ Phi(X) = sigma^(1/4) X sigma^(1/4) carries that geometry to Hilbert-Schmidt,
 so L_hat = Phi o L o Phi^(-1) is an honest Hermitian matrix whose spectrum
 is the KMS spectrum of L.  Gaps, operator norms and kernel dimensions are
 read off the eigendecomposition of -L_hat, formed in the basis the generator
-is stored in.  L is detailed balanced exactly when L_hat is Hermitian, so
-that residual is the detailed-balance check.
+is stored in.  ``build_ckg_generator`` (with ``gibbs_state``) and the
+closed-form swap and local_A joint generators (with ``replica.joint_gibbs``)
+are stored in a basis where sigma is diagonal, and there Phi is an
+elementwise scaling; any other pairing, among them the generic swap and the
+global-mode generator, takes the leg-wise basis change ``congruence``.  L is
+detailed balanced exactly when L_hat is Hermitian, so that residual is the
+detailed-balance check.
 
 Every eigensolve of L_hat goes through ``block_eigh``: single-site jumps in
 a basis where H is diagonal leave most entries of L_hat exactly zero, and
@@ -39,6 +44,7 @@ from .lindblad import (
 from .pauli import qubit_permutation, single_site_paulis
 
 KERNEL_TOL = 1e-9
+_STRIP = 64  # rows per strip in symmetrize: temporaries of _STRIP x d^2, not d^2 x d^2
 # relative Frobenius residual ||L_hat - L_hat^dag|| / max(1, ||L_hat||) above
 # which a generator is rejected as not detailed balanced
 HERMITICITY_TOL = 1e-9
@@ -66,28 +72,67 @@ def symmetrize(L: Superoperator, sigma, basis=None) -> np.ndarray:
     """Hermitian matrix of Phi o L o Phi^(-1); requires a detailed-balanced L.
 
     The matrix is taken in the operator basis of the unitary ``basis`` (see
-    Superoperator; None: the computational basis).  With ``basis=L.basis``
-    no change of basis is made.  Raises ValueError when the Hermiticity
-    residual of L_hat exceeds HERMITICITY_TOL.
+    Superoperator; None: the computational basis).  When that basis is the
+    one L is stored in and sigma is diagonal in it (GibbsState.basis), Phi is
+    the diagonal scaling L_hat[(i,j),(k,l)] = L[(i,j),(k,l)] (s_i s_j /
+    (s_k s_l))^(1/4) of the stored matrix, O(d^4); any other basis goes
+    through the O(d^5) kernel ``congruence``.  Raises ValueError when the
+    Hermiticity residual of L_hat exceeds HERMITICITY_TOL.
     """
-    # X -> P^dag L(R^dag X R) P with P = U^dag s4 V and R = V^dag s4i U
-    P, R = sigma.power(0.25), sigma.power(-0.25)
-    if L.basis is not None:
-        P, R = L.basis.conj().T @ P, R @ L.basis
-    if basis is not None:
-        P, R = P @ basis, basis.conj().T @ R
-    Lhat = congruence(L.local, P, R)
-    Lhat_h = Lhat.conj().T
-    # the residual 64 rows at a time, so no third full-size matrix is formed
-    resid = np.sqrt(sum(np.linalg.norm(Lhat[k:k + 64] - Lhat_h[k:k + 64]) ** 2
-                        for k in range(0, Lhat.shape[0], 64)))
-    herm = resid / max(1.0, np.linalg.norm(Lhat))
+    if (basis is not None and L.basis is not None and np.array_equal(basis, L.basis)
+            and np.array_equal(L.basis, sigma.basis)):
+        q = sigma.weights**0.25
+        phi = np.kron(q, q)  # q_j q_i at vec index i + d*j
+        Lhat = np.empty_like(L.local)
+        for k in range(0, phi.size, _STRIP):
+            np.multiply(L.local[k:k + _STRIP], phi[k:k + _STRIP, None] / phi[None, :],
+                        out=Lhat[k:k + _STRIP])
+    else:
+        # X -> P^dag L(R^dag X R) P with P = U^dag s4 V and R = V^dag s4i U
+        P, R = sigma.power(0.25), sigma.power(-0.25)
+        if L.basis is not None:
+            P, R = L.basis.conj().T @ P, R @ L.basis
+        if basis is not None:
+            P, R = P @ basis, basis.conj().T @ R
+        Lhat = congruence(L.local, P, R)
+    herm = _hermitian_average(Lhat)
     if herm > HERMITICITY_TOL:
         raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
                          f"L_hat {herm:.2e})")
-    Lhat += Lhat_h
-    Lhat *= 0.5
     return Lhat
+
+
+def _hermitian_average(A):
+    """Overwrite the square A with (A + A^dag) / 2; return ||A - A^dag|| / max(1, ||A||).
+
+    The norms are those of the input.  Works on mirrored strips, rows
+    k:k+_STRIP from column k on against columns k:k+_STRIP from row k on, so
+    no full-size temporary is formed.  Entry (i, j), i < j, becomes
+    (a_ij + conj(a_ji)) / 2 and entry (j, i) its conjugate, so the result is
+    exactly Hermitian.
+    """
+    n = A.shape[0]
+    sq_resid = sq_norm = 0.0
+    for k in range(0, n, _STRIP):
+        e = min(k + _STRIP, n)
+        row = A[k:e, k:]
+        col_h = np.conjugate(A[k:, k:e].T, order="C")
+        s = row + col_h
+        d = np.subtract(row, col_h, out=col_h)
+        # |s|^2 + |d|^2 = 2 (|a_ij|^2 + |a_ji|^2), and the diagonal tile
+        # (the first e - k columns) holds each of its pairs twice
+        ss, dd = _sq_norm(s), _sq_norm(d)
+        ss_t, dd_t = _sq_norm(s[:, :e - k]), _sq_norm(d[:, :e - k])
+        sq_norm += 0.5 * (ss + dd) - 0.25 * (ss_t + dd_t)
+        sq_resid += 2.0 * dd - dd_t
+        s *= 0.5
+        row[...] = s
+        A[e:, k:e] = s[:, e - k:].conj().T
+    return float(np.sqrt(sq_resid)) / max(1.0, float(np.sqrt(sq_norm)))
+
+
+def _sq_norm(x):
+    return float(np.vdot(x, x).real)
 
 
 def _block_indices(A):
@@ -287,22 +332,24 @@ def _b_position_couplings(n_a, n_b):
     return single_site_paulis(n_a + n_b, sites=range(n_a, n_a + n_b))
 
 
-def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=77):
+def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=77, js=None):
     """Factorization, fixed point, and gap of the pinned-A generators.
 
     For every A-eigenvector the generator built from B-site couplings must
     factor through the compressed Hamiltonian <i_A|H|i_A>, its fixed point
     must match the compressed Gibbs state, and the per-block gaps give g_B.
+    ``js`` is the replica.JointStructure of spec, computed here when not
+    given; it supplies the A-side eigenbasis and the site permutation.
     """
-    cut = check_commuting_cut(spec)
-    if not cut.holds:
-        raise ValueError("commuting cut does not hold")
-    basis = a_side_eigenbasis(cut)
+    if js is None:
+        from .replica import joint_structure  # replica imports this module
+
+        js = joint_structure(spec)
+    basis, P = js.basis_a, js.perm
     n = spec.n
     n_a = len(spec.partition[0])
     n_b = n - n_a
     d_a, d_b = 2**n_a, 2**n_b
-    P = qubit_permutation(n, list(cut.perm_order))
     H_perm = P @ assemble_dense(spec) @ P.conj().T
     es_full = eigensystem(H_perm)
     L_b = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es_full)

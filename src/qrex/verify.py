@@ -33,6 +33,7 @@ from .replica import (
     SwapMode,
     build_replica_exchange_generator,
     joint_gibbs,
+    joint_structure,
     swap_generator_closed_form,
     swap_generator_generic,
     swap_only_kernel_analysis,
@@ -142,13 +143,14 @@ def run_verification(seed=42, beta=1.0):
                 erfc_ok = False
     results.append(_check("replica.erfc_mean_bound", erfc_ok, "50x50 grid"))
 
-    swap_closed = swap_generator_closed_form(spec3, beta)
+    js3 = joint_structure(spec3)
+    swap_closed = swap_generator_closed_form(spec3, beta, js=js3)
     swap_generic = swap_generator_generic(spec3, beta)
     generic = swap_generic.matrix
     rel = spectral_norm(swap_closed.matrix - generic) / spectral_norm(generic)
     results.append(_check("replica.closed_vs_generic", rel <= 1e-9, f"rel diff {rel:.2e}"))
 
-    sgj = joint_gibbs(spec3, beta)
+    sgj = joint_gibbs(spec3, beta, js=js3)
     norm = kms_operator_norm(swap_closed, sgj)
     results.append(_check("replica.swap_norm_le_3", norm <= 3.0 + 1e-6, f"norm {norm:.6f}"))
 
@@ -163,7 +165,7 @@ def run_verification(seed=42, beta=1.0):
                           kern["restricted_kernel_dim"] == 1 and cross_ok,
                           f"dim {kern['restricted_kernel_dim']}, cross {kern['cross_term_residuals']}"))
 
-    L_re = build_replica_exchange_generator(spec3, beta, gg, gg, SwapMode("local_A"))
+    L_re = build_replica_exchange_generator(spec3, beta, gg, gg, SwapMode("local_A"), js=js3)
     rep_re = spectral_gap(L_re, sgj)
     results.append(_check("replica.joint_kernel_dim", rep_re.kernel_dim == 1,
                           f"dim {rep_re.kernel_dim}"))

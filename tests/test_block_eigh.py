@@ -7,10 +7,16 @@ from hypothesis import given, settings, strategies as st
 from qrex.hamiltonians import assemble_dense, defected_ising_1d
 from qrex.lindblad import WeightFunction, build_ckg_generator, eigensystem, gibbs_state
 from qrex.pauli import single_site_paulis
-from qrex.replica import joint_gibbs, swap_generator_closed_form
+from qrex.replica import (
+    SwapMode,
+    build_replica_exchange_generator,
+    joint_gibbs,
+    swap_generator_closed_form,
+)
 from qrex.spectral import block_eigh, block_eigvalsh, spectral_norm, symmetrize
 
 GM = WeightFunction("metropolis", 1.0)
+GG = WeightFunction("gaussian", 1.0)
 
 
 def permuted_block_diagonal(sizes, seed):
@@ -86,6 +92,12 @@ def test_closed_form_swap_block_count():
     spec = defected_ising_1d(3, 3.0)
     S = swap_generator_closed_form(spec, 1.0)
     assert block_counts(symmetrize(S, joint_gibbs(spec, 1.0), S.basis)) == (544, 2)
+
+
+def test_labeled_joint_block_count():
+    spec = defected_ising_1d(3, 3.0)
+    L = build_replica_exchange_generator(spec, 1.0, GG, GG, SwapMode("local_A"))
+    assert block_counts(symmetrize(L, joint_gibbs(spec, 1.0), L.basis)) == (135, 32)
 
 
 @pytest.mark.parametrize("structured", [False, True])

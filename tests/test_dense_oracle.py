@@ -5,15 +5,18 @@ coupling for the sandwich and the anticommutator/coherent cores, the dense
 rotation kron(U^*, U) M kron(U^*, U)^dag out of the eigenbasis, the dense
 KMS symmetrization kron(s4^T, s4) M kron(s4i^T, s4i), and K M K^dag for the
 swap generator's labeled basis.  It costs O(d^6) and is kept here only as an
-oracle for the leg-wise O(d^5) route of the library.  Likewise the dense
-eigh of the whole L_hat is the oracle for the block eigensolves that gaps,
-norms and propagation use.
+oracle for the leg-wise O(d^5) route and the diagonal KMS scaling of the
+library.  Likewise the dense eigh of the whole L_hat is the oracle for the
+block eigensolves that gaps, norms and propagation use, and the joint
+generator summed in the computational basis (identity-einsum lifts of each
+piece's ``.matrix``, Gibbs state from an eigh of the joint Hamiltonian) is
+the oracle for the labeled-basis assembly.
 """
 
 import numpy as np
 import pytest
 
-from qrex.hamiltonians import assemble_dense, defected_ising_1d
+from qrex.hamiltonians import HamiltonianSpec, PauliTerm, assemble_dense, defected_ising_1d
 from qrex.lindblad import (
     Superoperator,
     WeightFunction,
@@ -32,9 +35,8 @@ from qrex.replica import (
     _swap_superop_labeled,
     build_replica_exchange_generator,
     joint_gibbs,
+    joint_hamiltonian,
     joint_structure,
-    superop_kron_left,
-    superop_kron_right,
     swap_generator_closed_form,
 )
 from qrex.spectral import KERNEL_TOL, kms_operator_norm, spectral_gap, symmetrize
@@ -116,12 +118,74 @@ def dense_propagation(M, sigma):
     return evals, coefficients, state_at
 
 
+def superop_kron_left(M, d2):
+    """Matrix of L (x) Id_{d2} given the matrix of L on a d1-dim factor."""
+    d1 = int(round(np.sqrt(M.shape[0])))
+    T = M.reshape(d1, d1, d1, d1)  # [j, i, J, I]; vec index = i + d*j
+    eye = np.eye(d2)
+    out = np.einsum("jiJI,bB,cC->jbicJBIC", T, eye, eye, optimize=True)
+    D = d1 * d2
+    return out.reshape(D * D, D * D)
+
+
+def superop_kron_right(M, d1):
+    """Matrix of Id_{d1} (x) L given the matrix of L on a d2-dim factor."""
+    d2 = int(round(np.sqrt(M.shape[0])))
+    T = M.reshape(d2, d2, d2, d2)
+    eye = np.eye(d1)
+    out = np.einsum("aA,jiJI,cC->ajciAJCI", eye, T, eye, optimize=True)
+    D = d1 * d2
+    return out.reshape(D * D, D * D)
+
+
+def computational_joint_sum(spec, beta, w1, w2):
+    """local_A joint generator summed in the computational basis from each piece's .matrix."""
+    H = assemble_dense(spec)
+    n_a = len(spec.partition[0])
+    d_a, d_n = 2**n_a, H.shape[0]
+    M = superop_kron_left(build_ckg_generator(H, single_site_paulis(spec.n), w1).matrix, d_a)
+    M += superop_kron_right(build_ckg_generator(np.eye(d_a), single_site_paulis(n_a), w2).matrix,
+                            d_n)
+    M += swap_generator_closed_form(spec, beta).matrix
+    return M
+
+
+def computational_global_sum(spec, beta, beta2, w1, w2):
+    """global-mode generator summed in the computational basis, and its Gibbs state.
+
+    The swap piece is the generic generator of the swap unitary for
+    H_swap = beta H (x) I + beta2 I (x) H at unit temperature, whose Gibbs
+    state sigma_beta (x) sigma_beta2 is returned with the matrix.
+    """
+    H = assemble_dense(spec)
+    d_n = H.shape[0]
+    paulis = single_site_paulis(spec.n)
+    M = superop_kron_left(build_ckg_generator(H, paulis, w1).matrix, d_n)
+    M += superop_kron_right(
+        build_ckg_generator(H, paulis, WeightFunction(w2.kind, beta2)).matrix, d_n)
+    H_swap = beta * np.kron(H, np.eye(d_n)) + beta2 * np.kron(np.eye(d_n), H)
+    swap = np.eye(d_n * d_n)[np.arange(d_n * d_n).reshape(d_n, d_n).T.reshape(-1)]
+    es_swap = eigensystem(H_swap)
+    M += build_ckg_generator(H_swap, [swap], WeightFunction("metropolis", 1.0), es=es_swap).matrix
+    return M, gibbs_state(es_swap, 1.0)
+
+
+def computational_joint_gibbs(spec, beta):
+    """Joint Gibbs state from an eigh of the joint Hamiltonian."""
+    return gibbs_state(eigensystem(joint_hamiltonian(spec, SwapMode("local_A"))), beta)
+
+
 def assert_close(actual, expected, rtol=RTOL):
     assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
 
 
 def check_against_oracle(L, M_dense, sigma, seed=0):
-    """.matrix, .apply, .apply_adjoint, symmetrize and spectral_gap vs the dense route."""
+    """.matrix, .apply, .apply_adjoint, symmetrize and spectral_gap vs the dense route.
+
+    L must be stored in the basis sigma is diagonal in, so symmetrize in that
+    basis takes the diagonal scaling; it is checked against the dense route
+    carried into the same basis.
+    """
     assert_close(L.matrix, M_dense)
     d = L.dim
     rng = np.random.default_rng(seed)
@@ -129,6 +193,9 @@ def check_against_oracle(L, M_dense, sigma, seed=0):
     assert_close(L.apply(X), unvec(M_dense @ vec(X)))
     assert_close(L.apply_adjoint(X), unvec(M_dense.conj().T @ vec(X)))
     assert_close(symmetrize(L, sigma), dense_symmetrize(M_dense, sigma))
+    assert np.array_equal(L.basis, sigma.basis)
+    assert_close(symmetrize(L, sigma, L.basis),
+                 dense_conjugate(dense_symmetrize(M_dense, sigma), L.basis.conj().T))
     rep = spectral_gap(L, sigma)
     gap, kernel = dense_gap(M_dense, sigma)
     assert rep.kernel_dim == kernel
@@ -171,30 +238,101 @@ def test_local_a_joint_generator_matches_dense_route():
     js = joint_structure(spec)
     d_a, d_n = js.d_a, 2**spec.n
     heis = build_replica_exchange_generator(spec, 1.0, GG, GG, SwapMode("local_A"))
+    assert np.array_equal(heis.basis, js.labeled_to_original())
     M_dense = superop_kron_left(dense_ckg(assemble_dense(spec), single_site_paulis(3), GG), d_a)
     M_dense += superop_kron_right(dense_ckg(np.eye(d_a), single_site_paulis(2), GG), d_n)
     M_dense += dense_conjugate(_swap_superop_labeled(js, 1.0), js.labeled_to_original())
     check_against_oracle(heis, M_dense, joint_gibbs(spec, 1.0))
 
 
+def hopping_cut_spec(J):
+    """Three qubits, A = {0, 1} with XX + YY hopping, a ZZZ crossing term and a field on B.
+
+    The commuting cut holds, but the A-side eigenbasis mixes |01> and |10>,
+    so unlike the Ising ring the labeled basis is not a permutation, and the
+    field breaks the global spin-flip symmetry.
+    """
+    terms = (PauliTerm(-1.0, ((0, "X"), (1, "X"))), PauliTerm(-1.0, ((0, "Y"), (1, "Y"))),
+             PauliTerm(-float(J), ((0, "Z"), (1, "Z"), (2, "Z"))), PauliTerm(-0.5, ((2, "Z"),)))
+    return HamiltonianSpec(n=3, terms=terms, partition=((0, 1), (2,)))
+
+
+@pytest.mark.parametrize("spec", [defected_ising_1d(3, 1.0), defected_ising_1d(3, 5.0),
+                                  hopping_cut_spec(2.0)], ids=["ring_J1", "ring_J5", "hopping"])
+def test_labeled_joint_generator_matches_computational_sum(spec):
+    heis = build_replica_exchange_generator(spec, 1.0, GG, GG, SwapMode("local_A"))
+    M_old = computational_joint_sum(spec, 1.0, GG, GG)
+    assert_close(heis.matrix, M_old)
+    d = heis.dim
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert_close(heis.apply(X), unvec(M_old @ vec(X)))
+    assert_close(heis.apply_adjoint(X), unvec(M_old.conj().T @ vec(X)))
+    rep = spectral_gap(heis, joint_gibbs(spec, 1.0))
+    old = spectral_gap(Superoperator(M_old), computational_joint_gibbs(spec, 1.0))
+    assert rep.kernel_dim == old.kernel_dim == 1
+    assert abs(rep.gap - old.gap) <= max(RTOL * old.gap, 1e-14)
+
+
+@pytest.mark.parametrize("spec", [
+    HamiltonianSpec(n=2, terms=(PauliTerm(-2.0, ((0, "Z"), (1, "Z"))),)),
+    HamiltonianSpec(n=2, terms=(PauliTerm(-2.0, ((0, "Z"), (1, "Z"))),
+                                PauliTerm(-0.7, ((0, "X"),)), PauliTerm(0.3, ((1, "Y"),)))),
+], ids=["zz", "zz_fields"])
+@pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
+def test_global_generator_matches_computational_sum(spec, w):
+    beta, beta2 = 1.0, 0.25
+    heis = build_replica_exchange_generator(spec, beta, w, w, SwapMode("global", beta2=beta2))
+    M_old, sigma = computational_global_sum(spec, beta, beta2, w, w)
+    assert_close(heis.matrix, M_old)
+    d = heis.dim
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert_close(heis.apply(X), unvec(M_old @ vec(X)))
+    assert_close(heis.apply_adjoint(X), unvec(M_old.conj().T @ vec(X)))
+    rep = spectral_gap(heis, sigma)
+    old = spectral_gap(Superoperator(M_old), sigma)
+    assert rep.kernel_dim == old.kernel_dim == 1
+    assert abs(rep.gap - old.gap) <= max(RTOL * old.gap, 1e-14)
+
+
+@pytest.mark.parametrize("spec", [defected_ising_1d(3, 1.0), defected_ising_1d(3, 5.0),
+                                  defected_ising_1d(4, 3.0), hopping_cut_spec(2.0)],
+                         ids=["ring3_J1", "ring3_J5", "ring4_J3", "hopping"])
+def test_joint_gibbs_matches_joint_hamiltonian(spec):
+    new, old = joint_gibbs(spec, 1.0), computational_joint_gibbs(spec, 1.0)
+    assert np.abs(new.sigma - old.sigma).max() <= 1e-14
+    assert np.allclose(np.sort(new.weights), np.sort(old.weights), rtol=1e-12, atol=1e-15)
+    assert new.lambda_min == pytest.approx(old.lambda_min, rel=1e-12)
+
+
 def transverse_field_ring(n=3):
     return assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * sum(single_site_paulis(n)[0::3])
 
 
-@pytest.mark.parametrize("H, n, single_block", [
-    (assemble_dense(defected_ising_1d(3, 2.0)), 3, False),
-    (assemble_dense(defected_ising_1d(4, 2.0)), 4, False),
-    (transverse_field_ring(3), 3, True),
-], ids=["ring3", "ring4", "transverse3"])
-def test_block_eigensolves_match_dense_eigh(H, n, single_block):
+def generic_hamiltonian(n=3, seed=0):
+    """A random Hermitian H (spectral width about 4): no symmetry, so L_hat has no zero entry."""
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    return (R + R.conj().T) / 4
+
+
+# block shapes (count, side) of L_hat; the transverse-field ring splits into
+# the two sectors of its global spin-flip symmetry, a generic H is one block
+@pytest.mark.parametrize("H, n, shapes", [
+    (assemble_dense(defected_ising_1d(3, 2.0)), 3, [(8, 1), (12, 2), (6, 4), (1, 8)]),
+    (assemble_dense(defected_ising_1d(4, 2.0)), 4, [(16, 1), (32, 2), (24, 4), (8, 8), (1, 16)]),
+    (transverse_field_ring(3), 3, [(2, 32)]),
+    (generic_hamiltonian(3), 3, [(1, 64)]),
+], ids=["ring3", "ring4", "transverse3", "generic3"])
+def test_block_eigensolves_match_dense_eigh(H, n, shapes):
     es = eigensystem(H)
     heis = build_ckg_generator(H, single_site_paulis(n), GM, es=es)
     sg = gibbs_state(es, 1.0)
     M_dense = dense_ckg(H, single_site_paulis(n), GM)
     evals, coefficients, state_at = dense_propagation(M_dense, sg)
     prop = SpectralPropagator(heis, sg)
-    sizes = [idx.shape for idx, _, _ in prop.blocks]
-    assert (sizes == [(1, 4**n)]) == single_block
+    assert [idx.shape for idx, _, _ in prop.blocks] == shapes
     scale = np.abs(evals).max()
     assert np.abs(prop.evals - evals).max() <= RTOL * scale
 
@@ -239,6 +377,21 @@ def test_symmetrize_in_another_basis():
     expected = dense_conjugate(dense_symmetrize(dense_ckg(H, single_site_paulis(3), GM), sg),
                                V.conj().T)
     assert_close(symmetrize(heis, sg, V), expected)
+
+
+def test_generator_stored_in_another_basis():
+    # L is stored in a basis where sigma is not diagonal, so symmetrize in
+    # that basis must change basis instead of scaling
+    H = assemble_dense(defected_ising_1d(3, 2.0))
+    es = eigensystem(H)
+    M = dense_ckg(H, single_site_paulis(3), GM)
+    sg = gibbs_state(es, 1.0)
+    rng = np.random.default_rng(6)
+    V, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    L = Superoperator(congruence(M, V, V.conj().T), basis=V)
+    assert_close(L.matrix, M)
+    expected = dense_conjugate(dense_symmetrize(M, sg), V.conj().T)
+    assert_close(symmetrize(L, sg, V), expected)
 
 
 def test_basis_side_must_match_matrix():

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erfc
 
+import qrex.lindblad
+import qrex.spectral
 from qrex.hamiltonians import HamiltonianSpec, assemble_dense, defected_ising_1d
 from qrex.lindblad import (
     Superoperator,
@@ -13,6 +17,7 @@ from qrex.lindblad import (
     vec,
 )
 from qrex.pauli import X, Y, Z, single_site_paulis
+from qrex.replica import SwapMode, build_replica_exchange_generator, joint_gibbs
 from qrex.spectral import (
     a_diagonal_restriction_gap,
     gap_composition_suite,
@@ -86,6 +91,81 @@ class TestSymmetrize:
         sym_evals = np.sort(np.linalg.eigvalsh(Lhat))
         direct = np.sort(np.linalg.eigvals(heis.matrix).real)
         assert np.allclose(sym_evals, direct, atol=1e-7 * max(1.0, np.abs(direct).max()))
+
+
+@pytest.fixture
+def congruence_calls(monkeypatch):
+    """Records every call of the O(d^5) basis-change kernel, wherever it is called from."""
+    calls = []
+    original = qrex.lindblad.congruence
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    for module in (qrex.lindblad, qrex.spectral):
+        monkeypatch.setattr(module, "congruence", spy)
+    return calls
+
+
+class TestSymmetrizeRoutes:
+    def test_eigenbasis_generator_is_scaled(self, congruence_calls):
+        heis, sg = ising_generator(n=4)
+        rep = spectral_gap(heis, sg)
+        kms_operator_norm(heis, sg)
+        assert rep.kernel_dim == 1
+        assert congruence_calls == []
+
+    def test_labeled_joint_generator_is_scaled(self, congruence_calls):
+        spec = defected_ising_1d(3, 3.0)
+        heis = build_replica_exchange_generator(spec, 1.0, GG, GG, SwapMode("local_A"))
+        rep = spectral_gap(heis, joint_gibbs(spec, 1.0))
+        assert rep.kernel_dim == 1
+        assert congruence_calls == []
+
+    def test_computational_basis_takes_congruence_route(self, congruence_calls):
+        heis, sg = ising_generator(n=3)
+        M = heis.matrix
+        congruence_calls.clear()
+        rep = spectral_gap(Superoperator(M), sg)
+        assert congruence_calls
+        assert rep.gap == pytest.approx(spectral_gap(heis, sg).gap, rel=1e-12)
+
+    def test_non_db_rejected_on_congruence_route(self, congruence_calls):
+        # the perturbed generator of TestSymmetrize.test_non_db_rejected
+        heis, sg = ising_generator()
+        rng = np.random.default_rng(2)
+        R = rng.standard_normal(heis.matrix.shape)
+        bad = Superoperator(heis.matrix + 1e-2 * np.linalg.norm(heis.matrix, 2) * R / np.linalg.norm(R, 2))
+        congruence_calls.clear()
+        with pytest.raises(ValueError, match="not detailed balanced"):
+            spectral_gap(bad, sg)
+        assert congruence_calls
+
+    def test_scaling_route_peak_memory(self):
+        # L_hat plus strip-sized temporaries: no second full-size matrix
+        heis, sg = ising_generator(n=5, J=3.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            Lhat = symmetrize(heis, sg, heis.basis)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * Lhat.nbytes
+
+    def test_hermitian_average_matches_dense_average(self):
+        rng = np.random.default_rng(3)
+        n = 150  # not a multiple of the strip width
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expected = A + A.conj().T
+        expected *= 0.5
+        resid = np.linalg.norm(A - A.conj().T) / max(1.0, np.linalg.norm(A))
+        got = A.copy()
+        assert qrex.spectral._hermitian_average(got) == pytest.approx(resid, rel=1e-12)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, got.conj().T)
 
 
 class TestSpectralGap:
