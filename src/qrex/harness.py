@@ -30,6 +30,7 @@ from .lindblad import (
     WeightFunction,
     alpha_quadrature,
     build_ckg_generator,
+    diagonal_gibbs_state,
     eigensystem,
     gibbs_state,
     theta,
@@ -243,6 +244,13 @@ def _single_gap(spec, beta, weight_kind):
 def _replica_gap(spec, beta, replica_cfg, js=None):
     w = WeightFunction(replica_cfg.get("weight", "gaussian"), beta)
     mode = SwapMode(replica_cfg["mode"], beta2=replica_cfg.get("beta2"))
+    if mode.kind == "global":
+        # fixed point sigma_beta (x) sigma_beta2, diagonal in the generator's U (x) U
+        L = build_replica_exchange_generator(spec, beta, w, w, mode)
+        es = eigensystem(assemble_dense(spec))
+        beta2 = mode.beta2 if mode.beta2 is not None else beta
+        weights = np.kron(gibbs_state(es, beta).weights, gibbs_state(es, beta2).weights)
+        return spectral_gap(L, diagonal_gibbs_state(weights, L.basis, beta))
     if js is None:
         js = joint_structure(spec)
     L = build_replica_exchange_generator(spec, beta, w, w, mode, js=js)
@@ -264,7 +272,10 @@ def _sweep_point(args):
     rec = {"J": J, "beta": beta}
     single = _single_gap(spec, beta, config.weight)
     rec["gap_single"] = single.gap
-    if config.replica["mode"] != "none":
+    rec["gap_re"] = rec["g_B"] = rec["bound_ratio"] = float("nan")
+    if config.replica["mode"] == "global":
+        rec["gap_re"] = _replica_gap(spec, beta, config.replica).gap
+    elif config.replica["mode"] == "local_A":
         # one commuting-cut analysis serves the generator, the Gibbs state,
         # the partial check and the bound
         js = joint_structure(spec)
@@ -279,10 +290,6 @@ def _sweep_point(args):
         d_a = js.d_a
         denom = min(part["g_b"], 1.0)
         rec["bound_ratio"] = rep.gap * d_a * np.exp(4 * beta * cut.k_count * cut.v_max) / denom
-    else:
-        rec["gap_re"] = float("nan")
-        rec["g_B"] = float("nan")
-        rec["bound_ratio"] = float("nan")
     return rec
 
 

@@ -13,12 +13,17 @@ the finite alpha table over Bohr-frequency pairs, whose entries have closed
 forms for both weights (alpha_coeff).  States evolve under the
 Hilbert-Schmidt adjoint L^dag (Superoperator.apply_adjoint).
 
+Generators are stored as sparse CSR matrices: in the eigenbasis every entry
+comes from one pair of nonzero coupling entries, so build_ckg_generator
+assembles them as COO triplets and never forms a dense d^2 x d^2 array.
+
 Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.special import erfc, erfcx
 
 BOHR_GROUP_TOL = 1e-9
@@ -122,17 +127,18 @@ def congruence(M, P, R):
 
 
 class Superoperator:
-    """Dense matrix of a generator L acting on column-stacked observables.
+    """Sparse matrix of a generator L acting on column-stacked observables.
 
-    The matrix is stored in the operator basis {U e_i e_j^T U^dag} of a
-    unitary ``basis`` U (None: the computational basis): ``local`` is the
-    matrix of X -> U^dag L(U X U^dag) U.  ``matrix`` is the computational-basis
-    matrix, computed on each access when a basis is set.  ``apply`` is the
-    action on observables and ``apply_adjoint`` the Schrodinger action on
-    states, its Hilbert-Schmidt adjoint.
+    The matrix is stored as a CSR array (dense input is converted) in the
+    operator basis {U e_i e_j^T U^dag} of a unitary ``basis`` U (None: the
+    computational basis): ``local`` is the matrix of X -> U^dag L(U X U^dag) U.
+    ``matrix`` is the dense computational-basis matrix, computed on each
+    access.  ``apply`` is the action on observables and ``apply_adjoint`` the
+    Schrodinger action on states, its Hilbert-Schmidt adjoint.
     """
 
     def __init__(self, local, basis=None):
+        local = sparse.csr_array(local)
         side = local.shape[0]
         d = int(round(np.sqrt(side)))
         if local.shape != (side, side) or d * d != side:
@@ -149,9 +155,10 @@ class Superoperator:
 
     @property
     def matrix(self):
+        M = self.local.toarray()
         if self.basis is None:
-            return self.local
-        return congruence(self.local, self.basis.conj().T, self.basis)
+            return M
+        return congruence(M, self.basis.conj().T, self.basis)
 
     def to_basis(self, X):
         """Coordinates U^dag X U of an operator in the stored basis."""
@@ -374,7 +381,10 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
       (L_diss X)_{ij} = sum_{kl} alpha(nu_ki, nu_lj) conj(S_ki) X_kl S_lj - ...
 
     and only depends on the couplings through the coupling-summed products
-    C[k,i,l,j] = sum_a conj(S_a[k,i]) S_a[l,j].
+    C[(k,i),(l,j)] = sum_a conj(S_a[k,i]) S_a[l,j], one sparse product over
+    the nonzero entries of the couplings.  Each stored entry of C is one
+    sandwich entry, at row i + d*j and column k + d*l; the k = l entries
+    also make the anticommutator and coherent cores.
     """
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
@@ -384,49 +394,41 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
     if es is None:
         es = eigensystem(H, group_tol=group_tol)
     U = es.eigenvectors
-    gid = es.gid
 
-    # couplings in the eigenbasis, with numerically-zero entries removed so
-    # only genuinely used Bohr groups enter the alpha table
-    tilted = []
-    used = set()
+    # couplings in the eigenbasis, one per row (entry (k, i) in column
+    # k*d + i), with numerically-zero entries removed so only genuinely used
+    # Bohr groups enter the alpha table
+    rows = []
     for S in couplings:
         St = U.conj().T @ np.asarray(S, dtype=complex) @ U
         cut = 1e-13 * max(np.abs(St).max(), 1e-300)
-        St = np.where(np.abs(St) > cut, St, 0.0)
-        tilted.append(St)
-        used.update(np.unique(gid[np.abs(St) > 0]).tolist())
-    M4 = np.zeros((d, d, d, d), dtype=complex)  # [j, i, l, k]: row i + d*j, column k + d*l
-    if used:
-        idx, table = _alpha_table(used, es, w)
-        slot = np.zeros(es.bohr.size, dtype=np.int64)
-        for g, k in idx.items():
-            slot[g] = k
-        sgT = slot[gid].T  # sgT[i, k] = table slot of nu_{ki}
-        nus = es.bohr[sorted(used)]
-        tanh_tab = np.tanh(-w.beta * (nus[:, None] - nus[None, :]) / 4.0)
-        Ktab = (tanh_tab / 2.0j) * table
-        # C[j, l, i, k] = sum_a S_a[l, j] conj(S_a[k, i]), one rank-m product
-        Sji = np.stack([St.T for St in tilted]).reshape(len(tilted), d * d)
-        C = (Sji.T @ Sji.conj()).reshape(d, d, d, d)
-        # sandwich: M4[j, i, l, k] = alpha[g(k,i), g(l,j)] C[j, l, i, k]
-        for j in range(d):
-            np.multiply(table[sgT[:, None, :], sgT[j][None, :, None]],
-                        C[j].transpose(1, 0, 2), out=M4[j])
-        # anticommutator and coherent cores share the k = l slice of C:
-        # N[i,j] = sum_k alpha[g(k,i), g(k,j)] C[j,k,i,k], G likewise with Ktab
-        Ck = np.diagonal(C, axis1=1, axis2=3)  # [j, i, k]
-        pair = sgT[None, :, :] * len(nus) + sgT[:, None, :]  # [j, i, k] -> (g(k,i), g(k,j))
-        N = np.einsum("jik,jik->ij", Ck, table.reshape(-1)[pair])
-        G = np.einsum("jik,jik->ij", Ck, Ktab.T.reshape(-1)[pair])
-        del C, Ck  # full size; not needed by the result
-        # -1/2 {N, X} + i [G, X]: rows of X via kron(Id, .), columns via kron(.^T, Id)
-        left = -0.5 * N + 1j * G
-        right = (-0.5 * N - 1j * G).T
-        for j in range(d):
-            M4[j, :, j, :] += left
-            M4[:, j, :, j] += right
-    return Superoperator(M4.reshape(d * d, d * d), basis=U)
+        rows.append(np.where(np.abs(St) > cut, St, 0.0).reshape(-1))
+    Sv = sparse.csr_array(np.reshape(rows, (len(rows), d * d)))
+    if Sv.nnz == 0:
+        return Superoperator(sparse.csr_array((d * d, d * d), dtype=complex), basis=U)
+    gid = es.gid.reshape(-1)  # Bohr group of nu_ki at k*d + i
+    idx, table = _alpha_table(np.unique(gid[Sv.indices]).tolist(), es, w)
+    slot = np.zeros(es.bohr.size, dtype=np.int64)
+    for g, s in idx.items():
+        slot[g] = s
+    nus = es.bohr[sorted(idx)]
+    Ktab = (np.tanh(-w.beta * (nus[:, None] - nus[None, :]) / 4.0) / 2.0j) * table
+
+    C = (Sv.conj().T @ Sv).tocoo()
+    k, i = np.divmod(C.row, d)
+    l, j = np.divmod(C.col, d)
+    a, b = slot[gid[C.row]], slot[gid[C.col]]
+    sandwich = table[a, b] * C.data
+    # anticommutator and coherent cores from the k = l entries:
+    # N[i,j] = sum_k alpha[g(k,i), g(k,j)] C[(k,i),(k,j)], G likewise with Ktab[g(k,j), g(k,i)]
+    on = k == l
+    N = sparse.coo_array((sandwich[on], (i[on], j[on])), shape=(d, d))
+    G = sparse.coo_array((Ktab[b[on], a[on]] * C.data[on], (i[on], j[on])), shape=(d, d))
+    # -1/2 {N, X} + i [G, X]: rows of X via kron(Id, .), columns via kron(.^T, Id)
+    eye = sparse.eye_array(d)
+    L = (sparse.coo_array((sandwich, (i + d * j, k + d * l)), shape=(d * d, d * d))
+         + sparse.kron(eye, -0.5 * N + 1j * G) + sparse.kron((-0.5 * N - 1j * G).T, eye))
+    return Superoperator(L, basis=U)
 
 
 def _superop_norm_estimate(M, iters=40, seed=123):

@@ -4,9 +4,11 @@ For a detailed-balanced generator the Schrodinger flow factors through the
 symmetrized matrix: e^{t L^dag}(rho) = Phi(e^{t L_hat}(Phi^{-1}(rho))) with
 Phi(X) = sigma^{1/4} X sigma^{1/4}, so one Hermitian eigendecomposition
 serves every initial state and every time.  L_hat is taken in the basis the
-generator is stored in, whose unitary is folded into the Phi factors, and is
-decomposed block by block along its exact zero pattern (``block_eigh``).
-Non-detailed-balanced input falls back to a dense matrix exponential.
+generator is stored in, whose unitary is folded into the Phi factors; there
+it is a sparse CSR matrix (``symmetrize``), decomposed block by block along
+the connected components of its zero pattern (``block_eigh``), so only the
+dense blocks are ever formed.  Non-detailed-balanced input falls back to a
+dense matrix exponential of the stored matrix.
 """
 
 import warnings
@@ -128,7 +130,7 @@ def evolve(L: Superoperator, rho0, t, sigma=None):
 
 def _expm_flow(L: Superoperator, rho0, t):
     """e^{t L^dag}(rho0) by a dense matrix exponential in the generator's own basis."""
-    return L.from_basis(unvec(expm(t * L.local.conj().T) @ vec(L.to_basis(rho0))))
+    return L.from_basis(unvec(expm(t * L.local.toarray().conj().T) @ vec(L.to_basis(rho0))))
 
 
 def mixing_bounds_from_gap(gap, lambda_min, epsilon):
@@ -235,9 +237,7 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
 
 def _gap_and_mode(L: Superoperator, sigma):
     """Spectral gap and gap_mode_state from one eigendecomposition of -L_hat."""
-    Lhat = symmetrize(L, sigma, L.basis)
-    np.negative(Lhat, out=Lhat)
-    blocks = block_eigh(Lhat)
+    blocks = block_eigh(-symmetrize(L, sigma, L.basis))
     evals = np.concatenate([w.ravel() for _, w, _ in blocks])
     order = np.argsort(evals, kind="stable")
     rep = gap_from_eigenvalues(evals[order])

@@ -16,14 +16,16 @@ That route is cross-validated against the generic construction of
 
 The local_A joint generator is assembled in the same labeled basis: the
 system piece is built directly in the system factor of that basis, which
-diagonalizes H, the auxiliary piece in the A-side eigenbasis, and the pieces
-are summed with ``add_lifted``.  The joint Gibbs state is diagonal there
+diagonalizes H, the auxiliary piece in the A-side eigenbasis, and the
+sparse pieces are summed through ``lift``, a ``scipy.sparse.kron`` with the
+identity of the other factor.  The joint Gibbs state is diagonal there
 (``joint_gibbs``), so its KMS symmetrization is a diagonal scaling.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .hamiltonians import (
     ABasis,
@@ -43,7 +45,7 @@ from .lindblad import (
     eigensystem_from_pairs,
 )
 from .pauli import qubit_permutation, single_site_paulis
-from .spectral import block_eigvalsh
+from .spectral import block_eigvalsh, symmetrize
 
 CLOSED_FORM_RTOL = 1e-9
 
@@ -134,24 +136,20 @@ def joint_structure(spec) -> JointStructure:
 
 
 def _swap_superop_labeled(js: JointStructure, beta):
-    """Swap generator on observables in the labeled |i_A j_B m_A> basis."""
+    """Swap generator on observables in the labeled |i_A j_B m_A> basis, as CSR."""
     d = js.joint_dim
     ws = js.swap_frequencies()
     coeff = alpha_coeff(ws[:, None], ws[None, :], WeightFunction("metropolis", beta))
+    p = np.arange(d).reshape(js.d_a, js.d_b, js.d_a).transpose(2, 1, 0).reshape(-1)
+    r = np.arange(d * d)
+    i, j = r % d, r // d  # vec index r = i + d*j
     # sandwich: out[(i,j)] reads X at the register-swapped element, weighted by
-    # the two-frequency overlap alpha(ws_i, ws_j)
-    idx = np.arange(d).reshape(js.d_a, js.d_b, js.d_a)
-    p = idx.transpose(2, 1, 0).reshape(-1)
-    M = np.zeros((d * d, d * d), dtype=complex)
-    ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    rows = (ii + d * jj).reshape(-1)
-    cols = (p[ii] + d * p[jj]).reshape(-1)
-    M[rows, cols] = coeff[ii, jj].reshape(-1)
-    # anticommutator with the decay operator D = diag(alpha(ws, ws)): the
-    # diagonal entry of vec index i + d*j is (D_i + D_j) / 2
+    # the two-frequency overlap alpha(ws_i, ws_j); anticommutator with the
+    # decay operator D = diag(alpha(ws, ws)): (D_i + D_j) / 2 on the diagonal
     th = np.diagonal(coeff)
-    M[np.diag_indices(d * d)] -= 0.5 * (np.tile(th, d) + np.repeat(th, d))
-    return M
+    vals = np.concatenate([coeff[i, j], -0.5 * (th[i] + th[j])])
+    cols = np.concatenate([p[i] + d * p[j], r])
+    return sparse.coo_array((vals, (np.concatenate([r, r]), cols)), shape=(d * d, d * d)).tocsr()
 
 
 def swap_generator_closed_form(spec, beta, js: JointStructure | None = None) -> Superoperator:
@@ -182,25 +180,20 @@ def swap_generator_generic(spec, beta) -> Superoperator:
     return build_ckg_generator(H_joint, [U], WeightFunction("metropolis", beta))
 
 
-def add_lifted(out, M, dims, factor):
-    """out += matrix of L on one factor of C^dims[0] (x) C^dims[1], identity on the other.
+def lift(M, dims, factor):
+    """CSR matrix of L on one factor of C^dims[0] (x) C^dims[1], identity on the other.
 
-    ``M`` is the matrix of L on factor ``factor`` (0 or 1).  The sum is taken
-    through a strided view of ``out`` on the entries where the other factor's
-    row and column labels are unchanged; no lifted temporary is formed.
+    ``M`` is the matrix of L on factor ``factor`` (0 or 1).  The lift is the
+    kron of M with the identity superoperator of the other factor, whose
+    index r1 * d2^2 + r2 (r1 = i + d1*j, r2 = c + d2*b) is relabeled to the
+    joint vec index (i*d2 + c) + d1*d2*(j*d2 + b).
     """
     d1, d2 = dims
-    d = dims[factor]
-    L4 = M.reshape(d, d, d, d)  # [col, row, col', row']; vec index = row + d*col
-    # out as [j, b, i, c, J, B, I, C]: joint row (i, c), column (j, b), primes alike
-    T = out.reshape(d1, d2, d1, d2, d1, d2, d1, d2)
-    if factor == 0:
-        view = np.einsum("jbicJbIc->jbicJI", T)  # b = B, c = C
-        view += L4[:, None, :, None]
-    else:
-        view = np.einsum("jbicjBiC->jbicBC", T)  # j = J, i = I
-        view += L4[None, :, None]
-    return out
+    eye = sparse.eye_array(dims[1 - factor] ** 2)
+    K = sparse.kron(*((M, eye) if factor == 0 else (eye, M)), format="coo")
+    j, i, b, c = np.indices((d1, d1, d2, d2)).reshape(4, -1)  # kron index, C order
+    joint = (i * d2 + c) + d1 * d2 * (j * d2 + b)
+    return sparse.coo_array((K.data, (joint[K.row], joint[K.col])), shape=K.shape).tocsr()
 
 
 def joint_hamiltonian(spec, mode: SwapMode):
@@ -243,9 +236,8 @@ def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightF
         L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1, es=es1)
         es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a.vectors)
         L2 = build_ckg_generator(np.eye(js.d_a), single_site_paulis(n_a), w2, es=es2)
-        M = _swap_superop_labeled(js, beta)
-        add_lifted(M, L1.local, (d_n, js.d_a), 0)
-        add_lifted(M, L2.local, (d_n, js.d_a), 1)
+        M = (_swap_superop_labeled(js, beta) + lift(L1.local, (d_n, js.d_a), 0)
+             + lift(L2.local, (d_n, js.d_a), 1))
         return Superoperator(M, basis=js.labeled_to_original())
     # global: two full replicas at (beta, beta2), global swap, general form
     if spec.n > 4:
@@ -259,14 +251,9 @@ def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightF
     lam = es.eigenvalues
     U2 = np.kron(es.eigenvectors, es.eigenvectors)
     es_swap = eigensystem_from_pairs((beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1), U2)
-    d = d_n * d_n
-    swap = np.zeros((d, d), dtype=complex)
-    idx = np.arange(d).reshape(d_n, d_n)
-    p = idx.transpose(1, 0).reshape(-1)
-    swap[p, np.arange(d)] = 1.0
-    M = build_ckg_generator(H_swap, [swap], WeightFunction("metropolis", 1.0), es=es_swap).local
-    add_lifted(M, L1.local, (d_n, d_n), 0)
-    add_lifted(M, L2.local, (d_n, d_n), 1)
+    swap = local_swap_unitary(d_n, 1)
+    M = (build_ckg_generator(H_swap, [swap], WeightFunction("metropolis", 1.0), es=es_swap).local
+         + lift(L1.local, (d_n, d_n), 0) + lift(L2.local, (d_n, d_n), 1))
     return Superoperator(M, basis=U2)
 
 
@@ -298,13 +285,12 @@ def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
     """
     js = joint_structure(spec)
     d_a, d_b = js.d_a, js.d_b
-    d = js.joint_dim
-    M = _swap_superop_labeled(js, beta)
-    _, s3 = _labeled_sigma_weights(js, beta)
-    r = np.sqrt(s3)
-    phi = np.kron(np.sqrt(r), np.sqrt(r))  # diagonal of Phi in vec coordinates
-    Lhat = (phi[:, None] * M) / phi[None, :]
-    Lhat = 0.5 * (Lhat + Lhat.conj().T)
+    S = swap_generator_closed_form(spec, beta, js=js)
+    sigma = joint_gibbs(spec, beta, js=js)
+    M, s3 = S.local, sigma.weights
+    Lhat = symmetrize(S, sigma, S.basis)
+    q = s3**0.25
+    phi = np.kron(q, q)  # diagonal of Phi in vec coordinates
 
     def e_op(mat):
         return mat.reshape(-1, order="F")
@@ -329,7 +315,7 @@ def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
                     basis_vecs.append(e_op(np.kron(np.kron(eij, unit_b), eye_a)))
     C = np.stack([phi * v for v in basis_vecs], axis=1)
     Q, _ = np.linalg.qr(C)
-    R = Q.conj().T @ (-Lhat) @ Q
+    R = -(Q.conj().T @ (Lhat @ Q))
     evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
     scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
     kernel_dim = int(np.sum(evals <= 1e-9 * scale))

@@ -8,43 +8,40 @@ is the KMS spectrum of L.  Gaps, operator norms and kernel dimensions are
 read off the eigendecomposition of -L_hat, formed in the basis the generator
 is stored in.  ``build_ckg_generator`` (with ``gibbs_state``) and the
 closed-form swap and local_A joint generators (with ``replica.joint_gibbs``)
-are stored in a basis where sigma is diagonal, and there Phi is an
-elementwise scaling; any other pairing, among them the generic swap and the
-global-mode generator, takes the leg-wise basis change ``congruence``.  L is
-detailed balanced exactly when L_hat is Hermitian, so that residual is the
-detailed-balance check.
+are stored in a basis where sigma is diagonal, and there Phi is a diagonal
+scaling of the sparse stored matrix, so L_hat stays a CSR array with the
+pattern of L; any other pairing, among them the generic swap generator,
+takes the leg-wise basis change ``congruence``, which fills the matrix and
+returns it dense.  L is detailed balanced exactly when L_hat is Hermitian,
+so that residual is the detailed-balance check.
 
 Every eigensolve of L_hat goes through ``block_eigh``: single-site jumps in
 a basis where H is diagonal leave most entries of L_hat exactly zero, and
-the connected components of that zero pattern are blocks solved on their
-own.  The spectrum of a matrix with exact zeros outside its blocks is the
-union of the block spectra, so this is exact; a matrix without zeros is one
-block.
+the connected components of that zero pattern (``scipy.sparse.csgraph``)
+are blocks solved on their own.  The spectrum of a matrix with exact zeros
+outside its blocks is the union of the block spectra, so this is exact; a
+matrix without zeros is one block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
-from .hamiltonians import (
-    a_side_eigenbasis,
-    assemble_dense,
-    check_commuting_cut,
-    compress_onto,
-)
+from .hamiltonians import assemble_dense, compress_onto
 from .lindblad import (
     Superoperator,
     WeightFunction,
     build_ckg_generator,
     congruence,
     eigensystem,
+    eigensystem_from_pairs,
     gibbs_state,
-    kms_inner,
 )
-from .pauli import qubit_permutation, single_site_paulis
+from .pauli import single_site_paulis
 
 KERNEL_TOL = 1e-9
-_STRIP = 64  # rows per strip in symmetrize: temporaries of _STRIP x d^2, not d^2 x d^2
 # relative Frobenius residual ||L_hat - L_hat^dag|| / max(1, ||L_hat||) above
 # which a generator is rejected as not detailed balanced
 HERMITICITY_TOL = 1e-9
@@ -68,25 +65,23 @@ class GapReport:
         }
 
 
-def symmetrize(L: Superoperator, sigma, basis=None) -> np.ndarray:
+def symmetrize(L: Superoperator, sigma, basis=None):
     """Hermitian matrix of Phi o L o Phi^(-1); requires a detailed-balanced L.
 
     The matrix is taken in the operator basis of the unitary ``basis`` (see
     Superoperator; None: the computational basis).  When that basis is the
     one L is stored in and sigma is diagonal in it (GibbsState.basis), Phi is
-    the diagonal scaling L_hat[(i,j),(k,l)] = L[(i,j),(k,l)] (s_i s_j /
-    (s_k s_l))^(1/4) of the stored matrix, O(d^4); any other basis goes
-    through the O(d^5) kernel ``congruence``.  Raises ValueError when the
-    Hermiticity residual of L_hat exceeds HERMITICITY_TOL.
+    the diagonal scaling diag(phi) L diag(1/phi), phi = kron(s^(1/4), s^(1/4))
+    at vec index i + d*j, of the stored CSR matrix, and the result is CSR;
+    any other basis goes through the O(d^5) kernel ``congruence`` and the
+    result is dense.  Raises ValueError when the Hermiticity residual of
+    L_hat exceeds HERMITICITY_TOL.
     """
     if (basis is not None and L.basis is not None and np.array_equal(basis, L.basis)
             and np.array_equal(L.basis, sigma.basis)):
         q = sigma.weights**0.25
         phi = np.kron(q, q)  # q_j q_i at vec index i + d*j
-        Lhat = np.empty_like(L.local)
-        for k in range(0, phi.size, _STRIP):
-            np.multiply(L.local[k:k + _STRIP], phi[k:k + _STRIP, None] / phi[None, :],
-                        out=Lhat[k:k + _STRIP])
+        Lhat = sparse.diags_array(phi) @ L.local @ sparse.diags_array(1.0 / phi)
     else:
         # X -> P^dag L(R^dag X R) P with P = U^dag s4 V and R = V^dag s4i U
         P, R = sigma.power(0.25), sigma.power(-0.25)
@@ -94,81 +89,67 @@ def symmetrize(L: Superoperator, sigma, basis=None) -> np.ndarray:
             P, R = L.basis.conj().T @ P, R @ L.basis
         if basis is not None:
             P, R = P @ basis, basis.conj().T @ R
-        Lhat = congruence(L.local, P, R)
-    herm = _hermitian_average(Lhat)
+        Lhat = congruence(L.local.toarray(), P, R)
+    Lhat, herm = _hermitian_part(Lhat)
     if herm > HERMITICITY_TOL:
         raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
                          f"L_hat {herm:.2e})")
     return Lhat
 
 
-def _hermitian_average(A):
-    """Overwrite the square A with (A + A^dag) / 2; return ||A - A^dag|| / max(1, ||A||).
+def _hermitian_part(A):
+    """(A + A^dag) / 2 of the dense or sparse square A, and ||A - A^dag|| / max(1, ||A||).
 
-    The norms are those of the input.  Works on mirrored strips, rows
-    k:k+_STRIP from column k on against columns k:k+_STRIP from row k on, so
-    no full-size temporary is formed.  Entry (i, j), i < j, becomes
-    (a_ij + conj(a_ji)) / 2 and entry (j, i) its conjugate, so the result is
-    exactly Hermitian.
+    Entry (i, j) of the result is (a_ij + conj(a_ji)) / 2 and entry (j, i)
+    its conjugate, so the result is exactly Hermitian.
     """
-    n = A.shape[0]
-    sq_resid = sq_norm = 0.0
-    for k in range(0, n, _STRIP):
-        e = min(k + _STRIP, n)
-        row = A[k:e, k:]
-        col_h = np.conjugate(A[k:, k:e].T, order="C")
-        s = row + col_h
-        d = np.subtract(row, col_h, out=col_h)
-        # |s|^2 + |d|^2 = 2 (|a_ij|^2 + |a_ji|^2), and the diagonal tile
-        # (the first e - k columns) holds each of its pairs twice
-        ss, dd = _sq_norm(s), _sq_norm(d)
-        ss_t, dd_t = _sq_norm(s[:, :e - k]), _sq_norm(d[:, :e - k])
-        sq_norm += 0.5 * (ss + dd) - 0.25 * (ss_t + dd_t)
-        sq_resid += 2.0 * dd - dd_t
-        s *= 0.5
-        row[...] = s
-        A[e:, k:e] = s[:, e - k:].conj().T
-    return float(np.sqrt(sq_resid)) / max(1.0, float(np.sqrt(sq_norm)))
+    def norm(X):
+        return float(np.linalg.norm(X.data if sparse.issparse(X) else X))
+
+    Ah = A.conj().T
+    resid = norm(A - Ah) / max(1.0, norm(A))
+    H = A + Ah
+    H *= 0.5
+    return H, resid
 
 
-def _sq_norm(x):
-    return float(np.vdot(x, x).real)
+def _blocks(A):
+    """Diagonal blocks of the square A along the connected components of its nonzero pattern.
 
-
-def _block_indices(A):
-    """Connected components of the nonzero pattern of the square A, grouped by size.
-
-    Entry (i, j) links i and j whichever triangle it sits in, so the blocks
-    are those of one simultaneous row/column permutation, also for a
-    non-Hermitian A.  Min-label propagation over the nonzero entries with
-    pointer jumping: every index ends labeled by the smallest index of its
-    component.  Returns one (k, b) index array per distinct component size
-    b, a row per component, indices ascending.
+    Entry (i, j) links i and j whichever triangle it sits in (weak
+    connectivity), so the blocks are those of one simultaneous row/column
+    permutation, also for a non-Hermitian A.  A is dense or sparse.  Returns
+    one (idx, sub) pair per distinct component size b: ``idx`` is the (k, b)
+    array of the indices of k components, ascending within a row, and
+    ``sub`` the dense (k, b, b) stack of the blocks A[i][:, i], i = idx[c].
     """
+    A = sparse.coo_array(A)
+    A.sum_duplicates()
+    nz = A.data != 0
+    rows, cols, vals = A.row[nz], A.col[nz], A.data[nz]
     n = A.shape[0]
-    pattern = A != 0
-    if pattern.all():
-        return [np.arange(n)[None, :]]
-    rows, cols = np.nonzero(pattern)
-    label = np.arange(n)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, rows, label[cols])
-        np.minimum.at(new, cols, label[rows])
-        while not np.array_equal(jumped := new[new], new):
-            new = jumped
-        if np.array_equal(new, label):
-            break
-        label = new
-    sizes = np.bincount(label, minlength=n)
-    sizes = sizes[sizes > 0]  # component sizes, in the order of their smallest index
+    graph = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    _, label = connected_components(graph, directed=True, connection="weak")
+    sizes = np.bincount(label)
     order = np.argsort(label, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    return [order[starts[sizes == b][:, None] + np.arange(b)] for b in np.unique(sizes)]
+    pos = np.empty(n, dtype=np.int64)  # place of each index within its component
+    pos[order] = np.arange(n) - starts[label[order]]
+    out = []
+    for b in np.unique(sizes):
+        comps = np.nonzero(sizes == b)[0]
+        slot = np.empty(sizes.size, dtype=np.int64)
+        slot[comps] = np.arange(comps.size)
+        sub = np.zeros((comps.size, b, b), dtype=A.dtype)
+        mine = sizes[label[rows]] == b
+        r, c = rows[mine], cols[mine]
+        sub[slot[label[r]], pos[r], pos[c]] = vals[mine]
+        out.append((order[starts[comps][:, None] + np.arange(b)], sub))
+    return out
 
 
 def block_eigh(A, vectors=True):
-    """Eigendecomposition of the Hermitian A, one batched eigh per block size.
+    """Eigendecomposition of the Hermitian A (dense or sparse), one batched eigh per block size.
 
     Returns a list of (idx, w, V), one per distinct block size b: ``idx`` is
     the (k, b) array of the indices of k blocks, ``w`` their (k, b) ascending
@@ -176,8 +157,7 @@ def block_eigh(A, vectors=True):
     ``vectors``), so that A[i][:, i] @ V[c] = V[c] * w[c] with i = idx[c].
     """
     groups = []
-    for idx in _block_indices(A):
-        sub = A[None] if idx.shape[1] == A.shape[0] else A[idx[:, :, None], idx[:, None, :]]
+    for idx, sub in _blocks(A):
         if vectors:
             w, V = np.linalg.eigh(sub)
         else:
@@ -194,8 +174,7 @@ def block_eigvalsh(A):
 def spectral_norm(X):
     """Largest singular value of the square X: sqrt of the top eigenvalue of X^dag X per block."""
     top = 0.0
-    for idx in _block_indices(X):
-        sub = X[idx[:, :, None], idx[:, None, :]]
+    for _, sub in _blocks(X):
         top = max(top, float(np.linalg.eigvalsh(sub.conj().transpose(0, 2, 1) @ sub)[:, -1].max()))
     return float(np.sqrt(top))
 
@@ -227,18 +206,12 @@ def gap_from_eigenvalues(evals, tol=KERNEL_TOL) -> GapReport:
 
 def spectral_gap(L: Superoperator, sigma, tol=KERNEL_TOL) -> GapReport:
     """Kernel dimension and smallest nonzero eigenvalue of -L_hat."""
-    Lhat = symmetrize(L, sigma, L.basis)
-    np.negative(Lhat, out=Lhat)
-    return gap_from_eigenvalues(block_eigvalsh(Lhat), tol)
+    return gap_from_eigenvalues(block_eigvalsh(-symmetrize(L, sigma, L.basis)), tol)
 
 
 def kms_operator_norm(L: Superoperator, sigma) -> float:
     """Largest eigenvalue of -L_hat (the KMS operator norm of -L)."""
-    Lhat = symmetrize(L, sigma, L.basis)
-    if np.linalg.norm(Lhat) == 0.0:
-        return 0.0
-    np.negative(Lhat, out=Lhat)
-    return float(block_eigvalsh(Lhat)[-1])
+    return float(block_eigvalsh(-symmetrize(L, sigma, L.basis))[-1])
 
 
 def _gap_of_psd(M, tol=1e-10):
@@ -351,12 +324,12 @@ def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=7
     n_b = n - n_a
     d_a, d_b = 2**n_a, 2**n_b
     H_perm = P @ assemble_dense(spec) @ P.conj().T
-    es_full = eigensystem(H_perm)
+    # H_perm is diagonal in the product labels |i_A j_B> with eigenvalues lam2
+    lam, W = js.lam2.reshape(-1), np.kron(basis.vectors, js.basis_b.vectors)
+    es_full = eigensystem_from_pairs(lam, W)
     L_b = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es_full)
     # unnormalized exp(-beta H) for the compressed-Gibbs comparison
-    shift = es_full.eigenvalues.min()
-    expH = (es_full.eigenvectors * np.exp(-beta * (es_full.eigenvalues - shift))) @ \
-        es_full.eigenvectors.conj().T
+    expH = (W * np.exp(-beta * (lam - lam.min()))) @ W.conj().T
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -398,28 +371,21 @@ def a_diagonal_restriction_gap(spec, beta, w: WeightFunction):
     """Gap of the B-site generator restricted to the A-diagonal sector.
 
     Zeroing the A-off-diagonal sector block-diagonalizes the generator over
-    the A labels, so this equals min_i Gap of the pinned generators.
+    the A labels, so this equals min_i Gap of the pinned generators.  The
+    generator is built in the product labels |i_A j_B> of the commuting cut,
+    which diagonalize H, so L_hat is a sparse scaling and the A-diagonal
+    rows and columns are gathered from it directly.
     """
-    cut = check_commuting_cut(spec)
-    if not cut.holds:
-        raise ValueError("commuting cut does not hold")
-    n = spec.n
+    from .replica import joint_structure  # replica imports this module
+
+    js = joint_structure(spec)
     n_a = len(spec.partition[0])
-    n_b = n - n_a
-    d_a, d_b = 2**n_a, 2**n_b
-    d = d_a * d_b
-    basis = a_side_eigenbasis(cut)
-    P = qubit_permutation(n, list(cut.perm_order))
-    H_perm = P @ assemble_dense(spec) @ P.conj().T
-    es = eigensystem(H_perm)
-    L = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es)
-    sigma = gibbs_state(es, beta)
-    # L_hat in a basis whose A factor is labeled by |i_A>
-    Lhat_w = symmetrize(L, sigma, np.kron(basis.vectors, np.eye(d_b)))
-    a_label = np.repeat(np.arange(d_a), d_b)  # A label of each Hilbert index
-    row_a = np.tile(a_label, d)  # vec index = i + d*j, i minor
-    col_a = np.repeat(a_label, d)
-    keep = np.nonzero(row_a == col_a)[0]
-    sub = Lhat_w[np.ix_(keep, keep)]
-    np.negative(sub, out=sub)
-    return gap_from_eigenvalues(block_eigvalsh(sub)).gap
+    es = eigensystem_from_pairs(js.lam2.reshape(-1), js.system_basis())
+    couplings = single_site_paulis(spec.n, sites=js.cut.perm_order[n_a:])
+    L = build_ckg_generator(assemble_dense(spec), couplings, w, es=es)
+    Lhat = symmetrize(L, gibbs_state(es, beta), L.basis)
+    d = es.dim
+    a_label = np.arange(d) // js.d_b  # A label of each stored basis index
+    r = np.arange(d * d)  # vec index r = i + d*j
+    keep = np.nonzero(a_label[r % d] == a_label[r // d])[0]
+    return gap_from_eigenvalues(block_eigvalsh(-Lhat[keep][:, keep])).gap

@@ -1,5 +1,7 @@
 """Block eigensolves along the exact zero pattern of a Hermitian matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from qrex.replica import (
     joint_gibbs,
     swap_generator_closed_form,
 )
-from qrex.spectral import block_eigh, block_eigvalsh, spectral_norm, symmetrize
+from qrex.spectral import block_eigh, block_eigvalsh, spectral_gap, spectral_norm, symmetrize
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -112,3 +114,23 @@ def test_spectral_norm_matches_svd(structured):
     else:
         X = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
     assert spectral_norm(X) == pytest.approx(np.linalg.norm(X, 2), rel=1e-12)
+
+
+def test_ring_n7_fits_the_sparse_route():
+    # the dense d^2 x d^2 route needs 4.3 GB per full-size array at n = 7
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        H = assemble_dense(defected_ising_1d(7, 3.0))
+        es = eigensystem(H)
+        L = build_ckg_generator(H, single_site_paulis(7), GM, es=es)
+        sigma = gibbs_state(es, 1.0)
+        rep = spectral_gap(L, sigma)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**30
+    assert L.local.nnz == 73728
+    assert rep.kernel_dim == 1
+    assert block_counts(symmetrize(L, sigma, L.basis)) == (2187, 128)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from qrex.hamiltonians import HamiltonianSpec, PauliTerm, assemble_dense, defected_ising_1d
+from qrex.harness import _replica_gap
 from qrex.lindblad import (
     Superoperator,
     WeightFunction,
@@ -414,3 +415,14 @@ def test_perturbed_generator_not_detailed_balanced():
         symmetrize(bad, sg)
     with pytest.raises(ValueError, match="not detailed balanced"):
         spectral_gap(bad, sg)
+
+
+def test_global_mode_gap_pairs_the_two_temperature_gibbs_state():
+    # the global generator was once paired with the local_A joint Gibbs state
+    # and failed with a dimension mismatch
+    spec, beta, beta2 = defected_ising_1d(3, 2.0), 1.0, 0.5
+    rep = _replica_gap(spec, beta, {"mode": "global", "beta2": beta2})
+    M_old, sigma = computational_global_sum(spec, beta, beta2, GG, GG)
+    old = spectral_gap(Superoperator(M_old), sigma)
+    assert rep.kernel_dim == old.kernel_dim == 1
+    assert rep.gap == pytest.approx(old.gap, rel=RTOL)

@@ -17,10 +17,10 @@ from qrex.lindblad import (
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
     SwapMode,
-    add_lifted,
     build_replica_exchange_generator,
     joint_gibbs,
     joint_structure,
+    lift,
     local_swap_unitary,
     swap_generator_closed_form,
     swap_generator_generic,
@@ -109,7 +109,7 @@ class TestSuperopLifts:
         A = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
         B = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
         M = np.kron(B.T, A)  # map X -> A X B
-        lifted = add_lifted(np.zeros((36, 36), dtype=complex), M, (d1, d2), 0)
+        lifted = lift(M, (d1, d2), 0)
         Xj = rng.standard_normal((d1 * d2, d1 * d2)) + 1j * rng.standard_normal((d1 * d2, d1 * d2))
         direct = np.kron(A, np.eye(d2)) @ Xj @ np.kron(B, np.eye(d2))
         out = lifted @ Xj.reshape(-1, order="F")
@@ -121,7 +121,7 @@ class TestSuperopLifts:
         A = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
         B = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
         M = np.kron(B.T, A)
-        lifted = add_lifted(np.zeros((36, 36), dtype=complex), M, (d1, d2), 1)
+        lifted = lift(M, (d1, d2), 1)
         Xj = rng.standard_normal((d1 * d2, d1 * d2)) + 1j * rng.standard_normal((d1 * d2, d1 * d2))
         direct = np.kron(np.eye(d1), A) @ Xj @ np.kron(np.eye(d1), B)
         out = lifted @ Xj.reshape(-1, order="F")
