@@ -37,8 +37,14 @@ from .lindblad import (
 )
 from .mixing import mixing_time_estimate
 from .pauli import single_site_paulis
-from .replica import SwapMode, build_replica_exchange_generator, joint_gibbs, joint_structure
-from .spectral import HERMITICITY_TOL, KERNEL_TOL, partial_lindbladian_check, spectral_gap
+from .replica import (
+    SwapMode,
+    build_replica_exchange_generator,
+    check_global_size,
+    joint_gibbs,
+    joint_structure,
+)
+from .spectral import HERMITICITY_TOL, KERNEL_TOL, a_diagonal_restriction_gap, spectral_gap
 from .verify import run_verification
 
 
@@ -154,16 +160,17 @@ def validate_config(raw) -> ExperimentConfig:
         raise ConfigError(f"field 'replica.weight': unknown value {rep['weight']!r}")
     if merged["sweep"]["param"] not in ("J", "beta"):
         raise ConfigError(f"field 'sweep.param': must be 'J' or 'beta'")
-    if not 0 < float(merged["epsilon"]) < 1:
+    epsilon = _number(merged, "epsilon", float)
+    if not 0 < epsilon < 1:
         raise ConfigError("field 'epsilon': must lie in (0, 1)")
     if merged["output"]["format"] not in ("csv", "json"):
         raise ConfigError(f"field 'output.format': must be 'csv' or 'json'")
-    try:
-        beta = float(merged["beta"])
-    except (TypeError, ValueError):
-        raise ConfigError("field 'beta': not a number")
+    beta = _number(merged, "beta", float)
     if beta <= 0:
         raise ConfigError("field 'beta': must be positive")
+    max_dim = _number(merged, "max_dim", int)
+    if max_dim < 1:
+        raise ConfigError("field 'max_dim': must be at least 1")
     return ExperimentConfig(
         system=merged["system"],
         beta=beta,
@@ -171,11 +178,19 @@ def validate_config(raw) -> ExperimentConfig:
         replica=merged["replica"],
         scenario=merged["scenario"],
         sweep=merged["sweep"],
-        seed=int(merged["seed"]),
-        epsilon=float(merged["epsilon"]),
-        max_dim=int(merged["max_dim"]),
+        seed=_number(merged, "seed", int),
+        epsilon=epsilon,
+        max_dim=max_dim,
         output=merged["output"],
     )
+
+
+def _number(merged, key, kind):
+    """merged[key] converted by ``kind`` (int or float); ConfigError naming the field if it fails."""
+    try:
+        return kind(merged[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {key!r}: not {'an integer' if kind is int else 'a number'}")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -193,6 +208,22 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def build_system(config: ExperimentConfig, J=None) -> HamiltonianSpec:
+    """The HamiltonianSpec of config.system, with the defect strength J if given.
+
+    A system the model builders reject (say a ring with n < 3) is a
+    ConfigError naming the field.
+    """
+    try:
+        return _system_spec(config, J)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"field 'system': missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'system': {exc}") from exc
+
+
+def _system_spec(config: ExperimentConfig, J) -> HamiltonianSpec:
     sys = config.system
     model = sys.get("model")
     if model == "defected_ising":
@@ -231,6 +262,11 @@ def _guard_dims(config: ExperimentConfig, spec: HamiltonianSpec):
             f"superoperator dimension {dim * dim} exceeds guard {config.max_dim}; "
             "raise --max-dim to override"
         )
+    if config.replica["mode"] == "global":
+        try:
+            check_global_size(spec.n)
+        except ValueError as exc:
+            raise ResourceGuardError(str(exc)) from exc
 
 
 def _single_gap(spec, beta, weight_kind):
@@ -277,18 +313,15 @@ def _sweep_point(args):
         rec["gap_re"] = _replica_gap(spec, beta, config.replica).gap
     elif config.replica["mode"] == "local_A":
         # one commuting-cut analysis serves the generator, the Gibbs state,
-        # the partial check and the bound
+        # g_B and the bound
         js = joint_structure(spec)
         rep = _replica_gap(spec, beta, config.replica, js)
         rec["gap_re"] = rep.gap
-        part = partial_lindbladian_check(
-            spec, beta, WeightFunction(config.replica.get("weight", "gaussian"), beta),
-            seed=config.seed, js=js,
-        )
-        rec["g_B"] = part["g_b"]
+        w = WeightFunction(config.replica.get("weight", "gaussian"), beta)
+        rec["g_B"] = a_diagonal_restriction_gap(spec, beta, w, js=js)
         cut = js.cut
         d_a = js.d_a
-        denom = min(part["g_b"], 1.0)
+        denom = min(rec["g_B"], 1.0)
         rec["bound_ratio"] = rep.gap * d_a * np.exp(4 * beta * cut.k_count * cut.v_max) / denom
     return rec
 

@@ -20,7 +20,7 @@ assembles them as COO triplets and never forms a dense d^2 x d^2 array.
 Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -80,23 +80,17 @@ class WeightFunction:
 
 @dataclass
 class GibbsState:
-    """Thermal state sigma = U diag(weights) U^dag, with cached fractional powers.
+    """Thermal state sigma = U diag(weights) U^dag.
 
     ``basis`` is the unitary U it was built diagonal in and ``weights`` are
-    its eigenvalues in the column order of U.
+    its eigenvalues in the column order of U.  Every function of sigma that
+    the library needs is a function of ``weights`` in that basis.
     """
 
     sigma: np.ndarray
     beta: float
     weights: np.ndarray
     basis: np.ndarray
-    _powers: dict = field(default_factory=dict)
-
-    def power(self, p):
-        key = round(float(p), 12)
-        if key not in self._powers:
-            self._powers[key] = (self.basis * self.weights**p) @ self.basis.conj().T
-        return self._powers[key]
 
     @property
     def lambda_min(self):
@@ -429,52 +423,3 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
     L = (sparse.coo_array((sandwich, (i + d * j, k + d * l)), shape=(d * d, d * d))
          + sparse.kron(eye, -0.5 * N + 1j * G) + sparse.kron((-0.5 * N - 1j * G).T, eye))
     return Superoperator(L, basis=U)
-
-
-def _superop_norm_estimate(M, iters=40, seed=123):
-    """Power-iteration estimate of the spectral norm (deterministic seed)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[1]) + 1j * rng.standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
-    Mh = M.conj().T
-    s = 0.0
-    for _ in range(iters):
-        u = M @ v
-        v = Mh @ u
-        s = np.linalg.norm(v) ** 0.5
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        v /= nv
-    return float(s)
-
-
-def kms_inner(X, Y, sigma: GibbsState):
-    """KMS inner product Tr[sigma^{1/2} X^dag sigma^{1/2} Y]."""
-    s = sigma.power(0.5)
-    return complex(np.trace(s @ X.conj().T @ s @ Y))
-
-
-def detailed_balance_residual(L: Superoperator, sigma: GibbsState, n_pairs=20, seed=2024):
-    """Max KMS self-adjointness violation over a seeded batch of operator pairs.
-
-    Normalized by the KMS norms of the pair and a power-iteration estimate of
-    ||L||; zero maps return 0.
-    """
-    if sigma.lambda_min <= 0:
-        raise ValueError("sigma must be full rank")
-    d = L.dim
-    norm_est = _superop_norm_estimate(L.local)  # the basis change is unitary
-    if norm_est == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
-        Xr = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        Yr = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        lhs = kms_inner(Xr, L.apply(Yr), sigma)
-        rhs = kms_inner(L.apply(Xr), Yr, sigma)
-        nx = np.sqrt(abs(kms_inner(Xr, Xr, sigma)))
-        ny = np.sqrt(abs(kms_inner(Yr, Yr, sigma)))
-        worst = max(worst, abs(lhs - rhs) / (nx * ny * norm_est))
-    return float(worst)

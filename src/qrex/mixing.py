@@ -3,12 +3,16 @@
 For a detailed-balanced generator the Schrodinger flow factors through the
 symmetrized matrix: e^{t L^dag}(rho) = Phi(e^{t L_hat}(Phi^{-1}(rho))) with
 Phi(X) = sigma^{1/4} X sigma^{1/4}, so one Hermitian eigendecomposition
-serves every initial state and every time.  L_hat is taken in the basis the
-generator is stored in, whose unitary is folded into the Phi factors; there
-it is a sparse CSR matrix (``symmetrize``), decomposed block by block along
-the connected components of its zero pattern (``block_eigh``), so only the
-dense blocks are ever formed.  Non-detailed-balanced input falls back to a
-dense matrix exponential of the stored matrix.
+serves every initial state and every time.  L_hat is taken in the basis
+U = sigma.basis that the generator is stored in and sigma is diagonal in
+(``symmetrize``).  There Phi is the elementwise scaling by
+phi = kron(q, q), q = weights^(1/4), so a state only needs the rotation
+U^dag rho U and that scaling; L_hat is a sparse CSR matrix, decomposed block
+by block along the connected components of its zero pattern
+(``block_eigh``), so only the dense blocks are ever formed.  A generator
+that ``symmetrize`` rejects (stored in another basis, or not detailed
+balanced) is propagated by ``evolve`` through a dense matrix exponential of
+the stored matrix.
 """
 
 import warnings
@@ -27,7 +31,7 @@ from .lindblad import (
     vec,
 )
 from .pauli import pauli_string_matrix, single_site_paulis
-from .spectral import block_eigh, gap_from_eigenvalues, spectral_gap, symmetrize
+from .spectral import block_eigh, gap_from_eigenvalues, kms_scaling, spectral_gap, symmetrize
 
 BISECTION_RTOL = 1e-3
 
@@ -66,64 +70,65 @@ class MixingReport:
         }
 
 
-def _phi_factors(sigma, U):
-    """(a, b) with Phi(U Y U^dag) = a Y b, for Y in the basis of the unitary U (None: identity)."""
-    s4 = sigma.power(0.25)
-    return (s4, s4) if U is None else (s4 @ U, U.conj().T @ s4)
-
-
 class SpectralPropagator:
     """Evolution e^{t L^dag} through the block eigendecomposition of L_hat.
 
-    ``blocks`` holds (idx, w, V) for each block size (see ``block_eigh``);
-    ``evals`` is the whole spectrum of L_hat, ascending.  Coefficients are a
-    list with one (k, b) array per block size.
+    ``blocks`` holds (idx, w, V) for each block size (see ``block_eigh``),
+    with Phi folded into the eigenvectors: column j of V[c] is
+    phi[idx[c]] times the eigenvector of L_hat.  ``evals`` is the whole
+    spectrum of L_hat, ascending.  Coefficients are a list with one (k, b)
+    array per block size.
     """
 
     def __init__(self, L: Superoperator, sigma):
         self.sigma = sigma
-        U = L.basis
-        self.blocks = block_eigh(symmetrize(L, sigma, U))
+        phi = kms_scaling(sigma)
+        self.blocks = block_eigh(symmetrize(L, sigma))
+        for idx, _, V in self.blocks:
+            V *= phi[idx][:, :, None]
         self.evals = np.sort(np.concatenate([w.ravel() for _, w, _ in self.blocks]))
-        self._phi = _phi_factors(sigma, U)
-        s4i = sigma.power(-0.25)
-        self._phi_inv = (s4i, s4i) if U is None else (U.conj().T @ s4i, s4i @ U)
+        self._phi_sq = phi * phi
+        self._U, self._Uh = sigma.basis, sigma.basis.conj().T
 
     def coefficients(self, rho0):
-        a, b = self._phi_inv
-        v = vec(a @ rho0 @ b).conj()
-        # V^dag x per block, as conj(conj(x) V) so no conjugate of V is formed
+        """V^dag Phi^(-1)(rho0) per block, with V the eigenvectors of L_hat.
+
+        The stored stack is diag(phi) V, so this is its adjoint applied to
+        vec(U^dag rho0 U) / phi^2.
+        """
+        v = (vec(self._Uh @ rho0 @ self._U) / self._phi_sq).conj()
+        # conj(conj(x) W) per block, so no conjugate of the stack is formed
         return [np.conj(v[idx][:, None, :] @ V)[:, 0, :] for idx, _, V in self.blocks]
 
     def state_at(self, coeffs, t):
         v = np.empty(self.evals.size, dtype=complex)
         for (idx, w, V), c in zip(self.blocks, coeffs):
             v[idx] = (V @ (np.exp(t * w) * c)[:, :, None])[:, :, 0]
-        a, b = self._phi
-        rho = a @ unvec(v) @ b
+        rho = self._U @ unvec(v) @ self._Uh
         return 0.5 * (rho + rho.conj().T)
 
 
 def evolve(L: Superoperator, rho0, t, sigma=None):
     """Propagate a density matrix to time t under the Schrodinger flow e^{t L^dag}.
 
-    Uses the spectral route when ``sigma`` is supplied and L is detailed
-    balanced; otherwise falls back to a dense matrix exponential (with a
-    warning, since that path scales poorly).
+    Uses the spectral route when ``sigma`` is supplied and ``symmetrize``
+    accepts L; otherwise falls back to a dense matrix exponential, with a
+    warning that carries the reason, since that path scales poorly.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if abs(np.trace(rho0) - 1.0) > 1e-10:
         raise ValueError("rho0 must have unit trace")
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -1e-10:
         raise ValueError("rho0 must be positive semidefinite")
+    reason = "no Gibbs state given"
     if sigma is not None:
         try:
             prop = SpectralPropagator(L, sigma)
-        except ValueError:  # not detailed balanced
-            pass
+        except ValueError as exc:  # rejected by symmetrize
+            reason = str(exc)
         else:
             return prop.state_at(prop.coefficients(rho0), t)
-    warnings.warn("generator not detailed balanced; using dense matrix exponential")
+    warnings.warn(f"{reason}; using dense matrix exponential")
     rho = _expm_flow(L, rho0, t)
     return 0.5 * (rho + rho.conj().T)
 
@@ -148,9 +153,10 @@ def mixing_bounds_from_gap(gap, lambda_min, epsilon):
 
 def chi_square(rho, sigma):
     """KMS chi-square divergence Tr[(rho-sigma) sigma^{-1/2} (rho-sigma) sigma^{-1/2}]."""
-    delta = np.asarray(rho, dtype=complex) - sigma.sigma
-    si = sigma.power(-0.5)
-    return float(np.real(np.trace(delta @ si @ delta @ si)))
+    U = sigma.basis
+    delta = U.conj().T @ (np.asarray(rho, dtype=complex) - sigma.sigma) @ U
+    r = sigma.weights**-0.5  # sigma^(-1/2) is diag(r) in sigma.basis
+    return float(np.real(np.sum(delta * delta.T * np.outer(r, r))))
 
 
 def _initial_family(sigma, n_haar=20, seed=314):
@@ -237,7 +243,7 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
 
 def _gap_and_mode(L: Superoperator, sigma):
     """Spectral gap and gap_mode_state from one eigendecomposition of -L_hat."""
-    blocks = block_eigh(-symmetrize(L, sigma, L.basis))
+    blocks = block_eigh(-symmetrize(L, sigma))
     evals = np.concatenate([w.ravel() for _, w, _ in blocks])
     order = np.argsort(evals, kind="stable")
     rep = gap_from_eigenvalues(evals[order])
@@ -250,13 +256,12 @@ def _gap_and_mode(L: Superoperator, sigma):
             x[idx[c]] = V[c, :, j]
             break
         k -= w.size
-    a, b = _phi_factors(sigma, L.basis)
-    X = unvec(x)
-    Y = a @ X @ b  # sigma^{1/2} X sigma^{1/2} for the KMS eigenoperator X
-    Y = Y + Y.conj().T
+    U = sigma.basis
+    # U Phi(x) U^dag = sigma^{1/2} X sigma^{1/2} for the KMS eigenoperator X of L
+    Z = U @ unvec(kms_scaling(sigma) * x) @ U.conj().T
+    Y = Z + Z.conj().T
     if np.linalg.norm(Y) < 1e-12:
-        Y = a @ X @ b
-        Y = 1j * (Y - Y.conj().T)
+        Y = 1j * (Z - Z.conj().T)
     Y /= np.linalg.norm(Y, 2)
     alpha = sigma.lambda_min / 2.0
     return rep.gap, sigma.sigma + alpha * Y

@@ -45,7 +45,7 @@ from .lindblad import (
     eigensystem_from_pairs,
 )
 from .pauli import qubit_permutation, single_site_paulis
-from .spectral import block_eigvalsh, symmetrize
+from .spectral import block_eigvalsh, kms_scaling, symmetrize
 
 CLOSED_FORM_RTOL = 1e-9
 
@@ -207,6 +207,12 @@ def joint_hamiltonian(spec, mode: SwapMode):
     return H
 
 
+def check_global_size(n):
+    """Raise ValueError when the global two-replica generator on n sites is too large to build."""
+    if n > 4:
+        raise ValueError("global swap gated at n <= 4")
+
+
 def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightFunction,
                                      mode: SwapMode, js: JointStructure | None = None
                                      ) -> Superoperator:
@@ -240,8 +246,7 @@ def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightF
              + lift(L2.local, (d_n, js.d_a), 1))
         return Superoperator(M, basis=js.labeled_to_original())
     # global: two full replicas at (beta, beta2), global swap, general form
-    if spec.n > 4:
-        raise ValueError("global swap gated at n <= 4")
+    check_global_size(spec.n)
     beta2 = mode.beta2 if mode.beta2 is not None else beta
     es = eigensystem(H)
     L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1, es=es)
@@ -275,6 +280,21 @@ def _kms_diag(Xv, Yv, s3):
     return complex(np.einsum("i,ij,j,ij->", r, X.conj(), r, Y))
 
 
+def _random_off_a(rng, d_a, d_b, b_part):
+    """Random operator X (x) I_A, as a dense matrix in the labeled basis, with zero A-diagonal blocks.
+
+    X has entries X[(i, b), (i', b')] with i != i'; ``b_part`` is "any" for
+    every B part, "diag" for b = b' only and "off" for b != b' only.
+    """
+    shape = (d_a, d_b, d_a, d_b)
+    T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    i, b, ip, bp = np.indices(shape, sparse=True)
+    mask = i != ip
+    if b_part != "any":
+        mask = mask & ((b == bp) == (b_part == "diag"))
+    return np.kron((T * mask).reshape(d_a * d_b, d_a * d_b), np.eye(d_a))
+
+
 def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
     """Kernel of the swap generator restricted to the K (x) I_A sector.
 
@@ -288,9 +308,8 @@ def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
     S = swap_generator_closed_form(spec, beta, js=js)
     sigma = joint_gibbs(spec, beta, js=js)
     M, s3 = S.local, sigma.weights
-    Lhat = symmetrize(S, sigma, S.basis)
-    q = s3**0.25
-    phi = np.kron(q, q)  # diagonal of Phi in vec coordinates
+    Lhat = symmetrize(S, sigma)
+    phi = kms_scaling(sigma)
 
     def e_op(mat):
         return mat.reshape(-1, order="F")
@@ -324,43 +343,10 @@ def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
     rng = np.random.default_rng(seed)
     worst = {"diagA_vs_offA": 0.0, "offA_vs_diagA": 0.0,
              "offdiagB_vs_offoffB": 0.0, "offoffB_vs_offdiagB": 0.0}
-
-    def rand_diag_a():
-        a = rng.standard_normal(d_a)
-        return np.kron(np.kron(np.diag(a), eye_b), eye_a)
-
-    def rand_off_a():
-        A = rng.standard_normal((d_a, d_a, d_b, d_b)) + 1j * rng.standard_normal((d_a, d_a, d_b, d_b))
-        out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-        for i in range(d_a):
-            for ip in range(d_a):
-                if i == ip:
-                    continue
-                eij = np.zeros((d_a, d_a))
-                eij[i, ip] = 1.0
-                out += np.kron(eij, A[i, ip])
-        return np.kron(out, eye_a)
-
-    def rand_off_a_diag_b():
-        out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-        for b in range(d_b):
-            blk = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
-            np.fill_diagonal(blk, 0.0)
-            eb = np.zeros((d_b, d_b))
-            eb[b, b] = 1.0
-            out += np.kron(blk, eb)
-        return np.kron(out, eye_a)
-
-    def rand_off_a_off_b():
-        blk_a = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
-        np.fill_diagonal(blk_a, 0.0)
-        blk_b = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
-        np.fill_diagonal(blk_b, 0.0)
-        return np.kron(np.kron(blk_a, blk_b), eye_a)
-
     for _ in range(n_random):
-        Xd, Xo = rand_diag_a(), rand_off_a()
-        Xod, Xoo = rand_off_a_diag_b(), rand_off_a_off_b()
+        Xd = np.kron(np.kron(np.diag(rng.standard_normal(d_a)), eye_b), eye_a)
+        Xo = _random_off_a(rng, d_a, d_b, "any")
+        Xod, Xoo = _random_off_a(rng, d_a, d_b, "diag"), _random_off_a(rng, d_a, d_b, "off")
         pairs = {
             "diagA_vs_offA": (Xd, Xo),
             "offA_vs_diagA": (Xo, Xd),
@@ -409,21 +395,9 @@ def swap_sector_lower_bounds(spec, beta, seed=42, n_random=20):
         a -= np.dot(marg, a) / marg.sum()  # sigma-orthogonal to the identity
         X = np.kron(np.kron(np.diag(a), eye_b), eye_a)
         mins["diag_A"] = min(mins["diag_A"], quotient(X))
-
-        out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-        for b in range(d_b):
-            blk = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
-            np.fill_diagonal(blk, 0.0)
-            eb = np.zeros((d_b, d_b)); eb[b, b] = 1.0
-            out += np.kron(blk, eb)
-        mins["offA_diagB"] = min(mins["offA_diagB"], quotient(np.kron(out, eye_a)))
-
-        blk_a = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
-        np.fill_diagonal(blk_a, 0.0)
-        blk_b = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
-        np.fill_diagonal(blk_b, 0.0)
-        X = np.kron(np.kron(blk_a, blk_b), eye_a)
-        mins["offA_offB"] = min(mins["offA_offB"], quotient(X))
+        mins["offA_diagB"] = min(mins["offA_diagB"],
+                                 quotient(_random_off_a(rng, d_a, d_b, "diag")))
+        mins["offA_offB"] = min(mins["offA_offB"], quotient(_random_off_a(rng, d_a, d_b, "off")))
 
     threshold = 1.0 / (4.0 * d_a * np.exp(4.0 * beta * js.cut.k_count * js.cut.v_max))
     return {"sector_minima": {k: float(v) for k, v in mins.items()},

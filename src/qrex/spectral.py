@@ -4,16 +4,16 @@ A detailed-balanced generator L is self-adjoint in the KMS inner product
 <X, Y>_sigma = Tr[sigma^(1/2) X^dag sigma^(1/2) Y].  The isometry
 Phi(X) = sigma^(1/4) X sigma^(1/4) carries that geometry to Hilbert-Schmidt,
 so L_hat = Phi o L o Phi^(-1) is an honest Hermitian matrix whose spectrum
-is the KMS spectrum of L.  Gaps, operator norms and kernel dimensions are
-read off the eigendecomposition of -L_hat, formed in the basis the generator
-is stored in.  ``build_ckg_generator`` (with ``gibbs_state``) and the
-closed-form swap and local_A joint generators (with ``replica.joint_gibbs``)
-are stored in a basis where sigma is diagonal, and there Phi is a diagonal
-scaling of the sparse stored matrix, so L_hat stays a CSR array with the
-pattern of L; any other pairing, among them the generic swap generator,
-takes the leg-wise basis change ``congruence``, which fills the matrix and
-returns it dense.  L is detailed balanced exactly when L_hat is Hermitian,
-so that residual is the detailed-balance check.
+is the KMS spectrum of L.  Every builder stores its generator in a basis
+where its Gibbs state is diagonal: ``build_ckg_generator`` (with
+``gibbs_state``) in the energy eigenbasis, the closed-form swap and local_A
+joint generators (with ``replica.joint_gibbs``) in the labeled product basis,
+the global generator in U (x) U.  There Phi is the diagonal scaling
+diag(phi) L diag(1/phi) of the sparse stored matrix (Chen-Kastoryano-Gilyen,
+arXiv:2311.09207), so L_hat is a CSR array with the pattern of L, and it is
+only ever formed there: ``symmetrize`` rejects a generator stored in any
+other basis.  L is detailed balanced exactly when L_hat is Hermitian, so that
+residual is the detailed-balance check.
 
 Every eigensolve of L_hat goes through ``block_eigh``: single-site jumps in
 a basis where H is diagonal leave most entries of L_hat exactly zero, and
@@ -21,6 +21,9 @@ the connected components of that zero pattern (``scipy.sparse.csgraph``)
 are blocks solved on their own.  The spectrum of a matrix with exact zeros
 outside its blocks is the union of the block spectra, so this is exact; a
 matrix without zeros is one block.
+
+The bound g_B of the main theorem, the smallest gap of the pinned B
+generators, is read off one generator: ``a_diagonal_restriction_gap``.
 """
 
 from dataclasses import dataclass
@@ -29,13 +32,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .hamiltonians import assemble_dense, compress_onto
+from .hamiltonians import assemble_dense
 from .lindblad import (
     Superoperator,
     WeightFunction,
     build_ckg_generator,
-    congruence,
-    eigensystem,
     eigensystem_from_pairs,
     gibbs_state,
 )
@@ -65,31 +66,26 @@ class GapReport:
         }
 
 
-def symmetrize(L: Superoperator, sigma, basis=None):
-    """Hermitian matrix of Phi o L o Phi^(-1); requires a detailed-balanced L.
+def kms_scaling(sigma):
+    """Diagonal of Phi in the vec coordinates of sigma.basis: kron(q, q), q = weights^(1/4)."""
+    q = sigma.weights**0.25
+    return np.kron(q, q)  # q_j q_i at vec index i + d*j
 
-    The matrix is taken in the operator basis of the unitary ``basis`` (see
-    Superoperator; None: the computational basis).  When that basis is the
-    one L is stored in and sigma is diagonal in it (GibbsState.basis), Phi is
-    the diagonal scaling diag(phi) L diag(1/phi), phi = kron(s^(1/4), s^(1/4))
-    at vec index i + d*j, of the stored CSR matrix, and the result is CSR;
-    any other basis goes through the O(d^5) kernel ``congruence`` and the
-    result is dense.  Raises ValueError when the Hermiticity residual of
-    L_hat exceeds HERMITICITY_TOL.
+
+def symmetrize(L: Superoperator, sigma):
+    """Hermitian matrix of Phi o L o Phi^(-1), as CSR in the basis L is stored in.
+
+    L must be stored in the basis sigma is diagonal in (``GibbsState.basis``);
+    there Phi is the diagonal scaling diag(phi) L diag(1/phi) with
+    phi = kms_scaling(sigma).  Raises ValueError when L is stored in another
+    basis, or when the Hermiticity residual of L_hat exceeds HERMITICITY_TOL
+    (L is not detailed balanced).
     """
-    if (basis is not None and L.basis is not None and np.array_equal(basis, L.basis)
-            and np.array_equal(L.basis, sigma.basis)):
-        q = sigma.weights**0.25
-        phi = np.kron(q, q)  # q_j q_i at vec index i + d*j
-        Lhat = sparse.diags_array(phi) @ L.local @ sparse.diags_array(1.0 / phi)
-    else:
-        # X -> P^dag L(R^dag X R) P with P = U^dag s4 V and R = V^dag s4i U
-        P, R = sigma.power(0.25), sigma.power(-0.25)
-        if L.basis is not None:
-            P, R = L.basis.conj().T @ P, R @ L.basis
-        if basis is not None:
-            P, R = P @ basis, basis.conj().T @ R
-        Lhat = congruence(L.local.toarray(), P, R)
+    if not np.array_equal(L.basis, sigma.basis):
+        raise ValueError("basis mismatch: the generator is not stored in the basis its Gibbs "
+                         "state is diagonal in")
+    phi = kms_scaling(sigma)
+    Lhat = sparse.diags_array(phi) @ L.local @ sparse.diags_array(1.0 / phi)
     Lhat, herm = _hermitian_part(Lhat)
     if herm > HERMITICITY_TOL:
         raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
@@ -98,19 +94,16 @@ def symmetrize(L: Superoperator, sigma, basis=None):
 
 
 def _hermitian_part(A):
-    """(A + A^dag) / 2 of the dense or sparse square A, and ||A - A^dag|| / max(1, ||A||).
+    """(A + A^dag) / 2 of the sparse square A, and ||A - A^dag|| / max(1, ||A||).
 
     Entry (i, j) of the result is (a_ij + conj(a_ji)) / 2 and entry (j, i)
     its conjugate, so the result is exactly Hermitian.
     """
-    def norm(X):
-        return float(np.linalg.norm(X.data if sparse.issparse(X) else X))
-
     Ah = A.conj().T
-    resid = norm(A - Ah) / max(1.0, norm(A))
+    resid = np.linalg.norm((A - Ah).data) / max(1.0, np.linalg.norm(A.data))
     H = A + Ah
     H *= 0.5
-    return H, resid
+    return H, float(resid)
 
 
 def _blocks(A):
@@ -206,12 +199,12 @@ def gap_from_eigenvalues(evals, tol=KERNEL_TOL) -> GapReport:
 
 def spectral_gap(L: Superoperator, sigma, tol=KERNEL_TOL) -> GapReport:
     """Kernel dimension and smallest nonzero eigenvalue of -L_hat."""
-    return gap_from_eigenvalues(block_eigvalsh(-symmetrize(L, sigma, L.basis)), tol)
+    return gap_from_eigenvalues(block_eigvalsh(-symmetrize(L, sigma)), tol)
 
 
 def kms_operator_norm(L: Superoperator, sigma) -> float:
     """Largest eigenvalue of -L_hat (the KMS operator norm of -L)."""
-    return float(block_eigvalsh(-symmetrize(L, sigma, L.basis))[-1])
+    return float(block_eigvalsh(-symmetrize(L, sigma))[-1])
 
 
 def _gap_of_psd(M, tol=1e-10):
@@ -300,90 +293,26 @@ def gap_composition_suite(seed=42, n_instances=200, dim=6):
     return report
 
 
-def _b_position_couplings(n_a, n_b):
-    """Single-site Paulis on the B positions of an A-first ordered register."""
-    return single_site_paulis(n_a + n_b, sites=range(n_a, n_a + n_b))
+def a_diagonal_restriction_gap(spec, beta, w: WeightFunction, js=None):
+    """g_B: gap of the B-site generator restricted to the A-diagonal sector.
 
-
-def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=77, js=None):
-    """Factorization, fixed point, and gap of the pinned-A generators.
-
-    For every A-eigenvector the generator built from B-site couplings must
-    factor through the compressed Hamiltonian <i_A|H|i_A>, its fixed point
-    must match the compressed Gibbs state, and the per-block gaps give g_B.
-    ``js`` is the replica.JointStructure of spec, computed here when not
-    given; it supplies the A-side eigenbasis and the site permutation.
+    Zeroing the A-off-diagonal sector block-diagonalizes the generator over
+    the A labels, so this equals min_i Gap of the pinned generators, the g_B
+    of the main theorem.  The generator is built in the product labels
+    |i_A j_B> of the commuting cut, which diagonalize H, so L_hat is a sparse
+    scaling and the A-diagonal rows and columns are gathered from it
+    directly.  ``js`` is the replica.JointStructure of spec, computed here
+    when not given.
     """
     if js is None:
         from .replica import joint_structure  # replica imports this module
 
         js = joint_structure(spec)
-    basis, P = js.basis_a, js.perm
-    n = spec.n
-    n_a = len(spec.partition[0])
-    n_b = n - n_a
-    d_a, d_b = 2**n_a, 2**n_b
-    H_perm = P @ assemble_dense(spec) @ P.conj().T
-    # H_perm is diagonal in the product labels |i_A j_B> with eigenvalues lam2
-    lam, W = js.lam2.reshape(-1), np.kron(basis.vectors, js.basis_b.vectors)
-    es_full = eigensystem_from_pairs(lam, W)
-    L_b = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es_full)
-    # unnormalized exp(-beta H) for the compressed-Gibbs comparison
-    expH = (W * np.exp(-beta * (lam - lam.min()))) @ W.conj().T
-
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(d_a):
-        v = basis.vectors[:, i]
-        proj = np.outer(v, v.conj())
-        H_i = compress_onto(H_perm, v, ((tuple(range(n_a))), tuple(range(n_a, n))), n)
-        es_i = eigensystem(H_i)
-        L_i = build_ckg_generator(H_i, single_site_paulis(n_b), w, es=es_i)
-        resid = 0.0
-        for _ in range(n_random):
-            O = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
-            lhs = L_b.apply(np.kron(proj, O))
-            rhs = np.kron(proj, L_i.apply(O))
-            resid = max(resid, np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
-        sigma_i = gibbs_state(es_i, beta)
-        comp = compress_onto(expH, v, ((tuple(range(n_a))), tuple(range(n_a, n))), n)
-        comp = comp / np.trace(comp)
-        sv = np.linalg.svd(sigma_i.sigma - comp, compute_uv=False)
-        fixed_point_mismatch = float(np.sum(sv))
-        gap_i = spectral_gap(L_i, sigma_i).gap
-        rows.append(
-            {
-                "i_a": i,
-                "factorization_residual": float(resid),
-                "fixed_point_mismatch": fixed_point_mismatch,
-                "gap": gap_i,
-            }
-        )
-    return {
-        "rows": rows,
-        "g_b": min(r["gap"] for r in rows),
-        "max_factorization_residual": max(r["factorization_residual"] for r in rows),
-        "max_fixed_point_mismatch": max(r["fixed_point_mismatch"] for r in rows),
-    }
-
-
-def a_diagonal_restriction_gap(spec, beta, w: WeightFunction):
-    """Gap of the B-site generator restricted to the A-diagonal sector.
-
-    Zeroing the A-off-diagonal sector block-diagonalizes the generator over
-    the A labels, so this equals min_i Gap of the pinned generators.  The
-    generator is built in the product labels |i_A j_B> of the commuting cut,
-    which diagonalize H, so L_hat is a sparse scaling and the A-diagonal
-    rows and columns are gathered from it directly.
-    """
-    from .replica import joint_structure  # replica imports this module
-
-    js = joint_structure(spec)
     n_a = len(spec.partition[0])
     es = eigensystem_from_pairs(js.lam2.reshape(-1), js.system_basis())
     couplings = single_site_paulis(spec.n, sites=js.cut.perm_order[n_a:])
     L = build_ckg_generator(assemble_dense(spec), couplings, w, es=es)
-    Lhat = symmetrize(L, gibbs_state(es, beta), L.basis)
+    Lhat = symmetrize(L, gibbs_state(es, beta))
     d = es.dim
     a_label = np.arange(d) // js.d_b  # A label of each stored basis index
     r = np.arange(d * d)  # vec index r = i + d*j

@@ -106,7 +106,7 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("lindblad.alpha_gram_psd", psd_ok, f"min eigenvalue {min_ev:.2e}"))
 
     L_m = build_ckg_generator(assemble_dense(spec3), single_site_paulis(3), gm, es=es3)
-    Lhat = symmetrize(L_m, sg3)
+    Lhat = symmetrize(L_m, sg3).toarray()
     evals = np.linalg.eigvalsh(-Lhat)
     results.append(_check("lindblad.negativity", evals.min() >= -1e-9 * np.abs(evals).max(),
                           f"min {evals.min():.2e}"))
@@ -176,7 +176,7 @@ def run_verification(seed=42, beta=1.0):
                           str({k: v["violations"] for k, v in comp_rep["cases"].items()})))
 
     rep1 = spectral_gap(L_m, sg3)
-    rep2 = spectral_gap(Superoperator(2.5 * L_m.matrix), sg3)
+    rep2 = spectral_gap(Superoperator(2.5 * L_m.local, basis=L_m.basis), sg3)
     scale_ok = abs(rep2.gap - 2.5 * rep1.gap) <= 1e-9 * rep2.gap
     results.append(_check("spectral.gap_rescaling", scale_ok, f"{rep2.gap / rep1.gap:.12f}"))
 

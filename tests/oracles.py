@@ -1,0 +1,149 @@
+"""Independent reference checks that the library's own routes replace.
+
+These re-derive numbers the library computes another way, so they live here
+as test oracles only:
+
+* ``partial_lindbladian_check`` builds one pinned-A generator per
+  A-eigenvector from the compressed Hamiltonian <i_A|H|i_A> and checks its
+  factorization and fixed point; the smallest of their gaps is g_B, which
+  ``qrex.spectral.a_diagonal_restriction_gap`` reads off one generator.
+* ``detailed_balance_residual`` probes KMS self-adjointness with random
+  operator pairs; the library's detailed-balance check is the Hermiticity
+  residual of L_hat in ``qrex.spectral.symmetrize``.
+* ``kms_inner`` and ``sigma_power`` form the KMS inner product and the
+  fractional powers of sigma densely, from ``GibbsState.basis`` and
+  ``GibbsState.weights``.
+"""
+
+import numpy as np
+
+from qrex.hamiltonians import assemble_dense, compress_onto
+from qrex.lindblad import (
+    WeightFunction,
+    build_ckg_generator,
+    eigensystem,
+    eigensystem_from_pairs,
+    gibbs_state,
+)
+from qrex.pauli import single_site_paulis
+from qrex.replica import joint_structure
+from qrex.spectral import spectral_gap
+
+
+def sigma_power(sigma, p):
+    """sigma^p as a dense matrix: U diag(weights^p) U^dag."""
+    return (sigma.basis * sigma.weights**p) @ sigma.basis.conj().T
+
+
+def _b_position_couplings(n_a, n_b):
+    """Single-site Paulis on the B positions of an A-first ordered register."""
+    return single_site_paulis(n_a + n_b, sites=range(n_a, n_a + n_b))
+
+
+def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=77, js=None):
+    """Factorization, fixed point, and gap of the pinned-A generators.
+
+    For every A-eigenvector the generator built from B-site couplings must
+    factor through the compressed Hamiltonian <i_A|H|i_A>, its fixed point
+    must match the compressed Gibbs state, and the per-block gaps give g_B.
+    ``js`` is the replica.JointStructure of spec, computed here when not
+    given; it supplies the A-side eigenbasis and the site permutation.
+    """
+    if js is None:
+        js = joint_structure(spec)
+    basis, P = js.basis_a, js.perm
+    n = spec.n
+    n_a = len(spec.partition[0])
+    n_b = n - n_a
+    d_a, d_b = 2**n_a, 2**n_b
+    H_perm = P @ assemble_dense(spec) @ P.conj().T
+    # H_perm is diagonal in the product labels |i_A j_B> with eigenvalues lam2
+    lam, W = js.lam2.reshape(-1), np.kron(basis.vectors, js.basis_b.vectors)
+    es_full = eigensystem_from_pairs(lam, W)
+    L_b = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es_full)
+    # unnormalized exp(-beta H) for the compressed-Gibbs comparison
+    expH = (W * np.exp(-beta * (lam - lam.min()))) @ W.conj().T
+
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(d_a):
+        v = basis.vectors[:, i]
+        proj = np.outer(v, v.conj())
+        H_i = compress_onto(H_perm, v, ((tuple(range(n_a))), tuple(range(n_a, n))), n)
+        es_i = eigensystem(H_i)
+        L_i = build_ckg_generator(H_i, single_site_paulis(n_b), w, es=es_i)
+        resid = 0.0
+        for _ in range(n_random):
+            O = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
+            lhs = L_b.apply(np.kron(proj, O))
+            rhs = np.kron(proj, L_i.apply(O))
+            resid = max(resid, np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
+        sigma_i = gibbs_state(es_i, beta)
+        comp = compress_onto(expH, v, ((tuple(range(n_a))), tuple(range(n_a, n))), n)
+        comp = comp / np.trace(comp)
+        sv = np.linalg.svd(sigma_i.sigma - comp, compute_uv=False)
+        fixed_point_mismatch = float(np.sum(sv))
+        gap_i = spectral_gap(L_i, sigma_i).gap
+        rows.append(
+            {
+                "i_a": i,
+                "factorization_residual": float(resid),
+                "fixed_point_mismatch": fixed_point_mismatch,
+                "gap": gap_i,
+            }
+        )
+    return {
+        "rows": rows,
+        "g_b": min(r["gap"] for r in rows),
+        "max_factorization_residual": max(r["factorization_residual"] for r in rows),
+        "max_fixed_point_mismatch": max(r["fixed_point_mismatch"] for r in rows),
+    }
+
+
+def _superop_norm_estimate(M, iters=40, seed=123):
+    """Power-iteration estimate of the spectral norm (deterministic seed)."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(M.shape[1]) + 1j * rng.standard_normal(M.shape[1])
+    v /= np.linalg.norm(v)
+    Mh = M.conj().T
+    s = 0.0
+    for _ in range(iters):
+        u = M @ v
+        v = Mh @ u
+        s = np.linalg.norm(v) ** 0.5
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            return 0.0
+        v /= nv
+    return float(s)
+
+
+def kms_inner(X, Y, sigma):
+    """KMS inner product Tr[sigma^{1/2} X^dag sigma^{1/2} Y]."""
+    s = sigma_power(sigma, 0.5)
+    return complex(np.trace(s @ X.conj().T @ s @ Y))
+
+
+def detailed_balance_residual(L, sigma, n_pairs=20, seed=2024):
+    """Max KMS self-adjointness violation over a seeded batch of operator pairs.
+
+    Normalized by the KMS norms of the pair and a power-iteration estimate of
+    ||L||; zero maps return 0.
+    """
+    if sigma.lambda_min <= 0:
+        raise ValueError("sigma must be full rank")
+    d = L.dim
+    norm_est = _superop_norm_estimate(L.local)  # the basis change is unitary
+    if norm_est == 0.0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_pairs):
+        Xr = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        Yr = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        lhs = kms_inner(Xr, L.apply(Yr), sigma)
+        rhs = kms_inner(L.apply(Xr), Yr, sigma)
+        nx = np.sqrt(abs(kms_inner(Xr, Xr, sigma)))
+        ny = np.sqrt(abs(kms_inner(Yr, Yr, sigma)))
+        worst = max(worst, abs(lhs - rhs) / (nx * ny * norm_est))
+    return float(worst)

@@ -27,7 +27,6 @@ from qrex.lindblad import (
     alpha_quadrature,
     build_ckg_generator,
     coherent_term,
-    detailed_balance_residual,
     eigensystem,
     gibbs_state,
     jump_components,
@@ -53,9 +52,10 @@ from qrex.replica import (
 from qrex.spectral import (
     gap_composition_suite,
     kms_operator_norm,
-    partial_lindbladian_check,
     spectral_gap,
 )
+
+from oracles import detailed_balance_residual, partial_lindbladian_check
 
 BETA = 1.0
 GM = WeightFunction("metropolis", BETA)

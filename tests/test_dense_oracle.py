@@ -5,8 +5,10 @@ coupling for the sandwich and the anticommutator/coherent cores, the dense
 rotation kron(U^*, U) M kron(U^*, U)^dag out of the eigenbasis, the dense
 KMS symmetrization kron(s4^T, s4) M kron(s4i^T, s4i), and K M K^dag for the
 swap generator's labeled basis.  It costs O(d^6) and is kept here only as an
-oracle for the leg-wise O(d^5) route and the diagonal KMS scaling of the
-library.  Likewise the dense eigh of the whole L_hat is the oracle for the
+oracle for the leg-wise O(d^5) basis change and the diagonal KMS scaling of
+the library.  A matrix summed in the computational basis is carried into the
+basis its Gibbs state is diagonal in (``in_sigma_basis``) before its gap is
+taken, since the library symmetrizes only there.  Likewise the dense eigh of the whole L_hat is the oracle for the
 block eigensolves that gaps, norms and propagation use, and the joint
 generator summed in the computational basis (identity-einsum lifts of each
 piece's ``.matrix``, Gibbs state from an eigh of the joint Hamiltonian) is
@@ -41,6 +43,8 @@ from qrex.replica import (
     swap_generator_closed_form,
 )
 from qrex.spectral import KERNEL_TOL, kms_operator_norm, spectral_gap, symmetrize
+
+from oracles import sigma_power
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -93,7 +97,7 @@ def dense_conjugate(M, V):
 
 
 def dense_symmetrize(M, sigma):
-    s4, s4i = sigma.power(0.25), sigma.power(-0.25)
+    s4, s4i = sigma_power(sigma, 0.25), sigma_power(sigma, -0.25)
     Lhat = np.kron(s4.T, s4) @ M @ np.kron(s4i.T, s4i)
     return 0.5 * (Lhat + Lhat.conj().T)
 
@@ -107,7 +111,7 @@ def dense_gap(M, sigma):
 def dense_propagation(M, sigma):
     """Eigenvalues, coefficient map and state map of one dense eigh of L_hat."""
     evals, modes = np.linalg.eigh(dense_symmetrize(M, sigma))
-    s4, s4i = sigma.power(0.25), sigma.power(-0.25)
+    s4, s4i = sigma_power(sigma, 0.25), sigma_power(sigma, -0.25)
 
     def coefficients(rho0):
         return modes.conj().T @ vec(s4i @ rho0 @ s4i)
@@ -176,6 +180,12 @@ def computational_joint_gibbs(spec, beta):
     return gibbs_state(eigensystem(joint_hamiltonian(spec, SwapMode("local_A"))), beta)
 
 
+def in_sigma_basis(M, sigma):
+    """The computational-basis matrix M as a Superoperator stored in the basis sigma is diagonal in."""
+    V = sigma.basis
+    return Superoperator(congruence(M, V, V.conj().T), basis=V)
+
+
 def assert_close(actual, expected, rtol=RTOL):
     assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
 
@@ -183,9 +193,9 @@ def assert_close(actual, expected, rtol=RTOL):
 def check_against_oracle(L, M_dense, sigma, seed=0):
     """.matrix, .apply, .apply_adjoint, symmetrize and spectral_gap vs the dense route.
 
-    L must be stored in the basis sigma is diagonal in, so symmetrize in that
-    basis takes the diagonal scaling; it is checked against the dense route
-    carried into the same basis.
+    L must be stored in the basis sigma is diagonal in, the only basis
+    symmetrize works in; it is checked against the dense route carried into
+    that basis.
     """
     assert_close(L.matrix, M_dense)
     d = L.dim
@@ -193,9 +203,8 @@ def check_against_oracle(L, M_dense, sigma, seed=0):
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     assert_close(L.apply(X), unvec(M_dense @ vec(X)))
     assert_close(L.apply_adjoint(X), unvec(M_dense.conj().T @ vec(X)))
-    assert_close(symmetrize(L, sigma), dense_symmetrize(M_dense, sigma))
     assert np.array_equal(L.basis, sigma.basis)
-    assert_close(symmetrize(L, sigma, L.basis),
+    assert_close(symmetrize(L, sigma),
                  dense_conjugate(dense_symmetrize(M_dense, sigma), L.basis.conj().T))
     rep = spectral_gap(L, sigma)
     gap, kernel = dense_gap(M_dense, sigma)
@@ -270,7 +279,8 @@ def test_labeled_joint_generator_matches_computational_sum(spec):
     assert_close(heis.apply(X), unvec(M_old @ vec(X)))
     assert_close(heis.apply_adjoint(X), unvec(M_old.conj().T @ vec(X)))
     rep = spectral_gap(heis, joint_gibbs(spec, 1.0))
-    old = spectral_gap(Superoperator(M_old), computational_joint_gibbs(spec, 1.0))
+    sigma = computational_joint_gibbs(spec, 1.0)
+    old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
     assert rep.kernel_dim == old.kernel_dim == 1
     assert abs(rep.gap - old.gap) <= max(RTOL * old.gap, 1e-14)
 
@@ -291,8 +301,9 @@ def test_global_generator_matches_computational_sum(spec, w):
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     assert_close(heis.apply(X), unvec(M_old @ vec(X)))
     assert_close(heis.apply_adjoint(X), unvec(M_old.conj().T @ vec(X)))
-    rep = spectral_gap(heis, sigma)
-    old = spectral_gap(Superoperator(M_old), sigma)
+    # the same generator, paired with sigma_beta (x) sigma_beta2 in its own basis
+    rep = _replica_gap(spec, beta, {"mode": "global", "beta2": beta2, "weight": w.kind})
+    old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
     assert rep.kernel_dim == old.kernel_dim == 1
     assert abs(rep.gap - old.gap) <= max(RTOL * old.gap, 1e-14)
 
@@ -368,33 +379,6 @@ def test_congruence_matches_kron_products():
     assert_close(congruence(M, P, R), expected)
 
 
-def test_symmetrize_in_another_basis():
-    H = assemble_dense(defected_ising_1d(3, 2.0))
-    es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
-    sg = gibbs_state(es, 1.0)
-    rng = np.random.default_rng(4)
-    V, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    expected = dense_conjugate(dense_symmetrize(dense_ckg(H, single_site_paulis(3), GM), sg),
-                               V.conj().T)
-    assert_close(symmetrize(heis, sg, V), expected)
-
-
-def test_generator_stored_in_another_basis():
-    # L is stored in a basis where sigma is not diagonal, so symmetrize in
-    # that basis must change basis instead of scaling
-    H = assemble_dense(defected_ising_1d(3, 2.0))
-    es = eigensystem(H)
-    M = dense_ckg(H, single_site_paulis(3), GM)
-    sg = gibbs_state(es, 1.0)
-    rng = np.random.default_rng(6)
-    V, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    L = Superoperator(congruence(M, V, V.conj().T), basis=V)
-    assert_close(L.matrix, M)
-    expected = dense_conjugate(dense_symmetrize(M, sg), V.conj().T)
-    assert_close(symmetrize(L, sg, V), expected)
-
-
 def test_basis_side_must_match_matrix():
     with pytest.raises(ValueError, match="basis"):
         Superoperator(np.zeros((16, 16), dtype=complex), basis=np.eye(3))
@@ -408,9 +392,10 @@ def test_perturbed_generator_not_detailed_balanced():
     es = eigensystem(H)
     heis = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
     sg = gibbs_state(es, 1.0)
+    M = heis.local.toarray()
     rng = np.random.default_rng(2)
-    R = rng.standard_normal(heis.matrix.shape)
-    bad = Superoperator(heis.matrix + 1e-2 * np.linalg.norm(heis.matrix, 2) * R / np.linalg.norm(R, 2))
+    R = rng.standard_normal(M.shape)
+    bad = Superoperator(M + 1e-2 * np.linalg.norm(M, 2) * R / np.linalg.norm(R, 2), basis=heis.basis)
     with pytest.raises(ValueError, match="not detailed balanced"):
         symmetrize(bad, sg)
     with pytest.raises(ValueError, match="not detailed balanced"):
@@ -423,6 +408,6 @@ def test_global_mode_gap_pairs_the_two_temperature_gibbs_state():
     spec, beta, beta2 = defected_ising_1d(3, 2.0), 1.0, 0.5
     rep = _replica_gap(spec, beta, {"mode": "global", "beta2": beta2})
     M_old, sigma = computational_global_sum(spec, beta, beta2, GG, GG)
-    old = spectral_gap(Superoperator(M_old), sigma)
+    old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
     assert rep.kernel_dim == old.kernel_dim == 1
     assert rep.gap == pytest.approx(old.gap, rel=RTOL)

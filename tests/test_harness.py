@@ -2,11 +2,17 @@ import json
 
 import pytest
 
+import qrex.harness
+import qrex.lindblad
+import qrex.replica
+import qrex.spectral
 from qrex.cli import main
+from qrex.hamiltonians import defected_heisenberg_2d, defected_ising_1d
 from qrex.harness import (
     ConfigError,
     Report,
     ResourceGuardError,
+    _sweep_point,
     build_system,
     emit,
     parse_config,
@@ -14,8 +20,10 @@ from qrex.harness import (
     run_scenario,
     validate_config,
 )
-from qrex.lindblad import QUAD_ABS_TOL
+from qrex.lindblad import QUAD_ABS_TOL, WeightFunction
 from qrex.spectral import HERMITICITY_TOL, KERNEL_TOL
+
+from oracles import partial_lindbladian_check
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -130,6 +138,46 @@ class TestResourceGuard:
         assert report.records[0]["gap"] > 0
 
 
+class TestSweepGB:
+    """g_B of a local_A sweep point: one A-diagonal restriction, equal to the pinned-A oracle."""
+
+    @staticmethod
+    def point(system, beta, J):
+        config = validate_config({"scenario": "sweep", "system": system, "beta": beta,
+                                  "replica": {"mode": "local_A"}, "max_dim": 2**20,
+                                  "sweep": {"param": "J", "values": [J]}})
+        return _sweep_point((config.to_dict(), J))
+
+    def test_four_generator_builds_per_point(self, monkeypatch):
+        calls = []
+        original = qrex.lindblad.build_ckg_generator
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        for module in (qrex.lindblad, qrex.harness, qrex.replica, qrex.spectral):
+            monkeypatch.setattr(module, "build_ckg_generator", spy)
+        self.point({"model": "defected_ising", "n": 3, "J": 3.0}, 1.0, 3.0)
+        # single system, joint system and auxiliary pieces, B-site restriction
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("J", [1.0, 5.0])
+    def test_ring_g_b_matches_pinned_oracle(self, n, J):
+        rec = self.point({"model": "defected_ising", "n": n, "J": J}, 1.0, J)
+        oracle = partial_lindbladian_check(defected_ising_1d(n, J), 1.0, WeightFunction("gaussian", 1.0))
+        assert rec["g_B"] == pytest.approx(oracle["g_b"], rel=1e-12)
+
+    def test_heisenberg_grid_g_b_matches_pinned_oracle(self):
+        system = {"model": "defected_heisenberg", "rows": 2, "cols": 3, "A": [0, 3],
+                  "defect_edge": [0, 3], "J": 4.0}
+        rec = self.point(system, 0.05, 4.0)
+        spec = defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 4.0)
+        oracle = partial_lindbladian_check(spec, 0.05, WeightFunction("gaussian", 0.05))
+        assert rec["g_B"] == pytest.approx(oracle["g_b"], rel=1e-12)
+
+
 class TestDeterminism:
     def test_identical_records_across_runs(self):
         config = validate_config({
@@ -242,6 +290,26 @@ class TestCli:
                        "A": [0, 3], "defect_edge": [0, 3], "J": 3.0},
         })
         assert main(["gap", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"seed": "abc"}, "'seed'"),
+        ({"epsilon": "x"}, "'epsilon'"),
+        ({"max_dim": "big"}, "'max_dim'"),
+        ({"max_dim": -5}, "'max_dim'"),
+        ({"system": {"model": "defected_ising", "n": 2, "J": 1.0}}, "'system'"),
+    ], ids=["seed", "epsilon", "max_dim_text", "max_dim_negative", "ring_n2"])
+    def test_malformed_config_exit_two_names_field(self, tmp_path, capsys, payload, field):
+        cfg = write_config(tmp_path, payload)
+        assert main(["gap", "--config", cfg]) == 2
+        assert f"config error: field {field}" in capsys.readouterr().err
+
+    def test_global_swap_size_gate_exit_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "system": {"model": "defected_ising", "n": 5, "J": 2.0},
+            "replica": {"mode": "global"},
+        })
+        assert main(["gap", "--config", cfg, "--max-dim", str(2**20)]) == 3
+        assert "resource guard: global swap gated at n <= 4" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.sparse
 from scipy.special import erfc
 
 import qrex.lindblad
+import qrex.mixing
 import qrex.spectral
 from qrex.hamiltonians import HamiltonianSpec, assemble_dense, defected_ising_1d
 from qrex.lindblad import (
@@ -14,19 +16,20 @@ from qrex.lindblad import (
     build_ckg_generator,
     eigensystem,
     gibbs_state,
-    kms_inner,
     vec,
 )
+from qrex.mixing import SpectralPropagator, evolve
 from qrex.pauli import X, Y, Z, single_site_paulis
 from qrex.replica import SwapMode, build_replica_exchange_generator, joint_gibbs
 from qrex.spectral import (
     a_diagonal_restriction_gap,
     gap_composition_suite,
     kms_operator_norm,
-    partial_lindbladian_check,
     spectral_gap,
     symmetrize,
 )
+
+from oracles import kms_inner, partial_lindbladian_check
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -62,13 +65,14 @@ class TestKmsInner:
 class TestSymmetrize:
     def test_hermitian_for_ckg(self):
         heis, sg = ising_generator()
-        Lhat = symmetrize(heis, sg)
+        Lhat = symmetrize(heis, sg).toarray()
         assert np.linalg.norm(Lhat - Lhat.conj().T) <= 1e-9 * np.linalg.norm(Lhat)
 
     def test_zero_eigenvalue_with_phi_of_identity(self):
         heis, sg = ising_generator()
-        Lhat = symmetrize(heis, sg)
-        v = vec(sg.power(0.25) @ np.eye(8) @ sg.power(0.25))
+        Lhat = symmetrize(heis, sg).toarray()
+        q = np.diag(sg.weights**0.25)  # sigma^(1/4) in the stored basis
+        v = vec(q @ np.eye(8) @ q)
         assert np.linalg.norm(Lhat @ v) <= 1e-10 * np.linalg.norm(Lhat) * np.linalg.norm(v)
 
     def test_maximally_mixed_sigma_is_plain_matrix(self):
@@ -76,19 +80,22 @@ class TestSymmetrize:
         es = eigensystem(H)
         heis = build_ckg_generator(H, single_site_paulis(2), GM, es=es)
         sg = gibbs_state(es, 1.0)
-        assert np.allclose(symmetrize(heis, sg), heis.matrix, atol=1e-12)
+        assert np.allclose(symmetrize(heis, sg).toarray(), heis.local.toarray(), atol=1e-12)
 
     def test_non_db_rejected(self):
+        # perturbed in the stored basis, so the Hermiticity gate rejects it
         heis, sg = ising_generator()
+        M = heis.local.toarray()
         rng = np.random.default_rng(2)
-        R = rng.standard_normal(heis.matrix.shape)
-        bad = Superoperator(heis.matrix + 1e-2 * np.linalg.norm(heis.matrix, 2) * R / np.linalg.norm(R, 2))
-        with pytest.raises(ValueError):
+        R = rng.standard_normal(M.shape)
+        bad = Superoperator(M + 1e-2 * np.linalg.norm(M, 2) * R / np.linalg.norm(R, 2),
+                            basis=heis.basis)
+        with pytest.raises(ValueError, match="not detailed balanced"):
             symmetrize(bad, sg)
 
     def test_spectrum_matches_direct_diagonalization(self):
         heis, sg = ising_generator(n=3, J=1.5)
-        Lhat = symmetrize(heis, sg)
+        Lhat = symmetrize(heis, sg).toarray()
         sym_evals = np.sort(np.linalg.eigvalsh(Lhat))
         direct = np.sort(np.linalg.eigvals(heis.matrix).real)
         assert np.allclose(sym_evals, direct, atol=1e-7 * max(1.0, np.abs(direct).max()))
@@ -104,8 +111,8 @@ def congruence_calls(monkeypatch):
         calls.append(args[0].shape)
         return original(*args)
 
-    for module in (qrex.lindblad, qrex.spectral):
-        monkeypatch.setattr(module, "congruence", spy)
+    for module in (qrex.lindblad, qrex.spectral, qrex.mixing):
+        monkeypatch.setattr(module, "congruence", spy, raising=False)
     return calls
 
 
@@ -124,24 +131,26 @@ class TestSymmetrizeRoutes:
         assert rep.kernel_dim == 1
         assert congruence_calls == []
 
-    def test_computational_basis_takes_congruence_route(self, congruence_calls):
+    def test_computational_basis_rejected_without_congruence(self, congruence_calls):
+        # the computational-basis route once densified L_hat through congruence
         heis, sg = ising_generator(n=3)
-        M = heis.matrix
+        comp = Superoperator(heis.matrix)
         congruence_calls.clear()
-        rep = spectral_gap(Superoperator(M), sg)
-        assert congruence_calls
-        assert rep.gap == pytest.approx(spectral_gap(heis, sg).gap, rel=1e-12)
+        for call in (spectral_gap, symmetrize, SpectralPropagator):
+            with pytest.raises(ValueError, match="basis mismatch"):
+                call(comp, sg)
+        assert congruence_calls == []
 
-    def test_non_db_rejected_on_congruence_route(self, congruence_calls):
-        # the perturbed generator of TestSymmetrize.test_non_db_rejected
-        heis, sg = ising_generator()
-        rng = np.random.default_rng(2)
-        R = rng.standard_normal(heis.matrix.shape)
-        bad = Superoperator(heis.matrix + 1e-2 * np.linalg.norm(heis.matrix, 2) * R / np.linalg.norm(R, 2))
-        congruence_calls.clear()
-        with pytest.raises(ValueError, match="not detailed balanced"):
-            spectral_gap(bad, sg)
-        assert congruence_calls
+    def test_evolve_falls_back_on_basis_mismatch(self):
+        heis, sg = ising_generator(n=3)
+        comp = Superoperator(heis.matrix)
+        rho0 = np.zeros((8, 8), dtype=complex)
+        rho0[0, 0] = 1.0
+        with pytest.raises(ValueError) as rejected:
+            symmetrize(comp, sg)
+        with pytest.warns(UserWarning, match=re.escape(str(rejected.value))):
+            out = evolve(comp, rho0, 0.7, sigma=sg)
+        assert np.abs(out - evolve(heis, rho0, 0.7, sigma=sg)).max() <= 1e-10
 
     def test_scaling_route_peak_memory(self):
         # L_hat plus temporaries of its stored size: no full-size dense matrix
@@ -150,7 +159,7 @@ class TestSymmetrizeRoutes:
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            Lhat = symmetrize(heis, sg, heis.basis)
+            Lhat = symmetrize(heis, sg)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -203,12 +212,12 @@ class TestSpectralGap:
     def test_rescaling_covariance(self):
         heis, sg = ising_generator()
         rep1 = spectral_gap(heis, sg)
-        rep2 = spectral_gap(Superoperator(3.0 * heis.matrix), sg)
+        rep2 = spectral_gap(Superoperator(3.0 * heis.local, basis=heis.basis), sg)
         assert rep2.gap == pytest.approx(3.0 * rep1.gap, rel=1e-10)
 
     def test_negativity_of_spectrum(self):
         heis, sg = ising_generator(J=3.0, w=GG)
-        Lhat = symmetrize(heis, sg)
+        Lhat = symmetrize(heis, sg).toarray()
         evals = np.linalg.eigvalsh(-Lhat)
         assert evals.min() >= -1e-9 * np.abs(evals).max()
 
@@ -216,7 +225,7 @@ class TestSpectralGap:
 class TestKmsOperatorNorm:
     def test_zero_map(self):
         _, sg = ising_generator()
-        L0 = Superoperator(np.zeros((64, 64), dtype=complex))
+        L0 = Superoperator(np.zeros((64, 64), dtype=complex), basis=sg.basis)
         assert kms_operator_norm(L0, sg) == 0.0
 
     def test_norm_dominates_gap(self):
