@@ -142,6 +142,9 @@ def validate_config(raw) -> ExperimentConfig:
     # system is a whole value (a raw fragment must not inherit the default
     # model name); the other dict fields merge field-by-field
     merged["system"] = dict(raw.get("system") or DEFAULT_CONFIG["system"])
+    for key in ("n", "rows", "cols"):
+        if key in merged["system"]:
+            merged["system"][key] = _integer(merged["system"][key], f"system.{key}")
     for key in ("replica", "sweep", "output"):
         base = dict(DEFAULT_CONFIG[key])
         base.update(merged.get(key) or {})
@@ -160,15 +163,15 @@ def validate_config(raw) -> ExperimentConfig:
         raise ConfigError(f"field 'replica.weight': unknown value {rep['weight']!r}")
     if merged["sweep"]["param"] not in ("J", "beta"):
         raise ConfigError(f"field 'sweep.param': must be 'J' or 'beta'")
-    epsilon = _number(merged, "epsilon", float)
+    epsilon = _number(merged, "epsilon")
     if not 0 < epsilon < 1:
         raise ConfigError("field 'epsilon': must lie in (0, 1)")
     if merged["output"]["format"] not in ("csv", "json"):
         raise ConfigError(f"field 'output.format': must be 'csv' or 'json'")
-    beta = _number(merged, "beta", float)
+    beta = _number(merged, "beta")
     if beta <= 0:
         raise ConfigError("field 'beta': must be positive")
-    max_dim = _number(merged, "max_dim", int)
+    max_dim = _integer(merged["max_dim"], "max_dim")
     if max_dim < 1:
         raise ConfigError("field 'max_dim': must be at least 1")
     return ExperimentConfig(
@@ -178,19 +181,29 @@ def validate_config(raw) -> ExperimentConfig:
         replica=merged["replica"],
         scenario=merged["scenario"],
         sweep=merged["sweep"],
-        seed=_number(merged, "seed", int),
+        seed=_integer(merged["seed"], "seed"),
         epsilon=epsilon,
         max_dim=max_dim,
         output=merged["output"],
     )
 
 
-def _number(merged, key, kind):
-    """merged[key] converted by ``kind`` (int or float); ConfigError naming the field if it fails."""
+def _number(merged, key):
+    """merged[key] as a float; ConfigError naming the field if it is not a number."""
     try:
-        return kind(merged[key])
+        return float(merged[key])
     except (TypeError, ValueError):
-        raise ConfigError(f"field {key!r}: not {'an integer' if kind is int else 'a number'}")
+        raise ConfigError(f"field {key!r}: not a number")
+
+
+def _integer(value, field):
+    """``value`` as an int; a float must be integral (3.0 is 3, 3.7 is a ConfigError)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"field {field!r}: not an integer")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {field!r}: not an integer")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -227,10 +240,10 @@ def _system_spec(config: ExperimentConfig, J) -> HamiltonianSpec:
     sys = config.system
     model = sys.get("model")
     if model == "defected_ising":
-        return defected_ising_1d(int(sys.get("n", 3)), float(J if J is not None else sys.get("J", 3.0)))
+        return defected_ising_1d(sys.get("n", 3), float(J if J is not None else sys.get("J", 3.0)))
     if model == "defected_heisenberg":
         return defected_heisenberg_2d(
-            int(sys["rows"]), int(sys["cols"]), tuple(sys["A"]),
+            sys["rows"], sys["cols"], tuple(sys["A"]),
             tuple(sys["defect_edge"]), float(J if J is not None else sys.get("J", 3.0)),
         )
     if "terms" in sys:

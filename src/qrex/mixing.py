@@ -9,14 +9,25 @@ U = sigma.basis that the generator is stored in and sigma is diagonal in
 phi = kron(q, q), q = weights^(1/4), so a state only needs the rotation
 U^dag rho U and that scaling; L_hat is a sparse CSR matrix, decomposed block
 by block along the connected components of its zero pattern
-(``block_eigh``), so only the dense blocks are ever formed.  A generator
-that ``symmetrize`` rejects (stored in another basis, or not detailed
-balanced) is propagated by ``evolve`` through a dense matrix exponential of
-the stored matrix.
+(``block_eigh``), so only the dense blocks are ever formed.
+
+Trace distances are taken in sigma.basis too: the trace norm is unitarily
+invariant, so ||rho(t) - sigma||_1 is that of the Hermitian part of
+U^dag rho(t) U - diag(weights), with no rotation back.  The mixing-time
+search ``first_crossing_times`` bisects a family of initial states
+together, each state by its own rule, with one matmul per block size and
+round for all of them.  Each distance test is first decided by the exact sandwich
+sum_i |Y_ii| <= ||Y||_1 <= sum_ij |Y_ij| (``trace_norm_bounds``); the
+eigenvalues are computed only for the states that fall between the bounds.
+
+A generator that ``symmetrize`` rejects (stored in another basis, or not
+detailed balanced) is propagated by ``evolve`` through a dense matrix
+exponential of the stored matrix.
 """
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import expm
@@ -34,14 +45,17 @@ from .pauli import pauli_string_matrix, single_site_paulis
 from .spectral import block_eigh, gap_from_eigenvalues, kms_scaling, spectral_gap, symmetrize
 
 BISECTION_RTOL = 1e-3
+# Size in bytes of the (states x d^2) complex stack of the states that
+# ``first_crossing_times`` bisects together; a round holds a few such stacks
+CROSSING_STACK_BYTES = 2**18
+# exp(x) < 1e-304 below this exponent, far under the resolution of any
+# distance, and is taken as 0: np.exp is about 20x slower where its result
+# is subnormal or underflows
+EXP_FLOOR = -700.0
 
 
 def trace_norm(M):
     return float(np.sum(np.linalg.svd(M, compute_uv=False)))
-
-
-def trace_distance(rho, sigma_mat):
-    return trace_norm(rho - sigma_mat)
 
 
 @dataclass
@@ -76,8 +90,9 @@ class SpectralPropagator:
     ``blocks`` holds (idx, w, V) for each block size (see ``block_eigh``),
     with Phi folded into the eigenvectors: column j of V[c] is
     phi[idx[c]] times the eigenvector of L_hat.  ``evals`` is the whole
-    spectrum of L_hat, ascending.  Coefficients are a list with one (k, b)
-    array per block size.
+    spectrum of L_hat, ascending.  The coefficients of a stack of S states
+    are a list with one (k, b, S) array per block size, one column per state,
+    so propagating is one matmul per block size for the whole stack.
     """
 
     def __init__(self, L: Superoperator, sigma):
@@ -86,26 +101,76 @@ class SpectralPropagator:
         self.blocks = block_eigh(symmetrize(L, sigma))
         for idx, _, V in self.blocks:
             V *= phi[idx][:, :, None]
-        self.evals = np.sort(np.concatenate([w.ravel() for _, w, _ in self.blocks]))
+        self._w = np.concatenate([w.ravel() for _, w, _ in self.blocks])  # block order
+        self.evals = np.sort(self._w)
         self._phi_sq = phi * phi
+        # the place of each vec index in the concatenated block order
+        self._unblock = np.argsort(np.concatenate([idx.ravel() for idx, _, _ in self.blocks]))
         self._U, self._Uh = sigma.basis, sigma.basis.conj().T
 
-    def coefficients(self, rho0):
-        """V^dag Phi^(-1)(rho0) per block, with V the eigenvectors of L_hat.
+    def coefficients(self, states):
+        """V^dag Phi^(-1)(rho) per block for each rho of the (S, d, d) stack ``states``.
 
         The stored stack is diag(phi) V, so this is its adjoint applied to
-        vec(U^dag rho0 U) / phi^2.
+        vec(U^dag rho U) / phi^2.
         """
-        v = (vec(self._Uh @ rho0 @ self._U) / self._phi_sq).conj()
-        # conj(conj(x) W) per block, so no conjugate of the stack is formed
-        return [np.conj(v[idx][:, None, :] @ V)[:, 0, :] for idx, _, V in self.blocks]
+        # row s is vec(U^dag rho_s U) = (U^T rho_s^T conj(U)) raveled
+        v = self._U.T @ np.asarray(states).transpose(0, 2, 1) @ self._U.conj()
+        v = v.reshape(v.shape[0], -1)
+        v /= self._phi_sq
+        np.conj(v, out=v)
+        out = []
+        for idx, _, V in self.blocks:
+            # conj(V^T conj(x)), so no conjugate of the stack is formed
+            c = V.transpose(0, 2, 1) @ v[:, idx].transpose(1, 2, 0)  # (k, b, S)
+            out.append(np.conj(c, out=c))
+        return out
+
+    def _propagate(self, coeffs, t):
+        """U^dag rho_s(t_s) U for each column s, as an (S, d, d) stack.
+
+        ``t`` is one time for every column or one per column; coefficients
+        of one state (a single column) may be taken at several times.
+        """
+        growth = np.multiply.outer(self._w, np.atleast_1d(np.asarray(t, dtype=float)))
+        np.exp(growth, out=growth, where=growth > EXP_FLOOR)
+        growth[growth <= EXP_FLOOR] = 0.0
+        S = max(coeffs[0].shape[-1], growth.shape[1])
+        v = np.empty((self._w.size, S), dtype=complex)
+        start = 0
+        for (_, w, V), c in zip(self.blocks, coeffs):
+            stop = start + w.size
+            z = c * growth[start:stop].reshape(w.shape + (-1,))
+            np.matmul(V, z, out=v[start:stop].reshape(z.shape))
+            start = stop
+        del growth  # freed before the gather below
+        d = self.sigma.dim
+        # column s of v[unblock] is vec(X_s); the reshape is X_s^T, swapped back
+        return v[self._unblock].T.reshape(S, d, d).swapaxes(1, 2)
 
     def state_at(self, coeffs, t):
-        v = np.empty(self.evals.size, dtype=complex)
-        for (idx, w, V), c in zip(self.blocks, coeffs):
-            v[idx] = (V @ (np.exp(t * w) * c)[:, :, None])[:, :, 0]
-        rho = self._U @ unvec(v) @ self._Uh
-        return 0.5 * (rho + rho.conj().T)
+        """The propagated states rho_s(t), an (S, d, d) stack (see ``_propagate``)."""
+        rho = self._U @ self._propagate(coeffs, t) @ self._Uh
+        return 0.5 * (rho + rho.conj().swapaxes(1, 2))
+
+    def deviations(self, coeffs, t):
+        """Hermitian U^dag (rho_s(t) - sigma) U for each column, in sigma.basis.
+
+        The trace norm is unitarily invariant, so these carry the trace
+        distances to sigma without rotating out of sigma.basis, where sigma
+        is diag(weights).
+        """
+        X = self._propagate(coeffs, t)
+        Y = X.conj().swapaxes(1, 2)
+        Y += X
+        Y *= 0.5
+        diag = np.arange(self.sigma.dim)
+        Y[:, diag, diag] -= self.sigma.weights
+        return Y
+
+    def distances(self, coeffs, t):
+        """Exact trace distances ||rho_s(t) - sigma||_1, from the eigenvalues of ``deviations``."""
+        return np.abs(np.linalg.eigvalsh(self.deviations(coeffs, t))).sum(axis=-1)
 
 
 def evolve(L: Superoperator, rho0, t, sigma=None):
@@ -127,7 +192,7 @@ def evolve(L: Superoperator, rho0, t, sigma=None):
         except ValueError as exc:  # rejected by symmetrize
             reason = str(exc)
         else:
-            return prop.state_at(prop.coefficients(rho0), t)
+            return prop.state_at(prop.coefficients(rho0[None]), t)[0]
     warnings.warn(f"{reason}; using dense matrix exponential")
     rho = _expm_flow(L, rho0, t)
     return 0.5 * (rho + rho.conj().T)
@@ -160,73 +225,131 @@ def chi_square(rho, sigma):
 
 
 def _initial_family(sigma, n_haar=20, seed=314):
-    """Computational and sigma-eigenbasis pure states plus seeded Haar states."""
+    """Computational and sigma-eigenbasis pure states plus seeded Haar states.
+
+    Yields (state_id, rho) pairs one at a time, so a search that takes them
+    in chunks never holds the whole family (148 dense states at n = 6).
+    """
     d = sigma.dim
-    states = []
     for k in range(d):
         v = np.zeros(d, dtype=complex)
         v[k] = 1.0
-        states.append((f"comp_{k}", np.outer(v, v.conj())))
+        yield f"comp_{k}", np.outer(v, v.conj())
     V = sigma.eigenvectors
     for k in range(d):
         v = V[:, k]
-        states.append((f"eig_{k}", np.outer(v, v.conj())))
+        yield f"eig_{k}", np.outer(v, v.conj())
     rng = np.random.default_rng(seed)
     for k in range(n_haar):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        states.append((f"haar_{k}", np.outer(v, v.conj())))
-    return states
+        yield f"haar_{k}", np.outer(v, v.conj())
 
 
-def first_crossing_time(prop: SpectralPropagator, rho0, epsilon, t_cap):
-    """Earliest t with ||rho(t) - sigma||_Tr <= epsilon, by bisection.
+def trace_norm_bounds(Y):
+    """Exact bounds sum_i |Y_ii| <= ||Y||_1 <= sum_ij |Y_ij| for each matrix of a stack.
+
+    The trace norm dominates the diagonal's l1 norm, and is at most the sum
+    of the trace norms |Y_ij| of the rank-one pieces Y_ij e_i e_j^T.
+    """
+    A = np.abs(Y)
+    return np.trace(A, axis1=-2, axis2=-1), A.sum(axis=(-2, -1))
+
+
+def _within(prop, coeffs, t, epsilon):
+    """||rho_s(t_s) - sigma||_1 <= epsilon for each coefficient column s.
+
+    The sandwich decides every state it can; the eigenvalues are taken only
+    for the states that fall between its two bounds.
+    """
+    Y = prop.deviations(coeffs, t)
+    lower, upper = trace_norm_bounds(Y)
+    inside = upper <= epsilon
+    open_ = (lower <= epsilon) & ~inside
+    if open_.any():
+        inside[open_] = np.abs(np.linalg.eigvalsh(Y[open_])).sum(axis=-1) <= epsilon
+    return inside
+
+
+def first_crossing_times(prop: SpectralPropagator, states, epsilon, t_cap):
+    """Earliest t with ||rho(t) - sigma||_Tr <= epsilon for each of the ``states``, by bisection.
 
     Trace distance to the fixed point is non-increasing along a CPTP
-    semigroup, so the crossing is unique.  The propagated state is Hermitian,
-    so its distance is the sum of |eigenvalues| of rho(t) - sigma.
+    semigroup, so each crossing is unique.  Every state follows its own
+    bisection: 0 if it starts within epsilon; else ``hi`` doubles from
+    ``t_cap`` until it is within (RuntimeError after 6 doublings), and
+    [lo, hi] is halved until hi - lo <= BISECTION_RTOL * hi; the result is
+    hi.  The states (any iterable of density matrices) are taken and
+    bisected together a chunk at a time, the chunk's coefficient stack filling
+    CROSSING_STACK_BYTES: each round propagates every state of the chunk
+    whose bracket is still open, at its own time.
     """
-    sig = prop.sigma.sigma
-    coeffs = prop.coefficients(rho0)
+    states = iter(states)
+    size = max(1, CROSSING_STACK_BYTES // (16 * prop.evals.size))
+    return np.concatenate([
+        _bisect(prop, prop.coefficients(np.asarray(chunk, dtype=complex)), epsilon, t_cap)
+        for chunk in iter(lambda: list(islice(states, size)), [])])
 
-    def dist(t):
-        return float(np.abs(np.linalg.eigvalsh(prop.state_at(coeffs, t) - sig)).sum())
 
-    if dist(0.0) <= epsilon:
-        return 0.0
-    hi = t_cap
+def _bisect(prop, coeffs, epsilon, t_cap):
+    """Crossing times of the coefficient columns (see ``first_crossing_times``).
+
+    ``cols`` are the states whose bracket is still open and ``sub`` their
+    coefficients, copied only when the set shrinks.
+    """
+    def columns(cs, keep):
+        return cs if keep.all() else [c[:, :, keep] for c in cs]
+
+    S = coeffs[0].shape[-1]
+    lo, hi = np.zeros(S), np.full(S, float(t_cap))
+    far = ~_within(prop, coeffs, 0.0, epsilon)
+    hi[~far] = 0.0
+    cols, sub = np.flatnonzero(far), columns(coeffs, far)
     grow = 0
-    while dist(hi) > epsilon:
-        hi *= 2.0
-        grow += 1
-        if grow > 6:
-            raise RuntimeError("bisection bracket failed; state not converging")
-    lo = 0.0
-    while hi - lo > BISECTION_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if dist(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    while cols.size:
+        out = ~_within(prop, sub, hi[cols], epsilon)
+        cols, sub = cols[out], columns(sub, out)
+        if cols.size:
+            hi[cols] *= 2.0
+            grow += 1
+            if grow > 6:
+                raise RuntimeError("bisection bracket failed; state not converging")
+    wide = hi - lo > BISECTION_RTOL * hi
+    cols, sub = np.flatnonzero(wide), columns(coeffs, wide)
+    while cols.size:
+        mid = 0.5 * (lo[cols] + hi[cols])
+        inside = _within(prop, sub, mid, epsilon)
+        hi[cols[inside]] = mid[inside]
+        lo[cols[~inside]] = mid[~inside]
+        wide = hi[cols] - lo[cols] > BISECTION_RTOL * hi[cols]
+        cols, sub = cols[wide], columns(sub, wide)
+    return hi
 
 
 def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=20,
                          seed=314) -> MixingReport:
     """Max first-crossing time over a fixed state family, with gap bounds.
 
-    The measured time is a lower estimate of the true worst case over all
-    states; the chi-square upper bound t_upper is the rigorous cap.
+    The family goes through one batched search (``first_crossing_times``)
+    on one eigendecomposition.  The measured time is a lower estimate of the
+    true worst case over all states; the chi-square upper bound t_upper is
+    the rigorous cap.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     prop = SpectralPropagator(L, sigma)
     rep = gap_from_eigenvalues(-prop.evals[::-1])  # spectrum of -L_hat, ascending
     t_lower, t_upper = mixing_bounds_from_gap(rep.gap, sigma.lambda_min, epsilon)
-    states = family if family is not None else _initial_family(sigma, n_haar=n_haar, seed=seed)
-    crossings = []
-    for sid, rho0 in states:
-        crossings.append((sid, first_crossing_time(prop, rho0, epsilon, max(t_upper, 1e-9))))
+    pairs = family if family is not None else _initial_family(sigma, n_haar=n_haar, seed=seed)
+    ids = []
+
+    def states():
+        for sid, rho0 in pairs:
+            ids.append(sid)
+            yield rho0
+
+    times = first_crossing_times(prop, states(), epsilon, max(t_upper, 1e-9))
+    crossings = [(sid, float(t)) for sid, t in zip(ids, times)]
     t_measured = max(t for _, t in crossings)
     return MixingReport(
         epsilon=float(epsilon),
@@ -242,7 +365,11 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
 
 
 def _gap_and_mode(L: Superoperator, sigma):
-    """Spectral gap and gap_mode_state from one eigendecomposition of -L_hat."""
+    """Spectral gap and slow-mode state sigma + alpha Y from one eigendecomposition of -L_hat.
+
+    Y is the gap eigenoperator carried to the Schrodinger side and scaled so
+    sigma + alpha Y is a valid state (alpha = lambda_min / 2).
+    """
     blocks = block_eigh(-symmetrize(L, sigma))
     evals = np.concatenate([w.ravel() for _, w, _ in blocks])
     order = np.argsort(evals, kind="stable")
@@ -265,15 +392,6 @@ def _gap_and_mode(L: Superoperator, sigma):
     Y /= np.linalg.norm(Y, 2)
     alpha = sigma.lambda_min / 2.0
     return rep.gap, sigma.sigma + alpha * Y
-
-
-def gap_mode_state(L: Superoperator, sigma):
-    """The slow-mode perturbed state sigma + alpha Y used for lower bounds.
-
-    Y is the gap eigenoperator carried to the Schrodinger side and scaled so
-    sigma + alpha Y is a valid state (alpha = lambda_min / 2).
-    """
-    return _gap_and_mode(L, sigma)[1]
 
 
 def chi_square_rate_fit(L: Superoperator, sigma, rho0=None, window=(1.0, 3.0), npts=8):

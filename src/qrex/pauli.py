@@ -7,7 +7,6 @@ Conventions used throughout the package:
 """
 
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
@@ -68,30 +67,3 @@ def qubit_permutation(n, order):
     P = np.zeros((dim, dim), dtype=complex)
     P[new_idx, idx] = 1.0
     return P
-
-
-def pauli_decompose(M, n, tol=1e-12):
-    """Decompose a 2^n-dim matrix into Pauli strings: {label_tuple: coeff}.
-
-    Keys are tuples like ((site, 'X'), ...) listing only non-identity factors.
-    Exponential in n; intended for small diagnostics (n <= 6 or so).
-    """
-    dim = 2**n
-    if M.shape != (dim, dim):
-        raise ValueError("matrix dimension does not match qubit count")
-    coeffs = {}
-    for labels in product("IXYZ", repeat=n):
-        P = kron_all(PAULIS[c] for c in labels)
-        c = np.trace(P.conj().T @ M) / dim
-        if abs(c) > tol:
-            key = tuple((s, lab) for s, lab in enumerate(labels) if lab != "I")
-            coeffs[key] = c
-    return coeffs
-
-
-def pauli_support(M, n, tol=1e-10):
-    """Set of sites on which M acts non-trivially, via Pauli decomposition."""
-    supp = set()
-    for key in pauli_decompose(M, n, tol=tol):
-        supp.update(s for s, _ in key)
-    return supp

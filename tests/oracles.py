@@ -13,7 +13,17 @@ as test oracles only:
 * ``kms_inner`` and ``sigma_power`` form the KMS inner product and the
   fractional powers of sigma densely, from ``GibbsState.basis`` and
   ``GibbsState.weights``.
+* ``first_crossing_time`` bisects one state at a time, its distance the
+  eigenvalues of rho(t) - sigma rotated out of sigma.basis;
+  ``qrex.mixing.first_crossing_times`` runs the same rule for a whole family
+  at once in sigma.basis, deciding by a trace-norm sandwich first.
+  ``trace_distance`` takes the distance from singular values.
+
+Helpers that only the tests use live here too: ``gap_mode_state`` and the
+Pauli decomposition ``pauli_decompose``/``pauli_support``.
 """
+
+from itertools import product
 
 import numpy as np
 
@@ -25,7 +35,8 @@ from qrex.lindblad import (
     eigensystem_from_pairs,
     gibbs_state,
 )
-from qrex.pauli import single_site_paulis
+from qrex.mixing import BISECTION_RTOL, _gap_and_mode
+from qrex.pauli import PAULIS, kron_all, single_site_paulis
 from qrex.replica import joint_structure
 from qrex.spectral import spectral_gap
 
@@ -147,3 +158,76 @@ def detailed_balance_residual(L, sigma, n_pairs=20, seed=2024):
         ny = np.sqrt(abs(kms_inner(Yr, Yr, sigma)))
         worst = max(worst, abs(lhs - rhs) / (nx * ny * norm_est))
     return float(worst)
+
+
+def trace_distance(rho, sigma_mat):
+    """||rho - sigma||_1 from the singular values of the difference."""
+    return float(np.sum(np.linalg.svd(rho - sigma_mat, compute_uv=False)))
+
+
+def first_crossing_time(prop, rho0, epsilon, t_cap):
+    """Earliest t with ||rho(t) - sigma||_Tr <= epsilon for one state, by bisection.
+
+    The per-state rule that ``qrex.mixing.first_crossing_times`` runs for a
+    whole family at once: the distance is the sum of |eigenvalues| of the
+    Hermitian rho(t) - sigma, rotated out of sigma.basis, with no sandwich.
+    """
+    sig = prop.sigma.sigma
+    coeffs = prop.coefficients(np.asarray(rho0, dtype=complex)[None])
+
+    def dist(t):
+        return float(np.abs(np.linalg.eigvalsh(prop.state_at(coeffs, t)[0] - sig)).sum())
+
+    if dist(0.0) <= epsilon:
+        return 0.0
+    hi = t_cap
+    grow = 0
+    while dist(hi) > epsilon:
+        hi *= 2.0
+        grow += 1
+        if grow > 6:
+            raise RuntimeError("bisection bracket failed; state not converging")
+    lo = 0.0
+    while hi - lo > BISECTION_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        if dist(mid) <= epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
+
+
+def gap_mode_state(L, sigma):
+    """The slow-mode perturbed state sigma + alpha Y used for lower bounds.
+
+    Y is the gap eigenoperator carried to the Schrodinger side and scaled so
+    sigma + alpha Y is a valid state (alpha = lambda_min / 2).
+    """
+    return _gap_and_mode(L, sigma)[1]
+
+
+def pauli_decompose(M, n, tol=1e-12):
+    """Decompose a 2^n-dim matrix into Pauli strings: {label_tuple: coeff}.
+
+    Keys are tuples like ((site, 'X'), ...) listing only non-identity factors.
+    Exponential in n; intended for small diagnostics (n <= 6 or so).
+    """
+    dim = 2**n
+    if M.shape != (dim, dim):
+        raise ValueError("matrix dimension does not match qubit count")
+    coeffs = {}
+    for labels in product("IXYZ", repeat=n):
+        P = kron_all(PAULIS[c] for c in labels)
+        c = np.trace(P.conj().T @ M) / dim
+        if abs(c) > tol:
+            key = tuple((s, lab) for s, lab in enumerate(labels) if lab != "I")
+            coeffs[key] = c
+    return coeffs
+
+
+def pauli_support(M, n, tol=1e-10):
+    """Set of sites on which M acts non-trivially, via Pauli decomposition."""
+    supp = set()
+    for key in pauli_decompose(M, n, tol=tol):
+        supp.update(s for s, _ in key)
+    return supp

@@ -349,18 +349,22 @@ def test_block_eigensolves_match_dense_eigh(H, n, shapes):
     assert np.abs(prop.evals - evals).max() <= RTOL * scale
 
     rng = np.random.default_rng(n)
-    R = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-    rho0 = R @ R.conj().T / np.trace(R @ R.conj().T)
-    c_dense, c = coefficients(rho0), prop.coefficients(rho0)
+    R = rng.standard_normal((3, 2**n, 2**n)) + 1j * rng.standard_normal((3, 2**n, 2**n))
+    rhos = R @ R.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+    c = prop.coefficients(rhos)  # one column per state
     # eigenvectors within a degenerate eigenspace are free, so the coefficients
     # are compared through their spectral measure sum_j |c_j|^2 exp(t lambda_j)
     w_blocks = np.concatenate([w.ravel() for _, w, _ in prop.blocks])
-    c_blocks = np.concatenate([x.ravel() for x in c])
+    c_blocks = np.concatenate([x.reshape(-1, len(rhos)) for x in c])
     for t in (0.0, 0.5, 3.0):
-        measure = np.sum(np.abs(c_blocks) ** 2 * np.exp(t * w_blocks))
-        assert measure == pytest.approx(np.sum(np.abs(c_dense) ** 2 * np.exp(t * evals)),
-                                        rel=RTOL)
-        assert_close(prop.state_at(c, t), state_at(c_dense, t))
+        states = prop.state_at(c, t)
+        for s, rho0 in enumerate(rhos):
+            c_dense = coefficients(rho0)
+            measure = np.sum(np.abs(c_blocks[:, s]) ** 2 * np.exp(t * w_blocks))
+            assert measure == pytest.approx(np.sum(np.abs(c_dense) ** 2 * np.exp(t * evals)),
+                                            rel=RTOL)
+            assert_close(states[s], state_at(c_dense, t))
 
     assert kms_operator_norm(heis, sg) == pytest.approx(-evals[0], rel=RTOL)
     rep = spectral_gap(heis, sg)

@@ -14,12 +14,12 @@ from qrex.hamiltonians import (
     simultaneous_eigenbasis,
 )
 from qrex.pauli import (
-    pauli_decompose,
     pauli_string_matrix,
-    pauli_support,
     qubit_permutation,
     single_site_paulis,
 )
+
+from oracles import pauli_decompose, pauli_support
 
 
 def ising_energy(z, J):

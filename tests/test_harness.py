@@ -303,6 +303,31 @@ class TestCli:
         assert main(["gap", "--config", cfg]) == 2
         assert f"config error: field {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"seed": 3.7}, "'seed'"),
+        ({"max_dim": 1024.5}, "'max_dim'"),
+        ({"system": {"model": "defected_ising", "n": 3.9, "J": 1.0}}, "'system.n'"),
+        ({"system": {"model": "defected_heisenberg", "rows": 2.5, "cols": 3, "A": [0, 3],
+                     "defect_edge": [0, 3], "J": 3.0}}, "'system.rows'"),
+        ({"system": {"model": "defected_heisenberg", "rows": 2, "cols": 3.2, "A": [0, 3],
+                     "defect_edge": [0, 3], "J": 3.0}}, "'system.cols'"),
+    ], ids=["seed", "max_dim", "n", "rows", "cols"])
+    def test_non_integral_number_exit_two_names_field(self, tmp_path, capsys, payload, field):
+        cfg = write_config(tmp_path, payload)
+        assert main(["gap", "--config", cfg]) == 2
+        assert f"config error: field {field}: not an integer" in capsys.readouterr().err
+
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "system": {"model": "defected_ising", "n": 3.0, "J": 2.0},
+            "replica": {"mode": "none"}, "seed": 7.0,
+        })
+        out = tmp_path / "gap.json"
+        assert main(["gap", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        config = validate_config({"seed": 7.0, "system": {"model": "defected_ising", "n": 3.0}})
+        assert (config.seed, config.system["n"]) == (7, 3)
+        assert type(config.seed) is int and type(config.system["n"]) is int
+
     def test_global_swap_size_gate_exit_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "system": {"model": "defected_ising", "n": 5, "J": 2.0},

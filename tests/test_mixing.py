@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import erfc
+
+from qrex import mixing
 
 from qrex.hamiltonians import HamiltonianSpec, PauliTerm, assemble_dense, defected_ising_1d
 from qrex.lindblad import (
@@ -13,19 +17,22 @@ from qrex.lindblad import (
     vec,
 )
 from qrex.mixing import (
+    BISECTION_RTOL,
     SpectralPropagator,
+    _initial_family,
     bottleneck_witness,
     chi_square,
     chi_square_rate_fit,
     evolve,
-    first_crossing_time,
-    gap_mode_state,
+    first_crossing_times,
     mixing_bounds_from_gap,
     mixing_time_estimate,
-    trace_distance,
+    trace_norm_bounds,
 )
 from qrex.pauli import single_site_paulis
 from qrex.spectral import block_eigh, spectral_gap, symmetrize
+
+from oracles import first_crossing_time, gap_mode_state, trace_distance
 
 GM = WeightFunction("metropolis", 1.0)
 
@@ -109,7 +116,9 @@ class TestMixingTimeEstimate:
         sg = gibbs_state(es, 1.0)
         prop = SpectralPropagator(heis, sg)
         eps = 1e-2
-        tc = first_crossing_time(prop, np.diag([1.0, 0.0]).astype(complex), eps, 10.0)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        tc = first_crossing_times(prop, [rho0], eps, 10.0)[0]
+        assert tc == first_crossing_time(prop, rho0, eps, 10.0)
         analytic = np.log(1 / eps) / (4 * erfc(1 / (2 * np.sqrt(2))))
         assert tc == pytest.approx(analytic, rel=1e-2)
 
@@ -201,10 +210,139 @@ class TestTraceDistanceMonotone:
         heis, sg = two_qubit_ising()
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         prop = SpectralPropagator(heis, sg)
-        coeffs = prop.coefficients(rho0)
+        coeffs = prop.coefficients(rho0[None])
         ts = np.linspace(0.0, 8.0, 17)
-        dists = [trace_distance(prop.state_at(coeffs, t), sg.sigma) for t in ts]
+        dists = [trace_distance(prop.state_at(coeffs, t)[0], sg.sigma) for t in ts]
         assert all(d2 <= d1 + 1e-10 for d1, d2 in zip(dists, dists[1:]))
+
+    def test_distances_in_sigma_basis_match_rotated_states(self):
+        # one state's coefficients taken at every time of the grid at once
+        heis, sg = two_qubit_ising()
+        rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        rho0[0, 3] = rho0[3, 0] = 0.1
+        prop = SpectralPropagator(heis, sg)
+        coeffs = prop.coefficients(rho0[None])
+        ts = np.linspace(0.0, 8.0, 17)
+        dists = prop.distances(coeffs, ts)
+        oracle = [trace_distance(prop.state_at(coeffs, t)[0], sg.sigma) for t in ts]
+        assert np.abs(dists - oracle).max() <= 1e-12
+
+
+def ring_propagator(H, n, w):
+    es = eigensystem(H)
+    heis = build_ckg_generator(H, single_site_paulis(n), w, es=es)
+    sg = gibbs_state(es, 1.0)
+    return SpectralPropagator(heis, sg), sg
+
+
+def transverse_field_ring(n):
+    return assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * sum(single_site_paulis(n)[0::3])
+
+
+def family_and_cap(prop, sg, eps):
+    gap = -np.sort(prop.evals)[-2]
+    t_cap = mixing_bounds_from_gap(gap, sg.lambda_min, eps)[1]
+    return [rho for _, rho in _initial_family(sg, n_haar=6, seed=11)], t_cap
+
+
+class TestFirstCrossingTimes:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["metropolis", "gaussian"])
+    def test_ring_matches_per_state_oracle(self, n, kind):
+        prop, sg = ring_propagator(assemble_dense(defected_ising_1d(n, 3.0)), n,
+                                   WeightFunction(kind, 1.0))
+        states, t_cap = family_and_cap(prop, sg, 1e-2)
+        batched = first_crossing_times(prop, states, 1e-2, t_cap)
+        oracle = np.array([first_crossing_time(prop, rho, 1e-2, t_cap) for rho in states])
+        assert np.all(np.abs(batched - oracle) <= BISECTION_RTOL * oracle)
+
+    @pytest.mark.parametrize("kind", ["metropolis", "gaussian"])
+    def test_transverse_field_ring_takes_eigenvalue_path(self, kind, monkeypatch):
+        prop, sg = ring_propagator(transverse_field_ring(3), 3, WeightFunction(kind, 1.0))
+        states, t_cap = family_and_cap(prop, sg, 1e-2)
+        oracle = np.array([first_crossing_time(prop, rho, 1e-2, t_cap) for rho in states])
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            solved.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(mixing.np.linalg, "eigvalsh", spy)
+        batched = first_crossing_times(prop, states, 1e-2, t_cap)
+        # coherences keep the sandwich open, so eigenvalues decide some rounds
+        assert sum(solved) > 0
+        assert np.all(np.abs(batched - oracle) <= BISECTION_RTOL * oracle)
+
+    def test_depolarizing_family_matches_analytic(self):
+        # every state of the H = I family crosses at log(||rho0 - I/2||_1 / eps) / (4 theta(0))
+        H = np.eye(2)
+        es = eigensystem(H)
+        prop = SpectralPropagator(build_ckg_generator(H, single_site_paulis(1), GM, es=es),
+                                  gibbs_state(es, 1.0))
+        states = [np.diag([1.0, 0.0]), np.diag([0.2, 0.8]), np.array([[0.5, 0.5], [0.5, 0.5]])]
+        eps = 1e-2
+        rate = 4 * erfc(1 / (2 * np.sqrt(2)))
+        analytic = np.log(np.array([1.0, 0.6, 1.0]) / eps) / rate
+        assert first_crossing_times(prop, states, eps, 1.0) == pytest.approx(analytic, rel=1e-2)
+
+    def test_state_within_epsilon_crosses_at_zero(self):
+        heis, sg = two_qubit_ising()
+        prop = SpectralPropagator(heis, sg)
+        assert first_crossing_times(prop, [sg.sigma], 1e-2, 1.0)[0] == 0.0
+
+    def test_second_stationary_state_fails_bracket(self):
+        # Z couplings commute with the Ising ring: every population is stationary
+        H = assemble_dense(defected_ising_1d(3, 2.0))
+        es = eigensystem(H)
+        heis = build_ckg_generator(H, single_site_paulis(3)[2::3], GM, es=es)
+        prop = SpectralPropagator(heis, gibbs_state(es, 1.0))
+        rho0 = np.zeros((8, 8), dtype=complex)
+        rho0[0, 0] = 1.0
+        with pytest.raises(RuntimeError, match="bisection bracket failed"):
+            first_crossing_times(prop, [rho0], 1e-2, 10.0)
+
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        prop, sg = ring_propagator(transverse_field_ring(3), 3, GM)
+        states, t_cap = family_and_cap(prop, sg, 1e-2)
+        monkeypatch.setattr(mixing, "CROSSING_STACK_BYTES", 2**40)
+        whole = first_crossing_times(prop, states, 1e-2, t_cap)
+        for one_chunk_bytes in (1, 3 * 16 * 64):  # one state, three states
+            monkeypatch.setattr(mixing, "CROSSING_STACK_BYTES", one_chunk_bytes)
+            assert np.array_equal(first_crossing_times(prop, states, 1e-2, t_cap), whole)
+            # states may come from a generator, taken one chunk at a time
+            lazy = (rho for rho in states)
+            assert np.array_equal(first_crossing_times(prop, lazy, 1e-2, t_cap), whole)
+
+
+def hermitian(draw, d):
+    re = draw(st.lists(st.floats(-1, 1), min_size=d * d, max_size=d * d))
+    im = draw(st.lists(st.floats(-1, 1), min_size=d * d, max_size=d * d))
+    A = np.array(re).reshape(d, d) + 1j * np.array(im).reshape(d, d)
+    return A + A.conj().T
+
+
+@st.composite
+def hermitian_stacks(draw):
+    d = draw(st.integers(1, 6))
+    return np.array([hermitian(draw, d) for _ in range(draw(st.integers(1, 3)))])
+
+
+class TestTraceNormBounds:
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_stacks())
+    def test_sandwich_holds(self, Y):
+        lower, upper = trace_norm_bounds(Y)
+        exact = np.abs(np.linalg.eigvalsh(Y)).sum(axis=-1)
+        slack = 1e-12 * np.maximum(1.0, exact)  # the eigensolver's own rounding
+        assert np.all(lower <= exact + slack)
+        assert np.all(exact <= upper + slack)
+
+    def test_diagonal_is_tight(self):
+        Y = np.diag([0.3, -0.2, 0.0, -0.1]).astype(complex)[None]
+        lower, upper = trace_norm_bounds(Y)
+        assert lower[0] == pytest.approx(0.6, rel=1e-15)
+        assert upper[0] == pytest.approx(0.6, rel=1e-15)
 
 
 class TestBottleneckWitness:
