@@ -1,12 +1,10 @@
-"""Pauli matrices, tensor assembly, and qubit-index bookkeeping.
+"""Pauli matrices, Pauli strings, and qubit-index bookkeeping.
 
 Conventions used throughout the package:
   * site 0 is the most significant tensor factor, so a basis index b
     carries the bit of site s at position (n - 1 - s);
   * operator vectorization is column-stacking, vec(A X B) = (B^T (x) A) vec(X).
 """
-
-from functools import reduce
 
 import numpy as np
 
@@ -19,29 +17,33 @@ PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 PAULI_LABELS = ("X", "Y", "Z")
 
 
-def kron_all(mats):
-    """Kronecker product of a sequence of matrices, left factor most significant."""
-    mats = list(mats)
-    if not mats:
-        return np.eye(1, dtype=complex)
-    return reduce(np.kron, mats)
-
-
 def pauli_string_matrix(n, factors, coeff=1.0):
     """Dense matrix of coeff * prod_(site,label) P_label acting on n qubits.
 
     ``factors`` is an iterable of (site, label) pairs with distinct sites.
+    The string maps |b> to phase(b) |b ^ flip>: X and Y flip the bit of
+    their site, Y and Z multiply by (-1)^bit, and each Y by i.  So the
+    matrix is one scatter of d = 2^n phases.
     """
-    ops = [I2] * n
+    flip = sign = n_y = 0
     seen = set()
     for site, label in factors:
         if not 0 <= site < n:
             raise ValueError(f"site index {site} out of range for n={n}")
         if site in seen:
             raise ValueError(f"duplicate site {site} in Pauli term")
+        if label not in PAULIS:
+            raise KeyError(label)
         seen.add(site)
-        ops[site] = PAULIS[label]
-    return coeff * kron_all(ops)
+        bit = 1 << (n - 1 - site)
+        flip |= bit if label in "XY" else 0
+        sign |= bit if label in "YZ" else 0
+        n_y += label == "Y"
+    b = np.arange(2**n)
+    phase = (1, 1j, -1, -1j)[n_y % 4] * (1.0 - 2.0 * (np.bitwise_count(b & sign) & 1))
+    M = np.zeros((b.size, b.size), dtype=complex)
+    M[b ^ flip, b] = coeff * phase
+    return M
 
 
 def single_site_paulis(n, sites=None):

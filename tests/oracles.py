@@ -19,10 +19,17 @@ as test oracles only:
   at once in sigma.basis, deciding by a trace-norm sandwich first.
   ``trace_distance`` takes the distance from singular values.
 
+* ``kron_all`` builds a Pauli string as a product of Kronecker factors;
+  ``qrex.pauli.pauli_string_matrix`` scatters its d phases directly.
+* ``trace_norm_bounds`` forms the sandwich sum_i |Y_ii| <= ||Y||_1 <=
+  sum_ij |Y_ij| from whole matrices; ``qrex.mixing.SupportBounds`` takes
+  it from the entries on a support.
+
 Helpers that only the tests use live here too: ``gap_mode_state`` and the
 Pauli decomposition ``pauli_decompose``/``pauli_support``.
 """
 
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -36,7 +43,7 @@ from qrex.lindblad import (
     gibbs_state,
 )
 from qrex.mixing import BISECTION_RTOL, _gap_and_mode
-from qrex.pauli import PAULIS, kron_all, single_site_paulis
+from qrex.pauli import PAULIS, single_site_paulis
 from qrex.replica import joint_structure
 from qrex.spectral import spectral_gap
 
@@ -165,6 +172,16 @@ def trace_distance(rho, sigma_mat):
     return float(np.sum(np.linalg.svd(rho - sigma_mat, compute_uv=False)))
 
 
+def trace_norm_bounds(Y):
+    """Exact bounds sum_i |Y_ii| <= ||Y||_1 <= sum_ij |Y_ij| for each matrix of a stack.
+
+    The trace norm dominates the diagonal's l1 norm, and is at most the sum
+    of the trace norms |Y_ij| of the rank-one pieces Y_ij e_i e_j^T.
+    """
+    A = np.abs(Y)
+    return np.trace(A, axis1=-2, axis2=-1), A.sum(axis=(-2, -1))
+
+
 def first_crossing_time(prop, rho0, epsilon, t_cap):
     """Earliest t with ||rho(t) - sigma||_Tr <= epsilon for one state, by bisection.
 
@@ -204,6 +221,14 @@ def gap_mode_state(L, sigma):
     sigma + alpha Y is a valid state (alpha = lambda_min / 2).
     """
     return _gap_and_mode(L, sigma)[1]
+
+
+def kron_all(mats):
+    """Kronecker product of a sequence of matrices, left factor most significant."""
+    mats = list(mats)
+    if not mats:
+        return np.eye(1, dtype=complex)
+    return reduce(np.kron, mats)
 
 
 def pauli_decompose(M, n, tol=1e-12):

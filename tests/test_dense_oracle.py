@@ -353,10 +353,12 @@ def test_block_eigensolves_match_dense_eigh(H, n, shapes):
     rhos = R @ R.conj().transpose(0, 2, 1)
     rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
     c = prop.coefficients(rhos)  # one column per state
+    # generic states occupy every block of L_hat
+    assert np.array_equal(np.sort(c.support), np.arange(4**n))
     # eigenvectors within a degenerate eigenspace are free, so the coefficients
     # are compared through their spectral measure sum_j |c_j|^2 exp(t lambda_j)
-    w_blocks = np.concatenate([w.ravel() for _, w, _ in prop.blocks])
-    c_blocks = np.concatenate([x.reshape(-1, len(rhos)) for x in c])
+    w_blocks = c.rates
+    c_blocks = np.concatenate([x.reshape(-1, len(rhos)) for _, x in c.blocks])
     for t in (0.0, 0.5, 3.0):
         states = prop.state_at(c, t)
         for s, rho0 in enumerate(rhos):

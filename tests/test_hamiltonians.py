@@ -14,12 +14,13 @@ from qrex.hamiltonians import (
     simultaneous_eigenbasis,
 )
 from qrex.pauli import (
+    PAULIS,
     pauli_string_matrix,
     qubit_permutation,
     single_site_paulis,
 )
 
-from oracles import pauli_decompose, pauli_support
+from oracles import kron_all, pauli_decompose, pauli_support
 
 
 def ising_energy(z, J):
@@ -278,6 +279,31 @@ class TestPauliHelpers:
     def test_pauli_support(self):
         M = pauli_string_matrix(3, [(0, "X"), (2, "Y")], 0.3)
         assert pauli_support(M, 3) == {0, 2}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_string_matrix_equals_kron_product_on_every_site_and_label(self, n):
+        for site in range(n):
+            for label in "IXYZ":
+                ops = [PAULIS["I"]] * n
+                ops[site] = PAULIS[label]
+                assert np.array_equal(pauli_string_matrix(n, [(site, label)]), kron_all(ops))
+
+    @pytest.mark.parametrize("n, factors, coeff", [
+        (2, [(0, "Y"), (1, "Y")], 1j),
+        (3, [(0, "X"), (2, "Y")], 0.3 - 0.7j),
+        (4, [(3, "Z"), (0, "Y"), (1, "X")], -1.5 + 2.0j),
+        (5, [(0, "Y"), (1, "Y"), (2, "Y"), (4, "Z")], 0.25j),
+        (5, [(1, "X"), (2, "Z"), (3, "Y"), (4, "I")], -0.6),
+    ])
+    def test_string_matrix_equals_kron_product_on_multi_site_strings(self, n, factors, coeff):
+        ops = [PAULIS["I"]] * n
+        for site, label in factors:
+            ops[site] = PAULIS[label]
+        assert np.array_equal(pauli_string_matrix(n, factors, coeff), coeff * kron_all(ops))
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(KeyError):
+            pauli_string_matrix(2, [(0, "W")])
 
     def test_single_site_paulis_count(self):
         assert len(single_site_paulis(3)) == 9

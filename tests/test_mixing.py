@@ -19,6 +19,7 @@ from qrex.lindblad import (
 from qrex.mixing import (
     BISECTION_RTOL,
     SpectralPropagator,
+    SupportBounds,
     _initial_family,
     bottleneck_witness,
     chi_square,
@@ -27,12 +28,11 @@ from qrex.mixing import (
     first_crossing_times,
     mixing_bounds_from_gap,
     mixing_time_estimate,
-    trace_norm_bounds,
 )
 from qrex.pauli import single_site_paulis
 from qrex.spectral import block_eigh, spectral_gap, symmetrize
 
-from oracles import first_crossing_time, gap_mode_state, trace_distance
+from oracles import first_crossing_time, gap_mode_state, trace_distance, trace_norm_bounds
 
 GM = WeightFunction("metropolis", 1.0)
 
@@ -148,6 +148,26 @@ class TestMixingTimeEstimate:
         sg = gibbs_state(es, 1.0)
         rep = mixing_time_estimate(heis, sg, 1e-2, n_haar=5)
         assert rep.t_lower <= rep.t_measured <= rep.t_upper
+
+    def test_empty_family_rejected(self):
+        heis, sg = two_qubit_ising()
+        with pytest.raises(ValueError, match="family is empty"):
+            mixing_time_estimate(heis, sg, 1e-2, family=[])
+
+    @pytest.mark.parametrize("rho0, reason", [
+        (np.eye(8) / 4, "unit trace"),
+        (np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]), "positive semidefinite"),
+        (np.eye(8) / 8 + np.triu(np.full((8, 8), 0.01), 1), "Hermitian"),
+        (np.eye(4) / 4, "shape"),
+    ], ids=["trace", "negative", "non_hermitian", "shape"])
+    def test_invalid_custom_state_named(self, rho0, reason):
+        # a state that is not a density matrix used to fail the bisection bracket
+        H = assemble_dense(defected_ising_1d(3, 2.0))
+        es = eigensystem(H)
+        heis = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
+        family = [("ok", np.eye(8) / 8), ("bad_7", rho0)]
+        with pytest.raises(ValueError, match=f"'bad_7'.*{reason}"):
+            mixing_time_estimate(heis, gibbs_state(es, 1.0), 1e-2, family=family)
 
 
 class TestChiSquare:
@@ -302,6 +322,11 @@ class TestFirstCrossingTimes:
         with pytest.raises(RuntimeError, match="bisection bracket failed"):
             first_crossing_times(prop, [rho0], 1e-2, 10.0)
 
+    def test_empty_family_gives_no_times(self):
+        heis, sg = two_qubit_ising()
+        times = first_crossing_times(SpectralPropagator(heis, sg), [], 1e-2, 1.0)
+        assert times.shape == (0,)
+
     def test_chunking_does_not_change_results(self, monkeypatch):
         prop, sg = ring_propagator(transverse_field_ring(3), 3, GM)
         states, t_cap = family_and_cap(prop, sg, 1e-2)
@@ -313,6 +338,58 @@ class TestFirstCrossingTimes:
             # states may come from a generator, taken one chunk at a time
             lazy = (rho for rho in states)
             assert np.array_equal(first_crossing_times(prop, lazy, 1e-2, t_cap), whole)
+
+
+class TestBlockSparseSearch:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("J", [1.0, 3.0, 5.0])
+    def test_diagonal_support_takes_no_eigensolve(self, n, J, monkeypatch):
+        # computational and Gibbs-eigenbasis states of the commuting ring occupy
+        # only the population block; the sandwich is tight on its diagonal support
+        prop, sg = ring_propagator(assemble_dense(defected_ising_1d(n, J)), n, GM)
+        states = [rho for _, rho in _initial_family(sg, n_haar=0)]
+        support = prop.coefficients(np.array(states)).support
+        assert np.array_equal(np.sort(support), np.arange(2**n) * (2**n + 1))  # (i, i) pairs
+        t_cap = family_and_cap(prop, sg, 1e-2)[1]
+        oracle = np.array([first_crossing_time(prop, rho, 1e-2, t_cap) for rho in states])
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            solved.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(mixing.np.linalg, "eigvalsh", spy)
+        batched = first_crossing_times(prop, states, 1e-2, t_cap)
+        assert solved == []
+        assert np.array_equal(batched, oracle)
+
+    def test_mixed_chunk_matches_oracle(self):
+        prop, sg = ring_propagator(assemble_dense(defected_ising_1d(4, 3.0)), 4, GM)
+        family = dict(_initial_family(sg, n_haar=1, seed=5))
+        states = [family["comp_3"], family["haar_0"]]
+        assert prop.coefficients(np.array(states)).support.size == 4**4  # every block
+        t_cap = family_and_cap(prop, sg, 1e-2)[1]
+        oracle = np.array([first_crossing_time(prop, rho, 1e-2, t_cap) for rho in states])
+        assert np.array_equal(first_crossing_times(prop, states, 1e-2, t_cap), oracle)
+
+    @pytest.mark.parametrize("sid", ["comp_5", "eig_2", "haar_0"])
+    def test_support_propagation_matches_rotated_states(self, sid):
+        # the support entries, scattered, give the same states and distances as
+        # the dense matrix exponential and the singular values of rho(t) - sigma
+        H = assemble_dense(defected_ising_1d(3, 3.0))
+        es = eigensystem(H)
+        heis = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
+        sg = gibbs_state(es, 1.0)
+        prop = SpectralPropagator(heis, sg)
+        rho0 = dict(_initial_family(sg, n_haar=1, seed=5))[sid]
+        coeffs = prop.coefficients(rho0[None])
+        ts = np.array([0.0, 0.3, 2.0, 9.0])
+        dists = prop.distances(coeffs, ts)
+        for t, dist in zip(ts, dists):
+            rho_t = prop.state_at(coeffs, t)[0]
+            assert np.abs(rho_t - mixing._expm_flow(heis, rho0, t)).max() <= 1e-12
+            assert abs(dist - trace_distance(rho_t, sg.sigma)) <= 1e-12
 
 
 def hermitian(draw, d):
@@ -337,6 +414,27 @@ class TestTraceNormBounds:
         slack = 1e-12 * np.maximum(1.0, exact)  # the eigensolver's own rounding
         assert np.all(lower <= exact + slack)
         assert np.all(exact <= upper + slack)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_support_bounds_match_whole_matrix(self, data):
+        # supports need not be closed under transpose; the bounds still agree
+        d = data.draw(st.integers(1, 5))
+        support = np.array(data.draw(st.lists(st.integers(0, d * d - 1), min_size=1,
+                                              max_size=d * d, unique=True)))
+        S = data.draw(st.integers(1, 3))
+        parts = [np.array(data.draw(st.lists(st.floats(-1, 1), min_size=support.size * S,
+                                             max_size=support.size * S))) for _ in range(2)]
+        x = (parts[0] + 1j * parts[1]).reshape(support.size, S)
+        weights = np.array(data.draw(st.lists(st.floats(0, 1), min_size=d, max_size=d)))
+        v = np.zeros((S, d * d), dtype=complex)
+        v[:, support] = x.T
+        X = v.reshape(S, d, d).swapaxes(1, 2)  # row s is vec(X_s), column-stacked
+        Y = 0.5 * (X + X.conj().swapaxes(1, 2)) - np.diag(weights)
+        lower, upper = SupportBounds(support, weights)(x)
+        whole = trace_norm_bounds(Y)
+        assert np.allclose(lower, whole[0], rtol=1e-12, atol=1e-14)
+        assert np.allclose(upper, whole[1], rtol=1e-12, atol=1e-14)
 
     def test_diagonal_is_tight(self):
         Y = np.diag([0.3, -0.2, 0.0, -0.1]).astype(complex)[None]
