@@ -40,7 +40,10 @@ def pauli_string_matrix(n, factors, coeff=1.0):
         sign |= bit if label in "YZ" else 0
         n_y += label == "Y"
     b = np.arange(2**n)
-    phase = (1, 1j, -1, -1j)[n_y % 4] * (1.0 - 2.0 * (np.bitwise_count(b & sign) & 1))
+    odd = np.zeros(b.size, dtype=int)  # parity of the bits of b under sign
+    for k in range(n):
+        odd ^= (b >> k) & (sign >> k) & 1
+    phase = (1, 1j, -1, -1j)[n_y % 4] * (1.0 - 2.0 * odd)
     M = np.zeros((b.size, b.size), dtype=complex)
     M[b ^ flip, b] = coeff * phase
     return M

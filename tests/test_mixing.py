@@ -87,6 +87,18 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(heis, np.eye(4, dtype=complex), 0.1, sigma=sg)
 
+    def test_non_hermitian_state_rejected(self):
+        heis, sg = two_qubit_ising()
+        rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        rho0[0, 1] = 0.1  # unit trace, PSD Hermitian part, but not Hermitian
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve(heis, rho0, 0.1, sigma=sg)
+
+    def test_wrong_shape_state_rejected(self):
+        heis, sg = two_qubit_ising()
+        with pytest.raises(ValueError, match="shape"):
+            evolve(heis, np.eye(2, dtype=complex) / 2, 0.1, sigma=sg)
+
 
 class TestMixingBounds:
     def test_lower_bound_clamps_at_zero(self):
