@@ -86,8 +86,10 @@ def glauber_generator(energy_fn, n_spins, beta) -> ClassicalChain:
 
 
 def _subset_masks(m):
-    idx = np.arange(2**m, dtype=np.uint32)
-    return ((idx[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
+    """(2^m, m) table whose row s holds the bits of s, least significant first, as 0.0/1.0."""
+    idx = np.arange(2**m, dtype="<u4")
+    bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, count=m, bitorder="little")
+    return bits.astype(float)
 
 
 def bottleneck_ratio(chain: ClassicalChain, mode="exact", energies=None):

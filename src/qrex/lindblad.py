@@ -316,22 +316,15 @@ def alpha_quadrature(nu1, nu2, w: WeightFunction):
     return fine if fine.ndim else float(fine)
 
 
-def jump_components(S, es: Eigensystem):
-    """Energy-resolved components {nu: S_nu} with sum_nu S_nu = S exactly.
+def eigenbasis_entries(S, U):
+    """U^dag S U with the entries at or below 1e-13 of its largest magnitude set to zero.
 
-    Keys are the Bohr group representatives; components are returned in the
-    original (computational) basis.
+    These are the coupling entries the generator assembly uses: only the
+    Bohr groups of the kept entries enter its alpha table.
     """
-    U = es.eigenvectors
     St = U.conj().T @ np.asarray(S, dtype=complex) @ U
-    out = {}
-    for g, nu in enumerate(es.bohr):
-        mask = es.gid == g
-        if not mask.any():
-            continue
-        comp = np.where(mask, St, 0.0)
-        out[float(nu)] = U @ comp @ U.conj().T
-    return out
+    cut = 1e-13 * max(np.abs(St).max(), 1e-300)
+    return np.where(np.abs(St) > cut, St, 0.0)
 
 
 def _alpha_table(groups, es: Eigensystem, w: WeightFunction):
@@ -340,27 +333,6 @@ def _alpha_table(groups, es: Eigensystem, w: WeightFunction):
     idx = {g: k for k, g in enumerate(groups)}
     nus = es.bohr[np.asarray(groups)]
     return idx, alpha_coeff(nus[:, None], nus[None, :], w)
-
-
-def coherent_term(jumps_list, es: Eigensystem, w: WeightFunction) -> np.ndarray:
-    """Coherent part G = sum_a sum_{v1,v2} tanh(-beta(v1-v2)/4)/(2i) alpha S_{v2}^dag S_{v1}.
-
-    ``jumps_list`` holds one {nu: S_nu} dict per coupling, as returned by
-    jump_components (components in the computational basis).
-    """
-    d = es.dim
-    G = np.zeros((d, d), dtype=complex)
-    for comps in jumps_list:
-        for nu1, S1 in comps.items():
-            for nu2, S2 in comps.items():
-                t = np.tanh(-w.beta * (nu1 - nu2) / 4.0)
-                if t == 0.0:
-                    continue
-                G += (t / 2.0j) * alpha_coeff(nu1, nu2, w) * (S2.conj().T @ S1)
-    herm_err = np.linalg.norm(G - G.conj().T)
-    if herm_err > 1e-10 * max(1.0, np.linalg.norm(G)):
-        raise ValueError(f"coherent term failed hermiticity check ({herm_err:.2e})")
-    return 0.5 * (G + G.conj().T)
 
 
 def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None = None,
@@ -389,14 +361,8 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
         es = eigensystem(H, group_tol=group_tol)
     U = es.eigenvectors
 
-    # couplings in the eigenbasis, one per row (entry (k, i) in column
-    # k*d + i), with numerically-zero entries removed so only genuinely used
-    # Bohr groups enter the alpha table
-    rows = []
-    for S in couplings:
-        St = U.conj().T @ np.asarray(S, dtype=complex) @ U
-        cut = 1e-13 * max(np.abs(St).max(), 1e-300)
-        rows.append(np.where(np.abs(St) > cut, St, 0.0).reshape(-1))
+    # couplings in the eigenbasis, one per row (entry (k, i) in column k*d + i)
+    rows = [eigenbasis_entries(S, U).reshape(-1) for S in couplings]
     Sv = sparse.csr_array(np.reshape(rows, (len(rows), d * d)))
     if Sv.nnz == 0:
         return Superoperator(sparse.csr_array((d * d, d * d), dtype=complex), basis=U)
@@ -416,10 +382,22 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
     # anticommutator and coherent cores from the k = l entries:
     # N[i,j] = sum_k alpha[g(k,i), g(k,j)] C[(k,i),(k,j)], G likewise with Ktab[g(k,j), g(k,i)]
     on = k == l
-    N = sparse.coo_array((sandwich[on], (i[on], j[on])), shape=(d, d))
-    G = sparse.coo_array((Ktab[b[on], a[on]] * C.data[on], (i[on], j[on])), shape=(d, d))
-    # -1/2 {N, X} + i [G, X]: rows of X via kron(Id, .), columns via kron(.^T, Id)
-    eye = sparse.eye_array(d)
-    L = (sparse.coo_array((sandwich, (i + d * j, k + d * l)), shape=(d * d, d * d))
-         + sparse.kron(eye, -0.5 * N + 1j * G) + sparse.kron((-0.5 * N - 1j * G).T, eye))
+    cell = i[on] + d * j[on]
+    used = np.unique(cell)
+    ci, cj = used % d, used // d
+
+    def cell_sum(v):
+        return (np.bincount(cell, v.real, d * d) + 1j * np.bincount(cell, v.imag, d * d))[used]
+
+    n_val, g_val = sandwich[on], Ktab[b[on], a[on]] * C.data[on]
+    M, M2 = cell_sum(-0.5 * n_val + 1j * g_val), cell_sum(-0.5 * n_val - 1j * g_val)
+    # -1/2 {N, X} + i [G, X] = M X + X M2 with M = -N/2 + iG, M2 = -N/2 - iG:
+    # kron(Id, M) puts M[i, j] at (i + d*t, j + d*t) and kron(M2^T, Id) puts
+    # M2[i, j] at (t + d*j, t + d*i), for every t; one COO holds them and the sandwich
+    t = np.arange(d)
+    row = np.concatenate([i + d * j, (ci[:, None] + d * t).ravel(), (t + d * cj[:, None]).ravel()])
+    col = np.concatenate([k + d * l, (cj[:, None] + d * t).ravel(), (t + d * ci[:, None]).ravel()])
+    val = np.concatenate([sandwich, np.repeat(M, d), np.repeat(M2, d)])
+    L = sparse.coo_array((val, (row, col)), shape=(d * d, d * d)).tocsr()
+    L.eliminate_zeros()
     return Superoperator(L, basis=U)

@@ -12,7 +12,8 @@ omega (``JointStructure.swap_frequencies``):
   * no coherent term.
 
 That route is cross-validated against the generic construction of
-``build_ckg_generator`` applied to the swap unitary.
+``build_ckg_generator`` applied to the swap unitary, assembled in the same
+labeled basis (``swap_generator_generic``).
 
 The local_A joint generator is assembled in the same labeled basis: the
 system piece is built directly in the system factor of that basis, which
@@ -172,12 +173,24 @@ def swap_unitary_original(js: JointStructure):
     return P_joint.conj().T @ U @ P_joint
 
 
-def swap_generator_generic(spec, beta) -> Superoperator:
-    """Swap generator via the generic construction; cross-validates the closed form."""
-    js = joint_structure(spec)
+def swap_generator_generic(spec, beta, js: JointStructure | None = None) -> Superoperator:
+    """Swap generator via the generic construction; cross-validates the closed form.
+
+    ``build_ckg_generator`` is applied to the swap unitary in the original
+    joint ordering, with the labeled |i_A j_B m_A> vectors as the eigenbasis
+    of H_joint = H (x) I + I (they diagonalize it, as ``joint_structure``
+    checks for H).  The generator does not depend on the eigenbasis chosen
+    inside a degenerate eigenspace, so the result is stored in the same basis
+    as ``swap_generator_closed_form`` and the two compare entry by entry.
+    ``js`` is the precomputed joint_structure(spec), if any.
+    """
+    if js is None:
+        js = joint_structure(spec)
     H_joint = joint_hamiltonian(spec, SwapMode("local_A"))
-    U = swap_unitary_original(js)
-    return build_ckg_generator(H_joint, [U], WeightFunction("metropolis", beta))
+    es = eigensystem_from_pairs(np.repeat(js.lam2.reshape(-1), js.d_a) + 1.0,
+                                js.labeled_to_original())
+    return build_ckg_generator(H_joint, [swap_unitary_original(js)],
+                               WeightFunction("metropolis", beta), es=es)
 
 
 def lift(M, dims, factor):

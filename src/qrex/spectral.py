@@ -208,10 +208,35 @@ def kms_operator_norm(L: Superoperator, sigma) -> float:
 
 
 def _gap_of_psd(M, tol=1e-10):
+    """Smallest eigenvalue above tol * max |eigenvalue| of each PSD matrix in the (..., d, d) M.
+
+    0.0 where there is none (the zero matrix); a float for one matrix.
+    """
     evals = np.linalg.eigvalsh(M)
-    scale = max(np.abs(evals).max(), 1e-300)
-    pos = evals[evals > tol * scale]
-    return float(pos[0]) if pos.size else 0.0
+    scale = np.maximum(np.abs(evals).max(axis=-1), 1e-300)
+    pos = evals > tol * scale[..., None]
+    # eigenvalues ascend, so the first one above the cut is the gap
+    first = np.take_along_axis(evals, pos.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    gap = np.where(pos.any(axis=-1), first, 0.0)
+    return float(gap) if gap.ndim == 0 else gap
+
+
+def _dag(X):
+    return X.conj().swapaxes(-1, -2)
+
+
+def _random_psd(rng, count, dim, rank=None):
+    """(count, dim, dim) stack of C C^dag with complex Gaussian C of rank ``rank`` (per instance)."""
+    C = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    if rank is not None:
+        C *= np.arange(dim) < np.asarray(rank)[:, None, None]  # keep the first rank columns
+    return C @ _dag(C)
+
+
+def _tally(margins):
+    """Violation count and worst (non-positive) margin of one case."""
+    return {"violations": int(np.sum(margins < -1e-10)),
+            "worst_margin": float(min(0.0, margins.min()))}
 
 
 def gap_composition_suite(seed=42, n_instances=200, dim=6):
@@ -219,78 +244,59 @@ def gap_composition_suite(seed=42, n_instances=200, dim=6):
 
     Cases: (1) ker(A+B) = ker(B) forces Gap(A+B) >= Gap(B); (2) commuting
     PSD pairs give Gap(A+B) >= min of the gaps; (3) the g_A g_B/(g_A+||B||)
-    operator lower bound; (4) the scalar ratio inequality.  Returns a report
-    with per-case violation counts and worst margins.
+    operator lower bound; (4) the scalar ratio inequality.  Each case draws
+    its n_instances instances as one (n_instances, dim, dim) stack and
+    decides them with stacked eigh/eigvalsh/qr.  Returns a report with
+    per-case violation counts and worst margins.
     """
     rng = np.random.default_rng(seed)
-    report = {"cases": {}, "passed": True}
+    n = n_instances
+    cases = {}
 
-    def _random_psd(d, rank=None):
-        r = rank if rank is not None else d
-        C = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-        return C @ C.conj().T
+    # case 1: ker(A+B) = ker(B) by construction, B of rank dim - {1, 2}
+    B = _random_psd(rng, n, dim, rank=dim - rng.integers(1, 3, size=n))
+    evals, V = np.linalg.eigh(B)
+    keep = evals > 1e-10 * evals[:, -1:]
+    P = (V * keep[:, None, :]) @ _dag(V)  # projectors onto ker(B)^perp
+    A = P @ _random_psd(rng, n, dim) @ P
+    cases["kernel_agreement"] = _tally(_gap_of_psd(A + B) - _gap_of_psd(B))
 
-    # case 1: ker(A+B) = ker(B) by construction
-    viol1, worst1 = 0, 0.0
-    for _ in range(n_instances):
-        B = _random_psd(dim, rank=dim - rng.integers(1, 3))
-        evals, V = np.linalg.eigh(B)
-        keep = evals > 1e-10 * evals.max()
-        P = V[:, keep] @ V[:, keep].conj().T  # projector onto ker(B)^perp
-        A = P @ _random_psd(dim) @ P
-        margin = _gap_of_psd(A + B) - _gap_of_psd(B)
-        worst1 = min(worst1, margin)
-        if margin < -1e-10:
-            viol1 += 1
-    report["cases"]["kernel_agreement"] = {"violations": viol1, "worst_margin": worst1}
+    # case 2: commuting pairs via a shared eigenbasis, with one shared zero
+    # eigenvalue and one further zero each
+    Q, _ = np.linalg.qr(rng.standard_normal((n, dim, dim))
+                        + 1j * rng.standard_normal((n, dim, dim)))
+    a = np.abs(rng.standard_normal((n, dim)))
+    b = np.abs(rng.standard_normal((n, dim)))
+    inst = np.arange(n)
+    shared_zero = rng.integers(0, dim, size=n)
+    a[inst, shared_zero] = b[inst, shared_zero] = 0.0
+    a[inst, rng.integers(0, dim, size=n)] = 0.0
+    b[inst, rng.integers(0, dim, size=n)] = 0.0
+    A = (Q * a[:, None, :]) @ _dag(Q)
+    B = (Q * b[:, None, :]) @ _dag(Q)
+    cases["commuting_min"] = _tally(
+        _gap_of_psd(A + B) - np.minimum(_gap_of_psd(A), _gap_of_psd(B)))
 
-    # case 2: commuting pairs via a shared eigenbasis
-    viol2, worst2 = 0, 0.0
-    for _ in range(n_instances):
-        Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        a = np.abs(rng.standard_normal(dim))
-        b = np.abs(rng.standard_normal(dim))
-        shared_zero = rng.integers(0, dim)
-        a[shared_zero] = b[shared_zero] = 0.0
-        a[rng.integers(0, dim)] = 0.0
-        b[rng.integers(0, dim)] = 0.0
-        A = Q @ np.diag(a) @ Q.conj().T
-        B = Q @ np.diag(b) @ Q.conj().T
-        margin = _gap_of_psd(A + B) - min(_gap_of_psd(A), _gap_of_psd(B))
-        worst2 = min(worst2, margin)
-        if margin < -1e-10:
-            viol2 += 1
-    report["cases"]["commuting_min"] = {"violations": viol2, "worst_margin": worst2}
-
-    # case 3: A + B >= g_A g_B / (g_A + ||B||) when B has energy >= g_B on ker(A)
-    viol3, worst3 = 0, 0.0
-    for _ in range(n_instances):
-        k = int(rng.integers(1, 3))
-        A = _random_psd(dim, rank=dim - k)
-        evals, V = np.linalg.eigh(A)
-        kernel = V[:, evals <= 1e-10 * max(evals.max(), 1.0)]
-        B = _random_psd(dim)
-        g_a = _gap_of_psd(A)
-        g_b = float(np.linalg.eigvalsh(kernel.conj().T @ B @ kernel)[0])
-        bound = g_a * g_b / (g_a + np.linalg.norm(B, 2))
-        margin = float(np.linalg.eigvalsh(A + B)[0]) - bound
-        worst3 = min(worst3, margin)
-        if margin < -1e-10:
-            viol3 += 1
-    report["cases"]["kernel_energy_bound"] = {"violations": viol3, "worst_margin": worst3}
+    # case 3: A + B >= g_A g_B / (g_A + ||B||) when B has energy >= g_B on ker(A),
+    # A of rank dim - {1, 2}
+    A = _random_psd(rng, n, dim, rank=dim - rng.integers(1, 3, size=n))
+    evals, V = np.linalg.eigh(A)
+    kernel_dim = np.sum(evals <= 1e-10 * np.maximum(evals[:, -1:], 1.0), axis=1)
+    B = _random_psd(rng, n, dim)
+    g_b = np.empty(n)
+    for kd in np.unique(kernel_dim):  # the kernel is the leading kd eigenvectors
+        sel = kernel_dim == kd
+        K = V[sel][:, :, :kd]
+        g_b[sel] = np.linalg.eigvalsh(_dag(K) @ B[sel] @ K)[:, 0]
+    g_a = _gap_of_psd(A)
+    bound = g_a * g_b / (g_a + np.linalg.norm(B, 2, axis=(1, 2)))
+    cases["kernel_energy_bound"] = _tally(np.linalg.eigvalsh(A + B)[:, 0] - bound)
 
     # case 4: scalar ratio inequality on random positive tuples
-    viol4, worst4 = 0, 0.0
-    for _ in range(n_instances):
-        a1, a2, b1, b2 = np.abs(rng.standard_normal(4)) + 1e-3
-        margin = (a1 + b1) / (a2 + b2) - min(a1 / a2, b1 / b2)
-        worst4 = min(worst4, margin)
-        if margin < -1e-10:
-            viol4 += 1
-    report["cases"]["ratio_inequality"] = {"violations": viol4, "worst_margin": worst4}
+    a1, a2, b1, b2 = (np.abs(rng.standard_normal((n, 4))) + 1e-3).T
+    cases["ratio_inequality"] = _tally((a1 + b1) / (a2 + b2) - np.minimum(a1 / a2, b1 / b2))
 
-    report["passed"] = all(c["violations"] == 0 for c in report["cases"].values())
-    return report
+    return {"cases": cases, "passed": all(c["violations"] == 0 for c in cases.values())}
 
 
 def a_diagonal_restriction_gap(spec, beta, w: WeightFunction, js=None):

@@ -24,6 +24,11 @@ as test oracles only:
 * ``trace_norm_bounds`` forms the sandwich sum_i |Y_ii| <= ||Y||_1 <=
   sum_ij |Y_ij| from whole matrices; ``qrex.mixing.SupportBounds`` takes
   it from the entries on a support.
+* ``jump_components`` splits a coupling into its energy-resolved
+  components and ``coherent_term`` sums the coherent part G over Bohr pairs,
+  both loop-based and in the computational basis;
+  ``qrex.lindblad.build_ckg_generator`` assembles the same terms entry-wise
+  in the eigenbasis.
 
 Helpers that only the tests use live here too: ``gap_mode_state`` and the
 Pauli decomposition ``pauli_decompose``/``pauli_support``.
@@ -36,7 +41,9 @@ import numpy as np
 
 from qrex.hamiltonians import assemble_dense, compress_onto
 from qrex.lindblad import (
+    Eigensystem,
     WeightFunction,
+    alpha_coeff,
     build_ckg_generator,
     eigensystem,
     eigensystem_from_pairs,
@@ -256,3 +263,42 @@ def pauli_support(M, n, tol=1e-10):
     for key in pauli_decompose(M, n, tol=tol):
         supp.update(s for s, _ in key)
     return supp
+
+
+def jump_components(S, es: Eigensystem):
+    """Energy-resolved components {nu: S_nu} with sum_nu S_nu = S exactly.
+
+    Keys are the Bohr group representatives; components are returned in the
+    original (computational) basis.
+    """
+    U = es.eigenvectors
+    St = U.conj().T @ np.asarray(S, dtype=complex) @ U
+    out = {}
+    for g, nu in enumerate(es.bohr):
+        mask = es.gid == g
+        if not mask.any():
+            continue
+        comp = np.where(mask, St, 0.0)
+        out[float(nu)] = U @ comp @ U.conj().T
+    return out
+
+
+def coherent_term(jumps_list, es: Eigensystem, w: WeightFunction) -> np.ndarray:
+    """Coherent part G = sum_a sum_{v1,v2} tanh(-beta(v1-v2)/4)/(2i) alpha S_{v2}^dag S_{v1}.
+
+    ``jumps_list`` holds one {nu: S_nu} dict per coupling, as returned by
+    jump_components (components in the computational basis).
+    """
+    d = es.dim
+    G = np.zeros((d, d), dtype=complex)
+    for comps in jumps_list:
+        for nu1, S1 in comps.items():
+            for nu2, S2 in comps.items():
+                t = np.tanh(-w.beta * (nu1 - nu2) / 4.0)
+                if t == 0.0:
+                    continue
+                G += (t / 2.0j) * alpha_coeff(nu1, nu2, w) * (S2.conj().T @ S1)
+    herm_err = np.linalg.norm(G - G.conj().T)
+    if herm_err > 1e-10 * max(1.0, np.linalg.norm(G)):
+        raise ValueError(f"coherent term failed hermiticity check ({herm_err:.2e})")
+    return 0.5 * (G + G.conj().T)

@@ -26,10 +26,8 @@ from qrex.lindblad import (
     WeightFunction,
     alpha_quadrature,
     build_ckg_generator,
-    coherent_term,
     eigensystem,
     gibbs_state,
-    jump_components,
     theta,
 )
 from qrex.mixing import (
@@ -55,7 +53,12 @@ from qrex.spectral import (
     spectral_gap,
 )
 
-from oracles import detailed_balance_residual, partial_lindbladian_check
+from oracles import (
+    coherent_term,
+    detailed_balance_residual,
+    jump_components,
+    partial_lindbladian_check,
+)
 
 BETA = 1.0
 GM = WeightFunction("metropolis", BETA)

@@ -3,6 +3,7 @@ import pytest
 
 from qrex.classical import (
     ClassicalChain,
+    _subset_masks,
     bottleneck_ratio,
     classical_defected_ising_energy,
     classical_gap,
@@ -67,6 +68,24 @@ class TestGlauber:
 
 
 class TestBottleneckRatio:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_subset_masks_equal_shift_form(self, m):
+        idx = np.arange(2**m, dtype=np.uint32)
+        shifted = ((idx[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
+        masks = _subset_masks(m)
+        assert masks.dtype == shifted.dtype
+        assert np.array_equal(masks, shifted)
+
+    @pytest.mark.parametrize("J, phi, members", [
+        (2.0, 0.014084064847293045, (0, 1, 2, 3, 8, 9, 10, 11)),
+        (3.0, 0.0019177480674048837, (0, 1, 2, 3, 4, 5, 6, 7)),
+        (4.0, 0.0002597543413836445, (4, 5, 6, 7, 12, 13, 14, 15)),
+    ])
+    def test_exact_ring_minimizer_pinned(self, J, phi, members):
+        # values of the shift-form mask table, which the unpacked table equals bitwise
+        chain = glauber_generator(ising_fn(J), 4, 1.0)
+        assert bottleneck_ratio(chain, mode="exact") == (phi, members)
+
     def test_two_state_closed_form(self):
         p, q = 0.3, 0.7
         Q = np.array([[-p, p], [q, -q]])

@@ -229,6 +229,24 @@ class TestScenarios:
         assert report.summary["n_failed"] == 0
         assert all(set(r) == {"check", "passed", "detail"} for r in report.records)
 
+    def test_verify_makes_no_joint_size_congruence(self, monkeypatch):
+        # the swap generators are compared in their shared labeled basis; the
+        # joint n = 3 space has d = 32, so a joint-size congruence has side 1024
+        import qrex.verify
+
+        sides = []
+        original = qrex.lindblad.congruence
+
+        def spy(M, *args):
+            sides.append(M.shape[0])
+            return original(M, *args)
+
+        for module in (qrex.lindblad, qrex.verify, qrex.replica, qrex.spectral):
+            monkeypatch.setattr(module, "congruence", spy, raising=False)
+        results = qrex.verify.run_verification()
+        assert len(results) == 25 and all(r["passed"] for r in results)
+        assert sides and max(sides) < 32 * 32
+
 
 class TestEmit:
     def test_header_only_for_empty_records(self):

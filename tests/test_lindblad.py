@@ -12,18 +12,22 @@ from qrex.lindblad import (
     alpha_coeff,
     alpha_quadrature,
     build_ckg_generator,
-    coherent_term,
     eigensystem,
     filter_fhat,
     gibbs_state,
-    jump_components,
     unvec,
     vec,
     weight,
 )
 from qrex.pauli import X, Y, Z, single_site_paulis
 
-from oracles import detailed_balance_residual, kms_inner, sigma_power
+from oracles import (
+    coherent_term,
+    detailed_balance_residual,
+    jump_components,
+    kms_inner,
+    sigma_power,
+)
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)

@@ -8,10 +8,8 @@ from qrex.lindblad import (
     alpha_coeff,
     alpha_quadrature,
     build_ckg_generator,
-    coherent_term,
     eigensystem,
     gibbs_state,
-    jump_components,
     theta,
 )
 from qrex.pauli import single_site_paulis
@@ -19,6 +17,7 @@ from qrex.replica import (
     SwapMode,
     build_replica_exchange_generator,
     joint_gibbs,
+    joint_hamiltonian,
     joint_structure,
     lift,
     local_swap_unitary,
@@ -28,7 +27,9 @@ from qrex.replica import (
     swap_sector_lower_bounds,
     swap_unitary_original,
 )
-from qrex.spectral import kms_operator_norm, spectral_gap
+from qrex.spectral import kms_operator_norm, spectral_gap, spectral_norm
+
+from oracles import coherent_term, jump_components
 
 GM = WeightFunction("metropolis", 1.0)
 
@@ -138,6 +139,32 @@ class TestSwapGenerator:
         generic = swap_generator_generic(self.spec, self.beta)
         diff = np.linalg.norm(closed.matrix - generic.matrix, 2)
         assert diff <= 1e-9 * np.linalg.norm(generic.matrix, 2)
+
+    def test_closed_form_matches_generic_in_its_own_eigenbasis(self):
+        # the generic route with its own eigh of H_joint, independent of the labeled basis
+        js = joint_structure(self.spec)
+        own = build_ckg_generator(joint_hamiltonian(self.spec, SwapMode("local_A")),
+                                  [swap_unitary_original(js)], GM)
+        assert not np.allclose(own.basis, js.labeled_to_original())
+        closed = swap_generator_closed_form(self.spec, self.beta, js=js)
+        diff = np.linalg.norm(closed.matrix - own.matrix, 2)
+        assert diff <= 1e-9 * np.linalg.norm(own.matrix, 2)
+
+    def test_generic_stored_in_labeled_basis(self):
+        js = joint_structure(self.spec)
+        generic = swap_generator_generic(self.spec, self.beta, js=js)
+        assert np.array_equal(generic.basis, js.labeled_to_original())
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("J", [2.0, 3.0])
+    def test_generic_local_equals_closed_form(self, n, J):
+        spec = defected_ising_1d(n, J)
+        js = joint_structure(spec)
+        closed = swap_generator_closed_form(spec, self.beta, js=js)
+        generic = swap_generator_generic(spec, self.beta, js=js)
+        assert np.array_equal(closed.basis, generic.basis)
+        rel = spectral_norm(closed.local - generic.local) / spectral_norm(generic.local)
+        assert rel <= 1e-12
 
     def test_coherent_part_vanishes(self):
         js = joint_structure(self.spec)

@@ -240,6 +240,58 @@ class TestGapComposition:
         report = gap_composition_suite(seed=42, n_instances=200)
         assert report["passed"], report
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_suite_passes_for_seeds(self, seed):
+        report = gap_composition_suite(seed=seed, n_instances=200)
+        assert report["passed"], report
+        assert all(c["worst_margin"] >= -1e-10 for c in report["cases"].values())
+
+    def test_report_shape(self):
+        report = gap_composition_suite(seed=3, n_instances=20)
+        assert set(report) == {"cases", "passed"}
+        assert list(report["cases"]) == ["kernel_agreement", "commuting_min",
+                                         "kernel_energy_bound", "ratio_inequality"]
+        for case in report["cases"].values():
+            assert set(case) == {"violations", "worst_margin"}
+            assert type(case["violations"]) is int and type(case["worst_margin"]) is float
+
+    def test_stacked_gap_equals_per_matrix(self):
+        from qrex.spectral import _gap_of_psd
+
+        def per_matrix(M, tol=1e-10):
+            evals = np.linalg.eigvalsh(M)
+            pos = evals[evals > tol * max(np.abs(evals).max(), 1e-300)]
+            return float(pos[0]) if pos.size else 0.0
+
+        rng = np.random.default_rng(5)
+        mats = [np.zeros((6, 6)), np.diag([0.0, 0.0, 1e-12, 2.0, 3.0, 5.0])]
+        for rank in (1, 2, 4, 5, 6):
+            C = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+            mats.append(C @ C.conj().T)
+        stack = np.array(mats, dtype=complex)
+        gaps = _gap_of_psd(stack)
+        assert gaps.shape == (len(mats),)
+        assert gaps[0] == 0.0
+        assert gaps[1] == 2.0
+        assert np.array_equal(gaps, [per_matrix(M) for M in stack])
+        assert all(_gap_of_psd(M) == g for M, g in zip(stack, gaps))
+        assert isinstance(_gap_of_psd(stack[2]), float)
+
+    def test_kernel_bound_case_draws_both_kernel_dimensions(self, monkeypatch):
+        # the kernel-restricted minimum is one stacked eigvalsh per kernel
+        # dimension; those are the only (m, k, k) solves with k < 6
+        shapes = []
+        original = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(qrex.spectral.np.linalg, "eigvalsh", spy)
+        gap_composition_suite(seed=42, n_instances=200)
+        small = sorted(s[-1] for s in shapes if len(s) == 3 and s[-1] < 6)
+        assert small == [1, 2]
+
     def test_equal_diagonal_family(self):
         # A = B diagonal PSD: Gap(A+B) = 2 Gap(A) >= min gap trivially
         a = np.diag([0.0, 1.0, 2.0])
