@@ -3,8 +3,9 @@
 The models of interest carry a single strong bond (the "defect") inside a
 small region A whose interaction with the rest of the system factorizes as
 sums of commuting products V_A (x) V_B.  ``check_commuting_cut`` verifies
-that structure and extracts the pieces; ``a_side_eigenbasis`` produces the
-shared eigenbasis of the A-side operators that labels everything downstream.
+that structure and extracts the pieces; ``simultaneous_eigenbasis`` of the
+A-side and B-side families gives the product labels that
+``replica.joint_structure`` carries downstream.
 """
 
 from dataclasses import dataclass, field
@@ -123,14 +124,6 @@ class CutReport:
     @property
     def d_b(self):
         return self.h_b.shape[0]
-
-
-@dataclass
-class ABasis:
-    """Orthonormal basis on the A factor diagonalizing the A-side family."""
-
-    vectors: np.ndarray  # columns are |i_A>
-    residual: float
 
 
 def assemble_dense(spec: HamiltonianSpec) -> np.ndarray:
@@ -277,9 +270,9 @@ def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:
 
     # reassembly identity in the A-first ordering
     order = list(A) + list(B)
-    P = qubit_permutation(spec.n, order)
+    p = qubit_permutation(spec.n, order)
     H = assemble_dense(spec)
-    H_perm = P @ H @ P.conj().T
+    H_perm = H[np.ix_(p, p)]
     H_re = np.kron(h_a, np.eye(d_b)) + np.kron(np.eye(d_a), h_b)
     for va, vb in pairs:
         H_re += np.kron(va, vb)
@@ -350,24 +343,6 @@ def simultaneous_eigenbasis(ops, seed=7, tol=1e-10):
     return V, res
 
 
-def a_side_eigenbasis(report: CutReport, seed=7) -> ABasis:
-    """Orthonormal eigenbasis diagonalizing {H_A} u {V_A^(k)}."""
-    if not report.holds:
-        raise ValueError("commuting cut does not hold")
-    ops = [report.h_a] + [va for va, _ in report.interaction]
-    V, res = simultaneous_eigenbasis(ops, seed=seed)
-    return ABasis(vectors=V, residual=res)
-
-
-def b_side_eigenbasis(report: CutReport, seed=11) -> ABasis:
-    """Orthonormal eigenbasis diagonalizing {H_B} u {V_B^(k)}."""
-    if not report.holds:
-        raise ValueError("commuting cut does not hold")
-    ops = [report.h_b] + [vb for _, vb in report.interaction]
-    V, res = simultaneous_eigenbasis(ops, seed=seed)
-    return ABasis(vectors=V, residual=res)
-
-
 def compress_onto(H, a_vector, partition, n) -> np.ndarray:
     """(<i_A| (x) I_B) H (|i_A> (x) I_B) for a unit vector on the A factor.
 
@@ -379,6 +354,6 @@ def compress_onto(H, a_vector, partition, n) -> np.ndarray:
     v = np.asarray(a_vector, dtype=complex).reshape(d_a)
     if H.shape != (d_a * d_b, d_a * d_b):
         raise ValueError("dimension mismatch between H and the partition")
-    P = qubit_permutation(n, list(A) + list(B))
-    Hp = (P @ H @ P.conj().T).reshape(d_a, d_b, d_a, d_b)
+    p = qubit_permutation(n, list(A) + list(B))
+    Hp = H[np.ix_(p, p)].reshape(d_a, d_b, d_a, d_b)
     return np.einsum("a,abcd,c->bd", v.conj(), Hp, v)

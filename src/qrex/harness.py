@@ -283,27 +283,28 @@ def _guard_dims(config: ExperimentConfig, spec: HamiltonianSpec):
 
 
 def _single_gap(spec, beta, weight_kind):
-    H = assemble_dense(spec)
-    es = eigensystem(H)
-    L = build_ckg_generator(H, single_site_paulis(spec.n), WeightFunction(weight_kind, beta),
-                            es=es)
+    es = eigensystem(assemble_dense(spec))
+    L = build_ckg_generator(es, single_site_paulis(spec.n), WeightFunction(weight_kind, beta))
     return spectral_gap(L, gibbs_state(es, beta))
 
 
-def _replica_gap(spec, beta, replica_cfg, js=None):
+def _replica_gap(structure, beta, replica_cfg):
+    """Gap of the replica generator built from ``structure``.
+
+    ``structure`` is the JointStructure of the system in local_A mode and
+    the Eigensystem of its Hamiltonian in global mode, as for
+    ``build_replica_exchange_generator``.
+    """
     w = WeightFunction(replica_cfg.get("weight", "gaussian"), beta)
     mode = SwapMode(replica_cfg["mode"], beta2=replica_cfg.get("beta2"))
+    L = build_replica_exchange_generator(structure, beta, w, w, mode)
     if mode.kind == "global":
         # fixed point sigma_beta (x) sigma_beta2, diagonal in the generator's U (x) U
-        L = build_replica_exchange_generator(spec, beta, w, w, mode)
-        es = eigensystem(assemble_dense(spec))
         beta2 = mode.beta2 if mode.beta2 is not None else beta
-        weights = np.kron(gibbs_state(es, beta).weights, gibbs_state(es, beta2).weights)
+        weights = np.kron(gibbs_state(structure, beta).weights,
+                          gibbs_state(structure, beta2).weights)
         return spectral_gap(L, diagonal_gibbs_state(weights, L.basis, beta))
-    if js is None:
-        js = joint_structure(spec)
-    L = build_replica_exchange_generator(spec, beta, w, w, mode, js=js)
-    return spectral_gap(L, joint_gibbs(spec, beta, js=js))
+    return spectral_gap(L, joint_gibbs(structure, beta))
 
 
 def _sweep_point(args):
@@ -323,15 +324,15 @@ def _sweep_point(args):
     rec["gap_single"] = single.gap
     rec["gap_re"] = rec["g_B"] = rec["bound_ratio"] = float("nan")
     if config.replica["mode"] == "global":
-        rec["gap_re"] = _replica_gap(spec, beta, config.replica).gap
+        rec["gap_re"] = _replica_gap(eigensystem(assemble_dense(spec)), beta, config.replica).gap
     elif config.replica["mode"] == "local_A":
         # one commuting-cut analysis serves the generator, the Gibbs state,
         # g_B and the bound
         js = joint_structure(spec)
-        rep = _replica_gap(spec, beta, config.replica, js)
+        rep = _replica_gap(js, beta, config.replica)
         rec["gap_re"] = rep.gap
         w = WeightFunction(config.replica.get("weight", "gaussian"), beta)
-        rec["g_B"] = a_diagonal_restriction_gap(spec, beta, w, js=js)
+        rec["g_B"] = a_diagonal_restriction_gap(js, beta, w)
         cut = js.cut
         d_a = js.d_a
         denom = min(rec["g_B"], 1.0)
@@ -353,8 +354,10 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
         _guard_dims(config, spec)
         if config.replica["mode"] == "none":
             rep = _single_gap(spec, config.beta, config.weight)
+        elif config.replica["mode"] == "global":
+            rep = _replica_gap(eigensystem(assemble_dense(spec)), config.beta, config.replica)
         else:
-            rep = _replica_gap(spec, config.beta, config.replica)
+            rep = _replica_gap(joint_structure(spec), config.beta, config.replica)
         records = [{"J": spec.defect[1] if spec.defect else float("nan"),
                     "beta": config.beta, **rep.to_json_dict()}]
 
@@ -374,10 +377,9 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
     elif scenario == "mixing":
         spec = build_system(config)
         _guard_dims(config, spec)
-        H = assemble_dense(spec)
-        es = eigensystem(H)
-        L = build_ckg_generator(H, single_site_paulis(spec.n),
-                                WeightFunction(config.weight, config.beta), es=es)
+        es = eigensystem(assemble_dense(spec))
+        L = build_ckg_generator(es, single_site_paulis(spec.n),
+                                WeightFunction(config.weight, config.beta))
         mrep = mixing_time_estimate(L, gibbs_state(es, config.beta), config.epsilon,
                                     seed=config.seed)
         records = [{"state_id": sid, "t_cross": t} for sid, t in mrep.crossings]

@@ -57,7 +57,6 @@ class Eigensystem:
     eigenvectors: np.ndarray
     bohr: np.ndarray
     gid: np.ndarray
-    group_tol: float
 
     @property
     def dim(self):
@@ -172,7 +171,7 @@ class Superoperator:
         return self.from_basis(unvec((v.conj() @ self.local).conj()))
 
 
-def eigensystem(H, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
+def eigensystem(H) -> Eigensystem:
     """Diagonalize H and group its Bohr frequencies (see eigensystem_from_pairs)."""
     H = np.asarray(H, dtype=complex)
     lam, U = np.linalg.eigh(H)
@@ -180,18 +179,18 @@ def eigensystem(H, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
     resid = np.linalg.norm(U.conj().T @ H @ U - np.diag(lam))
     if resid > 1e-11 * scale:
         raise ValueError(f"eigensolver residual {resid:.2e} too large")
-    return eigensystem_from_pairs(lam, U, group_tol)
+    return eigensystem_from_pairs(lam, U)
 
 
-def eigensystem_from_pairs(lam, U, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
+def eigensystem_from_pairs(lam, U) -> Eigensystem:
     """Eigensystem of known eigenpairs: column i of U has eigenvalue lam[i], any order.
 
     Two differences land in the same group iff they are within
-    group_tol * max(1, max |lam|) (max |lam| is the norm of the Hermitian
+    BOHR_GROUP_TOL * max(1, max |lam|) (max |lam| is the norm of the Hermitian
     matrix the pairs diagonalize) after transitive chaining of the sorted gaps.
     """
     lam = np.asarray(lam, dtype=float)
-    tol = group_tol * max(1.0, float(np.abs(lam).max()))
+    tol = BOHR_GROUP_TOL * max(1.0, float(np.abs(lam).max()))
     diffs = (lam[:, None] - lam[None, :]).reshape(-1)
     order = np.argsort(diffs, kind="stable")
     # a new group starts wherever consecutive sorted differences exceed tol
@@ -208,7 +207,6 @@ def eigensystem_from_pairs(lam, U, group_tol=BOHR_GROUP_TOL) -> Eigensystem:
         eigenvectors=U,
         bohr=reps,
         gid=gid_flat.reshape(d, d),
-        group_tol=group_tol,
     )
 
 
@@ -335,14 +333,15 @@ def _alpha_table(groups, es: Eigensystem, w: WeightFunction):
     return idx, alpha_coeff(nus[:, None], nus[None, :], w)
 
 
-def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None = None,
-                        group_tol=BOHR_GROUP_TOL):
-    """Assemble the detailed-balanced generator for (H, couplings, gamma).
+def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
+    """Assemble the detailed-balanced generator for (H, couplings, gamma) from es, H's eigensystem.
 
     Returns the generator on observables as a Superoperator stored in the
-    energy eigenbasis, where it is assembled.  Couplings are square matrices of
-    the same dimension as H; hermiticity is not required.  The double Bohr
-    sum is evaluated element-wise in the eigenbasis:
+    eigenbasis es.eigenvectors, where it is assembled.  The generator does
+    not depend on the basis chosen inside a degenerate eigenspace
+    (arXiv:2311.09207), so any eigenbasis of H serves.  Couplings are square
+    matrices of the same dimension as H; hermiticity is not required.  The
+    double Bohr sum is evaluated element-wise in the eigenbasis:
 
       (L_diss X)_{ij} = sum_{kl} alpha(nu_ki, nu_lj) conj(S_ki) X_kl S_lj - ...
 
@@ -352,13 +351,10 @@ def build_ckg_generator(H, couplings, w: WeightFunction, es: Eigensystem | None 
     sandwich entry, at row i + d*j and column k + d*l; the k = l entries
     also make the anticommutator and coherent cores.
     """
-    H = np.asarray(H, dtype=complex)
-    d = H.shape[0]
+    d = es.dim
     for S in couplings:
         if np.asarray(S).shape != (d, d):
             raise ValueError("coupling dimension does not match the Hamiltonian")
-    if es is None:
-        es = eigensystem(H, group_tol=group_tol)
     U = es.eigenvectors
 
     # couplings in the eigenbasis, one per row (entry (k, i) in column k*d + i)

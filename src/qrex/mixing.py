@@ -45,6 +45,7 @@ from scipy.linalg import expm
 from .hamiltonians import assemble_dense
 from .lindblad import (
     Superoperator,
+    WeightFunction,
     build_ckg_generator,
     eigensystem,
     gibbs_state,
@@ -556,10 +557,7 @@ def bottleneck_witness(spec, sites, beta, L: Superoperator | None = None,
     es = eigensystem(H)
     sg = gibbs_state(es, beta)
     if L is None:
-        from .lindblad import WeightFunction
-
-        L = build_ckg_generator(H, single_site_paulis(n),
-                                WeightFunction(weight_kind, beta), es=es)
+        L = build_ckg_generator(es, single_site_paulis(n), WeightFunction(weight_kind, beta))
     out = L.apply(pi_c)
     scale = max(1.0, np.linalg.norm(out))
     containment = (np.linalg.norm(pi_a @ out) + np.linalg.norm(out @ pi_a)) / scale

@@ -57,18 +57,16 @@ def single_site_paulis(n, sites=None):
 
 
 def qubit_permutation(n, order):
-    """Permutation matrix P so that P H P^dag has factor k = old site order[k].
+    """Index array p of the site reordering that puts old site order[k] at factor k.
 
+    With P the permutation matrix of the reordering, P x = x[p] and
+    P H P^dag = H[p][:, p]; Y = P^dag X is the scatter Y[p] = X.
     ``order`` must be a permutation of range(n).
     """
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of range(n)")
-    dim = 2**n
-    idx = np.arange(dim)
-    new_idx = np.zeros(dim, dtype=np.int64)
+    idx = np.arange(2**n)
+    p = np.zeros(idx.size, dtype=np.int64)
     for k, s in enumerate(order):
-        bit = (idx >> (n - 1 - s)) & 1
-        new_idx |= bit << (n - 1 - k)
-    P = np.zeros((dim, dim), dtype=complex)
-    P[new_idx, idx] = 1.0
-    return P
+        p |= ((idx >> (n - 1 - k)) & 1) << (n - 1 - s)
+    return p

@@ -2,9 +2,12 @@
 
 The auxiliary register is a copy of the slow region A with trivial
 Hamiltonian.  The swap coupling exchanges the two A registers and leaves B
-alone; with the Metropolis weight its generator has a fully closed form in
-the labeled product basis |i_A j_B m_A>, in terms of the swap frequencies
-omega (``JointStructure.swap_frequencies``):
+alone.  Everything on the joint space is labeled by the commuting-cut
+product basis |i_A j_B m_A>, which ``joint_structure`` computes once per
+system; every function here that reads those labels takes the caller's
+``JointStructure``.  With the Metropolis weight the swap generator has a
+fully closed form in that basis, in terms of the swap frequencies omega
+(``JointStructure.swap_frequencies``):
 
   * sandwich coefficients alpha(w1, w2) of the Metropolis weight
     (``lindblad.alpha_coeff``),
@@ -12,15 +15,17 @@ omega (``JointStructure.swap_frequencies``):
   * no coherent term.
 
 That route is cross-validated against the generic construction of
-``build_ckg_generator`` applied to the swap unitary, assembled in the same
-labeled basis (``swap_generator_generic``).
+``build_ckg_generator`` applied to the swap unitary, assembled from the
+labeled eigensystem of H (x) I + I (``swap_generator_generic``).
 
 The local_A joint generator is assembled in the same labeled basis: the
-system piece is built directly in the system factor of that basis, which
-diagonalizes H, the auxiliary piece in the A-side eigenbasis, and the
-sparse pieces are summed through ``lift``, a ``scipy.sparse.kron`` with the
-identity of the other factor.  The joint Gibbs state is diagonal there
-(``joint_gibbs``), so its KMS symmetrization is a diagonal scaling.
+system piece is built from the eigensystem of H in the system factor of that
+basis, the auxiliary piece in the A-side eigenbasis, and the sparse pieces
+are summed through ``lift``, a ``scipy.sparse.kron`` with the identity of
+the other factor.  The joint Gibbs state is diagonal there
+(``joint_gibbs``), so KMS products on the joint space are Euclidean products
+of vectors scaled by ``spectral.kms_scaling``; the sector analyses take
+theirs from ``spectral.symmetrize`` that way.
 """
 
 from dataclasses import dataclass
@@ -28,22 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .hamiltonians import (
-    ABasis,
-    a_side_eigenbasis,
-    assemble_dense,
-    b_side_eigenbasis,
-    check_commuting_cut,
-    CutReport,
-)
+from .hamiltonians import CutReport, assemble_dense, check_commuting_cut, simultaneous_eigenbasis
 from .lindblad import (
     Superoperator,
     WeightFunction,
     alpha_coeff,
     build_ckg_generator,
     diagonal_gibbs_state,
-    eigensystem,
     eigensystem_from_pairs,
+    vec,
 )
 from .pauli import qubit_permutation, single_site_paulis
 from .spectral import block_eigvalsh, kms_scaling, symmetrize
@@ -79,13 +77,22 @@ def local_swap_unitary(d_a, d_b):
 
 @dataclass
 class JointStructure:
-    """Labeled product-basis data for the joint (system, auxiliary-A) space."""
+    """Labeled product-basis data for the joint (system, auxiliary-A) space.
+
+    ``perm`` is the index array of the A-first site order
+    (``pauli.qubit_permutation``).  ``basis_a`` is the shared eigenbasis of
+    the A-side family {H_A} u {V_A}.  ``system_basis`` holds the |i_A j_B>
+    vectors in the original site ordering; they diagonalize H with the
+    eigenvalues ``lam2``.  ``joint_basis`` holds the |i_A j_B m_A> vectors in
+    the original joint ordering.
+    """
 
     cut: CutReport
-    basis_a: ABasis
-    basis_b: ABasis
+    basis_a: np.ndarray
     lam2: np.ndarray  # (d_a, d_b) eigenvalues of H in the |i_A j_B> labels
-    perm: np.ndarray  # system-site permutation matrix (A-first)
+    perm: np.ndarray
+    system_basis: np.ndarray
+    joint_basis: np.ndarray
     n: int
 
     @property
@@ -97,16 +104,12 @@ class JointStructure:
         return self.cut.d_b
 
     @property
+    def n_a(self):
+        return self.d_a.bit_length() - 1
+
+    @property
     def joint_dim(self):
         return self.d_a * self.d_b * self.d_a
-
-    def system_basis(self):
-        """Columns are the |i_A j_B> vectors in the original site ordering; they diagonalize H."""
-        return self.perm.conj().T @ np.kron(self.basis_a.vectors, self.basis_b.vectors)
-
-    def labeled_to_original(self):
-        """Columns are the |i_A j_B m_A> vectors in the original joint ordering."""
-        return np.kron(self.system_basis(), self.basis_a.vectors)
 
     def swap_frequencies(self):
         """omega[e(a,b,c)] = lam(c,b) - lam(a,b) over the labeled joint basis."""
@@ -118,22 +121,29 @@ class JointStructure:
 
 
 def joint_structure(spec) -> JointStructure:
-    """Commuting-cut labels for the joint space; errors if the cut fails."""
+    """Commuting-cut labels for the joint space; errors if the cut fails.
+
+    The A-side and B-side families are diagonalized by
+    ``simultaneous_eigenbasis`` (seeds 7 and 11); their product must
+    diagonalize H in the A-first ordering.
+    """
     cut = check_commuting_cut(spec)
     if not cut.holds:
         raise ValueError("commuting cut does not hold; local swap labeling unavailable")
-    basis_a = a_side_eigenbasis(cut)
-    basis_b = b_side_eigenbasis(cut)
-    P = qubit_permutation(spec.n, list(cut.perm_order))
-    H_perm = P @ assemble_dense(spec) @ P.conj().T
-    W = np.kron(basis_a.vectors, basis_b.vectors)
-    Hw = W.conj().T @ H_perm @ W
+    basis_a, _ = simultaneous_eigenbasis([cut.h_a] + [va for va, _ in cut.interaction], seed=7)
+    basis_b, _ = simultaneous_eigenbasis([cut.h_b] + [vb for _, vb in cut.interaction], seed=11)
+    p = qubit_permutation(spec.n, cut.perm_order)
+    W = np.kron(basis_a, basis_b)
+    Hw = W.conj().T @ assemble_dense(spec)[np.ix_(p, p)] @ W
     off = Hw - np.diag(np.diag(Hw))
     if np.linalg.norm(off) > 1e-10 * max(1.0, np.linalg.norm(Hw)):
         raise ValueError("product labeling failed to diagonalize H")
     lam2 = np.real(np.diag(Hw)).reshape(cut.d_a, cut.d_b)
-    return JointStructure(cut=cut, basis_a=basis_a, basis_b=basis_b, lam2=lam2,
-                          perm=P, n=spec.n)
+    system_basis = np.empty_like(W)
+    system_basis[p] = W  # P^dag W: the labels in the original site ordering
+    return JointStructure(cut=cut, basis_a=basis_a, lam2=lam2, perm=p,
+                          system_basis=system_basis,
+                          joint_basis=np.kron(system_basis, basis_a), n=spec.n)
 
 
 def _swap_superop_labeled(js: JointStructure, beta):
@@ -153,27 +163,30 @@ def _swap_superop_labeled(js: JointStructure, beta):
     return sparse.coo_array((vals, (np.concatenate([r, r]), cols)), shape=(d * d, d * d)).tocsr()
 
 
-def swap_generator_closed_form(spec, beta, js: JointStructure | None = None) -> Superoperator:
-    """Closed-form swap generator on the joint space.
+def swap_generator_closed_form(js: JointStructure, beta) -> Superoperator:
+    """Closed-form swap generator on the joint space of ``js``.
 
     Acts on C^{2^n} (x) C^{d_A} in the original site ordering and is stored in
     the labeled |i_A j_B m_A> basis it is assembled in; dissipative only (the
-    coherent part vanishes identically for the swap coupling).  ``js`` is the
-    precomputed joint_structure(spec), if any.
+    coherent part vanishes identically for the swap coupling).
     """
-    if js is None:
-        js = joint_structure(spec)
-    return Superoperator(_swap_superop_labeled(js, beta), basis=js.labeled_to_original())
+    return Superoperator(_swap_superop_labeled(js, beta), basis=js.joint_basis)
 
 
 def swap_unitary_original(js: JointStructure):
-    """The local swap in the original joint ordering (basis independent)."""
+    """The local swap in the original joint ordering (basis independent).
+
+    P_J^dag U P_J for the site reordering P_J = P (x) I_A, i.e. the entries
+    of U scattered to the rows and columns p_J.
+    """
+    pj = (js.perm[:, None] * js.d_a + np.arange(js.d_a)).reshape(-1)
     U = local_swap_unitary(js.d_a, js.d_b)
-    P_joint = np.kron(js.perm, np.eye(js.d_a))
-    return P_joint.conj().T @ U @ P_joint
+    out = np.empty_like(U)
+    out[np.ix_(pj, pj)] = U
+    return out
 
 
-def swap_generator_generic(spec, beta, js: JointStructure | None = None) -> Superoperator:
+def swap_generator_generic(js: JointStructure, beta) -> Superoperator:
     """Swap generator via the generic construction; cross-validates the closed form.
 
     ``build_ckg_generator`` is applied to the swap unitary in the original
@@ -182,15 +195,9 @@ def swap_generator_generic(spec, beta, js: JointStructure | None = None) -> Supe
     checks for H).  The generator does not depend on the eigenbasis chosen
     inside a degenerate eigenspace, so the result is stored in the same basis
     as ``swap_generator_closed_form`` and the two compare entry by entry.
-    ``js`` is the precomputed joint_structure(spec), if any.
     """
-    if js is None:
-        js = joint_structure(spec)
-    H_joint = joint_hamiltonian(spec, SwapMode("local_A"))
-    es = eigensystem_from_pairs(np.repeat(js.lam2.reshape(-1), js.d_a) + 1.0,
-                                js.labeled_to_original())
-    return build_ckg_generator(H_joint, [swap_unitary_original(js)],
-                               WeightFunction("metropolis", beta), es=es)
+    es = eigensystem_from_pairs(np.repeat(js.lam2.reshape(-1), js.d_a) + 1.0, js.joint_basis)
+    return build_ckg_generator(es, [swap_unitary_original(js)], WeightFunction("metropolis", beta))
 
 
 def lift(M, dims, factor):
@@ -209,88 +216,58 @@ def lift(M, dims, factor):
     return sparse.coo_array((K.data, (joint[K.row], joint[K.col])), shape=K.shape).tocsr()
 
 
-def joint_hamiltonian(spec, mode: SwapMode):
-    """Joint-space Hamiltonian whose Gibbs state is the generator's fixed point."""
-    H = assemble_dense(spec)
-    if mode.kind == "local_A":
-        d_a = 2 ** len(spec.partition[0])
-        return np.kron(H, np.eye(d_a)) + np.eye(H.shape[0] * d_a)
-    if mode.kind == "global":
-        raise ValueError("global mode mixes two temperatures; use the explicit pieces")
-    return H
-
-
 def check_global_size(n):
     """Raise ValueError when the global two-replica generator on n sites is too large to build."""
     if n > 4:
         raise ValueError("global swap gated at n <= 4")
 
 
-def build_replica_exchange_generator(spec, beta, w1: WeightFunction, w2: WeightFunction,
-                                     mode: SwapMode, js: JointStructure | None = None
-                                     ) -> Superoperator:
+def build_replica_exchange_generator(structure, beta, w1: WeightFunction, w2: WeightFunction,
+                                     mode: SwapMode) -> Superoperator:
     """Joint generator L1 (x) Id + Id (x) L2 + L_swap on observables.
+
+    ``structure`` is what the generator is built from: the caller's
+    JointStructure of the system for local_A, the Eigensystem of its
+    Hamiltonian for global and none (which returns the single-system
+    generator).
 
     local_A: system couplings are all single-site Paulis, the auxiliary is a
     trivial-Hamiltonian copy of A with its own single-site Paulis, and the
     swap exchanges the A registers (closed form).  The three pieces are
     assembled in the labeled |i_A j_B m_A> basis, where H and the joint Gibbs
-    state are diagonal, and the result is stored there.  ``js`` is the
-    precomputed joint_structure(spec), if any.
+    state are diagonal, and the result is stored there.
 
     global: two full replicas, stored in the product U (x) U of the energy
     eigenbasis, which diagonalizes both replicas and the swap Hamiltonian.
     """
-    H = assemble_dense(spec)
-    d_n = H.shape[0]
-    if mode.kind == "none":
-        return build_ckg_generator(H, single_site_paulis(spec.n), w1)
     if mode.kind == "local_A":
-        if spec.partition is None:
-            raise ValueError("local_A mode needs a partition")
-        if js is None:
-            js = joint_structure(spec)
-        n_a = len(spec.partition[0])
-        es1 = eigensystem_from_pairs(js.lam2.reshape(-1), js.system_basis())
-        L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1, es=es1)
-        es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a.vectors)
-        L2 = build_ckg_generator(np.eye(js.d_a), single_site_paulis(n_a), w2, es=es2)
+        js = structure
+        d_n = js.d_a * js.d_b
+        es1 = eigensystem_from_pairs(js.lam2.reshape(-1), js.system_basis)
+        L1 = build_ckg_generator(es1, single_site_paulis(js.n), w1)
+        es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a)
+        L2 = build_ckg_generator(es2, single_site_paulis(js.n_a), w2)
         M = (_swap_superop_labeled(js, beta) + lift(L1.local, (d_n, js.d_a), 0)
              + lift(L2.local, (d_n, js.d_a), 1))
-        return Superoperator(M, basis=js.labeled_to_original())
+        return Superoperator(M, basis=js.joint_basis)
+    es = structure
+    n, d_n = es.dim.bit_length() - 1, es.dim
+    if mode.kind == "none":
+        return build_ckg_generator(es, single_site_paulis(n), w1)
     # global: two full replicas at (beta, beta2), global swap, general form
-    check_global_size(spec.n)
+    check_global_size(n)
     beta2 = mode.beta2 if mode.beta2 is not None else beta
-    es = eigensystem(H)
-    L1 = build_ckg_generator(H, single_site_paulis(spec.n), w1, es=es)
-    L2 = build_ckg_generator(H, single_site_paulis(spec.n), WeightFunction(w2.kind, beta2), es=es)
-    # swap piece: Hamiltonian beta1 H (x) I + beta2 I (x) H at unit temperature
-    H_swap = beta * np.kron(H, np.eye(d_n)) + beta2 * np.kron(np.eye(d_n), H)
+    L1 = build_ckg_generator(es, single_site_paulis(n), w1)
+    L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w2.kind, beta2))
+    # swap piece: Hamiltonian beta1 H (x) I + beta2 I (x) H at unit temperature,
+    # diagonal in U (x) U
     lam = es.eigenvalues
     U2 = np.kron(es.eigenvectors, es.eigenvectors)
     es_swap = eigensystem_from_pairs((beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1), U2)
     swap = local_swap_unitary(d_n, 1)
-    M = (build_ckg_generator(H_swap, [swap], WeightFunction("metropolis", 1.0), es=es_swap).local
+    M = (build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).local
          + lift(L1.local, (d_n, d_n), 0) + lift(L2.local, (d_n, d_n), 1))
     return Superoperator(M, basis=U2)
-
-
-def _labeled_sigma_weights(js: JointStructure, beta):
-    """Diagonal of the joint Gibbs state in the labeled basis: s(a,b)/d_a."""
-    lam = js.lam2
-    w = np.exp(-beta * (lam - lam.min()))
-    w /= w.sum()
-    s3 = np.repeat(w.reshape(-1), js.d_a) / js.d_a
-    return w, s3
-
-
-def _kms_diag(Xv, Yv, s3):
-    """KMS inner product for vectorized operators when sigma is diagonal."""
-    d = s3.size
-    X = Xv.reshape(d, d, order="F")
-    Y = Yv.reshape(d, d, order="F")
-    r = np.sqrt(s3)
-    return complex(np.einsum("i,ij,j,ij->", r, X.conj(), r, Y))
 
 
 def _random_off_a(rng, d_a, d_b, b_part):
@@ -308,7 +285,29 @@ def _random_off_a(rng, d_a, d_b, b_part):
     return np.kron((T * mask).reshape(d_a * d_b, d_a * d_b), np.eye(d_a))
 
 
-def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
+def _sector_basis(js: JointStructure, phi):
+    """Orthonormal basis of Phi(K (x) I_A) in vec coordinates of the labeled basis, as CSC.
+
+    Columns: Phi of |i><i| (x) I_B (x) I_A for each i, then of
+    |i><i'| (x) |b><v| (x) I_A for i != i' and all b, v.  Each has entries
+    phi[r] at the vec indices r = e + D*e' of its (row e, column e') pairs.
+    The supports are disjoint, so normalizing each column makes the basis
+    orthonormal.
+    """
+    d_a, D = js.d_a, js.joint_dim
+    e = np.arange(D).reshape(d_a, js.d_b, d_a)  # labeled joint index e(a, b, c)
+    diag = (e * (D + 1)).reshape(d_a, -1)
+    off = e[:, None, :, None, :] + D * e[None, :, None, :, :]  # [i, i', b, v, c]
+    off = off[~np.eye(d_a, dtype=bool)].reshape(-1, d_a)
+    rows = np.concatenate([diag.ravel(), off.ravel()])
+    cols = np.concatenate([np.repeat(np.arange(d_a), diag.shape[1]),
+                           d_a + np.repeat(np.arange(off.shape[0]), d_a)])
+    vals = phi[rows]
+    norm = np.sqrt(np.bincount(cols, vals**2))
+    return sparse.csc_array((vals / norm[cols], (rows, cols)), shape=(D * D, norm.size))
+
+
+def swap_only_kernel_analysis(js: JointStructure, beta, seed=42, n_random=10):
     """Kernel of the swap generator restricted to the K (x) I_A sector.
 
     K is the joint kernel of the A-diagonal-restricted system generator and
@@ -316,38 +315,11 @@ def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
     A-off-diagonal blocks.  Also verifies the vanishing cross terms between
     the diagonal and off-diagonal sectors.
     """
-    js = joint_structure(spec)
     d_a, d_b = js.d_a, js.d_b
-    S = swap_generator_closed_form(spec, beta, js=js)
-    sigma = joint_gibbs(spec, beta, js=js)
-    M, s3 = S.local, sigma.weights
-    Lhat = symmetrize(S, sigma)
-    phi = kms_scaling(sigma)
-
-    def e_op(mat):
-        return mat.reshape(-1, order="F")
-
-    basis_vecs = []
-    eye_b = np.eye(d_b)
-    eye_a = np.eye(d_a)
-    for i in range(d_a):
-        proj = np.zeros((d_a, d_a))
-        proj[i, i] = 1.0
-        basis_vecs.append(e_op(np.kron(np.kron(proj, eye_b), eye_a)))
-    for i in range(d_a):
-        for ip in range(d_a):
-            if i == ip:
-                continue
-            eij = np.zeros((d_a, d_a))
-            eij[i, ip] = 1.0
-            for b in range(d_b):
-                for v in range(d_b):
-                    unit_b = np.zeros((d_b, d_b))
-                    unit_b[b, v] = 1.0
-                    basis_vecs.append(e_op(np.kron(np.kron(eij, unit_b), eye_a)))
-    C = np.stack([phi * v for v in basis_vecs], axis=1)
-    Q, _ = np.linalg.qr(C)
-    R = -(Q.conj().T @ (Lhat @ Q))
+    sigma = joint_gibbs(js, beta)
+    Lhat, phi = symmetrize(swap_generator_closed_form(js, beta), sigma), kms_scaling(sigma)
+    Q = _sector_basis(js, phi)
+    R = -(Q.T @ (Lhat @ Q)).toarray()
     evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
     scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
     kernel_dim = int(np.sum(evals <= 1e-9 * scale))
@@ -356,6 +328,7 @@ def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
     rng = np.random.default_rng(seed)
     worst = {"diagA_vs_offA": 0.0, "offA_vs_diagA": 0.0,
              "offdiagB_vs_offoffB": 0.0, "offoffB_vs_offdiagB": 0.0}
+    eye_b, eye_a = np.eye(d_b), np.eye(d_a)
     for _ in range(n_random):
         Xd = np.kron(np.kron(np.diag(rng.standard_normal(d_a)), eye_b), eye_a)
         Xo = _random_off_a(rng, d_a, d_b, "any")
@@ -367,42 +340,37 @@ def swap_only_kernel_analysis(spec, beta, seed=42, n_random=10):
             "offoffB_vs_offdiagB": (Xoo, Xod),
         }
         for key, (Xl, Xr) in pairs.items():
-            lv, rv = e_op(Xl), M @ e_op(Xr)
-            val = abs(_kms_diag(lv, rv, s3))
-            norm = np.sqrt(abs(_kms_diag(e_op(Xl), e_op(Xl), s3))) * max(
-                np.sqrt(abs(_kms_diag(e_op(Xr), e_op(Xr), s3))), 1e-300
-            )
-            worst[key] = max(worst[key], val / max(norm * scale, 1e-300))
+            # <Xl, L(Xr)>_sigma = xl^dag L_hat xr and <X, X>_sigma = |x|^2
+            xl, xr = phi * vec(Xl), phi * vec(Xr)
+            norm = np.linalg.norm(xl) * max(np.linalg.norm(xr), 1e-300)
+            worst[key] = max(worst[key], abs(np.vdot(xl, Lhat @ xr)) / max(norm * scale, 1e-300))
 
     return {
         "restricted_kernel_dim": kernel_dim,
         "restricted_evals_head": [float(v) for v in evals[:5]],
         "cross_term_residuals": worst,
-        "sector_dim": len(basis_vecs),
+        "sector_dim": Q.shape[1],
     }
 
 
-def swap_sector_lower_bounds(spec, beta, seed=42, n_random=20):
+def swap_sector_lower_bounds(js: JointStructure, beta, seed=42, n_random=20):
     """Measured Rayleigh quotients of -L_swap on the three kernel sectors.
 
     Returns the per-sector minima together with the conservative theorem-style
     threshold min over sectors >= 1 / (4 d_A exp(4 beta K V_max)).
     """
-    js = joint_structure(spec)
     d_a, d_b = js.d_a, js.d_b
-    M = _swap_superop_labeled(js, beta)
-    w2, s3 = _labeled_sigma_weights(js, beta)
+    sigma = joint_gibbs(js, beta)
+    Lhat, phi = symmetrize(swap_generator_closed_form(js, beta), sigma), kms_scaling(sigma)
     rng = np.random.default_rng(seed)
     eye_b, eye_a = np.eye(d_b), np.eye(d_a)
 
     def quotient(X):
-        Xv = X.reshape(-1, order="F")
-        num = -_kms_diag(Xv, M @ Xv, s3).real
-        den = _kms_diag(Xv, Xv, s3).real
-        return num / den
+        x = phi * vec(X)
+        return -np.vdot(x, Lhat @ x).real / np.vdot(x, x).real
 
     mins = {"diag_A": np.inf, "offA_diagB": np.inf, "offA_offB": np.inf}
-    marg = w2.sum(axis=1)  # A-marginal of the Gibbs weights
+    marg = sigma.weights.reshape(d_a, -1).sum(axis=1)  # A-marginal of the Gibbs weights
     for _ in range(n_random):
         a = rng.standard_normal(d_a)
         a -= np.dot(marg, a) / marg.sum()  # sigma-orthogonal to the identity
@@ -417,15 +385,15 @@ def swap_sector_lower_bounds(spec, beta, seed=42, n_random=20):
             "threshold": float(threshold)}
 
 
-def joint_gibbs(spec, beta, js: JointStructure | None = None):
+def joint_gibbs(js: JointStructure, beta):
     """Gibbs state of the local_A joint Hamiltonian (sigma_H (x) I_A / d_A).
 
     Built diagonal in the labeled |i_A j_B m_A> basis from the commuting-cut
-    eigenvalues; ``js`` is the precomputed joint_structure(spec), if any.
+    eigenvalues: weight s(a, b) / d_A at e(a, b, c).
     """
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be finite and non-negative")
-    if js is None:
-        js = joint_structure(spec)
-    _, s3 = _labeled_sigma_weights(js, beta)
-    return diagonal_gibbs_state(s3, js.labeled_to_original(), beta)
+    lam = js.lam2
+    w = np.exp(-beta * (lam - lam.min()))
+    w /= w.sum()
+    return diagonal_gibbs_state(np.repeat(w.reshape(-1), js.d_a) / js.d_a, js.joint_basis, beta)

@@ -32,7 +32,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .hamiltonians import assemble_dense
 from .lindblad import (
     Superoperator,
     WeightFunction,
@@ -299,26 +298,19 @@ def gap_composition_suite(seed=42, n_instances=200, dim=6):
     return {"cases": cases, "passed": all(c["violations"] == 0 for c in cases.values())}
 
 
-def a_diagonal_restriction_gap(spec, beta, w: WeightFunction, js=None):
+def a_diagonal_restriction_gap(js, beta, w: WeightFunction):
     """g_B: gap of the B-site generator restricted to the A-diagonal sector.
 
     Zeroing the A-off-diagonal sector block-diagonalizes the generator over
     the A labels, so this equals min_i Gap of the pinned generators, the g_B
     of the main theorem.  The generator is built in the product labels
-    |i_A j_B> of the commuting cut, which diagonalize H, so L_hat is a sparse
-    scaling and the A-diagonal rows and columns are gathered from it
-    directly.  ``js`` is the replica.JointStructure of spec, computed here
-    when not given.
+    |i_A j_B> of the caller's replica.JointStructure ``js``, which
+    diagonalize H, so L_hat is a sparse scaling and the A-diagonal rows and
+    columns are gathered from it directly.
     """
-    if js is None:
-        from .replica import joint_structure  # replica imports this module
-
-        js = joint_structure(spec)
-    n_a = len(spec.partition[0])
-    es = eigensystem_from_pairs(js.lam2.reshape(-1), js.system_basis())
-    couplings = single_site_paulis(spec.n, sites=js.cut.perm_order[n_a:])
-    L = build_ckg_generator(assemble_dense(spec), couplings, w, es=es)
-    Lhat = symmetrize(L, gibbs_state(es, beta))
+    es = eigensystem_from_pairs(js.lam2.reshape(-1), js.system_basis)
+    couplings = single_site_paulis(js.n, sites=js.cut.perm_order[js.n_a:])
+    Lhat = symmetrize(build_ckg_generator(es, couplings, w), gibbs_state(es, beta))
     d = es.dim
     a_label = np.arange(d) // js.d_b  # A label of each stored basis index
     r = np.arange(d * d)  # vec index r = i + d*j

@@ -90,7 +90,7 @@ def run_verification(seed=42, beta=1.0):
     worst_fp = 0.0
     worst_tr = 0.0
     for w in (gm, gg):
-        L = build_ckg_generator(assemble_dense(spec3), single_site_paulis(3), w, es=es3)
+        L = build_ckg_generator(es3, single_site_paulis(3), w)
         worst_fp = max(worst_fp, trace_norm(L.apply_adjoint(sg3.sigma)))
         R = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         rho = R @ R.conj().T
@@ -110,7 +110,7 @@ def run_verification(seed=42, beta=1.0):
         psd_ok &= ev >= -1e-10
     results.append(_check("lindblad.alpha_gram_psd", psd_ok, f"min eigenvalue {min_ev:.2e}"))
 
-    L_m = build_ckg_generator(assemble_dense(spec3), single_site_paulis(3), gm, es=es3)
+    L_m = build_ckg_generator(es3, single_site_paulis(3), gm)
     Lhat = symmetrize(L_m, sg3).toarray()
     evals = np.linalg.eigvalsh(-Lhat)
     results.append(_check("lindblad.negativity", evals.min() >= -1e-9 * np.abs(evals).max(),
@@ -144,8 +144,8 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("replica.erfc_mean_bound", erfc_ok, "50x50 grid"))
 
     js3 = joint_structure(spec3)
-    swap_closed = swap_generator_closed_form(spec3, beta, js=js3)
-    swap_generic = swap_generator_generic(spec3, beta, js=js3)
+    swap_closed = swap_generator_closed_form(js3, beta)
+    swap_generic = swap_generator_generic(js3, beta)
     # both are stored in the labeled basis, so their sparse matrices compare directly
     same_basis = np.array_equal(swap_closed.basis, swap_generic.basis)
     rel = (spectral_norm(swap_closed.local - swap_generic.local)
@@ -153,22 +153,22 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("replica.closed_vs_generic", same_basis and rel <= 1e-9,
                           f"rel diff {rel:.2e}"))
 
-    sgj = joint_gibbs(spec3, beta, js=js3)
+    sgj = joint_gibbs(js3, beta)
     norm = kms_operator_norm(swap_closed, sgj)
     results.append(_check("replica.swap_norm_le_3", norm <= 3.0 + 1e-6, f"norm {norm:.6f}"))
 
-    sector = swap_sector_lower_bounds(spec3, beta, seed=seed)
+    sector = swap_sector_lower_bounds(js3, beta, seed=seed)
     sec_ok = all(v >= sector["threshold"] for v in sector["sector_minima"].values())
     results.append(_check("replica.sector_lower_bounds", sec_ok,
                           f"minima {sector['sector_minima']} >= {sector['threshold']:.2e}"))
 
-    kern = swap_only_kernel_analysis(spec3, beta, seed=seed)
+    kern = swap_only_kernel_analysis(js3, beta, seed=seed)
     cross_ok = all(vv < 1e-10 for vv in kern["cross_term_residuals"].values())
     results.append(_check("replica.swap_kernel_sector",
                           kern["restricted_kernel_dim"] == 1 and cross_ok,
                           f"dim {kern['restricted_kernel_dim']}, cross {kern['cross_term_residuals']}"))
 
-    L_re = build_replica_exchange_generator(spec3, beta, gg, gg, SwapMode("local_A"), js=js3)
+    L_re = build_replica_exchange_generator(js3, beta, gg, gg, SwapMode("local_A"))
     rep_re = spectral_gap(L_re, sgj)
     results.append(_check("replica.joint_kernel_dim", rep_re.kernel_dim == 1,
                           f"dim {rep_re.kernel_dim}"))
@@ -199,9 +199,8 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("mixing.trace_distance_monotone", mono, "11-point grid"))
 
     spec2 = defected_ising_1d(3, 1.0)
-    H2 = assemble_dense(spec2)
-    es2 = eigensystem(H2)
-    L2 = build_ckg_generator(H2, single_site_paulis(3), gm, es=es2)
+    es2 = eigensystem(assemble_dense(spec2))
+    L2 = build_ckg_generator(es2, single_site_paulis(3), gm)
     sg2 = gibbs_state(es2, beta)
     gap2 = spectral_gap(L2, sg2).gap
     rate = chi_square_rate_fit(L2, sg2)

@@ -6,7 +6,19 @@ as test oracles only:
 * ``partial_lindbladian_check`` builds one pinned-A generator per
   A-eigenvector from the compressed Hamiltonian <i_A|H|i_A> and checks its
   factorization and fixed point; the smallest of their gaps is g_B, which
-  ``qrex.spectral.a_diagonal_restriction_gap`` reads off one generator.
+  ``qrex.spectral.a_diagonal_restriction_gap`` reads off one generator.  It
+  reorders the sites with its own dense permutation matrix
+  (``qubit_permutation_matrix``), where the library gathers by the index
+  array of ``qrex.pauli.qubit_permutation``.
+* ``joint_hamiltonian`` forms H (x) I + I on the joint space, whose Gibbs
+  state the library builds diagonal in the labeled basis
+  (``qrex.replica.joint_gibbs``).
+* ``swap_only_kernel_analysis`` and ``swap_sector_lower_bounds`` are the
+  sector analyses of ``qrex.replica`` the direct way: the KMS inner product
+  summed from the joint Gibbs weights (``kms_diag``), the K (x) I_A sector
+  basis from nested Kronecker products and orthonormalized by QR.  The
+  library scatters that basis at its vec indices and takes its KMS products
+  from ``symmetrize``.
 * ``detailed_balance_residual`` probes KMS self-adjointness with random
   operator pairs; the library's detailed-balance check is the Hermiticity
   residual of L_hat in ``qrex.spectral.symmetrize``.
@@ -51,13 +63,44 @@ from qrex.lindblad import (
 )
 from qrex.mixing import BISECTION_RTOL, _gap_and_mode
 from qrex.pauli import PAULIS, single_site_paulis
-from qrex.replica import joint_structure
-from qrex.spectral import spectral_gap
+from qrex.replica import (
+    _random_off_a,
+    _swap_superop_labeled,
+    joint_gibbs,
+    joint_structure,
+    swap_generator_closed_form,
+)
+from qrex.spectral import block_eigvalsh, kms_scaling, spectral_gap, symmetrize
 
 
 def sigma_power(sigma, p):
     """sigma^p as a dense matrix: U diag(weights^p) U^dag."""
     return (sigma.basis * sigma.weights**p) @ sigma.basis.conj().T
+
+
+def qubit_permutation_matrix(n, order):
+    """Permutation matrix P so that P H P^dag has factor k = old site order[k].
+
+    ``order`` must be a permutation of range(n).
+    """
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of range(n)")
+    dim = 2**n
+    idx = np.arange(dim)
+    new_idx = np.zeros(dim, dtype=np.int64)
+    for k, s in enumerate(order):
+        bit = (idx >> (n - 1 - s)) & 1
+        new_idx |= bit << (n - 1 - k)
+    P = np.zeros((dim, dim), dtype=complex)
+    P[new_idx, idx] = 1.0
+    return P
+
+
+def joint_hamiltonian(spec):
+    """H (x) I_A + I on the local_A joint space: its Gibbs state is the joint generator's fixed point."""
+    H = assemble_dense(spec)
+    d_a = 2 ** len(spec.partition[0])
+    return np.kron(H, np.eye(d_a)) + np.eye(H.shape[0] * d_a)
 
 
 def _b_position_couplings(n_a, n_b):
@@ -72,31 +115,35 @@ def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=7
     factor through the compressed Hamiltonian <i_A|H|i_A>, its fixed point
     must match the compressed Gibbs state, and the per-block gaps give g_B.
     ``js`` is the replica.JointStructure of spec, computed here when not
-    given; it supplies the A-side eigenbasis and the site permutation.
+    given; it supplies the product labels, which this carries into the
+    A-first ordering with its own permutation matrix.
     """
     if js is None:
         js = joint_structure(spec)
-    basis, P = js.basis_a, js.perm
+    basis = js.basis_a
     n = spec.n
     n_a = len(spec.partition[0])
     n_b = n - n_a
     d_a, d_b = 2**n_a, 2**n_b
+    P = qubit_permutation_matrix(n, list(js.cut.perm_order))
     H_perm = P @ assemble_dense(spec) @ P.conj().T
     # H_perm is diagonal in the product labels |i_A j_B> with eigenvalues lam2
-    lam, W = js.lam2.reshape(-1), np.kron(basis.vectors, js.basis_b.vectors)
+    lam, W = js.lam2.reshape(-1), P @ js.system_basis
+    if np.linalg.norm(W.conj().T @ H_perm @ W - np.diag(lam)) > 1e-10 * max(1.0, abs(lam).max()):
+        raise ValueError("the labels do not diagonalize H in the A-first ordering")
     es_full = eigensystem_from_pairs(lam, W)
-    L_b = build_ckg_generator(H_perm, _b_position_couplings(n_a, n_b), w, es=es_full)
+    L_b = build_ckg_generator(es_full, _b_position_couplings(n_a, n_b), w)
     # unnormalized exp(-beta H) for the compressed-Gibbs comparison
     expH = (W * np.exp(-beta * (lam - lam.min()))) @ W.conj().T
 
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(d_a):
-        v = basis.vectors[:, i]
+        v = basis[:, i]
         proj = np.outer(v, v.conj())
         H_i = compress_onto(H_perm, v, ((tuple(range(n_a))), tuple(range(n_a, n))), n)
         es_i = eigensystem(H_i)
-        L_i = build_ckg_generator(H_i, single_site_paulis(n_b), w, es=es_i)
+        L_i = build_ckg_generator(es_i, single_site_paulis(n_b), w)
         resid = 0.0
         for _ in range(n_random):
             O = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
@@ -123,6 +170,120 @@ def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=7
         "max_factorization_residual": max(r["factorization_residual"] for r in rows),
         "max_fixed_point_mismatch": max(r["fixed_point_mismatch"] for r in rows),
     }
+
+
+def labeled_sigma_weights(js, beta):
+    """Diagonal of the joint Gibbs state in the labeled basis: s(a,b)/d_a."""
+    lam = js.lam2
+    w = np.exp(-beta * (lam - lam.min()))
+    w /= w.sum()
+    s3 = np.repeat(w.reshape(-1), js.d_a) / js.d_a
+    return w, s3
+
+
+def kms_diag(Xv, Yv, s3):
+    """KMS inner product for vectorized operators when sigma is diagonal."""
+    d = s3.size
+    X = Xv.reshape(d, d, order="F")
+    Y = Yv.reshape(d, d, order="F")
+    r = np.sqrt(s3)
+    return complex(np.einsum("i,ij,j,ij->", r, X.conj(), r, Y))
+
+
+def swap_only_kernel_analysis(js, beta, seed=42, n_random=10):
+    """``qrex.replica.swap_only_kernel_analysis`` with a Kronecker-built, QR-orthonormalized sector basis."""
+    d_a, d_b = js.d_a, js.d_b
+    S = swap_generator_closed_form(js, beta)
+    sigma = joint_gibbs(js, beta)
+    M, s3 = S.local, sigma.weights
+    Lhat = symmetrize(S, sigma)
+    phi = kms_scaling(sigma)
+
+    def e_op(mat):
+        return mat.reshape(-1, order="F")
+
+    basis_vecs = []
+    eye_b = np.eye(d_b)
+    eye_a = np.eye(d_a)
+    for i in range(d_a):
+        proj = np.zeros((d_a, d_a))
+        proj[i, i] = 1.0
+        basis_vecs.append(e_op(np.kron(np.kron(proj, eye_b), eye_a)))
+    for i in range(d_a):
+        for ip in range(d_a):
+            if i == ip:
+                continue
+            eij = np.zeros((d_a, d_a))
+            eij[i, ip] = 1.0
+            for b in range(d_b):
+                for v in range(d_b):
+                    unit_b = np.zeros((d_b, d_b))
+                    unit_b[b, v] = 1.0
+                    basis_vecs.append(e_op(np.kron(np.kron(eij, unit_b), eye_a)))
+    C = np.stack([phi * v for v in basis_vecs], axis=1)
+    Q, _ = np.linalg.qr(C)
+    R = -(Q.conj().T @ (Lhat @ Q))
+    evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
+    scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
+    kernel_dim = int(np.sum(evals <= 1e-9 * scale))
+
+    rng = np.random.default_rng(seed)
+    worst = {"diagA_vs_offA": 0.0, "offA_vs_diagA": 0.0,
+             "offdiagB_vs_offoffB": 0.0, "offoffB_vs_offdiagB": 0.0}
+    for _ in range(n_random):
+        Xd = np.kron(np.kron(np.diag(rng.standard_normal(d_a)), eye_b), eye_a)
+        Xo = _random_off_a(rng, d_a, d_b, "any")
+        Xod, Xoo = _random_off_a(rng, d_a, d_b, "diag"), _random_off_a(rng, d_a, d_b, "off")
+        pairs = {
+            "diagA_vs_offA": (Xd, Xo),
+            "offA_vs_diagA": (Xo, Xd),
+            "offdiagB_vs_offoffB": (Xod, Xoo),
+            "offoffB_vs_offdiagB": (Xoo, Xod),
+        }
+        for key, (Xl, Xr) in pairs.items():
+            lv, rv = e_op(Xl), M @ e_op(Xr)
+            val = abs(kms_diag(lv, rv, s3))
+            norm = np.sqrt(abs(kms_diag(e_op(Xl), e_op(Xl), s3))) * max(
+                np.sqrt(abs(kms_diag(e_op(Xr), e_op(Xr), s3))), 1e-300
+            )
+            worst[key] = max(worst[key], val / max(norm * scale, 1e-300))
+
+    return {
+        "restricted_kernel_dim": kernel_dim,
+        "restricted_evals_head": [float(v) for v in evals[:5]],
+        "cross_term_residuals": worst,
+        "sector_dim": len(basis_vecs),
+    }
+
+
+def swap_sector_lower_bounds(js, beta, seed=42, n_random=20):
+    """``qrex.replica.swap_sector_lower_bounds`` with the KMS products summed from the Gibbs weights."""
+    d_a, d_b = js.d_a, js.d_b
+    M = _swap_superop_labeled(js, beta)
+    w2, s3 = labeled_sigma_weights(js, beta)
+    rng = np.random.default_rng(seed)
+    eye_b, eye_a = np.eye(d_b), np.eye(d_a)
+
+    def quotient(X):
+        Xv = X.reshape(-1, order="F")
+        num = -kms_diag(Xv, M @ Xv, s3).real
+        den = kms_diag(Xv, Xv, s3).real
+        return num / den
+
+    mins = {"diag_A": np.inf, "offA_diagB": np.inf, "offA_offB": np.inf}
+    marg = w2.sum(axis=1)  # A-marginal of the Gibbs weights
+    for _ in range(n_random):
+        a = rng.standard_normal(d_a)
+        a -= np.dot(marg, a) / marg.sum()  # sigma-orthogonal to the identity
+        X = np.kron(np.kron(np.diag(a), eye_b), eye_a)
+        mins["diag_A"] = min(mins["diag_A"], quotient(X))
+        mins["offA_diagB"] = min(mins["offA_diagB"],
+                                 quotient(_random_off_a(rng, d_a, d_b, "diag")))
+        mins["offA_offB"] = min(mins["offA_offB"], quotient(_random_off_a(rng, d_a, d_b, "off")))
+
+    threshold = 1.0 / (4.0 * d_a * np.exp(4.0 * beta * js.cut.k_count * js.cut.v_max))
+    return {"sector_minima": {k: float(v) for k, v in mins.items()},
+            "threshold": float(threshold)}
 
 
 def _superop_norm_estimate(M, iters=40, seed=123):

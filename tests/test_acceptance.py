@@ -75,7 +75,7 @@ def single_generator(J, w=GM, n=3):
     spec = defected_ising_1d(n, J)
     H = assemble_dense(spec)
     es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(n), w, es=es)
+    heis = build_ckg_generator(es, single_site_paulis(n), w)
     return heis, gibbs_state(es, w.beta)
 
 
@@ -116,8 +116,9 @@ def test_04_replica_exchange_acceleration():
     gaps_re, gaps_single, bounds_ok = {}, {}, True
     for J in (1.0, 2.0, 3.0, 4.0, 5.0):
         spec = defected_ising_1d(3, J)
-        heis = build_replica_exchange_generator(spec, BETA, GG, GG, SwapMode("local_A"))
-        sg = joint_gibbs(spec, BETA)
+        js = joint_structure(spec)
+        heis = build_replica_exchange_generator(js, BETA, GG, GG, SwapMode("local_A"))
+        sg = joint_gibbs(js, BETA)
         gaps_re[J] = spectral_gap(heis, sg).gap
         h1, sg1 = single_generator(J, GM)
         gaps_single[J] = spectral_gap(h1, sg1).gap
@@ -135,12 +136,12 @@ def test_04_replica_exchange_acceleration():
 
 def test_05_swap_generator_structure():
     spec = defected_ising_1d(3, 2.0)
-    closed = swap_generator_closed_form(spec, BETA)
-    generic = swap_generator_generic(spec, BETA)
-    rel = np.linalg.norm(closed.matrix - generic.matrix, 2) / np.linalg.norm(generic.matrix, 2)
-    sg = joint_gibbs(spec, BETA)
-    norm = kms_operator_norm(closed, sg)
     js = joint_structure(spec)
+    closed = swap_generator_closed_form(js, BETA)
+    generic = swap_generator_generic(js, BETA)
+    rel = np.linalg.norm(closed.matrix - generic.matrix, 2) / np.linalg.norm(generic.matrix, 2)
+    sg = joint_gibbs(js, BETA)
+    norm = kms_operator_norm(closed, sg)
     H_joint = np.kron(assemble_dense(spec), np.eye(js.d_a)) + np.eye(js.joint_dim)
     es = eigensystem(H_joint)
     G = coherent_term([jump_components(swap_unitary_original(js), es)], es, GM)
@@ -151,10 +152,10 @@ def test_05_swap_generator_structure():
 
 
 def test_06_kernel_characterization():
-    spec = defected_ising_1d(3, 3.0)
-    heis = build_replica_exchange_generator(spec, BETA, GG, GG, SwapMode("local_A"))
-    rep = spectral_gap(heis, joint_gibbs(spec, BETA))
-    kern = swap_only_kernel_analysis(spec, BETA)
+    js = joint_structure(defected_ising_1d(3, 3.0))
+    heis = build_replica_exchange_generator(js, BETA, GG, GG, SwapMode("local_A"))
+    rep = spectral_gap(heis, joint_gibbs(js, BETA))
+    kern = swap_only_kernel_analysis(js, BETA)
     cross_ok = all(v < 1e-10 for v in kern["cross_term_residuals"].values())
     announce(6, "kernel characterization",
              rep.kernel_dim == 1 and kern["restricted_kernel_dim"] == 1 and cross_ok,
@@ -180,7 +181,7 @@ def test_08_mixing_sandwich():
     spec = HamiltonianSpec(n=2, terms=(PauliTerm(-1.0, ((0, "Z"), (1, "Z"))),))
     H = assemble_dense(spec)
     es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(2), GM, es=es)
+    heis = build_ckg_generator(es, single_site_paulis(2), GM)
     sg = gibbs_state(es, BETA)
     rep = mixing_time_estimate(heis, sg, 1e-2)
     in_bracket = rep.t_lower <= rep.t_measured <= rep.t_upper

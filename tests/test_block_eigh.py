@@ -13,6 +13,7 @@ from qrex.replica import (
     SwapMode,
     build_replica_exchange_generator,
     joint_gibbs,
+    joint_structure,
     swap_generator_closed_form,
 )
 from qrex.spectral import block_eigh, block_eigvalsh, spectral_gap, spectral_norm, symmetrize
@@ -86,20 +87,22 @@ def test_ring_n5_lhat_block_count():
     # in symmetrize) fails here instead of making every eigensolve dense
     H = assemble_dense(defected_ising_1d(5, 3.0))
     es = eigensystem(H)
-    L = build_ckg_generator(H, single_site_paulis(5), GM, es=es)
+    L = build_ckg_generator(es, single_site_paulis(5), GM)
     assert block_counts(symmetrize(L, gibbs_state(es, 1.0))) == (243, 32)
 
 
 def test_closed_form_swap_block_count():
     spec = defected_ising_1d(3, 3.0)
-    S = swap_generator_closed_form(spec, 1.0)
-    assert block_counts(symmetrize(S, joint_gibbs(spec, 1.0))) == (544, 2)
+    js = joint_structure(spec)
+    S = swap_generator_closed_form(js, 1.0)
+    assert block_counts(symmetrize(S, joint_gibbs(js, 1.0))) == (544, 2)
 
 
 def test_labeled_joint_block_count():
     spec = defected_ising_1d(3, 3.0)
-    L = build_replica_exchange_generator(spec, 1.0, GG, GG, SwapMode("local_A"))
-    assert block_counts(symmetrize(L, joint_gibbs(spec, 1.0))) == (135, 32)
+    js = joint_structure(spec)
+    L = build_replica_exchange_generator(js, 1.0, GG, GG, SwapMode("local_A"))
+    assert block_counts(symmetrize(L, joint_gibbs(js, 1.0))) == (135, 32)
 
 
 @pytest.mark.parametrize("structured", [False, True])
@@ -124,7 +127,7 @@ def test_ring_n7_fits_the_sparse_route():
         tracemalloc.reset_peak()
         H = assemble_dense(defected_ising_1d(7, 3.0))
         es = eigensystem(H)
-        L = build_ckg_generator(H, single_site_paulis(7), GM, es=es)
+        L = build_ckg_generator(es, single_site_paulis(7), GM)
         sigma = gibbs_state(es, 1.0)
         rep = spectral_gap(L, sigma)
         peak = tracemalloc.get_traced_memory()[1] - start

@@ -38,13 +38,12 @@ from qrex.replica import (
     _swap_superop_labeled,
     build_replica_exchange_generator,
     joint_gibbs,
-    joint_hamiltonian,
     joint_structure,
     swap_generator_closed_form,
 )
 from qrex.spectral import KERNEL_TOL, kms_operator_norm, spectral_gap, symmetrize
 
-from oracles import sigma_power
+from oracles import joint_hamiltonian, sigma_power
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -148,10 +147,11 @@ def computational_joint_sum(spec, beta, w1, w2):
     H = assemble_dense(spec)
     n_a = len(spec.partition[0])
     d_a, d_n = 2**n_a, H.shape[0]
-    M = superop_kron_left(build_ckg_generator(H, single_site_paulis(spec.n), w1).matrix, d_a)
-    M += superop_kron_right(build_ckg_generator(np.eye(d_a), single_site_paulis(n_a), w2).matrix,
-                            d_n)
-    M += swap_generator_closed_form(spec, beta).matrix
+    M = superop_kron_left(
+        build_ckg_generator(eigensystem(H), single_site_paulis(spec.n), w1).matrix, d_a)
+    M += superop_kron_right(
+        build_ckg_generator(eigensystem(np.eye(d_a)), single_site_paulis(n_a), w2).matrix, d_n)
+    M += swap_generator_closed_form(joint_structure(spec), beta).matrix
     return M
 
 
@@ -165,19 +165,19 @@ def computational_global_sum(spec, beta, beta2, w1, w2):
     H = assemble_dense(spec)
     d_n = H.shape[0]
     paulis = single_site_paulis(spec.n)
-    M = superop_kron_left(build_ckg_generator(H, paulis, w1).matrix, d_n)
+    M = superop_kron_left(build_ckg_generator(eigensystem(H), paulis, w1).matrix, d_n)
     M += superop_kron_right(
-        build_ckg_generator(H, paulis, WeightFunction(w2.kind, beta2)).matrix, d_n)
+        build_ckg_generator(eigensystem(H), paulis, WeightFunction(w2.kind, beta2)).matrix, d_n)
     H_swap = beta * np.kron(H, np.eye(d_n)) + beta2 * np.kron(np.eye(d_n), H)
     swap = np.eye(d_n * d_n)[np.arange(d_n * d_n).reshape(d_n, d_n).T.reshape(-1)]
     es_swap = eigensystem(H_swap)
-    M += build_ckg_generator(H_swap, [swap], WeightFunction("metropolis", 1.0), es=es_swap).matrix
+    M += build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).matrix
     return M, gibbs_state(es_swap, 1.0)
 
 
 def computational_joint_gibbs(spec, beta):
     """Joint Gibbs state from an eigh of the joint Hamiltonian."""
-    return gibbs_state(eigensystem(joint_hamiltonian(spec, SwapMode("local_A"))), beta)
+    return gibbs_state(eigensystem(joint_hamiltonian(spec)), beta)
 
 
 def in_sigma_basis(M, sigma):
@@ -217,7 +217,7 @@ def check_against_oracle(L, M_dense, sigma, seed=0):
 def test_ckg_generator_matches_dense_route(n, w):
     H = assemble_dense(defected_ising_1d(n, 2.0))
     es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(n), w, es=es)
+    heis = build_ckg_generator(es, single_site_paulis(n), w)
     assert heis.basis is es.eigenvectors
     M_dense = dense_ckg(H, single_site_paulis(n), w)
     check_against_oracle(heis, M_dense, gibbs_state(es, w.beta), seed=n)
@@ -230,29 +230,28 @@ def test_ckg_generator_with_coherent_term_matches_dense_route(w):
     n = 3
     H = assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * sum(single_site_paulis(n)[0::3])
     es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(n), w, es=es)
+    heis = build_ckg_generator(es, single_site_paulis(n), w)
     M_dense = dense_ckg(H, single_site_paulis(n), w)
     check_against_oracle(heis, M_dense, gibbs_state(es, w.beta), seed=5)
 
 
 def test_closed_form_swap_matches_dense_route():
-    spec = defected_ising_1d(3, 2.0)
-    heis = swap_generator_closed_form(spec, 1.0)
-    js = joint_structure(spec)
-    M_dense = dense_conjugate(_swap_superop_labeled(js, 1.0), js.labeled_to_original())
-    check_against_oracle(heis, M_dense, joint_gibbs(spec, 1.0))
+    js = joint_structure(defected_ising_1d(3, 2.0))
+    heis = swap_generator_closed_form(js, 1.0)
+    M_dense = dense_conjugate(_swap_superop_labeled(js, 1.0), js.joint_basis)
+    check_against_oracle(heis, M_dense, joint_gibbs(js, 1.0))
 
 
 def test_local_a_joint_generator_matches_dense_route():
     spec = defected_ising_1d(3, 3.0)
     js = joint_structure(spec)
     d_a, d_n = js.d_a, 2**spec.n
-    heis = build_replica_exchange_generator(spec, 1.0, GG, GG, SwapMode("local_A"))
-    assert np.array_equal(heis.basis, js.labeled_to_original())
+    heis = build_replica_exchange_generator(js, 1.0, GG, GG, SwapMode("local_A"))
+    assert np.array_equal(heis.basis, js.joint_basis)
     M_dense = superop_kron_left(dense_ckg(assemble_dense(spec), single_site_paulis(3), GG), d_a)
     M_dense += superop_kron_right(dense_ckg(np.eye(d_a), single_site_paulis(2), GG), d_n)
-    M_dense += dense_conjugate(_swap_superop_labeled(js, 1.0), js.labeled_to_original())
-    check_against_oracle(heis, M_dense, joint_gibbs(spec, 1.0))
+    M_dense += dense_conjugate(_swap_superop_labeled(js, 1.0), js.joint_basis)
+    check_against_oracle(heis, M_dense, joint_gibbs(js, 1.0))
 
 
 def hopping_cut_spec(J):
@@ -270,7 +269,8 @@ def hopping_cut_spec(J):
 @pytest.mark.parametrize("spec", [defected_ising_1d(3, 1.0), defected_ising_1d(3, 5.0),
                                   hopping_cut_spec(2.0)], ids=["ring_J1", "ring_J5", "hopping"])
 def test_labeled_joint_generator_matches_computational_sum(spec):
-    heis = build_replica_exchange_generator(spec, 1.0, GG, GG, SwapMode("local_A"))
+    js = joint_structure(spec)
+    heis = build_replica_exchange_generator(js, 1.0, GG, GG, SwapMode("local_A"))
     M_old = computational_joint_sum(spec, 1.0, GG, GG)
     assert_close(heis.matrix, M_old)
     d = heis.dim
@@ -278,7 +278,7 @@ def test_labeled_joint_generator_matches_computational_sum(spec):
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     assert_close(heis.apply(X), unvec(M_old @ vec(X)))
     assert_close(heis.apply_adjoint(X), unvec(M_old.conj().T @ vec(X)))
-    rep = spectral_gap(heis, joint_gibbs(spec, 1.0))
+    rep = spectral_gap(heis, joint_gibbs(js, 1.0))
     sigma = computational_joint_gibbs(spec, 1.0)
     old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
     assert rep.kernel_dim == old.kernel_dim == 1
@@ -293,7 +293,8 @@ def test_labeled_joint_generator_matches_computational_sum(spec):
 @pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
 def test_global_generator_matches_computational_sum(spec, w):
     beta, beta2 = 1.0, 0.25
-    heis = build_replica_exchange_generator(spec, beta, w, w, SwapMode("global", beta2=beta2))
+    es = eigensystem(assemble_dense(spec))
+    heis = build_replica_exchange_generator(es, beta, w, w, SwapMode("global", beta2=beta2))
     M_old, sigma = computational_global_sum(spec, beta, beta2, w, w)
     assert_close(heis.matrix, M_old)
     d = heis.dim
@@ -302,7 +303,7 @@ def test_global_generator_matches_computational_sum(spec, w):
     assert_close(heis.apply(X), unvec(M_old @ vec(X)))
     assert_close(heis.apply_adjoint(X), unvec(M_old.conj().T @ vec(X)))
     # the same generator, paired with sigma_beta (x) sigma_beta2 in its own basis
-    rep = _replica_gap(spec, beta, {"mode": "global", "beta2": beta2, "weight": w.kind})
+    rep = _replica_gap(es, beta, {"mode": "global", "beta2": beta2, "weight": w.kind})
     old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
     assert rep.kernel_dim == old.kernel_dim == 1
     assert abs(rep.gap - old.gap) <= max(RTOL * old.gap, 1e-14)
@@ -312,7 +313,7 @@ def test_global_generator_matches_computational_sum(spec, w):
                                   defected_ising_1d(4, 3.0), hopping_cut_spec(2.0)],
                          ids=["ring3_J1", "ring3_J5", "ring4_J3", "hopping"])
 def test_joint_gibbs_matches_joint_hamiltonian(spec):
-    new, old = joint_gibbs(spec, 1.0), computational_joint_gibbs(spec, 1.0)
+    new, old = joint_gibbs(joint_structure(spec), 1.0), computational_joint_gibbs(spec, 1.0)
     assert np.abs(new.sigma - old.sigma).max() <= 1e-14
     assert np.allclose(np.sort(new.weights), np.sort(old.weights), rtol=1e-12, atol=1e-15)
     assert new.lambda_min == pytest.approx(old.lambda_min, rel=1e-12)
@@ -339,7 +340,7 @@ def generic_hamiltonian(n=3, seed=0):
 ], ids=["ring3", "ring4", "transverse3", "generic3"])
 def test_block_eigensolves_match_dense_eigh(H, n, shapes):
     es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(n), GM, es=es)
+    heis = build_ckg_generator(es, single_site_paulis(n), GM)
     sg = gibbs_state(es, 1.0)
     M_dense = dense_ckg(H, single_site_paulis(n), GM)
     evals, coefficients, state_at = dense_propagation(M_dense, sg)
@@ -396,7 +397,7 @@ def test_perturbed_generator_not_detailed_balanced():
     # the perturbed generator of test_spectral's test_non_db_rejected
     H = assemble_dense(defected_ising_1d(3, 2.0))
     es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
+    heis = build_ckg_generator(es, single_site_paulis(3), GM)
     sg = gibbs_state(es, 1.0)
     M = heis.local.toarray()
     rng = np.random.default_rng(2)
@@ -412,7 +413,7 @@ def test_global_mode_gap_pairs_the_two_temperature_gibbs_state():
     # the global generator was once paired with the local_A joint Gibbs state
     # and failed with a dimension mismatch
     spec, beta, beta2 = defected_ising_1d(3, 2.0), 1.0, 0.5
-    rep = _replica_gap(spec, beta, {"mode": "global", "beta2": beta2})
+    rep = _replica_gap(eigensystem(assemble_dense(spec)), beta, {"mode": "global", "beta2": beta2})
     M_old, sigma = computational_global_sum(spec, beta, beta2, GG, GG)
     old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
     assert rep.kernel_dim == old.kernel_dim == 1

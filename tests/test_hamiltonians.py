@@ -4,7 +4,6 @@ import pytest
 from qrex.hamiltonians import (
     HamiltonianSpec,
     PauliTerm,
-    a_side_eigenbasis,
     assemble_dense,
     check_commuting_cut,
     compress_onto,
@@ -20,7 +19,9 @@ from qrex.pauli import (
     single_site_paulis,
 )
 
-from oracles import kron_all, pauli_decompose, pauli_support
+from qrex.replica import joint_structure
+
+from oracles import kron_all, pauli_decompose, pauli_support, qubit_permutation_matrix
 
 
 def ising_energy(z, J):
@@ -176,14 +177,19 @@ class TestCommutingCut:
         assert cut.diagnostics
 
     def test_reassembly_identity(self):
-        spec = defected_ising_1d(5, 3.0)
-        cut = check_commuting_cut(spec)
-        P = qubit_permutation(5, list(cut.perm_order))
-        H = P @ assemble_dense(spec) @ P.conj().T
-        H_re = np.kron(cut.h_a, np.eye(cut.d_b)) + np.kron(np.eye(cut.d_a), cut.h_b)
-        for va, vb in cut.interaction:
-            H_re += np.kron(va, vb)
-        assert np.linalg.norm(H - H_re) <= 1e-10 * np.linalg.norm(H)
+        # the 2x3 grid with A = (0, 3) is the case whose site order is not the identity
+        grid = defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0)
+        for spec in (defected_ising_1d(5, 3.0), grid):
+            cut = check_commuting_cut(spec)
+            p = qubit_permutation(spec.n, list(cut.perm_order))
+            P = qubit_permutation_matrix(spec.n, list(cut.perm_order))
+            H = assemble_dense(spec)[np.ix_(p, p)]
+            assert np.array_equal(H, P @ assemble_dense(spec) @ P.conj().T)
+            H_re = np.kron(cut.h_a, np.eye(cut.d_b)) + np.kron(np.eye(cut.d_a), cut.h_b)
+            for va, vb in cut.interaction:
+                H_re += np.kron(va, vb)
+            assert np.linalg.norm(H - H_re) <= 1e-10 * np.linalg.norm(H)
+        assert check_commuting_cut(grid).perm_order == (0, 3, 1, 2, 4, 5)
 
     def test_hab_norm_bounded_by_k_vmax(self):
         for spec in (defected_ising_1d(4, 2.5), defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0)):
@@ -194,17 +200,14 @@ class TestCommutingCut:
 
 class TestASideEigenbasis:
     def test_diagonal_family_returns_computational_basis(self):
-        cut = check_commuting_cut(defected_ising_1d(3, 2.0))
-        basis = a_side_eigenbasis(cut)
-        V = np.abs(basis.vectors)
+        V = np.abs(joint_structure(defected_ising_1d(3, 2.0)).basis_a)
         # each column is a computational basis vector up to phase
         assert np.allclose(np.sort(V, axis=0)[-1], 1.0)
         assert np.allclose(V.sum(axis=0), 1.0)
 
     def test_basis_is_unitary(self):
-        cut = check_commuting_cut(defected_ising_1d(4, 3.0))
-        basis = a_side_eigenbasis(cut)
-        gram = basis.vectors.conj().T @ basis.vectors
+        basis = joint_structure(defected_ising_1d(4, 3.0)).basis_a
+        gram = basis.conj().T @ basis
         assert np.linalg.norm(gram - np.eye(4)) < 1e-12
 
     def test_random_commuting_family(self):
@@ -273,8 +276,14 @@ class TestCompressOnto:
 class TestPauliHelpers:
     def test_qubit_permutation_moves_sites(self):
         Z1 = pauli_string_matrix(3, [(1, "Z")])
-        P = qubit_permutation(3, [1, 0, 2])
-        assert np.allclose(P @ Z1 @ P.conj().T, pauli_string_matrix(3, [(0, "Z")]))
+        p = qubit_permutation(3, [1, 0, 2])
+        assert np.allclose(Z1[np.ix_(p, p)], pauli_string_matrix(3, [(0, "Z")]))
+        # the A-first order of the 2x3 grid with A = (0, 3), against the dense oracle
+        order = [0, 3, 1, 2, 4, 5]
+        p = qubit_permutation(6, order)
+        assert np.array_equal(np.eye(64)[p], qubit_permutation_matrix(6, order))
+        Z3 = pauli_string_matrix(6, [(3, "Z")])
+        assert np.array_equal(Z3[np.ix_(p, p)], pauli_string_matrix(6, [(1, "Z")]))
 
     def test_pauli_support(self):
         M = pauli_string_matrix(3, [(0, "X"), (2, "Y")], 0.3)

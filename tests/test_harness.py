@@ -6,6 +6,7 @@ import qrex.harness
 import qrex.lindblad
 import qrex.replica
 import qrex.spectral
+import qrex.verify
 from qrex.cli import main
 from qrex.hamiltonians import defected_heisenberg_2d, defected_ising_1d
 from qrex.harness import (
@@ -153,7 +154,7 @@ class TestSweepGB:
         original = qrex.lindblad.build_ckg_generator
 
         def spy(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(args[0].dim)
             return original(*args, **kwargs)
 
         for module in (qrex.lindblad, qrex.harness, qrex.replica, qrex.spectral):
@@ -176,6 +177,24 @@ class TestSweepGB:
         spec = defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 4.0)
         oracle = partial_lindbladian_check(spec, 0.05, WeightFunction("gaussian", 0.05))
         assert rec["g_B"] == pytest.approx(oracle["g_b"], rel=1e-12)
+        # the grid's A-first site order (0, 3, 1, 2, 4, 5) is not the identity, so these
+        # pinned gaps (from the dense permutation-matrix route) guard the index permutation
+        assert rec["gap_single"] == pytest.approx(1.9320819882345683, rel=1e-10)
+        assert rec["gap_re"] == pytest.approx(1.8534721149994677, rel=1e-10)
+
+    def test_verification_builds_one_joint_structure(self, monkeypatch):
+        calls = []
+        original = qrex.replica.joint_structure
+
+        def spy(spec):
+            calls.append(spec.n)
+            return original(spec)
+
+        for module in (qrex.replica, qrex.verify):
+            monkeypatch.setattr(module, "joint_structure", spy)
+        rows = qrex.verify.run_verification()
+        assert all(row["passed"] for row in rows)
+        assert len(calls) == 1
 
 
 class TestDeterminism:

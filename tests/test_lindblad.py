@@ -251,21 +251,21 @@ def trace_norm(M):
 
 class TestBuildCkgGenerator:
     def test_depolarizing_rate_on_trivial_hamiltonian(self):
-        heis = build_ckg_generator(np.eye(2), [X, Y, Z], GM)
+        heis = build_ckg_generator(eigensystem(np.eye(2)), [X, Y, Z], GM)
         theta0 = erfc(1 / (2 * np.sqrt(2)))
         assert np.allclose(heis.apply(Z), -4 * theta0 * Z, atol=1e-10)
         assert np.allclose(heis.apply(X), -4 * theta0 * X, atol=1e-10)
 
     def test_unital_in_heisenberg_picture(self):
         H = assemble_dense(defected_ising_1d(3, 2.0))
-        heis = build_ckg_generator(H, single_site_paulis(3), GM)
+        heis = build_ckg_generator(eigensystem(H), single_site_paulis(3), GM)
         assert np.linalg.norm(heis.apply(np.eye(8))) < 1e-10 * np.linalg.norm(heis.matrix)
 
     @pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
     def test_detailed_balance(self, w):
         H = assemble_dense(defected_ising_1d(3, 3.0))
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(3), w, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(3), w)
         sg = gibbs_state(es, w.beta)
         assert detailed_balance_residual(heis, sg) < 1e-10
 
@@ -273,13 +273,13 @@ class TestBuildCkgGenerator:
     def test_fixed_point(self, w):
         H = assemble_dense(defected_ising_1d(3, 3.0))
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(3), w, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(3), w)
         sg = gibbs_state(es, w.beta)
         assert trace_norm(heis.apply_adjoint(sg.sigma)) < 1e-10
 
     def test_trace_preservation(self):
         H = assemble_dense(defected_ising_1d(3, 1.5))
-        heis = build_ckg_generator(H, single_site_paulis(3), GM)
+        heis = build_ckg_generator(eigensystem(H), single_site_paulis(3), GM)
         rng = np.random.default_rng(9)
         for _ in range(5):
             R = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -304,14 +304,14 @@ class TestBuildCkgGenerator:
 
     def test_kernel_is_identity_span(self):
         H = assemble_dense(defected_ising_1d(3, 2.0))
-        heis = build_ckg_generator(H, single_site_paulis(3), GM)
+        heis = build_ckg_generator(eigensystem(H), single_site_paulis(3), GM)
         evals = np.linalg.eigvals(heis.matrix)
         near_zero = np.sum(np.abs(evals) < 1e-8 * np.abs(evals).max())
         assert near_zero == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            build_ckg_generator(np.eye(4), [X], GM)
+            build_ckg_generator(eigensystem(np.eye(4)), [X], GM)
 
 
 class TestSuperoperator:
@@ -338,7 +338,7 @@ class TestSuperoperator:
 
     def test_schrodinger_annihilates_trace(self):
         H = assemble_dense(defected_ising_1d(3, 1.0))
-        heis = build_ckg_generator(H, single_site_paulis(3), GM)
+        heis = build_ckg_generator(eigensystem(H), single_site_paulis(3), GM)
         rng = np.random.default_rng(10)
         R = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         assert abs(np.trace(heis.apply_adjoint(R))) <= 1e-10 * np.linalg.norm(R)
@@ -353,7 +353,7 @@ class TestDetailedBalanceResidual:
     def test_perturbation_detected(self):
         H = assemble_dense(defected_ising_1d(3, 3.0))
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(3), GG, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(3), GG)
         sg = gibbs_state(es, 1.0)
         rng = np.random.default_rng(14)
         R = rng.standard_normal(heis.matrix.shape) + 1j * rng.standard_normal(heis.matrix.shape)

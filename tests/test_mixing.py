@@ -41,7 +41,7 @@ def two_qubit_ising(w=GM, beta=1.0):
     spec = HamiltonianSpec(n=2, terms=(PauliTerm(-1.0, ((0, "Z"), (1, "Z"))),))
     H = assemble_dense(spec)
     es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(2), w, es=es)
+    heis = build_ckg_generator(es, single_site_paulis(2), w)
     return heis, gibbs_state(es, beta)
 
 
@@ -124,7 +124,7 @@ class TestMixingTimeEstimate:
         # |0><0| the trace distance is exactly exp(-4 theta(0) t)
         H = np.eye(2)
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(1), GM, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(1), GM)
         sg = gibbs_state(es, 1.0)
         prop = SpectralPropagator(heis, sg)
         eps = 1e-2
@@ -156,7 +156,7 @@ class TestMixingTimeEstimate:
         spec = defected_ising_1d(3, 4.0)
         H = assemble_dense(spec)
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(3), GM)
         sg = gibbs_state(es, 1.0)
         rep = mixing_time_estimate(heis, sg, 1e-2, n_haar=5)
         assert rep.t_lower <= rep.t_measured <= rep.t_upper
@@ -176,7 +176,7 @@ class TestMixingTimeEstimate:
         # a state that is not a density matrix used to fail the bisection bracket
         H = assemble_dense(defected_ising_1d(3, 2.0))
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(3), GM)
         family = [("ok", np.eye(8) / 8), ("bad_7", rho0)]
         with pytest.raises(ValueError, match=f"'bad_7'.*{reason}"):
             mixing_time_estimate(heis, gibbs_state(es, 1.0), 1e-2, family=family)
@@ -222,7 +222,7 @@ class TestChiSquare:
         # them over several blocks, and the mode is taken from one of them
         H = np.eye(4)
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(2), GM, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(2), GM)
         sg = gibbs_state(es, 1.0)
         gap = spectral_gap(heis, sg).gap
         blocks = block_eigh(-symmetrize(heis, sg), vectors=False)
@@ -262,7 +262,7 @@ class TestTraceDistanceMonotone:
 
 def ring_propagator(H, n, w):
     es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(n), w, es=es)
+    heis = build_ckg_generator(es, single_site_paulis(n), w)
     sg = gibbs_state(es, 1.0)
     return SpectralPropagator(heis, sg), sg
 
@@ -310,7 +310,7 @@ class TestFirstCrossingTimes:
         # every state of the H = I family crosses at log(||rho0 - I/2||_1 / eps) / (4 theta(0))
         H = np.eye(2)
         es = eigensystem(H)
-        prop = SpectralPropagator(build_ckg_generator(H, single_site_paulis(1), GM, es=es),
+        prop = SpectralPropagator(build_ckg_generator(es, single_site_paulis(1), GM),
                                   gibbs_state(es, 1.0))
         states = [np.diag([1.0, 0.0]), np.diag([0.2, 0.8]), np.array([[0.5, 0.5], [0.5, 0.5]])]
         eps = 1e-2
@@ -327,7 +327,7 @@ class TestFirstCrossingTimes:
         # Z couplings commute with the Ising ring: every population is stationary
         H = assemble_dense(defected_ising_1d(3, 2.0))
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(3)[2::3], GM, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(3)[2::3], GM)
         prop = SpectralPropagator(heis, gibbs_state(es, 1.0))
         rho0 = np.zeros((8, 8), dtype=complex)
         rho0[0, 0] = 1.0
@@ -391,7 +391,7 @@ class TestBlockSparseSearch:
         # the dense matrix exponential and the singular values of rho(t) - sigma
         H = assemble_dense(defected_ising_1d(3, 3.0))
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(3), GM, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(3), GM)
         sg = gibbs_state(es, 1.0)
         prop = SpectralPropagator(heis, sg)
         rho0 = dict(_initial_family(sg, n_haar=1, seed=5))[sid]

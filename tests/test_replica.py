@@ -17,7 +17,6 @@ from qrex.replica import (
     SwapMode,
     build_replica_exchange_generator,
     joint_gibbs,
-    joint_hamiltonian,
     joint_structure,
     lift,
     local_swap_unitary,
@@ -29,7 +28,8 @@ from qrex.replica import (
 )
 from qrex.spectral import kms_operator_norm, spectral_gap, spectral_norm
 
-from oracles import coherent_term, jump_components
+import oracles
+from oracles import coherent_term, joint_hamiltonian, jump_components
 
 GM = WeightFunction("metropolis", 1.0)
 
@@ -132,42 +132,43 @@ class TestSuperopLifts:
 class TestSwapGenerator:
     def setup_method(self):
         self.spec = defected_ising_1d(3, 2.0)
+        self.js = joint_structure(self.spec)
         self.beta = 1.0
 
     def test_closed_form_matches_generic(self):
-        closed = swap_generator_closed_form(self.spec, self.beta)
-        generic = swap_generator_generic(self.spec, self.beta)
+        closed = swap_generator_closed_form(self.js, self.beta)
+        generic = swap_generator_generic(self.js, self.beta)
         diff = np.linalg.norm(closed.matrix - generic.matrix, 2)
         assert diff <= 1e-9 * np.linalg.norm(generic.matrix, 2)
 
     def test_closed_form_matches_generic_in_its_own_eigenbasis(self):
         # the generic route with its own eigh of H_joint, independent of the labeled basis
-        js = joint_structure(self.spec)
-        own = build_ckg_generator(joint_hamiltonian(self.spec, SwapMode("local_A")),
+        js = self.js
+        own = build_ckg_generator(eigensystem(joint_hamiltonian(self.spec)),
                                   [swap_unitary_original(js)], GM)
-        assert not np.allclose(own.basis, js.labeled_to_original())
-        closed = swap_generator_closed_form(self.spec, self.beta, js=js)
+        assert not np.allclose(own.basis, js.joint_basis)
+        closed = swap_generator_closed_form(js, self.beta)
         diff = np.linalg.norm(closed.matrix - own.matrix, 2)
         assert diff <= 1e-9 * np.linalg.norm(own.matrix, 2)
 
     def test_generic_stored_in_labeled_basis(self):
-        js = joint_structure(self.spec)
-        generic = swap_generator_generic(self.spec, self.beta, js=js)
-        assert np.array_equal(generic.basis, js.labeled_to_original())
+        js = self.js
+        generic = swap_generator_generic(js, self.beta)
+        assert np.array_equal(generic.basis, js.joint_basis)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("J", [2.0, 3.0])
     def test_generic_local_equals_closed_form(self, n, J):
         spec = defected_ising_1d(n, J)
         js = joint_structure(spec)
-        closed = swap_generator_closed_form(spec, self.beta, js=js)
-        generic = swap_generator_generic(spec, self.beta, js=js)
+        closed = swap_generator_closed_form(js, self.beta)
+        generic = swap_generator_generic(js, self.beta)
         assert np.array_equal(closed.basis, generic.basis)
         rel = spectral_norm(closed.local - generic.local) / spectral_norm(generic.local)
         assert rel <= 1e-12
 
     def test_coherent_part_vanishes(self):
-        js = joint_structure(self.spec)
+        js = self.js
         H_joint = np.kron(assemble_dense(self.spec), np.eye(js.d_a)) + np.eye(32)
         es = eigensystem(H_joint)
         U = swap_unitary_original(js)
@@ -175,18 +176,18 @@ class TestSwapGenerator:
         assert np.linalg.norm(G) < 1e-12
 
     def test_kms_norm_at_most_three(self):
-        heis = swap_generator_closed_form(self.spec, self.beta)
-        sg = joint_gibbs(self.spec, self.beta)
+        heis = swap_generator_closed_form(self.js, self.beta)
+        sg = joint_gibbs(self.js, self.beta)
         assert kms_operator_norm(heis, sg) <= 3.0 + 1e-6
 
     def test_unital(self):
-        heis = swap_generator_closed_form(self.spec, self.beta)
+        heis = swap_generator_closed_form(self.js, self.beta)
         d = heis.dim
         assert np.linalg.norm(heis.apply(np.eye(d))) < 1e-10 * np.linalg.norm(heis.matrix)
 
     def test_zero_frequency_pairs_relax_at_theta0(self):
         # lam(+-, z) = lam(-+, z) for the ring, so those A labels give omega = 0
-        js = joint_structure(self.spec)
+        js = self.js
         lam = js.lam2
         pairs = [
             (a, c)
@@ -196,8 +197,8 @@ class TestSwapGenerator:
         ]
         assert pairs, "test model should have a degenerate A pair"
         a, c = pairs[0]
-        heis = swap_generator_closed_form(self.spec, self.beta)
-        V = js.labeled_to_original()
+        heis = swap_generator_closed_form(js, self.beta)
+        V = js.joint_basis
         d = js.joint_dim
         ket = np.zeros(d)
         e_abc = np.ravel_multi_index((a, 0, c), (js.d_a, js.d_b, js.d_a))
@@ -212,16 +213,17 @@ class TestSwapGenerator:
 class TestReplicaExchangeGenerator:
     def setup_method(self):
         self.spec = defected_ising_1d(3, 4.0)
+        self.js = joint_structure(self.spec)
         self.beta = 1.0
 
     def test_fixed_point_is_joint_gibbs(self):
-        heis = build_replica_exchange_generator(self.spec, self.beta, GM, GM, SwapMode("local_A"))
-        sg = joint_gibbs(self.spec, self.beta)
+        heis = build_replica_exchange_generator(self.js, self.beta, GM, GM, SwapMode("local_A"))
+        sg = joint_gibbs(self.js, self.beta)
         assert trace_norm(heis.apply_adjoint(sg.sigma)) < 1e-10
 
     def test_kernel_dimension_one(self):
-        heis = build_replica_exchange_generator(self.spec, self.beta, GM, GM, SwapMode("local_A"))
-        sg = joint_gibbs(self.spec, self.beta)
+        heis = build_replica_exchange_generator(self.js, self.beta, GM, GM, SwapMode("local_A"))
+        sg = joint_gibbs(self.js, self.beta)
         rep = spectral_gap(heis, sg)
         assert rep.kernel_dim == 1
 
@@ -232,11 +234,12 @@ class TestReplicaExchangeGenerator:
         gaps_re, gaps_single = [], []
         for J in (1.0, 5.0):
             spec = defected_ising_1d(3, J)
-            heis = build_replica_exchange_generator(spec, self.beta, gg, gg, SwapMode("local_A"))
-            sg = joint_gibbs(spec, self.beta)
+            js = joint_structure(spec)
+            heis = build_replica_exchange_generator(js, self.beta, gg, gg, SwapMode("local_A"))
+            sg = joint_gibbs(js, self.beta)
             gaps_re.append(spectral_gap(heis, sg).gap)
             h_single = build_ckg_generator(
-                assemble_dense(spec), single_site_paulis(3), GM
+                eigensystem(assemble_dense(spec)), single_site_paulis(3), GM
             )
             sg1 = gibbs_state(eigensystem(assemble_dense(spec)), self.beta)
             gaps_single.append(spectral_gap(h_single, sg1).gap)
@@ -245,7 +248,8 @@ class TestReplicaExchangeGenerator:
         assert gaps_single[0] / gaps_single[1] >= 100.0
 
     def test_mode_none_returns_single_system(self):
-        heis = build_replica_exchange_generator(self.spec, self.beta, GM, GM, SwapMode("none"))
+        heis = build_replica_exchange_generator(eigensystem(assemble_dense(self.spec)), self.beta,
+                                                GM, GM, SwapMode("none"))
         assert heis.dim == 8
 
     def test_global_mode_two_temperatures(self):
@@ -253,10 +257,10 @@ class TestReplicaExchangeGenerator:
 
         spec = HamiltonianSpec(n=2, terms=(PauliTerm(-2.0, ((0, "Z"), (1, "Z"))),))
         beta1, beta2 = 1.0, 0.25
-        heis = build_replica_exchange_generator(
-            spec, beta1, GM, GM, SwapMode("global", beta2=beta2)
-        )
         H = assemble_dense(spec)
+        heis = build_replica_exchange_generator(
+            eigensystem(H), beta1, GM, GM, SwapMode("global", beta2=beta2)
+        )
         s1 = gibbs_state(eigensystem(H), beta1).sigma
         s2 = gibbs_state(eigensystem(H), beta2).sigma
         assert trace_norm(heis.apply_adjoint(np.kron(s1, s2))) < 1e-9
@@ -264,16 +268,31 @@ class TestReplicaExchangeGenerator:
 
 class TestSwapKernelAnalysis:
     def test_restricted_kernel_is_identity_only(self):
-        rep = swap_only_kernel_analysis(defected_ising_1d(3, 2.0), 1.0)
+        rep = swap_only_kernel_analysis(joint_structure(defected_ising_1d(3, 2.0)), 1.0)
         assert rep["restricted_kernel_dim"] == 1
 
     def test_cross_terms_vanish(self):
-        rep = swap_only_kernel_analysis(defected_ising_1d(3, 2.0), 1.0)
+        rep = swap_only_kernel_analysis(joint_structure(defected_ising_1d(3, 2.0)), 1.0)
         for key, val in rep["cross_term_residuals"].items():
             assert val < 1e-10, (key, val)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sector_analyses_match_kronecker_oracles(self, n):
+        js = joint_structure(defected_ising_1d(n, 2.0))
+        new, old = swap_only_kernel_analysis(js, 1.0), oracles.swap_only_kernel_analysis(js, 1.0)
+        assert new["sector_dim"] == old["sector_dim"]
+        assert new["restricted_kernel_dim"] == old["restricted_kernel_dim"] == 1
+        assert new["restricted_evals_head"] == pytest.approx(old["restricted_evals_head"],
+                                                             rel=1e-12, abs=1e-12)
+        for key, val in old["cross_term_residuals"].items():
+            assert abs(new["cross_term_residuals"][key] - val) <= 1e-12, key
+        new = swap_sector_lower_bounds(js, 1.0)["sector_minima"]
+        old = oracles.swap_sector_lower_bounds(js, 1.0)["sector_minima"]
+        for key, val in old.items():
+            assert new[key] == pytest.approx(val, rel=1e-12, abs=1e-12), key
+
     def test_sector_lower_bounds_dominate_threshold(self):
         for J in (1.0, 3.0, 5.0):
-            rep = swap_sector_lower_bounds(defected_ising_1d(3, J), 1.0)
+            rep = swap_sector_lower_bounds(joint_structure(defected_ising_1d(3, J)), 1.0)
             for key, val in rep["sector_minima"].items():
                 assert val >= rep["threshold"], (J, key, val, rep["threshold"])

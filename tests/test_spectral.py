@@ -20,7 +20,7 @@ from qrex.lindblad import (
 )
 from qrex.mixing import SpectralPropagator, evolve
 from qrex.pauli import X, Y, Z, single_site_paulis
-from qrex.replica import SwapMode, build_replica_exchange_generator, joint_gibbs
+from qrex.replica import SwapMode, build_replica_exchange_generator, joint_gibbs, joint_structure
 from qrex.spectral import (
     a_diagonal_restriction_gap,
     gap_composition_suite,
@@ -38,7 +38,7 @@ GG = WeightFunction("gaussian", 1.0)
 def ising_generator(n=3, J=2.0, w=GM):
     H = assemble_dense(defected_ising_1d(n, J))
     es = eigensystem(H)
-    heis = build_ckg_generator(H, single_site_paulis(n), w, es=es)
+    heis = build_ckg_generator(es, single_site_paulis(n), w)
     return heis, gibbs_state(es, w.beta)
 
 
@@ -78,7 +78,7 @@ class TestSymmetrize:
     def test_maximally_mixed_sigma_is_plain_matrix(self):
         H = np.zeros((4, 4))
         es = eigensystem(H)
-        heis = build_ckg_generator(H, single_site_paulis(2), GM, es=es)
+        heis = build_ckg_generator(es, single_site_paulis(2), GM)
         sg = gibbs_state(es, 1.0)
         assert np.allclose(symmetrize(heis, sg).toarray(), heis.local.toarray(), atol=1e-12)
 
@@ -126,8 +126,9 @@ class TestSymmetrizeRoutes:
 
     def test_labeled_joint_generator_is_scaled(self, congruence_calls):
         spec = defected_ising_1d(3, 3.0)
-        heis = build_replica_exchange_generator(spec, 1.0, GG, GG, SwapMode("local_A"))
-        rep = spectral_gap(heis, joint_gibbs(spec, 1.0))
+        js = joint_structure(spec)
+        heis = build_replica_exchange_generator(js, 1.0, GG, GG, SwapMode("local_A"))
+        rep = spectral_gap(heis, joint_gibbs(js, 1.0))
         assert rep.kernel_dim == 1
         assert congruence_calls == []
 
@@ -186,7 +187,7 @@ class TestSpectralGap:
         # eigenoperators are Pauli strings; every weight-1 string decays at 4 theta(0)
         H = np.eye(2)
         es = eigensystem(H)
-        heis = build_ckg_generator(H, [X, Y, Z], GM, es=es)
+        heis = build_ckg_generator(es, [X, Y, Z], GM)
         rep = spectral_gap(heis, gibbs_state(es, 1.0))
         theta0 = erfc(1 / (2 * np.sqrt(2)))
         assert rep.gap == pytest.approx(4 * theta0, rel=1e-8)
@@ -197,7 +198,7 @@ class TestSpectralGap:
         for beta in (0.3, 1.0, 2.5):
             H = np.eye(4)
             es = eigensystem(H)
-            heis = build_ckg_generator(H, single_site_paulis(2), WeightFunction("metropolis", beta), es=es)
+            heis = build_ckg_generator(es, single_site_paulis(2), WeightFunction("metropolis", beta))
             gaps.append(spectral_gap(heis, gibbs_state(es, beta)).gap)
         assert np.allclose(gaps, gaps[0], rtol=1e-8)
         assert gaps[0] > 1.0  # Theta(1)
@@ -318,13 +319,13 @@ class TestPartialLindbladian:
     def test_restriction_gap_equals_min_partial(self):
         spec = defected_ising_1d(3, 2.0)
         rep = partial_lindbladian_check(spec, 1.0, GM)
-        gap = a_diagonal_restriction_gap(spec, 1.0, GM)
+        gap = a_diagonal_restriction_gap(joint_structure(spec), 1.0, GM)
         assert gap == pytest.approx(rep["g_b"], rel=1e-7)
         assert gap >= rep["g_b"] - 1e-9
 
     def test_empty_a_edge_case_equals_full_gap(self):
         spec0 = defected_ising_1d(3, 2.0)
         spec = HamiltonianSpec(n=3, terms=spec0.terms, partition=((), (0, 1, 2)))
-        gap = a_diagonal_restriction_gap(spec, 1.0, GM)
+        gap = a_diagonal_restriction_gap(joint_structure(spec), 1.0, GM)
         heis, sg = ising_generator(J=2.0)
         assert gap == pytest.approx(spectral_gap(heis, sg).gap, rel=1e-8)
