@@ -113,6 +113,7 @@ class CutReport:
     interaction: list  # list of (V_A, V_B) Hermitian pairs, coefficient on V_A
     k_count: int
     v_max: float
+    h_perm: np.ndarray  # H in the A-first site order perm_order
     commutator_residuals: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     perm_order: tuple = ()  # site order (A sorted) + (B sorted)
@@ -291,6 +292,7 @@ def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:
         interaction=pairs,
         k_count=len(pairs),
         v_max=float(v_max),
+        h_perm=H_perm,
         commutator_residuals=residuals,
         diagnostics=diagnostics,
         perm_order=tuple(order),

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .classical import (
+    EXACT_CHEEGER_GUARD,
     bottleneck_ratio,
     classical_defected_ising_energy,
     classical_gap,
@@ -409,7 +410,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
             efn = lambda z: classical_defected_ising_energy(z, float(J))
             chain = glauber_generator(efn, n, beta1)
             energies = classical_defected_ising_energy(spin_table(n), float(J))
-            if chain.n_states <= 20:
+            if chain.n_states <= EXACT_CHEEGER_GUARD:
                 phi, _ = bottleneck_ratio(chain, mode="exact")
                 phi_mode = "exact"
             else:

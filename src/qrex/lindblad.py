@@ -32,6 +32,9 @@ QUAD_ABS_TOL = 1e-12
 # raises when they differ by more than QUAD_ABS_TOL
 QUAD_PANELS = 32
 QUAD_PANELS_FINE = 64
+# points per chunk of alpha_quadrature: a chunk's node array holds
+# QUAD_CHUNK * 2 * QUAD_PANELS_FINE * 15 floats
+QUAD_CHUNK = 64
 
 
 def vec(X):
@@ -288,29 +291,36 @@ def alpha_quadrature(nu1, nu2, w: WeightFunction):
     max(v) + 12/beta], split at the Metropolis kink w = -1/(2 beta) when it
     lies inside, with QUAD_PANELS and QUAD_PANELS_FINE equal panels on each
     piece.  Returns the finer result; raises RuntimeError when the two differ
-    by more than QUAD_ABS_TOL.  Vectorized over broadcastable arrays.
+    by more than QUAD_ABS_TOL.  Vectorized over broadcastable arrays, whose
+    points are integrated QUAD_CHUNK at a time.
     """
     nu1, nu2 = np.broadcast_arrays(np.asarray(nu1, dtype=float), np.asarray(nu2, dtype=float))
     b = w.beta
-    lo = np.minimum(nu1, nu2)[..., None] - 12.0 / b
-    hi = np.maximum(nu1, nu2)[..., None] + 12.0 / b
-    cut = np.clip(-0.5 / b, lo, hi) if w.kind == "metropolis" else hi
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(15)
 
-    def rule(panels):
+    def rule(v1, v2, panels):
+        lo = np.minimum(v1, v2)[:, None] - 12.0 / b
+        hi = np.maximum(v1, v2)[:, None] + 12.0 / b
+        cut = np.clip(-0.5 / b, lo, hi) if w.kind == "metropolis" else hi
         t = np.linspace(0.0, 1.0, panels + 1)
         edges = np.concatenate([lo + (cut - lo) * t, cut + (hi - cut) * t[1:]], axis=-1)
-        half = 0.5 * np.diff(edges, axis=-1)  # [..., 2 * panels]
-        nodes = (edges[..., :-1] + half)[..., None] + half[..., None] * gl_nodes
-        vals = weight(nodes, w) * filter_fhat(nodes - nu1[..., None, None], b) \
-            * filter_fhat(nodes - nu2[..., None, None], b)
+        half = 0.5 * np.diff(edges, axis=-1)  # [points, 2 * panels]
+        nodes = (edges[:, :-1] + half)[..., None] + half[..., None] * gl_nodes
+        vals = weight(nodes, w) * filter_fhat(nodes - v1[:, None, None], b) \
+            * filter_fhat(nodes - v2[:, None, None], b)
         return np.sum(half * (vals @ gl_weights), axis=-1)
 
-    coarse, fine = rule(QUAD_PANELS), rule(QUAD_PANELS_FINE)
+    v1, v2 = nu1.reshape(-1), nu2.reshape(-1)
+    coarse, fine = np.empty(v1.size), np.empty(v1.size)
+    for s in range(0, v1.size, QUAD_CHUNK):
+        part = slice(s, s + QUAD_CHUNK)
+        coarse[part] = rule(v1[part], v2[part], QUAD_PANELS)
+        fine[part] = rule(v1[part], v2[part], QUAD_PANELS_FINE)
     err = float(np.max(np.abs(fine - coarse), initial=0.0))
     if err > QUAD_ABS_TOL:
         raise RuntimeError(f"alpha quadrature did not converge: {QUAD_PANELS} and "
                            f"{QUAD_PANELS_FINE} panels differ by {err:.2e}")
+    fine = fine.reshape(nu1.shape)
     return fine if fine.ndim else float(fine)
 
 
@@ -364,36 +374,51 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
         return Superoperator(sparse.csr_array((d * d, d * d), dtype=complex), basis=U)
     gid = es.gid.reshape(-1)  # Bohr group of nu_ki at k*d + i
     idx, table = _alpha_table(np.unique(gid[Sv.indices]).tolist(), es, w)
-    slot = np.zeros(es.bohr.size, dtype=np.int64)
+    # each triplet array below is dropped once consumed: the working set stays
+    # a few arrays of the length of C, with int32 indices while they fit
+    itype = np.int32 if d * d < 2**31 else np.int64
+    slot = np.zeros(es.bohr.size, dtype=itype)
     for g, s in idx.items():
         slot[g] = s
+    slot = slot[gid]  # alpha-table slot of nu_ki at k*d + i
     nus = es.bohr[sorted(idx)]
     Ktab = (np.tanh(-w.beta * (nus[:, None] - nus[None, :]) / 4.0) / 2.0j) * table
 
     C = (Sv.conj().T @ Sv).tocoo()
-    k, i = np.divmod(C.row, d)
-    l, j = np.divmod(C.col, d)
-    a, b = slot[gid[C.row]], slot[gid[C.col]]
-    sandwich = table[a, b] * C.data
+    kd, ld = C.row.astype(itype, copy=False), C.col.astype(itype, copy=False)  # k*d + i, l*d + j
+    c_val = C.data
+    del C
     # anticommutator and coherent cores from the k = l entries:
     # N[i,j] = sum_k alpha[g(k,i), g(k,j)] C[(k,i),(k,j)], G likewise with Ktab[g(k,j), g(k,i)]
-    on = k == l
-    cell = i[on] + d * j[on]
+    on = np.nonzero(kd // d == ld // d)[0]
+    a_on, b_on = slot[kd[on]], slot[ld[on]]
+    cell = kd[on] % d + d * (ld[on] % d)
     used = np.unique(cell)
     ci, cj = used % d, used // d
+    n_val = table[a_on, b_on] * c_val[on]
+    g_val = Ktab[b_on, a_on] * c_val[on]
 
     def cell_sum(v):
         return (np.bincount(cell, v.real, d * d) + 1j * np.bincount(cell, v.imag, d * d))[used]
 
-    n_val, g_val = sandwich[on], Ktab[b[on], a[on]] * C.data[on]
     M, M2 = cell_sum(-0.5 * n_val + 1j * g_val), cell_sum(-0.5 * n_val - 1j * g_val)
     # -1/2 {N, X} + i [G, X] = M X + X M2 with M = -N/2 + iG, M2 = -N/2 - iG:
     # kron(Id, M) puts M[i, j] at (i + d*t, j + d*t) and kron(M2^T, Id) puts
-    # M2[i, j] at (t + d*j, t + d*i), for every t; one COO holds them and the sandwich
-    t = np.arange(d)
-    row = np.concatenate([i + d * j, (ci[:, None] + d * t).ravel(), (t + d * cj[:, None]).ravel()])
-    col = np.concatenate([k + d * l, (cj[:, None] + d * t).ravel(), (t + d * ci[:, None]).ravel()])
-    val = np.concatenate([sandwich, np.repeat(M, d), np.repeat(M2, d)])
-    L = sparse.coo_array((val, (row, col)), shape=(d * d, d * d)).tocsr()
+    # M2[i, j] at (t + d*j, t + d*i), for every t; one COO holds them and the
+    # sandwich entry of C[(k,i),(l,j)] at row i + d*j, column k + d*l
+    n_c, n_core = c_val.size, used.size * d
+    val = np.empty(n_c + 2 * n_core, dtype=complex)
+    np.multiply(table[slot[kd], slot[ld]], c_val, out=val[:n_c])
+    val[n_c:n_c + n_core], val[n_c + n_core:] = np.repeat(M, d), np.repeat(M2, d)
+    del c_val
+    t = np.arange(d, dtype=itype)
+    row = np.concatenate([kd % d + d * (ld % d), (ci[:, None] + d * t).ravel(),
+                          (t + d * cj[:, None]).ravel()])
+    col = np.concatenate([kd // d + d * (ld // d), (cj[:, None] + d * t).ravel(),
+                          (t + d * ci[:, None]).ravel()])
+    del kd, ld
+    L = sparse.coo_array((val, (row, col)), shape=(d * d, d * d))
+    del val, row, col
+    L = L.tocsr()
     L.eliminate_zeros()
     return Superoperator(L, basis=U)

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .hamiltonians import CutReport, assemble_dense, check_commuting_cut, simultaneous_eigenbasis
+from .hamiltonians import CutReport, check_commuting_cut, simultaneous_eigenbasis
 from .lindblad import (
+    Eigensystem,
     Superoperator,
     WeightFunction,
     alpha_coeff,
@@ -81,19 +82,29 @@ class JointStructure:
 
     ``perm`` is the index array of the A-first site order
     (``pauli.qubit_permutation``).  ``basis_a`` is the shared eigenbasis of
-    the A-side family {H_A} u {V_A}.  ``system_basis`` holds the |i_A j_B>
-    vectors in the original site ordering; they diagonalize H with the
-    eigenvalues ``lam2``.  ``joint_basis`` holds the |i_A j_B m_A> vectors in
-    the original joint ordering.
+    the A-side family {H_A} u {V_A}.  ``system_es`` is the labeled
+    eigensystem of H: its eigenvectors ``system_basis`` are the |i_A j_B>
+    vectors in the original site ordering, with the eigenvalues ``lam2``.
+    The system generator and g_B are both built from it.  ``joint_basis``
+    holds the |i_A j_B m_A> vectors in the original joint ordering.
     """
 
     cut: CutReport
     basis_a: np.ndarray
-    lam2: np.ndarray  # (d_a, d_b) eigenvalues of H in the |i_A j_B> labels
     perm: np.ndarray
-    system_basis: np.ndarray
+    system_es: Eigensystem
     joint_basis: np.ndarray
     n: int
+
+    @property
+    def lam2(self):
+        """(d_a, d_b) eigenvalues of H in the |i_A j_B> labels."""
+        return self.system_es.eigenvalues.reshape(self.d_a, self.d_b)
+
+    @property
+    def system_basis(self):
+        """The |i_A j_B> vectors in the original site ordering, as columns."""
+        return self.system_es.eigenvectors
 
     @property
     def d_a(self):
@@ -125,7 +136,8 @@ def joint_structure(spec) -> JointStructure:
 
     The A-side and B-side families are diagonalized by
     ``simultaneous_eigenbasis`` (seeds 7 and 11); their product must
-    diagonalize H in the A-first ordering.
+    diagonalize H in the A-first ordering, which the cut analysis hands over
+    (``CutReport.h_perm``).
     """
     cut = check_commuting_cut(spec)
     if not cut.holds:
@@ -134,15 +146,14 @@ def joint_structure(spec) -> JointStructure:
     basis_b, _ = simultaneous_eigenbasis([cut.h_b] + [vb for _, vb in cut.interaction], seed=11)
     p = qubit_permutation(spec.n, cut.perm_order)
     W = np.kron(basis_a, basis_b)
-    Hw = W.conj().T @ assemble_dense(spec)[np.ix_(p, p)] @ W
+    Hw = W.conj().T @ cut.h_perm @ W
     off = Hw - np.diag(np.diag(Hw))
     if np.linalg.norm(off) > 1e-10 * max(1.0, np.linalg.norm(Hw)):
         raise ValueError("product labeling failed to diagonalize H")
-    lam2 = np.real(np.diag(Hw)).reshape(cut.d_a, cut.d_b)
     system_basis = np.empty_like(W)
     system_basis[p] = W  # P^dag W: the labels in the original site ordering
-    return JointStructure(cut=cut, basis_a=basis_a, lam2=lam2, perm=p,
-                          system_basis=system_basis,
+    return JointStructure(cut=cut, basis_a=basis_a, perm=p,
+                          system_es=eigensystem_from_pairs(np.diag(Hw).real.copy(), system_basis),
                           joint_basis=np.kron(system_basis, basis_a), n=spec.n)
 
 
@@ -196,7 +207,7 @@ def swap_generator_generic(js: JointStructure, beta) -> Superoperator:
     inside a degenerate eigenspace, so the result is stored in the same basis
     as ``swap_generator_closed_form`` and the two compare entry by entry.
     """
-    es = eigensystem_from_pairs(np.repeat(js.lam2.reshape(-1), js.d_a) + 1.0, js.joint_basis)
+    es = eigensystem_from_pairs(np.repeat(js.system_es.eigenvalues, js.d_a) + 1.0, js.joint_basis)
     return build_ckg_generator(es, [swap_unitary_original(js)], WeightFunction("metropolis", beta))
 
 
@@ -243,8 +254,7 @@ def build_replica_exchange_generator(structure, beta, w1: WeightFunction, w2: We
     if mode.kind == "local_A":
         js = structure
         d_n = js.d_a * js.d_b
-        es1 = eigensystem_from_pairs(js.lam2.reshape(-1), js.system_basis)
-        L1 = build_ckg_generator(es1, single_site_paulis(js.n), w1)
+        L1 = build_ckg_generator(js.system_es, single_site_paulis(js.n), w1)
         es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a)
         L2 = build_ckg_generator(es2, single_site_paulis(js.n_a), w2)
         M = (_swap_superop_labeled(js, beta) + lift(L1.local, (d_n, js.d_a), 0)

@@ -36,7 +36,6 @@ from .lindblad import (
     Superoperator,
     WeightFunction,
     build_ckg_generator,
-    eigensystem_from_pairs,
     gibbs_state,
 )
 from .pauli import single_site_paulis
@@ -308,7 +307,7 @@ def a_diagonal_restriction_gap(js, beta, w: WeightFunction):
     diagonalize H, so L_hat is a sparse scaling and the A-diagonal rows and
     columns are gathered from it directly.
     """
-    es = eigensystem_from_pairs(js.lam2.reshape(-1), js.system_basis)
+    es = js.system_es
     couplings = single_site_paulis(js.n, sites=js.cut.perm_order[js.n_a:])
     Lhat = symmetrize(build_ckg_generator(es, couplings, w), gibbs_state(es, beta))
     d = es.dim

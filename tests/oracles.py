@@ -42,6 +42,13 @@ as test oracles only:
   ``qrex.lindblad.build_ckg_generator`` assembles the same terms entry-wise
   in the eigenbasis.
 
+* ``bottleneck_ratio_whole_table`` minimizes the exact Cheeger ratio over
+  the whole (2^m, m) subset table at once and ``alpha_quadrature_whole_cube``
+  evaluates both panel rules on the whole (points, 2 * panels, 15) node
+  cube; ``qrex.classical.bottleneck_ratio`` and
+  ``qrex.lindblad.alpha_quadrature`` run the same formulas a fixed-size
+  chunk at a time.
+
 Helpers that only the tests use live here too: ``gap_mode_state`` and the
 Pauli decomposition ``pauli_decompose``/``pauli_support``.
 """
@@ -53,13 +60,17 @@ import numpy as np
 
 from qrex.hamiltonians import assemble_dense, compress_onto
 from qrex.lindblad import (
+    QUAD_PANELS,
+    QUAD_PANELS_FINE,
     Eigensystem,
     WeightFunction,
     alpha_coeff,
     build_ckg_generator,
     eigensystem,
     eigensystem_from_pairs,
+    filter_fhat,
     gibbs_state,
+    weight,
 )
 from qrex.mixing import BISECTION_RTOL, _gap_and_mode
 from qrex.pauli import PAULIS, single_site_paulis
@@ -463,3 +474,45 @@ def coherent_term(jumps_list, es: Eigensystem, w: WeightFunction) -> np.ndarray:
     if herm_err > 1e-10 * max(1.0, np.linalg.norm(G)):
         raise ValueError(f"coherent term failed hermiticity check ({herm_err:.2e})")
     return 0.5 * (G + G.conj().T)
+
+
+def bottleneck_ratio_whole_table(chain):
+    """Exact Cheeger constant (phi, members) of a chain from its whole subset table at once."""
+    Q = chain.generator
+    pi = chain.stationary
+    m = chain.n_states
+    flow = pi[:, None] * (Q - np.diag(np.diag(Q)))
+    idx = np.arange(2**m, dtype="<u4")
+    bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, count=m, bitorder="little")
+    masks = bits.astype(float)[1:-1]  # skip empty and full
+    p = masks @ pi
+    cross = masks @ flow.sum(axis=1) - np.einsum("sj,sj->s", masks @ flow, masks)
+    valid = p <= 0.5 + 1e-15
+    ratios = np.where(valid, cross / np.where(p > 0, p, 1.0), np.inf)
+    best = int(np.argmin(ratios))
+    members = tuple(np.nonzero(masks[best] > 0)[0].tolist())
+    return float(ratios[best]), members
+
+
+def alpha_quadrature_whole_cube(nu1, nu2, w: WeightFunction):
+    """Both composite panel rules of ``qrex.lindblad.alpha_quadrature`` on the whole node cube.
+
+    Returns the (coarse, fine) results, shaped like the broadcast inputs.
+    """
+    nu1, nu2 = np.broadcast_arrays(np.asarray(nu1, dtype=float), np.asarray(nu2, dtype=float))
+    b = w.beta
+    lo = np.minimum(nu1, nu2)[..., None] - 12.0 / b
+    hi = np.maximum(nu1, nu2)[..., None] + 12.0 / b
+    cut = np.clip(-0.5 / b, lo, hi) if w.kind == "metropolis" else hi
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(15)
+
+    def rule(panels):
+        t = np.linspace(0.0, 1.0, panels + 1)
+        edges = np.concatenate([lo + (cut - lo) * t, cut + (hi - cut) * t[1:]], axis=-1)
+        half = 0.5 * np.diff(edges, axis=-1)  # [..., 2 * panels]
+        nodes = (edges[..., :-1] + half)[..., None] + half[..., None] * gl_nodes
+        vals = weight(nodes, w) * filter_fhat(nodes - nu1[..., None, None], b) \
+            * filter_fhat(nodes - nu2[..., None, None], b)
+        return np.sum(half * (vals @ gl_weights), axis=-1)
+
+    return rule(QUAD_PANELS), rule(QUAD_PANELS_FINE)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qrex.classical import (
+    CHEEGER_CHUNK,
     ClassicalChain,
     _subset_masks,
     bottleneck_ratio,
@@ -12,9 +15,33 @@ from qrex.classical import (
     spin_table,
 )
 
+from oracles import bottleneck_ratio_whole_table
+
 
 def ising_fn(J):
     return lambda z: classical_defected_ising_energy(z, J)
+
+
+def random_reversible_chain(m, seed):
+    """Chain with random symmetric flows W and random stationary law pi: Q = W / pi."""
+    rng = np.random.default_rng(seed)
+    W = rng.random((m, m))
+    W = W + W.T
+    np.fill_diagonal(W, 0.0)
+    pi = rng.random(m) + 0.1
+    pi /= pi.sum()
+    Q = W / pi[:, None]
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return ClassicalChain(generator=Q, stationary=pi, beta=1.0)
+
+
+def two_cluster_chain(m, cluster):
+    """Uniform pi; rate 1 inside ``cluster`` and inside its complement, 2^-6 across."""
+    inside = np.isin(np.arange(m), cluster)
+    Q = np.where(inside[:, None] == inside[None, :], 1.0, 2.0**-6)
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return ClassicalChain(generator=Q, stationary=np.full(m, 1.0 / m), beta=1.0)
 
 
 class TestEnergy:
@@ -72,9 +99,56 @@ class TestBottleneckRatio:
     def test_subset_masks_equal_shift_form(self, m):
         idx = np.arange(2**m, dtype=np.uint32)
         shifted = ((idx[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
-        masks = _subset_masks(m)
+        masks = _subset_masks(m, 0, 2**m)
         assert masks.dtype == shifted.dtype
         assert np.array_equal(masks, shifted)
+        assert np.array_equal(_subset_masks(m, 1, 2**m - 1), shifted[1:-1])
+
+    @pytest.mark.parametrize("m", [2, 13, 16, 20])
+    def test_exact_equals_whole_table(self, m):
+        chain = random_reversible_chain(m, seed=m)
+        assert bottleneck_ratio(chain, mode="exact") == bottleneck_ratio_whole_table(chain)
+
+    def test_exact_tie_across_chunks_keeps_first(self):
+        # two clusters of 8 states with uniform pi and dyadic rates, so every sum
+        # is exact: each cluster has phi = 64 * 2^-10 / (1/2) = 1/8 bitwise, and
+        # every other subset cuts an internal edge
+        m = 16
+        first = (0, 1, 2, 3, 4, 5, 6, 13)
+        chain = two_cluster_chain(m, first)
+        i1 = sum(1 << s for s in first)
+        i2 = 2**m - 1 - i1  # the other cluster
+        assert (i1 - 1) // CHEEGER_CHUNK != (i2 - 1) // CHEEGER_CHUNK  # chunks start at 1
+        assert bottleneck_ratio(chain, mode="exact") == (0.125, first)
+        assert bottleneck_ratio_whole_table(chain) == (0.125, first)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_exact_minimizer_at_chunk_edge(self, offset):
+        # chunks start at subset index 1, so index CHEEGER_CHUNK ends the first
+        # chunk and CHEEGER_CHUNK + 1 starts the second; the cluster with that
+        # index is the unique minimizer
+        top = CHEEGER_CHUNK.bit_length() - 1  # CHEEGER_CHUNK = 2^top
+        members = (0, top) if offset else (top,)
+        assert sum(1 << s for s in members) == CHEEGER_CHUNK + offset
+        chain = two_cluster_chain(top + 1, members)
+        assert bottleneck_ratio(chain, mode="exact")[1] == members
+        assert bottleneck_ratio(chain, mode="exact") == bottleneck_ratio_whole_table(chain)
+
+    def test_exact_enumeration_working_set(self):
+        chain = random_reversible_chain(20, seed=20)
+        tracemalloc.start()
+        try:
+            bottleneck_ratio(chain, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole (2^20, 20) mask table alone would take 168 MB
+        assert peak < 16 * 2**20
+
+    def test_exact_needs_two_states(self):
+        chain = ClassicalChain(generator=np.zeros((1, 1)), stationary=np.ones(1), beta=1.0)
+        with pytest.raises(ValueError):
+            bottleneck_ratio(chain, mode="exact")
 
     @pytest.mark.parametrize("J, phi, members", [
         (2.0, 0.014084064847293045, (0, 1, 2, 3, 8, 9, 10, 11)),

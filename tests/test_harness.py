@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import qrex.hamiltonians
 import qrex.harness
 import qrex.lindblad
 import qrex.replica
@@ -162,6 +164,31 @@ class TestSweepGB:
         self.point({"model": "defected_ising", "n": 3, "J": 3.0}, 1.0, 3.0)
         # single system, joint system and auxiliary pieces, B-site restriction
         assert len(calls) == 4
+
+    def test_one_labeled_eigensystem_and_two_assemblies_per_point(self, monkeypatch):
+        n = 3
+        assembled, labeled = [], []
+        assemble, from_pairs = qrex.hamiltonians.assemble_dense, qrex.lindblad.eigensystem_from_pairs
+
+        def assemble_spy(spec):
+            assembled.append(spec.n)
+            return assemble(spec)
+
+        def from_pairs_spy(lam, U):
+            if np.size(lam) == 2**n:  # the labeled system eigensystem (not the A side's)
+                labeled.append(U)
+            return from_pairs(lam, U)
+
+        for module in (qrex.hamiltonians, qrex.harness, qrex.replica, qrex.verify):
+            monkeypatch.setattr(module, "assemble_dense", assemble_spy, raising=False)
+        # qrex.lindblad.eigensystem diagonalizes H itself and is not counted
+        for module in (qrex.replica, qrex.spectral):
+            monkeypatch.setattr(module, "eigensystem_from_pairs", from_pairs_spy, raising=False)
+        self.point({"model": "defected_ising", "n": n, "J": 3.0}, 1.0, 3.0)
+        # the single-system gap and the cut analysis; the joint structure takes
+        # the cut's permuted H and holds the labeled eigensystem
+        assert len(assembled) == 2
+        assert len(labeled) == 1
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("J", [1.0, 5.0])

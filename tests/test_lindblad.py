@@ -22,6 +22,7 @@ from qrex.lindblad import (
 from qrex.pauli import X, Y, Z, single_site_paulis
 
 from oracles import (
+    alpha_quadrature_whole_cube,
     coherent_term,
     detailed_balance_residual,
     jump_components,
@@ -172,6 +173,38 @@ class TestAlphaCoeff:
         monkeypatch.setattr(lindblad, "QUAD_PANELS_FINE", 2)
         with pytest.raises(RuntimeError, match="did not converge"):
             alpha_quadrature(0.3, -0.2, GG)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "metropolis"])
+    @pytest.mark.parametrize("shape1, shape2", [
+        ((), ()),  # a scalar
+        ((13, 1), (11,)),  # a broadcast grid of 143 points
+        ((2 * lindblad.QUAD_CHUNK + 1,), (1,)),
+    ])
+    def test_quadrature_chunks_equal_whole_cube(self, kind, shape1, shape2):
+        rng = np.random.default_rng(3)
+        nu1, nu2 = rng.uniform(-5.0, 5.0, shape1), rng.uniform(-5.0, 5.0, shape2)
+        points = np.broadcast(nu1, nu2).size
+        assert points == 1 or points % lindblad.QUAD_CHUNK != 0
+        w = WeightFunction(kind, 1.3)
+        _, fine = alpha_quadrature_whole_cube(nu1, nu2, w)
+        got = alpha_quadrature(nu1, nu2, w)
+        if fine.ndim:
+            assert got.shape == fine.shape and np.array_equal(got, fine)
+        else:
+            assert type(got) is float and got == fine
+
+    @pytest.mark.parametrize("kind", ["gaussian", "metropolis"])
+    def test_quadrature_convergence_check_reads_every_chunk(self, kind, monkeypatch):
+        nus = np.linspace(-6.0, 6.0, 3 * lindblad.QUAD_CHUNK - 5)
+        w = WeightFunction(kind, 0.7)
+        coarse, fine = alpha_quadrature_whole_cube(nus, nus[::-1], w)
+        err = np.abs(fine - coarse).max()
+        assert err > 0.0
+        monkeypatch.setattr(lindblad, "QUAD_ABS_TOL", err)
+        assert np.array_equal(alpha_quadrature(nus, nus[::-1], w), fine)
+        monkeypatch.setattr(lindblad, "QUAD_ABS_TOL", np.nextafter(err, 0.0))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            alpha_quadrature(nus, nus[::-1], w)
 
     def test_metropolis_diagonal_at_zero(self):
         # paper's theta(0) = erfc(1/(2 sqrt 2)) ~ 0.617
