@@ -61,14 +61,6 @@ class HamiltonianSpec:
             if set(a) | set(b) != set(range(self.n)):
                 raise ValueError("partition must cover all sites")
 
-    @property
-    def a_sites(self):
-        return tuple(self.partition[0]) if self.partition else ()
-
-    @property
-    def b_sites(self):
-        return tuple(self.partition[1]) if self.partition else tuple(range(self.n))
-
     def to_json_dict(self):
         d = {
             "n": self.n,

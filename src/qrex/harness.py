@@ -12,6 +12,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .lindblad import (
     WeightFunction,
     alpha_quadrature,
     build_ckg_generator,
-    diagonal_gibbs_state,
     eigensystem,
     gibbs_state,
     theta,
@@ -39,9 +39,10 @@ from .lindblad import (
 from .mixing import mixing_time_estimate
 from .pauli import single_site_paulis
 from .replica import (
-    SwapMode,
+    build_global_replica_generator,
     build_replica_exchange_generator,
     check_global_size,
+    global_gibbs,
     joint_gibbs,
     joint_structure,
 )
@@ -59,7 +60,6 @@ class ResourceGuardError(RuntimeError):
 
 SCENARIOS = ("gap", "sweep", "mixing", "verify", "theta", "classical")
 WEIGHTS = ("metropolis", "gaussian")
-REPLICA_MODES = ("local_A", "global", "none")
 
 DEFAULT_CONFIG = {
     "system": {"model": "defected_ising", "n": 3, "J": 3.0},
@@ -156,20 +156,30 @@ def validate_config(raw) -> ExperimentConfig:
     if merged["weight"] not in WEIGHTS:
         raise ConfigError(f"field 'weight': unknown value {merged['weight']!r}")
     rep = merged["replica"]
-    if rep["mode"] not in REPLICA_MODES:
+    if rep["mode"] not in MODE_BUILDERS:
         raise ConfigError(f"field 'replica.mode': unknown value {rep['mode']!r}")
     if rep["swap_weight"] != "metropolis":
         raise ConfigError("field 'replica.swap_weight': only 'metropolis' is supported")
     if rep.get("weight", "gaussian") not in WEIGHTS:
         raise ConfigError(f"field 'replica.weight': unknown value {rep['weight']!r}")
-    if merged["sweep"]["param"] not in ("J", "beta"):
+    if rep["beta2"] is not None:
+        rep["beta2"] = _number(rep["beta2"], "replica.beta2")
+        if rep["beta2"] <= 0:
+            raise ConfigError("field 'replica.beta2': must be null or positive")
+    sweep = merged["sweep"]
+    if sweep["param"] not in ("J", "beta"):
         raise ConfigError(f"field 'sweep.param': must be 'J' or 'beta'")
-    epsilon = _number(merged, "epsilon")
+    if not isinstance(sweep["values"], list) or not sweep["values"]:
+        raise ConfigError("field 'sweep.values': must be a non-empty list of numbers")
+    sweep["values"] = [_number(v, "sweep.values") for v in sweep["values"]]
+    if sweep["param"] == "beta" and min(sweep["values"]) <= 0:
+        raise ConfigError("field 'sweep.values': a beta sweep needs positive values")
+    epsilon = _number(merged["epsilon"], "epsilon")
     if not 0 < epsilon < 1:
         raise ConfigError("field 'epsilon': must lie in (0, 1)")
     if merged["output"]["format"] not in ("csv", "json"):
         raise ConfigError(f"field 'output.format': must be 'csv' or 'json'")
-    beta = _number(merged, "beta")
+    beta = _number(merged["beta"], "beta")
     if beta <= 0:
         raise ConfigError("field 'beta': must be positive")
     max_dim = _integer(merged["max_dim"], "max_dim")
@@ -189,12 +199,15 @@ def validate_config(raw) -> ExperimentConfig:
     )
 
 
-def _number(merged, key):
-    """merged[key] as a float; ConfigError naming the field if it is not a number."""
+def _number(value, field):
+    """``value`` as a finite float; ConfigError naming the field if it is not one."""
     try:
-        return float(merged[key])
+        number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"field {key!r}: not a number")
+        raise ConfigError(f"field {field!r}: not a number")
+    if not np.isfinite(number):
+        raise ConfigError(f"field {field!r}: not a finite number")
+    return number
 
 
 def _integer(value, field):
@@ -283,29 +296,43 @@ def _guard_dims(config: ExperimentConfig, spec: HamiltonianSpec):
             raise ResourceGuardError(str(exc)) from exc
 
 
-def _single_gap(spec, beta, weight_kind):
-    es = eigensystem(assemble_dense(spec))
-    L = build_ckg_generator(es, single_site_paulis(spec.n), WeightFunction(weight_kind, beta))
-    return spectral_gap(L, gibbs_state(es, beta))
+class _Point:
+    """``spec`` at ``beta``; H's eigensystem and the cut analysis are made on first use, once."""
+
+    def __init__(self, spec, beta):
+        self.spec, self.beta = spec, beta
+
+    @cached_property
+    def es(self):
+        return eigensystem(assemble_dense(self.spec))
+
+    @cached_property
+    def js(self):
+        return joint_structure(self.spec)
 
 
-def _replica_gap(structure, beta, replica_cfg):
-    """Gap of the replica generator built from ``structure``.
+def _single_system(p: _Point, config):
+    """(L, sigma) of the single system, with the weight ``config.weight``."""
+    L = build_ckg_generator(p.es, single_site_paulis(p.spec.n),
+                            WeightFunction(config.weight, p.beta))
+    return L, gibbs_state(p.es, p.beta)
 
-    ``structure`` is the JointStructure of the system in local_A mode and
-    the Eigensystem of its Hamiltonian in global mode, as for
-    ``build_replica_exchange_generator``.
-    """
-    w = WeightFunction(replica_cfg.get("weight", "gaussian"), beta)
-    mode = SwapMode(replica_cfg["mode"], beta2=replica_cfg.get("beta2"))
-    L = build_replica_exchange_generator(structure, beta, w, w, mode)
-    if mode.kind == "global":
-        # fixed point sigma_beta (x) sigma_beta2, diagonal in the generator's U (x) U
-        beta2 = mode.beta2 if mode.beta2 is not None else beta
-        weights = np.kron(gibbs_state(structure, beta).weights,
-                          gibbs_state(structure, beta2).weights)
-        return spectral_gap(L, diagonal_gibbs_state(weights, L.basis, beta))
-    return spectral_gap(L, joint_gibbs(structure, beta))
+
+def _local_a(p: _Point, config):
+    """(L, sigma) of the local_A replica exchange on the commuting-cut labels."""
+    w = WeightFunction(config.replica["weight"], p.beta)
+    return build_replica_exchange_generator(p.js, w), joint_gibbs(p.js, p.beta)
+
+
+def _global(p: _Point, config):
+    """(L, sigma) of the two-temperature global replica exchange; beta2 defaults to beta."""
+    beta2 = p.beta if config.replica["beta2"] is None else config.replica["beta2"]
+    w = WeightFunction(config.replica["weight"], p.beta)
+    return build_global_replica_generator(p.es, w, beta2), global_gibbs(p.es, p.beta, beta2)
+
+
+# the one place the replica mode picks a generator and its Gibbs state
+MODE_BUILDERS = {"none": _single_system, "local_A": _local_a, "global": _global}
 
 
 def _sweep_point(args):
@@ -320,24 +347,19 @@ def _sweep_point(args):
         beta = float(value)
         J = spec.defect[1] if spec.defect else float("nan")
     _guard_dims(config, spec)
-    rec = {"J": J, "beta": beta}
-    single = _single_gap(spec, beta, config.weight)
-    rec["gap_single"] = single.gap
-    rec["gap_re"] = rec["g_B"] = rec["bound_ratio"] = float("nan")
-    if config.replica["mode"] == "global":
-        rec["gap_re"] = _replica_gap(eigensystem(assemble_dense(spec)), beta, config.replica).gap
-    elif config.replica["mode"] == "local_A":
-        # one commuting-cut analysis serves the generator, the Gibbs state,
-        # g_B and the bound
-        js = joint_structure(spec)
-        rep = _replica_gap(js, beta, config.replica)
-        rec["gap_re"] = rep.gap
-        w = WeightFunction(config.replica.get("weight", "gaussian"), beta)
-        rec["g_B"] = a_diagonal_restriction_gap(js, beta, w)
-        cut = js.cut
-        d_a = js.d_a
+    p = _Point(spec, beta)
+    mode = config.replica["mode"]
+    rec = {"J": J, "beta": beta, "gap_single": spectral_gap(*_single_system(p, config)).gap,
+           "gap_re": float("nan"), "g_B": float("nan"), "bound_ratio": float("nan")}
+    if mode != "none":
+        rec["gap_re"] = spectral_gap(*MODE_BUILDERS[mode](p, config)).gap
+    if mode == "local_A":
+        # the theorem's bound reads the same commuting-cut analysis as the generator
+        js = p.js
+        rec["g_B"] = a_diagonal_restriction_gap(js, WeightFunction(config.replica["weight"], beta))
         denom = min(rec["g_B"], 1.0)
-        rec["bound_ratio"] = rep.gap * d_a * np.exp(4 * beta * cut.k_count * cut.v_max) / denom
+        rec["bound_ratio"] = (rec["gap_re"] * js.d_a
+                              * np.exp(4 * beta * js.cut.k_count * js.cut.v_max) / denom)
     return rec
 
 
@@ -353,12 +375,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
     if scenario == "gap":
         spec = build_system(config)
         _guard_dims(config, spec)
-        if config.replica["mode"] == "none":
-            rep = _single_gap(spec, config.beta, config.weight)
-        elif config.replica["mode"] == "global":
-            rep = _replica_gap(eigensystem(assemble_dense(spec)), config.beta, config.replica)
-        else:
-            rep = _replica_gap(joint_structure(spec), config.beta, config.replica)
+        rep = spectral_gap(*MODE_BUILDERS[config.replica["mode"]](_Point(spec, config.beta), config))
         records = [{"J": spec.defect[1] if spec.defect else float("nan"),
                     "beta": config.beta, **rep.to_json_dict()}]
 
@@ -378,11 +395,8 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
     elif scenario == "mixing":
         spec = build_system(config)
         _guard_dims(config, spec)
-        es = eigensystem(assemble_dense(spec))
-        L = build_ckg_generator(es, single_site_paulis(spec.n),
-                                WeightFunction(config.weight, config.beta))
-        mrep = mixing_time_estimate(L, gibbs_state(es, config.beta), config.epsilon,
-                                    seed=config.seed)
+        L, sigma = _single_system(_Point(spec, config.beta), config)
+        mrep = mixing_time_estimate(L, sigma, config.epsilon, seed=config.seed)
         records = [{"state_id": sid, "t_cross": t} for sid, t in mrep.crossings]
         summary = {k: v for k, v in mrep.to_json_dict().items() if k != "crossings"}
 
@@ -404,7 +418,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
     elif scenario == "classical":
         n = int(config.system.get("n", 4))
         beta1 = config.beta
-        beta2 = config.replica.get("beta2") or 0.2
+        beta2 = 0.2 if config.replica["beta2"] is None else config.replica["beta2"]
         records = []
         for J in config.sweep["values"]:
             efn = lambda z: classical_defected_ising_energy(z, float(J))

@@ -53,7 +53,7 @@ from .lindblad import (
     vec,
 )
 from .pauli import pauli_string_matrix, single_site_paulis
-from .spectral import block_eigh, gap_from_eigenvalues, kms_scaling, spectral_gap, symmetrize
+from .spectral import block_eigh, gap_from_eigenvalues, kms_scaling, symmetrize
 
 BISECTION_RTOL = 1e-3
 # Size in bytes of the (states x d^2) complex stack of the states that
@@ -503,30 +503,28 @@ def _gap_and_mode(L: Superoperator, sigma):
     return rep.gap, sigma.sigma + alpha * Y
 
 
-def chi_square_rate_fit(L: Superoperator, sigma, rho0=None, window=(1.0, 3.0), npts=8):
+def chi_square_rate_fit(L: Superoperator, sigma):
     """Exponential decay rate of chi-square along the flow, via dense expm.
 
-    Returns the fitted rate of chi^2(t); for a detailed-balanced generator
-    started in the gap mode this equals twice the spectral gap.  The expm
-    propagation keeps this route independent of the eigendecomposition.
+    Starts in the gap mode and fits the rate of chi^2(t) at 8 times in
+    [1/gap, 3/gap]; for a detailed-balanced generator this equals twice the
+    spectral gap.  The expm propagation keeps this route independent of the
+    eigendecomposition.
     """
-    if rho0 is None:
-        gap, rho0 = _gap_and_mode(L, sigma)
-    else:
-        gap = spectral_gap(L, sigma).gap
-    ts = np.linspace(window[0] / gap, window[1] / gap, npts)
+    gap, rho0 = _gap_and_mode(L, sigma)
+    ts = np.linspace(1.0 / gap, 3.0 / gap, 8)
     logs = [np.log(chi_square(_expm_flow(L, rho0, t), sigma)) for t in ts]
     slope = np.polyfit(ts, logs, 1)[0]
     return float(-slope)
 
 
-def bottleneck_witness(spec, sites, beta, L: Superoperator | None = None,
-                       weight_kind="metropolis"):
+def bottleneck_witness(spec, sites, beta):
     """Sector weights and jump containment for a -J Z_i Z_j defect bond.
 
     Projectors split the space by the (z_i, z_j) alignment pattern; with
-    single-site couplings one jump cannot cross from the misaligned sector
-    straight between the two aligned ones, so Pi_A L(Pi_C) must vanish.
+    single-site couplings one jump of the Metropolis generator cannot cross
+    from the misaligned sector straight between the two aligned ones, so
+    Pi_A L(Pi_C) must vanish.
     """
     i, j = sites
     n = spec.n
@@ -556,8 +554,7 @@ def bottleneck_witness(spec, sites, beta, L: Superoperator | None = None,
 
     es = eigensystem(H)
     sg = gibbs_state(es, beta)
-    if L is None:
-        L = build_ckg_generator(es, single_site_paulis(n), WeightFunction(weight_kind, beta))
+    L = build_ckg_generator(es, single_site_paulis(n), WeightFunction("metropolis", beta))
     out = L.apply(pi_c)
     scale = max(1.0, np.linalg.norm(out))
     containment = (np.linalg.norm(pi_a @ out) + np.linalg.norm(out @ pi_a)) / scale

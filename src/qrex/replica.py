@@ -18,14 +18,17 @@ That route is cross-validated against the generic construction of
 ``build_ckg_generator`` applied to the swap unitary, assembled from the
 labeled eigensystem of H (x) I + I (``swap_generator_generic``).
 
-The local_A joint generator is assembled in the same labeled basis: the
-system piece is built from the eigensystem of H in the system factor of that
-basis, the auxiliary piece in the A-side eigenbasis, and the sparse pieces
-are summed through ``lift``, a ``scipy.sparse.kron`` with the identity of
-the other factor.  The joint Gibbs state is diagonal there
-(``joint_gibbs``), so KMS products on the joint space are Euclidean products
-of vectors scaled by ``spectral.kms_scaling``; the sector analyses take
-theirs from ``spectral.symmetrize`` that way.
+The local_A joint generator (``build_replica_exchange_generator``) is
+assembled in the same labeled basis: the system piece is built from the
+eigensystem of H in the system factor of that basis, the auxiliary piece in
+the A-side eigenbasis, and the sparse pieces are summed through ``lift``, a
+``scipy.sparse.kron`` with the identity of the other factor.  The joint
+Gibbs state is diagonal there (``joint_gibbs``), so KMS products on the
+joint space are Euclidean products of vectors scaled by
+``spectral.kms_scaling``; the sector analyses take theirs from
+``spectral.symmetrize`` that way.  The two-temperature global variant
+(``build_global_replica_generator``) is stored in U (x) U, where its Gibbs
+state (``global_gibbs``) is diagonal.
 """
 
 from dataclasses import dataclass
@@ -42,28 +45,13 @@ from .lindblad import (
     build_ckg_generator,
     diagonal_gibbs_state,
     eigensystem_from_pairs,
+    gibbs_state,
     vec,
 )
 from .pauli import qubit_permutation, single_site_paulis
 from .spectral import block_eigvalsh, kms_scaling, symmetrize
 
 CLOSED_FORM_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SwapMode:
-    """Replica coupling choice: 'local_A', 'global', or 'none'.
-
-    ``beta2`` only matters for the global (two-temperature) variant; the
-    local variant follows the main theorem and keeps one beta.
-    """
-
-    kind: str = "local_A"
-    beta2: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("local_A", "global", "none"):
-            raise ValueError(f"unknown swap mode {self.kind!r}")
 
 
 def local_swap_unitary(d_a, d_b):
@@ -227,57 +215,71 @@ def lift(M, dims, factor):
     return sparse.coo_array((K.data, (joint[K.row], joint[K.col])), shape=K.shape).tocsr()
 
 
+def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> Superoperator:
+    """local_A joint generator L1 (x) Id + Id (x) L2 + L_swap on observables.
+
+    The system couplings are all single-site Paulis; the auxiliary is a
+    trivial-Hamiltonian copy of A with its own single-site Paulis; both use
+    the weight ``w``.  The swap exchanges the A registers (closed form, at
+    ``w.beta``).  The three pieces are assembled in the labeled
+    |i_A j_B m_A> basis of ``js``, where H and the joint Gibbs state
+    (``joint_gibbs``) are diagonal, and the result is stored there.
+    """
+    d_n = js.d_a * js.d_b
+    L1 = build_ckg_generator(js.system_es, single_site_paulis(js.n), w)
+    es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a)
+    L2 = build_ckg_generator(es2, single_site_paulis(js.n_a), w)
+    M = (_swap_superop_labeled(js, w.beta) + lift(L1.local, (d_n, js.d_a), 0)
+         + lift(L2.local, (d_n, js.d_a), 1))
+    return Superoperator(M, basis=js.joint_basis)
+
+
+def joint_gibbs(js: JointStructure, beta):
+    """Gibbs state of the local_A joint Hamiltonian (sigma_H (x) I_A / d_A).
+
+    Built diagonal in the labeled |i_A j_B m_A> basis from the commuting-cut
+    eigenvalues: weight s(a, b) / d_A at e(a, b, c).
+    """
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError("beta must be finite and non-negative")
+    lam = js.lam2
+    w = np.exp(-beta * (lam - lam.min()))
+    w /= w.sum()
+    return diagonal_gibbs_state(np.repeat(w.reshape(-1), js.d_a) / js.d_a, js.joint_basis, beta)
+
+
 def check_global_size(n):
     """Raise ValueError when the global two-replica generator on n sites is too large to build."""
     if n > 4:
         raise ValueError("global swap gated at n <= 4")
 
 
-def build_replica_exchange_generator(structure, beta, w1: WeightFunction, w2: WeightFunction,
-                                     mode: SwapMode) -> Superoperator:
-    """Joint generator L1 (x) Id + Id (x) L2 + L_swap on observables.
+def build_global_replica_generator(es: Eigensystem, w: WeightFunction, beta2) -> Superoperator:
+    """Two full replicas at (w.beta, beta2) coupled by the global swap, stored in U (x) U.
 
-    ``structure`` is what the generator is built from: the caller's
-    JointStructure of the system for local_A, the Eigensystem of its
-    Hamiltonian for global and none (which returns the single-system
-    generator).
-
-    local_A: system couplings are all single-site Paulis, the auxiliary is a
-    trivial-Hamiltonian copy of A with its own single-site Paulis, and the
-    swap exchanges the A registers (closed form).  The three pieces are
-    assembled in the labeled |i_A j_B m_A> basis, where H and the joint Gibbs
-    state are diagonal, and the result is stored there.
-
-    global: two full replicas, stored in the product U (x) U of the energy
-    eigenbasis, which diagonalizes both replicas and the swap Hamiltonian.
+    ``es`` is the eigensystem of H.  Replica 1 uses the weight ``w``,
+    replica 2 the same kind at ``beta2``; the swap piece is the generic
+    generator of the swap unitary for the Hamiltonian
+    w.beta H (x) I + beta2 I (x) H at unit temperature.  Its Gibbs state is
+    ``global_gibbs``.
     """
-    if mode.kind == "local_A":
-        js = structure
-        d_n = js.d_a * js.d_b
-        L1 = build_ckg_generator(js.system_es, single_site_paulis(js.n), w1)
-        es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a)
-        L2 = build_ckg_generator(es2, single_site_paulis(js.n_a), w2)
-        M = (_swap_superop_labeled(js, beta) + lift(L1.local, (d_n, js.d_a), 0)
-             + lift(L2.local, (d_n, js.d_a), 1))
-        return Superoperator(M, basis=js.joint_basis)
-    es = structure
     n, d_n = es.dim.bit_length() - 1, es.dim
-    if mode.kind == "none":
-        return build_ckg_generator(es, single_site_paulis(n), w1)
-    # global: two full replicas at (beta, beta2), global swap, general form
     check_global_size(n)
-    beta2 = mode.beta2 if mode.beta2 is not None else beta
-    L1 = build_ckg_generator(es, single_site_paulis(n), w1)
-    L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w2.kind, beta2))
-    # swap piece: Hamiltonian beta1 H (x) I + beta2 I (x) H at unit temperature,
-    # diagonal in U (x) U
+    L1 = build_ckg_generator(es, single_site_paulis(n), w)
+    L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w.kind, beta2))
     lam = es.eigenvalues
-    U2 = np.kron(es.eigenvectors, es.eigenvectors)
-    es_swap = eigensystem_from_pairs((beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1), U2)
+    U2 = np.kron(es.eigenvectors, es.eigenvectors)  # diagonalizes both replicas and the swap
+    es_swap = eigensystem_from_pairs((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1), U2)
     swap = local_swap_unitary(d_n, 1)
     M = (build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).local
          + lift(L1.local, (d_n, d_n), 0) + lift(L2.local, (d_n, d_n), 1))
     return Superoperator(M, basis=U2)
+
+
+def global_gibbs(es: Eigensystem, beta, beta2):
+    """sigma_beta (x) sigma_beta2, diagonal in the U (x) U of ``build_global_replica_generator``."""
+    weights = np.kron(gibbs_state(es, beta).weights, gibbs_state(es, beta2).weights)
+    return diagonal_gibbs_state(weights, np.kron(es.eigenvectors, es.eigenvectors), beta)
 
 
 def _random_off_a(rng, d_a, d_b, b_part):
@@ -394,16 +396,3 @@ def swap_sector_lower_bounds(js: JointStructure, beta, seed=42, n_random=20):
     return {"sector_minima": {k: float(v) for k, v in mins.items()},
             "threshold": float(threshold)}
 
-
-def joint_gibbs(js: JointStructure, beta):
-    """Gibbs state of the local_A joint Hamiltonian (sigma_H (x) I_A / d_A).
-
-    Built diagonal in the labeled |i_A j_B m_A> basis from the commuting-cut
-    eigenvalues: weight s(a, b) / d_A at e(a, b, c).
-    """
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be finite and non-negative")
-    lam = js.lam2
-    w = np.exp(-beta * (lam - lam.min()))
-    w /= w.sum()
-    return diagonal_gibbs_state(np.repeat(w.reshape(-1), js.d_a) / js.d_a, js.joint_basis, beta)

@@ -297,19 +297,20 @@ def gap_composition_suite(seed=42, n_instances=200, dim=6):
     return {"cases": cases, "passed": all(c["violations"] == 0 for c in cases.values())}
 
 
-def a_diagonal_restriction_gap(js, beta, w: WeightFunction):
+def a_diagonal_restriction_gap(js, w: WeightFunction):
     """g_B: gap of the B-site generator restricted to the A-diagonal sector.
 
     Zeroing the A-off-diagonal sector block-diagonalizes the generator over
     the A labels, so this equals min_i Gap of the pinned generators, the g_B
-    of the main theorem.  The generator is built in the product labels
-    |i_A j_B> of the caller's replica.JointStructure ``js``, which
-    diagonalize H, so L_hat is a sparse scaling and the A-diagonal rows and
-    columns are gathered from it directly.
+    of the main theorem, at the temperature ``w.beta``.  The generator is
+    built in the product labels |i_A j_B> of the caller's
+    replica.JointStructure ``js``, which diagonalize H, so L_hat is a sparse
+    scaling and the A-diagonal rows and columns are gathered from it
+    directly.
     """
     es = js.system_es
     couplings = single_site_paulis(js.n, sites=js.cut.perm_order[js.n_a:])
-    Lhat = symmetrize(build_ckg_generator(es, couplings, w), gibbs_state(es, beta))
+    Lhat = symmetrize(build_ckg_generator(es, couplings, w), gibbs_state(es, w.beta))
     d = es.dim
     a_label = np.arange(d) // js.d_b  # A label of each stored basis index
     r = np.arange(d * d)  # vec index r = i + d*j

@@ -20,7 +20,7 @@ from .classical import (
     classical_re_generator,
     glauber_generator,
 )
-from .hamiltonians import assemble_dense, check_commuting_cut, compress_onto, defected_ising_1d
+from .hamiltonians import assemble_dense, compress_onto, defected_ising_1d
 from .lindblad import (
     Superoperator,
     WeightFunction,
@@ -35,7 +35,6 @@ from .lindblad import (
 from .mixing import SpectralPropagator, chi_square_rate_fit, trace_norm
 from .pauli import single_site_paulis
 from .replica import (
-    SwapMode,
     build_replica_exchange_generator,
     joint_gibbs,
     joint_structure,
@@ -71,7 +70,8 @@ def run_verification(seed=42, beta=1.0):
     herm = np.linalg.norm(H3 - H3.conj().T) / np.linalg.norm(H3)
     results.append(_check("hamiltonians.hermiticity", herm <= 1e-12, f"residual {herm:.2e}"))
 
-    cut = check_commuting_cut(spec3)
+    js3 = joint_structure(spec3)  # the one cut analysis of spec3, shared by every check
+    cut = js3.cut
     h_ab = sum(np.kron(va, vb) for va, vb in cut.interaction)
     bound_ok = np.linalg.norm(h_ab, 2) <= cut.k_count * cut.v_max + 1e-10
     results.append(_check("hamiltonians.commuting_cut", cut.holds and bound_ok,
@@ -89,8 +89,8 @@ def run_verification(seed=42, beta=1.0):
     # lindblad
     worst_fp = 0.0
     worst_tr = 0.0
-    for w in (gm, gg):
-        L = build_ckg_generator(es3, single_site_paulis(3), w)
+    L_m, L_g = (build_ckg_generator(es3, single_site_paulis(3), w) for w in (gm, gg))
+    for L in (L_m, L_g):
         worst_fp = max(worst_fp, trace_norm(L.apply_adjoint(sg3.sigma)))
         R = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         rho = R @ R.conj().T
@@ -110,7 +110,6 @@ def run_verification(seed=42, beta=1.0):
         psd_ok &= ev >= -1e-10
     results.append(_check("lindblad.alpha_gram_psd", psd_ok, f"min eigenvalue {min_ev:.2e}"))
 
-    L_m = build_ckg_generator(es3, single_site_paulis(3), gm)
     Lhat = symmetrize(L_m, sg3).toarray()
     evals = np.linalg.eigvalsh(-Lhat)
     results.append(_check("lindblad.negativity", evals.min() >= -1e-9 * np.abs(evals).max(),
@@ -143,7 +142,6 @@ def run_verification(seed=42, beta=1.0):
     erfc_ok = np.all(lhs >= pi_ * pj / (pi_ + pj) - 1e-12)
     results.append(_check("replica.erfc_mean_bound", erfc_ok, "50x50 grid"))
 
-    js3 = joint_structure(spec3)
     swap_closed = swap_generator_closed_form(js3, beta)
     swap_generic = swap_generator_generic(js3, beta)
     # both are stored in the labeled basis, so their sparse matrices compare directly
@@ -168,7 +166,7 @@ def run_verification(seed=42, beta=1.0):
                           kern["restricted_kernel_dim"] == 1 and cross_ok,
                           f"dim {kern['restricted_kernel_dim']}, cross {kern['cross_term_residuals']}"))
 
-    L_re = build_replica_exchange_generator(js3, beta, gg, gg, SwapMode("local_A"))
+    L_re = build_replica_exchange_generator(js3, gg)
     rep_re = spectral_gap(L_re, sgj)
     results.append(_check("replica.joint_kernel_dim", rep_re.kernel_dim == 1,
                           f"dim {rep_re.kernel_dim}"))
@@ -184,7 +182,7 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("spectral.gap_rescaling", scale_ok, f"{rep2.gap / rep1.gap:.12f}"))
 
     direct = np.sort(np.linalg.eigvals(L_m.matrix).real)
-    sym = np.sort(np.linalg.eigvalsh(Lhat))
+    sym = -evals[::-1]  # the spectrum of Lhat, from the negativity check's eigvalsh
     spec_ok = np.allclose(direct, sym, atol=1e-7 * max(1.0, np.abs(sym).max()))
     results.append(_check("spectral.symmetrize_consistency", spec_ok,
                           f"max dev {np.abs(direct - sym).max():.2e}"))

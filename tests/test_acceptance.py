@@ -38,7 +38,6 @@ from qrex.mixing import (
 )
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
-    SwapMode,
     build_replica_exchange_generator,
     joint_gibbs,
     joint_structure,
@@ -117,7 +116,7 @@ def test_04_replica_exchange_acceleration():
     for J in (1.0, 2.0, 3.0, 4.0, 5.0):
         spec = defected_ising_1d(3, J)
         js = joint_structure(spec)
-        heis = build_replica_exchange_generator(js, BETA, GG, GG, SwapMode("local_A"))
+        heis = build_replica_exchange_generator(js, GG)
         sg = joint_gibbs(js, BETA)
         gaps_re[J] = spectral_gap(heis, sg).gap
         h1, sg1 = single_generator(J, GM)
@@ -153,7 +152,7 @@ def test_05_swap_generator_structure():
 
 def test_06_kernel_characterization():
     js = joint_structure(defected_ising_1d(3, 3.0))
-    heis = build_replica_exchange_generator(js, BETA, GG, GG, SwapMode("local_A"))
+    heis = build_replica_exchange_generator(js, GG)
     rep = spectral_gap(heis, joint_gibbs(js, BETA))
     kern = swap_only_kernel_analysis(js, BETA)
     cross_ok = all(v < 1e-10 for v in kern["cross_term_residuals"].values())

@@ -10,7 +10,6 @@ from qrex.hamiltonians import assemble_dense, defected_ising_1d
 from qrex.lindblad import WeightFunction, build_ckg_generator, eigensystem, gibbs_state
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
-    SwapMode,
     build_replica_exchange_generator,
     joint_gibbs,
     joint_structure,
@@ -101,7 +100,7 @@ def test_closed_form_swap_block_count():
 def test_labeled_joint_block_count():
     spec = defected_ising_1d(3, 3.0)
     js = joint_structure(spec)
-    L = build_replica_exchange_generator(js, 1.0, GG, GG, SwapMode("local_A"))
+    L = build_replica_exchange_generator(js, GG)
     assert block_counts(symmetrize(L, joint_gibbs(js, 1.0))) == (135, 32)
 
 

@@ -18,8 +18,11 @@ the oracle for the labeled-basis assembly.
 import numpy as np
 import pytest
 
+import qrex.harness
+import qrex.lindblad
+import qrex.replica
 from qrex.hamiltonians import HamiltonianSpec, PauliTerm, assemble_dense, defected_ising_1d
-from qrex.harness import _replica_gap
+from qrex.harness import run_scenario, validate_config
 from qrex.lindblad import (
     Superoperator,
     WeightFunction,
@@ -34,9 +37,10 @@ from qrex.lindblad import (
 from qrex.mixing import SpectralPropagator
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
-    SwapMode,
     _swap_superop_labeled,
+    build_global_replica_generator,
     build_replica_exchange_generator,
+    global_gibbs,
     joint_gibbs,
     joint_structure,
     swap_generator_closed_form,
@@ -246,7 +250,7 @@ def test_local_a_joint_generator_matches_dense_route():
     spec = defected_ising_1d(3, 3.0)
     js = joint_structure(spec)
     d_a, d_n = js.d_a, 2**spec.n
-    heis = build_replica_exchange_generator(js, 1.0, GG, GG, SwapMode("local_A"))
+    heis = build_replica_exchange_generator(js, GG)
     assert np.array_equal(heis.basis, js.joint_basis)
     M_dense = superop_kron_left(dense_ckg(assemble_dense(spec), single_site_paulis(3), GG), d_a)
     M_dense += superop_kron_right(dense_ckg(np.eye(d_a), single_site_paulis(2), GG), d_n)
@@ -270,7 +274,7 @@ def hopping_cut_spec(J):
                                   hopping_cut_spec(2.0)], ids=["ring_J1", "ring_J5", "hopping"])
 def test_labeled_joint_generator_matches_computational_sum(spec):
     js = joint_structure(spec)
-    heis = build_replica_exchange_generator(js, 1.0, GG, GG, SwapMode("local_A"))
+    heis = build_replica_exchange_generator(js, GG)
     M_old = computational_joint_sum(spec, 1.0, GG, GG)
     assert_close(heis.matrix, M_old)
     d = heis.dim
@@ -294,7 +298,7 @@ def test_labeled_joint_generator_matches_computational_sum(spec):
 def test_global_generator_matches_computational_sum(spec, w):
     beta, beta2 = 1.0, 0.25
     es = eigensystem(assemble_dense(spec))
-    heis = build_replica_exchange_generator(es, beta, w, w, SwapMode("global", beta2=beta2))
+    heis = build_global_replica_generator(es, w, beta2)
     M_old, sigma = computational_global_sum(spec, beta, beta2, w, w)
     assert_close(heis.matrix, M_old)
     d = heis.dim
@@ -303,7 +307,7 @@ def test_global_generator_matches_computational_sum(spec, w):
     assert_close(heis.apply(X), unvec(M_old @ vec(X)))
     assert_close(heis.apply_adjoint(X), unvec(M_old.conj().T @ vec(X)))
     # the same generator, paired with sigma_beta (x) sigma_beta2 in its own basis
-    rep = _replica_gap(es, beta, {"mode": "global", "beta2": beta2, "weight": w.kind})
+    rep = spectral_gap(heis, global_gibbs(es, beta, beta2))
     old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
     assert rep.kernel_dim == old.kernel_dim == 1
     assert abs(rep.gap - old.gap) <= max(RTOL * old.gap, 1e-14)
@@ -413,8 +417,37 @@ def test_global_mode_gap_pairs_the_two_temperature_gibbs_state():
     # the global generator was once paired with the local_A joint Gibbs state
     # and failed with a dimension mismatch
     spec, beta, beta2 = defected_ising_1d(3, 2.0), 1.0, 0.5
-    rep = _replica_gap(eigensystem(assemble_dense(spec)), beta, {"mode": "global", "beta2": beta2})
+    config = validate_config({"scenario": "gap", "beta": beta,
+                              "system": {"model": "defected_ising", "n": 3, "J": 2.0},
+                              "replica": {"mode": "global", "beta2": beta2}})
+    rep = run_scenario(config).records[0]
     M_old, sigma = computational_global_sum(spec, beta, beta2, GG, GG)
     old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
-    assert rep.kernel_dim == old.kernel_dim == 1
-    assert rep.gap == pytest.approx(old.gap, rel=RTOL)
+    assert rep["kernel_dim"] == old.kernel_dim == 1
+    assert rep["gap"] == pytest.approx(old.gap, rel=RTOL)
+
+
+def test_global_sweep_matches_dense_oracle_with_one_eigh_of_h_per_point(monkeypatch):
+    beta2, values = 0.5, [1.0, 5.0]
+    diagonalized = []
+    original = qrex.lindblad.eigensystem
+
+    def spy(H):
+        diagonalized.append(H.shape[0])
+        return original(H)
+
+    for module in (qrex.lindblad, qrex.harness, qrex.replica):
+        monkeypatch.setattr(module, "eigensystem", spy, raising=False)
+    config = validate_config({"scenario": "sweep", "beta": 1.0,
+                              "system": {"model": "defected_ising", "n": 3, "J": 3.0},
+                              "replica": {"mode": "global", "beta2": beta2},
+                              "sweep": {"param": "J", "values": values}})
+    records = run_scenario(config).records
+    # H once per point, shared by the single-system and the global generator
+    assert diagonalized == [8] * len(values)
+    for rec in records:
+        spec = defected_ising_1d(3, rec["J"])
+        w = WeightFunction("gaussian", rec["beta"])
+        M_old, sigma = computational_global_sum(spec, rec["beta"], beta2, w, w)
+        old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
+        assert rec["gap_re"] == pytest.approx(old.gap, rel=RTOL)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import qrex.classical
 import qrex.hamiltonians
 import qrex.harness
 import qrex.lindblad
+import qrex.mixing
 import qrex.replica
 import qrex.spectral
 import qrex.verify
@@ -223,6 +225,27 @@ class TestSweepGB:
         assert all(row["passed"] for row in rows)
         assert len(calls) == 1
 
+    def test_verification_assembles_and_builds_once_each(self, monkeypatch):
+        # the cut check reads the joint structure's cut and the Metropolis n = 3
+        # generator is built once for every check that uses it
+        counts = {"assemble_dense": 0, "build_ckg_generator": 0}
+        modules = (qrex.hamiltonians, qrex.lindblad, qrex.harness, qrex.mixing, qrex.replica,
+                   qrex.spectral, qrex.verify)
+        for name, owner in (("assemble_dense", qrex.hamiltonians),
+                            ("build_ckg_generator", qrex.lindblad)):
+            original = getattr(owner, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        rows = qrex.verify.run_verification()
+        assert len(rows) == 25 and all(row["passed"] for row in rows)
+        assert counts == {"assemble_dense": 4, "build_ckg_generator": 6}
+
 
 class TestDeterminism:
     def test_identical_records_across_runs(self):
@@ -391,6 +414,37 @@ class TestCli:
         config = validate_config({"seed": 7.0, "system": {"model": "defected_ising", "n": 3.0}})
         assert (config.seed, config.system["n"]) == (7, 3)
         assert type(config.seed) is int and type(config.system["n"]) is int
+
+    @pytest.mark.parametrize("scenario, payload, field", [
+        ("sweep", {"sweep": {"param": "J", "values": []}}, "'sweep.values'"),
+        ("sweep", {"sweep": {"param": "J", "values": 3}}, "'sweep.values'"),
+        ("sweep", {"sweep": {"param": "J", "values": [1.0, "x"]}}, "'sweep.values'"),
+        ("sweep", {"sweep": {"param": "J", "values": [1.0, float("nan")]}}, "'sweep.values'"),
+        ("sweep", {"sweep": {"param": "beta", "values": [1.0, 0.0]}}, "'sweep.values'"),
+        ("sweep", {"sweep": {"param": "beta", "values": [-1.0]}}, "'sweep.values'"),
+        ("gap", {"replica": {"mode": "global", "beta2": "hot"}}, "'replica.beta2'"),
+        ("gap", {"replica": {"mode": "global", "beta2": -1}}, "'replica.beta2'"),
+        ("classical", {"replica": {"beta2": 0}}, "'replica.beta2'"),
+        ("classical", {"replica": {"beta2": -1}}, "'replica.beta2'"),
+    ], ids=["values_empty", "values_scalar", "values_text", "values_nan", "beta_zero",
+            "beta_negative", "beta2_text", "beta2_negative", "classical_beta2_zero",
+            "classical_beta2_negative"])
+    def test_bad_sweep_values_and_beta2_exit_two(self, tmp_path, capsys, scenario, payload,
+                                                 field):
+        cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": 3, "J": 2.0},
+                                      **payload})
+        assert main([scenario, "--config", cfg]) == 2
+        assert f"config error: field {field}" in capsys.readouterr().err
+
+    def test_beta2_read_as_given(self):
+        assert validate_config({}).replica["beta2"] is None
+        assert validate_config({"replica": {"beta2": 1}}).replica["beta2"] == 1.0
+        config = validate_config({"scenario": "classical", "replica": {"beta2": 0.3},
+                                  "system": {"model": "defected_ising", "n": 3, "J": 2.0},
+                                  "sweep": {"param": "J", "values": [2.0]}})
+        expected = qrex.classical.classical_gap(qrex.classical.classical_re_generator(
+            lambda z: qrex.classical.classical_defected_ising_energy(z, 2.0), 3, 1.0, 0.3))
+        assert run_scenario(config).records[0]["gap_re"] == expected
 
     def test_global_swap_size_gate_exit_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

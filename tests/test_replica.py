@@ -14,8 +14,9 @@ from qrex.lindblad import (
 )
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
-    SwapMode,
+    build_global_replica_generator,
     build_replica_exchange_generator,
+    global_gibbs,
     joint_gibbs,
     joint_structure,
     lift,
@@ -217,12 +218,12 @@ class TestReplicaExchangeGenerator:
         self.beta = 1.0
 
     def test_fixed_point_is_joint_gibbs(self):
-        heis = build_replica_exchange_generator(self.js, self.beta, GM, GM, SwapMode("local_A"))
+        heis = build_replica_exchange_generator(self.js, GM)
         sg = joint_gibbs(self.js, self.beta)
         assert trace_norm(heis.apply_adjoint(sg.sigma)) < 1e-10
 
     def test_kernel_dimension_one(self):
-        heis = build_replica_exchange_generator(self.js, self.beta, GM, GM, SwapMode("local_A"))
+        heis = build_replica_exchange_generator(self.js, GM)
         sg = joint_gibbs(self.js, self.beta)
         rep = spectral_gap(heis, sg)
         assert rep.kernel_dim == 1
@@ -235,7 +236,7 @@ class TestReplicaExchangeGenerator:
         for J in (1.0, 5.0):
             spec = defected_ising_1d(3, J)
             js = joint_structure(spec)
-            heis = build_replica_exchange_generator(js, self.beta, gg, gg, SwapMode("local_A"))
+            heis = build_replica_exchange_generator(js, gg)
             sg = joint_gibbs(js, self.beta)
             gaps_re.append(spectral_gap(heis, sg).gap)
             h_single = build_ckg_generator(
@@ -247,23 +248,20 @@ class TestReplicaExchangeGenerator:
         assert gaps_re[1] / gaps_re[0] <= 3.0
         assert gaps_single[0] / gaps_single[1] >= 100.0
 
-    def test_mode_none_returns_single_system(self):
-        heis = build_replica_exchange_generator(eigensystem(assemble_dense(self.spec)), self.beta,
-                                                GM, GM, SwapMode("none"))
-        assert heis.dim == 8
-
     def test_global_mode_two_temperatures(self):
         from qrex.hamiltonians import HamiltonianSpec, PauliTerm
 
         spec = HamiltonianSpec(n=2, terms=(PauliTerm(-2.0, ((0, "Z"), (1, "Z"))),))
         beta1, beta2 = 1.0, 0.25
-        H = assemble_dense(spec)
-        heis = build_replica_exchange_generator(
-            eigensystem(H), beta1, GM, GM, SwapMode("global", beta2=beta2)
-        )
-        s1 = gibbs_state(eigensystem(H), beta1).sigma
-        s2 = gibbs_state(eigensystem(H), beta2).sigma
+        es = eigensystem(assemble_dense(spec))
+        heis = build_global_replica_generator(es, GM, beta2)
+        s1 = gibbs_state(es, beta1).sigma
+        s2 = gibbs_state(es, beta2).sigma
         assert trace_norm(heis.apply_adjoint(np.kron(s1, s2))) < 1e-9
+        # the Gibbs state stored beside the generator is that fixed point, in its basis
+        sigma = global_gibbs(es, beta1, beta2)
+        assert np.array_equal(sigma.basis, heis.basis)
+        assert np.abs(sigma.sigma - np.kron(s1, s2)).max() < 1e-14
 
 
 class TestSwapKernelAnalysis:

@@ -20,7 +20,7 @@ from qrex.lindblad import (
 )
 from qrex.mixing import SpectralPropagator, evolve
 from qrex.pauli import X, Y, Z, single_site_paulis
-from qrex.replica import SwapMode, build_replica_exchange_generator, joint_gibbs, joint_structure
+from qrex.replica import build_replica_exchange_generator, joint_gibbs, joint_structure
 from qrex.spectral import (
     a_diagonal_restriction_gap,
     gap_composition_suite,
@@ -127,7 +127,7 @@ class TestSymmetrizeRoutes:
     def test_labeled_joint_generator_is_scaled(self, congruence_calls):
         spec = defected_ising_1d(3, 3.0)
         js = joint_structure(spec)
-        heis = build_replica_exchange_generator(js, 1.0, GG, GG, SwapMode("local_A"))
+        heis = build_replica_exchange_generator(js, GG)
         rep = spectral_gap(heis, joint_gibbs(js, 1.0))
         assert rep.kernel_dim == 1
         assert congruence_calls == []
@@ -319,13 +319,13 @@ class TestPartialLindbladian:
     def test_restriction_gap_equals_min_partial(self):
         spec = defected_ising_1d(3, 2.0)
         rep = partial_lindbladian_check(spec, 1.0, GM)
-        gap = a_diagonal_restriction_gap(joint_structure(spec), 1.0, GM)
+        gap = a_diagonal_restriction_gap(joint_structure(spec), GM)
         assert gap == pytest.approx(rep["g_b"], rel=1e-7)
         assert gap >= rep["g_b"] - 1e-9
 
     def test_empty_a_edge_case_equals_full_gap(self):
         spec0 = defected_ising_1d(3, 2.0)
         spec = HamiltonianSpec(n=3, terms=spec0.terms, partition=((), (0, 1, 2)))
-        gap = a_diagonal_restriction_gap(joint_structure(spec), 1.0, GM)
+        gap = a_diagonal_restriction_gap(joint_structure(spec), GM)
         heis, sg = ising_generator(J=2.0)
         assert gap == pytest.approx(spectral_gap(heis, sg).gap, rel=1e-8)
