@@ -2,7 +2,7 @@
 
 Subcommands mirror the scenarios: gap, sweep, mixing, verify, theta,
 classical.  Exit codes: 0 success, 1 invariant failure, 2 config error,
-3 resource guard.
+3 resource guard, 4 numerical error (a gap double precision cannot resolve).
 """
 
 import argparse
@@ -18,6 +18,7 @@ from .harness import (
     run_scenario,
     validate_config,
 )
+from .spectral import UnresolvedGapError
 
 
 def build_parser():
@@ -71,6 +72,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except UnresolvedGapError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
 
     text = emit(report, config.output["format"], config.output["path"])
     if config.output["path"] is None:

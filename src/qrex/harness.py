@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -382,6 +381,8 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
     elif scenario == "sweep":
         jobs = [(config.to_dict(), v) for v in config.sweep["values"]]
         if parallel > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
             with ProcessPoolExecutor(max_workers=parallel) as pool:
                 records = list(pool.map(_sweep_point, jobs))
         else:

@@ -17,10 +17,10 @@ residual is the detailed-balance check.
 
 Every eigensolve of L_hat goes through ``block_eigh``: single-site jumps in
 a basis where H is diagonal leave most entries of L_hat exactly zero, and
-the connected components of that zero pattern (``scipy.sparse.csgraph``)
-are blocks solved on their own.  The spectrum of a matrix with exact zeros
-outside its blocks is the union of the block spectra, so this is exact; a
-matrix without zeros is one block.
+the connected components of that zero pattern (``_component_labels``, numpy
+hooking and pointer jumping) are blocks solved on their own.  The spectrum
+of a matrix with exact zeros outside its blocks is the union of the block
+spectra, so this is exact; a matrix without zeros is one block.
 
 The bound g_B of the main theorem, the smallest gap of the pinned B
 generators, is read off one generator: ``a_diagonal_restriction_gap``.
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .lindblad import (
     Superoperator,
@@ -44,6 +43,10 @@ KERNEL_TOL = 1e-9
 # relative Frobenius residual ||L_hat - L_hat^dag|| / max(1, ||L_hat||) above
 # which a generator is rejected as not detailed balanced
 HERMITICITY_TOL = 1e-9
+
+
+class UnresolvedGapError(ValueError):
+    """The kernel threshold cannot separate the kernel from the gap in double precision."""
 
 
 @dataclass
@@ -104,6 +107,20 @@ def _hermitian_part(A):
     return H, float(resid)
 
 
+def _component_labels(n, rows, cols):
+    """Weak component of each of n vertices under the edges (rows, cols), numbered as csgraph does.
+
+    Rounds hook each edge's larger root to its smaller one and jump pointers
+    to the roots; roots only decrease, ending at each component's least vertex.
+    """
+    root = np.arange(n)
+    while not np.array_equal(rr := root[rows], rc := root[cols]):
+        np.minimum.at(root, np.maximum(rr, rc), np.minimum(rr, rc))
+        while not np.array_equal(hop := root[root], root):
+            root = hop
+    return np.unique(root, return_inverse=True)[1]
+
+
 def _blocks(A):
     """Diagonal blocks of the square A along the connected components of its nonzero pattern.
 
@@ -119,8 +136,7 @@ def _blocks(A):
     nz = A.data != 0
     rows, cols, vals = A.row[nz], A.col[nz], A.data[nz]
     n = A.shape[0]
-    graph = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    _, label = connected_components(graph, directed=True, connection="weak")
+    label = _component_labels(n, rows, cols)
     sizes = np.bincount(label)
     order = np.argsort(label, kind="stable")
     starts = np.cumsum(sizes) - sizes
@@ -173,17 +189,17 @@ def spectral_norm(X):
 def gap_from_eigenvalues(evals, tol=KERNEL_TOL) -> GapReport:
     """Kernel dimension and gap from the ascending eigenvalues of -L_hat.
 
-    Errors out if the kernel threshold would split a near-degenerate cluster
-    (first above-threshold eigenvalue within 10x of the threshold).
+    Raises UnresolvedGapError if no eigenvalue clears the kernel threshold or
+    the first one is within 10x of it (a near-degenerate cluster is split).
     """
     scale = max(np.abs(evals).max(), 1e-300)
     threshold = tol * scale
     kernel_dim = int(np.sum(evals <= threshold))
     if kernel_dim == evals.size:
-        raise ValueError("generator has no spectrum above the kernel threshold")
+        raise UnresolvedGapError("generator has no spectrum above the kernel threshold")
     gap = float(evals[kernel_dim])
     if gap < 10 * threshold:
-        raise ValueError(
+        raise UnresolvedGapError(
             f"ambiguous kernel cluster: gap {gap:.3e} within 10x of threshold {threshold:.3e}"
         )
     return GapReport(

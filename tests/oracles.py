@@ -30,6 +30,12 @@ as test oracles only:
   ``qrex.mixing.first_crossing_times`` runs the same rule for a whole family
   at once in sigma.basis, deciding by a trace-norm sandwich first.
   ``trace_distance`` takes the distance from singular values.
+* ``chi_square_rate_fit_expm`` propagates the gap mode by one dense matrix
+  exponential per time; ``qrex.mixing.chi_square_rate_fit`` uses one
+  ``np.linalg.eig`` of the generator for every time.
+* ``component_labels_csgraph`` and ``blocks_csgraph`` label the connected
+  components of a pattern with ``scipy.sparse.csgraph``;
+  ``qrex.spectral._component_labels`` hooks and jumps pointers in numpy.
 
 * ``kron_all`` builds a Pauli string as a product of Kronecker factors;
   ``qrex.pauli.pauli_string_matrix`` scatters its d phases directly.
@@ -57,6 +63,8 @@ from functools import reduce
 from itertools import product
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from qrex.hamiltonians import assemble_dense, compress_onto
 from qrex.lindblad import (
@@ -72,7 +80,7 @@ from qrex.lindblad import (
     gibbs_state,
     weight,
 )
-from qrex.mixing import BISECTION_RTOL, _gap_and_mode
+from qrex.mixing import BISECTION_RTOL, _expm_flow, _gap_and_mode, chi_square
 from qrex.pauli import PAULIS, single_site_paulis
 from qrex.replica import (
     _random_off_a,
@@ -400,6 +408,43 @@ def gap_mode_state(L, sigma):
     sigma + alpha Y is a valid state (alpha = lambda_min / 2).
     """
     return _gap_and_mode(L, sigma)[1]
+
+
+def chi_square_rate_fit_expm(L, sigma):
+    """Decay rate of chi-square from the gap mode, propagated by dense expm at each of 8 times.
+
+    ``qrex.mixing.chi_square_rate_fit`` fits the same 8 points in
+    [1/gap, 3/gap] from one ``np.linalg.eig`` of the generator.
+    """
+    gap, rho0 = _gap_and_mode(L, sigma)
+    ts = np.linspace(1.0 / gap, 3.0 / gap, 8)
+    logs = [np.log(chi_square(_expm_flow(L, rho0, t), sigma)) for t in ts]
+    return float(-np.polyfit(ts, logs, 1)[0])
+
+
+def component_labels_csgraph(n, rows, cols):
+    """Weakly connected component of each vertex of the edges (rows[e], cols[e]), by csgraph."""
+    graph = sparse.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return connected_components(graph, directed=True, connection="weak")[1]
+
+
+def blocks_csgraph(A):
+    """The (idx, sub) pairs of ``qrex.spectral._blocks``, one csgraph component at a time.
+
+    Components of each size are stacked in label order, their indices
+    ascending, and each block is cut from the dense A.
+    """
+    A = sparse.coo_array(A)
+    A.sum_duplicates()
+    nz = A.data != 0
+    label = component_labels_csgraph(A.shape[0], A.row[nz], A.col[nz])
+    dense = A.toarray()
+    members = [np.nonzero(label == k)[0] for k in range(label.max() + 1)]
+    out = []
+    for b in sorted({m.size for m in members}):
+        idx = np.array([m for m in members if m.size == b])
+        out.append((idx, np.stack([dense[np.ix_(m, m)] for m in idx])))
+    return out
 
 
 def kron_all(mats):

@@ -15,7 +15,17 @@ from qrex.replica import (
     joint_structure,
     swap_generator_closed_form,
 )
-from qrex.spectral import block_eigh, block_eigvalsh, spectral_gap, spectral_norm, symmetrize
+from qrex.spectral import (
+    _blocks,
+    _component_labels,
+    block_eigh,
+    block_eigvalsh,
+    spectral_gap,
+    spectral_norm,
+    symmetrize,
+)
+
+from oracles import blocks_csgraph, component_labels_csgraph
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -136,3 +146,71 @@ def test_ring_n7_fits_the_sparse_route():
     assert L.local.nnz == 73728
     assert rep.kernel_dim == 1
     assert block_counts(symmetrize(L, sigma)) == (2187, 128)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, rows, cols): up to 3n edges on n vertices, self-loops and repeats included.
+
+    ``upper``/``lower`` orient every edge into one triangle, so each link
+    appears as (i, j) or (j, i) only.
+    """
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    edges = np.array(draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)),
+                     dtype=np.int64).reshape(-1, 2)
+    rows, cols = edges.T
+    side = draw(st.sampled_from(["any", "upper", "lower"]))
+    if side != "any":
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+        if side == "lower":
+            rows, cols = cols, rows
+    return n, rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_component_labels_match_csgraph(case):
+    n, rows, cols = case
+    assert np.array_equal(_component_labels(n, rows, cols),
+                          component_labels_csgraph(n, rows, cols))
+
+
+@pytest.mark.parametrize("loops", [False, True])
+def test_vertices_without_links_are_their_own_components(loops):
+    rows = cols = np.arange(6) if loops else np.arange(0)
+    assert np.array_equal(_component_labels(6, rows, cols), np.arange(6))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_long_path_is_one_component(order):
+    # a path in index order hooks into one chain of n - 1 links, the longest
+    # that pointer jumping has to shorten
+    n = 5000
+    path = {"ascending": np.arange(n), "descending": np.arange(n)[::-1],
+            "shuffled": np.random.default_rng(3).permutation(n)}[order]
+    rows, cols = path[:-1], path[1:]
+    label = _component_labels(n + 2, rows, cols)  # two vertices off the path
+    assert np.array_equal(label, component_labels_csgraph(n + 2, rows, cols))
+    assert np.array_equal(label[[0, n - 1, n, n + 1]], [0, 0, 1, 2])
+
+
+def assert_blocks_match_csgraph(A):
+    ours, ref = _blocks(A), blocks_csgraph(A)
+    assert len(ours) == len(ref)
+    for (idx, sub), (ref_idx, ref_sub) in zip(ours, ref):
+        assert np.array_equal(idx, ref_idx)
+        assert sub.dtype == ref_sub.dtype and np.array_equal(sub, ref_sub)
+
+
+def test_ring_n5_blocks_match_csgraph():
+    H = assemble_dense(defected_ising_1d(5, 3.0))
+    es = eigensystem(H)
+    L = build_ckg_generator(es, single_site_paulis(5), GM)
+    assert_blocks_match_csgraph(symmetrize(L, gibbs_state(es, 1.0)))
+
+
+def test_labeled_joint_blocks_match_csgraph():
+    js = joint_structure(defected_ising_1d(3, 3.0))
+    L = build_replica_exchange_generator(js, GG)
+    assert_blocks_match_csgraph(symmetrize(L, joint_gibbs(js, 1.0)))

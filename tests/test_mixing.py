@@ -32,7 +32,13 @@ from qrex.mixing import (
 from qrex.pauli import single_site_paulis
 from qrex.spectral import block_eigh, spectral_gap, symmetrize
 
-from oracles import first_crossing_time, gap_mode_state, trace_distance, trace_norm_bounds
+from oracles import (
+    chi_square_rate_fit_expm,
+    first_crossing_time,
+    gap_mode_state,
+    trace_distance,
+    trace_norm_bounds,
+)
 
 GM = WeightFunction("metropolis", 1.0)
 
@@ -236,6 +242,33 @@ class TestChiSquare:
         assert np.allclose(rates, 2 * gap, rtol=1e-9)
         assert chi_square_rate_fit(heis, sg) == pytest.approx(2 * gap, rel=1e-9)
 
+
+def ring3_metropolis(beta):
+    """The n = 3 ring at J = 1 with the Metropolis weight, as ``qrex verify`` builds it."""
+    es = eigensystem(assemble_dense(defected_ising_1d(3, 1.0)))
+    L = build_ckg_generator(es, single_site_paulis(3), WeightFunction("metropolis", beta))
+    sg = gibbs_state(es, beta)
+    return L, sg, spectral_gap(L, sg).gap
+
+
+class TestChiSquareRateWithoutExpm:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_matches_expm_oracle(self, beta):
+        L, sg, _ = ring3_metropolis(beta)
+        assert chi_square_rate_fit(L, sg) == pytest.approx(chi_square_rate_fit_expm(L, sg), rel=1e-6)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+    def test_rate_is_twice_the_gap(self, beta):
+        # the gap mode decays exactly at 2 gap; at beta = 3 the expm oracle
+        # is 5e-6 off that, the eig route 3e-7
+        L, sg, gap = ring3_metropolis(beta)
+        assert chi_square_rate_fit(L, sg) == pytest.approx(2 * gap, rel=1e-6)
+
+    def test_low_temperature_passes_the_verify_check(self):
+        # the expm route reads rate / 2 gap = 0.8996 at beta = 4, outside the
+        # 5% of mixing.chi2_gap_consistency
+        L, sg, gap = ring3_metropolis(4.0)
+        assert abs(chi_square_rate_fit(L, sg) / (2 * gap) - 1.0) <= 0.05
 
 class TestTraceDistanceMonotone:
     def test_non_increasing_on_grid(self):

@@ -22,8 +22,10 @@ from qrex.mixing import SpectralPropagator, evolve
 from qrex.pauli import X, Y, Z, single_site_paulis
 from qrex.replica import build_replica_exchange_generator, joint_gibbs, joint_structure
 from qrex.spectral import (
+    UnresolvedGapError,
     a_diagonal_restriction_gap,
     gap_composition_suite,
+    gap_from_eigenvalues,
     kms_operator_norm,
     spectral_gap,
     symmetrize,
@@ -221,6 +223,14 @@ class TestSpectralGap:
         Lhat = symmetrize(heis, sg).toarray()
         evals = np.linalg.eigvalsh(-Lhat)
         assert evals.min() >= -1e-9 * np.abs(evals).max()
+
+    @pytest.mark.parametrize("evals, message", [
+        ([0.0, 0.0], "no spectrum above the kernel threshold"),
+        ([0.0, 5e-9, 1.0], "ambiguous kernel cluster"),  # threshold 1e-9, gap within 10x
+    ])
+    def test_unresolved_gap_has_its_own_error(self, evals, message):
+        with pytest.raises(UnresolvedGapError, match=message):
+            gap_from_eigenvalues(np.array(evals))
 
 
 class TestKmsOperatorNorm:
