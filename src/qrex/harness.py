@@ -335,8 +335,8 @@ MODE_BUILDERS = {"none": _single_system, "local_A": _local_a, "global": _global}
 
 
 def _sweep_point(args):
-    config_dict, value = args
-    config = validate_config(config_dict)
+    """The record of one sweep value; ``args`` is (validated config, value), picklable for a pool."""
+    config, value = args
     if config.sweep["param"] == "J":
         spec = build_system(config, J=value)
         beta = config.beta
@@ -379,7 +379,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
                     "beta": config.beta, **rep.to_json_dict()}]
 
     elif scenario == "sweep":
-        jobs = [(config.to_dict(), v) for v in config.sweep["values"]]
+        jobs = [(config, v) for v in config.sweep["values"]]
         if parallel > 1:
             from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 

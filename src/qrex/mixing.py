@@ -33,7 +33,8 @@ at n = 6 0.16 s (0.69 s), in process on a 2-core VM with one BLAS thread.
 A generator that ``symmetrize`` rejects (stored in another basis, or not
 detailed balanced) is propagated by ``evolve`` through a dense matrix
 exponential of the stored matrix, the one use of ``scipy.linalg``;
-``chi_square_rate_fit`` propagates by ``np.linalg.eig`` of the generator.
+``chi_square_rate_fit`` reads its gap mode off a propagator's blocks and
+propagates it by ``np.linalg.eig`` of the generator.
 """
 
 import warnings
@@ -475,42 +476,38 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
 
 
 def _gap_and_mode(L: Superoperator, sigma):
-    """Spectral gap and slow-mode state sigma + alpha Y from one eigendecomposition of -L_hat.
+    """Spectral gap and slow-mode state sigma + alpha Y, read off one ``SpectralPropagator``.
 
-    Y is the gap eigenoperator carried to the Schrodinger side and scaled so
+    The blocks hold diag(phi) V and the gap eigenvalue is exactly -gap there,
+    so its column unvec'd and rotated by U is sigma^{1/2} X sigma^{1/2} for
+    the KMS eigenoperator X of L.  Y is its Hermitian part, scaled so
     sigma + alpha Y is a valid state (alpha = lambda_min / 2).
     """
-    blocks = block_eigh(-symmetrize(L, sigma))
-    evals = np.concatenate([w.ravel() for _, w, _ in blocks])
-    order = np.argsort(evals, kind="stable")
-    rep = gap_from_eigenvalues(evals[order])
-    # the eigenvector of the kernel_dim-th eigenvalue, taken from its block
-    k = order[rep.kernel_dim]
-    x = np.zeros(evals.size, dtype=complex)
-    for idx, w, V in blocks:
-        if k < w.size:
-            c, j = divmod(k, w.shape[1])
-            x[idx[c]] = V[c, :, j]
+    prop = SpectralPropagator(L, sigma)
+    gap = gap_from_eigenvalues(-prop.evals[::-1]).gap
+    x = np.zeros(prop.evals.size, dtype=complex)
+    for idx, w, V in prop.blocks:
+        c, j = np.nonzero(w == -gap)
+        if c.size:  # the first block holding the gap eigenvalue
+            x[idx[c[0]]] = V[c[0], :, j[0]]
             break
-        k -= w.size
     U = sigma.basis
-    # U Phi(x) U^dag = sigma^{1/2} X sigma^{1/2} for the KMS eigenoperator X of L
-    Z = U @ unvec(kms_scaling(sigma) * x) @ U.conj().T
+    Z = U @ unvec(x) @ U.conj().T
     Y = Z + Z.conj().T
     if np.linalg.norm(Y) < 1e-12:
         Y = 1j * (Z - Z.conj().T)
     Y /= np.linalg.norm(Y, 2)
     alpha = sigma.lambda_min / 2.0
-    return rep.gap, sigma.sigma + alpha * Y
+    return gap, sigma.sigma + alpha * Y
 
 
 def chi_square_rate_fit(L: Superoperator, sigma):
     """Exponential decay rate of chi-square along the flow, via eig of the dense generator.
 
-    Starts in the gap mode and fits the rate of chi^2(t) at 8 times in
-    [1/gap, 3/gap]; for a detailed-balanced generator this equals twice the
-    spectral gap.  L is similar to the Hermitian L_hat, so ``np.linalg.eig``
-    of L^dag diagonalizes it, independently of ``symmetrize``/``block_eigh``.
+    Starts in the gap mode (``_gap_and_mode``) and fits the rate of chi^2(t)
+    at 8 times in [1/gap, 3/gap]; for a detailed-balanced generator this
+    equals twice the spectral gap.  L is similar to the Hermitian L_hat, so
+    ``np.linalg.eig`` of L^dag diagonalizes it, independently of ``block_eigh``.
     """
     gap, rho0 = _gap_and_mode(L, sigma)
     w, V = np.linalg.eig(L.local.toarray().conj().T)

@@ -49,7 +49,7 @@ from .lindblad import (
     vec,
 )
 from .pauli import qubit_permutation, single_site_paulis
-from .spectral import block_eigvalsh, kms_scaling, symmetrize
+from .spectral import KERNEL_TOL, block_eigvalsh, kms_scaling, symmetrize
 
 CLOSED_FORM_RTOL = 1e-9
 
@@ -319,22 +319,24 @@ def _sector_basis(js: JointStructure, phi):
     return sparse.csc_array((vals / norm[cols], (rows, cols)), shape=(D * D, norm.size))
 
 
-def swap_only_kernel_analysis(js: JointStructure, beta, seed=42, n_random=10):
-    """Kernel of the swap generator restricted to the K (x) I_A sector.
+def swap_only_kernel_analysis(js: JointStructure, swap, sigma, seed=42, n_random=10):
+    """Kernel of the swap generator ``swap`` restricted to the K (x) I_A sector.
 
-    K is the joint kernel of the A-diagonal-restricted system generator and
-    the auxiliary generator: spanned by |i_A><i_A| (x) I_B together with all
-    A-off-diagonal blocks.  Also verifies the vanishing cross terms between
-    the diagonal and off-diagonal sectors.
+    ``swap`` and ``sigma`` are the caller's closed-form swap generator and
+    joint Gibbs state of ``js``.  K is the joint kernel of the
+    A-diagonal-restricted system generator and the auxiliary generator:
+    spanned by |i_A><i_A| (x) I_B together with all A-off-diagonal blocks.
+    Also verifies the vanishing cross terms between the diagonal and
+    off-diagonal sectors.  ``kms_norm`` is the scale of both tests, the KMS
+    operator norm of the swap generator.
     """
     d_a, d_b = js.d_a, js.d_b
-    sigma = joint_gibbs(js, beta)
-    Lhat, phi = symmetrize(swap_generator_closed_form(js, beta), sigma), kms_scaling(sigma)
+    Lhat, phi = symmetrize(swap, sigma), kms_scaling(sigma)
     Q = _sector_basis(js, phi)
     R = -(Q.T @ (Lhat @ Q)).toarray()
     evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
     scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
-    kernel_dim = int(np.sum(evals <= 1e-9 * scale))
+    kernel_dim = int(np.sum(evals <= KERNEL_TOL * scale))
 
     # cross terms of the diagonal/off-diagonal decompositions
     rng = np.random.default_rng(seed)
@@ -362,18 +364,20 @@ def swap_only_kernel_analysis(js: JointStructure, beta, seed=42, n_random=10):
         "restricted_evals_head": [float(v) for v in evals[:5]],
         "cross_term_residuals": worst,
         "sector_dim": Q.shape[1],
+        "kms_norm": float(scale),
     }
 
 
-def swap_sector_lower_bounds(js: JointStructure, beta, seed=42, n_random=20):
+def swap_sector_lower_bounds(js: JointStructure, swap, sigma, seed=42, n_random=20):
     """Measured Rayleigh quotients of -L_swap on the three kernel sectors.
 
-    Returns the per-sector minima together with the conservative theorem-style
-    threshold min over sectors >= 1 / (4 d_A exp(4 beta K V_max)).
+    ``swap`` and ``sigma`` are as in ``swap_only_kernel_analysis``.  Returns
+    the per-sector minima together with the conservative theorem-style
+    threshold min over sectors >= 1 / (4 d_A exp(4 beta K V_max)) at
+    beta = sigma.beta.
     """
     d_a, d_b = js.d_a, js.d_b
-    sigma = joint_gibbs(js, beta)
-    Lhat, phi = symmetrize(swap_generator_closed_form(js, beta), sigma), kms_scaling(sigma)
+    Lhat, phi = symmetrize(swap, sigma), kms_scaling(sigma)
     rng = np.random.default_rng(seed)
     eye_b, eye_a = np.eye(d_b), np.eye(d_a)
 
@@ -392,7 +396,7 @@ def swap_sector_lower_bounds(js: JointStructure, beta, seed=42, n_random=20):
                                  quotient(_random_off_a(rng, d_a, d_b, "diag")))
         mins["offA_offB"] = min(mins["offA_offB"], quotient(_random_off_a(rng, d_a, d_b, "off")))
 
-    threshold = 1.0 / (4.0 * d_a * np.exp(4.0 * beta * js.cut.k_count * js.cut.v_max))
+    threshold = 1.0 / (4.0 * d_a * np.exp(4.0 * sigma.beta * js.cut.k_count * js.cut.v_max))
     return {"sector_minima": {k: float(v) for k, v in mins.items()},
             "threshold": float(threshold)}
 

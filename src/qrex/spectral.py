@@ -216,11 +216,6 @@ def spectral_gap(L: Superoperator, sigma, tol=KERNEL_TOL) -> GapReport:
     return gap_from_eigenvalues(block_eigvalsh(-symmetrize(L, sigma)), tol)
 
 
-def kms_operator_norm(L: Superoperator, sigma) -> float:
-    """Largest eigenvalue of -L_hat (the KMS operator norm of -L)."""
-    return float(block_eigvalsh(-symmetrize(L, sigma))[-1])
-
-
 def _gap_of_psd(M, tol=1e-10):
     """Smallest eigenvalue above tol * max |eigenvalue| of each PSD matrix in the (..., d, d) M.
 

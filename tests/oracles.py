@@ -32,7 +32,9 @@ as test oracles only:
   ``trace_distance`` takes the distance from singular values.
 * ``chi_square_rate_fit_expm`` propagates the gap mode by one dense matrix
   exponential per time; ``qrex.mixing.chi_square_rate_fit`` uses one
-  ``np.linalg.eig`` of the generator for every time.
+  ``np.linalg.eig`` of the generator for every time.  Its gap mode comes
+  from ``_gap_and_mode``, which decomposes -L_hat itself;
+  ``qrex.mixing._gap_and_mode`` reads the mode off a ``SpectralPropagator``.
 * ``component_labels_csgraph`` and ``blocks_csgraph`` label the connected
   components of a pattern with ``scipy.sparse.csgraph``;
   ``qrex.spectral._component_labels`` hooks and jumps pointers in numpy.
@@ -78,9 +80,10 @@ from qrex.lindblad import (
     eigensystem_from_pairs,
     filter_fhat,
     gibbs_state,
+    unvec,
     weight,
 )
-from qrex.mixing import BISECTION_RTOL, _expm_flow, _gap_and_mode, chi_square
+from qrex.mixing import BISECTION_RTOL, _expm_flow, chi_square
 from qrex.pauli import PAULIS, single_site_paulis
 from qrex.replica import (
     _random_off_a,
@@ -89,7 +92,14 @@ from qrex.replica import (
     joint_structure,
     swap_generator_closed_form,
 )
-from qrex.spectral import block_eigvalsh, kms_scaling, spectral_gap, symmetrize
+from qrex.spectral import (
+    block_eigh,
+    block_eigvalsh,
+    gap_from_eigenvalues,
+    kms_scaling,
+    spectral_gap,
+    symmetrize,
+)
 
 
 def sigma_power(sigma, p):
@@ -399,6 +409,38 @@ def first_crossing_time(prop, rho0, epsilon, t_cap):
         else:
             lo = mid
     return float(hi)
+
+
+def _gap_and_mode(L, sigma):
+    """Spectral gap and slow-mode state sigma + alpha Y from its own eigendecomposition of -L_hat.
+
+    Y is the gap eigenoperator carried to the Schrodinger side and scaled so
+    sigma + alpha Y is a valid state (alpha = lambda_min / 2).
+    ``qrex.mixing._gap_and_mode`` reads the same mode off the blocks of a
+    ``SpectralPropagator``.
+    """
+    blocks = block_eigh(-symmetrize(L, sigma))
+    evals = np.concatenate([w.ravel() for _, w, _ in blocks])
+    order = np.argsort(evals, kind="stable")
+    rep = gap_from_eigenvalues(evals[order])
+    # the eigenvector of the kernel_dim-th eigenvalue, taken from its block
+    k = order[rep.kernel_dim]
+    x = np.zeros(evals.size, dtype=complex)
+    for idx, w, V in blocks:
+        if k < w.size:
+            c, j = divmod(k, w.shape[1])
+            x[idx[c]] = V[c, :, j]
+            break
+        k -= w.size
+    U = sigma.basis
+    # U Phi(x) U^dag = sigma^{1/2} X sigma^{1/2} for the KMS eigenoperator X of L
+    Z = U @ unvec(kms_scaling(sigma) * x) @ U.conj().T
+    Y = Z + Z.conj().T
+    if np.linalg.norm(Y) < 1e-12:
+        Y = 1j * (Z - Z.conj().T)
+    Y /= np.linalg.norm(Y, 2)
+    alpha = sigma.lambda_min / 2.0
+    return rep.gap, sigma.sigma + alpha * Y
 
 
 def gap_mode_state(L, sigma):

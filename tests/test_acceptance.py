@@ -48,7 +48,6 @@ from qrex.replica import (
 )
 from qrex.spectral import (
     gap_composition_suite,
-    kms_operator_norm,
     spectral_gap,
 )
 
@@ -140,7 +139,7 @@ def test_05_swap_generator_structure():
     generic = swap_generator_generic(js, BETA)
     rel = np.linalg.norm(closed.matrix - generic.matrix, 2) / np.linalg.norm(generic.matrix, 2)
     sg = joint_gibbs(js, BETA)
-    norm = kms_operator_norm(closed, sg)
+    norm = swap_only_kernel_analysis(js, closed, sg)["kms_norm"]
     H_joint = np.kron(assemble_dense(spec), np.eye(js.d_a)) + np.eye(js.joint_dim)
     es = eigensystem(H_joint)
     G = coherent_term([jump_components(swap_unitary_original(js), es)], es, GM)
@@ -154,7 +153,8 @@ def test_06_kernel_characterization():
     js = joint_structure(defected_ising_1d(3, 3.0))
     heis = build_replica_exchange_generator(js, GG)
     rep = spectral_gap(heis, joint_gibbs(js, BETA))
-    kern = swap_only_kernel_analysis(js, BETA)
+    kern = swap_only_kernel_analysis(js, swap_generator_closed_form(js, BETA),
+                                     joint_gibbs(js, BETA))
     cross_ok = all(v < 1e-10 for v in kern["cross_term_residuals"].values())
     announce(6, "kernel characterization",
              rep.kernel_dim == 1 and kern["restricted_kernel_dim"] == 1 and cross_ok,

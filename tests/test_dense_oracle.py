@@ -45,7 +45,7 @@ from qrex.replica import (
     joint_structure,
     swap_generator_closed_form,
 )
-from qrex.spectral import KERNEL_TOL, kms_operator_norm, spectral_gap, symmetrize
+from qrex.spectral import KERNEL_TOL, spectral_gap, symmetrize
 
 from oracles import joint_hamiltonian, sigma_power
 
@@ -373,8 +373,8 @@ def test_block_eigensolves_match_dense_eigh(H, n, shapes):
                                             rel=RTOL)
             assert_close(states[s], state_at(c_dense, t))
 
-    assert kms_operator_norm(heis, sg) == pytest.approx(-evals[0], rel=RTOL)
     rep = spectral_gap(heis, sg)
+    assert rep.kms_norm == pytest.approx(-evals[0], rel=RTOL)
     gap, kernel = dense_gap(M_dense, sg)
     assert rep.kernel_dim == kernel
     assert rep.gap == pytest.approx(gap, rel=RTOL)

@@ -151,7 +151,7 @@ class TestSweepGB:
         config = validate_config({"scenario": "sweep", "system": system, "beta": beta,
                                   "replica": {"mode": "local_A"}, "max_dim": 2**20,
                                   "sweep": {"param": "J", "values": [J]}})
-        return _sweep_point((config.to_dict(), J))
+        return _sweep_point((config, J))
 
     def test_four_generator_builds_per_point(self, monkeypatch):
         calls = []
@@ -299,8 +299,9 @@ class TestScenarios:
         assert all(set(r) == {"check", "passed", "detail"} for r in report.records)
 
     def test_verify_makes_no_joint_size_congruence(self, monkeypatch):
-        # the swap generators are compared in their shared labeled basis; the
-        # joint n = 3 space has d = 32, so a joint-size congruence has side 1024
+        # the swap generators are compared in their shared labeled basis, and
+        # the spectrum check compares eigenvalues of the stored matrix, so no
+        # congruence runs at all (a joint-size one would have side 32^2 = 1024)
         import qrex.verify
 
         sides = []
@@ -314,7 +315,60 @@ class TestScenarios:
             monkeypatch.setattr(module, "congruence", spy, raising=False)
         results = qrex.verify.run_verification()
         assert len(results) == 25 and all(r["passed"] for r in results)
-        assert sides and max(sides) < 32 * 32
+        assert sides == []
+
+
+    def test_verification_decomposes_each_generator_once(self, monkeypatch):
+        # 5 distinct (L, sigma) pairs, of which the swap is scaled by each of its
+        # two sector analyses and the ring's chi-square pair by its gap and its fit
+        counted = {"symmetrize": qrex.spectral, "block_eigh": qrex.spectral,
+                   "swap_generator_closed_form": qrex.replica, "joint_gibbs": qrex.replica,
+                   "congruence": qrex.lindblad}
+        counts = dict.fromkeys(counted, 0)
+        modules = (qrex.hamiltonians, qrex.lindblad, qrex.harness, qrex.mixing, qrex.replica,
+                   qrex.spectral, qrex.verify)
+        for name, owner in counted.items():
+            original = getattr(owner, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        fit_eighs = []
+        fit = qrex.verify.chi_square_rate_fit
+
+        def fit_spy(*args):
+            before = counts["block_eigh"]
+            rate = fit(*args)
+            fit_eighs.append(counts["block_eigh"] - before)
+            return rate
+
+        monkeypatch.setattr(qrex.verify, "chi_square_rate_fit", fit_spy)
+        rows = qrex.verify.run_verification(seed=42)
+        assert len(rows) == 25 and all(row["passed"] for row in rows)
+        assert counts["symmetrize"] <= 7
+        assert counts["swap_generator_closed_form"] == 1
+        assert counts["joint_gibbs"] == 1
+        assert counts["congruence"] == 0
+        assert fit_eighs == [1]
+
+    def test_sweep_points_take_the_validated_config(self, monkeypatch):
+        config = validate_config({"scenario": "sweep", "replica": {"mode": "none"},
+                                  "sweep": {"param": "J", "values": [1.0, 2.0, 3.0]}})
+        calls = []
+        original = qrex.harness.validate_config
+
+        def spy(raw):
+            calls.append(raw)
+            return original(raw)
+
+        monkeypatch.setattr(qrex.harness, "validate_config", spy)
+        report = run_scenario(config)
+        assert [r["J"] for r in report.records] == [1.0, 2.0, 3.0]
+        assert calls == []
 
 
 class TestEmit:

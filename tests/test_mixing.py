@@ -32,6 +32,7 @@ from qrex.mixing import (
 from qrex.pauli import single_site_paulis
 from qrex.spectral import block_eigh, spectral_gap, symmetrize
 
+import oracles
 from oracles import (
     chi_square_rate_fit_expm,
     first_crossing_time,
@@ -243,12 +244,36 @@ class TestChiSquare:
         assert chi_square_rate_fit(heis, sg) == pytest.approx(2 * gap, rel=1e-9)
 
 
-def ring3_metropolis(beta):
-    """The n = 3 ring at J = 1 with the Metropolis weight, as ``qrex verify`` builds it."""
-    es = eigensystem(assemble_dense(defected_ising_1d(3, 1.0)))
+def ring3_metropolis(beta, J=1.0):
+    """The n = 3 ring (J = 1 by default) with the Metropolis weight, as ``qrex verify`` builds it."""
+    es = eigensystem(assemble_dense(defected_ising_1d(3, J)))
     L = build_ckg_generator(es, single_site_paulis(3), WeightFunction("metropolis", beta))
     sg = gibbs_state(es, beta)
     return L, sg, spectral_gap(L, sg).gap
+
+
+class TestGapModeFromPropagator:
+    """The gap mode read off a ``SpectralPropagator`` against the oracle's own decomposition."""
+
+    @pytest.mark.parametrize("J", [1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+    def test_rate_fit_matches_oracle_mode(self, monkeypatch, beta, J):
+        L, sg, _ = ring3_metropolis(beta, J)
+        rate = chi_square_rate_fit(L, sg)
+        monkeypatch.setattr(mixing, "_gap_and_mode", oracles._gap_and_mode)
+        assert rate == pytest.approx(chi_square_rate_fit(L, sg), rel=1e-6)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_mode_is_a_gap_eigenoperator(self, beta):
+        # sigma^{1/2} X sigma^{1/2} is an eigenoperator of L^dag for the KMS
+        # eigenoperator X of L, and so is its Hermitian part
+        L, sg, gap = ring3_metropolis(beta)
+        g, rho0 = mixing._gap_and_mode(L, sg)
+        assert g == pytest.approx(gap, rel=1e-9)
+        Y = rho0 - sg.sigma
+        assert np.linalg.norm(L.apply_adjoint(Y) + g * Y) <= 1e-9 * g * np.linalg.norm(Y)
+        assert abs(np.trace(rho0) - 1.0) < 1e-10
+        assert np.linalg.eigvalsh(rho0).min() >= -1e-12
 
 
 class TestChiSquareRateWithoutExpm:

@@ -27,7 +27,7 @@ from qrex.replica import (
     swap_sector_lower_bounds,
     swap_unitary_original,
 )
-from qrex.spectral import kms_operator_norm, spectral_gap, spectral_norm
+from qrex.spectral import spectral_gap, spectral_norm
 
 import oracles
 from oracles import coherent_term, joint_hamiltonian, jump_components
@@ -179,7 +179,7 @@ class TestSwapGenerator:
     def test_kms_norm_at_most_three(self):
         heis = swap_generator_closed_form(self.js, self.beta)
         sg = joint_gibbs(self.js, self.beta)
-        assert kms_operator_norm(heis, sg) <= 3.0 + 1e-6
+        assert swap_only_kernel_analysis(self.js, heis, sg)["kms_norm"] <= 3.0 + 1e-6
 
     def test_unital(self):
         heis = swap_generator_closed_form(self.js, self.beta)
@@ -264,33 +264,43 @@ class TestReplicaExchangeGenerator:
         assert np.abs(sigma.sigma - np.kron(s1, s2)).max() < 1e-14
 
 
+def swap_and_gibbs(js, beta):
+    """The closed-form swap generator of ``js`` at ``beta`` and its joint Gibbs state."""
+    return swap_generator_closed_form(js, beta), joint_gibbs(js, beta)
+
+
 class TestSwapKernelAnalysis:
     def test_restricted_kernel_is_identity_only(self):
-        rep = swap_only_kernel_analysis(joint_structure(defected_ising_1d(3, 2.0)), 1.0)
+        js = joint_structure(defected_ising_1d(3, 2.0))
+        rep = swap_only_kernel_analysis(js, *swap_and_gibbs(js, 1.0))
         assert rep["restricted_kernel_dim"] == 1
 
     def test_cross_terms_vanish(self):
-        rep = swap_only_kernel_analysis(joint_structure(defected_ising_1d(3, 2.0)), 1.0)
+        js = joint_structure(defected_ising_1d(3, 2.0))
+        rep = swap_only_kernel_analysis(js, *swap_and_gibbs(js, 1.0))
         for key, val in rep["cross_term_residuals"].items():
             assert val < 1e-10, (key, val)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_sector_analyses_match_kronecker_oracles(self, n):
         js = joint_structure(defected_ising_1d(n, 2.0))
-        new, old = swap_only_kernel_analysis(js, 1.0), oracles.swap_only_kernel_analysis(js, 1.0)
+        swap, sigma = swap_and_gibbs(js, 1.0)
+        new, old = (swap_only_kernel_analysis(js, swap, sigma),
+                    oracles.swap_only_kernel_analysis(js, 1.0))
         assert new["sector_dim"] == old["sector_dim"]
         assert new["restricted_kernel_dim"] == old["restricted_kernel_dim"] == 1
         assert new["restricted_evals_head"] == pytest.approx(old["restricted_evals_head"],
                                                              rel=1e-12, abs=1e-12)
         for key, val in old["cross_term_residuals"].items():
             assert abs(new["cross_term_residuals"][key] - val) <= 1e-12, key
-        new = swap_sector_lower_bounds(js, 1.0)["sector_minima"]
+        new = swap_sector_lower_bounds(js, swap, sigma)["sector_minima"]
         old = oracles.swap_sector_lower_bounds(js, 1.0)["sector_minima"]
         for key, val in old.items():
             assert new[key] == pytest.approx(val, rel=1e-12, abs=1e-12), key
 
     def test_sector_lower_bounds_dominate_threshold(self):
         for J in (1.0, 3.0, 5.0):
-            rep = swap_sector_lower_bounds(joint_structure(defected_ising_1d(3, J)), 1.0)
+            js = joint_structure(defected_ising_1d(3, J))
+            rep = swap_sector_lower_bounds(js, *swap_and_gibbs(js, 1.0))
             for key, val in rep["sector_minima"].items():
                 assert val >= rep["threshold"], (J, key, val, rep["threshold"])
