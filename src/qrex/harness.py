@@ -307,7 +307,12 @@ class _Point:
 
     @cached_property
     def js(self):
-        return joint_structure(self.spec)
+        """The commuting-cut labels; ConfigError without a partition or a commuting cut."""
+        try:
+            return joint_structure(self.spec)
+        except ValueError as exc:
+            raise ConfigError(f"field 'replica.mode': local_A needs a system partition with a "
+                              f"commuting cut: {exc}") from exc
 
 
 def _single_system(p: _Point, config):

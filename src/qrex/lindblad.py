@@ -13,9 +13,12 @@ the finite alpha table over Bohr-frequency pairs, whose entries have closed
 forms for both weights (alpha_coeff).  States evolve under the
 Hilbert-Schmidt adjoint L^dag (Superoperator.apply_adjoint).
 
-Generators are stored as sparse CSR matrices: in the eigenbasis every entry
-comes from one pair of nonzero coupling entries, so build_ckg_generator
-assembles them as COO triplets and never forms a dense d^2 x d^2 array.
+Generators are stored as sparse CSR matrices in an operator basis that the
+Superoperator carries, always one where the Gibbs state is diagonal: in the
+eigenbasis every entry comes from one pair of nonzero coupling entries, so
+build_ckg_generator assembles them as COO triplets and never forms a dense
+d^2 x d^2 array.  No computational-basis matrix is formed; the dense
+rotation out of the stored basis is a test oracle.
 
 Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
 """
@@ -108,38 +111,25 @@ class GibbsState:
         return self.sigma.shape[0]
 
 
-def congruence(M, P, R):
-    """Matrix of X -> P^dag L(R^dag X R) P, where M is the matrix of L.
-
-    That is kron(P^T, P^dag) @ M @ kron(R^T, R^dag), evaluated as four
-    leg-wise contractions of M viewed as a [j, i, l, k] tensor (row i + d*j,
-    column k + d*l): O(d^5) work against O(d^6) for the dense products.
-    """
-    d = P.shape[0]
-    T = (P.T @ M.reshape(d, -1)).reshape(-1, d) @ R.conj().T  # [j, i', l', k]
-    T = np.matmul(P.conj().T, T.reshape(d, d, d * d))  # [j, i, (l', k)]
-    T = np.matmul(R, T.reshape(d * d, d, d))  # [(j, i), l, k]
-    return T.reshape(d * d, d * d)
-
-
 class Superoperator:
     """Sparse matrix of a generator L acting on column-stacked observables.
 
     The matrix is stored as a CSR array (dense input is converted) in the
-    operator basis {U e_i e_j^T U^dag} of a unitary ``basis`` U (None: the
-    computational basis): ``local`` is the matrix of X -> U^dag L(U X U^dag) U.
-    ``matrix`` is the dense computational-basis matrix, computed on each
-    access.  ``apply`` is the action on observables and ``apply_adjoint`` the
-    Schrodinger action on states, its Hilbert-Schmidt adjoint.
+    operator basis {U e_i e_j^T U^dag} of the unitary ``basis`` U: ``local``
+    is the matrix of X -> U^dag L(U X U^dag) U.  Every builder stores its
+    generator in a basis where its Gibbs state is diagonal, the one basis
+    ``spectral.symmetrize`` accepts.  ``apply`` is the action on observables
+    and ``apply_adjoint`` the Schrodinger action on states, its
+    Hilbert-Schmidt adjoint.
     """
 
-    def __init__(self, local, basis=None):
+    def __init__(self, local, basis):
         local = sparse.csr_array(local)
         side = local.shape[0]
         d = int(round(np.sqrt(side)))
         if local.shape != (side, side) or d * d != side:
             raise ValueError(f"superoperator matrix of shape {local.shape} is not d^2 x d^2")
-        if basis is not None and np.shape(basis) != (d, d):
+        if np.shape(basis) != (d, d):
             raise ValueError(f"basis of shape {np.shape(basis)} does not match operator "
                              f"dimension {d}")
         self.local = local
@@ -149,21 +139,13 @@ class Superoperator:
     def dim(self):
         return int(round(np.sqrt(self.local.shape[0])))
 
-    @property
-    def matrix(self):
-        M = self.local.toarray()
-        if self.basis is None:
-            return M
-        return congruence(M, self.basis.conj().T, self.basis)
-
     def to_basis(self, X):
         """Coordinates U^dag X U of an operator in the stored basis."""
-        X = np.asarray(X)
-        return X if self.basis is None else self.basis.conj().T @ X @ self.basis
+        return self.basis.conj().T @ np.asarray(X) @ self.basis
 
     def from_basis(self, Y):
         """The operator U Y U^dag with coordinates Y in the stored basis."""
-        return Y if self.basis is None else self.basis @ Y @ self.basis.conj().T
+        return self.basis @ Y @ self.basis.conj().T
 
     def apply(self, X):
         return self.from_basis(unvec(self.local @ vec(self.to_basis(X))))

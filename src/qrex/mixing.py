@@ -30,14 +30,12 @@ n = 7, 256 of the 276 family states are such states: one ``qrex mixing``
 call on the ring takes 0.97 s (3.8 s when every chunk used every block) and
 at n = 6 0.16 s (0.69 s), in process on a 2-core VM with one BLAS thread.
 
-A generator that ``symmetrize`` rejects (stored in another basis, or not
-detailed balanced) is propagated by ``evolve`` through a dense matrix
-exponential of the stored matrix, the one use of ``scipy.linalg``;
-``chi_square_rate_fit`` reads its gap mode off a propagator's blocks and
+Propagation has one route: a generator that ``symmetrize`` rejects (stored
+in another basis, or not detailed balanced) raises its ValueError.
+``chi_square_rate_fit`` reads its gap mode off the caller's propagator and
 propagates it by ``np.linalg.eig`` of the generator.
 """
 
-import warnings
 from dataclasses import dataclass
 from itertools import islice
 
@@ -248,33 +246,6 @@ def _check_state(rho, dim, name):
     return rho
 
 
-def evolve(L: Superoperator, rho0, t, sigma=None):
-    """Propagate a density matrix to time t under the Schrodinger flow e^{t L^dag}.
-
-    Uses the spectral route when ``sigma`` is supplied and ``symmetrize``
-    accepts L; otherwise falls back to a dense matrix exponential, with a
-    warning that carries the reason, since that path scales poorly.
-    """
-    rho0 = _check_state(rho0, L.dim, "rho0")
-    reason = "no Gibbs state given"
-    if sigma is not None:
-        try:
-            prop = SpectralPropagator(L, sigma)
-        except ValueError as exc:  # rejected by symmetrize
-            reason = str(exc)
-        else:
-            return prop.state_at(prop.coefficients(rho0[None]), t)[0]
-    warnings.warn(f"{reason}; using dense matrix exponential")
-    rho = _expm_flow(L, rho0, t)
-    return 0.5 * (rho + rho.conj().T)
-
-
-def _expm_flow(L: Superoperator, rho0, t):
-    """e^{t L^dag}(rho0) by a dense matrix exponential in the generator's own basis."""
-    from scipy.linalg import expm  # only this fallback needs scipy.linalg
-    return L.from_basis(unvec(expm(t * L.local.toarray().conj().T) @ vec(L.to_basis(rho0))))
-
-
 def mixing_bounds_from_gap(gap, lambda_min, epsilon):
     """Two-sided mixing-time bracket implied by the spectral gap.
 
@@ -439,8 +410,8 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
     on one eigendecomposition.  The measured time is a lower estimate of the
     true worst case over all states; the chi-square upper bound t_upper is
     the rigorous cap.  A custom ``family`` of (state_id, rho) pairs is
-    checked state by state as ``evolve`` checks its input, and an empty one
-    is a ValueError.
+    checked state by state (``_check_state``), and an empty one is a
+    ValueError.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -475,15 +446,15 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
     )
 
 
-def _gap_and_mode(L: Superoperator, sigma):
-    """Spectral gap and slow-mode state sigma + alpha Y, read off one ``SpectralPropagator``.
+def _gap_and_mode(prop: SpectralPropagator):
+    """Spectral gap and slow-mode state sigma + alpha Y, read off the caller's propagator.
 
     The blocks hold diag(phi) V and the gap eigenvalue is exactly -gap there,
     so its column unvec'd and rotated by U is sigma^{1/2} X sigma^{1/2} for
     the KMS eigenoperator X of L.  Y is its Hermitian part, scaled so
     sigma + alpha Y is a valid state (alpha = lambda_min / 2).
     """
-    prop = SpectralPropagator(L, sigma)
+    sigma = prop.sigma
     gap = gap_from_eigenvalues(-prop.evals[::-1]).gap
     x = np.zeros(prop.evals.size, dtype=complex)
     for idx, w, V in prop.blocks:
@@ -501,19 +472,21 @@ def _gap_and_mode(L: Superoperator, sigma):
     return gap, sigma.sigma + alpha * Y
 
 
-def chi_square_rate_fit(L: Superoperator, sigma):
+def chi_square_rate_fit(L: Superoperator, prop: SpectralPropagator):
     """Exponential decay rate of chi-square along the flow, via eig of the dense generator.
 
-    Starts in the gap mode (``_gap_and_mode``) and fits the rate of chi^2(t)
-    at 8 times in [1/gap, 3/gap]; for a detailed-balanced generator this
-    equals twice the spectral gap.  L is similar to the Hermitian L_hat, so
-    ``np.linalg.eig`` of L^dag diagonalizes it, independently of ``block_eigh``.
+    ``prop`` is the caller's propagator of L.  Starts in its gap mode
+    (``_gap_and_mode``) and fits the rate of chi^2(t) at 8 times in
+    [1/gap, 3/gap]; for a detailed-balanced generator this equals twice the
+    spectral gap.  L is similar to the Hermitian L_hat, so ``np.linalg.eig``
+    of L^dag diagonalizes it, independently of ``block_eigh``.
     """
-    gap, rho0 = _gap_and_mode(L, sigma)
+    gap, rho0 = _gap_and_mode(prop)
     w, V = np.linalg.eig(L.local.toarray().conj().T)
     c = np.linalg.solve(V, vec(L.to_basis(rho0)))
     ts = np.linspace(1.0 / gap, 3.0 / gap, 8)
-    logs = [np.log(chi_square(L.from_basis(unvec(V @ (np.exp(w * t) * c))), sigma)) for t in ts]
+    logs = [np.log(chi_square(L.from_basis(unvec(V @ (np.exp(w * t) * c))), prop.sigma))
+            for t in ts]
     slope = np.polyfit(ts, logs, 1)[0]
     return float(-slope)
 

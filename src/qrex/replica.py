@@ -25,10 +25,10 @@ the A-side eigenbasis, and the sparse pieces are summed through ``lift``, a
 ``scipy.sparse.kron`` with the identity of the other factor.  The joint
 Gibbs state is diagonal there (``joint_gibbs``), so KMS products on the
 joint space are Euclidean products of vectors scaled by
-``spectral.kms_scaling``; the sector analyses take theirs from
-``spectral.symmetrize`` that way.  The two-temperature global variant
-(``build_global_replica_generator``) is stored in U (x) U, where its Gibbs
-state (``global_gibbs``) is diagonal.
+``spectral.kms_scaling``; the sector analysis (``swap_sector_analysis``)
+takes them from one ``spectral.symmetrize`` of the swap generator.  The
+two-temperature global variant (``build_global_replica_generator``) is
+stored in U (x) U, where its Gibbs state (``global_gibbs``) is diagonal.
 """
 
 from dataclasses import dataclass
@@ -129,7 +129,8 @@ def joint_structure(spec) -> JointStructure:
     """
     cut = check_commuting_cut(spec)
     if not cut.holds:
-        raise ValueError("commuting cut does not hold; local swap labeling unavailable")
+        raise ValueError(f"commuting cut does not hold ({'; '.join(cut.diagnostics)}); "
+                         "local swap labeling unavailable")
     basis_a, _ = simultaneous_eigenbasis([cut.h_a] + [va for va, _ in cut.interaction], seed=7)
     basis_b, _ = simultaneous_eigenbasis([cut.h_b] + [vb for _, vb in cut.interaction], seed=11)
     p = qubit_permutation(spec.n, cut.perm_order)
@@ -319,16 +320,21 @@ def _sector_basis(js: JointStructure, phi):
     return sparse.csc_array((vals / norm[cols], (rows, cols)), shape=(D * D, norm.size))
 
 
-def swap_only_kernel_analysis(js: JointStructure, swap, sigma, seed=42, n_random=10):
-    """Kernel of the swap generator ``swap`` restricted to the K (x) I_A sector.
+def swap_sector_analysis(js: JointStructure, swap, sigma, seed=42):
+    """Kernel, cross terms and sector Rayleigh quotients of the swap generator on K (x) I_A.
 
     ``swap`` and ``sigma`` are the caller's closed-form swap generator and
-    joint Gibbs state of ``js``.  K is the joint kernel of the
-    A-diagonal-restricted system generator and the auxiliary generator:
-    spanned by |i_A><i_A| (x) I_B together with all A-off-diagonal blocks.
-    Also verifies the vanishing cross terms between the diagonal and
-    off-diagonal sectors.  ``kms_norm`` is the scale of both tests, the KMS
-    operator norm of the swap generator.
+    joint Gibbs state of ``js``; one L_hat serves every part.  K is the joint
+    kernel of the A-diagonal-restricted system generator and the auxiliary
+    generator: spanned by |i_A><i_A| (x) I_B together with all
+    A-off-diagonal blocks.  Returns the kernel of the generator restricted
+    to that sector, the largest cross terms between its diagonal and
+    off-diagonal parts (10 random draws), the least Rayleigh quotients of
+    -L_swap on its three parts (20 random draws each) with the conservative
+    theorem-style threshold 1 / (4 d_A exp(4 beta K V_max)) at
+    beta = sigma.beta, and ``kms_norm``, the KMS operator norm of the swap
+    generator that scales the kernel and cross-term tests.  The cross terms
+    and the quotients each draw from their own ``default_rng(seed)``.
     """
     d_a, d_b = js.d_a, js.d_b
     Lhat, phi = symmetrize(swap, sigma), kms_scaling(sigma)
@@ -337,13 +343,13 @@ def swap_only_kernel_analysis(js: JointStructure, swap, sigma, seed=42, n_random
     evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
     scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
     kernel_dim = int(np.sum(evals <= KERNEL_TOL * scale))
+    eye_b, eye_a = np.eye(d_b), np.eye(d_a)
 
     # cross terms of the diagonal/off-diagonal decompositions
     rng = np.random.default_rng(seed)
     worst = {"diagA_vs_offA": 0.0, "offA_vs_diagA": 0.0,
              "offdiagB_vs_offoffB": 0.0, "offoffB_vs_offdiagB": 0.0}
-    eye_b, eye_a = np.eye(d_b), np.eye(d_a)
-    for _ in range(n_random):
+    for _ in range(10):
         Xd = np.kron(np.kron(np.diag(rng.standard_normal(d_a)), eye_b), eye_a)
         Xo = _random_off_a(rng, d_a, d_b, "any")
         Xod, Xoo = _random_off_a(rng, d_a, d_b, "diag"), _random_off_a(rng, d_a, d_b, "off")
@@ -359,27 +365,8 @@ def swap_only_kernel_analysis(js: JointStructure, swap, sigma, seed=42, n_random
             norm = np.linalg.norm(xl) * max(np.linalg.norm(xr), 1e-300)
             worst[key] = max(worst[key], abs(np.vdot(xl, Lhat @ xr)) / max(norm * scale, 1e-300))
 
-    return {
-        "restricted_kernel_dim": kernel_dim,
-        "restricted_evals_head": [float(v) for v in evals[:5]],
-        "cross_term_residuals": worst,
-        "sector_dim": Q.shape[1],
-        "kms_norm": float(scale),
-    }
-
-
-def swap_sector_lower_bounds(js: JointStructure, swap, sigma, seed=42, n_random=20):
-    """Measured Rayleigh quotients of -L_swap on the three kernel sectors.
-
-    ``swap`` and ``sigma`` are as in ``swap_only_kernel_analysis``.  Returns
-    the per-sector minima together with the conservative theorem-style
-    threshold min over sectors >= 1 / (4 d_A exp(4 beta K V_max)) at
-    beta = sigma.beta.
-    """
-    d_a, d_b = js.d_a, js.d_b
-    Lhat, phi = symmetrize(swap, sigma), kms_scaling(sigma)
+    # Rayleigh quotients on the three kernel sectors
     rng = np.random.default_rng(seed)
-    eye_b, eye_a = np.eye(d_b), np.eye(d_a)
 
     def quotient(X):
         x = phi * vec(X)
@@ -387,7 +374,7 @@ def swap_sector_lower_bounds(js: JointStructure, swap, sigma, seed=42, n_random=
 
     mins = {"diag_A": np.inf, "offA_diagB": np.inf, "offA_offB": np.inf}
     marg = sigma.weights.reshape(d_a, -1).sum(axis=1)  # A-marginal of the Gibbs weights
-    for _ in range(n_random):
+    for _ in range(20):
         a = rng.standard_normal(d_a)
         a -= np.dot(marg, a) / marg.sum()  # sigma-orthogonal to the identity
         X = np.kron(np.kron(np.diag(a), eye_b), eye_a)
@@ -397,6 +384,12 @@ def swap_sector_lower_bounds(js: JointStructure, swap, sigma, seed=42, n_random=
         mins["offA_offB"] = min(mins["offA_offB"], quotient(_random_off_a(rng, d_a, d_b, "off")))
 
     threshold = 1.0 / (4.0 * d_a * np.exp(4.0 * sigma.beta * js.cut.k_count * js.cut.v_max))
-    return {"sector_minima": {k: float(v) for k, v in mins.items()},
-            "threshold": float(threshold)}
-
+    return {
+        "restricted_kernel_dim": kernel_dim,
+        "restricted_evals_head": [float(v) for v in evals[:5]],
+        "cross_term_residuals": worst,
+        "sector_dim": Q.shape[1],
+        "kms_norm": float(scale),
+        "sector_minima": {k: float(v) for k, v in mins.items()},
+        "threshold": float(threshold),
+    }

@@ -7,8 +7,9 @@ regression is diagnosable from the report alone.
 The closed-form and generic swap generators are both stored in the labeled
 |i_A j_B m_A> basis, so they are compared as sparse matrices with no basis
 change; the gap-composition suite draws its instances as stacks; the
-scalar inequalities are checked as arrays.  Each generator is decomposed
-once, and the swap generator and its Gibbs state are built once.
+scalar inequalities are checked as arrays.  Each generator is symmetrized
+and decomposed once, and the swap generator and its Gibbs state are built
+once.
 """
 
 import numpy as np
@@ -41,8 +42,7 @@ from .replica import (
     joint_structure,
     swap_generator_closed_form,
     swap_generator_generic,
-    swap_only_kernel_analysis,
-    swap_sector_lower_bounds,
+    swap_sector_analysis,
 )
 from .spectral import gap_composition_suite, gap_from_eigenvalues, spectral_gap, spectral_norm
 
@@ -147,19 +147,19 @@ def run_verification(seed=42, beta=1.0):
                           f"rel diff {rel:.2e}"))
 
     sgj = joint_gibbs(js3, beta)
-    kern = swap_only_kernel_analysis(js3, swap_closed, sgj, seed=seed)
-    norm = kern["kms_norm"]
+    sector = swap_sector_analysis(js3, swap_closed, sgj, seed=seed)
+    norm = sector["kms_norm"]
     results.append(_check("replica.swap_norm_le_3", norm <= 3.0 + 1e-6, f"norm {norm:.6f}"))
 
-    sector = swap_sector_lower_bounds(js3, swap_closed, sgj, seed=seed)
     sec_ok = all(v >= sector["threshold"] for v in sector["sector_minima"].values())
     results.append(_check("replica.sector_lower_bounds", sec_ok,
                           f"minima {sector['sector_minima']} >= {sector['threshold']:.2e}"))
 
-    cross_ok = all(vv < 1e-10 for vv in kern["cross_term_residuals"].values())
+    cross_ok = all(vv < 1e-10 for vv in sector["cross_term_residuals"].values())
     results.append(_check("replica.swap_kernel_sector",
-                          kern["restricted_kernel_dim"] == 1 and cross_ok,
-                          f"dim {kern['restricted_kernel_dim']}, cross {kern['cross_term_residuals']}"))
+                          sector["restricted_kernel_dim"] == 1 and cross_ok,
+                          f"dim {sector['restricted_kernel_dim']}, "
+                          f"cross {sector['cross_term_residuals']}"))
 
     L_re = build_replica_exchange_generator(js3, gg)
     rep_re = spectral_gap(L_re, sgj)
@@ -194,8 +194,9 @@ def run_verification(seed=42, beta=1.0):
     es2 = eigensystem(assemble_dense(spec2))
     L2 = build_ckg_generator(es2, single_site_paulis(3), gm)
     sg2 = gibbs_state(es2, beta)
-    gap2 = spectral_gap(L2, sg2).gap
-    rate = chi_square_rate_fit(L2, sg2)
+    prop2 = SpectralPropagator(L2, sg2)  # one decomposition for the gap and the rate fit
+    gap2 = gap_from_eigenvalues(-prop2.evals[::-1]).gap
+    rate = chi_square_rate_fit(L2, prop2)
     chi_ok = abs(rate / (2 * gap2) - 1.0) <= 0.05
     results.append(_check("mixing.chi2_gap_consistency", chi_ok,
                           f"rate/2gap = {rate / (2 * gap2):.4f}"))

@@ -13,12 +13,12 @@ as test oracles only:
 * ``joint_hamiltonian`` forms H (x) I + I on the joint space, whose Gibbs
   state the library builds diagonal in the labeled basis
   (``qrex.replica.joint_gibbs``).
-* ``swap_only_kernel_analysis`` and ``swap_sector_lower_bounds`` are the
-  sector analyses of ``qrex.replica`` the direct way: the KMS inner product
-  summed from the joint Gibbs weights (``kms_diag``), the K (x) I_A sector
-  basis from nested Kronecker products and orthonormalized by QR.  The
-  library scatters that basis at its vec indices and takes its KMS products
-  from ``symmetrize``.
+* ``swap_only_kernel_analysis`` and ``swap_sector_lower_bounds`` are
+  ``qrex.replica.swap_sector_analysis`` the direct way: the KMS inner
+  product summed from the joint Gibbs weights (``kms_diag``), the
+  K (x) I_A sector basis from nested Kronecker products and orthonormalized
+  by QR.  The library scatters that basis at its vec indices and takes its
+  KMS products from one ``symmetrize``.
 * ``detailed_balance_residual`` probes KMS self-adjointness with random
   operator pairs; the library's detailed-balance check is the Hermiticity
   residual of L_hat in ``qrex.spectral.symmetrize``.
@@ -31,10 +31,18 @@ as test oracles only:
   at once in sigma.basis, deciding by a trace-norm sandwich first.
   ``trace_distance`` takes the distance from singular values.
 * ``chi_square_rate_fit_expm`` propagates the gap mode by one dense matrix
-  exponential per time; ``qrex.mixing.chi_square_rate_fit`` uses one
-  ``np.linalg.eig`` of the generator for every time.  Its gap mode comes
-  from ``_gap_and_mode``, which decomposes -L_hat itself;
-  ``qrex.mixing._gap_and_mode`` reads the mode off a ``SpectralPropagator``.
+  exponential per time (``expm_flow``); ``qrex.mixing.chi_square_rate_fit``
+  uses one ``np.linalg.eig`` of the generator for every time.  Its gap mode
+  comes from ``_gap_and_mode``, which decomposes -L_hat itself;
+  ``qrex.mixing._gap_and_mode`` reads the mode off the caller's
+  ``SpectralPropagator``.
+* The computational-basis surface, which the library does not have: every
+  ``Superoperator`` is stored in a basis its Gibbs state is diagonal in.
+  ``matrix`` is the dense computational-basis matrix of a generator,
+  rotated out of its stored basis by ``congruence``, the leg-wise O(d^5)
+  basis change.  ``evolve`` propagates one state through a
+  ``SpectralPropagator``, and ``expm_flow`` by a dense matrix exponential
+  of the stored matrix.
 * ``component_labels_csgraph`` and ``blocks_csgraph`` label the connected
   components of a pattern with ``scipy.sparse.csgraph``;
   ``qrex.spectral._component_labels`` hooks and jumps pointers in numpy.
@@ -66,6 +74,7 @@ from itertools import product
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
 from qrex.hamiltonians import assemble_dense, compress_onto
@@ -81,9 +90,10 @@ from qrex.lindblad import (
     filter_fhat,
     gibbs_state,
     unvec,
+    vec,
     weight,
 )
-from qrex.mixing import BISECTION_RTOL, _expm_flow, chi_square
+from qrex.mixing import BISECTION_RTOL, SpectralPropagator, _check_state, chi_square
 from qrex.pauli import PAULIS, single_site_paulis
 from qrex.replica import (
     _random_off_a,
@@ -100,6 +110,41 @@ from qrex.spectral import (
     spectral_gap,
     symmetrize,
 )
+
+
+def congruence(M, P, R):
+    """Matrix of X -> P^dag L(R^dag X R) P, where M is the matrix of L.
+
+    That is kron(P^T, P^dag) @ M @ kron(R^T, R^dag), evaluated as four
+    leg-wise contractions of M viewed as a [j, i, l, k] tensor (row i + d*j,
+    column k + d*l): O(d^5) work against O(d^6) for the dense products.
+    """
+    d = P.shape[0]
+    T = (P.T @ M.reshape(d, -1)).reshape(-1, d) @ R.conj().T  # [j, i', l', k]
+    T = np.matmul(P.conj().T, T.reshape(d, d, d * d))  # [j, i, (l', k)]
+    T = np.matmul(R, T.reshape(d * d, d, d))  # [(j, i), l, k]
+    return T.reshape(d * d, d * d)
+
+
+def matrix(L):
+    """Dense computational-basis matrix of the Superoperator L, rotated out of its stored basis."""
+    return congruence(L.local.toarray(), L.basis.conj().T, L.basis)
+
+
+def evolve(L, rho0, t, sigma):
+    """rho0 propagated to time t under e^{t L^dag} by one ``SpectralPropagator`` of (L, sigma).
+
+    rho0 is checked as ``qrex.mixing.mixing_time_estimate`` checks a custom
+    family state.
+    """
+    rho0 = _check_state(rho0, L.dim, "rho0")
+    prop = SpectralPropagator(L, sigma)
+    return prop.state_at(prop.coefficients(rho0[None]), t)[0]
+
+
+def expm_flow(L, rho0, t):
+    """e^{t L^dag}(rho0) by a dense matrix exponential in the generator's own basis."""
+    return L.from_basis(unvec(expm(t * L.local.toarray().conj().T) @ vec(L.to_basis(rho0))))
 
 
 def sigma_power(sigma, p):
@@ -416,8 +461,8 @@ def _gap_and_mode(L, sigma):
 
     Y is the gap eigenoperator carried to the Schrodinger side and scaled so
     sigma + alpha Y is a valid state (alpha = lambda_min / 2).
-    ``qrex.mixing._gap_and_mode`` reads the same mode off the blocks of a
-    ``SpectralPropagator``.
+    ``qrex.mixing._gap_and_mode`` reads the same mode off the blocks of the
+    caller's ``SpectralPropagator``.
     """
     blocks = block_eigh(-symmetrize(L, sigma))
     evals = np.concatenate([w.ravel() for _, w, _ in blocks])
@@ -460,7 +505,7 @@ def chi_square_rate_fit_expm(L, sigma):
     """
     gap, rho0 = _gap_and_mode(L, sigma)
     ts = np.linspace(1.0 / gap, 3.0 / gap, 8)
-    logs = [np.log(chi_square(_expm_flow(L, rho0, t), sigma)) for t in ts]
+    logs = [np.log(chi_square(expm_flow(L, rho0, t), sigma)) for t in ts]
     return float(-np.polyfit(ts, logs, 1)[0])
 
 

@@ -31,6 +31,7 @@ from qrex.lindblad import (
     theta,
 )
 from qrex.mixing import (
+    SpectralPropagator,
     bottleneck_witness,
     chi_square_rate_fit,
     mixing_time_estimate,
@@ -43,7 +44,7 @@ from qrex.replica import (
     joint_structure,
     swap_generator_closed_form,
     swap_generator_generic,
-    swap_only_kernel_analysis,
+    swap_sector_analysis,
     swap_unitary_original,
 )
 from qrex.spectral import (
@@ -55,6 +56,7 @@ from oracles import (
     coherent_term,
     detailed_balance_residual,
     jump_components,
+    matrix,
     partial_lindbladian_check,
 )
 
@@ -137,9 +139,9 @@ def test_05_swap_generator_structure():
     js = joint_structure(spec)
     closed = swap_generator_closed_form(js, BETA)
     generic = swap_generator_generic(js, BETA)
-    rel = np.linalg.norm(closed.matrix - generic.matrix, 2) / np.linalg.norm(generic.matrix, 2)
+    rel = np.linalg.norm(matrix(closed) - matrix(generic), 2) / np.linalg.norm(matrix(generic), 2)
     sg = joint_gibbs(js, BETA)
-    norm = swap_only_kernel_analysis(js, closed, sg)["kms_norm"]
+    norm = swap_sector_analysis(js, closed, sg)["kms_norm"]
     H_joint = np.kron(assemble_dense(spec), np.eye(js.d_a)) + np.eye(js.joint_dim)
     es = eigensystem(H_joint)
     G = coherent_term([jump_components(swap_unitary_original(js), es)], es, GM)
@@ -153,8 +155,7 @@ def test_06_kernel_characterization():
     js = joint_structure(defected_ising_1d(3, 3.0))
     heis = build_replica_exchange_generator(js, GG)
     rep = spectral_gap(heis, joint_gibbs(js, BETA))
-    kern = swap_only_kernel_analysis(js, swap_generator_closed_form(js, BETA),
-                                     joint_gibbs(js, BETA))
+    kern = swap_sector_analysis(js, swap_generator_closed_form(js, BETA), joint_gibbs(js, BETA))
     cross_ok = all(v < 1e-10 for v in kern["cross_term_residuals"].values())
     announce(6, "kernel characterization",
              rep.kernel_dim == 1 and kern["restricted_kernel_dim"] == 1 and cross_ok,
@@ -184,7 +185,7 @@ def test_08_mixing_sandwich():
     sg = gibbs_state(es, BETA)
     rep = mixing_time_estimate(heis, sg, 1e-2)
     in_bracket = rep.t_lower <= rep.t_measured <= rep.t_upper
-    rate = chi_square_rate_fit(heis, sg)
+    rate = chi_square_rate_fit(heis, SpectralPropagator(heis, sg))
     rate_ok = abs(rate / (2 * rep.gap) - 1.0) <= 0.05
     announce(8, "mixing-time sandwich", in_bracket and rate_ok,
              f"t=[{rep.t_lower:.2f} <= {rep.t_measured:.2f} <= {rep.t_upper:.2f}] "

@@ -5,13 +5,13 @@ coupling for the sandwich and the anticommutator/coherent cores, the dense
 rotation kron(U^*, U) M kron(U^*, U)^dag out of the eigenbasis, the dense
 KMS symmetrization kron(s4^T, s4) M kron(s4i^T, s4i), and K M K^dag for the
 swap generator's labeled basis.  It costs O(d^6) and is kept here only as an
-oracle for the leg-wise O(d^5) basis change and the diagonal KMS scaling of
-the library.  A matrix summed in the computational basis is carried into the
+oracle for the leg-wise O(d^5) basis change of ``oracles.matrix`` and the
+diagonal KMS scaling of the library.  A matrix summed in the computational basis is carried into the
 basis its Gibbs state is diagonal in (``in_sigma_basis``) before its gap is
 taken, since the library symmetrizes only there.  Likewise the dense eigh of the whole L_hat is the oracle for the
 block eigensolves that gaps, norms and propagation use, and the joint
 generator summed in the computational basis (identity-einsum lifts of each
-piece's ``.matrix``, Gibbs state from an eigh of the joint Hamiltonian) is
+piece's ``matrix``, Gibbs state from an eigh of the joint Hamiltonian) is
 the oracle for the labeled-basis assembly.
 """
 
@@ -28,7 +28,6 @@ from qrex.lindblad import (
     WeightFunction,
     _alpha_table,
     build_ckg_generator,
-    congruence,
     eigensystem,
     gibbs_state,
     unvec,
@@ -47,7 +46,7 @@ from qrex.replica import (
 )
 from qrex.spectral import KERNEL_TOL, spectral_gap, symmetrize
 
-from oracles import joint_hamiltonian, sigma_power
+from oracles import congruence, joint_hamiltonian, matrix, sigma_power
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -147,15 +146,15 @@ def superop_kron_right(M, d1):
 
 
 def computational_joint_sum(spec, beta, w1, w2):
-    """local_A joint generator summed in the computational basis from each piece's .matrix."""
+    """local_A joint generator summed in the computational basis from each piece's matrix."""
     H = assemble_dense(spec)
     n_a = len(spec.partition[0])
     d_a, d_n = 2**n_a, H.shape[0]
     M = superop_kron_left(
-        build_ckg_generator(eigensystem(H), single_site_paulis(spec.n), w1).matrix, d_a)
+        matrix(build_ckg_generator(eigensystem(H), single_site_paulis(spec.n), w1)), d_a)
     M += superop_kron_right(
-        build_ckg_generator(eigensystem(np.eye(d_a)), single_site_paulis(n_a), w2).matrix, d_n)
-    M += swap_generator_closed_form(joint_structure(spec), beta).matrix
+        matrix(build_ckg_generator(eigensystem(np.eye(d_a)), single_site_paulis(n_a), w2)), d_n)
+    M += matrix(swap_generator_closed_form(joint_structure(spec), beta))
     return M
 
 
@@ -169,13 +168,13 @@ def computational_global_sum(spec, beta, beta2, w1, w2):
     H = assemble_dense(spec)
     d_n = H.shape[0]
     paulis = single_site_paulis(spec.n)
-    M = superop_kron_left(build_ckg_generator(eigensystem(H), paulis, w1).matrix, d_n)
+    M = superop_kron_left(matrix(build_ckg_generator(eigensystem(H), paulis, w1)), d_n)
     M += superop_kron_right(
-        build_ckg_generator(eigensystem(H), paulis, WeightFunction(w2.kind, beta2)).matrix, d_n)
+        matrix(build_ckg_generator(eigensystem(H), paulis, WeightFunction(w2.kind, beta2))), d_n)
     H_swap = beta * np.kron(H, np.eye(d_n)) + beta2 * np.kron(np.eye(d_n), H)
     swap = np.eye(d_n * d_n)[np.arange(d_n * d_n).reshape(d_n, d_n).T.reshape(-1)]
     es_swap = eigensystem(H_swap)
-    M += build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).matrix
+    M += matrix(build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)))
     return M, gibbs_state(es_swap, 1.0)
 
 
@@ -195,13 +194,13 @@ def assert_close(actual, expected, rtol=RTOL):
 
 
 def check_against_oracle(L, M_dense, sigma, seed=0):
-    """.matrix, .apply, .apply_adjoint, symmetrize and spectral_gap vs the dense route.
+    """matrix, .apply, .apply_adjoint, symmetrize and spectral_gap vs the dense route.
 
     L must be stored in the basis sigma is diagonal in, the only basis
     symmetrize works in; it is checked against the dense route carried into
     that basis.
     """
-    assert_close(L.matrix, M_dense)
+    assert_close(matrix(L), M_dense)
     d = L.dim
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -276,7 +275,7 @@ def test_labeled_joint_generator_matches_computational_sum(spec):
     js = joint_structure(spec)
     heis = build_replica_exchange_generator(js, GG)
     M_old = computational_joint_sum(spec, 1.0, GG, GG)
-    assert_close(heis.matrix, M_old)
+    assert_close(matrix(heis), M_old)
     d = heis.dim
     rng = np.random.default_rng(1)
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -300,7 +299,7 @@ def test_global_generator_matches_computational_sum(spec, w):
     es = eigensystem(assemble_dense(spec))
     heis = build_global_replica_generator(es, w, beta2)
     M_old, sigma = computational_global_sum(spec, beta, beta2, w, w)
-    assert_close(heis.matrix, M_old)
+    assert_close(matrix(heis), M_old)
     d = heis.dim
     rng = np.random.default_rng(2)
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -394,7 +393,7 @@ def test_basis_side_must_match_matrix():
     with pytest.raises(ValueError, match="basis"):
         Superoperator(np.zeros((16, 16), dtype=complex), basis=np.eye(3))
     with pytest.raises(ValueError):
-        Superoperator(np.zeros((12, 12), dtype=complex))
+        Superoperator(np.zeros((12, 12), dtype=complex), basis=np.eye(3))
 
 
 def test_perturbed_generator_not_detailed_balanced():

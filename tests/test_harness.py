@@ -31,6 +31,11 @@ from qrex.spectral import HERMITICITY_TOL, KERNEL_TOL
 from oracles import partial_lindbladian_check
 
 
+# a raw open chain -Z0 Z1 - Z1 Z2, with no partition
+RAW_CHAIN = [{"coeff": -1.0, "paulis": [[0, "Z"], [1, "Z"]]},
+             {"coeff": -1.0, "paulis": [[1, "Z"], [2, "Z"]]}]
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -247,6 +252,34 @@ class TestSweepGB:
         assert counts == {"assemble_dense": 4, "build_ckg_generator": 6}
 
 
+class TestTheoremBound:
+    """The main theorem's bound as a property of local_A sweeps.
+
+    The theorem reads gap_re >= min(g_B, 1) / (4 d_A exp(4 beta K V_max));
+    ``bound_ratio`` is gap_re over that bound without its 1/4, so the bound
+    holds where the ratio is at least 0.25.
+    """
+
+    @staticmethod
+    def ratios(system, beta, weight, values):
+        config = validate_config({"scenario": "sweep", "system": system, "beta": beta,
+                                  "replica": {"mode": "local_A", "weight": weight},
+                                  "sweep": {"param": "J", "values": values}, "max_dim": 2**16})
+        return [rec["bound_ratio"] for rec in run_scenario(config).records]
+
+    @pytest.mark.parametrize("weight", ["gaussian", "metropolis"])
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_ring(self, n, beta, weight):
+        system = {"model": "defected_ising", "n": n, "J": 3.0}
+        assert min(self.ratios(system, beta, weight, [1.0, 2.5, 5.0])) >= 0.25
+
+    def test_heisenberg_grid(self):
+        system = {"model": "defected_heisenberg", "rows": 2, "cols": 3, "A": [0, 3],
+                  "defect_edge": [0, 3], "J": 3.0}
+        assert min(self.ratios(system, 0.05, "gaussian", [1.0, 5.0])) >= 0.25
+
+
 class TestDeterminism:
     def test_identical_records_across_runs(self):
         config = validate_config({
@@ -298,32 +331,24 @@ class TestScenarios:
         assert report.summary["n_failed"] == 0
         assert all(set(r) == {"check", "passed", "detail"} for r in report.records)
 
-    def test_verify_makes_no_joint_size_congruence(self, monkeypatch):
+    def test_verify_makes_no_joint_size_congruence(self):
         # the swap generators are compared in their shared labeled basis, and
         # the spectrum check compares eigenvalues of the stored matrix, so no
-        # congruence runs at all (a joint-size one would have side 32^2 = 1024)
+        # basis change is needed: congruence is a test oracle, and no module
+        # of the package defines it (a joint-size one would have side 32^2 = 1024)
         import qrex.verify
 
-        sides = []
-        original = qrex.lindblad.congruence
-
-        def spy(M, *args):
-            sides.append(M.shape[0])
-            return original(M, *args)
-
-        for module in (qrex.lindblad, qrex.verify, qrex.replica, qrex.spectral):
-            monkeypatch.setattr(module, "congruence", spy, raising=False)
+        modules = (qrex.lindblad, qrex.mixing, qrex.verify, qrex.replica, qrex.spectral)
+        assert not any(hasattr(module, "congruence") for module in modules)
         results = qrex.verify.run_verification()
         assert len(results) == 25 and all(r["passed"] for r in results)
-        assert sides == []
 
 
     def test_verification_decomposes_each_generator_once(self, monkeypatch):
-        # 5 distinct (L, sigma) pairs, of which the swap is scaled by each of its
-        # two sector analyses and the ring's chi-square pair by its gap and its fit
+        # 5 distinct (L, sigma) pairs, each scaled once: the swap's one sector
+        # analysis and the ring's chi-square gap and fit share theirs
         counted = {"symmetrize": qrex.spectral, "block_eigh": qrex.spectral,
-                   "swap_generator_closed_form": qrex.replica, "joint_gibbs": qrex.replica,
-                   "congruence": qrex.lindblad}
+                   "swap_generator_closed_form": qrex.replica, "joint_gibbs": qrex.replica}
         counts = dict.fromkeys(counted, 0)
         modules = (qrex.hamiltonians, qrex.lindblad, qrex.harness, qrex.mixing, qrex.replica,
                    qrex.spectral, qrex.verify)
@@ -349,11 +374,10 @@ class TestScenarios:
         monkeypatch.setattr(qrex.verify, "chi_square_rate_fit", fit_spy)
         rows = qrex.verify.run_verification(seed=42)
         assert len(rows) == 25 and all(row["passed"] for row in rows)
-        assert counts["symmetrize"] <= 7
+        assert counts["symmetrize"] == 5
         assert counts["swap_generator_closed_form"] == 1
         assert counts["joint_gibbs"] == 1
-        assert counts["congruence"] == 0
-        assert fit_eighs == [1]
+        assert fit_eighs == [0]
 
     def test_sweep_points_take_the_validated_config(self, monkeypatch):
         config = validate_config({"scenario": "sweep", "replica": {"mode": "none"},
@@ -489,6 +513,24 @@ class TestCli:
                                       **payload})
         assert main([scenario, "--config", cfg]) == 2
         assert f"config error: field {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["gap", "sweep"])
+    @pytest.mark.parametrize("system, detail", [
+        ({"n": 3, "terms": RAW_CHAIN}, "partition required for the cut analysis"),
+        ({"n": 3, "terms": RAW_CHAIN + [{"coeff": -1.0, "paulis": [[1, "X"], [2, "X"]]},
+                                        {"coeff": -0.5, "paulis": [[1, "Z"]]}],
+          "partition": {"A": [0, 1]}},
+         "commuting cut does not hold (non-commuting pair on side A"),
+    ], ids=["no_partition", "cut_fails"])
+    def test_local_a_without_commuting_cut_exit_two(self, tmp_path, capsys, scenario, system,
+                                                    detail):
+        # once a ValueError traceback with exit 1, the code of a failed verify check
+        cfg = write_config(tmp_path, {"system": system, "replica": {"mode": "local_A"},
+                                      "sweep": {"param": "beta", "values": [1.0]}})
+        assert main([scenario, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'replica.mode': local_A needs ")
+        assert detail in err
 
     def test_beta2_read_as_given(self):
         assert validate_config({}).replica["beta2"] is None

@@ -1,14 +1,19 @@
 """What a fresh interpreter loads to run the scenarios, and how the CLI ends an unresolvable gap."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import qrex
 
-# modules that no scenario needs: the dense-expm fallback of ``mixing.evolve``
-# loads scipy.linalg, and only ``--parallel`` above 1 starts a process pool
+# modules that no scenario needs: the package imports none of the first three
+# (scipy.linalg is checked in the source too), and only ``--parallel`` above 1
+# starts a process pool
 UNNEEDED = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
             "concurrent.futures.process")
 
@@ -63,3 +68,38 @@ def test_unresolvable_gap_exits_four_without_traceback(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("numerical error: ambiguous kernel cluster: gap ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def scipy_linalg_imports(tree):
+    """Line numbers of the imports of scipy.linalg (or a submodule) in a parsed module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_package_source_never_imports_scipy_linalg():
+    sources = sorted(pathlib.Path(qrex.__file__).parent.glob("*.py"))
+    assert sources
+    found = {path.name: scipy_linalg_imports(ast.parse(path.read_text(), str(path)))
+             for path in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source", ["import scipy.linalg", "import scipy.linalg as sl",
+                                    "from scipy import linalg", "from scipy.linalg import expm",
+                                    "def f():\n    from scipy.linalg import expm"])
+def test_scipy_linalg_import_detected(source):
+    assert scipy_linalg_imports(ast.parse(source)) != []
+
+
+def test_other_scipy_imports_pass():
+    assert scipy_linalg_imports(ast.parse("import scipy.sparse\nfrom scipy import sparse\n"
+                                          "from .linalg import x\nimport numpy.linalg")) == []

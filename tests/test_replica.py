@@ -23,14 +23,13 @@ from qrex.replica import (
     local_swap_unitary,
     swap_generator_closed_form,
     swap_generator_generic,
-    swap_only_kernel_analysis,
-    swap_sector_lower_bounds,
+    swap_sector_analysis,
     swap_unitary_original,
 )
 from qrex.spectral import spectral_gap, spectral_norm
 
 import oracles
-from oracles import coherent_term, joint_hamiltonian, jump_components
+from oracles import coherent_term, joint_hamiltonian, jump_components, matrix
 
 GM = WeightFunction("metropolis", 1.0)
 
@@ -139,8 +138,8 @@ class TestSwapGenerator:
     def test_closed_form_matches_generic(self):
         closed = swap_generator_closed_form(self.js, self.beta)
         generic = swap_generator_generic(self.js, self.beta)
-        diff = np.linalg.norm(closed.matrix - generic.matrix, 2)
-        assert diff <= 1e-9 * np.linalg.norm(generic.matrix, 2)
+        diff = np.linalg.norm(matrix(closed) - matrix(generic), 2)
+        assert diff <= 1e-9 * np.linalg.norm(matrix(generic), 2)
 
     def test_closed_form_matches_generic_in_its_own_eigenbasis(self):
         # the generic route with its own eigh of H_joint, independent of the labeled basis
@@ -149,8 +148,8 @@ class TestSwapGenerator:
                                   [swap_unitary_original(js)], GM)
         assert not np.allclose(own.basis, js.joint_basis)
         closed = swap_generator_closed_form(js, self.beta)
-        diff = np.linalg.norm(closed.matrix - own.matrix, 2)
-        assert diff <= 1e-9 * np.linalg.norm(own.matrix, 2)
+        diff = np.linalg.norm(matrix(closed) - matrix(own), 2)
+        assert diff <= 1e-9 * np.linalg.norm(matrix(own), 2)
 
     def test_generic_stored_in_labeled_basis(self):
         js = self.js
@@ -179,12 +178,12 @@ class TestSwapGenerator:
     def test_kms_norm_at_most_three(self):
         heis = swap_generator_closed_form(self.js, self.beta)
         sg = joint_gibbs(self.js, self.beta)
-        assert swap_only_kernel_analysis(self.js, heis, sg)["kms_norm"] <= 3.0 + 1e-6
+        assert swap_sector_analysis(self.js, heis, sg)["kms_norm"] <= 3.0 + 1e-6
 
     def test_unital(self):
         heis = swap_generator_closed_form(self.js, self.beta)
         d = heis.dim
-        assert np.linalg.norm(heis.apply(np.eye(d))) < 1e-10 * np.linalg.norm(heis.matrix)
+        assert np.linalg.norm(heis.apply(np.eye(d))) < 1e-10 * np.linalg.norm(matrix(heis))
 
     def test_zero_frequency_pairs_relax_at_theta0(self):
         # lam(+-, z) = lam(-+, z) for the ring, so those A labels give omega = 0
@@ -272,12 +271,12 @@ def swap_and_gibbs(js, beta):
 class TestSwapKernelAnalysis:
     def test_restricted_kernel_is_identity_only(self):
         js = joint_structure(defected_ising_1d(3, 2.0))
-        rep = swap_only_kernel_analysis(js, *swap_and_gibbs(js, 1.0))
+        rep = swap_sector_analysis(js, *swap_and_gibbs(js, 1.0))
         assert rep["restricted_kernel_dim"] == 1
 
     def test_cross_terms_vanish(self):
         js = joint_structure(defected_ising_1d(3, 2.0))
-        rep = swap_only_kernel_analysis(js, *swap_and_gibbs(js, 1.0))
+        rep = swap_sector_analysis(js, *swap_and_gibbs(js, 1.0))
         for key, val in rep["cross_term_residuals"].items():
             assert val < 1e-10, (key, val)
 
@@ -285,7 +284,7 @@ class TestSwapKernelAnalysis:
     def test_sector_analyses_match_kronecker_oracles(self, n):
         js = joint_structure(defected_ising_1d(n, 2.0))
         swap, sigma = swap_and_gibbs(js, 1.0)
-        new, old = (swap_only_kernel_analysis(js, swap, sigma),
+        new, old = (swap_sector_analysis(js, swap, sigma),
                     oracles.swap_only_kernel_analysis(js, 1.0))
         assert new["sector_dim"] == old["sector_dim"]
         assert new["restricted_kernel_dim"] == old["restricted_kernel_dim"] == 1
@@ -293,7 +292,7 @@ class TestSwapKernelAnalysis:
                                                              rel=1e-12, abs=1e-12)
         for key, val in old["cross_term_residuals"].items():
             assert abs(new["cross_term_residuals"][key] - val) <= 1e-12, key
-        new = swap_sector_lower_bounds(js, swap, sigma)["sector_minima"]
+        new = new["sector_minima"]
         old = oracles.swap_sector_lower_bounds(js, 1.0)["sector_minima"]
         for key, val in old.items():
             assert new[key] == pytest.approx(val, rel=1e-12, abs=1e-12), key
@@ -301,6 +300,6 @@ class TestSwapKernelAnalysis:
     def test_sector_lower_bounds_dominate_threshold(self):
         for J in (1.0, 3.0, 5.0):
             js = joint_structure(defected_ising_1d(3, J))
-            rep = swap_sector_lower_bounds(js, *swap_and_gibbs(js, 1.0))
+            rep = swap_sector_analysis(js, *swap_and_gibbs(js, 1.0))
             for key, val in rep["sector_minima"].items():
                 assert val >= rep["threshold"], (J, key, val, rep["threshold"])
