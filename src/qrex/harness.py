@@ -32,7 +32,6 @@ from .lindblad import (
     alpha_quadrature,
     build_ckg_generator,
     eigensystem,
-    gibbs_state,
     theta,
 )
 from .mixing import mixing_time_estimate
@@ -41,8 +40,6 @@ from .replica import (
     build_global_replica_generator,
     build_replica_exchange_generator,
     check_global_size,
-    global_gibbs,
-    joint_gibbs,
     joint_structure,
 )
 from .spectral import HERMITICITY_TOL, KERNEL_TOL, a_diagonal_restriction_gap, spectral_gap
@@ -316,26 +313,25 @@ class _Point:
 
 
 def _single_system(p: _Point, config):
-    """(L, sigma) of the single system, with the weight ``config.weight``."""
-    L = build_ckg_generator(p.es, single_site_paulis(p.spec.n),
-                            WeightFunction(config.weight, p.beta))
-    return L, gibbs_state(p.es, p.beta)
+    """The single-system generator, with the weight ``config.weight``."""
+    return build_ckg_generator(p.es, single_site_paulis(p.spec.n),
+                               WeightFunction(config.weight, p.beta))
 
 
 def _local_a(p: _Point, config):
-    """(L, sigma) of the local_A replica exchange on the commuting-cut labels."""
+    """The local_A replica-exchange generator on the commuting-cut labels."""
     w = WeightFunction(config.replica["weight"], p.beta)
-    return build_replica_exchange_generator(p.js, w), joint_gibbs(p.js, p.beta)
+    return build_replica_exchange_generator(p.js, w)
 
 
 def _global(p: _Point, config):
-    """(L, sigma) of the two-temperature global replica exchange; beta2 defaults to beta."""
+    """The two-temperature global replica-exchange generator; beta2 defaults to beta."""
     beta2 = p.beta if config.replica["beta2"] is None else config.replica["beta2"]
     w = WeightFunction(config.replica["weight"], p.beta)
-    return build_global_replica_generator(p.es, w, beta2), global_gibbs(p.es, p.beta, beta2)
+    return build_global_replica_generator(p.es, w, beta2)
 
 
-# the one place the replica mode picks a generator and its Gibbs state
+# the one place the replica mode picks a generator; each carries its Gibbs state
 MODE_BUILDERS = {"none": _single_system, "local_A": _local_a, "global": _global}
 
 
@@ -353,10 +349,10 @@ def _sweep_point(args):
     _guard_dims(config, spec)
     p = _Point(spec, beta)
     mode = config.replica["mode"]
-    rec = {"J": J, "beta": beta, "gap_single": spectral_gap(*_single_system(p, config)).gap,
+    rec = {"J": J, "beta": beta, "gap_single": spectral_gap(_single_system(p, config)).gap,
            "gap_re": float("nan"), "g_B": float("nan"), "bound_ratio": float("nan")}
     if mode != "none":
-        rec["gap_re"] = spectral_gap(*MODE_BUILDERS[mode](p, config)).gap
+        rec["gap_re"] = spectral_gap(MODE_BUILDERS[mode](p, config)).gap
     if mode == "local_A":
         # the theorem's bound reads the same commuting-cut analysis as the generator
         js = p.js
@@ -379,7 +375,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
     if scenario == "gap":
         spec = build_system(config)
         _guard_dims(config, spec)
-        rep = spectral_gap(*MODE_BUILDERS[config.replica["mode"]](_Point(spec, config.beta), config))
+        rep = spectral_gap(MODE_BUILDERS[config.replica["mode"]](_Point(spec, config.beta), config))
         records = [{"J": spec.defect[1] if spec.defect else float("nan"),
                     "beta": config.beta, **rep.to_json_dict()}]
 
@@ -401,8 +397,8 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
     elif scenario == "mixing":
         spec = build_system(config)
         _guard_dims(config, spec)
-        L, sigma = _single_system(_Point(spec, config.beta), config)
-        mrep = mixing_time_estimate(L, sigma, config.epsilon, seed=config.seed)
+        L = _single_system(_Point(spec, config.beta), config)
+        mrep = mixing_time_estimate(L, config.epsilon, seed=config.seed)
         records = [{"state_id": sid, "t_cross": t} for sid, t in mrep.crossings]
         summary = {k: v for k, v in mrep.to_json_dict().items() if k != "crossings"}
 

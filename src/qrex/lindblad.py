@@ -13,17 +13,20 @@ the finite alpha table over Bohr-frequency pairs, whose entries have closed
 forms for both weights (alpha_coeff).  States evolve under the
 Hilbert-Schmidt adjoint L^dag (Superoperator.apply_adjoint).
 
-Generators are stored as sparse CSR matrices in an operator basis that the
-Superoperator carries, always one where the Gibbs state is diagonal: in the
-eigenbasis every entry comes from one pair of nonzero coupling entries, so
-build_ckg_generator assembles them as COO triplets and never forms a dense
-d^2 x d^2 array.  No computational-basis matrix is formed; the dense
-rotation out of the stored basis is a test oracle.
+A Superoperator carries the GibbsState its generator is detailed balanced
+for, and stores the generator as a sparse CSR matrix in the operator basis
+where that state is diagonal: in the eigenbasis every entry comes from one
+pair of nonzero coupling entries, so build_ckg_generator assembles them as
+COO triplets and never forms a dense d^2 x d^2 array, and attaches
+gibbs_state(es, w.beta).  A GibbsState is its weights in its basis; the
+dense sigma is formed only on first use.  No computational-basis matrix is
+formed; the dense rotation out of the stored basis is a test oracle.
 
 Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -85,17 +88,26 @@ class WeightFunction:
 
 @dataclass
 class GibbsState:
-    """Thermal state sigma = U diag(weights) U^dag.
+    """Thermal state sigma = U diag(weights) U^dag at inverse temperature beta.
 
-    ``basis`` is the unitary U it was built diagonal in and ``weights`` are
-    its eigenvalues in the column order of U.  Every function of sigma that
-    the library needs is a function of ``weights`` in that basis.
+    ``basis`` is the unitary U it is diagonal in and ``weights`` are its
+    eigenvalues in the column order of U; they sum to one.  Every function
+    of sigma that the library needs is a function of ``weights`` in that
+    basis; the dense ``sigma`` is formed on first use.
     """
 
-    sigma: np.ndarray
-    beta: float
     weights: np.ndarray
     basis: np.ndarray
+    beta: float
+
+    def __post_init__(self):
+        self.beta = float(self.beta)
+
+    @cached_property
+    def sigma(self):
+        U = self.basis
+        sigma = (U * self.weights) @ U.conj().T
+        return 0.5 * (sigma + sigma.conj().T)
 
     @property
     def lambda_min(self):
@@ -108,36 +120,39 @@ class GibbsState:
 
     @property
     def dim(self):
-        return self.sigma.shape[0]
+        return self.weights.size
 
 
 class Superoperator:
     """Sparse matrix of a generator L acting on column-stacked observables.
 
-    The matrix is stored as a CSR array (dense input is converted) in the
-    operator basis {U e_i e_j^T U^dag} of the unitary ``basis`` U: ``local``
-    is the matrix of X -> U^dag L(U X U^dag) U.  Every builder stores its
-    generator in a basis where its Gibbs state is diagonal, the one basis
-    ``spectral.symmetrize`` accepts.  ``apply`` is the action on observables
-    and ``apply_adjoint`` the Schrodinger action on states, its
-    Hilbert-Schmidt adjoint.
+    ``sigma`` is the GibbsState L is detailed balanced for, and the matrix
+    is stored as a CSR array (dense input is converted) in the operator
+    basis {U e_i e_j^T U^dag} of U = sigma.basis, where sigma is diagonal:
+    ``local`` is the matrix of X -> U^dag L(U X U^dag) U.  ``apply_adjoint``
+    is the Schrodinger action on states, the Hilbert-Schmidt adjoint of the
+    action on observables.
     """
 
-    def __init__(self, local, basis):
+    def __init__(self, local, sigma: GibbsState):
         local = sparse.csr_array(local)
         side = local.shape[0]
         d = int(round(np.sqrt(side)))
         if local.shape != (side, side) or d * d != side:
             raise ValueError(f"superoperator matrix of shape {local.shape} is not d^2 x d^2")
-        if np.shape(basis) != (d, d):
-            raise ValueError(f"basis of shape {np.shape(basis)} does not match operator "
-                             f"dimension {d}")
+        if sigma.basis.shape != (d, d):
+            raise ValueError(f"Gibbs state basis of shape {sigma.basis.shape} does not match "
+                             f"operator dimension {d}")
         self.local = local
-        self.basis = basis
+        self.sigma = sigma
+
+    @property
+    def basis(self):
+        return self.sigma.basis
 
     @property
     def dim(self):
-        return int(round(np.sqrt(self.local.shape[0])))
+        return self.sigma.dim
 
     def to_basis(self, X):
         """Coordinates U^dag X U of an operator in the stored basis."""
@@ -146,9 +161,6 @@ class Superoperator:
     def from_basis(self, Y):
         """The operator U Y U^dag with coordinates Y in the stored basis."""
         return self.basis @ Y @ self.basis.conj().T
-
-    def apply(self, X):
-        return self.from_basis(unvec(self.local @ vec(self.to_basis(X))))
 
     def apply_adjoint(self, rho):
         """L^dag(rho), as conj(conj(v) @ local): no conjugate transpose of the matrix is formed."""
@@ -200,14 +212,7 @@ def gibbs_state(es: Eigensystem, beta: float) -> GibbsState:
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be finite and non-negative")
     w = np.exp(-beta * (es.eigenvalues - es.eigenvalues.min()))
-    return diagonal_gibbs_state(w / w.sum(), es.eigenvectors, beta)
-
-
-def diagonal_gibbs_state(weights, U, beta) -> GibbsState:
-    """The state U diag(weights) U^dag at inverse temperature beta; weights sum to one."""
-    sigma = (U * weights) @ U.conj().T
-    sigma = 0.5 * (sigma + sigma.conj().T)
-    return GibbsState(sigma=sigma, beta=float(beta), weights=weights, basis=U)
+    return GibbsState(w / w.sum(), es.eigenvectors, beta)
 
 
 def weight(omega, w: WeightFunction):
@@ -329,10 +334,11 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     """Assemble the detailed-balanced generator for (H, couplings, gamma) from es, H's eigensystem.
 
     Returns the generator on observables as a Superoperator stored in the
-    eigenbasis es.eigenvectors, where it is assembled.  The generator does
-    not depend on the basis chosen inside a degenerate eigenspace
-    (arXiv:2311.09207), so any eigenbasis of H serves.  Couplings are square
-    matrices of the same dimension as H; hermiticity is not required.  The
+    eigenbasis es.eigenvectors, where it is assembled, with its Gibbs state
+    gibbs_state(es, w.beta).  The generator does not depend on the basis
+    chosen inside a degenerate eigenspace (arXiv:2311.09207), so any
+    eigenbasis of H serves.  Couplings are square matrices of the same
+    dimension as H; hermiticity is not required.  The
     double Bohr sum is evaluated element-wise in the eigenbasis:
 
       (L_diss X)_{ij} = sum_{kl} alpha(nu_ki, nu_lj) conj(S_ki) X_kl S_lj - ...
@@ -352,8 +358,9 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     # couplings in the eigenbasis, one per row (entry (k, i) in column k*d + i)
     rows = [eigenbasis_entries(S, U).reshape(-1) for S in couplings]
     Sv = sparse.csr_array(np.reshape(rows, (len(rows), d * d)))
+    sigma = gibbs_state(es, w.beta)
     if Sv.nnz == 0:
-        return Superoperator(sparse.csr_array((d * d, d * d), dtype=complex), basis=U)
+        return Superoperator(sparse.csr_array((d * d, d * d), dtype=complex), sigma)
     gid = es.gid.reshape(-1)  # Bohr group of nu_ki at k*d + i
     idx, table = _alpha_table(np.unique(gid[Sv.indices]).tolist(), es, w)
     # each triplet array below is dropped once consumed: the working set stays
@@ -403,4 +410,4 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     del val, row, col
     L = L.tocsr()
     L.eliminate_zeros()
-    return Superoperator(L, basis=U)
+    return Superoperator(L, sigma)

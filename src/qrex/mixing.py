@@ -3,9 +3,10 @@
 For a detailed-balanced generator the Schrodinger flow factors through the
 symmetrized matrix: e^{t L^dag}(rho) = Phi(e^{t L_hat}(Phi^{-1}(rho))) with
 Phi(X) = sigma^{1/4} X sigma^{1/4}, so one Hermitian eigendecomposition
-serves every initial state and every time.  L_hat is taken in the basis
-U = sigma.basis that the generator is stored in and sigma is diagonal in
-(``symmetrize``).  There Phi is the elementwise scaling by
+serves every initial state and every time.  sigma is the Gibbs state the
+generator carries (``Superoperator.sigma``), and L_hat is taken in the
+basis U = sigma.basis that the generator is stored in and sigma is diagonal
+in (``symmetrize``).  There Phi is the elementwise scaling by
 phi = kron(q, q), q = weights^(1/4), so a state only needs the rotation
 U^dag rho U and that scaling; L_hat is a sparse CSR matrix, decomposed block
 by block along the connected components of its zero pattern
@@ -30,10 +31,10 @@ n = 7, 256 of the 276 family states are such states: one ``qrex mixing``
 call on the ring takes 0.97 s (3.8 s when every chunk used every block) and
 at n = 6 0.16 s (0.69 s), in process on a 2-core VM with one BLAS thread.
 
-Propagation has one route: a generator that ``symmetrize`` rejects (stored
-in another basis, or not detailed balanced) raises its ValueError.
-``chi_square_rate_fit`` reads its gap mode off the caller's propagator and
-propagates it by ``np.linalg.eig`` of the generator.
+Propagation has one route: a generator that ``symmetrize`` rejects (not
+detailed balanced) raises its ValueError.  ``chi_square_rate_fit`` reads its
+gap mode off the caller's propagator and propagates it by
+``np.linalg.eig`` of the propagator's generator.
 """
 
 from dataclasses import dataclass
@@ -41,17 +42,7 @@ from itertools import islice
 
 import numpy as np
 
-from .hamiltonians import assemble_dense
-from .lindblad import (
-    Superoperator,
-    WeightFunction,
-    build_ckg_generator,
-    eigensystem,
-    gibbs_state,
-    unvec,
-    vec,
-)
-from .pauli import pauli_string_matrix, single_site_paulis
+from .lindblad import Superoperator, unvec, vec
 from .spectral import block_eigh, gap_from_eigenvalues, kms_scaling, symmetrize
 
 BISECTION_RTOL = 1e-3
@@ -78,7 +69,6 @@ class MixingReport:
     crossings: list  # (state_id, t_cross)
     gap: float
     lambda_min: float
-    method: str  # "spectral" | "expm"
 
     def to_json_dict(self):
         return {
@@ -90,7 +80,6 @@ class MixingReport:
             "crossings": [[sid, t] for sid, t in self.crossings],
             "gap": self.gap,
             "lambda_min": self.lambda_min,
-            "method": self.method,
         }
 
 
@@ -126,6 +115,7 @@ class Coefficients:
 class SpectralPropagator:
     """Evolution e^{t L^dag} through the block eigendecomposition of L_hat.
 
+    ``L`` is the generator and ``sigma`` its Gibbs state, the fixed point.
     ``blocks`` holds (idx, w, V) for each block size (see ``block_eigh``),
     with Phi folded into the eigenvectors: column j of V[c] is
     phi[idx[c]] times the eigenvector of L_hat.  ``evals`` is the whole
@@ -135,15 +125,15 @@ class SpectralPropagator:
     indices; a whole (S, d, d) stack is formed only where a matrix is needed.
     """
 
-    def __init__(self, L: Superoperator, sigma):
-        self.sigma = sigma
-        phi = kms_scaling(sigma)
-        self.blocks = block_eigh(symmetrize(L, sigma))
+    def __init__(self, L: Superoperator):
+        self.L, self.sigma = L, L.sigma
+        phi = kms_scaling(self.sigma)
+        self.blocks = block_eigh(symmetrize(L))
         for idx, _, V in self.blocks:
             V *= phi[idx][:, :, None]
         self.evals = np.sort(np.concatenate([w.ravel() for _, w, _ in self.blocks]))
         self._phi_sq = phi * phi
-        self._U, self._Uh = sigma.basis, sigma.basis.conj().T
+        self._U, self._Uh = L.basis, L.basis.conj().T
 
     def coefficients(self, states) -> Coefficients:
         """V^dag Phi^(-1)(rho) on the occupied blocks, for each rho of the stack ``states``.
@@ -402,20 +392,20 @@ def _bisect(prop, coeffs, epsilon, t_cap):
     return hi
 
 
-def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=20,
+def mixing_time_estimate(L: Superoperator, epsilon, family=None, n_haar=20,
                          seed=314) -> MixingReport:
     """Max first-crossing time over a fixed state family, with gap bounds.
 
     The family goes through one batched search (``first_crossing_times``)
-    on one eigendecomposition.  The measured time is a lower estimate of the
-    true worst case over all states; the chi-square upper bound t_upper is
-    the rigorous cap.  A custom ``family`` of (state_id, rho) pairs is
-    checked state by state (``_check_state``), and an empty one is a
-    ValueError.
+    on one eigendecomposition, toward the Gibbs state L.sigma.  The
+    measured time is a lower estimate of the true worst case over all
+    states; the chi-square upper bound t_upper is the rigorous cap.  A
+    custom ``family`` of (state_id, rho) pairs is checked state by state
+    (``_check_state``), and an empty one is a ValueError.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    prop = SpectralPropagator(L, sigma)
+    prop, sigma = SpectralPropagator(L), L.sigma
     rep = gap_from_eigenvalues(-prop.evals[::-1])  # spectrum of -L_hat, ascending
     t_lower, t_upper = mixing_bounds_from_gap(rep.gap, sigma.lambda_min, epsilon)
     pairs = family if family is not None else _initial_family(sigma, n_haar=n_haar, seed=seed)
@@ -442,7 +432,6 @@ def mixing_time_estimate(L: Superoperator, sigma, epsilon, family=None, n_haar=2
         crossings=crossings,
         gap=rep.gap,
         lambda_min=sigma.lambda_min,
-        method="spectral",
     )
 
 
@@ -472,15 +461,17 @@ def _gap_and_mode(prop: SpectralPropagator):
     return gap, sigma.sigma + alpha * Y
 
 
-def chi_square_rate_fit(L: Superoperator, prop: SpectralPropagator):
+def chi_square_rate_fit(prop: SpectralPropagator):
     """Exponential decay rate of chi-square along the flow, via eig of the dense generator.
 
-    ``prop`` is the caller's propagator of L.  Starts in its gap mode
-    (``_gap_and_mode``) and fits the rate of chi^2(t) at 8 times in
-    [1/gap, 3/gap]; for a detailed-balanced generator this equals twice the
-    spectral gap.  L is similar to the Hermitian L_hat, so ``np.linalg.eig``
-    of L^dag diagonalizes it, independently of ``block_eigh``.
+    Starts in the gap mode of the caller's propagator (``_gap_and_mode``)
+    and fits the rate of chi^2(t) under its generator L = prop.L at 8 times
+    in [1/gap, 3/gap]; for a detailed-balanced generator this equals twice
+    the spectral gap.  L is similar to the Hermitian L_hat, so
+    ``np.linalg.eig`` of L^dag diagonalizes it, independently of
+    ``block_eigh``.
     """
+    L = prop.L
     gap, rho0 = _gap_and_mode(prop)
     w, V = np.linalg.eig(L.local.toarray().conj().T)
     c = np.linalg.solve(V, vec(L.to_basis(rho0)))
@@ -490,53 +481,3 @@ def chi_square_rate_fit(L: Superoperator, prop: SpectralPropagator):
     slope = np.polyfit(ts, logs, 1)[0]
     return float(-slope)
 
-
-def bottleneck_witness(spec, sites, beta):
-    """Sector weights and jump containment for a -J Z_i Z_j defect bond.
-
-    Projectors split the space by the (z_i, z_j) alignment pattern; with
-    single-site couplings one jump of the Metropolis generator cannot cross
-    from the misaligned sector straight between the two aligned ones, so
-    Pi_A L(Pi_C) must vanish.
-    """
-    i, j = sites
-    n = spec.n
-    defect_terms = [
-        t for t in spec.terms
-        if t.support == {i, j} and all(lab == "Z" for _, lab in t.factors)
-    ]
-    if not defect_terms:
-        raise ValueError(f"no ZZ bond on sites {sites}")
-    J = -sum(t.coefficient for t in defect_terms)
-    H = assemble_dense(spec)
-    bond = pauli_string_matrix(n, [(i, "Z"), (j, "Z")], -J)
-    H_rest = H - bond
-    for s in (i, j):
-        Zs = pauli_string_matrix(n, [(s, "Z")])
-        comm = H_rest @ Zs - Zs @ H_rest
-        if np.linalg.norm(comm) > 1e-10 * max(1.0, np.linalg.norm(H_rest)):
-            raise ValueError(f"rest Hamiltonian does not commute with Z on site {s}")
-
-    dim = 2**n
-    idx = np.arange(dim)
-    z_i = 1 - 2 * ((idx >> (n - 1 - i)) & 1)
-    z_j = 1 - 2 * ((idx >> (n - 1 - j)) & 1)
-    pi_a = np.diag(((z_i == 1) & (z_j == 1)).astype(float))
-    pi_c = np.diag(((z_i == -1) & (z_j == -1)).astype(float))
-    pi_b = np.eye(dim) - pi_a - pi_c
-
-    es = eigensystem(H)
-    sg = gibbs_state(es, beta)
-    L = build_ckg_generator(es, single_site_paulis(n), WeightFunction("metropolis", beta))
-    out = L.apply(pi_c)
-    scale = max(1.0, np.linalg.norm(out))
-    containment = (np.linalg.norm(pi_a @ out) + np.linalg.norm(out @ pi_a)) / scale
-    return {
-        "J": float(J),
-        "weights": {
-            "A": float(np.real(np.trace(pi_a @ sg.sigma))),
-            "B": float(np.real(np.trace(pi_b @ sg.sigma))),
-            "C": float(np.real(np.trace(pi_c @ sg.sigma))),
-        },
-        "containment_residual": float(containment),
-    }

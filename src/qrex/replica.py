@@ -23,12 +23,13 @@ assembled in the same labeled basis: the system piece is built from the
 eigensystem of H in the system factor of that basis, the auxiliary piece in
 the A-side eigenbasis, and the sparse pieces are summed through ``lift``, a
 ``scipy.sparse.kron`` with the identity of the other factor.  The joint
-Gibbs state is diagonal there (``joint_gibbs``), so KMS products on the
-joint space are Euclidean products of vectors scaled by
-``spectral.kms_scaling``; the sector analysis (``swap_sector_analysis``)
-takes them from one ``spectral.symmetrize`` of the swap generator.  The
-two-temperature global variant (``build_global_replica_generator``) is
-stored in U (x) U, where its Gibbs state (``global_gibbs``) is diagonal.
+Gibbs state is diagonal there (``joint_gibbs``), and the swap and local_A
+generators carry it as their ``sigma``, so KMS products on the joint space
+are Euclidean products of vectors scaled by ``spectral.kms_scaling``; the
+sector analysis (``swap_sector_analysis``) takes them from one
+``spectral.symmetrize`` of the swap generator.  The two-temperature global
+variant (``build_global_replica_generator``) is stored in U (x) U with its
+Gibbs state ``global_gibbs``, which is diagonal there.
 """
 
 from dataclasses import dataclass
@@ -39,11 +40,11 @@ from scipy import sparse
 from .hamiltonians import CutReport, check_commuting_cut, simultaneous_eigenbasis
 from .lindblad import (
     Eigensystem,
+    GibbsState,
     Superoperator,
     WeightFunction,
     alpha_coeff,
     build_ckg_generator,
-    diagonal_gibbs_state,
     eigensystem_from_pairs,
     gibbs_state,
     vec,
@@ -167,10 +168,11 @@ def swap_generator_closed_form(js: JointStructure, beta) -> Superoperator:
     """Closed-form swap generator on the joint space of ``js``.
 
     Acts on C^{2^n} (x) C^{d_A} in the original site ordering and is stored in
-    the labeled |i_A j_B m_A> basis it is assembled in; dissipative only (the
-    coherent part vanishes identically for the swap coupling).
+    the labeled |i_A j_B m_A> basis it is assembled in, with its Gibbs state
+    ``joint_gibbs(js, beta)``; dissipative only (the coherent part vanishes
+    identically for the swap coupling).
     """
-    return Superoperator(_swap_superop_labeled(js, beta), basis=js.joint_basis)
+    return Superoperator(_swap_superop_labeled(js, beta), joint_gibbs(js, beta))
 
 
 def swap_unitary_original(js: JointStructure):
@@ -224,7 +226,8 @@ def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> S
     the weight ``w``.  The swap exchanges the A registers (closed form, at
     ``w.beta``).  The three pieces are assembled in the labeled
     |i_A j_B m_A> basis of ``js``, where H and the joint Gibbs state
-    (``joint_gibbs``) are diagonal, and the result is stored there.
+    ``joint_gibbs(js, w.beta)`` are diagonal, and the result is stored there
+    with that state.
     """
     d_n = js.d_a * js.d_b
     L1 = build_ckg_generator(js.system_es, single_site_paulis(js.n), w)
@@ -232,7 +235,7 @@ def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> S
     L2 = build_ckg_generator(es2, single_site_paulis(js.n_a), w)
     M = (_swap_superop_labeled(js, w.beta) + lift(L1.local, (d_n, js.d_a), 0)
          + lift(L2.local, (d_n, js.d_a), 1))
-    return Superoperator(M, basis=js.joint_basis)
+    return Superoperator(M, joint_gibbs(js, w.beta))
 
 
 def joint_gibbs(js: JointStructure, beta):
@@ -246,7 +249,7 @@ def joint_gibbs(js: JointStructure, beta):
     lam = js.lam2
     w = np.exp(-beta * (lam - lam.min()))
     w /= w.sum()
-    return diagonal_gibbs_state(np.repeat(w.reshape(-1), js.d_a) / js.d_a, js.joint_basis, beta)
+    return GibbsState(np.repeat(w.reshape(-1), js.d_a) / js.d_a, js.joint_basis, beta)
 
 
 def check_global_size(n):
@@ -262,25 +265,27 @@ def build_global_replica_generator(es: Eigensystem, w: WeightFunction, beta2) ->
     replica 2 the same kind at ``beta2``; the swap piece is the generic
     generator of the swap unitary for the Hamiltonian
     w.beta H (x) I + beta2 I (x) H at unit temperature.  Its Gibbs state is
-    ``global_gibbs``.
+    ``global_gibbs(es, w.beta, beta2)``.
     """
     n, d_n = es.dim.bit_length() - 1, es.dim
     check_global_size(n)
     L1 = build_ckg_generator(es, single_site_paulis(n), w)
     L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w.kind, beta2))
     lam = es.eigenvalues
-    U2 = np.kron(es.eigenvectors, es.eigenvectors)  # diagonalizes both replicas and the swap
-    es_swap = eigensystem_from_pairs((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1), U2)
+    sigma = global_gibbs(es, w.beta, beta2)
+    # its basis U (x) U diagonalizes both replicas and the swap
+    es_swap = eigensystem_from_pairs((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1),
+                                     sigma.basis)
     swap = local_swap_unitary(d_n, 1)
     M = (build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).local
          + lift(L1.local, (d_n, d_n), 0) + lift(L2.local, (d_n, d_n), 1))
-    return Superoperator(M, basis=U2)
+    return Superoperator(M, sigma)
 
 
 def global_gibbs(es: Eigensystem, beta, beta2):
     """sigma_beta (x) sigma_beta2, diagonal in the U (x) U of ``build_global_replica_generator``."""
     weights = np.kron(gibbs_state(es, beta).weights, gibbs_state(es, beta2).weights)
-    return diagonal_gibbs_state(weights, np.kron(es.eigenvectors, es.eigenvectors), beta)
+    return GibbsState(weights, np.kron(es.eigenvectors, es.eigenvectors), beta)
 
 
 def _random_off_a(rng, d_a, d_b, b_part):
@@ -320,13 +325,13 @@ def _sector_basis(js: JointStructure, phi):
     return sparse.csc_array((vals / norm[cols], (rows, cols)), shape=(D * D, norm.size))
 
 
-def swap_sector_analysis(js: JointStructure, swap, sigma, seed=42):
+def swap_sector_analysis(js: JointStructure, swap, seed=42):
     """Kernel, cross terms and sector Rayleigh quotients of the swap generator on K (x) I_A.
 
-    ``swap`` and ``sigma`` are the caller's closed-form swap generator and
-    joint Gibbs state of ``js``; one L_hat serves every part.  K is the joint
-    kernel of the A-diagonal-restricted system generator and the auxiliary
-    generator: spanned by |i_A><i_A| (x) I_B together with all
+    ``swap`` is the caller's closed-form swap generator of ``js``, with the
+    joint Gibbs state sigma = swap.sigma; one L_hat serves every part.  K is
+    the joint kernel of the A-diagonal-restricted system generator and the
+    auxiliary generator: spanned by |i_A><i_A| (x) I_B together with all
     A-off-diagonal blocks.  Returns the kernel of the generator restricted
     to that sector, the largest cross terms between its diagonal and
     off-diagonal parts (10 random draws), the least Rayleigh quotients of
@@ -337,7 +342,8 @@ def swap_sector_analysis(js: JointStructure, swap, sigma, seed=42):
     and the quotients each draw from their own ``default_rng(seed)``.
     """
     d_a, d_b = js.d_a, js.d_b
-    Lhat, phi = symmetrize(swap, sigma), kms_scaling(sigma)
+    sigma = swap.sigma
+    Lhat, phi = symmetrize(swap), kms_scaling(sigma)
     Q = _sector_basis(js, phi)
     R = -(Q.T @ (Lhat @ Q)).toarray()
     evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))

@@ -4,16 +4,16 @@ A detailed-balanced generator L is self-adjoint in the KMS inner product
 <X, Y>_sigma = Tr[sigma^(1/2) X^dag sigma^(1/2) Y].  The isometry
 Phi(X) = sigma^(1/4) X sigma^(1/4) carries that geometry to Hilbert-Schmidt,
 so L_hat = Phi o L o Phi^(-1) is an honest Hermitian matrix whose spectrum
-is the KMS spectrum of L.  Every builder stores its generator in a basis
-where its Gibbs state is diagonal: ``build_ckg_generator`` (with
-``gibbs_state``) in the energy eigenbasis, the closed-form swap and local_A
-joint generators (with ``replica.joint_gibbs``) in the labeled product basis,
-the global generator in U (x) U.  There Phi is the diagonal scaling
-diag(phi) L diag(1/phi) of the sparse stored matrix (Chen-Kastoryano-Gilyen,
-arXiv:2311.09207), so L_hat is a CSR array with the pattern of L, and it is
-only ever formed there: ``symmetrize`` rejects a generator stored in any
-other basis.  L is detailed balanced exactly when L_hat is Hermitian, so that
-residual is the detailed-balance check.
+is the KMS spectrum of L.  Every generator carries the Gibbs state it is
+detailed balanced for (``Superoperator.sigma``) and is stored in that
+state's eigenbasis: ``build_ckg_generator`` (with ``gibbs_state``) in the
+energy eigenbasis, the closed-form swap and local_A joint generators (with
+``replica.joint_gibbs``) in the labeled product basis, the global generator
+(with ``replica.global_gibbs``) in U (x) U.  There Phi is the diagonal
+scaling diag(phi) L diag(1/phi) of the sparse stored matrix
+(Chen-Kastoryano-Gilyen, arXiv:2311.09207), so ``symmetrize`` forms L_hat
+as a CSR array with the pattern of L.  L is detailed balanced exactly when
+L_hat is Hermitian, so that residual is the detailed-balance check.
 
 Every eigensolve of L_hat goes through ``block_eigh``: single-site jumps in
 a basis where H is diagonal leave most entries of L_hat exactly zero, and
@@ -31,12 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .lindblad import (
-    Superoperator,
-    WeightFunction,
-    build_ckg_generator,
-    gibbs_state,
-)
+from .lindblad import Superoperator, WeightFunction, build_ckg_generator
 from .pauli import single_site_paulis
 
 KERNEL_TOL = 1e-9
@@ -73,19 +68,15 @@ def kms_scaling(sigma):
     return np.kron(q, q)  # q_j q_i at vec index i + d*j
 
 
-def symmetrize(L: Superoperator, sigma):
+def symmetrize(L: Superoperator):
     """Hermitian matrix of Phi o L o Phi^(-1), as CSR in the basis L is stored in.
 
-    L must be stored in the basis sigma is diagonal in (``GibbsState.basis``);
-    there Phi is the diagonal scaling diag(phi) L diag(1/phi) with
-    phi = kms_scaling(sigma).  Raises ValueError when L is stored in another
-    basis, or when the Hermiticity residual of L_hat exceeds HERMITICITY_TOL
-    (L is not detailed balanced).
+    L is stored in the basis its Gibbs state L.sigma is diagonal in; there
+    Phi is the diagonal scaling diag(phi) L diag(1/phi) with
+    phi = kms_scaling(L.sigma).  Raises ValueError when the Hermiticity
+    residual of L_hat exceeds HERMITICITY_TOL (L is not detailed balanced).
     """
-    if not np.array_equal(L.basis, sigma.basis):
-        raise ValueError("basis mismatch: the generator is not stored in the basis its Gibbs "
-                         "state is diagonal in")
-    phi = kms_scaling(sigma)
+    phi = kms_scaling(L.sigma)
     Lhat = sparse.diags_array(phi) @ L.local @ sparse.diags_array(1.0 / phi)
     Lhat, herm = _hermitian_part(Lhat)
     if herm > HERMITICITY_TOL:
@@ -211,9 +202,9 @@ def gap_from_eigenvalues(evals, tol=KERNEL_TOL) -> GapReport:
     )
 
 
-def spectral_gap(L: Superoperator, sigma, tol=KERNEL_TOL) -> GapReport:
+def spectral_gap(L: Superoperator, tol=KERNEL_TOL) -> GapReport:
     """Kernel dimension and smallest nonzero eigenvalue of -L_hat."""
-    return gap_from_eigenvalues(block_eigvalsh(-symmetrize(L, sigma)), tol)
+    return gap_from_eigenvalues(block_eigvalsh(-symmetrize(L)), tol)
 
 
 def _gap_of_psd(M, tol=1e-10):
@@ -321,7 +312,7 @@ def a_diagonal_restriction_gap(js, w: WeightFunction):
     """
     es = js.system_es
     couplings = single_site_paulis(js.n, sites=js.cut.perm_order[js.n_a:])
-    Lhat = symmetrize(build_ckg_generator(es, couplings, w), gibbs_state(es, w.beta))
+    Lhat = symmetrize(build_ckg_generator(es, couplings, w))
     d = es.dim
     a_label = np.arange(d) // js.d_b  # A label of each stored basis index
     r = np.arange(d * d)  # vec index r = i + d*j

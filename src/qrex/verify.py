@@ -7,9 +7,9 @@ regression is diagnosable from the report alone.
 The closed-form and generic swap generators are both stored in the labeled
 |i_A j_B m_A> basis, so they are compared as sparse matrices with no basis
 change; the gap-composition suite draws its instances as stacks; the
-scalar inequalities are checked as arrays.  Each generator is symmetrized
-and decomposed once, and the swap generator and its Gibbs state are built
-once.
+scalar inequalities are checked as arrays.  Each generator carries its
+Gibbs state and is symmetrized and decomposed once, and the swap generator
+is built once.
 """
 
 import numpy as np
@@ -31,14 +31,12 @@ from .lindblad import (
     build_ckg_generator,
     eigenbasis_entries,
     eigensystem,
-    gibbs_state,
     theta,
 )
 from .mixing import SpectralPropagator, chi_square_rate_fit, trace_norm
 from .pauli import single_site_paulis
 from .replica import (
     build_replica_exchange_generator,
-    joint_gibbs,
     joint_structure,
     swap_generator_closed_form,
     swap_generator_generic,
@@ -59,7 +57,6 @@ def run_verification(seed=42, beta=1.0):
     spec3 = defected_ising_1d(3, 3.0)
     H3 = assemble_dense(spec3)
     es3 = eigensystem(H3)
-    sg3 = gibbs_state(es3, beta)
 
     # hamiltonians
     herm = np.linalg.norm(H3 - H3.conj().T) / np.linalg.norm(H3)
@@ -86,7 +83,7 @@ def run_verification(seed=42, beta=1.0):
     worst_tr = 0.0
     L_m, L_g = (build_ckg_generator(es3, single_site_paulis(3), w) for w in (gm, gg))
     for L in (L_m, L_g):
-        worst_fp = max(worst_fp, trace_norm(L.apply_adjoint(sg3.sigma)))
+        worst_fp = max(worst_fp, trace_norm(L.apply_adjoint(L.sigma.sigma)))
         R = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         rho = R @ R.conj().T
         rho /= np.trace(rho)
@@ -106,7 +103,7 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("lindblad.alpha_gram_psd", psd_ok, f"min eigenvalue {min_ev:.2e}"))
 
     # one decomposition of L_m serves the kernel, gap, spectrum and mixing checks
-    prop = SpectralPropagator(L_m, sg3)
+    prop = SpectralPropagator(L_m)
     rep1 = gap_from_eigenvalues(-prop.evals[::-1])  # spectrum of -L_hat, ascending
     least, dim = rep1.eigenvalue_tail[0], rep1.kernel_dim
     results.append(_check("lindblad.negativity", least >= -rep1.tolerance, f"min {least:.2e}"))
@@ -146,8 +143,7 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("replica.closed_vs_generic", same_basis and rel <= 1e-9,
                           f"rel diff {rel:.2e}"))
 
-    sgj = joint_gibbs(js3, beta)
-    sector = swap_sector_analysis(js3, swap_closed, sgj, seed=seed)
+    sector = swap_sector_analysis(js3, swap_closed, seed=seed)
     norm = sector["kms_norm"]
     results.append(_check("replica.swap_norm_le_3", norm <= 3.0 + 1e-6, f"norm {norm:.6f}"))
 
@@ -162,7 +158,7 @@ def run_verification(seed=42, beta=1.0):
                           f"cross {sector['cross_term_residuals']}"))
 
     L_re = build_replica_exchange_generator(js3, gg)
-    rep_re = spectral_gap(L_re, sgj)
+    rep_re = spectral_gap(L_re)
     results.append(_check("replica.joint_kernel_dim", rep_re.kernel_dim == 1,
                           f"dim {rep_re.kernel_dim}"))
 
@@ -171,7 +167,7 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("spectral.gap_composition", comp_rep["passed"],
                           str({k: v["violations"] for k, v in comp_rep["cases"].items()})))
 
-    rep2 = spectral_gap(Superoperator(2.5 * L_m.local, basis=L_m.basis), sg3)
+    rep2 = spectral_gap(Superoperator(2.5 * L_m.local, L_m.sigma))
     scale_ok = abs(rep2.gap - 2.5 * rep1.gap) <= 1e-9 * rep2.gap
     results.append(_check("spectral.gap_rescaling", scale_ok, f"{rep2.gap / rep1.gap:.12f}"))
 
@@ -192,11 +188,10 @@ def run_verification(seed=42, beta=1.0):
 
     spec2 = defected_ising_1d(3, 1.0)
     es2 = eigensystem(assemble_dense(spec2))
-    L2 = build_ckg_generator(es2, single_site_paulis(3), gm)
-    sg2 = gibbs_state(es2, beta)
-    prop2 = SpectralPropagator(L2, sg2)  # one decomposition for the gap and the rate fit
+    # one decomposition for the gap and the rate fit
+    prop2 = SpectralPropagator(build_ckg_generator(es2, single_site_paulis(3), gm))
     gap2 = gap_from_eigenvalues(-prop2.evals[::-1]).gap
-    rate = chi_square_rate_fit(L2, prop2)
+    rate = chi_square_rate_fit(prop2)
     chi_ok = abs(rate / (2 * gap2) - 1.0) <= 0.05
     results.append(_check("mixing.chi2_gap_consistency", chi_ok,
                           f"rate/2gap = {rate / (2 * gap2):.4f}"))

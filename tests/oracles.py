@@ -37,10 +37,11 @@ as test oracles only:
   ``qrex.mixing._gap_and_mode`` reads the mode off the caller's
   ``SpectralPropagator``.
 * The computational-basis surface, which the library does not have: every
-  ``Superoperator`` is stored in a basis its Gibbs state is diagonal in.
-  ``matrix`` is the dense computational-basis matrix of a generator,
-  rotated out of its stored basis by ``congruence``, the leg-wise O(d^5)
-  basis change.  ``evolve`` propagates one state through a
+  ``Superoperator`` is stored in the basis its Gibbs state ``sigma`` is
+  diagonal in.  ``matrix`` is the dense computational-basis matrix of a
+  generator, rotated out of its stored basis by ``congruence``, the
+  leg-wise O(d^5) basis change, and ``apply`` its action on one
+  observable.  ``evolve`` propagates one state through a
   ``SpectralPropagator``, and ``expm_flow`` by a dense matrix exponential
   of the stored matrix.
 * ``component_labels_csgraph`` and ``blocks_csgraph`` label the connected
@@ -65,8 +66,10 @@ as test oracles only:
   ``qrex.lindblad.alpha_quadrature`` run the same formulas a fixed-size
   chunk at a time.
 
-Helpers that only the tests use live here too: ``gap_mode_state`` and the
-Pauli decomposition ``pauli_decompose``/``pauli_support``.
+Helpers that only the tests use live here too: ``gap_mode_state``, the
+Pauli decomposition ``pauli_decompose``/``pauli_support``, and
+``bottleneck_witness``, the sector weights and jump containment of a
+defect bond (no scenario reports it).
 """
 
 from functools import reduce
@@ -94,11 +97,10 @@ from qrex.lindblad import (
     weight,
 )
 from qrex.mixing import BISECTION_RTOL, SpectralPropagator, _check_state, chi_square
-from qrex.pauli import PAULIS, single_site_paulis
+from qrex.pauli import PAULIS, pauli_string_matrix, single_site_paulis
 from qrex.replica import (
     _random_off_a,
     _swap_superop_labeled,
-    joint_gibbs,
     joint_structure,
     swap_generator_closed_form,
 )
@@ -131,14 +133,19 @@ def matrix(L):
     return congruence(L.local.toarray(), L.basis.conj().T, L.basis)
 
 
-def evolve(L, rho0, t, sigma):
-    """rho0 propagated to time t under e^{t L^dag} by one ``SpectralPropagator`` of (L, sigma).
+def apply(L, X):
+    """L(X) for an observable X in the computational basis, through the stored basis of L."""
+    return L.from_basis(unvec(L.local @ vec(L.to_basis(X))))
+
+
+def evolve(L, rho0, t):
+    """rho0 propagated to time t under e^{t L^dag} by one ``SpectralPropagator`` of L.
 
     rho0 is checked as ``qrex.mixing.mixing_time_estimate`` checks a custom
     family state.
     """
     rho0 = _check_state(rho0, L.dim, "rho0")
-    prop = SpectralPropagator(L, sigma)
+    prop = SpectralPropagator(L)
     return prop.state_at(prop.coefficients(rho0[None]), t)[0]
 
 
@@ -221,15 +228,15 @@ def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=7
         resid = 0.0
         for _ in range(n_random):
             O = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
-            lhs = L_b.apply(np.kron(proj, O))
-            rhs = np.kron(proj, L_i.apply(O))
+            lhs = apply(L_b, np.kron(proj, O))
+            rhs = np.kron(proj, apply(L_i, O))
             resid = max(resid, np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
         sigma_i = gibbs_state(es_i, beta)
         comp = compress_onto(expH, v, ((tuple(range(n_a))), tuple(range(n_a, n))), n)
         comp = comp / np.trace(comp)
         sv = np.linalg.svd(sigma_i.sigma - comp, compute_uv=False)
         fixed_point_mismatch = float(np.sum(sv))
-        gap_i = spectral_gap(L_i, sigma_i).gap
+        gap_i = spectral_gap(L_i).gap
         rows.append(
             {
                 "i_a": i,
@@ -268,9 +275,9 @@ def swap_only_kernel_analysis(js, beta, seed=42, n_random=10):
     """``qrex.replica.swap_only_kernel_analysis`` with a Kronecker-built, QR-orthonormalized sector basis."""
     d_a, d_b = js.d_a, js.d_b
     S = swap_generator_closed_form(js, beta)
-    sigma = joint_gibbs(js, beta)
+    sigma = S.sigma
     M, s3 = S.local, sigma.weights
-    Lhat = symmetrize(S, sigma)
+    Lhat = symmetrize(S)
     phi = kms_scaling(sigma)
 
     def e_op(mat):
@@ -384,12 +391,14 @@ def kms_inner(X, Y, sigma):
     return complex(np.trace(s @ X.conj().T @ s @ Y))
 
 
-def detailed_balance_residual(L, sigma, n_pairs=20, seed=2024):
+def detailed_balance_residual(L, n_pairs=20, seed=2024):
     """Max KMS self-adjointness violation over a seeded batch of operator pairs.
 
-    Normalized by the KMS norms of the pair and a power-iteration estimate of
-    ||L||; zero maps return 0.
+    The KMS products are those of the Gibbs state L.sigma.  Normalized by
+    the KMS norms of the pair and a power-iteration estimate of ||L||; zero
+    maps return 0.
     """
+    sigma = L.sigma
     if sigma.lambda_min <= 0:
         raise ValueError("sigma must be full rank")
     d = L.dim
@@ -401,8 +410,8 @@ def detailed_balance_residual(L, sigma, n_pairs=20, seed=2024):
     for _ in range(n_pairs):
         Xr = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         Yr = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        lhs = kms_inner(Xr, L.apply(Yr), sigma)
-        rhs = kms_inner(L.apply(Xr), Yr, sigma)
+        lhs = kms_inner(Xr, apply(L, Yr), sigma)
+        rhs = kms_inner(apply(L, Xr), Yr, sigma)
         nx = np.sqrt(abs(kms_inner(Xr, Xr, sigma)))
         ny = np.sqrt(abs(kms_inner(Yr, Yr, sigma)))
         worst = max(worst, abs(lhs - rhs) / (nx * ny * norm_est))
@@ -456,7 +465,7 @@ def first_crossing_time(prop, rho0, epsilon, t_cap):
     return float(hi)
 
 
-def _gap_and_mode(L, sigma):
+def _gap_and_mode(L):
     """Spectral gap and slow-mode state sigma + alpha Y from its own eigendecomposition of -L_hat.
 
     Y is the gap eigenoperator carried to the Schrodinger side and scaled so
@@ -464,7 +473,8 @@ def _gap_and_mode(L, sigma):
     ``qrex.mixing._gap_and_mode`` reads the same mode off the blocks of the
     caller's ``SpectralPropagator``.
     """
-    blocks = block_eigh(-symmetrize(L, sigma))
+    sigma = L.sigma
+    blocks = block_eigh(-symmetrize(L))
     evals = np.concatenate([w.ravel() for _, w, _ in blocks])
     order = np.argsort(evals, kind="stable")
     rep = gap_from_eigenvalues(evals[order])
@@ -488,24 +498,24 @@ def _gap_and_mode(L, sigma):
     return rep.gap, sigma.sigma + alpha * Y
 
 
-def gap_mode_state(L, sigma):
+def gap_mode_state(L):
     """The slow-mode perturbed state sigma + alpha Y used for lower bounds.
 
     Y is the gap eigenoperator carried to the Schrodinger side and scaled so
     sigma + alpha Y is a valid state (alpha = lambda_min / 2).
     """
-    return _gap_and_mode(L, sigma)[1]
+    return _gap_and_mode(L)[1]
 
 
-def chi_square_rate_fit_expm(L, sigma):
+def chi_square_rate_fit_expm(L):
     """Decay rate of chi-square from the gap mode, propagated by dense expm at each of 8 times.
 
     ``qrex.mixing.chi_square_rate_fit`` fits the same 8 points in
     [1/gap, 3/gap] from one ``np.linalg.eig`` of the generator.
     """
-    gap, rho0 = _gap_and_mode(L, sigma)
+    gap, rho0 = _gap_and_mode(L)
     ts = np.linspace(1.0 / gap, 3.0 / gap, 8)
-    logs = [np.log(chi_square(expm_flow(L, rho0, t), sigma)) for t in ts]
+    logs = [np.log(chi_square(expm_flow(L, rho0, t), L.sigma)) for t in ts]
     return float(-np.polyfit(ts, logs, 1)[0])
 
 
@@ -648,3 +658,54 @@ def alpha_quadrature_whole_cube(nu1, nu2, w: WeightFunction):
         return np.sum(half * (vals @ gl_weights), axis=-1)
 
     return rule(QUAD_PANELS), rule(QUAD_PANELS_FINE)
+
+
+def bottleneck_witness(spec, sites, beta):
+    """Sector weights and jump containment for a -J Z_i Z_j defect bond.
+
+    Projectors split the space by the (z_i, z_j) alignment pattern; with
+    single-site couplings one jump of the Metropolis generator cannot cross
+    from the misaligned sector straight between the two aligned ones, so
+    Pi_A L(Pi_C) must vanish.
+    """
+    i, j = sites
+    n = spec.n
+    defect_terms = [
+        t for t in spec.terms
+        if t.support == {i, j} and all(lab == "Z" for _, lab in t.factors)
+    ]
+    if not defect_terms:
+        raise ValueError(f"no ZZ bond on sites {sites}")
+    J = -sum(t.coefficient for t in defect_terms)
+    H = assemble_dense(spec)
+    bond = pauli_string_matrix(n, [(i, "Z"), (j, "Z")], -J)
+    H_rest = H - bond
+    for s in (i, j):
+        Zs = pauli_string_matrix(n, [(s, "Z")])
+        comm = H_rest @ Zs - Zs @ H_rest
+        if np.linalg.norm(comm) > 1e-10 * max(1.0, np.linalg.norm(H_rest)):
+            raise ValueError(f"rest Hamiltonian does not commute with Z on site {s}")
+
+    dim = 2**n
+    idx = np.arange(dim)
+    z_i = 1 - 2 * ((idx >> (n - 1 - i)) & 1)
+    z_j = 1 - 2 * ((idx >> (n - 1 - j)) & 1)
+    pi_a = np.diag(((z_i == 1) & (z_j == 1)).astype(float))
+    pi_c = np.diag(((z_i == -1) & (z_j == -1)).astype(float))
+    pi_b = np.eye(dim) - pi_a - pi_c
+
+    L = build_ckg_generator(eigensystem(H), single_site_paulis(n),
+                            WeightFunction("metropolis", beta))
+    sg = L.sigma
+    out = apply(L, pi_c)
+    scale = max(1.0, np.linalg.norm(out))
+    containment = (np.linalg.norm(pi_a @ out) + np.linalg.norm(out @ pi_a)) / scale
+    return {
+        "J": float(J),
+        "weights": {
+            "A": float(np.real(np.trace(pi_a @ sg.sigma))),
+            "B": float(np.real(np.trace(pi_b @ sg.sigma))),
+            "C": float(np.real(np.trace(pi_c @ sg.sigma))),
+        },
+        "containment_residual": float(containment),
+    }

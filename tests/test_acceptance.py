@@ -27,12 +27,10 @@ from qrex.lindblad import (
     alpha_quadrature,
     build_ckg_generator,
     eigensystem,
-    gibbs_state,
     theta,
 )
 from qrex.mixing import (
     SpectralPropagator,
-    bottleneck_witness,
     chi_square_rate_fit,
     mixing_time_estimate,
     trace_norm,
@@ -40,7 +38,6 @@ from qrex.mixing import (
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
     build_replica_exchange_generator,
-    joint_gibbs,
     joint_structure,
     swap_generator_closed_form,
     swap_generator_generic,
@@ -53,6 +50,7 @@ from qrex.spectral import (
 )
 
 from oracles import (
+    bottleneck_witness,
     coherent_term,
     detailed_balance_residual,
     jump_components,
@@ -72,19 +70,16 @@ def announce(num, name, passed, detail=""):
 
 
 def single_generator(J, w=GM, n=3):
-    spec = defected_ising_1d(n, J)
-    H = assemble_dense(spec)
-    es = eigensystem(H)
-    heis = build_ckg_generator(es, single_site_paulis(n), w)
-    return heis, gibbs_state(es, w.beta)
+    H = assemble_dense(defected_ising_1d(n, J))
+    return build_ckg_generator(eigensystem(H), single_site_paulis(n), w)
 
 
 def test_01_detailed_balance_and_fixed_point():
     worst_db, worst_fp = 0.0, 0.0
     for w in (GG, GM):
-        heis, sg = single_generator(3.0, w)
-        worst_db = max(worst_db, detailed_balance_residual(heis, sg))
-        worst_fp = max(worst_fp, trace_norm(heis.apply_adjoint(sg.sigma)))
+        heis = single_generator(3.0, w)
+        worst_db = max(worst_db, detailed_balance_residual(heis))
+        worst_fp = max(worst_fp, trace_norm(heis.apply_adjoint(heis.sigma.sigma)))
     announce(1, "detailed balance & fixed point", worst_db < 1e-10 and worst_fp < 1e-10,
              f"db={worst_db:.2e} fp={worst_fp:.2e}")
 
@@ -104,8 +99,7 @@ def test_02_theta_validation():
 def test_03_slow_mixing_gap_collapse():
     gaps = {}
     for J in (1.0, 2.0, 3.0, 4.0, 5.0):
-        heis, sg = single_generator(J, GM)
-        gaps[J] = spectral_gap(heis, sg).gap
+        gaps[J] = spectral_gap(single_generator(J, GM)).gap
     steps_ok = all(gaps[J + 1] / gaps[J] <= np.exp(-1.0) for J in (1.0, 2.0, 3.0, 4.0))
     total_ok = gaps[5.0] / gaps[1.0] <= np.exp(-6.0)
     announce(3, "slow mixing in J", steps_ok and total_ok,
@@ -117,11 +111,8 @@ def test_04_replica_exchange_acceleration():
     for J in (1.0, 2.0, 3.0, 4.0, 5.0):
         spec = defected_ising_1d(3, J)
         js = joint_structure(spec)
-        heis = build_replica_exchange_generator(js, GG)
-        sg = joint_gibbs(js, BETA)
-        gaps_re[J] = spectral_gap(heis, sg).gap
-        h1, sg1 = single_generator(J, GM)
-        gaps_single[J] = spectral_gap(h1, sg1).gap
+        gaps_re[J] = spectral_gap(build_replica_exchange_generator(js, GG)).gap
+        gaps_single[J] = spectral_gap(single_generator(J, GM)).gap
         part = partial_lindbladian_check(spec, BETA, GG)
         cut = check_commuting_cut(spec)
         d_a = 2 ** len(spec.partition[0])
@@ -140,8 +131,7 @@ def test_05_swap_generator_structure():
     closed = swap_generator_closed_form(js, BETA)
     generic = swap_generator_generic(js, BETA)
     rel = np.linalg.norm(matrix(closed) - matrix(generic), 2) / np.linalg.norm(matrix(generic), 2)
-    sg = joint_gibbs(js, BETA)
-    norm = swap_sector_analysis(js, closed, sg)["kms_norm"]
+    norm = swap_sector_analysis(js, closed)["kms_norm"]
     H_joint = np.kron(assemble_dense(spec), np.eye(js.d_a)) + np.eye(js.joint_dim)
     es = eigensystem(H_joint)
     G = coherent_term([jump_components(swap_unitary_original(js), es)], es, GM)
@@ -154,8 +144,8 @@ def test_05_swap_generator_structure():
 def test_06_kernel_characterization():
     js = joint_structure(defected_ising_1d(3, 3.0))
     heis = build_replica_exchange_generator(js, GG)
-    rep = spectral_gap(heis, joint_gibbs(js, BETA))
-    kern = swap_sector_analysis(js, swap_generator_closed_form(js, BETA), joint_gibbs(js, BETA))
+    rep = spectral_gap(heis)
+    kern = swap_sector_analysis(js, swap_generator_closed_form(js, BETA))
     cross_ok = all(v < 1e-10 for v in kern["cross_term_residuals"].values())
     announce(6, "kernel characterization",
              rep.kernel_dim == 1 and kern["restricted_kernel_dim"] == 1 and cross_ok,
@@ -182,10 +172,9 @@ def test_08_mixing_sandwich():
     H = assemble_dense(spec)
     es = eigensystem(H)
     heis = build_ckg_generator(es, single_site_paulis(2), GM)
-    sg = gibbs_state(es, BETA)
-    rep = mixing_time_estimate(heis, sg, 1e-2)
+    rep = mixing_time_estimate(heis, 1e-2)
     in_bracket = rep.t_lower <= rep.t_measured <= rep.t_upper
-    rate = chi_square_rate_fit(heis, SpectralPropagator(heis, sg))
+    rate = chi_square_rate_fit(SpectralPropagator(heis))
     rate_ok = abs(rate / (2 * rep.gap) - 1.0) <= 0.05
     announce(8, "mixing-time sandwich", in_bracket and rate_ok,
              f"t=[{rep.t_lower:.2f} <= {rep.t_measured:.2f} <= {rep.t_upper:.2f}] "

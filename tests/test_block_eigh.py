@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrex.hamiltonians import assemble_dense, defected_ising_1d
-from qrex.lindblad import WeightFunction, build_ckg_generator, eigensystem, gibbs_state
+from qrex.lindblad import WeightFunction, build_ckg_generator, eigensystem
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
     build_replica_exchange_generator,
-    joint_gibbs,
     joint_structure,
     swap_generator_closed_form,
 )
@@ -97,21 +96,21 @@ def test_ring_n5_lhat_block_count():
     H = assemble_dense(defected_ising_1d(5, 3.0))
     es = eigensystem(H)
     L = build_ckg_generator(es, single_site_paulis(5), GM)
-    assert block_counts(symmetrize(L, gibbs_state(es, 1.0))) == (243, 32)
+    assert block_counts(symmetrize(L)) == (243, 32)
 
 
 def test_closed_form_swap_block_count():
     spec = defected_ising_1d(3, 3.0)
     js = joint_structure(spec)
     S = swap_generator_closed_form(js, 1.0)
-    assert block_counts(symmetrize(S, joint_gibbs(js, 1.0))) == (544, 2)
+    assert block_counts(symmetrize(S)) == (544, 2)
 
 
 def test_labeled_joint_block_count():
     spec = defected_ising_1d(3, 3.0)
     js = joint_structure(spec)
     L = build_replica_exchange_generator(js, GG)
-    assert block_counts(symmetrize(L, joint_gibbs(js, 1.0))) == (135, 32)
+    assert block_counts(symmetrize(L)) == (135, 32)
 
 
 @pytest.mark.parametrize("structured", [False, True])
@@ -137,15 +136,14 @@ def test_ring_n7_fits_the_sparse_route():
         H = assemble_dense(defected_ising_1d(7, 3.0))
         es = eigensystem(H)
         L = build_ckg_generator(es, single_site_paulis(7), GM)
-        sigma = gibbs_state(es, 1.0)
-        rep = spectral_gap(L, sigma)
+        rep = spectral_gap(L)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert peak < 2**30
     assert L.local.nnz == 73728
     assert rep.kernel_dim == 1
-    assert block_counts(symmetrize(L, sigma)) == (2187, 128)
+    assert block_counts(symmetrize(L)) == (2187, 128)
 
 
 @st.composite
@@ -207,10 +205,10 @@ def test_ring_n5_blocks_match_csgraph():
     H = assemble_dense(defected_ising_1d(5, 3.0))
     es = eigensystem(H)
     L = build_ckg_generator(es, single_site_paulis(5), GM)
-    assert_blocks_match_csgraph(symmetrize(L, gibbs_state(es, 1.0)))
+    assert_blocks_match_csgraph(symmetrize(L))
 
 
 def test_labeled_joint_blocks_match_csgraph():
     js = joint_structure(defected_ising_1d(3, 3.0))
     L = build_replica_exchange_generator(js, GG)
-    assert_blocks_match_csgraph(symmetrize(L, joint_gibbs(js, 1.0)))
+    assert_blocks_match_csgraph(symmetrize(L))

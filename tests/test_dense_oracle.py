@@ -6,10 +6,12 @@ rotation kron(U^*, U) M kron(U^*, U)^dag out of the eigenbasis, the dense
 KMS symmetrization kron(s4^T, s4) M kron(s4i^T, s4i), and K M K^dag for the
 swap generator's labeled basis.  It costs O(d^6) and is kept here only as an
 oracle for the leg-wise O(d^5) basis change of ``oracles.matrix`` and the
-diagonal KMS scaling of the library.  A matrix summed in the computational basis is carried into the
-basis its Gibbs state is diagonal in (``in_sigma_basis``) before its gap is
-taken, since the library symmetrizes only there.  Likewise the dense eigh of the whole L_hat is the oracle for the
-block eigensolves that gaps, norms and propagation use, and the joint
+diagonal KMS scaling of the library.  A matrix summed in the computational
+basis is carried into the basis its Gibbs state is diagonal in and stored
+with that state (``in_sigma_basis``) before its gap is taken, since the
+library symmetrizes only there.  Likewise the dense eigh of the whole L_hat
+is the oracle for the block eigensolves that gaps, norms and propagation
+use, and the joint
 generator summed in the computational basis (identity-einsum lifts of each
 piece's ``matrix``, Gibbs state from an eigh of the joint Hamiltonian) is
 the oracle for the labeled-basis assembly.
@@ -46,7 +48,7 @@ from qrex.replica import (
 )
 from qrex.spectral import KERNEL_TOL, spectral_gap, symmetrize
 
-from oracles import congruence, joint_hamiltonian, matrix, sigma_power
+from oracles import apply, congruence, joint_hamiltonian, matrix, sigma_power
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -184,9 +186,9 @@ def computational_joint_gibbs(spec, beta):
 
 
 def in_sigma_basis(M, sigma):
-    """The computational-basis matrix M as a Superoperator stored in the basis sigma is diagonal in."""
+    """The computational-basis matrix M as a Superoperator with the Gibbs state sigma, in its basis."""
     V = sigma.basis
-    return Superoperator(congruence(M, V, V.conj().T), basis=V)
+    return Superoperator(congruence(M, V, V.conj().T), sigma)
 
 
 def assert_close(actual, expected, rtol=RTOL):
@@ -194,22 +196,23 @@ def assert_close(actual, expected, rtol=RTOL):
 
 
 def check_against_oracle(L, M_dense, sigma, seed=0):
-    """matrix, .apply, .apply_adjoint, symmetrize and spectral_gap vs the dense route.
+    """matrix, apply, .apply_adjoint, symmetrize and spectral_gap vs the dense route.
 
-    L must be stored in the basis sigma is diagonal in, the only basis
-    symmetrize works in; it is checked against the dense route carried into
-    that basis.
+    L must carry the Gibbs state sigma, and is stored in the basis sigma is
+    diagonal in; it is checked against the dense route carried into that
+    basis.
     """
     assert_close(matrix(L), M_dense)
     d = L.dim
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    assert_close(L.apply(X), unvec(M_dense @ vec(X)))
+    assert_close(apply(L, X), unvec(M_dense @ vec(X)))
     assert_close(L.apply_adjoint(X), unvec(M_dense.conj().T @ vec(X)))
     assert np.array_equal(L.basis, sigma.basis)
-    assert_close(symmetrize(L, sigma),
+    assert np.array_equal(L.sigma.weights, sigma.weights)
+    assert_close(symmetrize(L),
                  dense_conjugate(dense_symmetrize(M_dense, sigma), L.basis.conj().T))
-    rep = spectral_gap(L, sigma)
+    rep = spectral_gap(L)
     gap, kernel = dense_gap(M_dense, sigma)
     assert rep.kernel_dim == kernel
     assert rep.gap == pytest.approx(gap, rel=RTOL)
@@ -279,11 +282,10 @@ def test_labeled_joint_generator_matches_computational_sum(spec):
     d = heis.dim
     rng = np.random.default_rng(1)
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    assert_close(heis.apply(X), unvec(M_old @ vec(X)))
+    assert_close(apply(heis, X), unvec(M_old @ vec(X)))
     assert_close(heis.apply_adjoint(X), unvec(M_old.conj().T @ vec(X)))
-    rep = spectral_gap(heis, joint_gibbs(js, 1.0))
-    sigma = computational_joint_gibbs(spec, 1.0)
-    old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
+    rep = spectral_gap(heis)
+    old = spectral_gap(in_sigma_basis(M_old, computational_joint_gibbs(spec, 1.0)))
     assert rep.kernel_dim == old.kernel_dim == 1
     assert abs(rep.gap - old.gap) <= max(RTOL * old.gap, 1e-14)
 
@@ -303,11 +305,12 @@ def test_global_generator_matches_computational_sum(spec, w):
     d = heis.dim
     rng = np.random.default_rng(2)
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    assert_close(heis.apply(X), unvec(M_old @ vec(X)))
+    assert_close(apply(heis, X), unvec(M_old @ vec(X)))
     assert_close(heis.apply_adjoint(X), unvec(M_old.conj().T @ vec(X)))
-    # the same generator, paired with sigma_beta (x) sigma_beta2 in its own basis
-    rep = spectral_gap(heis, global_gibbs(es, beta, beta2))
-    old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
+    # the same generator, with sigma_beta (x) sigma_beta2 in its own basis
+    assert np.array_equal(heis.sigma.weights, global_gibbs(es, beta, beta2).weights)
+    rep = spectral_gap(heis)
+    old = spectral_gap(in_sigma_basis(M_old, sigma))
     assert rep.kernel_dim == old.kernel_dim == 1
     assert abs(rep.gap - old.gap) <= max(RTOL * old.gap, 1e-14)
 
@@ -347,7 +350,7 @@ def test_block_eigensolves_match_dense_eigh(H, n, shapes):
     sg = gibbs_state(es, 1.0)
     M_dense = dense_ckg(H, single_site_paulis(n), GM)
     evals, coefficients, state_at = dense_propagation(M_dense, sg)
-    prop = SpectralPropagator(heis, sg)
+    prop = SpectralPropagator(heis)
     assert [idx.shape for idx, _, _ in prop.blocks] == shapes
     scale = np.abs(evals).max()
     assert np.abs(prop.evals - evals).max() <= RTOL * scale
@@ -372,7 +375,7 @@ def test_block_eigensolves_match_dense_eigh(H, n, shapes):
                                             rel=RTOL)
             assert_close(states[s], state_at(c_dense, t))
 
-    rep = spectral_gap(heis, sg)
+    rep = spectral_gap(heis)
     assert rep.kms_norm == pytest.approx(-evals[0], rel=RTOL)
     gap, kernel = dense_gap(M_dense, sg)
     assert rep.kernel_dim == kernel
@@ -390,10 +393,11 @@ def test_congruence_matches_kron_products():
 
 
 def test_basis_side_must_match_matrix():
+    sigma = gibbs_state(eigensystem(np.zeros((3, 3))), 1.0)  # its basis has side 3
     with pytest.raises(ValueError, match="basis"):
-        Superoperator(np.zeros((16, 16), dtype=complex), basis=np.eye(3))
+        Superoperator(np.zeros((16, 16), dtype=complex), sigma)
     with pytest.raises(ValueError):
-        Superoperator(np.zeros((12, 12), dtype=complex), basis=np.eye(3))
+        Superoperator(np.zeros((12, 12), dtype=complex), sigma)
 
 
 def test_perturbed_generator_not_detailed_balanced():
@@ -401,27 +405,38 @@ def test_perturbed_generator_not_detailed_balanced():
     H = assemble_dense(defected_ising_1d(3, 2.0))
     es = eigensystem(H)
     heis = build_ckg_generator(es, single_site_paulis(3), GM)
-    sg = gibbs_state(es, 1.0)
     M = heis.local.toarray()
     rng = np.random.default_rng(2)
     R = rng.standard_normal(M.shape)
-    bad = Superoperator(M + 1e-2 * np.linalg.norm(M, 2) * R / np.linalg.norm(R, 2), basis=heis.basis)
+    bad = Superoperator(M + 1e-2 * np.linalg.norm(M, 2) * R / np.linalg.norm(R, 2), heis.sigma)
     with pytest.raises(ValueError, match="not detailed balanced"):
-        symmetrize(bad, sg)
+        symmetrize(bad)
     with pytest.raises(ValueError, match="not detailed balanced"):
-        spectral_gap(bad, sg)
+        spectral_gap(bad)
 
 
 def test_global_mode_gap_pairs_the_two_temperature_gibbs_state():
     # the global generator was once paired with the local_A joint Gibbs state
-    # and failed with a dimension mismatch
+    # and failed with a dimension mismatch; now every mode's generator carries
+    # the state the harness paired it with when the two were separate values
     spec, beta, beta2 = defected_ising_1d(3, 2.0), 1.0, 0.5
     config = validate_config({"scenario": "gap", "beta": beta,
                               "system": {"model": "defected_ising", "n": 3, "J": 2.0},
                               "replica": {"mode": "global", "beta2": beta2}})
+    es, js = eigensystem(assemble_dense(spec)), joint_structure(spec)
+    paired = {"none": gibbs_state(es, beta), "local_A": joint_gibbs(js, beta),
+              "global": global_gibbs(es, beta, beta2)}
+    assert set(qrex.harness.MODE_BUILDERS) == set(paired)
+    point = qrex.harness._Point(spec, beta)
+    for mode, build in qrex.harness.MODE_BUILDERS.items():
+        L = build(point, config)
+        assert np.array_equal(L.sigma.weights, paired[mode].weights), mode
+        assert np.array_equal(L.basis, paired[mode].basis), mode
+        assert L.sigma.beta == beta
+        symmetrize(L)  # detailed balanced for the state it carries
     rep = run_scenario(config).records[0]
     M_old, sigma = computational_global_sum(spec, beta, beta2, GG, GG)
-    old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
+    old = spectral_gap(in_sigma_basis(M_old, sigma))
     assert rep["kernel_dim"] == old.kernel_dim == 1
     assert rep["gap"] == pytest.approx(old.gap, rel=RTOL)
 
@@ -448,5 +463,5 @@ def test_global_sweep_matches_dense_oracle_with_one_eigh_of_h_per_point(monkeypa
         spec = defected_ising_1d(3, rec["J"])
         w = WeightFunction("gaussian", rec["beta"])
         M_old, sigma = computational_global_sum(spec, rec["beta"], beta2, w, w)
-        old = spectral_gap(in_sigma_basis(M_old, sigma), sigma)
+        old = spectral_gap(in_sigma_basis(M_old, sigma))
         assert rec["gap_re"] == pytest.approx(old.gap, rel=RTOL)

@@ -345,8 +345,10 @@ class TestScenarios:
 
 
     def test_verification_decomposes_each_generator_once(self, monkeypatch):
-        # 5 distinct (L, sigma) pairs, each scaled once: the swap's one sector
-        # analysis and the ring's chi-square gap and fit share theirs
+        # 5 distinct generators, each scaled once: the swap's one sector
+        # analysis and the ring's chi-square gap and fit share theirs; each of
+        # the two joint generators (the swap and local_A) carries its own joint
+        # Gibbs state
         counted = {"symmetrize": qrex.spectral, "block_eigh": qrex.spectral,
                    "swap_generator_closed_form": qrex.replica, "joint_gibbs": qrex.replica}
         counts = dict.fromkeys(counted, 0)
@@ -376,7 +378,7 @@ class TestScenarios:
         assert len(rows) == 25 and all(row["passed"] for row in rows)
         assert counts["symmetrize"] == 5
         assert counts["swap_generator_closed_form"] == 1
-        assert counts["joint_gibbs"] == 1
+        assert counts["joint_gibbs"] == 2
         assert fit_eighs == [0]
 
     def test_sweep_points_take_the_validated_config(self, monkeypatch):

@@ -12,7 +12,6 @@ from qrex.lindblad import (
     WeightFunction,
     build_ckg_generator,
     eigensystem,
-    gibbs_state,
     unvec,
     vec,
 )
@@ -21,7 +20,6 @@ from qrex.mixing import (
     SpectralPropagator,
     SupportBounds,
     _initial_family,
-    bottleneck_witness,
     chi_square,
     chi_square_rate_fit,
     first_crossing_times,
@@ -33,6 +31,7 @@ from qrex.spectral import block_eigh, spectral_gap, symmetrize
 
 import oracles
 from oracles import (
+    bottleneck_witness,
     chi_square_rate_fit_expm,
     evolve,
     first_crossing_time,
@@ -45,65 +44,63 @@ from oracles import (
 GM = WeightFunction("metropolis", 1.0)
 
 
-def rate_fit(L, sg):
-    """``chi_square_rate_fit`` of L on its own propagator of (L, sg)."""
-    return chi_square_rate_fit(L, SpectralPropagator(L, sg))
+def rate_fit(L):
+    """``chi_square_rate_fit`` on a propagator of L."""
+    return chi_square_rate_fit(SpectralPropagator(L))
 
 
-def two_qubit_ising(w=GM, beta=1.0):
+def two_qubit_ising(w=GM):
     spec = HamiltonianSpec(n=2, terms=(PauliTerm(-1.0, ((0, "Z"), (1, "Z"))),))
-    H = assemble_dense(spec)
-    es = eigensystem(H)
-    heis = build_ckg_generator(es, single_site_paulis(2), w)
-    return heis, gibbs_state(es, beta)
+    return build_ckg_generator(eigensystem(assemble_dense(spec)), single_site_paulis(2), w)
 
 
 class TestEvolve:
     def test_time_zero_identity(self):
-        heis, sg = two_qubit_ising()
+        heis = two_qubit_ising()
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
-        assert np.allclose(evolve(heis, rho0, 0.0, sigma=sg), rho0, atol=1e-12)
+        assert np.allclose(evolve(heis, rho0, 0.0), rho0, atol=1e-12)
 
     def test_long_time_reaches_gibbs(self):
-        heis, sg = two_qubit_ising()
-        gap = spectral_gap(heis, sg).gap
+        heis = two_qubit_ising()
+        sg = heis.sigma
+        gap = spectral_gap(heis).gap
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
-        rho_t = evolve(heis, rho0, 1e3 / gap, sigma=sg)
+        rho_t = evolve(heis, rho0, 1e3 / gap)
         assert trace_distance(rho_t, sg.sigma) < 1e-8
 
     def test_trace_and_positivity_along_flow(self):
-        heis, sg = two_qubit_ising()
+        heis = two_qubit_ising()
         rho0 = np.diag([0.5, 0.5, 0, 0]).astype(complex)
         for t in np.logspace(-2, 2, 9):
-            rho_t = evolve(heis, rho0, t, sigma=sg)
+            rho_t = evolve(heis, rho0, t)
             assert abs(np.trace(rho_t) - 1.0) < 1e-10
             assert np.linalg.eigvalsh(rho_t).min() >= -1e-10
 
     def test_matches_dense_exponential(self):
-        heis, sg = two_qubit_ising()
+        heis = two_qubit_ising()
         rho0 = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
         rho0[0, 3] = rho0[3, 0] = 0.1
         for t in (0.3, 1.7):
-            spectral = evolve(heis, rho0, t, sigma=sg)
+            spectral = evolve(heis, rho0, t)
             dense = unvec(expm(t * matrix(heis).conj().T) @ vec(rho0))
             assert np.linalg.norm(spectral - dense) < 1e-9
 
     def test_invalid_state_rejected(self):
-        heis, sg = two_qubit_ising()
+        heis = two_qubit_ising()
         with pytest.raises(ValueError):
-            evolve(heis, np.eye(4, dtype=complex), 0.1, sigma=sg)
+            evolve(heis, np.eye(4, dtype=complex), 0.1)
 
     def test_non_hermitian_state_rejected(self):
-        heis, sg = two_qubit_ising()
+        heis = two_qubit_ising()
         rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         rho0[0, 1] = 0.1  # unit trace, PSD Hermitian part, but not Hermitian
         with pytest.raises(ValueError, match="Hermitian"):
-            evolve(heis, rho0, 0.1, sigma=sg)
+            evolve(heis, rho0, 0.1)
 
     def test_wrong_shape_state_rejected(self):
-        heis, sg = two_qubit_ising()
+        heis = two_qubit_ising()
         with pytest.raises(ValueError, match="shape"):
-            evolve(heis, np.eye(2, dtype=complex) / 2, 0.1, sigma=sg)
+            evolve(heis, np.eye(2, dtype=complex) / 2, 0.1)
 
 
 class TestMixingBounds:
@@ -130,9 +127,7 @@ class TestMixingTimeEstimate:
         # |0><0| the trace distance is exactly exp(-4 theta(0) t)
         H = np.eye(2)
         es = eigensystem(H)
-        heis = build_ckg_generator(es, single_site_paulis(1), GM)
-        sg = gibbs_state(es, 1.0)
-        prop = SpectralPropagator(heis, sg)
+        prop = SpectralPropagator(build_ckg_generator(es, single_site_paulis(1), GM))
         eps = 1e-2
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         tc = first_crossing_times(prop, [rho0], eps, 10.0)[0]
@@ -141,20 +136,19 @@ class TestMixingTimeEstimate:
         assert tc == pytest.approx(analytic, rel=1e-2)
 
     def test_two_qubit_sandwich(self):
-        heis, sg = two_qubit_ising()
-        rep = mixing_time_estimate(heis, sg, 1e-2)
+        heis = two_qubit_ising()
+        rep = mixing_time_estimate(heis, 1e-2)
         assert rep.t_lower <= rep.t_measured <= rep.t_upper
-        assert rep.method == "spectral"
 
     def test_monotone_in_epsilon(self):
-        heis, sg = two_qubit_ising()
-        rep1 = mixing_time_estimate(heis, sg, 1e-2, n_haar=5)
-        rep2 = mixing_time_estimate(heis, sg, 1e-3, n_haar=5)
+        heis = two_qubit_ising()
+        rep1 = mixing_time_estimate(heis, 1e-2, n_haar=5)
+        rep2 = mixing_time_estimate(heis, 1e-3, n_haar=5)
         assert rep2.t_measured >= rep1.t_measured
 
     def test_crossing_below_upper_bound_for_every_state(self):
-        heis, sg = two_qubit_ising()
-        rep = mixing_time_estimate(heis, sg, 1e-2, n_haar=5)
+        heis = two_qubit_ising()
+        rep = mixing_time_estimate(heis, 1e-2, n_haar=5)
         tol = rep.t_upper * 1e-3 + 1e-9
         assert all(t <= rep.t_upper + tol for _, t in rep.crossings)
 
@@ -163,14 +157,13 @@ class TestMixingTimeEstimate:
         H = assemble_dense(spec)
         es = eigensystem(H)
         heis = build_ckg_generator(es, single_site_paulis(3), GM)
-        sg = gibbs_state(es, 1.0)
-        rep = mixing_time_estimate(heis, sg, 1e-2, n_haar=5)
+        rep = mixing_time_estimate(heis, 1e-2, n_haar=5)
         assert rep.t_lower <= rep.t_measured <= rep.t_upper
 
     def test_empty_family_rejected(self):
-        heis, sg = two_qubit_ising()
+        heis = two_qubit_ising()
         with pytest.raises(ValueError, match="family is empty"):
-            mixing_time_estimate(heis, sg, 1e-2, family=[])
+            mixing_time_estimate(heis, 1e-2, family=[])
 
     @pytest.mark.parametrize("rho0, reason", [
         (np.eye(8) / 4, "unit trace"),
@@ -185,41 +178,42 @@ class TestMixingTimeEstimate:
         heis = build_ckg_generator(es, single_site_paulis(3), GM)
         family = [("ok", np.eye(8) / 8), ("bad_7", rho0)]
         with pytest.raises(ValueError, match=f"'bad_7'.*{reason}"):
-            mixing_time_estimate(heis, gibbs_state(es, 1.0), 1e-2, family=family)
+            mixing_time_estimate(heis, 1e-2, family=family)
 
 
 class TestChiSquare:
     def test_zero_at_fixed_point(self):
-        _, sg = two_qubit_ising()
+        sg = two_qubit_ising().sigma
         assert chi_square(sg.sigma, sg) == pytest.approx(0.0, abs=1e-12)
 
     def test_saturated_by_min_weight_eigenstate(self):
-        _, sg = two_qubit_ising()
+        sg = two_qubit_ising().sigma
         v = sg.eigenvectors[:, 0]  # eigenvalues stored ascending
         rho = np.outer(v, v.conj())
         assert chi_square(rho, sg) == pytest.approx(1 / sg.lambda_min - 1, rel=1e-10)
 
     def test_contraction_along_flow(self):
-        heis, sg = two_qubit_ising()
-        gap = spectral_gap(heis, sg).gap
+        heis = two_qubit_ising()
+        sg = heis.sigma
+        gap = spectral_gap(heis).gap
         rng = np.random.default_rng(5)
         R = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho0 = R @ R.conj().T
         rho0 /= np.trace(rho0)
         chi0 = chi_square(rho0, sg)
         for t in np.linspace(0.2, 3.0, 6):
-            rho_t = evolve(heis, rho0, t, sigma=sg)
+            rho_t = evolve(heis, rho0, t)
             assert chi_square(rho_t, sg) <= np.exp(-2 * gap * t) * chi0 + 1e-12
 
     def test_rate_fit_matches_gap(self):
-        heis, sg = two_qubit_ising()
-        gap = spectral_gap(heis, sg).gap
-        rate = rate_fit(heis, sg)
+        heis = two_qubit_ising()
+        gap = spectral_gap(heis).gap
+        rate = rate_fit(heis)
         assert abs(rate / (2 * gap) - 1.0) <= 0.05
 
     def test_gap_mode_state_is_valid(self):
-        heis, sg = two_qubit_ising()
-        rho0 = gap_mode_state(heis, sg)
+        heis = two_qubit_ising()
+        rho0 = gap_mode_state(heis)
         assert abs(np.trace(rho0) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho0).min() >= -1e-12
 
@@ -229,26 +223,25 @@ class TestChiSquare:
         H = np.eye(4)
         es = eigensystem(H)
         heis = build_ckg_generator(es, single_site_paulis(2), GM)
-        sg = gibbs_state(es, 1.0)
-        gap = spectral_gap(heis, sg).gap
-        blocks = block_eigh(-symmetrize(heis, sg), vectors=False)
+        sg = heis.sigma
+        gap = spectral_gap(heis).gap
+        blocks = block_eigh(-symmetrize(heis), vectors=False)
         at_gap = sum(int(np.sum(np.any(np.abs(w - gap) <= 1e-12 * gap, axis=1)))
                      for _, w, _ in blocks)
         assert at_gap > 1
-        rho0 = gap_mode_state(heis, sg)
+        rho0 = gap_mode_state(heis)
         ts = np.linspace(0.5 / gap, 2.0 / gap, 4)
-        chis = [chi_square(evolve(heis, rho0, t, sigma=sg), sg) for t in ts]
+        chis = [chi_square(evolve(heis, rho0, t), sg) for t in ts]
         rates = -np.diff(np.log(chis)) / np.diff(ts)
         assert np.allclose(rates, 2 * gap, rtol=1e-9)
-        assert rate_fit(heis, sg) == pytest.approx(2 * gap, rel=1e-9)
+        assert rate_fit(heis) == pytest.approx(2 * gap, rel=1e-9)
 
 
 def ring3_metropolis(beta, J=1.0):
     """The n = 3 ring (J = 1 by default) with the Metropolis weight, as ``qrex verify`` builds it."""
     es = eigensystem(assemble_dense(defected_ising_1d(3, J)))
     L = build_ckg_generator(es, single_site_paulis(3), WeightFunction("metropolis", beta))
-    sg = gibbs_state(es, beta)
-    return L, sg, spectral_gap(L, sg).gap
+    return L, spectral_gap(L).gap
 
 
 class TestGapModeFromPropagator:
@@ -257,20 +250,19 @@ class TestGapModeFromPropagator:
     @pytest.mark.parametrize("J", [1.0, 3.0])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
     def test_rate_fit_matches_oracle_mode(self, monkeypatch, beta, J):
-        L, sg, _ = ring3_metropolis(beta, J)
-        rate = rate_fit(L, sg)
-        monkeypatch.setattr(mixing, "_gap_and_mode",
-                            lambda prop: oracles._gap_and_mode(L, prop.sigma))
-        assert rate == pytest.approx(rate_fit(L, sg), rel=1e-6)
+        L, _ = ring3_metropolis(beta, J)
+        rate = rate_fit(L)
+        monkeypatch.setattr(mixing, "_gap_and_mode", lambda prop: oracles._gap_and_mode(prop.L))
+        assert rate == pytest.approx(rate_fit(L), rel=1e-6)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_mode_is_a_gap_eigenoperator(self, beta):
         # sigma^{1/2} X sigma^{1/2} is an eigenoperator of L^dag for the KMS
         # eigenoperator X of L, and so is its Hermitian part
-        L, sg, gap = ring3_metropolis(beta)
-        g, rho0 = mixing._gap_and_mode(SpectralPropagator(L, sg))
+        L, gap = ring3_metropolis(beta)
+        g, rho0 = mixing._gap_and_mode(SpectralPropagator(L))
         assert g == pytest.approx(gap, rel=1e-9)
-        Y = rho0 - sg.sigma
+        Y = rho0 - L.sigma.sigma
         assert np.linalg.norm(L.apply_adjoint(Y) + g * Y) <= 1e-9 * g * np.linalg.norm(Y)
         assert abs(np.trace(rho0) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho0).min() >= -1e-12
@@ -279,27 +271,28 @@ class TestGapModeFromPropagator:
 class TestChiSquareRateWithoutExpm:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_matches_expm_oracle(self, beta):
-        L, sg, _ = ring3_metropolis(beta)
-        assert rate_fit(L, sg) == pytest.approx(chi_square_rate_fit_expm(L, sg), rel=1e-6)
+        L, _ = ring3_metropolis(beta)
+        assert rate_fit(L) == pytest.approx(chi_square_rate_fit_expm(L), rel=1e-6)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
     def test_rate_is_twice_the_gap(self, beta):
         # the gap mode decays exactly at 2 gap; at beta = 3 the expm oracle
         # is 5e-6 off that, the eig route 3e-7
-        L, sg, gap = ring3_metropolis(beta)
-        assert rate_fit(L, sg) == pytest.approx(2 * gap, rel=1e-6)
+        L, gap = ring3_metropolis(beta)
+        assert rate_fit(L) == pytest.approx(2 * gap, rel=1e-6)
 
     def test_low_temperature_passes_the_verify_check(self):
         # the expm route reads rate / 2 gap = 0.8996 at beta = 4, outside the
         # 5% of mixing.chi2_gap_consistency
-        L, sg, gap = ring3_metropolis(4.0)
-        assert abs(rate_fit(L, sg) / (2 * gap) - 1.0) <= 0.05
+        L, gap = ring3_metropolis(4.0)
+        assert abs(rate_fit(L) / (2 * gap) - 1.0) <= 0.05
 
 class TestTraceDistanceMonotone:
     def test_non_increasing_on_grid(self):
-        heis, sg = two_qubit_ising()
+        heis = two_qubit_ising()
+        sg = heis.sigma
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
-        prop = SpectralPropagator(heis, sg)
+        prop = SpectralPropagator(heis)
         coeffs = prop.coefficients(rho0[None])
         ts = np.linspace(0.0, 8.0, 17)
         dists = [trace_distance(prop.state_at(coeffs, t)[0], sg.sigma) for t in ts]
@@ -307,10 +300,11 @@ class TestTraceDistanceMonotone:
 
     def test_distances_in_sigma_basis_match_rotated_states(self):
         # one state's coefficients taken at every time of the grid at once
-        heis, sg = two_qubit_ising()
+        heis = two_qubit_ising()
+        sg = heis.sigma
         rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         rho0[0, 3] = rho0[3, 0] = 0.1
-        prop = SpectralPropagator(heis, sg)
+        prop = SpectralPropagator(heis)
         coeffs = prop.coefficients(rho0[None])
         ts = np.linspace(0.0, 8.0, 17)
         dists = prop.distances(coeffs, ts)
@@ -319,10 +313,8 @@ class TestTraceDistanceMonotone:
 
 
 def ring_propagator(H, n, w):
-    es = eigensystem(H)
-    heis = build_ckg_generator(es, single_site_paulis(n), w)
-    sg = gibbs_state(es, 1.0)
-    return SpectralPropagator(heis, sg), sg
+    prop = SpectralPropagator(build_ckg_generator(eigensystem(H), single_site_paulis(n), w))
+    return prop, prop.sigma
 
 
 def transverse_field_ring(n):
@@ -368,8 +360,7 @@ class TestFirstCrossingTimes:
         # every state of the H = I family crosses at log(||rho0 - I/2||_1 / eps) / (4 theta(0))
         H = np.eye(2)
         es = eigensystem(H)
-        prop = SpectralPropagator(build_ckg_generator(es, single_site_paulis(1), GM),
-                                  gibbs_state(es, 1.0))
+        prop = SpectralPropagator(build_ckg_generator(es, single_site_paulis(1), GM))
         states = [np.diag([1.0, 0.0]), np.diag([0.2, 0.8]), np.array([[0.5, 0.5], [0.5, 0.5]])]
         eps = 1e-2
         rate = 4 * erfc(1 / (2 * np.sqrt(2)))
@@ -377,8 +368,9 @@ class TestFirstCrossingTimes:
         assert first_crossing_times(prop, states, eps, 1.0) == pytest.approx(analytic, rel=1e-2)
 
     def test_state_within_epsilon_crosses_at_zero(self):
-        heis, sg = two_qubit_ising()
-        prop = SpectralPropagator(heis, sg)
+        heis = two_qubit_ising()
+        sg = heis.sigma
+        prop = SpectralPropagator(heis)
         assert first_crossing_times(prop, [sg.sigma], 1e-2, 1.0)[0] == 0.0
 
     def test_second_stationary_state_fails_bracket(self):
@@ -386,15 +378,15 @@ class TestFirstCrossingTimes:
         H = assemble_dense(defected_ising_1d(3, 2.0))
         es = eigensystem(H)
         heis = build_ckg_generator(es, single_site_paulis(3)[2::3], GM)
-        prop = SpectralPropagator(heis, gibbs_state(es, 1.0))
+        prop = SpectralPropagator(heis)
         rho0 = np.zeros((8, 8), dtype=complex)
         rho0[0, 0] = 1.0
         with pytest.raises(RuntimeError, match="bisection bracket failed"):
             first_crossing_times(prop, [rho0], 1e-2, 10.0)
 
     def test_empty_family_gives_no_times(self):
-        heis, sg = two_qubit_ising()
-        times = first_crossing_times(SpectralPropagator(heis, sg), [], 1e-2, 1.0)
+        heis = two_qubit_ising()
+        times = first_crossing_times(SpectralPropagator(heis), [], 1e-2, 1.0)
         assert times.shape == (0,)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
@@ -450,8 +442,8 @@ class TestBlockSparseSearch:
         H = assemble_dense(defected_ising_1d(3, 3.0))
         es = eigensystem(H)
         heis = build_ckg_generator(es, single_site_paulis(3), GM)
-        sg = gibbs_state(es, 1.0)
-        prop = SpectralPropagator(heis, sg)
+        sg = heis.sigma
+        prop = SpectralPropagator(heis)
         rho0 = dict(_initial_family(sg, n_haar=1, seed=5))[sid]
         coeffs = prop.coefficients(rho0[None])
         ts = np.array([0.0, 0.3, 2.0, 9.0])

@@ -29,7 +29,7 @@ from qrex.replica import (
 from qrex.spectral import spectral_gap, spectral_norm
 
 import oracles
-from oracles import coherent_term, joint_hamiltonian, jump_components, matrix
+from oracles import apply, coherent_term, joint_hamiltonian, jump_components, matrix
 
 GM = WeightFunction("metropolis", 1.0)
 
@@ -177,13 +177,12 @@ class TestSwapGenerator:
 
     def test_kms_norm_at_most_three(self):
         heis = swap_generator_closed_form(self.js, self.beta)
-        sg = joint_gibbs(self.js, self.beta)
-        assert swap_sector_analysis(self.js, heis, sg)["kms_norm"] <= 3.0 + 1e-6
+        assert swap_sector_analysis(self.js, heis)["kms_norm"] <= 3.0 + 1e-6
 
     def test_unital(self):
         heis = swap_generator_closed_form(self.js, self.beta)
         d = heis.dim
-        assert np.linalg.norm(heis.apply(np.eye(d))) < 1e-10 * np.linalg.norm(matrix(heis))
+        assert np.linalg.norm(apply(heis, np.eye(d))) < 1e-10 * np.linalg.norm(matrix(heis))
 
     def test_zero_frequency_pairs_relax_at_theta0(self):
         # lam(+-, z) = lam(-+, z) for the ring, so those A labels give omega = 0
@@ -205,7 +204,7 @@ class TestSwapGenerator:
         e_cba = np.ravel_multi_index((c, 0, a), (js.d_a, js.d_b, js.d_a))
         Xl = np.outer(V[:, e_abc], V[:, e_abc].conj())
         Xs = np.outer(V[:, e_cba], V[:, e_cba].conj())
-        out = heis.apply(Xl)
+        out = apply(heis, Xl)
         th0 = theta(0.0)
         assert np.allclose(out, th0 * (Xs - Xl), atol=1e-10)
 
@@ -222,9 +221,7 @@ class TestReplicaExchangeGenerator:
         assert trace_norm(heis.apply_adjoint(sg.sigma)) < 1e-10
 
     def test_kernel_dimension_one(self):
-        heis = build_replica_exchange_generator(self.js, GM)
-        sg = joint_gibbs(self.js, self.beta)
-        rep = spectral_gap(heis, sg)
+        rep = spectral_gap(build_replica_exchange_generator(self.js, GM))
         assert rep.kernel_dim == 1
 
     def test_gap_flat_in_J_while_single_system_collapses(self):
@@ -235,14 +232,11 @@ class TestReplicaExchangeGenerator:
         for J in (1.0, 5.0):
             spec = defected_ising_1d(3, J)
             js = joint_structure(spec)
-            heis = build_replica_exchange_generator(js, gg)
-            sg = joint_gibbs(js, self.beta)
-            gaps_re.append(spectral_gap(heis, sg).gap)
+            gaps_re.append(spectral_gap(build_replica_exchange_generator(js, gg)).gap)
             h_single = build_ckg_generator(
                 eigensystem(assemble_dense(spec)), single_site_paulis(3), GM
             )
-            sg1 = gibbs_state(eigensystem(assemble_dense(spec)), self.beta)
-            gaps_single.append(spectral_gap(h_single, sg1).gap)
+            gaps_single.append(spectral_gap(h_single).gap)
         assert gaps_re[0] / gaps_re[1] <= 3.0
         assert gaps_re[1] / gaps_re[0] <= 3.0
         assert gaps_single[0] / gaps_single[1] >= 100.0
@@ -257,34 +251,29 @@ class TestReplicaExchangeGenerator:
         s1 = gibbs_state(es, beta1).sigma
         s2 = gibbs_state(es, beta2).sigma
         assert trace_norm(heis.apply_adjoint(np.kron(s1, s2))) < 1e-9
-        # the Gibbs state stored beside the generator is that fixed point, in its basis
+        # the Gibbs state the generator carries is that fixed point, in its basis
         sigma = global_gibbs(es, beta1, beta2)
-        assert np.array_equal(sigma.basis, heis.basis)
-        assert np.abs(sigma.sigma - np.kron(s1, s2)).max() < 1e-14
-
-
-def swap_and_gibbs(js, beta):
-    """The closed-form swap generator of ``js`` at ``beta`` and its joint Gibbs state."""
-    return swap_generator_closed_form(js, beta), joint_gibbs(js, beta)
+        assert np.array_equal(heis.sigma.weights, sigma.weights)
+        assert np.array_equal(heis.basis, sigma.basis)
+        assert np.abs(heis.sigma.sigma - np.kron(s1, s2)).max() < 1e-14
 
 
 class TestSwapKernelAnalysis:
     def test_restricted_kernel_is_identity_only(self):
         js = joint_structure(defected_ising_1d(3, 2.0))
-        rep = swap_sector_analysis(js, *swap_and_gibbs(js, 1.0))
+        rep = swap_sector_analysis(js, swap_generator_closed_form(js, 1.0))
         assert rep["restricted_kernel_dim"] == 1
 
     def test_cross_terms_vanish(self):
         js = joint_structure(defected_ising_1d(3, 2.0))
-        rep = swap_sector_analysis(js, *swap_and_gibbs(js, 1.0))
+        rep = swap_sector_analysis(js, swap_generator_closed_form(js, 1.0))
         for key, val in rep["cross_term_residuals"].items():
             assert val < 1e-10, (key, val)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_sector_analyses_match_kronecker_oracles(self, n):
         js = joint_structure(defected_ising_1d(n, 2.0))
-        swap, sigma = swap_and_gibbs(js, 1.0)
-        new, old = (swap_sector_analysis(js, swap, sigma),
+        new, old = (swap_sector_analysis(js, swap_generator_closed_form(js, 1.0)),
                     oracles.swap_only_kernel_analysis(js, 1.0))
         assert new["sector_dim"] == old["sector_dim"]
         assert new["restricted_kernel_dim"] == old["restricted_kernel_dim"] == 1
@@ -300,6 +289,6 @@ class TestSwapKernelAnalysis:
     def test_sector_lower_bounds_dominate_threshold(self):
         for J in (1.0, 3.0, 5.0):
             js = joint_structure(defected_ising_1d(3, J))
-            rep = swap_sector_analysis(js, *swap_and_gibbs(js, 1.0))
+            rep = swap_sector_analysis(js, swap_generator_closed_form(js, 1.0))
             for key, val in rep["sector_minima"].items():
                 assert val >= rep["threshold"], (J, key, val, rep["threshold"])

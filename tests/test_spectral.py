@@ -19,7 +19,7 @@ from qrex.lindblad import (
 )
 from qrex.mixing import SpectralPropagator
 from qrex.pauli import X, Y, Z, single_site_paulis
-from qrex.replica import build_replica_exchange_generator, joint_gibbs, joint_structure
+from qrex.replica import build_replica_exchange_generator, joint_structure
 from qrex.spectral import (
     UnresolvedGapError,
     a_diagonal_restriction_gap,
@@ -39,14 +39,12 @@ GG = WeightFunction("gaussian", 1.0)
 
 def ising_generator(n=3, J=2.0, w=GM):
     H = assemble_dense(defected_ising_1d(n, J))
-    es = eigensystem(H)
-    heis = build_ckg_generator(es, single_site_paulis(n), w)
-    return heis, gibbs_state(es, w.beta)
+    return build_ckg_generator(eigensystem(H), single_site_paulis(n), w)
 
 
 class TestKmsInner:
     def test_identity_normalization(self):
-        _, sg = ising_generator()
+        sg = ising_generator().sigma
         assert kms_inner(np.eye(8), np.eye(8), sg) == pytest.approx(1.0)
 
     def test_maximally_mixed_reduces_to_hilbert_schmidt(self):
@@ -57,7 +55,7 @@ class TestKmsInner:
         assert kms_inner(A, B, sg) == pytest.approx(np.trace(A.conj().T @ B) / 4)
 
     def test_positive_definite(self):
-        _, sg = ising_generator()
+        sg = ising_generator().sigma
         rng = np.random.default_rng(1)
         for _ in range(5):
             M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -66,14 +64,13 @@ class TestKmsInner:
 
 class TestSymmetrize:
     def test_hermitian_for_ckg(self):
-        heis, sg = ising_generator()
-        Lhat = symmetrize(heis, sg).toarray()
+        Lhat = symmetrize(ising_generator()).toarray()
         assert np.linalg.norm(Lhat - Lhat.conj().T) <= 1e-9 * np.linalg.norm(Lhat)
 
     def test_zero_eigenvalue_with_phi_of_identity(self):
-        heis, sg = ising_generator()
-        Lhat = symmetrize(heis, sg).toarray()
-        q = np.diag(sg.weights**0.25)  # sigma^(1/4) in the stored basis
+        heis = ising_generator()
+        Lhat = symmetrize(heis).toarray()
+        q = np.diag(heis.sigma.weights**0.25)  # sigma^(1/4) in the stored basis
         v = vec(q @ np.eye(8) @ q)
         assert np.linalg.norm(Lhat @ v) <= 1e-10 * np.linalg.norm(Lhat) * np.linalg.norm(v)
 
@@ -81,23 +78,22 @@ class TestSymmetrize:
         H = np.zeros((4, 4))
         es = eigensystem(H)
         heis = build_ckg_generator(es, single_site_paulis(2), GM)
-        sg = gibbs_state(es, 1.0)
-        assert np.allclose(symmetrize(heis, sg).toarray(), heis.local.toarray(), atol=1e-12)
+        assert np.allclose(symmetrize(heis).toarray(), heis.local.toarray(), atol=1e-12)
 
     def test_non_db_rejected(self):
         # perturbed in the stored basis, so the Hermiticity gate rejects it
-        heis, sg = ising_generator()
+        heis = ising_generator()
         M = heis.local.toarray()
         rng = np.random.default_rng(2)
         R = rng.standard_normal(M.shape)
         bad = Superoperator(M + 1e-2 * np.linalg.norm(M, 2) * R / np.linalg.norm(R, 2),
-                            basis=heis.basis)
+                            heis.sigma)
         with pytest.raises(ValueError, match="not detailed balanced"):
-            symmetrize(bad, sg)
+            symmetrize(bad)
 
     def test_spectrum_matches_direct_diagonalization(self):
-        heis, sg = ising_generator(n=3, J=1.5)
-        Lhat = symmetrize(heis, sg).toarray()
+        heis = ising_generator(n=3, J=1.5)
+        Lhat = symmetrize(heis).toarray()
         sym_evals = np.sort(np.linalg.eigvalsh(Lhat))
         direct = np.sort(np.linalg.eigvals(matrix(heis)).real)
         assert np.allclose(sym_evals, direct, atol=1e-7 * max(1.0, np.abs(direct).max()))
@@ -121,8 +117,7 @@ def congruence_calls(monkeypatch):
 
 class TestSymmetrizeRoutes:
     def test_eigenbasis_generator_is_scaled(self, congruence_calls):
-        heis, sg = ising_generator(n=4)
-        rep = spectral_gap(heis, sg)
+        rep = spectral_gap(ising_generator(n=4))
         assert rep.kernel_dim == 1
         assert congruence_calls == []
 
@@ -130,28 +125,39 @@ class TestSymmetrizeRoutes:
         spec = defected_ising_1d(3, 3.0)
         js = joint_structure(spec)
         heis = build_replica_exchange_generator(js, GG)
-        rep = spectral_gap(heis, joint_gibbs(js, 1.0))
+        rep = spectral_gap(heis)
         assert rep.kernel_dim == 1
         assert congruence_calls == []
 
     def test_computational_basis_rejected_without_congruence(self, congruence_calls):
-        # the computational-basis route once densified L_hat through congruence
-        heis, sg = ising_generator(n=3)
-        comp = Superoperator(matrix(heis), basis=np.eye(8))
+        # the computational-basis route once densified L_hat through congruence;
+        # a generator is now stored in its Gibbs state's basis by construction
+        heis = ising_generator(n=3)
+        with pytest.raises(TypeError):
+            Superoperator(matrix(heis), basis=np.eye(8))
         congruence_calls.clear()
         for call in (spectral_gap, symmetrize, SpectralPropagator):
-            with pytest.raises(ValueError, match="basis mismatch"):
-                call(comp, sg)
+            call(heis)
         assert congruence_calls == []
+
+    def test_gap_leaves_the_dense_gibbs_matrix_unformed(self):
+        # the generator carries its Gibbs state as weights in a basis; the
+        # gap needs only the weights, so the dense sigma is never formed
+        heis = ising_generator(n=5, J=3.0)
+        spectral_gap(heis)
+        assert "sigma" not in heis.sigma.__dict__
+        U, weights = heis.sigma.basis, heis.sigma.weights
+        assert np.allclose(heis.sigma.sigma, (U * weights) @ U.conj().T, atol=1e-15)
+        assert "sigma" in heis.sigma.__dict__  # formed on first use, then kept
 
     def test_scaling_route_peak_memory(self):
         # L_hat plus temporaries of its stored size: no full-size dense matrix
-        heis, sg = ising_generator(n=5, J=3.0)
+        heis = ising_generator(n=5, J=3.0)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            Lhat = symmetrize(heis, sg)
+            Lhat = symmetrize(heis)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -179,7 +185,7 @@ class TestSpectralGap:
         H = np.eye(2)
         es = eigensystem(H)
         heis = build_ckg_generator(es, [X, Y, Z], GM)
-        rep = spectral_gap(heis, gibbs_state(es, 1.0))
+        rep = spectral_gap(heis)
         theta0 = erfc(1 / (2 * np.sqrt(2)))
         assert rep.gap == pytest.approx(4 * theta0, rel=1e-8)
         assert rep.kernel_dim == 1
@@ -190,26 +196,24 @@ class TestSpectralGap:
             H = np.eye(4)
             es = eigensystem(H)
             heis = build_ckg_generator(es, single_site_paulis(2), WeightFunction("metropolis", beta))
-            gaps.append(spectral_gap(heis, gibbs_state(es, beta)).gap)
+            gaps.append(spectral_gap(heis).gap)
         assert np.allclose(gaps, gaps[0], rtol=1e-8)
         assert gaps[0] > 1.0  # Theta(1)
 
     def test_defected_ising_gap_decreases_in_J(self):
         gaps = []
         for J in (1.0, 2.0, 3.0, 4.0):
-            heis, sg = ising_generator(J=J)
-            gaps.append(spectral_gap(heis, sg).gap)
+            gaps.append(spectral_gap(ising_generator(J=J)).gap)
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
     def test_rescaling_covariance(self):
-        heis, sg = ising_generator()
-        rep1 = spectral_gap(heis, sg)
-        rep2 = spectral_gap(Superoperator(3.0 * heis.local, basis=heis.basis), sg)
+        heis = ising_generator()
+        rep1 = spectral_gap(heis)
+        rep2 = spectral_gap(Superoperator(3.0 * heis.local, heis.sigma))
         assert rep2.gap == pytest.approx(3.0 * rep1.gap, rel=1e-10)
 
     def test_negativity_of_spectrum(self):
-        heis, sg = ising_generator(J=3.0, w=GG)
-        Lhat = symmetrize(heis, sg).toarray()
+        Lhat = symmetrize(ising_generator(J=3.0, w=GG)).toarray()
         evals = np.linalg.eigvalsh(-Lhat)
         assert evals.min() >= -1e-9 * np.abs(evals).max()
 
@@ -224,16 +228,15 @@ class TestSpectralGap:
 
 class TestKmsOperatorNorm:
     def test_zero_map(self):
-        _, sg = ising_generator()
-        L0 = Superoperator(np.zeros((64, 64), dtype=complex), basis=sg.basis)
+        L0 = Superoperator(np.zeros((64, 64), dtype=complex), ising_generator().sigma)
         # the KMS operator norm is the top of the spectrum of -L_hat
-        assert float(block_eigvalsh(-symmetrize(L0, sg))[-1]) == 0.0
+        assert float(block_eigvalsh(-symmetrize(L0))[-1]) == 0.0
 
     def test_norm_dominates_gap(self):
-        heis, sg = ising_generator()
-        rep = spectral_gap(heis, sg)
+        heis = ising_generator()
+        rep = spectral_gap(heis)
         assert rep.kms_norm >= rep.gap
-        top = np.linalg.eigvalsh(-symmetrize(heis, sg).toarray())[-1]
+        top = np.linalg.eigvalsh(-symmetrize(heis).toarray())[-1]
         assert top == pytest.approx(rep.kms_norm)
 
 
@@ -328,5 +331,4 @@ class TestPartialLindbladian:
         spec0 = defected_ising_1d(3, 2.0)
         spec = HamiltonianSpec(n=3, terms=spec0.terms, partition=((), (0, 1, 2)))
         gap = a_diagonal_restriction_gap(joint_structure(spec), GM)
-        heis, sg = ising_generator(J=2.0)
-        assert gap == pytest.approx(spectral_gap(heis, sg).gap, rel=1e-8)
+        assert gap == pytest.approx(spectral_gap(ising_generator(J=2.0)).gap, rel=1e-8)
