@@ -6,6 +6,7 @@ classical.  Exit codes: 0 success, 1 invariant failure, 2 config error,
 """
 
 import argparse
+import locale  # noqa: F401  argparse's gettext imports it at the first parse: keep that in set-up
 import sys
 
 from .harness import (

@@ -14,23 +14,25 @@ forms for both weights (alpha_coeff).  States evolve under the
 Hilbert-Schmidt adjoint L^dag (Superoperator.apply_adjoint).
 
 A Superoperator carries the GibbsState its generator is detailed balanced
-for, and stores the generator as a sparse CSR matrix in the operator basis
-where that state is diagonal: in the eigenbasis every entry comes from one
-pair of nonzero coupling entries, so build_ckg_generator assembles them as
-COO triplets and never forms a dense d^2 x d^2 array, and attaches
-gibbs_state(es, w.beta).  A GibbsState is its weights in its basis; the
-dense sigma is formed only on first use.  No computational-basis matrix is
-formed; the dense rotation out of the stored basis is a test oracle.
+for, and stores the generator as canonical index triplets (``Triplets``,
+made by the one kernel ``canonical``) in the operator basis where that
+state is diagonal: in the eigenbasis every entry comes from one pair of
+nonzero coupling entries, so build_ckg_generator never forms a dense
+d^2 x d^2 array, and attaches gibbs_state(es, w.beta).  A GibbsState is its
+weights in its basis; the dense sigma is formed only on first use.  No
+computational-basis matrix is formed; the dense rotation out of the stored
+basis is a test oracle.  erfc comes from ``math``.
 
 Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.special import erfc, erfcx
+import numpy.ma  # noqa: F401  np.unique imports it on first use: keep that in set-up
+from numpy.polynomial.legendre import leggauss
 
 BOHR_GROUP_TOL = 1e-9
 QUAD_ABS_TOL = 1e-12
@@ -41,6 +43,14 @@ QUAD_PANELS_FINE = 64
 # points per chunk of alpha_quadrature: a chunk's node array holds
 # QUAD_CHUNK * 2 * QUAD_PANELS_FINE * 15 floats
 QUAD_CHUNK = 64
+# entries of the coupling products C that build_ckg_generator holds densely at once
+PRODUCT_CHUNK = 2**20
+# _erfcx sums the asymptotic series from here on (math.erfc underflows at
+# about 26.5); ERFCX_TERMS terms reach double precision there
+ERFCX_FROM = 26.0
+ERFCX_TERMS = 8
+# Veltkamp splitter 2^27 + 1: splits a double into two halves of 26 bits
+_SPLIT = 134217729.0
 
 
 def vec(X):
@@ -50,6 +60,111 @@ def vec(X):
 def unvec(v):
     d = int(round(np.sqrt(v.size)))
     return v.reshape((d, d), order="F")
+
+
+def _csum(index, values, size):
+    """out[k] = sum of the complex ``values`` at ``index`` k, for k < size."""
+    return np.bincount(index, values.real, size) + 1j * np.bincount(index, values.imag, size)
+
+
+class Triplets:
+    """Square sparse matrix in canonical index-triplet form.
+
+    Entry e is ``val[e]`` at (``row[e]``, ``col[e]``) of a ``side`` x ``side``
+    matrix; the entries are sorted by (row, col), each position appears
+    once and no value is an exact zero.  ``canonical`` makes the form from
+    any list of entries and ``Triplets.of`` from a dense matrix.  Sums,
+    differences and scalar multiples go back through ``canonical``.
+    """
+
+    def __init__(self, row, col, val, side):
+        self.row, self.col, self.val, self.side = row, col, val, side
+
+    @classmethod
+    def of(cls, A):
+        """The nonzero entries of the dense square A, in row-major order."""
+        A = np.asarray(A)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"matrix of shape {A.shape} is not square")
+        row, col = np.nonzero(A)
+        return cls(row.astype(np.int32), col.astype(np.int32), A[row, col], A.shape[0])
+
+    @property
+    def shape(self):
+        return (self.side, self.side)
+
+    @property
+    def nnz(self):
+        return self.val.size
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=self.val.dtype)
+        out[self.row, self.col] = self.val
+        return out
+
+    def __matmul__(self, x):
+        """The matrix times the vector x."""
+        return _csum(self.row, self.val * x[self.col], self.side)
+
+    def __neg__(self):
+        return Triplets(self.row, self.col, -self.val, self.side)
+
+    def __sub__(self, other):
+        return add(self, -other)
+
+    def __rmul__(self, scalar):
+        return canonical(self.row, self.col, scalar * self.val, self.side)
+
+
+def sort_order(key, side):
+    """Stable sorting permutation of the int64 ``key`` (values below side^2), and the sorted key.
+
+    While a key and an entry position fit one int64 together, one in-place
+    sort of the packed values does it: the position in the low bits breaks
+    ties in input order.
+    """
+    bits = max(key.size - 1, 0).bit_length()
+    if side * side > 1 << (63 - bits):
+        order = np.argsort(key, kind="stable")
+        return order, key[order]
+    packed = key << bits
+    packed |= np.arange(key.size)
+    packed.sort()
+    order = np.bitwise_and(packed, (1 << bits) - 1)
+    packed >>= bits
+    return order, packed
+
+
+def canonical(row, col, val, side):
+    """Triplets of the side x side matrix with entries val[e] at (row[e], col[e]).
+
+    The one kernel every producer of a sparse generator goes through:
+    entries are sorted by (row, col) on the int64 key row * side + col,
+    duplicates are summed in input order and exact zeros dropped.
+    """
+    order, key = sort_order(np.multiply(row, side, dtype=np.int64) + col, side)
+    val = np.asarray(val)[order]
+    del order
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if not first.all():
+        start = np.flatnonzero(first)
+        length = np.diff(start, append=key.size)
+        for k in range(1, int(length.max())):  # each run summed into its head, in input order
+            head = start[length > k]
+            val[head] += val[head + k]
+        val, key = val[start], key[start]
+    keep = val != 0
+    if not keep.all():
+        val, key = val[keep], key[keep]
+    row, col = np.divmod(key, side)
+    return Triplets(row.astype(np.int32), col.astype(np.int32), val, side)
+
+
+def add(*parts):
+    """The canonical sum of Triplets of one side."""
+    return canonical(np.concatenate([p.row for p in parts]), np.concatenate([p.col for p in parts]),
+                     np.concatenate([p.val for p in parts]), parts[0].side)
 
 
 @dataclass
@@ -127,18 +242,19 @@ class Superoperator:
     """Sparse matrix of a generator L acting on column-stacked observables.
 
     ``sigma`` is the GibbsState L is detailed balanced for, and the matrix
-    is stored as a CSR array (dense input is converted) in the operator
-    basis {U e_i e_j^T U^dag} of U = sigma.basis, where sigma is diagonal:
-    ``local`` is the matrix of X -> U^dag L(U X U^dag) U.  ``apply_adjoint``
-    is the Schrodinger action on states, the Hilbert-Schmidt adjoint of the
-    action on observables.
+    is stored as canonical ``Triplets`` (dense input is converted) in the
+    operator basis {U e_i e_j^T U^dag} of U = sigma.basis, where sigma is
+    diagonal: ``local`` is the matrix of X -> U^dag L(U X U^dag) U.
+    ``apply_adjoint`` is the Schrodinger action on states, the
+    Hilbert-Schmidt adjoint of the action on observables.
     """
 
     def __init__(self, local, sigma: GibbsState):
-        local = sparse.csr_array(local)
-        side = local.shape[0]
+        if not isinstance(local, Triplets):
+            local = Triplets.of(local)
+        side = local.side
         d = int(round(np.sqrt(side)))
-        if local.shape != (side, side) or d * d != side:
+        if d * d != side:
             raise ValueError(f"superoperator matrix of shape {local.shape} is not d^2 x d^2")
         if sigma.basis.shape != (d, d):
             raise ValueError(f"Gibbs state basis of shape {sigma.basis.shape} does not match "
@@ -163,9 +279,9 @@ class Superoperator:
         return self.basis @ Y @ self.basis.conj().T
 
     def apply_adjoint(self, rho):
-        """L^dag(rho), as conj(conj(v) @ local): no conjugate transpose of the matrix is formed."""
-        v = vec(self.to_basis(rho))
-        return self.from_basis(unvec((v.conj() @ self.local).conj()))
+        """L^dag(rho): entry (r, c) of the stored matrix adds conj(val) v[r] to output c."""
+        v, A = vec(self.to_basis(rho)), self.local
+        return self.from_basis(unvec(_csum(A.col, A.val.conj() * v[A.row], A.side)))
 
 
 def eigensystem(H) -> Eigensystem:
@@ -233,23 +349,52 @@ def filter_fhat(omega, beta):
     return out if out.ndim else float(out)
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def erfc(x):
+    """Complementary error function, elementwise through ``math.erfc``."""
+    return np.asarray(_ERFC(np.asarray(x, dtype=float)), dtype=float)
+
+
+def _erfcx(u):
+    """Scaled complementary error function exp(u^2) erfc(u) for u >= 0.
+
+    Below ERFCX_FROM, exp(u^2) is taken as exp(h^2) exp(l (h + u)) with u
+    split into h + l (Veltkamp), so the rounding of u^2 never enters the
+    exponent; beyond it, the asymptotic series
+    1/(u sqrt pi) sum_k (-1)^k (2k-1)!! / (2u^2)^k with ERFCX_TERMS terms.
+    """
+    u = np.asarray(u, dtype=float)
+    near = np.minimum(u, ERFCX_FROM)
+    c = _SPLIT * near
+    h = c - (c - near)
+    out = np.exp(h * h) * np.exp((near - h) * (h + near)) * erfc(near)
+    far = np.maximum(u, ERFCX_FROM)
+    z, term, series = -0.5 / (far * far), np.ones_like(far), np.ones_like(far)
+    for k in range(1, ERFCX_TERMS):
+        term *= (2 * k - 1) * z
+        series += term
+    return np.where(u < ERFCX_FROM, out, series / (far * np.sqrt(np.pi)))
+
+
 def theta(x):
     """Metropolis-weighted filter overlap as a function of x = beta * omega.
 
     theta(x) = 1/2 [ erfc((1+2x)/(2 sqrt 2)) + e^{-x} erfc((1-2x)/(2 sqrt 2)) ].
-    The second term is evaluated through the scaled erfcx when its erfc
-    underflows; the combined exponent -(u - 1/sqrt 2)^2 never overflows.
+    The second term is evaluated through the scaled _erfcx where its erfc
+    argument u is non-negative; the combined exponent -(u - 1/sqrt 2)^2
+    never overflows.
     """
     x = np.asarray(x, dtype=float)
     v = (1.0 + 2.0 * x) / (2.0 * np.sqrt(2.0))
     u = (1.0 - 2.0 * x) / (2.0 * np.sqrt(2.0))
-    term1 = erfc(v)
-    upos = np.maximum(u, 0.0)
-    scaled = np.exp(-((upos - 1.0 / np.sqrt(2.0)) ** 2)) * erfcx(upos)
-    with np.errstate(over="ignore", invalid="ignore"):
-        naive = np.exp(-x) * erfc(u)
-    term2 = np.where(u >= 0.0, scaled, naive)
-    out = 0.5 * (term1 + term2)
+    term2 = np.empty_like(x)
+    neg = u < 0.0  # there x > 1/2, so e^{-x} erfc(u) is evaluated as it stands
+    term2[neg] = np.exp(-x[neg]) * erfc(u[neg])
+    upos = u[~neg]
+    term2[~neg] = np.exp(-((upos - 1.0 / np.sqrt(2.0)) ** 2)) * _erfcx(upos)
+    out = 0.5 * (erfc(v) + term2)
     return out if out.ndim else float(out)
 
 
@@ -283,7 +428,7 @@ def alpha_quadrature(nu1, nu2, w: WeightFunction):
     """
     nu1, nu2 = np.broadcast_arrays(np.asarray(nu1, dtype=float), np.asarray(nu2, dtype=float))
     b = w.beta
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(15)
+    gl_nodes, gl_weights = leggauss(15)
 
     def rule(v1, v2, panels):
         lo = np.minimum(v1, v2)[:, None] - 12.0 / b
@@ -322,12 +467,38 @@ def eigenbasis_entries(S, U):
     return np.where(np.abs(St) > cut, St, 0.0)
 
 
-def _alpha_table(groups, es: Eigensystem, w: WeightFunction):
-    """Symmetric alpha matrix over the given Bohr group ids."""
-    groups = sorted(groups)
-    idx = {g: k for k, g in enumerate(groups)}
-    nus = es.bohr[np.asarray(groups)]
-    return idx, alpha_coeff(nus[:, None], nus[None, :], w)
+def _coupling_products(entries, size):
+    """The nonzero entries (kd, ld, C[kd, ld]) of C = sum_a conj(s_a) s_a^T, a chunk at a time.
+
+    ``entries`` holds one (p, s) pair per coupling: the positions p < size
+    of its nonzero entries and their values s.  Couplings whose positions
+    intersect are clustered; each cluster's C lives on the union P of its
+    positions, and its rows are summed over the cluster's outer products,
+    in coupling order, a chunk of PRODUCT_CHUNK entries of P x P at a time
+    (a zero entry adds nothing, so each sum rounds as over the nonzero
+    products alone).
+    Clusters have disjoint positions, so every entry of C is yielded once.
+    """
+    owner = np.full(size, -1)  # the cluster holding each position, named by its last coupling
+    clusters = {}
+    for a, (p, _) in enumerate(entries):
+        hit = np.unique(owner[p])
+        clusters[a] = sorted([a] + [m for h in hit[hit >= 0].tolist() for m in clusters.pop(h)])
+        for m in clusters[a]:
+            owner[entries[m][0]] = a
+    for members in clusters.values():
+        P = np.unique(np.concatenate([entries[m][0] for m in members]))
+        W = np.zeros((len(members), P.size), dtype=complex)  # the cluster's couplings on P
+        for w, m in zip(W, members):
+            w[np.searchsorted(P, entries[m][0])] = entries[m][1]
+        step = max(1, PRODUCT_CHUNK // P.size)
+        for start in range(0, P.size, step):
+            acc = np.zeros((min(step, P.size - start), P.size), dtype=complex)
+            for w in W:  # one outer product per coupling, summed in coupling order
+                if w[start:start + step].any():
+                    acc += np.multiply.outer(w[start:start + step].conj(), w)
+            r, c = np.nonzero(acc != 0)
+            yield P[start + r], P[c], acc[r, c]
 
 
 def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
@@ -344,70 +515,63 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
       (L_diss X)_{ij} = sum_{kl} alpha(nu_ki, nu_lj) conj(S_ki) X_kl S_lj - ...
 
     and only depends on the couplings through the coupling-summed products
-    C[(k,i),(l,j)] = sum_a conj(S_a[k,i]) S_a[l,j], one sparse product over
-    the nonzero entries of the couplings.  Each stored entry of C is one
-    sandwich entry, at row i + d*j and column k + d*l; the k = l entries
-    also make the anticommutator and coherent cores.
+    C[(k,i),(l,j)] = sum_a conj(S_a[k,i]) S_a[l,j].  Couplings whose nonzero
+    entries sit at the same positions k*d + i share one dense product
+    (``_coupling_products``).  Each nonzero entry of C is one sandwich
+    entry, at row i + d*j and column k + d*l; the k = l entries also make
+    the anticommutator and coherent cores.
     """
     d = es.dim
     for S in couplings:
         if np.asarray(S).shape != (d, d):
             raise ValueError("coupling dimension does not match the Hamiltonian")
     U = es.eigenvectors
-
-    # couplings in the eigenbasis, one per row (entry (k, i) in column k*d + i)
-    rows = [eigenbasis_entries(S, U).reshape(-1) for S in couplings]
-    Sv = sparse.csr_array(np.reshape(rows, (len(rows), d * d)))
     sigma = gibbs_state(es, w.beta)
-    if Sv.nnz == 0:
-        return Superoperator(sparse.csr_array((d * d, d * d), dtype=complex), sigma)
+
+    # couplings in the eigenbasis: positions k*d + i of the nonzero entries, and their values
+    entries = []
+    for S in couplings:
+        s = eigenbasis_entries(S, U).reshape(-1)
+        p = np.flatnonzero(s).astype(np.int32)
+        entries.append((p, s[p]))
     gid = es.gid.reshape(-1)  # Bohr group of nu_ki at k*d + i
-    idx, table = _alpha_table(np.unique(gid[Sv.indices]).tolist(), es, w)
-    # each triplet array below is dropped once consumed: the working set stays
-    # a few arrays of the length of C, with int32 indices while they fit
-    itype = np.int32 if d * d < 2**31 else np.int64
-    slot = np.zeros(es.bohr.size, dtype=itype)
-    for g, s in idx.items():
-        slot[g] = s
+    # the alpha table over the Bohr groups of the nonzero coupling entries
+    used_groups = np.unique(gid[np.concatenate([p for p, _ in entries] + [np.zeros(0, int)])])
+    nus = es.bohr[used_groups]
+    i, j = np.triu_indices(nus.size)  # the table is symmetric: theta on one triangle
+    table = np.empty((nus.size, nus.size))
+    table[i, j] = table[j, i] = alpha_coeff(nus[i], nus[j], w)
+    slot = np.zeros(es.bohr.size, dtype=np.int32)
+    slot[used_groups] = np.arange(used_groups.size)
     slot = slot[gid]  # alpha-table slot of nu_ki at k*d + i
-    nus = es.bohr[sorted(idx)]
     Ktab = (np.tanh(-w.beta * (nus[:, None] - nus[None, :]) / 4.0) / 2.0j) * table
 
-    C = (Sv.conj().T @ Sv).tocoo()
-    kd, ld = C.row.astype(itype, copy=False), C.col.astype(itype, copy=False)  # k*d + i, l*d + j
-    c_val = C.data
-    del C
-    # anticommutator and coherent cores from the k = l entries:
-    # N[i,j] = sum_k alpha[g(k,i), g(k,j)] C[(k,i),(k,j)], G likewise with Ktab[g(k,j), g(k,i)]
-    on = np.nonzero(kd // d == ld // d)[0]
-    a_on, b_on = slot[kd[on]], slot[ld[on]]
-    cell = kd[on] % d + d * (ld[on] % d)
-    used = np.unique(cell)
-    ci, cj = used % d, used // d
-    n_val = table[a_on, b_on] * c_val[on]
-    g_val = Ktab[b_on, a_on] * c_val[on]
-
-    def cell_sum(v):
-        return (np.bincount(cell, v.real, d * d) + 1j * np.bincount(cell, v.imag, d * d))[used]
-
-    M, M2 = cell_sum(-0.5 * n_val + 1j * g_val), cell_sum(-0.5 * n_val - 1j * g_val)
-    # -1/2 {N, X} + i [G, X] = M X + X M2 with M = -N/2 + iG, M2 = -N/2 - iG:
-    # kron(Id, M) puts M[i, j] at (i + d*t, j + d*t) and kron(M2^T, Id) puts
-    # M2[i, j] at (t + d*j, t + d*i), for every t; one COO holds them and the
-    # sandwich entry of C[(k,i),(l,j)] at row i + d*j, column k + d*l
-    n_c, n_core = c_val.size, used.size * d
-    val = np.empty(n_c + 2 * n_core, dtype=complex)
-    np.multiply(table[slot[kd], slot[ld]], c_val, out=val[:n_c])
-    val[n_c:n_c + n_core], val[n_c + n_core:] = np.repeat(M, d), np.repeat(M2, d)
-    del c_val
-    t = np.arange(d, dtype=itype)
-    row = np.concatenate([kd % d + d * (ld % d), (ci[:, None] + d * t).ravel(),
-                          (t + d * cj[:, None]).ravel()])
-    col = np.concatenate([kd // d + d * (ld // d), (cj[:, None] + d * t).ravel(),
-                          (t + d * ci[:, None]).ravel()])
-    del kd, ld
-    L = sparse.coo_array((val, (row, col)), shape=(d * d, d * d))
-    del val, row, col
-    L = L.tocsr()
-    L.eliminate_zeros()
-    return Superoperator(L, sigma)
+    # the anticommutator and coherent cores come from the k = l entries:
+    # N[i,j] = sum_k alpha[g(k,i), g(k,j)] C[(k,i),(k,j)], G likewise with
+    # Ktab[g(k,j), g(k,i)]; M = -N/2 + iG and M2 = -N/2 - iG are summed at
+    # cell i + d*j
+    rows, cols, vals = [], [], []
+    on_entries = [(np.zeros(0, np.int32),) * 2 + (np.zeros(0, complex),) * 2]
+    for kd, ld, c_val in _coupling_products(entries, d * d):  # k*d + i, l*d + j, C
+        on = np.nonzero(kd // d == ld // d)[0]
+        a_on, b_on = slot[kd[on]], slot[ld[on]]
+        n_val, g_val = table[a_on, b_on] * c_val[on], Ktab[b_on, a_on] * c_val[on]
+        on_entries.append((kd[on], kd[on] % d + d * (ld[on] % d), n_val, g_val))
+        rows.append(kd % d + d * (ld % d))
+        cols.append(kd // d + d * (ld // d))
+        vals.append(table[slot[kd], slot[ld]] * c_val)
+    kd, cell, n_val, g_val = map(np.concatenate, zip(*on_entries))
+    order = np.argsort(kd, kind="stable")  # each cell summed over k in ascending order
+    cell, n_val, g_val = cell[order], n_val[order], g_val[order]
+    M = _csum(cell, -0.5 * n_val + 1j * g_val, d * d)
+    M2 = _csum(cell, -0.5 * n_val - 1j * g_val, d * d)
+    used = np.zeros(d * d, dtype=bool)
+    used[cell] = True
+    cells = np.flatnonzero(used).astype(np.int32)
+    ci, cj = cells % d, cells // d
+    t = np.arange(d, dtype=np.int32)
+    rows += [(ci[:, None] + d * t).ravel(), (t + d * cj[:, None]).ravel()]
+    cols += [(cj[:, None] + d * t).ravel(), (t + d * ci[:, None]).ravel()]
+    vals += [np.repeat(M[cells], d), np.repeat(M2[cells], d)]
+    return Superoperator(canonical(np.concatenate(rows), np.concatenate(cols),
+                                   np.concatenate(vals), d * d), sigma)

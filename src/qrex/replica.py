@@ -21,8 +21,9 @@ labeled eigensystem of H (x) I + I (``swap_generator_generic``).
 The local_A joint generator (``build_replica_exchange_generator``) is
 assembled in the same labeled basis: the system piece is built from the
 eigensystem of H in the system factor of that basis, the auxiliary piece in
-the A-side eigenbasis, and the sparse pieces are summed through ``lift``, a
-``scipy.sparse.kron`` with the identity of the other factor.  The joint
+the A-side eigenbasis, and the pieces are summed by ``lindblad.add``; ``lift``
+puts a piece on one factor by index arithmetic on its triplets (a kron with
+the identity of the other factor, never formed).  The joint
 Gibbs state is diagonal there (``joint_gibbs``), and the swap and local_A
 generators carry it as their ``sigma``, so KMS products on the joint space
 are Euclidean products of vectors scaled by ``spectral.kms_scaling``; the
@@ -35,16 +36,19 @@ Gibbs state ``global_gibbs``, which is diagonal there.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from numpy.random import default_rng
 
 from .hamiltonians import CutReport, check_commuting_cut, simultaneous_eigenbasis
 from .lindblad import (
     Eigensystem,
     GibbsState,
     Superoperator,
+    Triplets,
     WeightFunction,
+    add,
     alpha_coeff,
     build_ckg_generator,
+    canonical,
     eigensystem_from_pairs,
     gibbs_state,
     vec,
@@ -148,7 +152,7 @@ def joint_structure(spec) -> JointStructure:
 
 
 def _swap_superop_labeled(js: JointStructure, beta):
-    """Swap generator on observables in the labeled |i_A j_B m_A> basis, as CSR."""
+    """Swap generator on observables in the labeled |i_A j_B m_A> basis, as Triplets."""
     d = js.joint_dim
     ws = js.swap_frequencies()
     coeff = alpha_coeff(ws[:, None], ws[None, :], WeightFunction("metropolis", beta))
@@ -161,7 +165,7 @@ def _swap_superop_labeled(js: JointStructure, beta):
     th = np.diagonal(coeff)
     vals = np.concatenate([coeff[i, j], -0.5 * (th[i] + th[j])])
     cols = np.concatenate([p[i] + d * p[j], r])
-    return sparse.coo_array((vals, (np.concatenate([r, r]), cols)), shape=(d * d, d * d)).tocsr()
+    return canonical(np.concatenate([r, r]), cols, vals, d * d)
 
 
 def swap_generator_closed_form(js: JointStructure, beta) -> Superoperator:
@@ -202,20 +206,26 @@ def swap_generator_generic(js: JointStructure, beta) -> Superoperator:
     return build_ckg_generator(es, [swap_unitary_original(js)], WeightFunction("metropolis", beta))
 
 
-def lift(M, dims, factor):
-    """CSR matrix of L on one factor of C^dims[0] (x) C^dims[1], identity on the other.
+def lift(M: Triplets, dims, factor):
+    """Triplets of L on one factor of C^dims[0] (x) C^dims[1], identity on the other.
 
     ``M`` is the matrix of L on factor ``factor`` (0 or 1).  The lift is the
     kron of M with the identity superoperator of the other factor, whose
-    index r1 * d2^2 + r2 (r1 = i + d1*j, r2 = c + d2*b) is relabeled to the
-    joint vec index (i*d2 + c) + d1*d2*(j*d2 + b).
+    index pair (r1, r2), r1 = i + d1*j and r2 = c + d2*b, is relabeled to
+    the joint vec index (i*d2 + c) + d1*d2*(j*d2 + b) = J1[r1] + J2[r2]:
+    each entry of M is repeated along the diagonal of the other factor.
     """
     d1, d2 = dims
-    eye = sparse.eye_array(dims[1 - factor] ** 2)
-    K = sparse.kron(*((M, eye) if factor == 0 else (eye, M)), format="coo")
-    j, i, b, c = np.indices((d1, d1, d2, d2)).reshape(4, -1)  # kron index, C order
-    joint = (i * d2 + c) + d1 * d2 * (j * d2 + b)
-    return sparse.coo_array((K.data, (joint[K.row], joint[K.col])), shape=K.shape).tocsr()
+    r1, r2 = np.arange(d1 * d1), np.arange(d2 * d2)
+    J1 = (r1 % d1) * d2 + d1 * d2 * d2 * (r1 // d1)
+    J2 = r2 % d2 + d1 * d2 * (r2 // d2)
+    if factor == 0:
+        row, col = J1[M.row][:, None] + J2, J1[M.col][:, None] + J2
+        val = np.repeat(M.val, J2.size)
+    else:
+        row, col = J1[:, None] + J2[M.row], J1[:, None] + J2[M.col]
+        val = np.tile(M.val, J1.size)
+    return canonical(row.ravel(), col.ravel(), val, (d1 * d2) ** 2)
 
 
 def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> Superoperator:
@@ -233,8 +243,8 @@ def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> S
     L1 = build_ckg_generator(js.system_es, single_site_paulis(js.n), w)
     es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a)
     L2 = build_ckg_generator(es2, single_site_paulis(js.n_a), w)
-    M = (_swap_superop_labeled(js, w.beta) + lift(L1.local, (d_n, js.d_a), 0)
-         + lift(L2.local, (d_n, js.d_a), 1))
+    M = add(_swap_superop_labeled(js, w.beta), lift(L1.local, (d_n, js.d_a), 0),
+            lift(L2.local, (d_n, js.d_a), 1))
     return Superoperator(M, joint_gibbs(js, w.beta))
 
 
@@ -277,8 +287,8 @@ def build_global_replica_generator(es: Eigensystem, w: WeightFunction, beta2) ->
     es_swap = eigensystem_from_pairs((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1),
                                      sigma.basis)
     swap = local_swap_unitary(d_n, 1)
-    M = (build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).local
-         + lift(L1.local, (d_n, d_n), 0) + lift(L2.local, (d_n, d_n), 1))
+    M = add(build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).local,
+            lift(L1.local, (d_n, d_n), 0), lift(L2.local, (d_n, d_n), 1))
     return Superoperator(M, sigma)
 
 
@@ -304,13 +314,15 @@ def _random_off_a(rng, d_a, d_b, b_part):
 
 
 def _sector_basis(js: JointStructure, phi):
-    """Orthonormal basis of Phi(K (x) I_A) in vec coordinates of the labeled basis, as CSC.
+    """Orthonormal basis of Phi(K (x) I_A) in vec coordinates of the labeled basis.
 
     Columns: Phi of |i><i| (x) I_B (x) I_A for each i, then of
     |i><i'| (x) |b><v| (x) I_A for i != i' and all b, v.  Each has entries
     phi[r] at the vec indices r = e + D*e' of its (row e, column e') pairs.
     The supports are disjoint, so normalizing each column makes the basis
-    orthonormal.
+    orthonormal.  Returns ``column`` and ``entry``, the column holding each
+    vec index (-1 outside the sector) and the basis entry there, and the
+    number of columns.
     """
     d_a, D = js.d_a, js.joint_dim
     e = np.arange(D).reshape(d_a, js.d_b, d_a)  # labeled joint index e(a, b, c)
@@ -322,7 +334,9 @@ def _sector_basis(js: JointStructure, phi):
                            d_a + np.repeat(np.arange(off.shape[0]), d_a)])
     vals = phi[rows]
     norm = np.sqrt(np.bincount(cols, vals**2))
-    return sparse.csc_array((vals / norm[cols], (rows, cols)), shape=(D * D, norm.size))
+    column, entry = np.full(D * D, -1), np.zeros(D * D)
+    column[rows], entry[rows] = cols, vals / norm[cols]
+    return column, entry, norm.size
 
 
 def swap_sector_analysis(js: JointStructure, swap, seed=42):
@@ -344,15 +358,20 @@ def swap_sector_analysis(js: JointStructure, swap, seed=42):
     d_a, d_b = js.d_a, js.d_b
     sigma = swap.sigma
     Lhat, phi = symmetrize(swap), kms_scaling(sigma)
-    Q = _sector_basis(js, phi)
-    R = -(Q.T @ (Lhat @ Q)).toarray()
+    # Q^T L_hat Q for the basis Q of disjoint column supports: a gather of
+    # the entries of L_hat with both indices in the sector
+    column, entry, size = _sector_basis(js, phi)
+    r, c = column[Lhat.row], column[Lhat.col]
+    e = (r >= 0) & (c >= 0)
+    R = np.zeros((size, size), dtype=complex)
+    np.add.at(R, (r[e], c[e]), -entry[Lhat.row[e]] * Lhat.val[e] * entry[Lhat.col[e]])
     evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
     scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
     kernel_dim = int(np.sum(evals <= KERNEL_TOL * scale))
     eye_b, eye_a = np.eye(d_b), np.eye(d_a)
 
     # cross terms of the diagonal/off-diagonal decompositions
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     worst = {"diagA_vs_offA": 0.0, "offA_vs_diagA": 0.0,
              "offdiagB_vs_offoffB": 0.0, "offoffB_vs_offdiagB": 0.0}
     for _ in range(10):
@@ -372,7 +391,7 @@ def swap_sector_analysis(js: JointStructure, swap, seed=42):
             worst[key] = max(worst[key], abs(np.vdot(xl, Lhat @ xr)) / max(norm * scale, 1e-300))
 
     # Rayleigh quotients on the three kernel sectors
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     def quotient(X):
         x = phi * vec(X)
@@ -394,7 +413,7 @@ def swap_sector_analysis(js: JointStructure, swap, seed=42):
         "restricted_kernel_dim": kernel_dim,
         "restricted_evals_head": [float(v) for v in evals[:5]],
         "cross_term_residuals": worst,
-        "sector_dim": Q.shape[1],
+        "sector_dim": size,
         "kms_norm": float(scale),
         "sector_minima": {k: float(v) for k, v in mins.items()},
         "threshold": float(threshold),

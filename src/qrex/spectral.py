@@ -12,8 +12,9 @@ energy eigenbasis, the closed-form swap and local_A joint generators (with
 (with ``replica.global_gibbs``) in U (x) U.  There Phi is the diagonal
 scaling diag(phi) L diag(1/phi) of the sparse stored matrix
 (Chen-Kastoryano-Gilyen, arXiv:2311.09207), so ``symmetrize`` forms L_hat
-as a CSR array with the pattern of L.  L is detailed balanced exactly when
-L_hat is Hermitian, so that residual is the detailed-balance check.
+as canonical ``Triplets`` with the pattern of L.  L is detailed balanced
+exactly when L_hat is Hermitian, so that residual is the detailed-balance
+check; it is taken from the entry pairs (i, j) and (j, i).
 
 Every eigensolve of L_hat goes through ``block_eigh``: single-site jumps in
 a basis where H is diagonal leave most entries of L_hat exactly zero, and
@@ -29,9 +30,15 @@ generators, is read off one generator: ``a_diagonal_restriction_gap``.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from numpy.random import default_rng
 
-from .lindblad import Superoperator, WeightFunction, build_ckg_generator
+from .lindblad import (
+    Superoperator,
+    Triplets,
+    WeightFunction,
+    build_ckg_generator,
+    sort_order,
+)
 from .pauli import single_site_paulis
 
 KERNEL_TOL = 1e-9
@@ -69,33 +76,57 @@ def kms_scaling(sigma):
 
 
 def symmetrize(L: Superoperator):
-    """Hermitian matrix of Phi o L o Phi^(-1), as CSR in the basis L is stored in.
+    """Hermitian matrix of Phi o L o Phi^(-1), as Triplets in the basis L is stored in.
 
     L is stored in the basis its Gibbs state L.sigma is diagonal in; there
     Phi is the diagonal scaling diag(phi) L diag(1/phi) with
     phi = kms_scaling(L.sigma).  Raises ValueError when the Hermiticity
     residual of L_hat exceeds HERMITICITY_TOL (L is not detailed balanced).
     """
-    phi = kms_scaling(L.sigma)
-    Lhat = sparse.diags_array(phi) @ L.local @ sparse.diags_array(1.0 / phi)
-    Lhat, herm = _hermitian_part(Lhat)
+    A, phi = L.local, kms_scaling(L.sigma)
+    scaled = phi[A.row] * A.val
+    scaled *= (1.0 / phi)[A.col]
+    Lhat, herm = _hermitian_part(Triplets(A.row, A.col, scaled, A.side))
     if herm > HERMITICITY_TOL:
         raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
                          f"L_hat {herm:.2e})")
     return Lhat
 
 
-def _hermitian_part(A):
-    """(A + A^dag) / 2 of the sparse square A, and ||A - A^dag|| / max(1, ||A||).
+def _hermitian_part(A: Triplets):
+    """(A + A^dag) / 2 of the Triplets A, and ||A - A^dag|| / max(1, ||A||).
 
     Entry (i, j) of the result is (a_ij + conj(a_ji)) / 2 and entry (j, i)
-    its conjugate, so the result is exactly Hermitian.
+    its conjugate, so the result is exactly Hermitian.  The partner (j, i)
+    of each entry is found among the entries sorted by (col, row); an entry
+    without one (a lone entry) adds its mirror conj(a_ij) / 2 at (j, i).
     """
-    Ah = A.conj().T
-    resid = np.linalg.norm((A - Ah).data) / max(1.0, np.linalg.norm(A.data))
-    H = A + Ah
-    H *= 0.5
-    return H, float(resid)
+    side, val = A.side, A.val
+    key = np.multiply(A.row, side, dtype=np.int64) + A.col
+    tkey = np.multiply(A.col, side, dtype=np.int64) + A.row  # key of the mirror position
+    by_t, tkey = sort_order(tkey, side)
+    # where the mirror of each entry sits among the sorted tkey: a symmetric
+    # pattern sorts tkey into key itself
+    at = np.arange(key.size) if np.array_equal(tkey, key) else \
+        np.minimum(np.searchsorted(tkey, key), max(key.size - 1, 0))
+    mirror = val[by_t[at]].conj()
+    lone = tkey[at] != key
+    del at
+    mirror[lone] = 0.0
+    resid = np.hypot(np.linalg.norm(val - mirror), np.linalg.norm(val[lone]))
+    h = mirror  # (val + mirror) / 2, in place
+    h += val
+    h *= 0.5
+    row, col = A.row, A.col
+    if lone.any():  # the mirrors of lone entries are new positions, in the order of tkey
+        new = lone[by_t]
+        place = np.searchsorted(key, tkey[new])
+        key = np.insert(key, place, tkey[new])
+        h = np.insert(h, place, 0.5 * val[by_t[new]].conj())
+        row, col = (x.astype(np.int32) for x in np.divmod(key, side))
+    keep = h != 0
+    H = Triplets(row[keep], col[keep], h[keep], side)
+    return H, float(resid / max(1.0, np.linalg.norm(val)))
 
 
 def _component_labels(n, rows, cols):
@@ -117,16 +148,16 @@ def _blocks(A):
 
     Entry (i, j) links i and j whichever triangle it sits in (weak
     connectivity), so the blocks are those of one simultaneous row/column
-    permutation, also for a non-Hermitian A.  A is dense or sparse.  Returns
-    one (idx, sub) pair per distinct component size b: ``idx`` is the (k, b)
-    array of the indices of k components, ascending within a row, and
-    ``sub`` the dense (k, b, b) stack of the blocks A[i][:, i], i = idx[c].
+    permutation, also for a non-Hermitian A.  A is dense or Triplets.
+    Returns one (idx, sub) pair per distinct component size b: ``idx`` is
+    the (k, b) array of the indices of k components, ascending within a
+    row, and ``sub`` the dense (k, b, b) stack of the blocks A[i][:, i],
+    i = idx[c].
     """
-    A = sparse.coo_array(A)
-    A.sum_duplicates()
-    nz = A.data != 0
-    rows, cols, vals = A.row[nz], A.col[nz], A.data[nz]
-    n = A.shape[0]
+    if not isinstance(A, Triplets):
+        A = Triplets.of(A)
+    rows, cols, vals = A.row, A.col, A.val
+    n = A.side
     label = _component_labels(n, rows, cols)
     sizes = np.bincount(label)
     order = np.argsort(label, kind="stable")
@@ -138,7 +169,7 @@ def _blocks(A):
         comps = np.nonzero(sizes == b)[0]
         slot = np.empty(sizes.size, dtype=np.int64)
         slot[comps] = np.arange(comps.size)
-        sub = np.zeros((comps.size, b, b), dtype=A.dtype)
+        sub = np.zeros((comps.size, b, b), dtype=vals.dtype)
         mine = sizes[label[rows]] == b
         r, c = rows[mine], cols[mine]
         sub[slot[label[r]], pos[r], pos[c]] = vals[mine]
@@ -147,7 +178,7 @@ def _blocks(A):
 
 
 def block_eigh(A, vectors=True):
-    """Eigendecomposition of the Hermitian A (dense or sparse), one batched eigh per block size.
+    """Eigendecomposition of the Hermitian A (dense or Triplets), one batched eigh per block size.
 
     Returns a list of (idx, w, V), one per distinct block size b: ``idx`` is
     the (k, b) array of the indices of k blocks, ``w`` their (k, b) ascending
@@ -249,7 +280,7 @@ def gap_composition_suite(seed=42, n_instances=200, dim=6):
     decides them with stacked eigh/eigvalsh/qr.  Returns a report with
     per-case violation counts and worst margins.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n = n_instances
     cases = {}
 
@@ -307,8 +338,8 @@ def a_diagonal_restriction_gap(js, w: WeightFunction):
     of the main theorem, at the temperature ``w.beta``.  The generator is
     built in the product labels |i_A j_B> of the caller's
     replica.JointStructure ``js``, which diagonalize H, so L_hat is a sparse
-    scaling and the A-diagonal rows and columns are gathered from it
-    directly.
+    scaling, and its principal submatrix on the A-diagonal vec indices is
+    kept, renumbered in order.
     """
     es = js.system_es
     couplings = single_site_paulis(js.n, sites=js.cut.perm_order[js.n_a:])
@@ -316,5 +347,8 @@ def a_diagonal_restriction_gap(js, w: WeightFunction):
     d = es.dim
     a_label = np.arange(d) // js.d_b  # A label of each stored basis index
     r = np.arange(d * d)  # vec index r = i + d*j
-    keep = np.nonzero(a_label[r % d] == a_label[r // d])[0]
-    return gap_from_eigenvalues(block_eigvalsh(-Lhat[keep][:, keep])).gap
+    keep = a_label[r % d] == a_label[r // d]
+    new = (np.cumsum(keep) - 1).astype(np.int32)  # place of each kept index
+    e = keep[Lhat.row] & keep[Lhat.col]
+    sub = Triplets(new[Lhat.row[e]], new[Lhat.col[e]], -Lhat.val[e], int(keep.sum()))
+    return gap_from_eigenvalues(block_eigvalsh(sub)).gap

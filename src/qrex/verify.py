@@ -5,7 +5,7 @@ returns (name, passed, detail).  Failures carry the measured number so a
 regression is diagnosable from the report alone.
 
 The closed-form and generic swap generators are both stored in the labeled
-|i_A j_B m_A> basis, so they are compared as sparse matrices with no basis
+|i_A j_B m_A> basis, so they are compared as sparse triplets with no basis
 change; the gap-composition suite draws its instances as stacks; the
 scalar inequalities are checked as arrays.  Each generator carries its
 Gibbs state and is symmetrized and decomposed once, and the swap generator
@@ -13,7 +13,7 @@ is built once.
 """
 
 import numpy as np
-from scipy.special import erfc
+from numpy.random import default_rng
 
 from .classical import (
     bottleneck_ratio,
@@ -31,6 +31,7 @@ from .lindblad import (
     build_ckg_generator,
     eigenbasis_entries,
     eigensystem,
+    erfc,
     theta,
 )
 from .mixing import SpectralPropagator, chi_square_rate_fit, trace_norm
@@ -69,7 +70,7 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("hamiltonians.commuting_cut", cut.holds and bound_ok,
                           f"holds={cut.holds} K*Vmax={cut.k_count * cut.v_max}"))
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
     H4 = assemble_dense(defected_ising_1d(4, 2.0))
@@ -136,7 +137,7 @@ def run_verification(seed=42, beta=1.0):
 
     swap_closed = swap_generator_closed_form(js3, beta)
     swap_generic = swap_generator_generic(js3, beta)
-    # both are stored in the labeled basis, so their sparse matrices compare directly
+    # both are stored in the labeled basis, so their triplets compare directly
     same_basis = np.array_equal(swap_closed.basis, swap_generic.basis)
     rel = (spectral_norm(swap_closed.local - swap_generic.local)
            / spectral_norm(swap_generic.local))

@@ -47,6 +47,11 @@ as test oracles only:
 * ``component_labels_csgraph`` and ``blocks_csgraph`` label the connected
   components of a pattern with ``scipy.sparse.csgraph``;
   ``qrex.spectral._component_labels`` hooks and jumps pointers in numpy.
+* ``csr_entries``, ``lift_kron`` and ``hermitian_part_csr`` are the
+  scipy.sparse expressions that ``qrex.lindblad.canonical``,
+  ``qrex.replica.lift`` and ``qrex.spectral._hermitian_part`` replace:
+  ``coo_array(...).tocsr()`` with its zeros eliminated, the relabeled
+  ``sparse.kron`` with an identity, and ``(A + A^dag) / 2`` of a CSR array.
 
 * ``kron_all`` builds a Pauli string as a product of Kronecker factors;
   ``qrex.pauli.pauli_string_matrix`` scatters its d phases directly.
@@ -85,6 +90,7 @@ from qrex.lindblad import (
     QUAD_PANELS,
     QUAD_PANELS_FINE,
     Eigensystem,
+    Triplets,
     WeightFunction,
     alpha_coeff,
     build_ckg_generator,
@@ -189,8 +195,8 @@ def _b_position_couplings(n_a, n_b):
     return single_site_paulis(n_a + n_b, sites=range(n_a, n_a + n_b))
 
 
-def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=77, js=None):
-    """Factorization, fixed point, and gap of the pinned-A generators.
+def partial_lindbladian_check(spec, w: WeightFunction, n_random=10, seed=77, js=None):
+    """Factorization, fixed point, and gap of the pinned-A generators at the temperature w.beta.
 
     For every A-eigenvector the generator built from B-site couplings must
     factor through the compressed Hamiltonian <i_A|H|i_A>, its fixed point
@@ -215,7 +221,7 @@ def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=7
     es_full = eigensystem_from_pairs(lam, W)
     L_b = build_ckg_generator(es_full, _b_position_couplings(n_a, n_b), w)
     # unnormalized exp(-beta H) for the compressed-Gibbs comparison
-    expH = (W * np.exp(-beta * (lam - lam.min()))) @ W.conj().T
+    expH = (W * np.exp(-w.beta * (lam - lam.min()))) @ W.conj().T
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -231,7 +237,7 @@ def partial_lindbladian_check(spec, beta, w: WeightFunction, n_random=10, seed=7
             lhs = apply(L_b, np.kron(proj, O))
             rhs = np.kron(proj, apply(L_i, O))
             resid = max(resid, np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
-        sigma_i = gibbs_state(es_i, beta)
+        sigma_i = gibbs_state(es_i, w.beta)
         comp = compress_onto(expH, v, ((tuple(range(n_a))), tuple(range(n_a, n))), n)
         comp = comp / np.trace(comp)
         sv = np.linalg.svd(sigma_i.sigma - comp, compute_uv=False)
@@ -277,7 +283,7 @@ def swap_only_kernel_analysis(js, beta, seed=42, n_random=10):
     S = swap_generator_closed_form(js, beta)
     sigma = S.sigma
     M, s3 = S.local, sigma.weights
-    Lhat = symmetrize(S)
+    Lhat = symmetrize(S).toarray()
     phi = kms_scaling(sigma)
 
     def e_op(mat):
@@ -402,7 +408,7 @@ def detailed_balance_residual(L, n_pairs=20, seed=2024):
     if sigma.lambda_min <= 0:
         raise ValueError("sigma must be full rank")
     d = L.dim
-    norm_est = _superop_norm_estimate(L.local)  # the basis change is unitary
+    norm_est = _superop_norm_estimate(L.local.toarray())  # the basis change is unitary
     if norm_est == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -531,7 +537,8 @@ def blocks_csgraph(A):
     Components of each size are stacked in label order, their indices
     ascending, and each block is cut from the dense A.
     """
-    A = sparse.coo_array(A)
+    A = sparse.coo_array((A.val, (A.row, A.col)), shape=A.shape) if isinstance(A, Triplets) \
+        else sparse.coo_array(A)
     A.sum_duplicates()
     nz = A.data != 0
     label = component_labels_csgraph(A.shape[0], A.row[nz], A.col[nz])
@@ -542,6 +549,33 @@ def blocks_csgraph(A):
         idx = np.array([m for m in members if m.size == b])
         out.append((idx, np.stack([dense[np.ix_(m, m)] for m in idx])))
     return out
+
+
+def csr_entries(row, col, val, side):
+    """(row, col, val) of coo_array((val, (row, col))).tocsr() with its exact zeros eliminated."""
+    A = sparse.coo_array((val, (row, col)), shape=(side, side)).tocsr()
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return np.repeat(np.arange(side), np.diff(A.indptr)), A.indices, A.data
+
+
+def lift_kron(M, dims, factor):
+    """The dense matrix of ``qrex.replica.lift``: a sparse kron of M with the identity, relabeled."""
+    d1, d2 = dims
+    eye = sparse.eye_array(dims[1 - factor] ** 2)
+    K = sparse.kron(*((M, eye) if factor == 0 else (eye, M)), format="coo")
+    j, i, b, c = np.indices((d1, d1, d2, d2)).reshape(4, -1)  # kron index, C order
+    joint = (i * d2 + c) + d1 * d2 * (j * d2 + b)
+    return sparse.coo_array((K.data, (joint[K.row], joint[K.col])), shape=K.shape).toarray()
+
+
+def hermitian_part_csr(A):
+    """(A + A^dag) / 2 and ||A - A^dag|| / max(1, ||A||) of the scipy CSR array A, dense."""
+    Ah = A.conj().T
+    resid = np.linalg.norm((A - Ah).data) / max(1.0, np.linalg.norm(A.data))
+    H = A + Ah
+    H *= 0.5
+    return H.toarray(), float(resid)
 
 
 def kron_all(mats):

@@ -113,7 +113,7 @@ def test_04_replica_exchange_acceleration():
         js = joint_structure(spec)
         gaps_re[J] = spectral_gap(build_replica_exchange_generator(js, GG)).gap
         gaps_single[J] = spectral_gap(single_generator(J, GM)).gap
-        part = partial_lindbladian_check(spec, BETA, GG)
+        part = partial_lindbladian_check(spec, GG)
         cut = check_commuting_cut(spec)
         d_a = 2 ** len(spec.partition[0])
         bound = 0.25 * min(part["g_b"], 1.0) / (d_a * np.exp(4 * BETA * cut.k_count * cut.v_max))
@@ -154,9 +154,9 @@ def test_06_kernel_characterization():
 
 
 def test_07_partial_lindbladian_suite():
-    ising = partial_lindbladian_check(defected_ising_1d(4, 3.0), BETA, GM)
+    ising = partial_lindbladian_check(defected_ising_1d(4, 3.0), GM)
     heis_spec = defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 4.0)
-    heisen = partial_lindbladian_check(heis_spec, 0.05, WeightFunction("metropolis", 0.05))
+    heisen = partial_lindbladian_check(heis_spec, WeightFunction("metropolis", 0.05))
     announce(7, "partial Lindbladian suite",
              ising["max_factorization_residual"] < 1e-9
              and ising["max_fixed_point_mismatch"] < 1e-10

@@ -201,7 +201,7 @@ class TestSweepGB:
     @pytest.mark.parametrize("J", [1.0, 5.0])
     def test_ring_g_b_matches_pinned_oracle(self, n, J):
         rec = self.point({"model": "defected_ising", "n": n, "J": J}, 1.0, J)
-        oracle = partial_lindbladian_check(defected_ising_1d(n, J), 1.0, WeightFunction("gaussian", 1.0))
+        oracle = partial_lindbladian_check(defected_ising_1d(n, J), WeightFunction("gaussian", 1.0))
         assert rec["g_B"] == pytest.approx(oracle["g_b"], rel=1e-12)
 
     def test_heisenberg_grid_g_b_matches_pinned_oracle(self):
@@ -209,7 +209,7 @@ class TestSweepGB:
                   "defect_edge": [0, 3], "J": 4.0}
         rec = self.point(system, 0.05, 4.0)
         spec = defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 4.0)
-        oracle = partial_lindbladian_check(spec, 0.05, WeightFunction("gaussian", 0.05))
+        oracle = partial_lindbladian_check(spec, WeightFunction("gaussian", 0.05))
         assert rec["g_B"] == pytest.approx(oracle["g_b"], rel=1e-12)
         # the grid's A-first site order (0, 3, 1, 2, 4, 5) is not the identity, so these
         # pinned gaps (from the dense permutation-matrix route) guard the index permutation

@@ -11,20 +11,28 @@ import pytest
 
 import qrex
 
-# modules that no scenario needs: the package imports none of the first three
-# (scipy.linalg is checked in the source too), and only ``--parallel`` above 1
+# packages that no scenario needs, with their submodules: the package imports
+# no scipy (checked in the source too), and only ``--parallel`` above 1
 # starts a process pool
-UNNEEDED = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
-            "concurrent.futures.process")
+UNNEEDED = ("scipy", "concurrent.futures.process")
 
 RUN_ALL = """
 import contextlib, io, json, sys
+unneeded = json.loads(sys.argv[2])
+if len(sys.argv) > 3:
+    class Refuse:
+        # a meta path finder that makes every unneeded package unimportable
+        def find_spec(self, name, path=None, target=None):
+            if any(name == u or name.startswith(u + ".") for u in unneeded):
+                raise ImportError(f"{name} is refused")
+    sys.meta_path.insert(0, Refuse())
 from qrex.cli import main
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps({"codes": codes, "loaded": sorted(set(json.loads(sys.argv[2])) & set(sys.modules))}))
+loaded = [m for m in sys.modules if any(m == u or m.startswith(u + ".") for u in unneeded)]
+print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
 """
 
 
@@ -41,18 +49,32 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
-def test_scenarios_leave_unneeded_modules_unloaded(tmp_path):
+def scenario_runs(tmp_path):
+    """CLI argument lists for every scenario, the sweep in local_A and global mode."""
     ring = {"model": "defected_ising", "n": 3, "J": 3.0}
     single = write_config(tmp_path, "single", {"system": ring, "replica": {"mode": "none"}})
-    sweep = write_config(tmp_path, "sweep", {"system": ring, "replica": {"mode": "local_A"},
-                                             "sweep": {"param": "J", "values": [1.0, 5.0]}})
-    runs = [["gap", "--config", single], ["sweep", "--config", sweep],
-            ["mixing", "--config", single], ["verify"], ["theta"], ["classical"]]
+    sweeps = [write_config(tmp_path, f"sweep_{mode}", {
+        "system": ring, "replica": {"mode": mode, "beta2": 0.5},
+        "sweep": {"param": "J", "values": [1.0, 5.0]}}) for mode in ("local_A", "global")]
+    return [["gap", "--config", single], ["sweep", "--config", sweeps[0]],
+            ["sweep", "--config", sweeps[1]], ["mixing", "--config", single], ["verify"],
+            ["theta"], ["classical"]]
+
+
+def test_scenarios_leave_unneeded_modules_unloaded(tmp_path):
+    runs = scenario_runs(tmp_path)
     proc = run_qrex(["-c", RUN_ALL, json.dumps(runs), json.dumps(UNNEEDED)])
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * len(runs)
     assert result["loaded"] == []
+
+
+def test_scenarios_run_with_scipy_unimportable(tmp_path):
+    runs = scenario_runs(tmp_path)
+    proc = run_qrex(["-c", RUN_ALL, json.dumps(runs), json.dumps(["scipy"]), "refuse"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * len(runs), "loaded": []}
 
 
 def test_unresolvable_gap_exits_four_without_traceback(tmp_path):
@@ -70,8 +92,8 @@ def test_unresolvable_gap_exits_four_without_traceback(tmp_path):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
-def scipy_linalg_imports(tree):
-    """Line numbers of the imports of scipy.linalg (or a submodule) in a parsed module."""
+def scipy_linalg_imports(tree, package="scipy.linalg"):
+    """Line numbers of the imports of ``package`` (or a submodule) in a parsed module."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -80,7 +102,7 @@ def scipy_linalg_imports(tree):
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+        if any(name == package or name.startswith(package + ".") for name in names):
             lines.append(node.lineno)
     return lines
 
@@ -91,6 +113,14 @@ def test_package_source_never_imports_scipy_linalg():
     found = {path.name: scipy_linalg_imports(ast.parse(path.read_text(), str(path)))
              for path in sources}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_package_source_never_imports_scipy():
+    sources = sorted(pathlib.Path(qrex.__file__).parent.glob("*.py"))
+    found = {path.name: scipy_linalg_imports(ast.parse(path.read_text(), str(path)), "scipy")
+             for path in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert scipy_linalg_imports(ast.parse("from scipy import sparse"), "scipy") == [1]
 
 
 @pytest.mark.parametrize("source", ["import scipy.linalg", "import scipy.linalg as sl",

@@ -4,6 +4,7 @@ from scipy.special import erfc
 
 from qrex.hamiltonians import assemble_dense, defected_ising_1d
 from qrex.lindblad import (
+    Triplets,
     WeightFunction,
     alpha_coeff,
     alpha_quadrature,
@@ -110,7 +111,7 @@ class TestSuperopLifts:
         A = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
         B = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
         M = np.kron(B.T, A)  # map X -> A X B
-        lifted = lift(M, (d1, d2), 0)
+        lifted = lift(Triplets.of(M), (d1, d2), 0)
         Xj = rng.standard_normal((d1 * d2, d1 * d2)) + 1j * rng.standard_normal((d1 * d2, d1 * d2))
         direct = np.kron(A, np.eye(d2)) @ Xj @ np.kron(B, np.eye(d2))
         out = lifted @ Xj.reshape(-1, order="F")
@@ -122,7 +123,7 @@ class TestSuperopLifts:
         A = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
         B = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
         M = np.kron(B.T, A)
-        lifted = lift(M, (d1, d2), 1)
+        lifted = lift(Triplets.of(M), (d1, d2), 1)
         Xj = rng.standard_normal((d1 * d2, d1 * d2)) + 1j * rng.standard_normal((d1 * d2, d1 * d2))
         direct = np.kron(np.eye(d1), A) @ Xj @ np.kron(np.eye(d1), B)
         out = lifted @ Xj.reshape(-1, order="F")
