@@ -11,7 +11,6 @@ A-side and B-side families gives the product labels that
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import default_rng
 
 from .pauli import pauli_string_matrix, qubit_permutation
 
@@ -304,7 +303,7 @@ def simultaneous_eigenbasis(ops, seed=7, tol=1e-10):
     """
     ops = [np.asarray(o, dtype=complex) for o in ops]
     d = ops[0].shape[0]
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def _combo():
         c = rng.standard_normal(len(ops))

@@ -14,14 +14,13 @@ forms for both weights (alpha_coeff).  States evolve under the
 Hilbert-Schmidt adjoint L^dag (Superoperator.apply_adjoint).
 
 A Superoperator carries the GibbsState its generator is detailed balanced
-for, and stores the generator as canonical index triplets (``Triplets``,
-made by the one kernel ``canonical``) in the operator basis where that
-state is diagonal: in the eigenbasis every entry comes from one pair of
-nonzero coupling entries, so build_ckg_generator never forms a dense
-d^2 x d^2 array, and attaches gibbs_state(es, w.beta).  A GibbsState is its
-weights in its basis; the dense sigma is formed only on first use.  No
-computational-basis matrix is formed; the dense rotation out of the stored
-basis is a test oracle.  erfc comes from ``math``.
+for, and stores the generator as ``Triplets`` (made by ``canonical``) in the
+operator basis where that state is diagonal: in the eigenbasis every entry
+comes from one pair of nonzero coupling entries, so build_ckg_generator
+never forms a dense d^2 x d^2 array, and attaches gibbs_state(es, w.beta).
+A GibbsState is its weights in its basis; the dense sigma is formed only on
+first use.  No computational-basis matrix is formed; the dense rotation out
+of the stored basis is a test oracle.
 
 Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
 """
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique imports it on first use: keep that in set-up
+from numpy import ma, random  # noqa: F401  numpy loads these on first use: keep that in set-up
 from numpy.polynomial.legendre import leggauss
 
 BOHR_GROUP_TOL = 1e-9
@@ -45,12 +44,6 @@ QUAD_PANELS_FINE = 64
 QUAD_CHUNK = 64
 # entries of the coupling products C that build_ckg_generator holds densely at once
 PRODUCT_CHUNK = 2**20
-# _erfcx sums the asymptotic series from here on (math.erfc underflows at
-# about 26.5); ERFCX_TERMS terms reach double precision there
-ERFCX_FROM = 26.0
-ERFCX_TERMS = 8
-# Veltkamp splitter 2^27 + 1: splits a double into two halves of 26 bits
-_SPLIT = 134217729.0
 
 
 def vec(X):
@@ -62,23 +55,19 @@ def unvec(v):
     return v.reshape((d, d), order="F")
 
 
-def _csum(index, values, size):
-    """out[k] = sum of the complex ``values`` at ``index`` k, for k < size."""
+def _csum(index, values, size):  # out[k] = sum of the complex values at index k, k < size
     return np.bincount(index, values.real, size) + 1j * np.bincount(index, values.imag, size)
 
 
 class Triplets:
-    """Square sparse matrix in canonical index-triplet form.
+    """Square sparse matrix: entry e is val[e] at (row[e], col[e]) of a side x side matrix.
 
-    Entry e is ``val[e]`` at (``row[e]``, ``col[e]``) of a ``side`` x ``side``
-    matrix; the entries are sorted by (row, col), each position appears
-    once and no value is an exact zero.  ``canonical`` makes the form from
-    any list of entries and ``Triplets.of`` from a dense matrix.  Sums,
-    differences and scalar multiples go back through ``canonical``.
+    Sorted by (row, col), each position once, no exact zeros; made by ``canonical``.
     """
 
     def __init__(self, row, col, val, side):
         self.row, self.col, self.val, self.side = row, col, val, side
+        self.shape, self.nnz = (side, side), val.size
 
     @classmethod
     def of(cls, A):
@@ -89,82 +78,43 @@ class Triplets:
         row, col = np.nonzero(A)
         return cls(row.astype(np.int32), col.astype(np.int32), A[row, col], A.shape[0])
 
-    @property
-    def shape(self):
-        return (self.side, self.side)
-
-    @property
-    def nnz(self):
-        return self.val.size
-
     def toarray(self):
         out = np.zeros(self.shape, dtype=self.val.dtype)
         out[self.row, self.col] = self.val
         return out
 
-    def __matmul__(self, x):
-        """The matrix times the vector x."""
+    def __matmul__(self, x):  # the matrix times the vector x
         return _csum(self.row, self.val * x[self.col], self.side)
 
     def __neg__(self):
         return Triplets(self.row, self.col, -self.val, self.side)
 
-    def __sub__(self, other):
-        return add(self, -other)
-
-    def __rmul__(self, scalar):
-        return canonical(self.row, self.col, scalar * self.val, self.side)
-
-
-def sort_order(key, side):
-    """Stable sorting permutation of the int64 ``key`` (values below side^2), and the sorted key.
-
-    While a key and an entry position fit one int64 together, one in-place
-    sort of the packed values does it: the position in the low bits breaks
-    ties in input order.
-    """
-    bits = max(key.size - 1, 0).bit_length()
-    if side * side > 1 << (63 - bits):
-        order = np.argsort(key, kind="stable")
-        return order, key[order]
-    packed = key << bits
-    packed |= np.arange(key.size)
-    packed.sort()
-    order = np.bitwise_and(packed, (1 << bits) - 1)
-    packed >>= bits
-    return order, packed
-
 
 def canonical(row, col, val, side):
     """Triplets of the side x side matrix with entries val[e] at (row[e], col[e]).
 
-    The one kernel every producer of a sparse generator goes through:
-    entries are sorted by (row, col) on the int64 key row * side + col,
-    duplicates are summed in input order and exact zeros dropped.
+    The one kernel every producer of a sparse generator goes through: entries
+    are stably sorted by (row, col), each run of duplicates is summed in input
+    order and exact zeros are dropped.
     """
-    order, key = sort_order(np.multiply(row, side, dtype=np.int64) + col, side)
-    val = np.asarray(val)[order]
+    key = np.multiply(row, side, dtype=np.int64) + col
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
     del order
-    first = np.ones(key.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    if not first.all():
-        start = np.flatnonzero(first)
-        length = np.diff(start, append=key.size)
-        for k in range(1, int(length.max())):  # each run summed into its head, in input order
-            head = start[length > k]
-            val[head] += val[head + k]
-        val, key = val[start], key[start]
-    keep = val != 0
-    if not keep.all():
-        val, key = val[keep], key[keep]
-    row, col = np.divmod(key, side)
-    return Triplets(row.astype(np.int32), col.astype(np.int32), val, side)
+    new = np.ones(key.size, dtype=bool)  # the first entry of each run
+    new[1:] = key[1:] != key[:-1]
+    start = np.flatnonzero(new)
+    total = np.zeros(start.size, dtype=val.dtype)
+    np.add.at(total, np.cumsum(new) - 1, val)
+    keep = total != 0
+    row, col = np.divmod(key[start[keep]], side)
+    return Triplets(row.astype(np.int32), col.astype(np.int32), total[keep], side)
 
 
 def add(*parts):
     """The canonical sum of Triplets of one side."""
-    return canonical(np.concatenate([p.row for p in parts]), np.concatenate([p.col for p in parts]),
-                     np.concatenate([p.val for p in parts]), parts[0].side)
+    row, col, val = (np.concatenate([getattr(p, f) for p in parts]) for f in ("row", "col", "val"))
+    return canonical(row, col, val, parts[0].side)
 
 
 @dataclass
@@ -250,11 +200,9 @@ class Superoperator:
     """
 
     def __init__(self, local, sigma: GibbsState):
-        if not isinstance(local, Triplets):
-            local = Triplets.of(local)
-        side = local.side
-        d = int(round(np.sqrt(side)))
-        if d * d != side:
+        local = local if isinstance(local, Triplets) else Triplets.of(local)
+        d = int(round(np.sqrt(local.side)))
+        if d * d != local.side:
             raise ValueError(f"superoperator matrix of shape {local.shape} is not d^2 x d^2")
         if sigma.basis.shape != (d, d):
             raise ValueError(f"Gibbs state basis of shape {sigma.basis.shape} does not match "
@@ -349,52 +297,23 @@ def filter_fhat(omega, beta):
     return out if out.ndim else float(out)
 
 
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
-
-
 def erfc(x):
     """Complementary error function, elementwise through ``math.erfc``."""
-    return np.asarray(_ERFC(np.asarray(x, dtype=float)), dtype=float)
-
-
-def _erfcx(u):
-    """Scaled complementary error function exp(u^2) erfc(u) for u >= 0.
-
-    Below ERFCX_FROM, exp(u^2) is taken as exp(h^2) exp(l (h + u)) with u
-    split into h + l (Veltkamp), so the rounding of u^2 never enters the
-    exponent; beyond it, the asymptotic series
-    1/(u sqrt pi) sum_k (-1)^k (2k-1)!! / (2u^2)^k with ERFCX_TERMS terms.
-    """
-    u = np.asarray(u, dtype=float)
-    near = np.minimum(u, ERFCX_FROM)
-    c = _SPLIT * near
-    h = c - (c - near)
-    out = np.exp(h * h) * np.exp((near - h) * (h + near)) * erfc(near)
-    far = np.maximum(u, ERFCX_FROM)
-    z, term, series = -0.5 / (far * far), np.ones_like(far), np.ones_like(far)
-    for k in range(1, ERFCX_TERMS):
-        term *= (2 * k - 1) * z
-        series += term
-    return np.where(u < ERFCX_FROM, out, series / (far * np.sqrt(np.pi)))
+    return np.asarray(np.frompyfunc(math.erfc, 1, 1)(np.asarray(x, dtype=float)), dtype=float)
 
 
 def theta(x):
     """Metropolis-weighted filter overlap as a function of x = beta * omega.
 
     theta(x) = 1/2 [ erfc((1+2x)/(2 sqrt 2)) + e^{-x} erfc((1-2x)/(2 sqrt 2)) ].
-    The second term is evaluated through the scaled _erfcx where its erfc
-    argument u is non-negative; the combined exponent -(u - 1/sqrt 2)^2
-    never overflows.
+    Where the second erfc underflows (x < -37) that term is below 1e-290
+    against a first term near 2, and where e^{-x} would overflow the erfc
+    is exactly zero: the exponent capped at 700 keeps the product finite.
     """
     x = np.asarray(x, dtype=float)
     v = (1.0 + 2.0 * x) / (2.0 * np.sqrt(2.0))
     u = (1.0 - 2.0 * x) / (2.0 * np.sqrt(2.0))
-    term2 = np.empty_like(x)
-    neg = u < 0.0  # there x > 1/2, so e^{-x} erfc(u) is evaluated as it stands
-    term2[neg] = np.exp(-x[neg]) * erfc(u[neg])
-    upos = u[~neg]
-    term2[~neg] = np.exp(-((upos - 1.0 / np.sqrt(2.0)) ** 2)) * _erfcx(upos)
-    out = 0.5 * (erfc(v) + term2)
+    out = 0.5 * (erfc(v) + np.exp(np.minimum(-x, 700.0)) * erfc(u))
     return out if out.ndim else float(out)
 
 
@@ -470,20 +389,16 @@ def eigenbasis_entries(S, U):
 def _coupling_products(entries, size):
     """The nonzero entries (kd, ld, C[kd, ld]) of C = sum_a conj(s_a) s_a^T, a chunk at a time.
 
-    ``entries`` holds one (p, s) pair per coupling: the positions p < size
-    of its nonzero entries and their values s.  Couplings whose positions
-    intersect are clustered; each cluster's C lives on the union P of its
-    positions, and its rows are summed over the cluster's outer products,
-    in coupling order, a chunk of PRODUCT_CHUNK entries of P x P at a time
-    (a zero entry adds nothing, so each sum rounds as over the nonzero
-    products alone).
-    Clusters have disjoint positions, so every entry of C is yielded once.
+    ``entries`` holds the nonempty positions p < size and values s of each
+    coupling.  Couplings whose positions intersect form a cluster, whose C
+    is the dense product W^dag W of its couplings on the union of their
+    positions, formed PRODUCT_CHUNK entries at a time.
     """
     owner = np.full(size, -1)  # the cluster holding each position, named by its last coupling
     clusters = {}
     for a, (p, _) in enumerate(entries):
         hit = np.unique(owner[p])
-        clusters[a] = sorted([a] + [m for h in hit[hit >= 0].tolist() for m in clusters.pop(h)])
+        clusters[a] = [a] + [m for h in hit[hit >= 0].tolist() for m in clusters.pop(h)]
         for m in clusters[a]:
             owner[entries[m][0]] = a
     for members in clusters.values():
@@ -493,12 +408,9 @@ def _coupling_products(entries, size):
             w[np.searchsorted(P, entries[m][0])] = entries[m][1]
         step = max(1, PRODUCT_CHUNK // P.size)
         for start in range(0, P.size, step):
-            acc = np.zeros((min(step, P.size - start), P.size), dtype=complex)
-            for w in W:  # one outer product per coupling, summed in coupling order
-                if w[start:start + step].any():
-                    acc += np.multiply.outer(w[start:start + step].conj(), w)
-            r, c = np.nonzero(acc != 0)
-            yield P[start + r], P[c], acc[r, c]
+            part = W[:, start:start + step].conj().T @ W
+            r, c = np.nonzero(part)
+            yield P[start + r], P[c], part[r, c]
 
 
 def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
@@ -515,11 +427,10 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
       (L_diss X)_{ij} = sum_{kl} alpha(nu_ki, nu_lj) conj(S_ki) X_kl S_lj - ...
 
     and only depends on the couplings through the coupling-summed products
-    C[(k,i),(l,j)] = sum_a conj(S_a[k,i]) S_a[l,j].  Couplings whose nonzero
-    entries sit at the same positions k*d + i share one dense product
-    (``_coupling_products``).  Each nonzero entry of C is one sandwich
-    entry, at row i + d*j and column k + d*l; the k = l entries also make
-    the anticommutator and coherent cores.
+    C[(k,i),(l,j)] = sum_a conj(S_a[k,i]) S_a[l,j], formed over the nonzero
+    coupling entries by ``_coupling_products``.  Each nonzero entry of C is
+    one sandwich entry, at row i + d*j and column k + d*l; the k = l
+    entries also make the anticommutator and coherent cores.
     """
     d = es.dim
     for S in couplings:
@@ -529,11 +440,8 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     sigma = gibbs_state(es, w.beta)
 
     # couplings in the eigenbasis: positions k*d + i of the nonzero entries, and their values
-    entries = []
-    for S in couplings:
-        s = eigenbasis_entries(S, U).reshape(-1)
-        p = np.flatnonzero(s).astype(np.int32)
-        entries.append((p, s[p]))
+    flat = (eigenbasis_entries(S, U).reshape(-1) for S in couplings)
+    entries = [(p, s[p]) for s in flat if (p := np.flatnonzero(s).astype(np.int32)).size]
     gid = es.gid.reshape(-1)  # Bohr group of nu_ki at k*d + i
     # the alpha table over the Bohr groups of the nonzero coupling entries
     used_groups = np.unique(gid[np.concatenate([p for p, _ in entries] + [np.zeros(0, int)])])
@@ -548,30 +456,29 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
 
     # the anticommutator and coherent cores come from the k = l entries:
     # N[i,j] = sum_k alpha[g(k,i), g(k,j)] C[(k,i),(k,j)], G likewise with
-    # Ktab[g(k,j), g(k,i)]; M = -N/2 + iG and M2 = -N/2 - iG are summed at
-    # cell i + d*j
-    rows, cols, vals = [], [], []
-    on_entries = [(np.zeros(0, np.int32),) * 2 + (np.zeros(0, complex),) * 2]
+    # Ktab[g(k,j), g(k,i)]; M = -N/2 + iG and M2 = -N/2 - iG at cell i + d*j
+    parts = []  # (rows, cols, values) of the generator's entries
+    cores = [(np.zeros(0, np.int32),) * 2 + (np.zeros(0, complex),) * 2]  # (kd, cell, N, G) terms
     for kd, ld, c_val in _coupling_products(entries, d * d):  # k*d + i, l*d + j, C
-        on = np.nonzero(kd // d == ld // d)[0]
+        on = kd // d == ld // d
         a_on, b_on = slot[kd[on]], slot[ld[on]]
-        n_val, g_val = table[a_on, b_on] * c_val[on], Ktab[b_on, a_on] * c_val[on]
-        on_entries.append((kd[on], kd[on] % d + d * (ld[on] % d), n_val, g_val))
-        rows.append(kd % d + d * (ld % d))
-        cols.append(kd // d + d * (ld // d))
-        vals.append(table[slot[kd], slot[ld]] * c_val)
-    kd, cell, n_val, g_val = map(np.concatenate, zip(*on_entries))
-    order = np.argsort(kd, kind="stable")  # each cell summed over k in ascending order
-    cell, n_val, g_val = cell[order], n_val[order], g_val[order]
+        cores.append((kd[on], kd[on] % d + d * (ld[on] % d), table[a_on, b_on] * c_val[on],
+                      Ktab[b_on, a_on] * c_val[on]))
+        parts.append((kd % d + d * (ld % d), kd // d + d * (ld // d),
+                      table[slot[kd], slot[ld]] * c_val))
+    kd, cell, n_val, g_val = map(np.concatenate, zip(*cores))
+    # each cell is summed over k in ascending order, as a row-by-row sparse product sums
+    # it: the small ring gaps (1e-4 against a norm of 10) resolve any other rounding
+    by_k = np.argsort(kd, kind="stable")
+    cell, n_val, g_val = cell[by_k], n_val[by_k], g_val[by_k]
     M = _csum(cell, -0.5 * n_val + 1j * g_val, d * d)
     M2 = _csum(cell, -0.5 * n_val - 1j * g_val, d * d)
-    used = np.zeros(d * d, dtype=bool)
-    used[cell] = True
-    cells = np.flatnonzero(used).astype(np.int32)
+    # -1/2 {N, X} + i [G, X] = M X + X M2: kron(Id, M) puts M[i, j] at
+    # (i + d*t, j + d*t) and kron(M2^T, Id) puts M2[i, j] at (t + d*j, t + d*i)
+    cells = np.flatnonzero((M != 0) | (M2 != 0)).astype(np.int32)
     ci, cj = cells % d, cells // d
     t = np.arange(d, dtype=np.int32)
-    rows += [(ci[:, None] + d * t).ravel(), (t + d * cj[:, None]).ravel()]
-    cols += [(cj[:, None] + d * t).ravel(), (t + d * ci[:, None]).ravel()]
-    vals += [np.repeat(M[cells], d), np.repeat(M2[cells], d)]
-    return Superoperator(canonical(np.concatenate(rows), np.concatenate(cols),
-                                   np.concatenate(vals), d * d), sigma)
+    parts += [((ci[:, None] + d * t).ravel(), (cj[:, None] + d * t).ravel(), M[cells].repeat(d)),
+              ((t + d * cj[:, None]).ravel(), (t + d * ci[:, None]).ravel(), M2[cells].repeat(d))]
+    parts = [np.concatenate(x) for x in zip(*parts)]  # the pieces are dropped once joined
+    return Superoperator(canonical(*parts, d * d), sigma)

@@ -8,8 +8,8 @@ generator carries (``Superoperator.sigma``), and L_hat is taken in the
 basis U = sigma.basis that the generator is stored in and sigma is diagonal
 in (``symmetrize``).  There Phi is the elementwise scaling by
 phi = kron(q, q), q = weights^(1/4), so a state only needs the rotation
-U^dag rho U and that scaling; L_hat is sparse (``lindblad.Triplets``), decomposed block
-by block along the connected components of its zero pattern
+U^dag rho U and that scaling; L_hat is sparse ``lindblad.Triplets``, decomposed
+block by block along the connected components of its zero pattern
 (``block_eigh``), so only the dense blocks are ever formed.
 
 Trace distances are taken in sigma.basis too: the trace norm is unitarily
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from numpy.random import default_rng
 
 from .lindblad import Superoperator, unvec, vec
 from .spectral import block_eigh, gap_from_eigenvalues, kms_scaling, symmetrize
@@ -273,7 +272,7 @@ def _initial_family(sigma, n_haar=20, seed=314):
     for k in range(d):
         v = V[:, k]
         yield f"eig_{k}", np.outer(v, v.conj())
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     for k in range(n_haar):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)

@@ -21,9 +21,8 @@ labeled eigensystem of H (x) I + I (``swap_generator_generic``).
 The local_A joint generator (``build_replica_exchange_generator``) is
 assembled in the same labeled basis: the system piece is built from the
 eigensystem of H in the system factor of that basis, the auxiliary piece in
-the A-side eigenbasis, and the pieces are summed by ``lindblad.add``; ``lift``
-puts a piece on one factor by index arithmetic on its triplets (a kron with
-the identity of the other factor, never formed).  The joint
+the A-side eigenbasis, and the pieces are summed by ``lindblad.add`` after
+``lift`` puts each on its factor by index arithmetic on its triplets.  The joint
 Gibbs state is diagonal there (``joint_gibbs``), and the swap and local_A
 generators carry it as their ``sigma``, so KMS products on the joint space
 are Euclidean products of vectors scaled by ``spectral.kms_scaling``; the
@@ -36,14 +35,12 @@ Gibbs state ``global_gibbs``, which is diagonal there.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .hamiltonians import CutReport, check_commuting_cut, simultaneous_eigenbasis
 from .lindblad import (
     Eigensystem,
     GibbsState,
     Superoperator,
-    Triplets,
     WeightFunction,
     add,
     alpha_coeff,
@@ -206,26 +203,20 @@ def swap_generator_generic(js: JointStructure, beta) -> Superoperator:
     return build_ckg_generator(es, [swap_unitary_original(js)], WeightFunction("metropolis", beta))
 
 
-def lift(M: Triplets, dims, factor):
+def lift(M, dims, factor):
     """Triplets of L on one factor of C^dims[0] (x) C^dims[1], identity on the other.
 
-    ``M`` is the matrix of L on factor ``factor`` (0 or 1).  The lift is the
-    kron of M with the identity superoperator of the other factor, whose
+    ``M`` is the Triplets of L on factor ``factor`` (0 or 1).  The lift is
+    the kron of M with the identity superoperator of the other factor, whose
     index pair (r1, r2), r1 = i + d1*j and r2 = c + d2*b, is relabeled to
-    the joint vec index (i*d2 + c) + d1*d2*(j*d2 + b) = J1[r1] + J2[r2]:
-    each entry of M is repeated along the diagonal of the other factor.
+    the joint vec index (i*d2 + c) + d1*d2*(j*d2 + b) = J[0][r1] + J[1][r2].
     """
     d1, d2 = dims
     r1, r2 = np.arange(d1 * d1), np.arange(d2 * d2)
-    J1 = (r1 % d1) * d2 + d1 * d2 * d2 * (r1 // d1)
-    J2 = r2 % d2 + d1 * d2 * (r2 // d2)
-    if factor == 0:
-        row, col = J1[M.row][:, None] + J2, J1[M.col][:, None] + J2
-        val = np.repeat(M.val, J2.size)
-    else:
-        row, col = J1[:, None] + J2[M.row], J1[:, None] + J2[M.col]
-        val = np.tile(M.val, J1.size)
-    return canonical(row.ravel(), col.ravel(), val, (d1 * d2) ** 2)
+    J = [(r1 % d1) * d2 + d1 * d2 * d2 * (r1 // d1), r2 % d2 + d1 * d2 * (r2 // d2)]
+    own, rest = J[factor], J[1 - factor]
+    return canonical((own[M.row][:, None] + rest).ravel(), (own[M.col][:, None] + rest).ravel(),
+                     np.repeat(M.val, rest.size), (d1 * d2) ** 2)
 
 
 def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> Superoperator:
@@ -320,9 +311,7 @@ def _sector_basis(js: JointStructure, phi):
     |i><i'| (x) |b><v| (x) I_A for i != i' and all b, v.  Each has entries
     phi[r] at the vec indices r = e + D*e' of its (row e, column e') pairs.
     The supports are disjoint, so normalizing each column makes the basis
-    orthonormal.  Returns ``column`` and ``entry``, the column holding each
-    vec index (-1 outside the sector) and the basis entry there, and the
-    number of columns.
+    orthonormal.  Returns each vec index's column (-1 outside) and entry there, and their count.
     """
     d_a, D = js.d_a, js.joint_dim
     e = np.arange(D).reshape(d_a, js.d_b, d_a)  # labeled joint index e(a, b, c)
@@ -358,20 +347,18 @@ def swap_sector_analysis(js: JointStructure, swap, seed=42):
     d_a, d_b = js.d_a, js.d_b
     sigma = swap.sigma
     Lhat, phi = symmetrize(swap), kms_scaling(sigma)
-    # Q^T L_hat Q for the basis Q of disjoint column supports: a gather of
-    # the entries of L_hat with both indices in the sector
     column, entry, size = _sector_basis(js, phi)
-    r, c = column[Lhat.row], column[Lhat.col]
+    r, c = column[Lhat.row], column[Lhat.col]  # Q^T L_hat Q: Q's column supports are disjoint
     e = (r >= 0) & (c >= 0)
-    R = np.zeros((size, size), dtype=complex)
-    np.add.at(R, (r[e], c[e]), -entry[Lhat.row[e]] * Lhat.val[e] * entry[Lhat.col[e]])
+    R = -canonical(r[e], c[e], entry[Lhat.row[e]] * Lhat.val[e] * entry[Lhat.col[e]],
+                   size).toarray()
     evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
     scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
     kernel_dim = int(np.sum(evals <= KERNEL_TOL * scale))
     eye_b, eye_a = np.eye(d_b), np.eye(d_a)
 
     # cross terms of the diagonal/off-diagonal decompositions
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     worst = {"diagA_vs_offA": 0.0, "offA_vs_diagA": 0.0,
              "offdiagB_vs_offoffB": 0.0, "offoffB_vs_offdiagB": 0.0}
     for _ in range(10):
@@ -391,7 +378,7 @@ def swap_sector_analysis(js: JointStructure, swap, seed=42):
             worst[key] = max(worst[key], abs(np.vdot(xl, Lhat @ xr)) / max(norm * scale, 1e-300))
 
     # Rayleigh quotients on the three kernel sectors
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def quotient(X):
         x = phi * vec(X)

@@ -12,9 +12,8 @@ energy eigenbasis, the closed-form swap and local_A joint generators (with
 (with ``replica.global_gibbs``) in U (x) U.  There Phi is the diagonal
 scaling diag(phi) L diag(1/phi) of the sparse stored matrix
 (Chen-Kastoryano-Gilyen, arXiv:2311.09207), so ``symmetrize`` forms L_hat
-as canonical ``Triplets`` with the pattern of L.  L is detailed balanced
-exactly when L_hat is Hermitian, so that residual is the detailed-balance
-check; it is taken from the entry pairs (i, j) and (j, i).
+as ``Triplets`` with the pattern of L.  L is detailed balanced exactly when
+L_hat is Hermitian, so that residual is the detailed-balance check.
 
 Every eigensolve of L_hat goes through ``block_eigh``: single-site jumps in
 a basis where H is diagonal leave most entries of L_hat exactly zero, and
@@ -30,15 +29,8 @@ generators, is read off one generator: ``a_diagonal_restriction_gap``.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
-from .lindblad import (
-    Superoperator,
-    Triplets,
-    WeightFunction,
-    build_ckg_generator,
-    sort_order,
-)
+from .lindblad import Superoperator, Triplets, WeightFunction, build_ckg_generator
 from .pauli import single_site_paulis
 
 KERNEL_TOL = 1e-9
@@ -84,9 +76,8 @@ def symmetrize(L: Superoperator):
     residual of L_hat exceeds HERMITICITY_TOL (L is not detailed balanced).
     """
     A, phi = L.local, kms_scaling(L.sigma)
-    scaled = phi[A.row] * A.val
-    scaled *= (1.0 / phi)[A.col]
-    Lhat, herm = _hermitian_part(Triplets(A.row, A.col, scaled, A.side))
+    Lhat, herm = _hermitian_part(Triplets(A.row, A.col, phi[A.row] * A.val * (1.0 / phi)[A.col],
+                                          A.side))
     if herm > HERMITICITY_TOL:
         raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
                          f"L_hat {herm:.2e})")
@@ -96,37 +87,25 @@ def symmetrize(L: Superoperator):
 def _hermitian_part(A: Triplets):
     """(A + A^dag) / 2 of the Triplets A, and ||A - A^dag|| / max(1, ||A||).
 
-    Entry (i, j) of the result is (a_ij + conj(a_ji)) / 2 and entry (j, i)
-    its conjugate, so the result is exactly Hermitian.  The partner (j, i)
-    of each entry is found among the entries sorted by (col, row); an entry
-    without one (a lone entry) adds its mirror conj(a_ij) / 2 at (j, i).
+    Entry (i, j) of the result is (a_ij + conj(a_ji)) / 2, a_ji = 0 where (j, i) holds
+    no entry, and entry (j, i) its conjugate, so the result is exactly Hermitian.
     """
     side, val = A.side, A.val
     key = np.multiply(A.row, side, dtype=np.int64) + A.col
-    tkey = np.multiply(A.col, side, dtype=np.int64) + A.row  # key of the mirror position
-    by_t, tkey = sort_order(tkey, side)
-    # where the mirror of each entry sits among the sorted tkey: a symmetric
-    # pattern sorts tkey into key itself
-    at = np.arange(key.size) if np.array_equal(tkey, key) else \
-        np.minimum(np.searchsorted(tkey, key), max(key.size - 1, 0))
-    mirror = val[by_t[at]].conj()
+    by_t = np.argsort(A.col, kind="stable")  # A is canonical: this is its (col, row) order
+    tcol = A.col[by_t]
+    tkey = np.multiply(tcol, side, dtype=np.int64) + A.row[by_t]  # sorted keys of the mirrors
+    at = np.minimum(np.searchsorted(tkey, key), max(key.size - 1, 0))
     lone = tkey[at] != key
-    del at
-    mirror[lone] = 0.0
+    mirror = np.where(lone, 0.0, val[by_t[at]].conj())
     resid = np.hypot(np.linalg.norm(val - mirror), np.linalg.norm(val[lone]))
-    h = mirror  # (val + mirror) / 2, in place
-    h += val
-    h *= 0.5
-    row, col = A.row, A.col
-    if lone.any():  # the mirrors of lone entries are new positions, in the order of tkey
-        new = lone[by_t]
-        place = np.searchsorted(key, tkey[new])
-        key = np.insert(key, place, tkey[new])
-        h = np.insert(h, place, 0.5 * val[by_t[new]].conj())
-        row, col = (x.astype(np.int32) for x in np.divmod(key, side))
-    keep = h != 0
-    H = Triplets(row[keep], col[keep], h[keep], side)
-    return H, float(resid / max(1.0, np.linalg.norm(val)))
+    h = 0.5 * (val + mirror)
+    new = lone[by_t]  # the lone entries, in the order of their mirror keys
+    place = np.searchsorted(key, tkey[new])
+    row, col = np.insert(A.row, place, tcol[new]), np.insert(A.col, place, A.row[by_t[new]])
+    h = np.insert(h, place, 0.5 * val[by_t[new]].conj())
+    nz = h != 0
+    return Triplets(row[nz], col[nz], h[nz], side), float(resid / max(1.0, np.linalg.norm(val)))
 
 
 def _component_labels(n, rows, cols):
@@ -148,14 +127,12 @@ def _blocks(A):
 
     Entry (i, j) links i and j whichever triangle it sits in (weak
     connectivity), so the blocks are those of one simultaneous row/column
-    permutation, also for a non-Hermitian A.  A is dense or Triplets.
-    Returns one (idx, sub) pair per distinct component size b: ``idx`` is
-    the (k, b) array of the indices of k components, ascending within a
-    row, and ``sub`` the dense (k, b, b) stack of the blocks A[i][:, i],
-    i = idx[c].
+    permutation, also for a non-Hermitian A.  A is dense or Triplets.  Returns
+    one (idx, sub) pair per distinct component size b: ``idx`` is the (k, b)
+    array of the indices of k components, ascending within a row, and
+    ``sub`` the dense (k, b, b) stack of the blocks A[i][:, i], i = idx[c].
     """
-    if not isinstance(A, Triplets):
-        A = Triplets.of(A)
+    A = A if isinstance(A, Triplets) else Triplets.of(A)
     rows, cols, vals = A.row, A.col, A.val
     n = A.side
     label = _component_labels(n, rows, cols)
@@ -280,7 +257,7 @@ def gap_composition_suite(seed=42, n_instances=200, dim=6):
     decides them with stacked eigh/eigvalsh/qr.  Returns a report with
     per-case violation counts and worst margins.
     """
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = n_instances
     cases = {}
 
@@ -348,7 +325,6 @@ def a_diagonal_restriction_gap(js, w: WeightFunction):
     a_label = np.arange(d) // js.d_b  # A label of each stored basis index
     r = np.arange(d * d)  # vec index r = i + d*j
     keep = a_label[r % d] == a_label[r // d]
-    new = (np.cumsum(keep) - 1).astype(np.int32)  # place of each kept index
-    e = keep[Lhat.row] & keep[Lhat.col]
+    new, e = np.cumsum(keep, dtype=np.int32) - 1, keep[Lhat.row] & keep[Lhat.col]
     sub = Triplets(new[Lhat.row[e]], new[Lhat.col[e]], -Lhat.val[e], int(keep.sum()))
     return gap_from_eigenvalues(block_eigvalsh(sub)).gap

@@ -77,6 +77,16 @@ def test_scenarios_run_with_scipy_unimportable(tmp_path):
     assert json.loads(proc.stdout) == {"codes": [0] * len(runs), "loaded": []}
 
 
+def test_import_loads_the_lazy_modules_a_first_call_uses():
+    # numpy loads these submodules, and argparse loads locale, on first use;
+    # the package imports them itself so that set-up, not the first call, pays
+    lazy = ["locale", "numpy.ma", "numpy.polynomial.legendre", "numpy.random"]
+    code = f"import json, sys, qrex.cli; print(json.dumps([m in sys.modules for m in {lazy!r}]))"
+    proc = run_qrex(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True] * len(lazy)
+
+
 def test_unresolvable_gap_exits_four_without_traceback(tmp_path):
     # at beta = 2 the local_A joint gap of the n = 3 ring sits within 10x of
     # the kernel threshold

@@ -348,6 +348,19 @@ class TestBuildCkgGenerator:
         with pytest.raises(ValueError):
             build_ckg_generator(eigensystem(np.eye(4)), [X], GM)
 
+    def test_zero_coupling_adds_nothing(self):
+        es = eigensystem(assemble_dense(defected_ising_1d(3, 2.0)))
+        paulis = list(single_site_paulis(3))
+        with_zero = build_ckg_generator(es, paulis[:2] + [np.zeros((8, 8))] + paulis[2:], GM)
+        without = build_ckg_generator(es, paulis, GM)
+        assert np.array_equal(with_zero.local.toarray(), without.local.toarray())
+
+    def test_zero_couplings_give_the_empty_generator(self):
+        es = eigensystem(assemble_dense(defected_ising_1d(3, 2.0)))
+        L = build_ckg_generator(es, [np.zeros((8, 8)), np.zeros((8, 8))], GM)
+        assert L.local.nnz == 0 and L.local.shape == (64, 64)
+        assert np.array_equal(L.local.toarray(), np.zeros((64, 64)))
+
 
 class TestSuperoperator:
     def test_vec_unvec_roundtrip(self):

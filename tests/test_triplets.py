@@ -3,7 +3,7 @@
 ``qrex.lindblad.canonical`` against ``coo_array(...).tocsr()``,
 ``qrex.replica.lift`` against the relabeled ``sparse.kron``,
 ``qrex.spectral._hermitian_part`` against the CSR expression it replaced,
-and ``erfc``, ``_erfcx`` and ``theta`` against ``scipy.special``.
+and ``erfc`` and ``theta`` against ``scipy.special``.
 """
 
 import math
@@ -16,16 +16,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfc as scipy_erfc, erfcx as scipy_erfcx
 
 from qrex.lindblad import (
-    ERFCX_FROM,
     Superoperator,
     Triplets,
-    _erfcx,
     add,
     canonical,
     eigensystem,
     erfc,
     gibbs_state,
-    sort_order,
     theta,
 )
 from qrex.replica import lift
@@ -78,21 +75,9 @@ def test_exact_cancellation_is_dropped():
     assert A.nnz == 0
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 50), max_size=60))
-def test_packed_sort_matches_stable_argsort(keys):
-    key = np.array(keys, dtype=np.int64)
-    order, ordered = sort_order(key, 51)  # the packed path
-    assert np.array_equal(order, np.argsort(key, kind="stable"))
-    assert np.array_equal(ordered, np.sort(key))
-    # a side too large for key and position to share an int64 takes np.argsort
-    order, ordered = sort_order(key, 2**31 - 1)
-    assert np.array_equal(order, np.argsort(key, kind="stable"))
-
-
 @settings(max_examples=60, deadline=None)
-@given(entry_lists(), st.sampled_from([-2.5, 0.0, 1j]))
-def test_triplet_arithmetic_matches_dense(entries, scalar):
+@given(entry_lists())
+def test_triplet_arithmetic_matches_dense(entries):
     row, col, val, side = entries
     A = canonical(row, col, val, side)
     B = canonical(col, row, val.conj(), side)
@@ -100,9 +85,7 @@ def test_triplet_arithmetic_matches_dense(entries, scalar):
     x = np.arange(side) + 1j * np.arange(side)[::-1]
     assert np.allclose(A.toarray(), D)
     assert np.allclose(A @ x, D @ x)
-    assert np.allclose((A - B).toarray(), D - D.conj().T)
-    assert np.allclose(add(A, B, -B).toarray(), D)
-    assert np.allclose((scalar * A).toarray(), scalar * D)
+    assert np.allclose(add(A, -B, A).toarray(), 2 * D - D.conj().T)
     assert np.allclose((-A).toarray(), -D)
     T = Triplets.of(D)
     assert np.array_equal(T.toarray(), D) and np.all(T.val != 0)
@@ -178,12 +161,6 @@ def test_erfc_matches_mpmath_on_the_whole_grid():
     assert erfc(1.5) == math.erfc(1.5) and erfc(np.array(1.5)).shape == ()
 
 
-def test_erfcx_matches_scipy_on_both_branches():
-    u = GRID[GRID >= 0.0]
-    assert np.any(u < ERFCX_FROM) and np.any(u > ERFCX_FROM)
-    assert np.max(np.abs(_erfcx(u) - scipy_erfcx(u)) / scipy_erfcx(u)) <= 1e-14
-
-
 def test_theta_matches_the_scipy_special_formula():
     x = GRID
     v = (1.0 + 2.0 * x) / (2.0 * np.sqrt(2.0))
@@ -194,5 +171,6 @@ def test_theta_matches_the_scipy_special_formula():
                           np.exp(-x) * scipy_erfc(u))
     ref = 0.5 * (scipy_erfc(v) + second)
     assert np.any(u > 26.6)  # where erfc(u) underflows
-    assert np.max(np.abs(theta(x) - ref) / ref) <= 1e-14
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.max(np.abs(theta(x) - ref) / ref) <= 1e-14
     assert theta(0.25) == pytest.approx(float(theta(np.array([0.25]))[0]), rel=0, abs=0)
