@@ -17,19 +17,24 @@ invariant, so ||rho(t) - sigma||_1 is that of the Hermitian part of
 U^dag rho(t) U - diag(weights), with no rotation back.  The mixing-time
 search ``first_crossing_times`` bisects a family of initial states
 together, each state by its own rule, with one matmul per block size and
-round for all of them.  A chunk of states is propagated only through the
-blocks of L_hat it occupies (``Coefficients``): a block is an invariant
-subspace, so a state that is zero on it stays zero there.  Each round
-yields the entries on those blocks' vec indices, the support, and decides
-each distance test first by the exact sandwich
+round for all of them.  Each state is rotated once as it comes
+(``SpectralPropagator.occupy``: U^dag psi for a state vector, U^dag rho U
+for a density matrix) and kept by its entries on the blocks of L_hat it
+occupies: a block is an invariant subspace, so a state that is zero on it
+stays zero there.  A chunk of states is sized by the union of those blocks
+(CROSSING_STACK_BYTES) and propagated only through it (``Coefficients``).
+Each round yields the entries on those blocks' vec indices, the support,
+and decides each distance test first by the exact sandwich
 sum_i |Y_ii| <= ||Y||_1 <= sum_ij |Y_ij| taken from them (``SupportBounds``).
 A whole deviation is formed, and its eigenvalues computed, only for the
 states that fall between the bounds.  Computational and sigma-eigenbasis
 states of a commuting H occupy only the population block, whose support is
-the diagonal; there the bounds coincide and no d x d matrix is formed.  At
-n = 7, 256 of the 276 family states are such states: one ``qrex mixing``
-call on the ring takes 0.97 s (3.8 s when every chunk used every block) and
-at n = 6 0.16 s (0.69 s), in process on a 2-core VM with one BLAS thread.
+the diagonal, d entries; there the bounds coincide and no d x d matrix is
+formed.  On the ring (J = 3) one ``qrex mixing`` call takes 0.68 s at
+n = 7 and 1.97 s at n = 8, against 1.08 s and 6.5 s when a chunk held
+CROSSING_STACK_BYTES // (16 d^2) states (one at n = 7), in a fresh process
+after the imports on a 2-core VM with one BLAS thread
+(``BENCH_19_crossing_search.json``).
 
 Propagation has one route: a generator that ``symmetrize`` rejects (not
 detailed balanced) raises its ValueError.  ``chi_square_rate_fit`` reads its
@@ -38,17 +43,23 @@ gap mode off the caller's propagator and propagates it by
 """
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .lindblad import Superoperator, unvec, vec
-from .spectral import block_eigh, gap_from_eigenvalues, kms_scaling, symmetrize
+from .spectral import (
+    UnresolvedGapError,
+    block_eigh,
+    gap_from_eigenvalues,
+    kms_scaling,
+    symmetrize,
+)
 
 BISECTION_RTOL = 1e-3
-# Size in bytes of the (states x d^2) complex stack of the states that
-# ``first_crossing_times`` bisects together; a round holds a few such stacks
-CROSSING_STACK_BYTES = 2**18
+# Size in bytes of the (states x support) complex stack of the states that
+# ``first_crossing_times`` bisects together, the support being the vec indices
+# of the blocks they occupy; a round holds a few such stacks
+CROSSING_STACK_BYTES = 2**19
 # exp(x) < 1e-304 below this exponent, far under the resolution of any
 # distance, and is taken as 0: np.exp is about 20x slower where its result
 # is subnormal or underflows
@@ -69,6 +80,9 @@ class MixingReport:
     crossings: list  # (state_id, t_cross)
     gap: float
     lambda_min: float
+    chunks: int  # the work of the crossing search (``SearchWork``)
+    rounds: int
+    eigensolves: int
 
     def to_json_dict(self):
         return {
@@ -80,7 +94,24 @@ class MixingReport:
             "crossings": [[sid, t] for sid, t in self.crossings],
             "gap": self.gap,
             "lambda_min": self.lambda_min,
+            "chunks": self.chunks,
+            "rounds": self.rounds,
+            "eigensolves": self.eigensolves,
         }
+
+
+@dataclass(frozen=True)
+class Occupied:
+    """One state by the blocks of L_hat it occupies (``SpectralPropagator.occupy``).
+
+    ``blocks`` is a boolean mask over the numbered blocks, and ``entries``
+    the state's nonzero rotated, scaled entries at the vec indices ``index``;
+    every other entry of the occupied blocks is zero.
+    """
+
+    blocks: np.ndarray
+    index: np.ndarray
+    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,10 +150,14 @@ class SpectralPropagator:
     ``blocks`` holds (idx, w, V) for each block size (see ``block_eigh``),
     with Phi folded into the eigenvectors: column j of V[c] is
     phi[idx[c]] times the eigenvector of L_hat.  ``evals`` is the whole
-    spectrum of L_hat, ascending.  A stack of states is propagated through
-    the blocks it occupies only (``Coefficients``), with one matmul per
-    block size for the whole stack, and yields its entries on their vec
-    indices; a whole (S, d, d) stack is formed only where a matrix is needed.
+    spectrum of L_hat, ascending.  The blocks are numbered in that order,
+    block by block; ``_order`` lists their vec indices in the same order,
+    ``_block_at`` the block of each place in it, and ``_place`` the place
+    of each vec index.  A state is kept by the blocks it occupies
+    (``occupy``), and a stack of them is propagated through the union of
+    those blocks only (``Coefficients``), with one matmul per block size for
+    the whole stack, and yields its entries on their vec indices; a whole
+    (S, d, d) stack is formed only where a matrix is needed.
     """
 
     def __init__(self, L: Superoperator):
@@ -134,33 +169,79 @@ class SpectralPropagator:
         self.evals = np.sort(np.concatenate([w.ravel() for _, w, _ in self.blocks]))
         self._phi_sq = phi * phi
         self._U, self._Uh = L.basis, L.basis.conj().T
+        self._order = np.concatenate([idx.ravel() for idx, _, _ in self.blocks])
+        self._sizes = np.concatenate([np.full(idx.shape[0], idx.shape[1])
+                                      for idx, _, _ in self.blocks])
+        self._block_at = np.repeat(np.arange(self._sizes.size), self._sizes)
+        self._place = np.empty_like(self._order)
+        self._place[self._order] = np.arange(self._order.size)
+
+    def occupy(self, state) -> Occupied:
+        """A state vector psi (rho = psi psi^dag) or a density matrix rho, by the blocks it occupies.
+
+        The state is rotated once: U^dag psi for a vector, whose outer
+        product is U^dag rho U, else U^dag rho U itself.  A block is
+        occupied when that rotation is nonzero on one of its vec indices;
+        the test is exact.  The entries kept are the nonzero ones of
+        conj(vec(U^dag rho U)) / phi^2.  For a vector only the outer product
+        of the nonzero entries of U^dag psi is formed: the rest is zero.
+        """
+        state = np.asarray(state, dtype=complex)
+        d = self.sigma.dim
+        if state.ndim == 1:
+            a = self._Uh @ state
+            on = np.flatnonzero(a)
+            a = a[on]
+            v = (a * a.conj()[:, None]).ravel()  # a_i conj(a_j), j major
+            index = np.add.outer(d * on, on).ravel()  # i + d j, in the same order
+        else:
+            # vec(U^dag rho U) = (U^T rho^T conj(U)) raveled
+            v = (self._U.T @ state.T @ self._U.conj()).ravel()
+            index = np.arange(d * d)
+        v /= self._phi_sq[index]
+        np.conj(v, out=v)
+        nonzero = v != 0
+        index, v = index[nonzero], v[nonzero]
+        blocks = np.zeros(self._sizes.size, dtype=bool)
+        blocks[self._block_at[self._place[index]]] = True
+        return Occupied(blocks, index, v)
+
+    def support_size(self, blocks):
+        """The number of vec indices of the blocks that the boolean mask ``blocks`` selects."""
+        return int(self._sizes[blocks].sum())
 
     def coefficients(self, states) -> Coefficients:
-        """V^dag Phi^(-1)(rho) on the occupied blocks, for each rho of the stack ``states``.
+        """V^dag Phi^(-1)(rho) on the occupied blocks, for each of the ``states``.
 
-        The stored stack is diag(phi) V, so this is its adjoint applied to
-        vec(U^dag rho U) / phi^2.  A block is occupied when some state is
-        nonzero on one of its indices; the test is exact.
+        ``states`` are state vectors or density matrices (see ``occupy``), or
+        ``Occupied`` records of them.  The stored stack is diag(phi) V, so
+        this is its adjoint applied to vec(U^dag rho U) / phi^2, on the union
+        of the blocks the states occupy; a state is zero on the union's
+        blocks it does not occupy.
         """
-        # row s is vec(U^dag rho_s U) = (U^T rho_s^T conj(U)) raveled
-        v = self._U.T @ np.asarray(states).transpose(0, 2, 1) @ self._U.conj()
-        v = v.reshape(v.shape[0], -1)
-        v /= self._phi_sq
-        np.conj(v, out=v)
-        occupied = np.any(v != 0, axis=0)
-        blocks, rates, support = [], [], []
+        states = [s if isinstance(s, Occupied) else self.occupy(s) for s in states]
+        occupied = np.logical_or.reduce([s.blocks for s in states])
+        at = occupied[self._block_at]  # the places in ``_order`` of the union's vec indices
+        row = np.cumsum(at) - 1
+        x = np.zeros((int(at.sum()), len(states)), dtype=complex)
+        for col, s in enumerate(states):
+            x[row[self._place[s.index]], col] = s.entries
+        blocks, rates = [], []
+        first, start = 0, 0
         for idx, w, V in self.blocks:
-            on = occupied[idx].any(axis=1)
+            on = occupied[first:first + idx.shape[0]]
+            first += idx.shape[0]
             if not on.any():
                 continue
             if not on.all():
-                idx, w, V = idx[on], w[on], V[on]
+                w, V = w[on], V[on]
+            stop = start + w.size
             # conj(V^T conj(x)), so no conjugate of the stack is formed
-            c = V.transpose(0, 2, 1) @ v[:, idx].transpose(1, 2, 0)  # (k, b, S)
+            c = V.transpose(0, 2, 1) @ x[start:stop].reshape(w.shape + (-1,))  # (k, b, S)
             blocks.append((V, np.conj(c, out=c)))
             rates.append(w.ravel())
-            support.append(idx.ravel())
-        return Coefficients(blocks, np.concatenate(rates), np.concatenate(support))
+            start = stop
+        return Coefficients(blocks, np.concatenate(rates), self._order[at])
 
     def _propagate(self, coeffs, t):
         """Entries of U^dag rho_s(t_s) U on ``coeffs.support``, an (m, S) array, column s per state.
@@ -260,23 +341,23 @@ def chi_square(rho, sigma):
 def _initial_family(sigma, n_haar=20, seed=314):
     """Computational and sigma-eigenbasis pure states plus seeded Haar states.
 
-    Yields (state_id, rho) pairs one at a time, so a search that takes them
-    in chunks never holds the whole family (148 dense states at n = 6).
+    Yields (state_id, psi) pairs one at a time, psi the state vector of the
+    pure state psi psi^dag, so a search that takes them as they come never
+    holds the whole family, and no d x d matrix is formed for any of them.
     """
     d = sigma.dim
     for k in range(d):
         v = np.zeros(d, dtype=complex)
         v[k] = 1.0
-        yield f"comp_{k}", np.outer(v, v.conj())
+        yield f"comp_{k}", v
     V = sigma.eigenvectors
     for k in range(d):
-        v = V[:, k]
-        yield f"eig_{k}", np.outer(v, v.conj())
+        yield f"eig_{k}", V[:, k]
     rng = np.random.default_rng(seed)
     for k in range(n_haar):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        yield f"haar_{k}", np.outer(v, v.conj())
+        yield f"haar_{k}", v
 
 
 class SupportBounds:
@@ -320,25 +401,37 @@ class SupportBounds:
         return lower, upper
 
 
-def _within(prop, coeffs, t, epsilon, bounds):
+@dataclass
+class SearchWork:
+    """What a crossing search did: the chunks it bisected, its propagation
+    rounds, and the states it sent to ``eigvalsh`` (summed over rounds)."""
+
+    chunks: int = 0
+    rounds: int = 0
+    eigensolves: int = 0
+
+
+def _within(prop, coeffs, t, epsilon, bounds, work):
     """||rho_s(t_s) - sigma||_1 <= epsilon for each coefficient column s.
 
     The sandwich ``bounds`` (a ``SupportBounds`` on ``coeffs.support``)
     decides every state it can from the support entries; a whole deviation
     is formed, and its eigenvalues taken, only for the states that fall
-    between its two bounds.
+    between its two bounds.  The round is counted in ``work``.
     """
     x = prop._propagate(coeffs, t)
     lower, upper = bounds(x)
     inside = upper <= epsilon
     open_ = (lower <= epsilon) & ~inside
+    work.rounds += 1
     if open_.any():
+        work.eigensolves += int(open_.sum())
         Y = prop._deviation(prop._scatter(x[:, open_], coeffs.support))
         inside[open_] = np.abs(np.linalg.eigvalsh(Y)).sum(axis=-1) <= epsilon
     return inside
 
 
-def first_crossing_times(prop: SpectralPropagator, states, epsilon, t_cap):
+def first_crossing_times(prop: SpectralPropagator, states, epsilon, t_cap, work=None):
     """Earliest t with ||rho(t) - sigma||_Tr <= epsilon for each of the ``states``, by bisection.
 
     Trace distance to the fixed point is non-increasing along a CPTP
@@ -346,34 +439,46 @@ def first_crossing_times(prop: SpectralPropagator, states, epsilon, t_cap):
     bisection: 0 if it starts within epsilon; else ``hi`` doubles from
     ``t_cap`` until it is within (RuntimeError after 6 doublings), and
     [lo, hi] is halved until hi - lo <= BISECTION_RTOL * hi; the result is
-    hi.  The states (any iterable of density matrices) are taken and
-    bisected together a chunk at a time, the chunk's coefficient stack filling
-    CROSSING_STACK_BYTES: each round propagates every state of the chunk
-    whose bracket is still open, at its own time, through the blocks that
-    the chunk occupies.
+    hi.  The states (any iterable of state vectors or density matrices) are
+    rotated once each as they come (``SpectralPropagator.occupy``) and
+    bisected together a chunk at a time: a state joins the chunk while
+    (states + 1) x (vec indices of the blocks they occupy) x 16 bytes fits
+    CROSSING_STACK_BYTES, else the chunk is bisected and a new one starts
+    with it.  Each round propagates every state of the chunk whose bracket
+    is still open, at its own time, through the blocks the chunk occupies.
+    ``work`` (a ``SearchWork``), if given, counts what the search did.
     """
-    states = iter(states)
-    size = max(1, CROSSING_STACK_BYTES // (16 * prop.evals.size))
-    return np.concatenate([np.empty(0)] + [
-        _bisect(prop, prop.coefficients(np.asarray(chunk, dtype=complex)), epsilon, t_cap)
-        for chunk in iter(lambda: list(islice(states, size)), [])])
+    work = SearchWork() if work is None else work
+    times, chunk, union = [np.empty(0)], [], None
+    for state in states:
+        state = prop.occupy(state)
+        joined = state.blocks if not chunk else union | state.blocks
+        if chunk and (len(chunk) + 1) * 16 * prop.support_size(joined) > CROSSING_STACK_BYTES:
+            times.append(_bisect(prop, prop.coefficients(chunk), epsilon, t_cap, work))
+            chunk, joined = [], state.blocks
+        chunk.append(state)
+        union = joined
+    if chunk:
+        times.append(_bisect(prop, prop.coefficients(chunk), epsilon, t_cap, work))
+    return np.concatenate(times)
 
 
-def _bisect(prop, coeffs, epsilon, t_cap):
+def _bisect(prop, coeffs, epsilon, t_cap, work):
     """Crossing times of the coefficient columns (see ``first_crossing_times``).
 
     ``cols`` are the states whose bracket is still open and ``sub`` their
     coefficients, copied only when the set shrinks.
     """
+    work.chunks += 1
     bounds = SupportBounds(coeffs.support, prop.sigma.weights)
     S = coeffs.size
     lo, hi = np.zeros(S), np.full(S, float(t_cap))
-    far = ~_within(prop, coeffs, 0.0, epsilon, bounds)
+    far = ~_within(prop, coeffs, 0.0, epsilon, bounds, work)
     hi[~far] = 0.0
     cols, sub = np.flatnonzero(far), coeffs.columns(far)
     grow = 0
     while cols.size:
-        out = ~_within(prop, sub, hi[cols], epsilon, bounds)
+        out = ~_within(prop, sub, hi[cols], epsilon, bounds, work)
         cols, sub = cols[out], sub.columns(out)
         if cols.size:
             hi[cols] *= 2.0
@@ -384,7 +489,7 @@ def _bisect(prop, coeffs, epsilon, t_cap):
     cols, sub = np.flatnonzero(wide), coeffs.columns(wide)
     while cols.size:
         mid = 0.5 * (lo[cols] + hi[cols])
-        inside = _within(prop, sub, mid, epsilon, bounds)
+        inside = _within(prop, sub, mid, epsilon, bounds, work)
         hi[cols[inside]] = mid[inside]
         lo[cols[~inside]] = mid[~inside]
         wide = hi[cols] - lo[cols] > BISECTION_RTOL * hi[cols]
@@ -401,12 +506,19 @@ def mixing_time_estimate(L: Superoperator, epsilon, family=None, n_haar=20,
     measured time is a lower estimate of the true worst case over all
     states; the chi-square upper bound t_upper is the rigorous cap.  A
     custom ``family`` of (state_id, rho) pairs is checked state by state
-    (``_check_state``), and an empty one is a ValueError.
+    (``_check_state``), and an empty one is a ValueError.  A kernel of
+    dimension other than 1 is an UnresolvedGapError, raised before the
+    search: a slow mode taken for a stationary one leaves the reported gap,
+    and so t_upper and the search's bracket, wrong.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     prop, sigma = SpectralPropagator(L), L.sigma
     rep = gap_from_eigenvalues(-prop.evals[::-1])  # spectrum of -L_hat, ascending
+    if rep.kernel_dim != 1:
+        raise UnresolvedGapError(
+            f"kernel dimension {rep.kernel_dim}, expected 1: a slow mode lies below the "
+            f"kernel threshold {rep.tolerance:.3e}, so the gap and the mixing time are unresolved")
     t_lower, t_upper = mixing_bounds_from_gap(rep.gap, sigma.lambda_min, epsilon)
     pairs = family if family is not None else _initial_family(sigma, n_haar=n_haar, seed=seed)
     ids = []
@@ -418,7 +530,8 @@ def mixing_time_estimate(L: Superoperator, epsilon, family=None, n_haar=20,
                 rho0 = _check_state(rho0, sigma.dim, f"family state {sid!r}")
             yield rho0
 
-    times = first_crossing_times(prop, states(), epsilon, max(t_upper, 1e-9))
+    work = SearchWork()
+    times = first_crossing_times(prop, states(), epsilon, max(t_upper, 1e-9), work)
     if not ids:
         raise ValueError("the initial-state family is empty")
     crossings = [(sid, float(t)) for sid, t in zip(ids, times)]
@@ -432,6 +545,9 @@ def mixing_time_estimate(L: Superoperator, epsilon, family=None, n_haar=20,
         crossings=crossings,
         gap=rep.gap,
         lambda_min=sigma.lambda_min,
+        chunks=work.chunks,
+        rounds=work.rounds,
+        eigensolves=work.eigensolves,
     )
 
 

@@ -183,7 +183,7 @@ def run_verification(seed=42, beta=1.0):
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[0, 0] = 1.0
     ts = np.linspace(0.0, 5.0, 11)
-    dists = prop.distances(prop.coefficients(rho0[None]), ts)
+    dists = prop.distances(prop.coefficients([rho0]), ts)
     mono = all(d2 <= d1 + 1e-10 for d1, d2 in zip(dists, dists[1:]))
     results.append(_check("mixing.trace_distance_monotone", mono, "11-point grid"))
 

@@ -152,7 +152,7 @@ def evolve(L, rho0, t):
     """
     rho0 = _check_state(rho0, L.dim, "rho0")
     prop = SpectralPropagator(L)
-    return prop.state_at(prop.coefficients(rho0[None]), t)[0]
+    return prop.state_at(prop.coefficients([rho0]), t)[0]
 
 
 def expm_flow(L, rho0, t):
@@ -447,7 +447,7 @@ def first_crossing_time(prop, rho0, epsilon, t_cap):
     Hermitian rho(t) - sigma, rotated out of sigma.basis, with no sandwich.
     """
     sig = prop.sigma.sigma
-    coeffs = prop.coefficients(np.asarray(rho0, dtype=complex)[None])
+    coeffs = prop.coefficients([np.asarray(rho0, dtype=complex)])
 
     def dist(t):
         return float(np.abs(np.linalg.eigvalsh(prop.state_at(coeffs, t)[0] - sig)).sum())

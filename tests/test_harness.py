@@ -307,6 +307,18 @@ class TestDeterminism:
 
 
 class TestScenarios:
+    def test_mixing_summary_reports_search_work(self):
+        # the n = 5 family is 64 population states, then 20 Haar states that
+        # occupy every block: two chunks at the default budget
+        config = validate_config({"scenario": "mixing", "replica": {"mode": "none"},
+                                  "system": {"model": "defected_ising", "n": 5, "J": 3.0}})
+        report = run_scenario(config)
+        summary = json.loads(emit(report, "json", None))["summary"]
+        assert summary["chunks"] == 2
+        assert summary["rounds"] > 0
+        assert summary["eigensolves"] == 0  # the sandwich decides every test on the ring
+        assert render_csv(report).startswith("state_id,t_cross\ncomp_0,")
+
     def test_theta_scenario_shape_and_accuracy(self):
         config = validate_config({"scenario": "theta"})
         report = run_scenario(config)
@@ -533,6 +545,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: field 'replica.mode': local_A needs ")
         assert detail in err
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_mixing_with_slow_mode_in_kernel_exits_four(self, tmp_path, capsys, n):
+        # on the Gaussian ring at J = 5 the slow mode falls below the kernel
+        # threshold; the search then failed its bracket with a traceback, exit 1
+        cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": n, "J": 5.0},
+                                      "weight": "gaussian", "replica": {"mode": "none"}})
+        assert main(["mixing", "--config", cfg]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical error: kernel dimension 2, expected 1")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_beta2_read_as_given(self):
         assert validate_config({}).replica["beta2"] is None

@@ -17,6 +17,7 @@ from qrex.lindblad import (
 )
 from qrex.mixing import (
     BISECTION_RTOL,
+    SearchWork,
     SpectralPropagator,
     SupportBounds,
     _initial_family,
@@ -27,7 +28,7 @@ from qrex.mixing import (
     mixing_time_estimate,
 )
 from qrex.pauli import single_site_paulis
-from qrex.spectral import block_eigh, spectral_gap, symmetrize
+from qrex.spectral import UnresolvedGapError, block_eigh, spectral_gap, symmetrize
 
 import oracles
 from oracles import (
@@ -159,6 +160,23 @@ class TestMixingTimeEstimate:
         heis = build_ckg_generator(es, single_site_paulis(3), GM)
         rep = mixing_time_estimate(heis, 1e-2, n_haar=5)
         assert rep.t_lower <= rep.t_measured <= rep.t_upper
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_slow_mode_in_kernel_raises_before_the_search(self, n, monkeypatch):
+        # Gaussian ring, beta = 1, J = 5: kernel_dim 2; at n = 4 the reported
+        # gap would be 8.97e-6 against a true 1.577e-10
+        es = eigensystem(assemble_dense(defected_ising_1d(n, 5.0)))
+        L = build_ckg_generator(es, single_site_paulis(n), WeightFunction("gaussian", 1.0))
+        monkeypatch.setattr(mixing, "first_crossing_times", None)  # never reached
+        with pytest.raises(UnresolvedGapError, match="kernel dimension 2, expected 1"):
+            mixing_time_estimate(L, 1e-2)
+
+    def test_transverse_field_report_counts_eigensolves(self):
+        es = eigensystem(transverse_field_ring(4))
+        rep = mixing_time_estimate(build_ckg_generator(es, single_site_paulis(4), GM), 1e-2)
+        assert rep.eigensolves > 0
+        assert rep.chunks == 1 and rep.rounds > 0
+        assert {"chunks", "rounds", "eigensolves"} <= rep.to_json_dict().keys()
 
     def test_empty_family_rejected(self):
         heis = two_qubit_ising()
@@ -293,7 +311,7 @@ class TestTraceDistanceMonotone:
         sg = heis.sigma
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         prop = SpectralPropagator(heis)
-        coeffs = prop.coefficients(rho0[None])
+        coeffs = prop.coefficients([rho0])
         ts = np.linspace(0.0, 8.0, 17)
         dists = [trace_distance(prop.state_at(coeffs, t)[0], sg.sigma) for t in ts]
         assert all(d2 <= d1 + 1e-10 for d1, d2 in zip(dists, dists[1:]))
@@ -305,7 +323,7 @@ class TestTraceDistanceMonotone:
         rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         rho0[0, 3] = rho0[3, 0] = 0.1
         prop = SpectralPropagator(heis)
-        coeffs = prop.coefficients(rho0[None])
+        coeffs = prop.coefficients([rho0])
         ts = np.linspace(0.0, 8.0, 17)
         dists = prop.distances(coeffs, ts)
         oracle = [trace_distance(prop.state_at(coeffs, t)[0], sg.sigma) for t in ts]
@@ -321,10 +339,21 @@ def transverse_field_ring(n):
     return assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * sum(single_site_paulis(n)[0::3])
 
 
+def density(psi):
+    """The density matrix psi psi^dag of a family state vector, for the oracles."""
+    return np.outer(psi, psi.conj())
+
+
 def family_and_cap(prop, sg, eps):
+    """The family's state vectors (6 Haar states, seed 11) and the chi-square cap t_upper."""
     gap = -np.sort(prop.evals)[-2]
     t_cap = mixing_bounds_from_gap(gap, sg.lambda_min, eps)[1]
-    return [rho for _, rho in _initial_family(sg, n_haar=6, seed=11)], t_cap
+    return [psi for _, psi in _initial_family(sg, n_haar=6, seed=11)], t_cap
+
+
+def oracle_times(prop, states, t_cap):
+    """Crossing times of the per-state oracle at epsilon = 1e-2, one density matrix at a time."""
+    return np.array([first_crossing_time(prop, density(psi), 1e-2, t_cap) for psi in states])
 
 
 class TestFirstCrossingTimes:
@@ -335,14 +364,14 @@ class TestFirstCrossingTimes:
                                    WeightFunction(kind, 1.0))
         states, t_cap = family_and_cap(prop, sg, 1e-2)
         batched = first_crossing_times(prop, states, 1e-2, t_cap)
-        oracle = np.array([first_crossing_time(prop, rho, 1e-2, t_cap) for rho in states])
+        oracle = oracle_times(prop, states, t_cap)
         assert np.all(np.abs(batched - oracle) <= BISECTION_RTOL * oracle)
 
     @pytest.mark.parametrize("kind", ["metropolis", "gaussian"])
     def test_transverse_field_ring_takes_eigenvalue_path(self, kind, monkeypatch):
         prop, sg = ring_propagator(transverse_field_ring(3), 3, WeightFunction(kind, 1.0))
         states, t_cap = family_and_cap(prop, sg, 1e-2)
-        oracle = np.array([first_crossing_time(prop, rho, 1e-2, t_cap) for rho in states])
+        oracle = oracle_times(prop, states, t_cap)
         solved = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -390,16 +419,72 @@ class TestFirstCrossingTimes:
         assert times.shape == (0,)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        prop, sg = ring_propagator(transverse_field_ring(3), 3, GM)
+        # a chunk is sized by the blocks its states occupy: on the ring each
+        # of the 16 population states holds d = 8 entries and each of the 6
+        # Haar states all 64; on the transverse-field ring every state holds 64
+        three_populations = 3 * 16 * 8
+        for H, chunks in [(assemble_dense(defected_ising_1d(3, 3.0)), [22, 16 // 3 + 1 + 6]),
+                          (transverse_field_ring(3), [22, 22])]:
+            prop, sg = ring_propagator(H, 3, GM)
+            states, t_cap = family_and_cap(prop, sg, 1e-2)
+            monkeypatch.setattr(mixing, "CROSSING_STACK_BYTES", 2**40)
+            work = SearchWork()
+            whole = first_crossing_times(prop, states, 1e-2, t_cap, work)
+            assert work.chunks == 1
+            for budget, count in zip((1, three_populations), chunks):
+                monkeypatch.setattr(mixing, "CROSSING_STACK_BYTES", budget)
+                work = SearchWork()
+                times = first_crossing_times(prop, states, 1e-2, t_cap, work)
+                assert np.array_equal(times, whole)
+                assert work.chunks == count
+                # states may come from a generator, taken one at a time
+                lazy = (psi for psi in states)
+                assert np.array_equal(first_crossing_times(prop, lazy, 1e-2, t_cap), whole)
+
+    def test_chunks_fit_the_budget(self, monkeypatch):
+        # the stored entries of a chunk fit CROSSING_STACK_BYTES, except a
+        # single state that is larger than the budget on its own
+        prop, sg = ring_propagator(assemble_dense(defected_ising_1d(4, 3.0)), 4, GM)
         states, t_cap = family_and_cap(prop, sg, 1e-2)
-        monkeypatch.setattr(mixing, "CROSSING_STACK_BYTES", 2**40)
-        whole = first_crossing_times(prop, states, 1e-2, t_cap)
-        for one_chunk_bytes in (1, 3 * 16 * 64):  # one state, three states
-            monkeypatch.setattr(mixing, "CROSSING_STACK_BYTES", one_chunk_bytes)
-            assert np.array_equal(first_crossing_times(prop, states, 1e-2, t_cap), whole)
-            # states may come from a generator, taken one chunk at a time
-            lazy = (rho for rho in states)
-            assert np.array_equal(first_crossing_times(prop, lazy, 1e-2, t_cap), whole)
+        chunks = []
+        bisect = mixing._bisect
+
+        def spy(prop, coeffs, *args):
+            chunks.append((coeffs.size, coeffs.support.size))
+            return bisect(prop, coeffs, *args)
+
+        monkeypatch.setattr(mixing, "_bisect", spy)
+        whole = None
+        for budget in (1, 16 * 16 * 5, 16 * 256 * 3, 2**19):
+            monkeypatch.setattr(mixing, "CROSSING_STACK_BYTES", budget)
+            chunks.clear()
+            times = first_crossing_times(prop, states, 1e-2, t_cap)
+            whole = times if whole is None else whole
+            assert np.array_equal(times, whole)
+            assert sum(size for size, _ in chunks) == len(states)
+            assert all(size * support * 16 <= budget or size == 1 for size, support in chunks)
+        # at the default budget the whole n = 4 family fits one chunk
+        assert chunks == [(38, 256)]
+
+    def test_haar_states_between_population_states_match_oracle(self, monkeypatch):
+        prop, sg = ring_propagator(assemble_dense(defected_ising_1d(4, 3.0)), 4, GM)
+        family = dict(_initial_family(sg, n_haar=3, seed=5))
+        ids = ["comp_0", "haar_0", "comp_7", "eig_3", "haar_1", "haar_2", "comp_15", "eig_0"]
+        states = [family[sid] for sid in ids]
+        t_cap = family_and_cap(prop, sg, 1e-2)[1]
+        oracle = oracle_times(prop, states, t_cap)
+        for budget in (2**19, 2 * 16 * 256):  # one chunk; four chunks of two states
+            monkeypatch.setattr(mixing, "CROSSING_STACK_BYTES", budget)
+            assert np.array_equal(first_crossing_times(prop, states, 1e-2, t_cap), oracle)
+
+    @pytest.mark.parametrize("H", [assemble_dense(defected_ising_1d(3, 3.0)),
+                                   transverse_field_ring(3)], ids=["ring", "transverse"])
+    def test_vector_and_density_matrix_give_equal_times(self, H):
+        prop, sg = ring_propagator(H, 3, GM)
+        states, t_cap = family_and_cap(prop, sg, 1e-2)
+        as_vectors = first_crossing_times(prop, states, 1e-2, t_cap)
+        as_matrices = first_crossing_times(prop, [density(psi) for psi in states], 1e-2, t_cap)
+        assert np.array_equal(as_vectors, as_matrices)
 
 
 class TestBlockSparseSearch:
@@ -409,11 +494,11 @@ class TestBlockSparseSearch:
         # computational and Gibbs-eigenbasis states of the commuting ring occupy
         # only the population block; the sandwich is tight on its diagonal support
         prop, sg = ring_propagator(assemble_dense(defected_ising_1d(n, J)), n, GM)
-        states = [rho for _, rho in _initial_family(sg, n_haar=0)]
-        support = prop.coefficients(np.array(states)).support
+        states = [psi for _, psi in _initial_family(sg, n_haar=0)]
+        support = prop.coefficients(states).support
         assert np.array_equal(np.sort(support), np.arange(2**n) * (2**n + 1))  # (i, i) pairs
         t_cap = family_and_cap(prop, sg, 1e-2)[1]
-        oracle = np.array([first_crossing_time(prop, rho, 1e-2, t_cap) for rho in states])
+        oracle = oracle_times(prop, states, t_cap)
         solved = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -430,9 +515,9 @@ class TestBlockSparseSearch:
         prop, sg = ring_propagator(assemble_dense(defected_ising_1d(4, 3.0)), 4, GM)
         family = dict(_initial_family(sg, n_haar=1, seed=5))
         states = [family["comp_3"], family["haar_0"]]
-        assert prop.coefficients(np.array(states)).support.size == 4**4  # every block
+        assert prop.coefficients(states).support.size == 4**4  # every block
         t_cap = family_and_cap(prop, sg, 1e-2)[1]
-        oracle = np.array([first_crossing_time(prop, rho, 1e-2, t_cap) for rho in states])
+        oracle = oracle_times(prop, states, t_cap)
         assert np.array_equal(first_crossing_times(prop, states, 1e-2, t_cap), oracle)
 
     @pytest.mark.parametrize("sid", ["comp_5", "eig_2", "haar_0"])
@@ -444,8 +529,10 @@ class TestBlockSparseSearch:
         heis = build_ckg_generator(es, single_site_paulis(3), GM)
         sg = heis.sigma
         prop = SpectralPropagator(heis)
-        rho0 = dict(_initial_family(sg, n_haar=1, seed=5))[sid]
-        coeffs = prop.coefficients(rho0[None])
+        psi = dict(_initial_family(sg, n_haar=1, seed=5))[sid]
+        rho0 = density(psi)
+        coeffs = prop.coefficients([psi])
+        assert np.array_equal(coeffs.support, prop.coefficients([rho0]).support)
         ts = np.array([0.0, 0.3, 2.0, 9.0])
         dists = prop.distances(coeffs, ts)
         for t, dist in zip(ts, dists):
