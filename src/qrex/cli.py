@@ -3,6 +3,8 @@
 Subcommands mirror the scenarios: gap, sweep, mixing, verify, theta,
 classical.  Exit codes: 0 success, 1 invariant failure, 2 config error,
 3 resource guard, 4 numerical error (a gap double precision cannot resolve).
+A sweep keeps its unresolved points: it writes the whole report, prints one
+``numerical error:`` line per such point and exits 4.
 """
 
 import argparse
@@ -80,6 +82,13 @@ def main(argv=None):
     text = emit(report, config.output["format"], config.output["path"])
     if config.output["path"] is None:
         sys.stdout.write(text)
+    if args.scenario == "sweep":
+        unresolved = [rec for rec in report.records if rec["status"] != "ok"]
+        for rec in unresolved:
+            print(f"numerical error: {rec['error']} (J = {rec['J']}, beta = {rec['beta']})",
+                  file=sys.stderr)
+        if unresolved:
+            return 4
     if args.scenario == "verify":
         for rec in report.records:
             status = "PASS" if rec["passed"] else "FAIL"

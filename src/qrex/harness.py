@@ -42,7 +42,13 @@ from .replica import (
     check_global_size,
     joint_structure,
 )
-from .spectral import HERMITICITY_TOL, KERNEL_TOL, a_diagonal_restriction_gap, spectral_gap
+from .spectral import (
+    HERMITICITY_TOL,
+    KERNEL_TOL,
+    UnresolvedGapError,
+    a_diagonal_restriction_gap,
+    spectral_gap,
+)
 from .verify import run_verification
 
 
@@ -56,6 +62,10 @@ class ResourceGuardError(RuntimeError):
 
 SCENARIOS = ("gap", "sweep", "mixing", "verify", "theta", "classical")
 WEIGHTS = ("metropolis", "gaussian")
+# the main theorem's lower bound on gap_re carries a factor 1/4 that
+# ``bound_ratio`` leaves out, so the bound holds where the ratio is at least this
+BOUND_RATIO_FLOOR = 0.25
+SWEEP_NUMBERS = ("gap_single", "gap_re", "g_B", "bound_ratio")
 
 DEFAULT_CONFIG = {
     "system": {"model": "defected_ising", "n": 3, "J": 3.0},
@@ -336,7 +346,12 @@ MODE_BUILDERS = {"none": _single_system, "local_A": _local_a, "global": _global}
 
 
 def _sweep_point(args):
-    """The record of one sweep value; ``args`` is (validated config, value), picklable for a pool."""
+    """The record of one sweep value; ``args`` is (validated config, value), picklable for a pool.
+
+    A point whose gap double precision cannot resolve (UnresolvedGapError)
+    is kept with ``status`` "unresolved", the error text in ``error`` and
+    NaN numbers; a resolved point has ``status`` "ok" and an empty ``error``.
+    """
     config, value = args
     if config.sweep["param"] == "J":
         spec = build_system(config, J=value)
@@ -347,10 +362,19 @@ def _sweep_point(args):
         beta = float(value)
         J = spec.defect[1] if spec.defect else float("nan")
     _guard_dims(config, spec)
-    p = _Point(spec, beta)
-    mode = config.replica["mode"]
-    rec = {"J": J, "beta": beta, "gap_single": spectral_gap(_single_system(p, config)).gap,
-           "gap_re": float("nan"), "g_B": float("nan"), "bound_ratio": float("nan")}
+    try:
+        return {"J": J, "beta": beta, **_sweep_numbers(_Point(spec, beta), config),
+                "status": "ok", "error": ""}
+    except UnresolvedGapError as exc:
+        return {"J": J, "beta": beta, **dict.fromkeys(SWEEP_NUMBERS, float("nan")),
+                "status": "unresolved", "error": str(exc)}
+
+
+def _sweep_numbers(p: _Point, config):
+    """gap_single, gap_re, g_B and bound_ratio of one sweep point (NaN where the mode has none)."""
+    beta, mode = p.beta, config.replica["mode"]
+    rec = dict.fromkeys(SWEEP_NUMBERS, float("nan"))
+    rec["gap_single"] = spectral_gap(_single_system(p, config)).gap
     if mode != "none":
         rec["gap_re"] = spectral_gap(MODE_BUILDERS[mode](p, config)).gap
     if mode == "local_A":
@@ -393,6 +417,10 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
         res = [r["gap_re"] for r in records if np.isfinite(r["gap_re"])]
         if res:
             summary["gap_re_max_over_min"] = max(res) / min(res)
+        ratios = [r["bound_ratio"] for r in records if np.isfinite(r["bound_ratio"])]
+        if ratios:  # the resolved local_A points
+            summary["bound_ratio_min"] = float(min(ratios))
+            summary["bound_holds"] = bool(min(ratios) >= BOUND_RATIO_FLOOR)
 
     elif scenario == "mixing":
         spec = build_system(config)
@@ -458,7 +486,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
 
 CSV_COLUMNS = {
     "gap": ["J", "beta", "gap", "kernel_dim", "kms_norm", "eigs", "tol"],
-    "sweep": ["J", "beta", "gap_single", "gap_re", "g_B", "bound_ratio"],
+    "sweep": ["J", "beta", "gap_single", "gap_re", "g_B", "bound_ratio", "status", "error"],
     "mixing": ["state_id", "t_cross"],
     "verify": ["check", "passed", "detail"],
     "theta": ["beta_omega", "theta_closed", "theta_quadrature", "abs_diff"],

@@ -63,11 +63,15 @@ class Triplets:
     """Square sparse matrix: entry e is val[e] at (row[e], col[e]) of a side x side matrix.
 
     Sorted by (row, col), each position once, no exact zeros; made by ``canonical``.
+    ``paired`` marks a matrix on the vec indices r = i + d j of d x d
+    operators with A[T r, T c] = conj(A[r, c]) under the transpose map
+    T(i + d j) = j + d i, as the L_hat of ``spectral.symmetrize`` has;
+    ``spectral.block_eigh`` then solves one block of each conjugate pair.
     """
 
-    def __init__(self, row, col, val, side):
+    def __init__(self, row, col, val, side, paired=False):
         self.row, self.col, self.val, self.side = row, col, val, side
-        self.shape, self.nnz = (side, side), val.size
+        self.shape, self.nnz, self.paired = (side, side), val.size, paired
 
     @classmethod
     def of(cls, A):
@@ -87,7 +91,7 @@ class Triplets:
         return _csum(self.row, self.val * x[self.col], self.side)
 
     def __neg__(self):
-        return Triplets(self.row, self.col, -self.val, self.side)
+        return Triplets(self.row, self.col, -self.val, self.side, self.paired)
 
 
 def canonical(row, col, val, side):

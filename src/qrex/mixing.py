@@ -10,7 +10,12 @@ in (``symmetrize``).  There Phi is the elementwise scaling by
 phi = kron(q, q), q = weights^(1/4), so a state only needs the rotation
 U^dag rho U and that scaling; L_hat is sparse ``lindblad.Triplets``, decomposed
 block by block along the connected components of its zero pattern
-(``block_eigh``), so only the dense blocks are ever formed.
+(``block_eigh``), so only the dense blocks are ever formed, one of each
+conjugate pair under the transpose map T(i + d j) = j + d i.  A state is
+carried by the Hermitian part of U^dag rho U on those solved blocks: the
+flow preserves Hermiticity, so on the partner of a solved block that part
+stays the conjugate transpose of its entries on the solved one, and it is
+written in as a mirror only where a whole matrix is formed.
 
 Trace distances are taken in sigma.basis too: the trace norm is unitarily
 invariant, so ||rho(t) - sigma||_1 is that of the Hermitian part of
@@ -26,15 +31,14 @@ stays zero there.  A chunk of states is sized by the union of those blocks
 Each round yields the entries on those blocks' vec indices, the support,
 and decides each distance test first by the exact sandwich
 sum_i |Y_ii| <= ||Y||_1 <= sum_ij |Y_ij| taken from them (``SupportBounds``).
-A whole deviation is formed, and its eigenvalues computed, only for the
-states that fall between the bounds.  Computational and sigma-eigenbasis
-states of a commuting H occupy only the population block, whose support is
-the diagonal, d entries; there the bounds coincide and no d x d matrix is
-formed.  On the ring (J = 3) one ``qrex mixing`` call takes 0.68 s at
-n = 7 and 1.97 s at n = 8, against 1.08 s and 6.5 s when a chunk held
-CROSSING_STACK_BYTES // (16 d^2) states (one at n = 7), in a fresh process
-after the imports on a 2-core VM with one BLAS thread
-(``BENCH_19_crossing_search.json``).
+A mirrored entry x_ij stands for itself and its conjugate at (j, i), and
+enters the upper bound as 2 |x_ij|.  A whole deviation is formed, and its
+eigenvalues computed, only for the states that fall between the bounds.
+Computational and sigma-eigenbasis states of a commuting H occupy only the
+population block, whose support is the diagonal, d entries; there the
+bounds coincide and no d x d matrix is formed.  Solving and carrying one
+block of each conjugate pair halves the eigensolve and the work of every
+round, and a chunk holds twice the states (``BENCH_20_conjugate_pairs.json``).
 
 Propagation has one route: a generator that ``symmetrize`` rejects (not
 detailed balanced) raises its ValueError.  ``chi_square_rate_fit`` reads its
@@ -50,9 +54,11 @@ from .lindblad import Superoperator, unvec, vec
 from .spectral import (
     UnresolvedGapError,
     block_eigh,
+    block_spectrum,
     gap_from_eigenvalues,
     kms_scaling,
     symmetrize,
+    transpose_map,
 )
 
 BISECTION_RTOL = 1e-3
@@ -120,16 +126,19 @@ class Coefficients:
 
     A block is an invariant subspace of L_hat, so a state whose rotation
     U^dag rho U is zero on a block's vec indices keeps zero coefficients
-    there at every time.  Only the blocks where some state of the stack is
-    nonzero are kept: ``blocks`` holds (V, c) per block size, their
+    there at every time.  Only the solved blocks where some state of the
+    stack is nonzero are kept: ``blocks`` holds (V, c) per block size, their
     eigenvectors with Phi folded in and the (k, b, S) coefficients, one
     column per state; ``rates`` are their eigenvalues and ``support`` their
-    vec indices, both in the order of the blocks.
+    vec indices, both in the order of the blocks.  ``mirrored`` marks the
+    support entries of twin blocks: the transpose (j, i) of such an entry
+    (i, j) lies in the partner block and holds its conjugate.
     """
 
     blocks: list
     rates: np.ndarray
     support: np.ndarray
+    mirrored: np.ndarray
 
     @property
     def size(self):
@@ -140,51 +149,64 @@ class Coefficients:
         """The coefficients of the columns that the boolean mask ``keep`` selects."""
         if keep.all():
             return self
-        return Coefficients([(V, c[:, :, keep]) for V, c in self.blocks], self.rates, self.support)
+        return Coefficients([(V, c[:, :, keep]) for V, c in self.blocks], self.rates, self.support,
+                            self.mirrored)
 
 
 class SpectralPropagator:
     """Evolution e^{t L^dag} through the block eigendecomposition of L_hat.
 
     ``L`` is the generator and ``sigma`` its Gibbs state, the fixed point.
-    ``blocks`` holds (idx, w, V) for each block size (see ``block_eigh``),
-    with Phi folded into the eigenvectors: column j of V[c] is
-    phi[idx[c]] times the eigenvector of L_hat.  ``evals`` is the whole
-    spectrum of L_hat, ascending.  The blocks are numbered in that order,
-    block by block; ``_order`` lists their vec indices in the same order,
-    ``_block_at`` the block of each place in it, and ``_place`` the place
-    of each vec index.  A state is kept by the blocks it occupies
-    (``occupy``), and a stack of them is propagated through the union of
-    those blocks only (``Coefficients``), with one matmul per block size for
-    the whole stack, and yields its entries on their vec indices; a whole
-    (S, d, d) stack is formed only where a matrix is needed.
+    ``blocks`` holds (idx, w, V, twin) for each block size (see
+    ``block_eigh``): one block of each conjugate pair of L_hat, with Phi
+    folded into the eigenvectors: column j of V[c] is phi[idx[c]] times the
+    eigenvector of L_hat.  ``evals`` is the whole spectrum of L_hat,
+    ascending, the eigenvalues of a twin block counted twice.  The solved
+    blocks are numbered in the order of ``blocks``; ``_order`` lists their
+    vec indices in the same order, ``_block_at`` the block of each place in
+    it, ``_mirrored`` whether that block is a twin, and ``_place`` the
+    place of each vec index (-1 in a partner block).
+
+    A state is carried by the Hermitian part of U^dag rho U on the solved
+    blocks.  The flow is Hermiticity preserving, so on the partner T(B) of
+    a twin block B that part stays the conjugate transpose of its entries
+    on B, and every distance reads only the Hermitian part.  A state is
+    kept by the blocks it occupies (``occupy``), and a stack of them is
+    propagated through the union of those blocks only (``Coefficients``),
+    with one matmul per block size for the whole stack, and yields its
+    entries on their vec indices; a whole (S, d, d) stack is formed only
+    where a matrix is needed, with the partner entries mirrored in.
     """
 
     def __init__(self, L: Superoperator):
         self.L, self.sigma = L, L.sigma
         phi = kms_scaling(self.sigma)
         self.blocks = block_eigh(symmetrize(L))
-        for idx, _, V in self.blocks:
+        for idx, _, V, _ in self.blocks:
             V *= phi[idx][:, :, None]
-        self.evals = np.sort(np.concatenate([w.ravel() for _, w, _ in self.blocks]))
+        self.evals = block_spectrum(self.blocks)
         self._phi_sq = phi * phi
         self._U, self._Uh = L.basis, L.basis.conj().T
-        self._order = np.concatenate([idx.ravel() for idx, _, _ in self.blocks])
+        self._order = np.concatenate([idx.ravel() for idx, _, _, _ in self.blocks])
         self._sizes = np.concatenate([np.full(idx.shape[0], idx.shape[1])
-                                      for idx, _, _ in self.blocks])
+                                      for idx, _, _, _ in self.blocks])
         self._block_at = np.repeat(np.arange(self._sizes.size), self._sizes)
-        self._place = np.empty_like(self._order)
+        self._mirrored = np.concatenate([twin for _, _, _, twin in self.blocks])[self._block_at]
+        self._transpose = transpose_map(phi.size)
+        self._place = np.full(phi.size, -1)
         self._place[self._order] = np.arange(self._order.size)
 
     def occupy(self, state) -> Occupied:
         """A state vector psi (rho = psi psi^dag) or a density matrix rho, by the blocks it occupies.
 
         The state is rotated once: U^dag psi for a vector, whose outer
-        product is U^dag rho U, else U^dag rho U itself.  A block is
-        occupied when that rotation is nonzero on one of its vec indices;
-        the test is exact.  The entries kept are the nonzero ones of
-        conj(vec(U^dag rho U)) / phi^2.  For a vector only the outer product
-        of the nonzero entries of U^dag psi is formed: the rest is zero.
+        product is U^dag rho U, else U^dag rho U itself.  Its Hermitian part
+        is kept on the solved blocks: an outer product is Hermitian as it
+        is, and a matrix Y gives (y_r + conj(y_{T r})) / 2 at each vec index
+        r.  A block is occupied when that part is nonzero on one of its vec
+        indices; the test is exact.  The entries kept are the nonzero ones
+        of its conj(vec) / phi^2.  For a vector only the outer product of
+        the nonzero entries of U^dag psi is formed: the rest is zero.
         """
         state = np.asarray(state, dtype=complex)
         d = self.sigma.dim
@@ -194,10 +216,13 @@ class SpectralPropagator:
             a = a[on]
             v = (a * a.conj()[:, None]).ravel()  # a_i conj(a_j), j major
             index = np.add.outer(d * on, on).ravel()  # i + d j, in the same order
+            solved = self._place[index] >= 0
+            index, v = index[solved], v[solved]
         else:
             # vec(U^dag rho U) = (U^T rho^T conj(U)) raveled
-            v = (self._U.T @ state.T @ self._U.conj()).ravel()
-            index = np.arange(d * d)
+            y = (self._U.T @ state.T @ self._U.conj()).ravel()
+            index = self._order
+            v = 0.5 * (y[index] + y[self._transpose[index]].conj())
         v /= self._phi_sq[index]
         np.conj(v, out=v)
         nonzero = v != 0
@@ -228,7 +253,7 @@ class SpectralPropagator:
             x[row[self._place[s.index]], col] = s.entries
         blocks, rates = [], []
         first, start = 0, 0
-        for idx, w, V in self.blocks:
+        for idx, w, V, _ in self.blocks:
             on = occupied[first:first + idx.shape[0]]
             first += idx.shape[0]
             if not on.any():
@@ -241,7 +266,7 @@ class SpectralPropagator:
             blocks.append((V, np.conj(c, out=c)))
             rates.append(w.ravel())
             start = stop
-        return Coefficients(blocks, np.concatenate(rates), self._order[at])
+        return Coefficients(blocks, np.concatenate(rates), self._order[at], self._mirrored[at])
 
     def _propagate(self, coeffs, t):
         """Entries of U^dag rho_s(t_s) U on ``coeffs.support``, an (m, S) array, column s per state.
@@ -263,11 +288,17 @@ class SpectralPropagator:
             start = stop
         return x
 
-    def _scatter(self, x, support):
-        """The (S, d, d) stack X_s with entries x[:, s] on the vec indices ``support``, else 0."""
+    def _scatter(self, x, coeffs):
+        """The (S, d, d) stack X_s with entries x[:, s] on ``coeffs.support``, mirrored, else 0.
+
+        Each ``mirrored`` entry x_ij also puts its conjugate at (j, i), in the
+        partner block.
+        """
         d = self.sigma.dim
         v = np.zeros((x.shape[1], d * d), dtype=complex)
-        v[:, support] = x.T
+        v[:, coeffs.support] = x.T
+        m = coeffs.mirrored
+        v[:, self._transpose[coeffs.support[m]]] = x[m].T.conj()
         # row s is vec(X_s); the reshape is X_s^T, swapped back
         return v.reshape(-1, d, d).swapaxes(1, 2)
 
@@ -282,7 +313,7 @@ class SpectralPropagator:
 
     def state_at(self, coeffs, t):
         """The propagated states rho_s(t), an (S, d, d) stack (see ``_propagate``)."""
-        rho = self._U @ self._scatter(self._propagate(coeffs, t), coeffs.support) @ self._Uh
+        rho = self._U @ self._scatter(self._propagate(coeffs, t), coeffs) @ self._Uh
         return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
     def deviations(self, coeffs, t):
@@ -292,7 +323,7 @@ class SpectralPropagator:
         distances to sigma without rotating out of sigma.basis, where sigma
         is diag(weights).
         """
-        return self._deviation(self._scatter(self._propagate(coeffs, t), coeffs.support))
+        return self._deviation(self._scatter(self._propagate(coeffs, t), coeffs))
 
     def distances(self, coeffs, t):
         """Exact trace distances ||rho_s(t) - sigma||_1, from the eigenvalues of ``deviations``."""
@@ -364,20 +395,24 @@ class SupportBounds:
     """Bounds sum_i |Y_ii| <= ||Y||_1 <= sum_ij |Y_ij| from the entries of X on a support.
 
     Y = (X + X^dag) / 2 - diag(weights) for each X of a stack that is zero
-    off the vec indices ``support`` (i + d j for entry (i, j)); column s of
-    x holds the entries of X_s there.  The trace norm dominates the
-    diagonal's l1 norm, and is at most the sum of the trace norms |Y_ij| of
-    the rank-one pieces Y_ij e_i e_j^T.  A diagonal pair outside the support
-    adds w_i to both bounds.  On it, the lower bound is sum |Re x_ii - w_i|,
-    and the upper bound adds sum_{i != j} |Y_ij| with
-    Y_ij = (x_ij + conj(x_ji)) / 2; a pair whose transpose (j, i) lies off
-    the support enters with |x_ij|, for Y_ij and Y_ji together.  The
-    support of a Hermitian state is closed under transpose, so that last
-    case is the exception.
+    off the vec indices ``support`` (i + d j for entry (i, j)) and their
+    mirrors; column s of x holds the entries of X_s on the support.  An
+    entry that the mask ``mirrored`` selects stands for its transpose too:
+    (j, i) lies off the support and X_s holds conj(x_ij) there.  The trace
+    norm dominates the diagonal's l1 norm, and is at most the sum of the
+    trace norms |Y_ij| of the rank-one pieces Y_ij e_i e_j^T.  A diagonal
+    pair outside the support adds w_i to both bounds.  On it, the lower
+    bound is sum |Re x_ii - w_i|, and the upper bound adds sum_{i != j}
+    |Y_ij| with Y_ij = (x_ij + conj(x_ji)) / 2.  A mirrored entry enters
+    with 2 |x_ij|, for Y_ij = x_ij and Y_ji together; any other entry whose
+    transpose lies off the support enters with |x_ij|.  The support of a
+    Hermitian state is closed under transpose, with its mirrors, so that
+    last case is the exception.
     """
 
-    def __init__(self, support, weights):
+    def __init__(self, support, weights, mirrored=None):
         d = weights.size
+        mirrored = np.zeros(support.size, dtype=bool) if mirrored is None else mirrored
         i, j = support % d, support // d
         at = np.full(d * d, -1)
         at[support] = np.arange(support.size)
@@ -390,12 +425,15 @@ class SupportBounds:
         # |Y_ji| = |Y_ij| exactly: each transposed pair is summed once, as 2 |Y_ij|
         first = partner > np.arange(support.size)
         self.pair, self.partner = np.flatnonzero(first), partner[first]
-        self.lone = np.flatnonzero(~on_diag & (partner < 0))
+        self.mirrored = np.flatnonzero(mirrored)
+        self.lone = np.flatnonzero(~on_diag & (partner < 0) & ~mirrored)
 
     def __call__(self, x):
         """The (lower, upper) bounds for each column of the (m, S) entries ``x``."""
         lower = np.abs(x[self.diag].real - self.weights[:, None]).sum(axis=0) + self.outside
         upper = lower + np.abs(x[self.pair] + x[self.partner].conj()).sum(axis=0)
+        if self.mirrored.size:
+            upper += 2.0 * np.abs(x[self.mirrored]).sum(axis=0)
         if self.lone.size:
             upper += np.abs(x[self.lone]).sum(axis=0)
         return lower, upper
@@ -426,7 +464,7 @@ def _within(prop, coeffs, t, epsilon, bounds, work):
     work.rounds += 1
     if open_.any():
         work.eigensolves += int(open_.sum())
-        Y = prop._deviation(prop._scatter(x[:, open_], coeffs.support))
+        Y = prop._deviation(prop._scatter(x[:, open_], coeffs))
         inside[open_] = np.abs(np.linalg.eigvalsh(Y)).sum(axis=-1) <= epsilon
     return inside
 
@@ -470,7 +508,7 @@ def _bisect(prop, coeffs, epsilon, t_cap, work):
     coefficients, copied only when the set shrinks.
     """
     work.chunks += 1
-    bounds = SupportBounds(coeffs.support, prop.sigma.weights)
+    bounds = SupportBounds(coeffs.support, prop.sigma.weights, mirrored=coeffs.mirrored)
     S = coeffs.size
     lo, hi = np.zeros(S), np.full(S, float(t_cap))
     far = ~_within(prop, coeffs, 0.0, epsilon, bounds, work)
@@ -562,7 +600,7 @@ def _gap_and_mode(prop: SpectralPropagator):
     sigma = prop.sigma
     gap = gap_from_eigenvalues(-prop.evals[::-1]).gap
     x = np.zeros(prop.evals.size, dtype=complex)
-    for idx, w, V in prop.blocks:
+    for idx, w, V, _ in prop.blocks:
         c, j = np.nonzero(w == -gap)
         if c.size:  # the first block holding the gap eigenvalue
             x[idx[c[0]]] = V[c[0], :, j[0]]

@@ -21,8 +21,9 @@ labeled eigensystem of H (x) I + I (``swap_generator_generic``).
 The local_A joint generator (``build_replica_exchange_generator``) is
 assembled in the same labeled basis: the system piece is built from the
 eigensystem of H in the system factor of that basis, the auxiliary piece in
-the A-side eigenbasis, and the pieces are summed by ``lindblad.add`` after
-``lift`` puts each on its factor by index arithmetic on its triplets.  The joint
+the A-side eigenbasis, and ``lift`` puts each on its factor by index
+arithmetic on its triplets; one ``lindblad.canonical`` sorts and sums the
+swap piece and the lifted entries together (``_joint_sum``).  The joint
 Gibbs state is diagonal there (``joint_gibbs``), and the swap and local_A
 generators carry it as their ``sigma``, so KMS products on the joint space
 are Euclidean products of vectors scaled by ``spectral.kms_scaling``; the
@@ -42,7 +43,6 @@ from .lindblad import (
     GibbsState,
     Superoperator,
     WeightFunction,
-    add,
     alpha_coeff,
     build_ckg_generator,
     canonical,
@@ -204,19 +204,31 @@ def swap_generator_generic(js: JointStructure, beta) -> Superoperator:
 
 
 def lift(M, dims, factor):
-    """Triplets of L on one factor of C^dims[0] (x) C^dims[1], identity on the other.
+    """Entries (row, col, val) of L on one factor of C^dims[0] (x) C^dims[1], identity on the other.
 
     ``M`` is the Triplets of L on factor ``factor`` (0 or 1).  The lift is
     the kron of M with the identity superoperator of the other factor, whose
     index pair (r1, r2), r1 = i + d1*j and r2 = c + d2*b, is relabeled to
     the joint vec index (i*d2 + c) + d1*d2*(j*d2 + b) = J[0][r1] + J[1][r2].
+    The relabeling is one to one, so each position appears once and no
+    value is zero, as in M; the entries are not sorted (see ``_joint_sum``).
     """
     d1, d2 = dims
-    r1, r2 = np.arange(d1 * d1), np.arange(d2 * d2)
+    r1, r2 = np.arange(d1 * d1, dtype=np.int32), np.arange(d2 * d2, dtype=np.int32)
     J = [(r1 % d1) * d2 + d1 * d2 * d2 * (r1 // d1), r2 % d2 + d1 * d2 * (r2 // d2)]
-    own, rest = J[factor], J[1 - factor]
-    return canonical((own[M.row][:, None] + rest).ravel(), (own[M.col][:, None] + rest).ravel(),
-                     np.repeat(M.val, rest.size), (d1 * d2) ** 2)
+    own, rest = J[factor], J[1 - factor]  # int32, as the indices of Triplets
+    return ((own[M.row][:, None] + rest).ravel(), (own[M.col][:, None] + rest).ravel(),
+            np.repeat(M.val, rest.size))
+
+
+def _joint_sum(swap, *lifted):
+    """The canonical sum of the swap Triplets and the ``lift`` entries, sorted once.
+
+    Each part holds each position once, so every duplicate run sums the
+    parts in this order, as summing canonical parts one by one does.
+    """
+    parts = [(swap.row, swap.col, swap.val), *lifted]
+    return canonical(*(np.concatenate(x) for x in zip(*parts)), swap.side)
 
 
 def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> Superoperator:
@@ -234,8 +246,8 @@ def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> S
     L1 = build_ckg_generator(js.system_es, single_site_paulis(js.n), w)
     es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a)
     L2 = build_ckg_generator(es2, single_site_paulis(js.n_a), w)
-    M = add(_swap_superop_labeled(js, w.beta), lift(L1.local, (d_n, js.d_a), 0),
-            lift(L2.local, (d_n, js.d_a), 1))
+    M = _joint_sum(_swap_superop_labeled(js, w.beta), lift(L1.local, (d_n, js.d_a), 0),
+                   lift(L2.local, (d_n, js.d_a), 1))
     return Superoperator(M, joint_gibbs(js, w.beta))
 
 
@@ -278,8 +290,8 @@ def build_global_replica_generator(es: Eigensystem, w: WeightFunction, beta2) ->
     es_swap = eigensystem_from_pairs((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1),
                                      sigma.basis)
     swap = local_swap_unitary(d_n, 1)
-    M = add(build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).local,
-            lift(L1.local, (d_n, d_n), 0), lift(L2.local, (d_n, d_n), 1))
+    M = _joint_sum(build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).local,
+                   lift(L1.local, (d_n, d_n), 0), lift(L2.local, (d_n, d_n), 1))
     return Superoperator(M, sigma)
 
 

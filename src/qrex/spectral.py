@@ -22,11 +22,24 @@ hooking and pointer jumping) are blocks solved on their own.  The spectrum
 of a matrix with exact zeros outside its blocks is the union of the block
 spectra, so this is exact; a matrix without zeros is one block.
 
+Every generator qrex builds preserves Hermiticity, so under the transpose
+map T(i + d j) = j + d i of vec indices L[T r, T c] = conj(L[r, c]), and
+L_hat keeps this: the scaling kron(q, q) is symmetric under T.  T carries
+each block B of L_hat onto a block T(B), B itself or a partner with the
+conjugate matrix, the same eigenvalues and the conjugate eigenvectors.
+``symmetrize`` marks its L_hat ``paired``, and ``block_eigh`` then solves
+one block of each pair (``_conjugate_pairs``), checks each entry of the
+partner blocks against the conjugate of its T-image (``_mirror_residual``;
+ValueError above HERMITICITY_TOL), and counts a twin block's eigenvalues
+twice (``block_spectrum``); the partner blocks are never formed.  Other
+input takes the general route, every block solved.
+
 The bound g_B of the main theorem, the smallest gap of the pinned B
 generators, is read off one generator: ``a_diagonal_restriction_gap``.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +48,8 @@ from .pauli import single_site_paulis
 
 KERNEL_TOL = 1e-9
 # relative Frobenius residual ||L_hat - L_hat^dag|| / max(1, ||L_hat||) above
-# which a generator is rejected as not detailed balanced
+# which a generator is rejected as not detailed balanced; the same bound holds
+# the partner blocks of a paired L_hat to the conjugates of the solved ones
 HERMITICITY_TOL = 1e-9
 
 
@@ -45,11 +59,21 @@ class UnresolvedGapError(ValueError):
 
 @dataclass
 class GapReport:
+    """Gap and kernel of -L_hat; ``spectral_gap`` adds the block structure of its eigensolve.
+
+    ``blocks`` counts the blocks of L_hat, ``blocks_solved`` those solved
+    (one of each conjugate pair) and ``largest_block`` the side of the
+    largest; None where the spectrum came from elsewhere.
+    """
+
     gap: float
     kernel_dim: int
     kms_norm: float
     eigenvalue_tail: list
     tolerance: float
+    blocks: int | None = None
+    blocks_solved: int | None = None
+    largest_block: int | None = None
 
     def to_json_dict(self):
         return {
@@ -58,6 +82,9 @@ class GapReport:
             "kms_norm": self.kms_norm,
             "eigs": list(self.eigenvalue_tail),
             "tol": self.tolerance,
+            "blocks": self.blocks,
+            "blocks_solved": self.blocks_solved,
+            "largest_block": self.largest_block,
         }
 
 
@@ -81,7 +108,7 @@ def symmetrize(L: Superoperator):
     if herm > HERMITICITY_TOL:
         raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
                          f"L_hat {herm:.2e})")
-    return Lhat
+    return Triplets(Lhat.row, Lhat.col, Lhat.val, Lhat.side, paired=True)
 
 
 def _hermitian_part(A: Triplets):
@@ -122,65 +149,160 @@ def _component_labels(n, rows, cols):
     return np.unique(root, return_inverse=True)[1]
 
 
+def transpose_map(side):
+    """T(i + d j) = j + d i for each vec index of a d x d operator, side = d^2."""
+    d = math.isqrt(side)
+    r = np.arange(side, dtype=np.int64)
+    return (r % d) * d + r // d
+
+
+def _conjugate_pairs(label, least):
+    """The conjugate pairing of the components of a paired matrix under the transpose map T.
+
+    ``label`` numbers the components of the vec indices and ``least`` holds
+    the least index of each.  T carries component B onto its partner T(B),
+    the component of T(least[B]); B is solved when least[B] is at most its
+    partner's least index, so a self-paired block is solved and of every
+    other pair the one whose least index is smaller.  Returns the (solve,
+    twin) masks over the components, ``twin`` marking the blocks whose
+    partner is another block, and T; ValueError when T does not carry
+    blocks onto blocks.
+    """
+    t = transpose_map(label.size)
+    partner = label[t[least]]
+    if not np.array_equal(label[t], partner[label]):
+        raise ValueError("L_hat is not paired by the transpose map: it does not carry the "
+                         "blocks of L_hat onto blocks")
+    comp = np.arange(least.size)
+    return partner >= comp, partner != comp, t
+
+
+def _mirror_residual(flat, val, place, own, mirror):
+    """Squared residual of A[T r, T c] = conj(A[r, c]) on one stack of solved blocks.
+
+    ``flat`` is the stack, raveled, ``place[e]`` the place there of entry e
+    or, for an entry of a partner block, of its T-image; ``own`` are the
+    stack's entries in twin blocks and ``mirror`` the partner entries whose
+    T-images fall in it.  Each partner entry is compared with the conjugate
+    of the solved entry at its T-image, and an own entry that no partner
+    entry reaches counts whole.
+    """
+    image = flat[place[mirror]]
+    sq = np.linalg.norm(val[mirror] - image.conj()) ** 2
+    # T is one to one: when the partner entries reach as many solved entries as
+    # there are, every own entry has its mirror
+    if np.count_nonzero(image) != own.size:
+        reached = np.zeros(flat.size, dtype=bool)
+        reached[place[mirror]] = True
+        sq += np.linalg.norm(val[own[~reached[place[own]]]]) ** 2
+    return sq
+
+
 def _blocks(A):
     """Diagonal blocks of the square A along the connected components of its nonzero pattern.
 
     Entry (i, j) links i and j whichever triangle it sits in (weak
     connectivity), so the blocks are those of one simultaneous row/column
     permutation, also for a non-Hermitian A.  A is dense or Triplets.  Returns
-    one (idx, sub) pair per distinct component size b: ``idx`` is the (k, b)
-    array of the indices of k components, ascending within a row, and
-    ``sub`` the dense (k, b, b) stack of the blocks A[i][:, i], i = idx[c].
+    one (idx, sub, twin) triple per distinct size b of the blocks kept:
+    ``idx`` is the (k, b) array of the indices of k components, ascending
+    within a row, ``sub`` the dense (k, b, b) stack of the blocks
+    A[i][:, i], i = idx[c], and ``twin`` the (k,) mask of the blocks that
+    stand for a partner block too.  The entries are grouped by stack with
+    one counting sort, and each stack is filled by one scatter.
+
+    Every block is kept, with no twin, unless A is ``paired``.  Then only
+    one block of each conjugate pair is kept and formed
+    (``_conjugate_pairs``), and the partner of a twin block is
+    A[T i][:, T i] = conj(A[i][:, i]): each entry of a partner block is
+    checked against the conjugate of its T-image in the stack
+    (``_mirror_residual``), and a relative residual above HERMITICITY_TOL is
+    a ValueError.
     """
     A = A if isinstance(A, Triplets) else Triplets.of(A)
-    rows, cols, vals = A.row, A.col, A.val
     n = A.side
-    label = _component_labels(n, rows, cols)
+    label = _component_labels(n, A.row, A.col)
     sizes = np.bincount(label)
     order = np.argsort(label, kind="stable")
     starts = np.cumsum(sizes) - sizes
     pos = np.empty(n, dtype=np.int64)  # place of each index within its component
     pos[order] = np.arange(n) - starts[label[order]]
-    out = []
-    for b in np.unique(sizes):
-        comps = np.nonzero(sizes == b)[0]
-        slot = np.empty(sizes.size, dtype=np.int64)
-        slot[comps] = np.arange(comps.size)
-        sub = np.zeros((comps.size, b, b), dtype=vals.dtype)
-        mine = sizes[label[rows]] == b
-        r, c = rows[mine], cols[mine]
-        sub[slot[label[r]], pos[r], pos[c]] = vals[mine]
-        out.append((order[starts[comps][:, None] + np.arange(b)], sub))
+    solve, twin, home = np.ones(sizes.size, dtype=bool), np.zeros(sizes.size, dtype=bool), None
+    if A.paired:
+        solve, twin, t = _conjugate_pairs(label, order[starts])
+        home = np.where(solve[label], np.arange(n), t)  # an index of a partner block reads T of it
+    kept = np.flatnonzero(solve)
+    kept = kept[np.argsort(sizes[kept], kind="stable")]  # by size, in label order within one
+    side, first, count = np.unique(sizes[kept], return_index=True, return_counts=True)
+    stack = np.zeros(sizes.size, dtype=np.int64)  # the stack of each kept component
+    stack[kept] = np.repeat(np.arange(side.size), count)
+    slot = np.zeros(sizes.size, dtype=np.int64)  # and its place in the stack
+    slot[kept] = np.arange(kept.size) - np.repeat(first, count)
+    width = sizes[label]
+    corner = (slot[label] * width + pos) * width  # the place of entry (i, least index of its block)
+    row, col = (A.row, A.col) if home is None else (home[A.row], home[A.col])
+    place = corner[row] + pos[col]
+    # each entry's stack, and whether it lies in a twin block (1) or a partner block (2)
+    kind = (twin.astype(np.int8) + ~solve)[label[A.row]]
+    key = (3 * stack[label][row] + kind).astype(np.min_scalar_type(3 * side.size))
+    by = np.argsort(key, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=3 * side.size))])
+    out, sq = [], 0.0
+    for g, (b, k, f) in enumerate(zip(side, count, first)):
+        comps = kept[f:f + k]
+        sub = np.zeros((k, b, b), dtype=A.val.dtype)
+        solved = by[bounds[3 * g]:bounds[3 * g + 2]]
+        sub.reshape(-1)[place[solved]] = A.val[solved]
+        if bounds[3 * g + 3] > bounds[3 * g + 1]:  # the stack holds twin blocks
+            sq += _mirror_residual(sub.reshape(-1), A.val, place,
+                                   by[bounds[3 * g + 1]:bounds[3 * g + 2]],
+                                   by[bounds[3 * g + 2]:bounds[3 * g + 3]])
+        out.append((order[starts[comps][:, None] + np.arange(b)], sub, twin[comps]))
+    if A.paired:
+        resid = float(np.sqrt(sq) / max(1.0, np.linalg.norm(A.val)))
+        if resid > HERMITICITY_TOL:
+            raise ValueError(f"L_hat is not conjugate under the transpose map (pairing residual "
+                             f"{resid:.2e})")
     return out
 
 
 def block_eigh(A, vectors=True):
     """Eigendecomposition of the Hermitian A (dense or Triplets), one batched eigh per block size.
 
-    Returns a list of (idx, w, V), one per distinct block size b: ``idx`` is
-    the (k, b) array of the indices of k blocks, ``w`` their (k, b) ascending
-    eigenvalues and ``V`` their (k, b, b) eigenvectors (None without
-    ``vectors``), so that A[i][:, i] @ V[c] = V[c] * w[c] with i = idx[c].
+    Returns a list of (idx, w, V, twin), one per distinct block size b:
+    ``idx`` is the (k, b) array of the indices of k blocks, ``w`` their
+    (k, b) ascending eigenvalues and ``V`` their (k, b, b) eigenvectors
+    (None without ``vectors``), so that A[i][:, i] @ V[c] = V[c] * w[c] with
+    i = idx[c].  For a ``paired`` A one block of each conjugate pair is
+    solved (see ``_blocks``): where ``twin[c]`` holds, the partner block on
+    the indices T(idx[c]) has the same eigenvalues w[c] and the conjugate
+    eigenvectors conj(V[c]).
     """
     groups = []
-    for idx, sub in _blocks(A):
+    for idx, sub, twin in _blocks(A):
         if vectors:
             w, V = np.linalg.eigh(sub)
         else:
             w, V = np.linalg.eigvalsh(sub), None
-        groups.append((idx, w, V))
+        groups.append((idx, w, V, twin))
     return groups
+
+
+def block_spectrum(groups):
+    """Ascending eigenvalues of the ``block_eigh`` groups, those of a twin block counted twice."""
+    return np.sort(np.concatenate([np.repeat(w, 1 + twin, axis=0).ravel()
+                                   for _, w, _, twin in groups]))
 
 
 def block_eigvalsh(A):
     """Ascending eigenvalues of the Hermitian A, solved block by block."""
-    return np.sort(np.concatenate([w.ravel() for _, w, _ in block_eigh(A, vectors=False)]))
+    return block_spectrum(block_eigh(A, vectors=False))
 
 
 def spectral_norm(X):
     """Largest singular value of the square X: sqrt of the top eigenvalue of X^dag X per block."""
     top = 0.0
-    for _, sub in _blocks(X):
+    for _, sub, _ in _blocks(X):
         top = max(top, float(np.linalg.eigvalsh(sub.conj().transpose(0, 2, 1) @ sub)[:, -1].max()))
     return float(np.sqrt(top))
 
@@ -211,8 +333,12 @@ def gap_from_eigenvalues(evals, tol=KERNEL_TOL) -> GapReport:
 
 
 def spectral_gap(L: Superoperator, tol=KERNEL_TOL) -> GapReport:
-    """Kernel dimension and smallest nonzero eigenvalue of -L_hat."""
-    return gap_from_eigenvalues(block_eigvalsh(-symmetrize(L)), tol)
+    """Kernel dimension and smallest nonzero eigenvalue of -L_hat, with its block structure."""
+    groups = block_eigh(-symmetrize(L), vectors=False)
+    return replace(gap_from_eigenvalues(block_spectrum(groups), tol),
+                   blocks=sum(int(idx.shape[0] + twin.sum()) for idx, _, _, twin in groups),
+                   blocks_solved=sum(idx.shape[0] for idx, _, _, _ in groups),
+                   largest_block=max(idx.shape[1] for idx, _, _, _ in groups))
 
 
 def _gap_of_psd(M, tol=1e-10):

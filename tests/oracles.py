@@ -45,8 +45,12 @@ as test oracles only:
   ``SpectralPropagator``, and ``expm_flow`` by a dense matrix exponential
   of the stored matrix.
 * ``component_labels_csgraph`` and ``blocks_csgraph`` label the connected
-  components of a pattern with ``scipy.sparse.csgraph``;
-  ``qrex.spectral._component_labels`` hooks and jumps pointers in numpy.
+  components of a pattern with ``scipy.sparse.csgraph``, and
+  ``blocks_csgraph`` pairs them by transposing each component's index set;
+  ``qrex.spectral._component_labels`` hooks and jumps pointers in numpy,
+  and ``qrex.spectral._conjugate_pairs`` maps each component's least index.
+  ``unpaired`` drops the pairing mark of an L_hat, so ``block_eigh`` solves
+  every block, the reference for the one-block-per-pair route.
 * ``csr_entries``, ``lift_kron`` and ``hermitian_part_csr`` are the
   scipy.sparse expressions that ``qrex.lindblad.canonical``,
   ``qrex.replica.lift`` and ``qrex.spectral._hermitian_part`` replace:
@@ -477,17 +481,18 @@ def _gap_and_mode(L):
     Y is the gap eigenoperator carried to the Schrodinger side and scaled so
     sigma + alpha Y is a valid state (alpha = lambda_min / 2).
     ``qrex.mixing._gap_and_mode`` reads the same mode off the blocks of the
-    caller's ``SpectralPropagator``.
+    caller's ``SpectralPropagator``.  Every block of -L_hat is solved here,
+    through the general Hermitian route (``unpaired``).
     """
     sigma = L.sigma
-    blocks = block_eigh(-symmetrize(L))
-    evals = np.concatenate([w.ravel() for _, w, _ in blocks])
+    blocks = block_eigh(unpaired(-symmetrize(L)))
+    evals = np.concatenate([w.ravel() for _, w, _, _ in blocks])
     order = np.argsort(evals, kind="stable")
     rep = gap_from_eigenvalues(evals[order])
     # the eigenvector of the kernel_dim-th eigenvalue, taken from its block
     k = order[rep.kernel_dim]
     x = np.zeros(evals.size, dtype=complex)
-    for idx, w, V in blocks:
+    for idx, w, V, _ in blocks:
         if k < w.size:
             c, j = divmod(k, w.shape[1])
             x[idx[c]] = V[c, :, j]
@@ -502,6 +507,11 @@ def _gap_and_mode(L):
     Y /= np.linalg.norm(Y, 2)
     alpha = sigma.lambda_min / 2.0
     return rep.gap, sigma.sigma + alpha * Y
+
+
+def unpaired(A):
+    """The Triplets A without the ``paired`` mark: ``block_eigh`` then solves every block."""
+    return Triplets(A.row, A.col, A.val, A.side)
 
 
 def gap_mode_state(L):
@@ -532,22 +542,37 @@ def component_labels_csgraph(n, rows, cols):
 
 
 def blocks_csgraph(A):
-    """The (idx, sub) pairs of ``qrex.spectral._blocks``, one csgraph component at a time.
+    """The (idx, sub, twin) triples of ``qrex.spectral._blocks``, one csgraph component at a time.
 
     Components of each size are stacked in label order, their indices
-    ascending, and each block is cut from the dense A.
+    ascending, and each block is cut from the dense A.  For a ``paired`` A
+    the partner of a component is the set of its transposed vec indices
+    (i + d j -> j + d i); a component is kept when its least index is at
+    most its partner's, and is a twin when the partner is another
+    component.
     """
+    paired = isinstance(A, Triplets) and A.paired
     A = sparse.coo_array((A.val, (A.row, A.col)), shape=A.shape) if isinstance(A, Triplets) \
         else sparse.coo_array(A)
     A.sum_duplicates()
     nz = A.data != 0
     label = component_labels_csgraph(A.shape[0], A.row[nz], A.col[nz])
     dense = A.toarray()
-    members = [np.nonzero(label == k)[0] for k in range(label.max() + 1)]
+    d = int(round(np.sqrt(A.shape[0])))
+    members, twins = [], []
+    for k in range(label.max() + 1):
+        m = np.nonzero(label == k)[0]
+        partner = np.sort((m % d) * d + m // d)
+        if paired and partner[0] < m[0]:
+            continue
+        members.append(m)
+        twins.append(paired and not np.array_equal(partner, m))
     out = []
     for b in sorted({m.size for m in members}):
-        idx = np.array([m for m in members if m.size == b])
-        out.append((idx, np.stack([dense[np.ix_(m, m)] for m in idx])))
+        keep = [c for c, m in enumerate(members) if m.size == b]
+        idx = np.array([members[c] for c in keep])
+        out.append((idx, np.stack([dense[np.ix_(m, m)] for m in idx]),
+                    np.array([twins[c] for c in keep], dtype=bool)))
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrex.hamiltonians import assemble_dense, defected_ising_1d
-from qrex.lindblad import WeightFunction, build_ckg_generator, eigensystem
+from qrex.lindblad import Triplets, WeightFunction, build_ckg_generator, eigensystem
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
     build_replica_exchange_generator,
@@ -24,7 +24,7 @@ from qrex.spectral import (
     symmetrize,
 )
 
-from oracles import blocks_csgraph, component_labels_csgraph
+from oracles import blocks_csgraph, component_labels_csgraph, unpaired
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -60,12 +60,13 @@ def permuted_block_diagonal(sizes, seed):
 def test_components_and_spectrum_of_permuted_block_diagonal(sizes, seed):
     A, comps = permuted_block_diagonal(sizes, seed)
     groups = block_eigh(A)
-    found = {frozenset(row.tolist()) for idx, _, _ in groups for row in idx}
+    found = {frozenset(row.tolist()) for idx, _, _, _ in groups for row in idx}
     assert found == comps
     dense = np.linalg.eigvalsh(A)
     scale = max(1.0, np.abs(dense).max())
     assert np.abs(block_eigvalsh(A) - dense).max() <= 1e-12 * scale
-    for idx, w, V in groups:
+    for idx, w, V, twin in groups:
+        assert not twin.any()  # a dense matrix is not paired
         sub = A[idx[:, :, None], idx[:, None, :]]
         assert np.abs(sub @ V - V * w[:, None, :]).max() <= 1e-12 * scale
 
@@ -74,20 +75,23 @@ def test_matrix_without_zeros_is_one_block():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((12, 12))
     A += A.T + 1.0
-    (idx, w, V), = block_eigh(A)
+    (idx, w, V, _), = block_eigh(A)
     assert idx.shape == (1, 12)
     assert np.allclose(w[0], np.linalg.eigvalsh(A), rtol=0, atol=1e-12)
 
 
 def test_zero_matrix_splits_into_singletons():
-    (idx, w, _), = block_eigh(np.zeros((5, 5)), vectors=False)
+    (idx, w, _, _), = block_eigh(np.zeros((5, 5)), vectors=False)
     assert idx.shape == (5, 1)
     assert np.all(w == 0.0)
 
 
 def block_counts(A):
-    idx = [i for i, _, _ in block_eigh(A, vectors=False)]
-    return sum(i.shape[0] for i in idx), max(i.shape[1] for i in idx)
+    """(blocks, blocks solved, side of the largest) of the block eigensolve of A."""
+    groups = block_eigh(A, vectors=False)
+    return (sum(idx.shape[0] + int(twin.sum()) for idx, _, _, twin in groups),
+            sum(idx.shape[0] for idx, _, _, _ in groups),
+            max(idx.shape[1] for idx, _, _, _ in groups))
 
 
 def test_ring_n5_lhat_block_count():
@@ -96,21 +100,22 @@ def test_ring_n5_lhat_block_count():
     H = assemble_dense(defected_ising_1d(5, 3.0))
     es = eigensystem(H)
     L = build_ckg_generator(es, single_site_paulis(5), GM)
-    assert block_counts(symmetrize(L)) == (243, 32)
+    # one block of each conjugate pair is solved; the population block pairs with itself
+    assert block_counts(symmetrize(L)) == (243, 122, 32)
 
 
 def test_closed_form_swap_block_count():
     spec = defected_ising_1d(3, 3.0)
     js = joint_structure(spec)
     S = swap_generator_closed_form(js, 1.0)
-    assert block_counts(symmetrize(S)) == (544, 2)
+    assert block_counts(symmetrize(S)) == (544, 288, 2)
 
 
 def test_labeled_joint_block_count():
     spec = defected_ising_1d(3, 3.0)
     js = joint_structure(spec)
     L = build_replica_exchange_generator(js, GG)
-    assert block_counts(symmetrize(L)) == (135, 32)
+    assert block_counts(symmetrize(L)) == (135, 70, 32)
 
 
 @pytest.mark.parametrize("structured", [False, True])
@@ -143,7 +148,7 @@ def test_ring_n7_fits_the_sparse_route():
     assert peak < 2**30
     assert L.local.nnz == 73728
     assert rep.kernel_dim == 1
-    assert block_counts(symmetrize(L)) == (2187, 128)
+    assert block_counts(symmetrize(L)) == (2187, 1094, 128)
 
 
 @st.composite
@@ -196,9 +201,10 @@ def test_long_path_is_one_component(order):
 def assert_blocks_match_csgraph(A):
     ours, ref = _blocks(A), blocks_csgraph(A)
     assert len(ours) == len(ref)
-    for (idx, sub), (ref_idx, ref_sub) in zip(ours, ref):
+    for (idx, sub, twin), (ref_idx, ref_sub, ref_twin) in zip(ours, ref):
         assert np.array_equal(idx, ref_idx)
         assert sub.dtype == ref_sub.dtype and np.array_equal(sub, ref_sub)
+        assert np.array_equal(twin, ref_twin)
 
 
 def test_ring_n5_blocks_match_csgraph():
@@ -212,3 +218,72 @@ def test_labeled_joint_blocks_match_csgraph():
     js = joint_structure(defected_ising_1d(3, 3.0))
     L = build_replica_exchange_generator(js, GG)
     assert_blocks_match_csgraph(symmetrize(L))
+
+
+def test_labeled_joint_unpaired_blocks_match_csgraph():
+    js = joint_structure(defected_ising_1d(3, 3.0))
+    assert_blocks_match_csgraph(unpaired(symmetrize(build_replica_exchange_generator(js, GG))))
+
+
+def generic_generator(n, w, seed):
+    """The generator of a random Hermitian H: its L_hat has no structural zero."""
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    return build_ckg_generator(eigensystem((R + R.conj().T) / 4), single_site_paulis(n), w)
+
+
+def assert_routes_agree(Lhat):
+    paired, general = block_eigvalsh(Lhat), block_eigvalsh(unpaired(Lhat))
+    assert np.abs(paired - general).max() <= 1e-12 * np.abs(general).max()  # ||L_hat||_2
+
+
+@pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_paired_route_matches_general_route_on_generic_generators(n, w):
+    for seed in range(3):
+        assert_routes_agree(symmetrize(generic_generator(n, w, seed)))
+
+
+@pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
+def test_paired_route_matches_general_route_on_joint_generator(w):
+    js = joint_structure(defected_ising_1d(3, 3.0))
+    assert_routes_agree(symmetrize(build_replica_exchange_generator(js, w)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_without_the_pairing_takes_the_general_route(seed):
+    # blocks of sizes 3, 5, 1, 4, 3 on 16 = 4^2 indices, permuted at random:
+    # the transpose map does not carry them onto blocks
+    dense, _ = permuted_block_diagonal([3, 5, 1, 4, 3], seed)
+    A = Triplets.of(dense)
+    assert np.abs(block_eigvalsh(A) - np.linalg.eigvalsh(dense)).max() \
+        <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
+    with pytest.raises(ValueError, match="not paired by the transpose map"):
+        block_eigh(Triplets(A.row, A.col, A.val, A.side, paired=True))
+
+
+def test_pairing_residual_is_named():
+    # the ring's L_hat with one entry of a partner block moved by 1e-6 of the largest
+    es = eigensystem(assemble_dense(defected_ising_1d(3, 3.0)))
+    Lhat = symmetrize(build_ckg_generator(es, single_site_paulis(3), GM))
+    solved = np.concatenate([idx.ravel() for idx, _, _ in blocks_csgraph(Lhat)])
+    e = np.flatnonzero(~np.isin(Lhat.row, solved))[0]
+    val = Lhat.val.copy()
+    val[e] += 1e-6 * np.abs(Lhat.val).max()
+    with pytest.raises(ValueError, match=r"pairing residual \d\.\d\de-07"):
+        block_eigh(Triplets(Lhat.row, Lhat.col, val, Lhat.side, paired=True))
+
+
+def test_solved_entry_without_a_mirror_counts_whole():
+    # a diagonal entry of a partner block removed: the blocks still pair, but the
+    # T-image of that entry in the solved block has no mirror
+    es = eigensystem(assemble_dense(defected_ising_1d(3, 3.0)))
+    Lhat = symmetrize(build_ckg_generator(es, single_site_paulis(3), GM))
+    solved = np.concatenate([idx.ravel() for idx, _, _ in blocks_csgraph(Lhat)])
+    keep = np.ones(Lhat.nnz, dtype=bool)
+    keep[np.flatnonzero((Lhat.row == Lhat.col) & ~np.isin(Lhat.row, solved))[0]] = False
+    bad = Triplets(Lhat.row[keep], Lhat.col[keep], Lhat.val[keep], Lhat.side, paired=True)
+    assert np.array_equal(_component_labels(bad.side, bad.row, bad.col),
+                          _component_labels(Lhat.side, Lhat.row, Lhat.col))
+    with pytest.raises(ValueError, match="pairing residual"):
+        block_eigh(bad)

@@ -336,11 +336,13 @@ def generic_hamiltonian(n=3, seed=0):
     return (R + R.conj().T) / 4
 
 
-# block shapes (count, side) of L_hat; the transverse-field ring splits into
-# the two sectors of its global spin-flip symmetry, a generic H is one block
+# shapes (count, side) of the blocks of L_hat that are solved, one of each
+# conjugate pair: the ring's blocks pair up except the population block
+# (side 2^n), the transverse-field ring splits into the two sectors of its
+# global spin-flip symmetry, each its own partner, and a generic H is one block
 @pytest.mark.parametrize("H, n, shapes", [
-    (assemble_dense(defected_ising_1d(3, 2.0)), 3, [(8, 1), (12, 2), (6, 4), (1, 8)]),
-    (assemble_dense(defected_ising_1d(4, 2.0)), 4, [(16, 1), (32, 2), (24, 4), (8, 8), (1, 16)]),
+    (assemble_dense(defected_ising_1d(3, 2.0)), 3, [(4, 1), (6, 2), (3, 4), (1, 8)]),
+    (assemble_dense(defected_ising_1d(4, 2.0)), 4, [(8, 1), (16, 2), (12, 4), (4, 8), (1, 16)]),
     (transverse_field_ring(3), 3, [(2, 32)]),
     (generic_hamiltonian(3), 3, [(1, 64)]),
 ], ids=["ring3", "ring4", "transverse3", "generic3"])
@@ -351,7 +353,7 @@ def test_block_eigensolves_match_dense_eigh(H, n, shapes):
     M_dense = dense_ckg(H, single_site_paulis(n), GM)
     evals, coefficients, state_at = dense_propagation(M_dense, sg)
     prop = SpectralPropagator(heis)
-    assert [idx.shape for idx, _, _ in prop.blocks] == shapes
+    assert [idx.shape for idx, _, _, _ in prop.blocks] == shapes
     scale = np.abs(evals).max()
     assert np.abs(prop.evals - evals).max() <= RTOL * scale
 
@@ -360,17 +362,20 @@ def test_block_eigensolves_match_dense_eigh(H, n, shapes):
     rhos = R @ R.conj().transpose(0, 2, 1)
     rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
     c = prop.coefficients(rhos)  # one column per state
-    # generic states occupy every block of L_hat
-    assert np.array_equal(np.sort(c.support), np.arange(4**n))
+    # generic states occupy every solved block of L_hat
+    solved = np.concatenate([idx.ravel() for idx, _, _, _ in prop.blocks])
+    assert np.array_equal(np.sort(c.support), np.sort(solved))
     # eigenvectors within a degenerate eigenspace are free, so the coefficients
-    # are compared through their spectral measure sum_j |c_j|^2 exp(t lambda_j)
+    # are compared through their spectral measure sum_j |c_j|^2 exp(t lambda_j);
+    # a twin block's partner holds the conjugate coefficients, so its terms count twice
     w_blocks = c.rates
     c_blocks = np.concatenate([x.reshape(-1, len(rhos)) for _, x in c.blocks])
+    multiplicity = 1 + c.mirrored
     for t in (0.0, 0.5, 3.0):
         states = prop.state_at(c, t)
         for s, rho0 in enumerate(rhos):
             c_dense = coefficients(rho0)
-            measure = np.sum(np.abs(c_blocks[:, s]) ** 2 * np.exp(t * w_blocks))
+            measure = np.sum(multiplicity * np.abs(c_blocks[:, s]) ** 2 * np.exp(t * w_blocks))
             assert measure == pytest.approx(np.sum(np.abs(c_dense) ** 2 * np.exp(t * evals)),
                                             rel=RTOL)
             assert_close(states[s], state_at(c_dense, t))

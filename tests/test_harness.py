@@ -279,6 +279,30 @@ class TestTheoremBound:
                   "defect_edge": [0, 3], "J": 3.0}
         assert min(self.ratios(system, 0.05, "gaussian", [1.0, 5.0])) >= 0.25
 
+    def test_summary_reads_the_resolved_points(self):
+        # at beta = 2 the joint gap of the n = 3 ring is unresolved; the sweep keeps
+        # the point and the summary's minimum ratio reads the other two
+        config = validate_config({"scenario": "sweep",
+                                  "system": {"model": "defected_ising", "n": 3, "J": 3.0},
+                                  "replica": {"mode": "local_A"},
+                                  "sweep": {"param": "beta", "values": [0.5, 1.0, 2.0]}})
+        report = run_scenario(config)
+        assert [r["status"] for r in report.records] == ["ok", "ok", "unresolved"]
+        assert [r["error"] for r in report.records[:2]] == ["", ""]
+        last = report.records[2]
+        assert last["beta"] == 2.0 and last["error"].startswith("ambiguous kernel cluster: gap ")
+        assert all(np.isnan(last[k]) for k in ("gap_single", "gap_re", "g_B", "bound_ratio"))
+        ratios = [r["bound_ratio"] for r in report.records[:2]]
+        summary = json.loads(emit(report, "json", None))["summary"]
+        assert summary["bound_ratio_min"] == min(ratios) >= 0.25
+        assert summary["bound_holds"] is True
+
+    def test_summary_has_no_bound_without_local_a(self):
+        config = validate_config({"scenario": "sweep", "replica": {"mode": "none"},
+                                  "sweep": {"param": "J", "values": [1.0, 2.0]}})
+        summary = run_scenario(config).summary
+        assert "bound_ratio_min" not in summary and "bound_holds" not in summary
+
 
 class TestDeterminism:
     def test_identical_records_across_runs(self):
@@ -318,6 +342,17 @@ class TestScenarios:
         assert summary["rounds"] > 0
         assert summary["eigensolves"] == 0  # the sandwich decides every test on the ring
         assert render_csv(report).startswith("state_id,t_cross\ncomp_0,")
+
+    def test_gap_report_shows_the_block_pairing(self):
+        # the n = 5 ring's L_hat has 243 blocks; one of each conjugate pair is
+        # solved, 122 with the self-paired population block of side 32
+        config = validate_config({"scenario": "gap", "replica": {"mode": "none"},
+                                  "system": {"model": "defected_ising", "n": 5, "J": 3.0}})
+        report = run_scenario(config)
+        record = json.loads(emit(report, "json", None))["records"][0]
+        assert (record["blocks"], record["blocks_solved"], record["largest_block"]) \
+            == (243, 122, 32)
+        assert render_csv(report).startswith("J,beta,gap,kernel_dim,kms_norm,eigs,tol\n3.0,")
 
     def test_theta_scenario_shape_and_accuracy(self):
         config = validate_config({"scenario": "theta"})
@@ -414,7 +449,7 @@ class TestEmit:
         report = Report(scenario="sweep", records=[], wall_time=0.0,
                         version="0", tolerances={})
         text = render_csv(report)
-        assert text == "J,beta,gap_single,gap_re,g_B,bound_ratio\n"
+        assert text == "J,beta,gap_single,gap_re,g_B,bound_ratio,status,error\n"
 
     def test_json_roundtrip(self, tmp_path):
         config = validate_config({

@@ -89,15 +89,23 @@ def test_import_loads_the_lazy_modules_a_first_call_uses():
 
 def test_unresolvable_gap_exits_four_without_traceback(tmp_path):
     # at beta = 2 the local_A joint gap of the n = 3 ring sits within 10x of
-    # the kernel threshold
-    cfg = write_config(tmp_path, "beta_sweep", {
-        "system": {"model": "defected_ising", "n": 3, "J": 3.0},
-        "replica": {"mode": "local_A"},
-        "sweep": {"param": "beta", "values": [0.5, 1.0, 2.0]},
-    })
-    proc = run_qrex(["-m", "qrex.cli", "sweep", "--config", cfg])
+    # the kernel threshold: the sweep keeps that point, reports the others and exits 4
+    def sweep(name, betas):
+        cfg = write_config(tmp_path, name, {
+            "system": {"model": "defected_ising", "n": 3, "J": 3.0},
+            "replica": {"mode": "local_A"},
+            "sweep": {"param": "beta", "values": betas},
+        })
+        return run_qrex(["-m", "qrex.cli", "sweep", "--config", cfg])
+
+    proc = sweep("beta_sweep", [0.5, 1.0, 2.0])
     assert proc.returncode == 4
-    assert proc.stdout == ""
+    header, *rows = proc.stdout.splitlines()
+    resolved = sweep("resolved_sweep", [0.5, 1.0])
+    assert resolved.returncode == 0 and resolved.stderr == ""
+    assert [header] + rows[:2] == resolved.stdout.splitlines()
+    assert header.endswith(",status,error")
+    assert rows[2].startswith("3.0,2.0,nan,nan,nan,nan,unresolved,ambiguous kernel cluster: gap ")
     assert proc.stderr.startswith("numerical error: ambiguous kernel cluster: gap ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 

@@ -244,8 +244,8 @@ class TestChiSquare:
         sg = heis.sigma
         gap = spectral_gap(heis).gap
         blocks = block_eigh(-symmetrize(heis), vectors=False)
-        at_gap = sum(int(np.sum(np.any(np.abs(w - gap) <= 1e-12 * gap, axis=1)))
-                     for _, w, _ in blocks)
+        at_gap = sum(int(np.sum((1 + twin) * np.any(np.abs(w - gap) <= 1e-12 * gap, axis=1)))
+                     for _, w, _, twin in blocks)
         assert at_gap > 1
         rho0 = gap_mode_state(heis)
         ts = np.linspace(0.5 / gap, 2.0 / gap, 4)
@@ -463,8 +463,9 @@ class TestFirstCrossingTimes:
             assert np.array_equal(times, whole)
             assert sum(size for size, _ in chunks) == len(states)
             assert all(size * support * 16 <= budget or size == 1 for size, support in chunks)
-        # at the default budget the whole n = 4 family fits one chunk
-        assert chunks == [(38, 256)]
+        # at the default budget the whole n = 4 family fits one chunk, on the
+        # 136 vec indices of the 41 solved blocks (one of each conjugate pair)
+        assert chunks == [(38, 136)]
 
     def test_haar_states_between_population_states_match_oracle(self, monkeypatch):
         prop, sg = ring_propagator(assemble_dense(defected_ising_1d(4, 3.0)), 4, GM)
@@ -515,7 +516,7 @@ class TestBlockSparseSearch:
         prop, sg = ring_propagator(assemble_dense(defected_ising_1d(4, 3.0)), 4, GM)
         family = dict(_initial_family(sg, n_haar=1, seed=5))
         states = [family["comp_3"], family["haar_0"]]
-        assert prop.coefficients(states).support.size == 4**4  # every block
+        assert prop.coefficients(states).support.size == 136  # every solved block
         t_cap = family_and_cap(prop, sg, 1e-2)[1]
         oracle = oracle_times(prop, states, t_cap)
         assert np.array_equal(first_crossing_times(prop, states, 1e-2, t_cap), oracle)
@@ -581,6 +582,34 @@ class TestTraceNormBounds:
         X = v.reshape(S, d, d).swapaxes(1, 2)  # row s is vec(X_s), column-stacked
         Y = 0.5 * (X + X.conj().swapaxes(1, 2)) - np.diag(weights)
         lower, upper = SupportBounds(support, weights)(x)
+        whole = trace_norm_bounds(Y)
+        assert np.allclose(lower, whole[0], rtol=1e-12, atol=1e-14)
+        assert np.allclose(upper, whole[1], rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_support_bounds_with_mirrors_match_whole_mirrored_matrix(self, data):
+        # an entry marked mirrored also stands for its conjugate at the transpose,
+        # which lies off the support
+        d = data.draw(st.integers(1, 5))
+        support = np.array(data.draw(st.lists(st.integers(0, d * d - 1), min_size=1,
+                                              max_size=d * d, unique=True)))
+        i, j = support % d, support // d
+        transposed_off = ~np.isin(j + d * i, support)
+        marks = np.array(data.draw(st.lists(st.booleans(), min_size=support.size,
+                                            max_size=support.size)))
+        mirrored = marks & transposed_off & (i != j)
+        S = data.draw(st.integers(1, 3))
+        parts = [np.array(data.draw(st.lists(st.floats(-1, 1), min_size=support.size * S,
+                                             max_size=support.size * S))) for _ in range(2)]
+        x = (parts[0] + 1j * parts[1]).reshape(support.size, S)
+        weights = np.array(data.draw(st.lists(st.floats(0, 1), min_size=d, max_size=d)))
+        v = np.zeros((S, d * d), dtype=complex)
+        v[:, support] = x.T
+        v[:, (j + d * i)[mirrored]] = x[mirrored].T.conj()
+        X = v.reshape(S, d, d).swapaxes(1, 2)  # row s is vec(X_s), column-stacked
+        Y = 0.5 * (X + X.conj().swapaxes(1, 2)) - np.diag(weights)
+        lower, upper = SupportBounds(support, weights, mirrored=mirrored)(x)
         whole = trace_norm_bounds(Y)
         assert np.allclose(lower, whole[0], rtol=1e-12, atol=1e-14)
         assert np.allclose(upper, whole[1], rtol=1e-12, atol=1e-14)

@@ -10,6 +10,7 @@ from qrex.lindblad import (
     alpha_coeff,
     alpha_quadrature,
     build_ckg_generator,
+    canonical,
     eigensystem,
     gibbs_state,
     theta,
@@ -112,7 +113,7 @@ class TestSuperopLifts:
         A = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
         B = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
         M = np.kron(B.T, A)  # map X -> A X B
-        lifted = lift(Triplets.of(M), (d1, d2), 0)
+        lifted = canonical(*lift(Triplets.of(M), (d1, d2), 0), (d1 * d2) ** 2)
         Xj = rng.standard_normal((d1 * d2, d1 * d2)) + 1j * rng.standard_normal((d1 * d2, d1 * d2))
         direct = np.kron(A, np.eye(d2)) @ Xj @ np.kron(B, np.eye(d2))
         out = lifted @ Xj.reshape(-1, order="F")
@@ -124,7 +125,7 @@ class TestSuperopLifts:
         A = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
         B = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
         M = np.kron(B.T, A)
-        lifted = lift(Triplets.of(M), (d1, d2), 1)
+        lifted = canonical(*lift(Triplets.of(M), (d1, d2), 1), (d1 * d2) ** 2)
         Xj = rng.standard_normal((d1 * d2, d1 * d2)) + 1j * rng.standard_normal((d1 * d2, d1 * d2))
         direct = np.kron(np.eye(d1), A) @ Xj @ np.kron(np.eye(d1), B)
         out = lifted @ Xj.reshape(-1, order="F")

@@ -115,9 +115,12 @@ def test_lift_matches_relabeled_sparse_kron(d1, d2, factor, seed):
     m = (d1, d2)[factor] ** 2
     M = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     M[rng.random((m, m)) < 0.6] = 0.0
-    ours = lift(Triplets.of(M), (d1, d2), factor)
+    side = (d1 * d2) ** 2
+    row, col, val = lift(Triplets.of(M), (d1, d2), factor)
+    ours = canonical(row, col, val, side)
     assert np.array_equal(ours.toarray(), lift_kron(scipy.sparse.csr_array(M), (d1, d2), factor))
-    assert np.all(np.diff(ours.row.astype(np.int64) * ours.side + ours.col) > 0)
+    # each position once and no zero, so one canonical sort of several parts sums them in order
+    assert np.unique(row.astype(np.int64) * side + col).size == val.size == ours.nnz
 
 
 @settings(max_examples=300, deadline=None)
