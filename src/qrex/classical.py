@@ -2,11 +2,11 @@
 
 Single-spin-flip dynamics with Metropolis acceptance on the defected Ising
 ring reproduce the exponential bottleneck Phi_* ~ exp(-2 beta J); coupling
-to a hot replica through configuration swaps removes it.  Everything here
-is exact: generators are dense rate matrices and the bottleneck ratio is
-minimized by full subset enumeration, streamed in fixed-size chunks of
-subsets (candidate families cover larger state spaces with an explicit
-upper-bound label).
+to a hot replica through configuration swaps removes it.  Generators are
+dense rate matrices.  The bottleneck ratio is the sweep cut of the slow
+mode, one eigensolve, one sort and O(m^2) cut sums at any chain size: an
+upper bound on the Cheeger constant, whose exact value needs all 2^m
+subsets.
 """
 
 from dataclasses import dataclass
@@ -14,12 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 STATE_GUARD = 14  # spins; 2^14 states is the largest dense chain we build
-EXACT_CHEEGER_GUARD = 20  # states; exact mode enumerates 2^M subsets
-# subsets per chunk of the exact enumeration: a chunk's (CHEEGER_CHUNK, M)
-# mask table and its product with the flow matrix are the working set.  A
-# power of two, so the chunks meet BLAS row blocks where one whole-table pass
-# does and every ratio is summed in the same order
-CHEEGER_CHUNK = 2**13
 
 
 @dataclass
@@ -91,74 +85,43 @@ def glauber_generator(energy_fn, n_spins, beta) -> ClassicalChain:
     return ClassicalChain(generator=Q, stationary=pi, beta=float(beta))
 
 
-def _subset_masks(m, start, stop):
-    """Rows start..stop-1 of the (2^m, m) table whose row s holds the bits of s,
-    least significant first, as 0.0/1.0."""
-    idx = np.arange(start, stop, dtype="<u4")
-    bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, count=m, bitorder="little")
-    return bits.astype(float)
+def _symmetrized(chain: ClassicalChain):
+    """The pi-symmetrized -Q, made exactly symmetric, and sqrt(pi)."""
+    r = np.sqrt(chain.stationary)
+    S = (r[:, None] * (-chain.generator)) / r[None, :]
+    return 0.5 * (S + S.T), r
 
 
-def bottleneck_ratio(chain: ClassicalChain, mode="exact", energies=None):
-    """Cheeger constant min_{pi(S) <= 1/2} Q(S, S^c) / pi(S).
+def bottleneck_ratio(chain: ClassicalChain):
+    """Sweep cut of the slow mode: min_k Q(S_k, S_k^c) / min(pi(S_k), pi(S_k^c)).
 
-    ``exact`` enumerates every subset (guarded at EXACT_CHEEGER_GUARD
-    states), CHEEGER_CHUNK subset indices at a time; ``candidate``
-    minimizes over single-site sign sectors and energy sublevel sets and is
-    only an upper bound on the true ratio.
+    S_k holds the k + 1 states lowest in the slow eigenvector of the
+    symmetrized -Q over sqrt(pi).  The result bounds the Cheeger constant
+    from above.  Any set S gives gap <= 2 Q(S, S^c) / min(pi(S), pi(S^c)),
+    so the ratio is at least gap / 2 however the ordering is perturbed; the
+    sweep cut also obeys phi^2 <= 2 q_max gap, q_max the largest exit rate
+    (Lawler and Sokal, Trans. AMS 309, 1988).  Cut flows and masses are
+    sums of nonnegative terms, never differences.  Returns (phi, members),
+    the members the side of the best cut with pi <= 1/2.
     """
-    Q = chain.generator
-    pi = chain.stationary
     m = chain.n_states
-    flow = pi[:, None] * (Q - np.diag(np.diag(Q)))
-
-    def ratio(mask):
-        p = mask @ pi
-        if p <= 0 or p > 0.5 + 1e-15:
-            return np.inf
-        out = mask @ flow.sum(axis=1) - ((mask @ flow) * mask).sum(-1)
-        return out / p
-
-    if mode == "exact":
-        if m > EXACT_CHEEGER_GUARD:
-            raise ValueError(f"exact mode limited to {EXACT_CHEEGER_GUARD} states")
-        out = flow.sum(axis=1)
-        best_val, best = np.inf, None
-        for start in range(1, 2**m - 1, CHEEGER_CHUNK):  # skip empty and full
-            masks = _subset_masks(m, start, min(start + CHEEGER_CHUNK, 2**m - 1))
-            p = masks @ pi
-            cross = masks @ out - np.einsum("sj,sj->s", masks @ flow, masks)
-            valid = p <= 0.5 + 1e-15
-            ratios = np.where(valid, cross / np.where(p > 0, p, 1.0), np.inf)
-            k = int(np.argmin(ratios))
-            # the first strict minimum over chunks is the first minimum overall
-            if best is None or ratios[k] < best_val:
-                best_val, best = ratios[k], start + k
-        if best is None:
-            raise ValueError("exact mode needs at least 2 states")
-        members = tuple(s for s in range(m) if best >> s & 1)
-        return float(best_val), members
-
-    if mode != "candidate":
-        raise ValueError(f"unknown mode {mode!r}")
-    n_spins = int(round(np.log2(m)))
-    table = spin_table(n_spins)
-    candidates = []
-    for s in range(n_spins):
-        candidates.append((table[:, s] == 1).astype(float))
-    if energies is None:
-        energies = np.full(m, np.nan)
-    else:
-        for level in np.unique(energies):
-            candidates.append((energies <= level).astype(float))
-    best_val, best_mask = np.inf, None
-    for mask in candidates:
-        for side in (mask, 1.0 - mask):
-            r = ratio(side)
-            if r < best_val:
-                best_val, best_mask = r, side
-    members = tuple(np.nonzero(best_mask > 0)[0].tolist())
-    return float(best_val), members
+    if m < 2:
+        raise ValueError("a bottleneck needs at least 2 states")
+    S, r = _symmetrized(chain)
+    order = np.argsort(np.linalg.eigh(S)[1][:, 1] / r, kind="stable")
+    pi = chain.stationary[order]
+    flow = pi[:, None] * chain.generator[np.ix_(order, order)]
+    np.fill_diagonal(flow, 0.0)
+    # tail[i, k] = flow from state i to the states after k; the prefix cuts
+    # are the diagonal of its running sum over rows
+    tail = np.cumsum(flow[:, :0:-1], axis=1)[:, ::-1]
+    cut = np.diagonal(np.cumsum(tail, axis=0))
+    inside = np.cumsum(pi)[:-1]
+    outside = np.cumsum(pi[::-1])[::-1][1:]
+    ratios = cut / np.minimum(inside, outside)
+    k = int(np.argmin(ratios))
+    side = order[:k + 1] if inside[k] <= outside[k] else order[k + 1:]
+    return float(ratios[k]), tuple(sorted(side.tolist()))
 
 
 def classical_re_generator(energy_fn, n_spins, beta1, beta2) -> ClassicalChain:
@@ -188,8 +151,4 @@ def classical_re_generator(energy_fn, n_spins, beta1, beta2) -> ClassicalChain:
 
 def classical_gap(chain: ClassicalChain) -> float:
     """Second-smallest eigenvalue of the pi-symmetrized -Q."""
-    pi = chain.stationary
-    r = np.sqrt(pi)
-    S = (r[:, None] * (-chain.generator)) / r[None, :]
-    evals = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return float(evals[1])
+    return float(np.linalg.eigvalsh(_symmetrized(chain)[0])[1])

@@ -17,13 +17,11 @@ import numpy as np
 
 from . import __version__
 from .classical import (
-    EXACT_CHEEGER_GUARD,
     bottleneck_ratio,
     classical_defected_ising_energy,
     classical_gap,
     classical_re_generator,
     glauber_generator,
-    spin_table,
 )
 from .hamiltonians import HamiltonianSpec, assemble_dense, defected_heisenberg_2d, defected_ising_1d
 from .lindblad import (
@@ -302,6 +300,22 @@ def _guard_dims(config: ExperimentConfig, spec: HamiltonianSpec):
             raise ResourceGuardError(str(exc)) from exc
 
 
+def _classical_ring_size(config: ExperimentConfig):
+    """The ring size of a ``classical`` run: the J sweep on the defected Ising ring, n = 3..6."""
+    if config.system.get("model") != "defected_ising":
+        raise ConfigError(f"field 'system.model': the classical baseline runs the "
+                          f"defected_ising ring, not {config.system.get('model')!r}")
+    if config.sweep["param"] != "J":
+        raise ConfigError("field 'sweep.param': the classical baseline sweeps J only")
+    n = config.system.get("n", 4)
+    if n < 3:
+        raise ConfigError(f"field 'system.n': the ring needs n >= 3, got {n}")
+    if n > 6:
+        raise ResourceGuardError(f"classical replica chain gated at n <= 6 (4^n states), "
+                                 f"got n = {n}")
+    return n
+
+
 class _Point:
     """``spec`` at ``beta``; H's eigensystem and the cut analysis are made on first use, once."""
 
@@ -446,25 +460,17 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
         summary["max_abs_diff"] = float(diff.max())
 
     elif scenario == "classical":
-        n = int(config.system.get("n", 4))
+        n = _classical_ring_size(config)
         beta1 = config.beta
         beta2 = 0.2 if config.replica["beta2"] is None else config.replica["beta2"]
         records = []
         for J in config.sweep["values"]:
             efn = lambda z: classical_defected_ising_energy(z, float(J))
             chain = glauber_generator(efn, n, beta1)
-            energies = classical_defected_ising_energy(spin_table(n), float(J))
-            if chain.n_states <= EXACT_CHEEGER_GUARD:
-                phi, _ = bottleneck_ratio(chain, mode="exact")
-                phi_mode = "exact"
-            else:
-                phi, _ = bottleneck_ratio(chain, mode="candidate", energies=energies)
-                phi_mode = "candidate_upper_bound"
-            rec = {"J": float(J), "beta": beta1,
-                   "gap_single": classical_gap(chain),
-                   "gap_re": classical_gap(classical_re_generator(efn, n, beta1, beta2)),
-                   "phi_star": phi, "phi_mode": phi_mode}
-            records.append(rec)
+            records.append({"J": float(J), "beta": beta1,
+                            "gap_single": classical_gap(chain),
+                            "gap_re": classical_gap(classical_re_generator(efn, n, beta1, beta2)),
+                            "phi_star": bottleneck_ratio(chain)[0], "phi_mode": "sweep"})
         gaps = [r["gap_single"] for r in records]
         if len(gaps) > 1:
             summary["single_collapse"] = max(gaps) / min(gaps)

@@ -207,7 +207,7 @@ def run_verification(seed=42, beta=1.0):
     phis = []
     for J in (2.0, 3.0, 4.0):
         cj = glauber_generator(lambda z: classical_defected_ising_energy(z, J), 4, beta)
-        phis.append(bottleneck_ratio(cj, mode="exact")[0])
+        phis.append(bottleneck_ratio(cj)[0])
     law_ok = all(p2 / p1 <= np.exp(-beta) + 1e-12 for p1, p2 in zip(phis, phis[1:]))
     results.append(_check("classical.bottleneck_law", law_ok,
                           f"ratios {[f'{p2/p1:.3f}' for p1, p2 in zip(phis, phis[1:])]}"))

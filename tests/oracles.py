@@ -68,12 +68,13 @@ as test oracles only:
   ``qrex.lindblad.build_ckg_generator`` assembles the same terms entry-wise
   in the eigenbasis.
 
-* ``bottleneck_ratio_whole_table`` minimizes the exact Cheeger ratio over
-  the whole (2^m, m) subset table at once and ``alpha_quadrature_whole_cube``
-  evaluates both panel rules on the whole (points, 2 * panels, 15) node
-  cube; ``qrex.classical.bottleneck_ratio`` and
-  ``qrex.lindblad.alpha_quadrature`` run the same formulas a fixed-size
-  chunk at a time.
+* ``bottleneck_ratio_whole_table`` is the exact Cheeger constant, minimized
+  over the whole (2^m, m) subset table of ``subset_masks`` at once;
+  ``qrex.classical.bottleneck_ratio`` takes the sweep cut of the slow mode,
+  an upper bound on it that needs no enumeration.
+  ``alpha_quadrature_whole_cube`` evaluates both panel rules on the whole
+  (points, 2 * panels, 15) node cube; ``qrex.lindblad.alpha_quadrature``
+  runs the same formulas a fixed-size chunk at a time.
 
 Helpers that only the tests use live here too: ``gap_mode_state``, the
 Pauli decomposition ``pauli_decompose``/``pauli_support``, and
@@ -677,15 +678,21 @@ def coherent_term(jumps_list, es: Eigensystem, w: WeightFunction) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
+def subset_masks(m, start, stop):
+    """Rows start..stop-1 of the (2^m, m) table whose row s holds the bits of s,
+    least significant first, as 0.0/1.0."""
+    idx = np.arange(start, stop, dtype="<u4")
+    bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, count=m, bitorder="little")
+    return bits.astype(float)
+
+
 def bottleneck_ratio_whole_table(chain):
     """Exact Cheeger constant (phi, members) of a chain from its whole subset table at once."""
     Q = chain.generator
     pi = chain.stationary
     m = chain.n_states
     flow = pi[:, None] * (Q - np.diag(np.diag(Q)))
-    idx = np.arange(2**m, dtype="<u4")
-    bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, count=m, bitorder="little")
-    masks = bits.astype(float)[1:-1]  # skip empty and full
+    masks = subset_masks(m, 1, 2**m - 1)  # skip empty and full
     p = masks @ pi
     cross = masks @ flow.sum(axis=1) - np.einsum("sj,sj->s", masks @ flow, masks)
     valid = p <= 0.5 + 1e-15

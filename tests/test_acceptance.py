@@ -188,7 +188,7 @@ def test_09_classical_baseline():
     for J in Js:
         efn = lambda z: classical_defected_ising_energy(z, J)
         chain = glauber_generator(efn, 4, beta1)
-        phis.append(bottleneck_ratio(chain, mode="exact")[0])
+        phis.append(bottleneck_ratio(chain)[0])
         singles.append(classical_gap(chain))
         res.append(classical_gap(classical_re_generator(efn, 4, beta1, beta2)))
     slope = np.polyfit(Js, np.log(phis), 1)[0]

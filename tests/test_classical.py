@@ -1,12 +1,10 @@
-import tracemalloc
-
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrex.classical import (
-    CHEEGER_CHUNK,
     ClassicalChain,
-    _subset_masks,
     bottleneck_ratio,
     classical_defected_ising_energy,
     classical_gap,
@@ -15,33 +13,29 @@ from qrex.classical import (
     spin_table,
 )
 
-from oracles import bottleneck_ratio_whole_table
+from oracles import bottleneck_ratio_whole_table, subset_masks
 
 
 def ising_fn(J):
     return lambda z: classical_defected_ising_energy(z, J)
 
 
-def random_reversible_chain(m, seed):
-    """Chain with random symmetric flows W and random stationary law pi: Q = W / pi."""
+def random_reversible_chain(m, seed, density):
+    """Chain with random symmetric flows W and random stationary law pi: Q = W / pi.
+
+    Flows span three decades; a path through every state keeps the chain
+    irreducible, and each other pair carries a flow with probability ``density``.
+    """
     rng = np.random.default_rng(seed)
-    W = rng.random((m, m))
+    W = 10.0 ** rng.uniform(-3.0, 0.0, size=(m, m)) * (rng.random((m, m)) < density)
+    W[np.arange(m - 1), np.arange(1, m)] = 10.0 ** rng.uniform(-3.0, 0.0, size=m - 1)
+    W = np.triu(W, 1)
     W = W + W.T
-    np.fill_diagonal(W, 0.0)
-    pi = rng.random(m) + 0.1
+    pi = 10.0 ** rng.uniform(-1.0, 0.0, size=m)
     pi /= pi.sum()
     Q = W / pi[:, None]
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return ClassicalChain(generator=Q, stationary=pi, beta=1.0)
-
-
-def two_cluster_chain(m, cluster):
-    """Uniform pi; rate 1 inside ``cluster`` and inside its complement, 2^-6 across."""
-    inside = np.isin(np.arange(m), cluster)
-    Q = np.where(inside[:, None] == inside[None, :], 1.0, 2.0**-6)
-    np.fill_diagonal(Q, 0.0)
-    np.fill_diagonal(Q, -Q.sum(axis=1))
-    return ClassicalChain(generator=Q, stationary=np.full(m, 1.0 / m), beta=1.0)
 
 
 class TestEnergy:
@@ -97,58 +91,37 @@ class TestGlauber:
 class TestBottleneckRatio:
     @pytest.mark.parametrize("m", range(1, 17))
     def test_subset_masks_equal_shift_form(self, m):
+        # the subset table of the exact oracle
         idx = np.arange(2**m, dtype=np.uint32)
         shifted = ((idx[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
-        masks = _subset_masks(m, 0, 2**m)
+        masks = subset_masks(m, 0, 2**m)
         assert masks.dtype == shifted.dtype
         assert np.array_equal(masks, shifted)
-        assert np.array_equal(_subset_masks(m, 1, 2**m - 1), shifted[1:-1])
+        assert np.array_equal(subset_masks(m, 1, 2**m - 1), shifted[1:-1])
 
-    @pytest.mark.parametrize("m", [2, 13, 16, 20])
-    def test_exact_equals_whole_table(self, m):
-        chain = random_reversible_chain(m, seed=m)
-        assert bottleneck_ratio(chain, mode="exact") == bottleneck_ratio_whole_table(chain)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_sweep_bounds_on_random_chains(self, m, density, seed):
+        chain = random_reversible_chain(m, seed, density)
+        phi, members = bottleneck_ratio(chain)
+        exact, _ = bottleneck_ratio_whole_table(chain)
+        gap = classical_gap(chain)
+        q_max = -np.diag(chain.generator).min()
+        assert phi >= exact * (1 - 1e-12)
+        assert gap <= 2 * phi * (1 + 1e-12)
+        # Lawler and Sokal for the sweep cut; the largest ratio seen is about 0.5
+        assert phi**2 <= 2 * q_max * gap * (1 + 1e-12)
+        # phi is the ratio of the reported side, which carries at most half the mass
+        inside = np.isin(np.arange(m), members)
+        mass = chain.stationary[inside].sum()
+        cut = (chain.stationary[:, None] * chain.generator)[np.ix_(inside, ~inside)].sum()
+        assert mass <= 0.5 + 1e-12
+        assert phi == pytest.approx(cut / mass, rel=1e-12)
 
-    def test_exact_tie_across_chunks_keeps_first(self):
-        # two clusters of 8 states with uniform pi and dyadic rates, so every sum
-        # is exact: each cluster has phi = 64 * 2^-10 / (1/2) = 1/8 bitwise, and
-        # every other subset cuts an internal edge
-        m = 16
-        first = (0, 1, 2, 3, 4, 5, 6, 13)
-        chain = two_cluster_chain(m, first)
-        i1 = sum(1 << s for s in first)
-        i2 = 2**m - 1 - i1  # the other cluster
-        assert (i1 - 1) // CHEEGER_CHUNK != (i2 - 1) // CHEEGER_CHUNK  # chunks start at 1
-        assert bottleneck_ratio(chain, mode="exact") == (0.125, first)
-        assert bottleneck_ratio_whole_table(chain) == (0.125, first)
-
-    @pytest.mark.parametrize("offset", [0, 1])
-    def test_exact_minimizer_at_chunk_edge(self, offset):
-        # chunks start at subset index 1, so index CHEEGER_CHUNK ends the first
-        # chunk and CHEEGER_CHUNK + 1 starts the second; the cluster with that
-        # index is the unique minimizer
-        top = CHEEGER_CHUNK.bit_length() - 1  # CHEEGER_CHUNK = 2^top
-        members = (0, top) if offset else (top,)
-        assert sum(1 << s for s in members) == CHEEGER_CHUNK + offset
-        chain = two_cluster_chain(top + 1, members)
-        assert bottleneck_ratio(chain, mode="exact")[1] == members
-        assert bottleneck_ratio(chain, mode="exact") == bottleneck_ratio_whole_table(chain)
-
-    def test_exact_enumeration_working_set(self):
-        chain = random_reversible_chain(20, seed=20)
-        tracemalloc.start()
-        try:
-            bottleneck_ratio(chain, mode="exact")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the whole (2^20, 20) mask table alone would take 168 MB
-        assert peak < 16 * 2**20
-
-    def test_exact_needs_two_states(self):
+    def test_needs_two_states(self):
         chain = ClassicalChain(generator=np.zeros((1, 1)), stationary=np.ones(1), beta=1.0)
-        with pytest.raises(ValueError):
-            bottleneck_ratio(chain, mode="exact")
+        with pytest.raises(ValueError, match="at least 2 states"):
+            bottleneck_ratio(chain)
 
     @pytest.mark.parametrize("J, phi, members", [
         (2.0, 0.014084064847293045, (0, 1, 2, 3, 8, 9, 10, 11)),
@@ -156,54 +129,84 @@ class TestBottleneckRatio:
         (4.0, 0.0002597543413836445, (4, 5, 6, 7, 12, 13, 14, 15)),
     ])
     def test_exact_ring_minimizer_pinned(self, J, phi, members):
-        # values of the shift-form mask table, which the unpacked table equals bitwise
+        # the exact Cheeger constant of the oracle, which the sweep cut bounds
         chain = glauber_generator(ising_fn(J), 4, 1.0)
-        assert bottleneck_ratio(chain, mode="exact") == (phi, members)
+        assert bottleneck_ratio_whole_table(chain) == (phi, members)
+        assert phi <= bottleneck_ratio(chain)[0] <= 1.01 * phi
+
+    @pytest.mark.parametrize("J, phi, members", [
+        (2.0, 0.01418394867374894, (0, 1, 2, 3)),
+        (3.0, 0.0019195887111753897, (0, 1, 2, 3)),
+        (4.0, 0.00025978808192472574, (0, 1, 2, 3)),
+    ])
+    def test_sweep_ring_cut_pinned(self, J, phi, members):
+        chain = glauber_generator(ising_fn(J), 4, 1.0)
+        got, side = bottleneck_ratio(chain)
+        assert got == pytest.approx(phi, rel=1e-12)
+        # eigh fixes the slow mode only up to sign: the side is known up to
+        # the global spin flip x -> 15 - x
+        assert min(side, tuple(sorted(15 - x for x in side))) == members
 
     def test_two_state_closed_form(self):
         p, q = 0.3, 0.7
         Q = np.array([[-p, p], [q, -q]])
         pi = np.array([q, p]) / (p + q)
         chain = ClassicalChain(generator=Q, stationary=pi, beta=1.0)
-        phi, members = bottleneck_ratio(chain, mode="exact")
+        phi, members = bottleneck_ratio(chain)
         # the smaller-pi side is state 1 (weight p/(p+q)); its exit rate is q
         assert members == (1,)
         assert phi == pytest.approx(q)
 
     def test_exact_slope_in_window(self):
         beta = 1.0
-        phis = []
+        sweep, exact = [], []
         Js = np.arange(1.0, 6.0)
         for J in Js:
             chain = glauber_generator(ising_fn(J), 4, beta)
-            phi, _ = bottleneck_ratio(chain, mode="exact")
-            phis.append(phi)
-        slope = np.polyfit(Js, np.log(phis), 1)[0]
-        assert -2.5 * beta <= slope <= -1.5 * beta
+            sweep.append(bottleneck_ratio(chain)[0])
+            exact.append(bottleneck_ratio_whole_table(chain)[0])
+        for phis in (sweep, exact):
+            slope = np.polyfit(Js, np.log(phis), 1)[0]
+            assert -2.5 * beta <= slope <= -1.5 * beta
 
     def test_exponential_bottleneck_law(self):
         beta = 1.0
         prev = None
         for J in (2.0, 3.0, 4.0):
             chain = glauber_generator(ising_fn(J), 4, beta)
-            phi, _ = bottleneck_ratio(chain, mode="exact")
+            phi, _ = bottleneck_ratio(chain)
             if prev is not None:
                 assert phi / prev <= np.exp(-beta) + 1e-12
             prev = phi
 
-    def test_candidate_agrees_with_exact(self):
-        for J in (2.0, 4.0):
-            chain = glauber_generator(ising_fn(J), 4, 1.0)
-            E = classical_defected_ising_energy(spin_table(4), J)
-            exact, _ = bottleneck_ratio(chain, mode="exact")
-            cand, _ = bottleneck_ratio(chain, mode="candidate", energies=E)
-            assert cand >= exact - 1e-14
-            assert cand == pytest.approx(exact, rel=1e-9)
-
-    def test_exact_mode_guard(self):
-        chain = glauber_generator(ising_fn(2.0), 6, 1.0)
-        with pytest.raises(ValueError):
-            bottleneck_ratio(chain, mode="exact")
+    def test_low_temperature_cut_matches_mpmath(self):
+        # n = 3, beta = 8, J = 5: a cut's out-flow taken by subtraction read 0.0
+        n, beta, J = 3, 8.0, 5.0
+        chain = glauber_generator(ising_fn(J), n, beta)
+        phi, members = bottleneck_ratio(chain)
+        E = classical_defected_ising_energy(spin_table(n), J)
+        m = 2**n
+        with mpmath.workdps(60):
+            w = [mpmath.exp(-beta * mpmath.mpf(e - E.min())) for e in E]
+            pi = [x / mpmath.fsum(w) for x in w]
+            Q = mpmath.zeros(m, m)
+            for x in range(m):
+                for s in range(n):
+                    y = x ^ (1 << s)
+                    Q[x, y] = min(mpmath.mpf(1), mpmath.exp(-beta * mpmath.mpf(E[y] - E[x])))
+                Q[x, x] = -mpmath.fsum(Q[x, y] for y in range(m) if y != x)
+            out = [y for y in range(m) if y not in members]
+            mass = mpmath.fsum(pi[x] for x in members)
+            cut = mpmath.fsum(pi[x] * Q[x, y] for x in members for y in out)
+            ref = cut / min(mass, 1 - mass)
+            sym = mpmath.matrix(m, m)
+            for x in range(m):
+                for y in range(m):
+                    sym[x, y] = -mpmath.sqrt(pi[x] / pi[y]) * Q[x, y]
+            gap = sorted(mpmath.eigsy(sym, eigvals_only=True))[1]
+        assert phi == pytest.approx(float(ref), rel=1e-12)
+        assert phi >= float(gap) / 2
+        assert 8.12e-42 < phi < 8.13e-42
 
 
 class TestReplicaExchange:
@@ -245,7 +248,7 @@ class TestClassicalGap:
         for J in (1.0, 3.0):
             chain = glauber_generator(ising_fn(J), 4, 1.0)
             gap = classical_gap(chain)
-            phi, _ = bottleneck_ratio(chain, mode="exact")
+            phi, _ = bottleneck_ratio(chain)
             assert gap <= 2 * phi + 1e-12
 
     def test_positive_for_irreducible(self):

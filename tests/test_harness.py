@@ -603,6 +603,42 @@ class TestCli:
             lambda z: qrex.classical.classical_defected_ising_energy(z, 2.0), 3, 1.0, 0.3))
         assert run_scenario(config).records[0]["gap_re"] == expected
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"system": {"model": "defected_heisenberg", "rows": 2, "cols": 3, "A": [0, 3],
+                     "defect_edge": [0, 3], "J": 3.0}}, "'system.model'"),
+        ({"system": {"n": 3, "terms": RAW_CHAIN}}, "'system.model'"),
+        ({"system": {"model": "defected_ising", "n": 3},
+          "sweep": {"param": "beta", "values": [1.0, 2.0]}}, "'sweep.param'"),
+        ({"system": {"model": "defected_ising", "n": 2}}, "'system.n'"),
+    ], ids=["heisenberg", "raw_terms", "beta_sweep", "ring_n2"])
+    def test_classical_outside_the_ring_sweep_exit_two(self, tmp_path, capsys, payload, field):
+        # these ran the n = 4 ring, read the beta values as J, or ran a 2-spin ring
+        cfg = write_config(tmp_path, payload)
+        assert main(["classical", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: field {field}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_classical_ring_above_six_spins_exit_three(self, tmp_path, capsys):
+        # once a ValueError traceback with exit 1, the code of a failed verify check
+        cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": 7}})
+        assert main(["classical", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource guard: classical replica chain gated at n <= 6")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_classical_reports_the_sweep_cut(self, n, beta):
+        config = validate_config({"scenario": "classical", "beta": beta,
+                                  "system": {"model": "defected_ising", "n": n},
+                                  "sweep": {"param": "J", "values": [1.0, 3.0, 5.0]}})
+        for rec in run_scenario(config).records:
+            assert rec["phi_mode"] == "sweep"
+            assert rec["gap_single"] <= 2 * rec["phi_star"]
+
     def test_global_swap_size_gate_exit_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "system": {"model": "defected_ising", "n": 5, "J": 2.0},
