@@ -396,8 +396,7 @@ def _sweep_numbers(p: _Point, config):
         js = p.js
         rec["g_B"] = a_diagonal_restriction_gap(js, WeightFunction(config.replica["weight"], beta))
         denom = min(rec["g_B"], 1.0)
-        rec["bound_ratio"] = (rec["gap_re"] * js.d_a
-                              * np.exp(4 * beta * js.cut.k_count * js.cut.v_max) / denom)
+        rec["bound_ratio"] = rec["gap_re"] * js.bound_scale(beta) / denom
     return rec
 
 

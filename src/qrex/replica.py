@@ -1,36 +1,32 @@
-"""Replica-exchange Lindbladians: local swap unitaries and the joint generator.
+"""Replica-exchange Lindbladians: two factor generators and a closed-form swap.
 
-The auxiliary register is a copy of the slow region A with trivial
-Hamiltonian.  The swap coupling exchanges the two A registers and leaves B
-alone.  Everything on the joint space is labeled by the commuting-cut
-product basis |i_A j_B m_A>, which ``joint_structure`` computes once per
-system; every function here that reads those labels takes the caller's
-``JointStructure``.  With the Metropolis weight the swap generator has a
-fully closed form in that basis, in terms of the swap frequencies omega
-(``JointStructure.swap_frequencies``):
+Both replica modes are one construction (``_replica_pair``): each factor
+generator is stored in a basis where its Hamiltonian is diagonal and is put
+on its factor of the joint space by ``lift``, index arithmetic on its
+triplets.  In the kron of the two bases the swap permutes the basis,
+e -> p[e], moving the energy of e by omega[e] = E[p[e]] - E[e], and its
+Metropolis generator has a closed form there (``_swap_entries``): sandwich
+coefficients alpha(omega_i, omega_j) (``lindblad.alpha_coeff``,
+Chen-Kastoryano-Gilyen, arXiv:2311.09207), decay coefficients
+alpha(omega, omega) = theta(beta * omega) and no coherent term.  One
+``lindblad.canonical`` sorts the swap and lifted entries together, and the
+result carries the product of the two factor Gibbs states.
 
-  * sandwich coefficients alpha(w1, w2) of the Metropolis weight
-    (``lindblad.alpha_coeff``),
-  * decay coefficients alpha(w, w) = theta(beta * w),
-  * no coherent term.
-
-That route is cross-validated against the generic construction of
-``build_ckg_generator`` applied to the swap unitary, assembled from the
-labeled eigensystem of H (x) I + I (``swap_generator_generic``).
-
-The local_A joint generator (``build_replica_exchange_generator``) is
-assembled in the same labeled basis: the system piece is built from the
-eigensystem of H in the system factor of that basis, the auxiliary piece in
-the A-side eigenbasis, and ``lift`` puts each on its factor by index
-arithmetic on its triplets; one ``lindblad.canonical`` sorts and sums the
-swap piece and the lifted entries together (``_joint_sum``).  The joint
-Gibbs state is diagonal there (``joint_gibbs``), and the swap and local_A
-generators carry it as their ``sigma``, so KMS products on the joint space
-are Euclidean products of vectors scaled by ``spectral.kms_scaling``; the
-sector analysis (``swap_sector_analysis``) takes them from one
-``spectral.symmetrize`` of the swap generator.  The two-temperature global
-variant (``build_global_replica_generator``) is stored in U (x) U with its
-Gibbs state ``global_gibbs``, which is diagonal there.
+The local_A mode (``build_replica_exchange_generator``) pairs the system
+with a trivial-Hamiltonian copy of the slow region A, and the swap
+exchanges the A registers.  It is labeled by the commuting-cut product
+basis |i_A j_B m_A>, which ``joint_structure`` computes once per system;
+every function here that reads those labels takes the caller's
+``JointStructure``.  The joint Gibbs state ``joint_gibbs`` is diagonal
+there, so KMS products are Euclidean products of vectors scaled by
+``spectral.kms_scaling``, which the sector analysis
+(``swap_sector_analysis``) takes from one ``spectral.symmetrize`` of the
+swap generator.  The closed-form swap (``swap_generator_closed_form``) is
+cross-validated against ``build_ckg_generator`` applied to the swap
+unitary (``swap_generator_generic``).  The global mode
+(``build_global_replica_generator``) pairs two full replicas in U (x) U,
+the swap at unit temperature for E = beta lam_a + beta2 lam_c, with the
+Gibbs state ``global_gibbs``.
 """
 
 from dataclasses import dataclass
@@ -56,13 +52,17 @@ from .spectral import KERNEL_TOL, block_eigvalsh, kms_scaling, symmetrize
 CLOSED_FORM_RTOL = 1e-9
 
 
+def _swap_permutation(d_a, d_b):
+    """Index map e(a,b,c) -> e(c,b,a) exchanging the A registers of C^{d_a} (x) C^{d_b} (x) C^{d_a}."""
+    d = d_a * d_b * d_a
+    return np.arange(d, dtype=np.int32).reshape(d_a, d_b, d_a).transpose(2, 1, 0).reshape(-1)
+
+
 def local_swap_unitary(d_a, d_b):
     """Permutation exchanging the two A registers of C^{d_a} (x) C^{d_b} (x) C^{d_a}."""
     d = d_a * d_b * d_a
-    idx = np.arange(d).reshape(d_a, d_b, d_a)
-    p = idx.transpose(2, 1, 0).reshape(-1)  # e(a,b,c) -> e(c,b,a)
     U = np.zeros((d, d), dtype=complex)
-    U[p, np.arange(d)] = 1.0
+    U[_swap_permutation(d_a, d_b), np.arange(d)] = 1.0
     return U
 
 
@@ -97,6 +97,11 @@ class JointStructure:
         return self.system_es.eigenvectors
 
     @property
+    def aux_es(self):
+        """Eigensystem of the auxiliary copy of A: the trivial Hamiltonian I in ``basis_a``."""
+        return eigensystem_from_pairs(np.ones(self.d_a), self.basis_a)
+
+    @property
     def d_a(self):
         return self.cut.d_a
 
@@ -112,13 +117,9 @@ class JointStructure:
     def joint_dim(self):
         return self.d_a * self.d_b * self.d_a
 
-    def swap_frequencies(self):
-        """omega[e(a,b,c)] = lam(c,b) - lam(a,b) over the labeled joint basis."""
-        lam = self.lam2
-        a_idx, b_idx, c_idx = np.meshgrid(
-            np.arange(self.d_a), np.arange(self.d_b), np.arange(self.d_a), indexing="ij"
-        )
-        return (lam[c_idx, b_idx] - lam[a_idx, b_idx]).reshape(-1)
+    def bound_scale(self, beta):
+        """d_A exp(4 beta K V_max): the main theorem bounds the joint gap by g_B / (4 this)."""
+        return self.d_a * np.exp(4 * beta * self.cut.k_count * self.cut.v_max)
 
 
 def joint_structure(spec) -> JointStructure:
@@ -148,21 +149,28 @@ def joint_structure(spec) -> JointStructure:
                           joint_basis=np.kron(system_basis, basis_a), n=spec.n)
 
 
-def _swap_superop_labeled(js: JointStructure, beta):
-    """Swap generator on observables in the labeled |i_A j_B m_A> basis, as Triplets."""
-    d = js.joint_dim
-    ws = js.swap_frequencies()
-    coeff = alpha_coeff(ws[:, None], ws[None, :], WeightFunction("metropolis", beta))
-    p = np.arange(d).reshape(js.d_a, js.d_b, js.d_a).transpose(2, 1, 0).reshape(-1)
-    r = np.arange(d * d)
+def _swap_entries(omega, p, beta):
+    """Unsorted entries (row, col, val) of the Metropolis swap generator at ``beta``.
+
+    The swap maps e -> p[e] (an involution) in a basis where the joint
+    Hamiltonian is diagonal, moving the energy of e by ``omega[e]``.
+    """
+    d = omega.size
+    coeff = alpha_coeff(omega[:, None], omega[None, :], WeightFunction("metropolis", beta))
+    r = np.arange(d * d, dtype=np.int32)  # int32, as the indices of Triplets
     i, j = r % d, r // d  # vec index r = i + d*j
-    # sandwich: out[(i,j)] reads X at the register-swapped element, weighted by
-    # the two-frequency overlap alpha(ws_i, ws_j); anticommutator with the
-    # decay operator D = diag(alpha(ws, ws)): (D_i + D_j) / 2 on the diagonal
+    # sandwich: out[(i,j)] reads X at the swapped element, weighted by alpha(omega_i, omega_j);
+    # anticommutator with D = diag(alpha(omega, omega)): (D_i + D_j) / 2 on the diagonal
     th = np.diagonal(coeff)
-    vals = np.concatenate([coeff[i, j], -0.5 * (th[i] + th[j])])
-    cols = np.concatenate([p[i] + d * p[j], r])
-    return canonical(np.concatenate([r, r]), cols, vals, d * d)
+    return (np.concatenate([r, r]), np.concatenate([p[i] + d * p[j], r]),
+            np.concatenate([coeff[i, j], -0.5 * (th[i] + th[j])]))
+
+
+def _local_swap(js: JointStructure):
+    """The A-register swap p of the labeled joint basis and its frequencies E[p] - E, E of H (x) I."""
+    E = np.repeat(js.system_es.eigenvalues, js.d_a)
+    p = _swap_permutation(js.d_a, js.d_b)
+    return E[p] - E, p
 
 
 def swap_generator_closed_form(js: JointStructure, beta) -> Superoperator:
@@ -173,7 +181,8 @@ def swap_generator_closed_form(js: JointStructure, beta) -> Superoperator:
     ``joint_gibbs(js, beta)``; dissipative only (the coherent part vanishes
     identically for the swap coupling).
     """
-    return Superoperator(_swap_superop_labeled(js, beta), joint_gibbs(js, beta))
+    return Superoperator(canonical(*_swap_entries(*_local_swap(js), beta), js.joint_dim**2),
+                         joint_gibbs(js, beta))
 
 
 def swap_unitary_original(js: JointStructure):
@@ -211,7 +220,7 @@ def lift(M, dims, factor):
     index pair (r1, r2), r1 = i + d1*j and r2 = c + d2*b, is relabeled to
     the joint vec index (i*d2 + c) + d1*d2*(j*d2 + b) = J[0][r1] + J[1][r2].
     The relabeling is one to one, so each position appears once and no
-    value is zero, as in M; the entries are not sorted (see ``_joint_sum``).
+    value is zero, as in M; the entries are not sorted (see ``_replica_pair``).
     """
     d1, d2 = dims
     r1, r2 = np.arange(d1 * d1, dtype=np.int32), np.arange(d2 * d2, dtype=np.int32)
@@ -221,14 +230,22 @@ def lift(M, dims, factor):
             np.repeat(M.val, rest.size))
 
 
-def _joint_sum(swap, *lifted):
-    """The canonical sum of the swap Triplets and the ``lift`` entries, sorted once.
+def _product(s1: GibbsState, s2: GibbsState):
+    """s1 (x) s2, diagonal in the kron of their bases, at the inverse temperature of s1."""
+    return GibbsState(np.kron(s1.weights, s2.weights), np.kron(s1.basis, s2.basis), s1.beta)
 
-    Each part holds each position once, so every duplicate run sums the
-    parts in this order, as summing canonical parts one by one does.
+
+def _replica_pair(L1, L2, omega, p, beta_swap) -> Superoperator:
+    """L1 (x) Id + Id (x) L2 + the Metropolis swap at ``beta_swap``, stored in the kron of their bases.
+
+    ``omega`` and ``p`` are the swap's frequencies and permutation there
+    (``_swap_entries``).  One ``canonical`` sums each duplicate run in the
+    order swap, L1, L2.  The generator carries L1.sigma (x) L2.sigma.
     """
-    parts = [(swap.row, swap.col, swap.val), *lifted]
-    return canonical(*(np.concatenate(x) for x in zip(*parts)), swap.side)
+    dims = (L1.dim, L2.dim)
+    parts = [_swap_entries(omega, p, beta_swap), lift(L1.local, dims, 0), lift(L2.local, dims, 1)]
+    M = canonical(*(np.concatenate(x) for x in zip(*parts)), L1.local.side * L2.local.side)
+    return Superoperator(M, _product(L1.sigma, L2.sigma))
 
 
 def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> Superoperator:
@@ -237,32 +254,17 @@ def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> S
     The system couplings are all single-site Paulis; the auxiliary is a
     trivial-Hamiltonian copy of A with its own single-site Paulis; both use
     the weight ``w``.  The swap exchanges the A registers (closed form, at
-    ``w.beta``).  The three pieces are assembled in the labeled
-    |i_A j_B m_A> basis of ``js``, where H and the joint Gibbs state
-    ``joint_gibbs(js, w.beta)`` are diagonal, and the result is stored there
-    with that state.
+    ``w.beta``).  The result is stored in the labeled |i_A j_B m_A> basis
+    of ``js`` with the joint Gibbs state ``joint_gibbs(js, w.beta)``.
     """
-    d_n = js.d_a * js.d_b
     L1 = build_ckg_generator(js.system_es, single_site_paulis(js.n), w)
-    es2 = eigensystem_from_pairs(np.ones(js.d_a), js.basis_a)
-    L2 = build_ckg_generator(es2, single_site_paulis(js.n_a), w)
-    M = _joint_sum(_swap_superop_labeled(js, w.beta), lift(L1.local, (d_n, js.d_a), 0),
-                   lift(L2.local, (d_n, js.d_a), 1))
-    return Superoperator(M, joint_gibbs(js, w.beta))
+    L2 = build_ckg_generator(js.aux_es, single_site_paulis(js.n_a), w)
+    return _replica_pair(L1, L2, *_local_swap(js), w.beta)
 
 
 def joint_gibbs(js: JointStructure, beta):
-    """Gibbs state of the local_A joint Hamiltonian (sigma_H (x) I_A / d_A).
-
-    Built diagonal in the labeled |i_A j_B m_A> basis from the commuting-cut
-    eigenvalues: weight s(a, b) / d_A at e(a, b, c).
-    """
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be finite and non-negative")
-    lam = js.lam2
-    w = np.exp(-beta * (lam - lam.min()))
-    w /= w.sum()
-    return GibbsState(np.repeat(w.reshape(-1), js.d_a) / js.d_a, js.joint_basis, beta)
+    """Gibbs state sigma_H (x) I_A / d_A of H (x) I_A, diagonal in the labeled basis."""
+    return _product(gibbs_state(js.system_es, beta), gibbs_state(js.aux_es, beta))
 
 
 def check_global_size(n):
@@ -275,30 +277,23 @@ def build_global_replica_generator(es: Eigensystem, w: WeightFunction, beta2) ->
     """Two full replicas at (w.beta, beta2) coupled by the global swap, stored in U (x) U.
 
     ``es`` is the eigensystem of H.  Replica 1 uses the weight ``w``,
-    replica 2 the same kind at ``beta2``; the swap piece is the generic
-    generator of the swap unitary for the Hamiltonian
-    w.beta H (x) I + beta2 I (x) H at unit temperature.  Its Gibbs state is
-    ``global_gibbs(es, w.beta, beta2)``.
+    replica 2 the same kind at ``beta2``; the swap piece is the closed-form
+    Metropolis swap for the Hamiltonian w.beta H (x) I + beta2 I (x) H at
+    unit temperature.  Its Gibbs state is ``global_gibbs(es, w.beta, beta2)``.
     """
     n, d_n = es.dim.bit_length() - 1, es.dim
     check_global_size(n)
     L1 = build_ckg_generator(es, single_site_paulis(n), w)
     L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w.kind, beta2))
     lam = es.eigenvalues
-    sigma = global_gibbs(es, w.beta, beta2)
-    # its basis U (x) U diagonalizes both replicas and the swap
-    es_swap = eigensystem_from_pairs((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1),
-                                     sigma.basis)
-    swap = local_swap_unitary(d_n, 1)
-    M = _joint_sum(build_ckg_generator(es_swap, [swap], WeightFunction("metropolis", 1.0)).local,
-                   lift(L1.local, (d_n, d_n), 0), lift(L2.local, (d_n, d_n), 1))
-    return Superoperator(M, sigma)
+    E = (w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1)
+    p = _swap_permutation(d_n, 1)
+    return _replica_pair(L1, L2, E[p] - E, p, 1.0)
 
 
 def global_gibbs(es: Eigensystem, beta, beta2):
     """sigma_beta (x) sigma_beta2, diagonal in the U (x) U of ``build_global_replica_generator``."""
-    weights = np.kron(gibbs_state(es, beta).weights, gibbs_state(es, beta2).weights)
-    return GibbsState(weights, np.kron(es.eigenvectors, es.eigenvectors), beta)
+    return _product(gibbs_state(es, beta), gibbs_state(es, beta2))
 
 
 def _random_off_a(rng, d_a, d_b, b_part):
@@ -407,7 +402,7 @@ def swap_sector_analysis(js: JointStructure, swap, seed=42):
                                  quotient(_random_off_a(rng, d_a, d_b, "diag")))
         mins["offA_offB"] = min(mins["offA_offB"], quotient(_random_off_a(rng, d_a, d_b, "off")))
 
-    threshold = 1.0 / (4.0 * d_a * np.exp(4.0 * sigma.beta * js.cut.k_count * js.cut.v_max))
+    threshold = 1.0 / (4.0 * js.bound_scale(sigma.beta))
     return {
         "restricted_kernel_dim": kernel_dim,
         "restricted_evals_head": [float(v) for v in evals[:5]],

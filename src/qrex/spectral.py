@@ -7,9 +7,9 @@ so L_hat = Phi o L o Phi^(-1) is an honest Hermitian matrix whose spectrum
 is the KMS spectrum of L.  Every generator carries the Gibbs state it is
 detailed balanced for (``Superoperator.sigma``) and is stored in that
 state's eigenbasis: ``build_ckg_generator`` (with ``gibbs_state``) in the
-energy eigenbasis, the closed-form swap and local_A joint generators (with
-``replica.joint_gibbs``) in the labeled product basis, the global generator
-(with ``replica.global_gibbs``) in U (x) U.  There Phi is the diagonal
+energy eigenbasis, each replica generator in the kron of its factors' bases
+with the product of their states (local_A: the labeled product basis;
+global: U (x) U).  There Phi is the diagonal
 scaling diag(phi) L diag(1/phi) of the sparse stored matrix
 (Chen-Kastoryano-Gilyen, arXiv:2311.09207), so ``symmetrize`` forms L_hat
 as ``Triplets`` with the pattern of L.  L is detailed balanced exactly when
@@ -307,14 +307,15 @@ def spectral_norm(X):
     return float(np.sqrt(top))
 
 
-def gap_from_eigenvalues(evals, tol=KERNEL_TOL) -> GapReport:
+def gap_from_eigenvalues(evals) -> GapReport:
     """Kernel dimension and gap from the ascending eigenvalues of -L_hat.
 
+    The kernel is every eigenvalue up to KERNEL_TOL times the largest.
     Raises UnresolvedGapError if no eigenvalue clears the kernel threshold or
     the first one is within 10x of it (a near-degenerate cluster is split).
     """
     scale = max(np.abs(evals).max(), 1e-300)
-    threshold = tol * scale
+    threshold = KERNEL_TOL * scale
     kernel_dim = int(np.sum(evals <= threshold))
     if kernel_dim == evals.size:
         raise UnresolvedGapError("generator has no spectrum above the kernel threshold")
@@ -332,10 +333,10 @@ def gap_from_eigenvalues(evals, tol=KERNEL_TOL) -> GapReport:
     )
 
 
-def spectral_gap(L: Superoperator, tol=KERNEL_TOL) -> GapReport:
+def spectral_gap(L: Superoperator) -> GapReport:
     """Kernel dimension and smallest nonzero eigenvalue of -L_hat, with its block structure."""
     groups = block_eigh(-symmetrize(L), vectors=False)
-    return replace(gap_from_eigenvalues(block_spectrum(groups), tol),
+    return replace(gap_from_eigenvalues(block_spectrum(groups)),
                    blocks=sum(int(idx.shape[0] + twin.sum()) for idx, _, _, twin in groups),
                    blocks_solved=sum(idx.shape[0] for idx, _, _, _ in groups),
                    largest_block=max(idx.shape[1] for idx, _, _, _ in groups))

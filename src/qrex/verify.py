@@ -37,6 +37,7 @@ from .lindblad import (
 from .mixing import SpectralPropagator, chi_square_rate_fit, trace_norm
 from .pauli import single_site_paulis
 from .replica import (
+    CLOSED_FORM_RTOL,
     build_replica_exchange_generator,
     joint_structure,
     swap_generator_closed_form,
@@ -141,7 +142,7 @@ def run_verification(seed=42, beta=1.0):
     same_basis = np.array_equal(swap_closed.basis, swap_generic.basis)
     rel = (spectral_norm(add(swap_closed.local, -swap_generic.local))
            / spectral_norm(swap_generic.local))
-    results.append(_check("replica.closed_vs_generic", same_basis and rel <= 1e-9,
+    results.append(_check("replica.closed_vs_generic", same_basis and rel <= CLOSED_FORM_RTOL,
                           f"rel diff {rel:.2e}"))
 
     sector = swap_sector_analysis(js3, swap_closed, seed=seed)

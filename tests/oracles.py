@@ -13,6 +13,11 @@ as test oracles only:
 * ``joint_hamiltonian`` forms H (x) I + I on the joint space, whose Gibbs
   state the library builds diagonal in the labeled basis
   (``qrex.replica.joint_gibbs``).
+* ``global_replica_generator_generic`` is the global two-temperature
+  generator with its swap piece from ``build_ckg_generator`` applied to the
+  dense swap unitary over the grouped joint Bohr frequencies;
+  ``qrex.replica.build_global_replica_generator`` takes the swap in closed
+  form, as the local_A builder does.
 * ``swap_only_kernel_analysis`` and ``swap_sector_lower_bounds`` are
   ``qrex.replica.swap_sector_analysis`` the direct way: the KMS inner
   product summed from the joint Gibbs weights (``kms_diag``), the
@@ -95,10 +100,13 @@ from qrex.lindblad import (
     QUAD_PANELS,
     QUAD_PANELS_FINE,
     Eigensystem,
+    GibbsState,
+    Superoperator,
     Triplets,
     WeightFunction,
     alpha_coeff,
     build_ckg_generator,
+    canonical,
     eigensystem,
     eigensystem_from_pairs,
     filter_fhat,
@@ -111,8 +119,10 @@ from qrex.mixing import BISECTION_RTOL, SpectralPropagator, _check_state, chi_sq
 from qrex.pauli import PAULIS, pauli_string_matrix, single_site_paulis
 from qrex.replica import (
     _random_off_a,
-    _swap_superop_labeled,
+    check_global_size,
     joint_structure,
+    lift,
+    local_swap_unitary,
     swap_generator_closed_form,
 )
 from qrex.spectral import (
@@ -351,7 +361,7 @@ def swap_only_kernel_analysis(js, beta, seed=42, n_random=10):
 def swap_sector_lower_bounds(js, beta, seed=42, n_random=20):
     """``qrex.replica.swap_sector_lower_bounds`` with the KMS products summed from the Gibbs weights."""
     d_a, d_b = js.d_a, js.d_b
-    M = _swap_superop_labeled(js, beta)
+    M = swap_generator_closed_form(js, beta).local
     w2, s3 = labeled_sigma_weights(js, beta)
     rng = np.random.default_rng(seed)
     eye_b, eye_a = np.eye(d_b), np.eye(d_a)
@@ -376,6 +386,30 @@ def swap_sector_lower_bounds(js, beta, seed=42, n_random=20):
     threshold = 1.0 / (4.0 * d_a * np.exp(4.0 * beta * js.cut.k_count * js.cut.v_max))
     return {"sector_minima": {k: float(v) for k, v in mins.items()},
             "threshold": float(threshold)}
+
+
+def global_replica_generator_generic(es, w: WeightFunction, beta2):
+    """``qrex.replica.build_global_replica_generator`` with the swap by the generic construction.
+
+    ``build_ckg_generator`` is applied to the dense swap unitary, with U (x) U
+    as the eigenbasis of w.beta H (x) I + beta2 I (x) H and its Bohr
+    frequencies grouped by ``eigensystem_from_pairs``, at unit temperature;
+    the library takes the swap in closed form from the swap frequencies.
+    """
+    n, d_n = es.dim.bit_length() - 1, es.dim
+    check_global_size(n)
+    L1 = build_ckg_generator(es, single_site_paulis(n), w)
+    L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w.kind, beta2))
+    lam, U = es.eigenvalues, es.eigenvectors
+    sigma = GibbsState(np.kron(gibbs_state(es, w.beta).weights, gibbs_state(es, beta2).weights),
+                       np.kron(U, U), w.beta)
+    es_swap = eigensystem_from_pairs((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1),
+                                     sigma.basis)
+    swap = build_ckg_generator(es_swap, [local_swap_unitary(d_n, 1)],
+                               WeightFunction("metropolis", 1.0)).local
+    parts = [(swap.row, swap.col, swap.val), lift(L1.local, (d_n, d_n), 0),
+             lift(L2.local, (d_n, d_n), 1)]
+    return Superoperator(canonical(*(np.concatenate(x) for x in zip(*parts)), swap.side), sigma)
 
 
 def _superop_norm_estimate(M, iters=40, seed=123):
@@ -694,7 +728,7 @@ def bottleneck_ratio_whole_table(chain):
     flow = pi[:, None] * (Q - np.diag(np.diag(Q)))
     masks = subset_masks(m, 1, 2**m - 1)  # skip empty and full
     p = masks @ pi
-    cross = masks @ flow.sum(axis=1) - np.einsum("sj,sj->s", masks @ flow, masks)
+    cross = np.einsum("sj,sj->s", masks @ flow, 1.0 - masks)  # nonnegative terms only
     valid = p <= 0.5 + 1e-15
     ratios = np.where(valid, cross / np.where(p > 0, p, 1.0), np.inf)
     best = int(np.argmin(ratios))

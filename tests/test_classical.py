@@ -38,6 +38,30 @@ def random_reversible_chain(m, seed, density):
     return ClassicalChain(generator=Q, stationary=pi, beta=1.0)
 
 
+def mp_glauber_chain(n, beta, J):
+    """Stationary law and generator of ``glauber_generator`` in 60-digit mpmath."""
+    E = classical_defected_ising_energy(spin_table(n), J)
+    m = 2**n
+    with mpmath.workdps(60):
+        w = [mpmath.exp(-beta * mpmath.mpf(e - E.min())) for e in E]
+        pi = [x / mpmath.fsum(w) for x in w]
+        Q = mpmath.zeros(m, m)
+        for x in range(m):
+            for s in range(n):
+                y = x ^ (1 << s)
+                Q[x, y] = min(mpmath.mpf(1), mpmath.exp(-beta * mpmath.mpf(E[y] - E[x])))
+            Q[x, x] = -mpmath.fsum(Q[x, y] for y in range(m) if y != x)
+    return pi, Q
+
+
+def mp_cut_ratio(pi, Q, members):
+    """Out-flow of the set ``members`` over the smaller of its mass and its complement's."""
+    out = [y for y in range(len(pi)) if y not in members]
+    mass = mpmath.fsum(pi[x] for x in members)
+    cut = mpmath.fsum(pi[x] * Q[x, y] for x in members for y in out)
+    return cut / min(mass, 1 - mass)
+
+
 class TestEnergy:
     def test_all_up(self):
         assert classical_defected_ising_energy(np.ones(4), 3.0) == pytest.approx(-6.0)
@@ -124,12 +148,13 @@ class TestBottleneckRatio:
             bottleneck_ratio(chain)
 
     @pytest.mark.parametrize("J, phi, members", [
-        (2.0, 0.014084064847293045, (0, 1, 2, 3, 8, 9, 10, 11)),
-        (3.0, 0.0019177480674048837, (0, 1, 2, 3, 4, 5, 6, 7)),
-        (4.0, 0.0002597543413836445, (4, 5, 6, 7, 12, 13, 14, 15)),
+        (2.0, 0.014084064847293062, (0, 1, 2, 3, 8, 9, 10, 11)),
+        (3.0, 0.0019177480674048555, (4, 5, 6, 7, 12, 13, 14, 15)),
+        (4.0, 0.00025975434138366586, (0, 1, 2, 3, 8, 9, 10, 11)),
     ])
     def test_exact_ring_minimizer_pinned(self, J, phi, members):
-        # the exact Cheeger constant of the oracle, which the sweep cut bounds
+        # the exact Cheeger constant of the oracle, which the sweep cut bounds;
+        # at J = 3 and 4 its spin-flip twin x -> 15 - x has the same ratio up to rounding
         chain = glauber_generator(ising_fn(J), 4, 1.0)
         assert bottleneck_ratio_whole_table(chain) == (phi, members)
         assert phi <= bottleneck_ratio(chain)[0] <= 1.01 * phi
@@ -182,23 +207,11 @@ class TestBottleneckRatio:
     def test_low_temperature_cut_matches_mpmath(self):
         # n = 3, beta = 8, J = 5: a cut's out-flow taken by subtraction read 0.0
         n, beta, J = 3, 8.0, 5.0
-        chain = glauber_generator(ising_fn(J), n, beta)
-        phi, members = bottleneck_ratio(chain)
-        E = classical_defected_ising_energy(spin_table(n), J)
-        m = 2**n
+        phi, members = bottleneck_ratio(glauber_generator(ising_fn(J), n, beta))
+        pi, Q = mp_glauber_chain(n, beta, J)
         with mpmath.workdps(60):
-            w = [mpmath.exp(-beta * mpmath.mpf(e - E.min())) for e in E]
-            pi = [x / mpmath.fsum(w) for x in w]
-            Q = mpmath.zeros(m, m)
-            for x in range(m):
-                for s in range(n):
-                    y = x ^ (1 << s)
-                    Q[x, y] = min(mpmath.mpf(1), mpmath.exp(-beta * mpmath.mpf(E[y] - E[x])))
-                Q[x, x] = -mpmath.fsum(Q[x, y] for y in range(m) if y != x)
-            out = [y for y in range(m) if y not in members]
-            mass = mpmath.fsum(pi[x] for x in members)
-            cut = mpmath.fsum(pi[x] * Q[x, y] for x in members for y in out)
-            ref = cut / min(mass, 1 - mass)
+            ref = mp_cut_ratio(pi, Q, members)
+            m = 2**n
             sym = mpmath.matrix(m, m)
             for x in range(m):
                 for y in range(m):
@@ -207,6 +220,17 @@ class TestBottleneckRatio:
         assert phi == pytest.approx(float(ref), rel=1e-12)
         assert phi >= float(gap) / 2
         assert 8.12e-42 < phi < 8.13e-42
+
+    @pytest.mark.parametrize("n, beta, J", [(3, 8.0, 5.0)] + [
+        (n, 4.0, J) for n in (3, 4) for J in (1.0, 2.0, 3.0, 4.0, 5.0)])
+    def test_exact_oracle_matches_mpmath(self, n, beta, J):
+        # at low temperature a cut's out-flow is far below the row sums it
+        # would be the difference of, so only a sum of nonnegative flows resolves it
+        phi, members = bottleneck_ratio_whole_table(glauber_generator(ising_fn(J), n, beta))
+        pi, Q = mp_glauber_chain(n, beta, J)
+        with mpmath.workdps(60):
+            ref = float(mp_cut_ratio(pi, Q, members))
+        assert phi == pytest.approx(ref, rel=1e-15, abs=0)
 
 
 class TestReplicaExchange:

@@ -38,7 +38,6 @@ from qrex.lindblad import (
 from qrex.mixing import SpectralPropagator
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
-    _swap_superop_labeled,
     build_global_replica_generator,
     build_replica_exchange_generator,
     global_gibbs,
@@ -244,7 +243,7 @@ def test_ckg_generator_with_coherent_term_matches_dense_route(w):
 def test_closed_form_swap_matches_dense_route():
     js = joint_structure(defected_ising_1d(3, 2.0))
     heis = swap_generator_closed_form(js, 1.0)
-    M_dense = dense_conjugate(_swap_superop_labeled(js, 1.0).toarray(), js.joint_basis)
+    M_dense = dense_conjugate(heis.local.toarray(), js.joint_basis)
     check_against_oracle(heis, M_dense, joint_gibbs(js, 1.0))
 
 
@@ -256,7 +255,7 @@ def test_local_a_joint_generator_matches_dense_route():
     assert np.array_equal(heis.basis, js.joint_basis)
     M_dense = superop_kron_left(dense_ckg(assemble_dense(spec), single_site_paulis(3), GG), d_a)
     M_dense += superop_kron_right(dense_ckg(np.eye(d_a), single_site_paulis(2), GG), d_n)
-    M_dense += dense_conjugate(_swap_superop_labeled(js, 1.0).toarray(), js.joint_basis)
+    M_dense += dense_conjugate(swap_generator_closed_form(js, 1.0).local.toarray(), js.joint_basis)
     check_against_oracle(heis, M_dense, joint_gibbs(js, 1.0))
 
 

@@ -393,9 +393,9 @@ class TestScenarios:
 
     def test_verification_decomposes_each_generator_once(self, monkeypatch):
         # 5 distinct generators, each scaled once: the swap's one sector
-        # analysis and the ring's chi-square gap and fit share theirs; each of
-        # the two joint generators (the swap and local_A) carries its own joint
-        # Gibbs state
+        # analysis and the ring's chi-square gap and fit share theirs; the swap
+        # carries the joint Gibbs state, and the local_A generator the product
+        # of its two factors' states
         counted = {"symmetrize": qrex.spectral, "block_eigh": qrex.spectral,
                    "swap_generator_closed_form": qrex.replica, "joint_gibbs": qrex.replica}
         counts = dict.fromkeys(counted, 0)
@@ -425,7 +425,7 @@ class TestScenarios:
         assert len(rows) == 25 and all(row["passed"] for row in rows)
         assert counts["symmetrize"] == 5
         assert counts["swap_generator_closed_form"] == 1
-        assert counts["joint_gibbs"] == 2
+        assert counts["joint_gibbs"] == 1
         assert fit_eighs == [0]
 
     def test_sweep_points_take_the_validated_config(self, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from qrex.hamiltonians import assemble_dense, defected_ising_1d
+from qrex.hamiltonians import HamiltonianSpec, PauliTerm, assemble_dense, defected_ising_1d
 from qrex.lindblad import (
     Triplets,
     WeightFunction,
@@ -245,8 +245,6 @@ class TestReplicaExchangeGenerator:
         assert gaps_single[0] / gaps_single[1] >= 100.0
 
     def test_global_mode_two_temperatures(self):
-        from qrex.hamiltonians import HamiltonianSpec, PauliTerm
-
         spec = HamiltonianSpec(n=2, terms=(PauliTerm(-2.0, ((0, "Z"), (1, "Z"))),))
         beta1, beta2 = 1.0, 0.25
         es = eigensystem(assemble_dense(spec))
@@ -259,6 +257,42 @@ class TestReplicaExchangeGenerator:
         assert np.array_equal(heis.sigma.weights, sigma.weights)
         assert np.array_equal(heis.basis, sigma.basis)
         assert np.abs(heis.sigma.sigma - np.kron(s1, s2)).max() < 1e-14
+
+
+class TestGlobalGenerator:
+    """The closed-form global generator against the generic swap route of ``oracles``."""
+
+    @staticmethod
+    def pair(spec, w, beta2):
+        es = eigensystem(assemble_dense(spec))
+        return (build_global_replica_generator(es, w, beta2),
+                oracles.global_replica_generator_generic(es, w, beta2))
+
+    @pytest.mark.parametrize("n, J", [(3, 1.0), (3, 5.0), (4, 3.0)])
+    @pytest.mark.parametrize("beta, beta2", [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.5, 0.5)])
+    def test_bitwise_on_the_ring(self, n, J, beta, beta2):
+        new, old = self.pair(defected_ising_1d(n, J), WeightFunction("metropolis", beta), beta2)
+        for field in ("row", "col", "val"):
+            assert np.array_equal(getattr(new.local, field), getattr(old.local, field)), field
+        assert np.array_equal(new.sigma.weights, old.sigma.weights)
+        assert np.array_equal(new.basis, old.basis)
+        assert new.sigma.beta == old.sigma.beta == beta
+
+    @pytest.mark.parametrize("spec, beta, beta2, kind", [
+        (HamiltonianSpec(n=2, terms=(PauliTerm(-2.0, ((0, "Z"), (1, "Z"))),
+                                     PauliTerm(-0.7, ((0, "X"),)), PauliTerm(0.3, ((1, "Y"),)))),
+         1.0, 0.25, "metropolis"),
+        (defected_ising_1d(3, 3.0), 2.0, 0.3, "gaussian"),
+        (defected_ising_1d(4, 3.0), 1.0, 0.5, "metropolis"),
+    ], ids=["zz_fields", "ring3", "ring4"])
+    def test_entries_and_gap_match_generic_route(self, spec, beta, beta2, kind):
+        new, old = self.pair(spec, WeightFunction(kind, beta), beta2)
+        assert np.array_equal(new.local.row, old.local.row)
+        assert np.array_equal(new.local.col, old.local.col)
+        assert np.abs(new.local.val - old.local.val).max() <= 1e-13
+        assert np.array_equal(new.sigma.weights, old.sigma.weights)
+        gap_new, gap_old = spectral_gap(new).gap, spectral_gap(old).gap
+        assert abs(gap_new - gap_old) <= 1e-12 * gap_old
 
 
 class TestSwapKernelAnalysis:
