@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands mirror the scenarios: gap, sweep, mixing, verify, theta,
-classical.  Exit codes: 0 success, 1 invariant failure, 2 config error,
-3 resource guard, 4 numerical error (a gap double precision cannot resolve).
+The one positional argument names the scenario: gap, sweep, mixing,
+verify, theta, classical; every option applies to each.  Exit codes:
+0 success, 1 invariant failure, 2 config error, 3 resource guard,
+4 numerical error (a gap double precision cannot resolve).
 A sweep keeps its unresolved points: it writes the whole report, prints one
 ``numerical error:`` line per such point and exits 4.
 """
@@ -30,18 +31,16 @@ def build_parser():
         description="Quantum replica-exchange Gibbs samplers: gaps, mixing times, "
                     "and slow-mixing diagnostics by exact diagonalization.",
     )
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=f"run the {name} scenario")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output file path (default: stdout)")
-        p.add_argument("--format", default=None, choices=["csv", "json"],
-                       help="output format (default: config value)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--max-dim", type=int, default=None,
-                       help="superoperator dimension guard (default 4096)")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for sweep points")
+    parser.add_argument("scenario", choices=SCENARIOS, help="the scenario to run")
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--out", default=None, help="output file path (default: stdout)")
+    parser.add_argument("--format", default=None, choices=["csv", "json"],
+                        help="output format (default: config value)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--max-dim", type=int, default=None,
+                        help="superoperator dimension guard (default 4096)")
+    parser.add_argument("--parallel", type=int, default=1,
+                        help="worker processes for sweep points")
     return parser
 
 

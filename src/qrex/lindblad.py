@@ -339,6 +339,14 @@ def alpha_coeff(nu1, nu2, w: WeightFunction):
     return out if out.ndim else float(out)
 
 
+def alpha_table(nus, w: WeightFunction):
+    """The table alpha(nus[a], nus[b]), evaluated on one triangle: alpha is symmetric."""
+    i, j = np.triu_indices(nus.size)
+    table = np.empty((nus.size, nus.size))
+    table[i, j] = table[j, i] = alpha_coeff(nus[i], nus[j], w)
+    return table
+
+
 def alpha_quadrature(nu1, nu2, w: WeightFunction):
     """alpha(v1, v2) by numerical quadrature: the independent check of alpha_coeff.
 
@@ -450,9 +458,7 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     # the alpha table over the Bohr groups of the nonzero coupling entries
     used_groups = np.unique(gid[np.concatenate([p for p, _ in entries] + [np.zeros(0, int)])])
     nus = es.bohr[used_groups]
-    i, j = np.triu_indices(nus.size)  # the table is symmetric: theta on one triangle
-    table = np.empty((nus.size, nus.size))
-    table[i, j] = table[j, i] = alpha_coeff(nus[i], nus[j], w)
+    table = alpha_table(nus, w)
     slot = np.zeros(es.bohr.size, dtype=np.int32)
     slot[used_groups] = np.arange(used_groups.size)
     slot = slot[gid]  # alpha-table slot of nu_ki at k*d + i

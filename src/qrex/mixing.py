@@ -52,7 +52,6 @@ import numpy as np
 
 from .lindblad import Superoperator, unvec, vec
 from .spectral import (
-    UnresolvedGapError,
     block_eigh,
     block_spectrum,
     gap_from_eigenvalues,
@@ -545,18 +544,14 @@ def mixing_time_estimate(L: Superoperator, epsilon, family=None, n_haar=20,
     states; the chi-square upper bound t_upper is the rigorous cap.  A
     custom ``family`` of (state_id, rho) pairs is checked state by state
     (``_check_state``), and an empty one is a ValueError.  A kernel of
-    dimension other than 1 is an UnresolvedGapError, raised before the
-    search: a slow mode taken for a stationary one leaves the reported gap,
-    and so t_upper and the search's bracket, wrong.
+    dimension other than 1 is an UnresolvedGapError of the gap reader,
+    raised before the search: a slow mode taken for a stationary one leaves
+    the reported gap, and so t_upper and the search's bracket, wrong.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     prop, sigma = SpectralPropagator(L), L.sigma
     rep = gap_from_eigenvalues(-prop.evals[::-1])  # spectrum of -L_hat, ascending
-    if rep.kernel_dim != 1:
-        raise UnresolvedGapError(
-            f"kernel dimension {rep.kernel_dim}, expected 1: a slow mode lies below the "
-            f"kernel threshold {rep.tolerance:.3e}, so the gap and the mixing time are unresolved")
     t_lower, t_upper = mixing_bounds_from_gap(rep.gap, sigma.lambda_min, epsilon)
     pairs = family if family is not None else _initial_family(sigma, n_haar=n_haar, seed=seed)
     ids = []

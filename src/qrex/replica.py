@@ -6,8 +6,8 @@ on its factor of the joint space by ``lift``, index arithmetic on its
 triplets.  In the kron of the two bases the swap permutes the basis,
 e -> p[e], moving the energy of e by omega[e] = E[p[e]] - E[e], and its
 Metropolis generator has a closed form there (``_swap_entries``): sandwich
-coefficients alpha(omega_i, omega_j) (``lindblad.alpha_coeff``,
-Chen-Kastoryano-Gilyen, arXiv:2311.09207), decay coefficients
+coefficients alpha(omega_i, omega_j) (``lindblad.alpha_table`` over the
+distinct omega, Chen-Kastoryano-Gilyen, arXiv:2311.09207), decay coefficients
 alpha(omega, omega) = theta(beta * omega) and no coherent term.  One
 ``lindblad.canonical`` sorts the swap and lifted entries together, and the
 result carries the product of the two factor Gibbs states.
@@ -19,11 +19,12 @@ basis |i_A j_B m_A>, which ``joint_structure`` computes once per system;
 every function here that reads those labels takes the caller's
 ``JointStructure``.  The joint Gibbs state ``joint_gibbs`` is diagonal
 there, so KMS products are Euclidean products of vectors scaled by
-``spectral.kms_scaling``, which the sector analysis
-(``swap_sector_analysis``) takes from one ``spectral.symmetrize`` of the
-swap generator.  The closed-form swap (``swap_generator_closed_form``) is
-cross-validated against ``build_ckg_generator`` applied to the swap
-unitary (``swap_generator_generic``).  The global mode
+``spectral.kms_scaling``, and the sector analysis
+(``swap_sector_analysis``) reads every number off one compression of one
+``spectral.symmetrize`` of the swap generator.  The closed-form swap
+(``swap_generator_closed_form``) is cross-validated against
+``build_ckg_generator`` applied to the swap unitary
+(``swap_generator_generic``).  The global mode
 (``build_global_replica_generator``) pairs two full replicas in U (x) U,
 the swap at unit temperature for E = beta lam_a + beta2 lam_c, with the
 Gibbs state ``global_gibbs``.
@@ -39,12 +40,11 @@ from .lindblad import (
     GibbsState,
     Superoperator,
     WeightFunction,
-    alpha_coeff,
+    alpha_table,
     build_ckg_generator,
     canonical,
     eigensystem_from_pairs,
     gibbs_state,
-    vec,
 )
 from .pauli import qubit_permutation, single_site_paulis
 from .spectral import KERNEL_TOL, block_eigvalsh, kms_scaling, symmetrize
@@ -156,14 +156,16 @@ def _swap_entries(omega, p, beta):
     Hamiltonian is diagonal, moving the energy of e by ``omega[e]``.
     """
     d = omega.size
-    coeff = alpha_coeff(omega[:, None], omega[None, :], WeightFunction("metropolis", beta))
+    nus, slot = np.unique(omega, return_inverse=True)  # omega takes few distinct values
+    coeff = alpha_table(nus, WeightFunction("metropolis", beta))
     r = np.arange(d * d, dtype=np.int32)  # int32, as the indices of Triplets
     i, j = r % d, r // d  # vec index r = i + d*j
+    si, sj = slot[i], slot[j]
     # sandwich: out[(i,j)] reads X at the swapped element, weighted by alpha(omega_i, omega_j);
     # anticommutator with D = diag(alpha(omega, omega)): (D_i + D_j) / 2 on the diagonal
     th = np.diagonal(coeff)
     return (np.concatenate([r, r]), np.concatenate([p[i] + d * p[j], r]),
-            np.concatenate([coeff[i, j], -0.5 * (th[i] + th[j])]))
+            np.concatenate([coeff[si, sj], -0.5 * (th[si] + th[sj])]))
 
 
 def _local_swap(js: JointStructure):
@@ -296,21 +298,6 @@ def global_gibbs(es: Eigensystem, beta, beta2):
     return _product(gibbs_state(es, beta), gibbs_state(es, beta2))
 
 
-def _random_off_a(rng, d_a, d_b, b_part):
-    """Random operator X (x) I_A, as a dense matrix in the labeled basis, with zero A-diagonal blocks.
-
-    X has entries X[(i, b), (i', b')] with i != i'; ``b_part`` is "any" for
-    every B part, "diag" for b = b' only and "off" for b != b' only.
-    """
-    shape = (d_a, d_b, d_a, d_b)
-    T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    i, b, ip, bp = np.indices(shape, sparse=True)
-    mask = i != ip
-    if b_part != "any":
-        mask = mask & ((b == bp) == (b_part == "diag"))
-    return np.kron((T * mask).reshape(d_a * d_b, d_a * d_b), np.eye(d_a))
-
-
 def _sector_basis(js: JointStructure, phi):
     """Orthonormal basis of Phi(K (x) I_A) in vec coordinates of the labeled basis.
 
@@ -318,10 +305,12 @@ def _sector_basis(js: JointStructure, phi):
     |i><i'| (x) |b><v| (x) I_A for i != i' and all b, v.  Each has entries
     phi[r] at the vec indices r = e + D*e' of its (row e, column e') pairs.
     The supports are disjoint, so normalizing each column makes the basis
-    orthonormal.  Returns each vec index's column (-1 outside) and entry there, and their count.
+    orthonormal.  Returns each vec index's column (-1 outside) and entry
+    there, and the part of each column: 0 for diag_A, 1 for offA_diagB
+    (b = v) and 2 for offA_offB (b != v).
     """
-    d_a, D = js.d_a, js.joint_dim
-    e = np.arange(D).reshape(d_a, js.d_b, d_a)  # labeled joint index e(a, b, c)
+    d_a, d_b, D = js.d_a, js.d_b, js.joint_dim
+    e = np.arange(D).reshape(d_a, d_b, d_a)  # labeled joint index e(a, b, c)
     diag = (e * (D + 1)).reshape(d_a, -1)
     off = e[:, None, :, None, :] + D * e[None, :, None, :, :]  # [i, i', b, v, c]
     off = off[~np.eye(d_a, dtype=bool)].reshape(-1, d_a)
@@ -332,83 +321,56 @@ def _sector_basis(js: JointStructure, phi):
     norm = np.sqrt(np.bincount(cols, vals**2))
     column, entry = np.full(D * D, -1), np.zeros(D * D)
     column[rows], entry[rows] = cols, vals / norm[cols]
-    return column, entry, norm.size
+    b_diag = np.tile(np.eye(d_b, dtype=bool).ravel(), d_a * (d_a - 1))
+    return column, entry, np.concatenate([np.zeros(d_a, int), np.where(b_diag, 1, 2)])
 
 
-def swap_sector_analysis(js: JointStructure, swap, seed=42):
-    """Kernel, cross terms and sector Rayleigh quotients of the swap generator on K (x) I_A.
+def swap_sector_analysis(js: JointStructure, swap):
+    """Kernel, cross terms and sector minima of the swap generator on K (x) I_A, all exact.
 
     ``swap`` is the caller's closed-form swap generator of ``js``, with the
     joint Gibbs state sigma = swap.sigma; one L_hat serves every part.  K is
     the joint kernel of the A-diagonal-restricted system generator and the
     auxiliary generator: spanned by |i_A><i_A| (x) I_B together with all
-    A-off-diagonal blocks.  Returns the kernel of the generator restricted
-    to that sector, the largest cross terms between its diagonal and
-    off-diagonal parts (10 random draws), the least Rayleigh quotients of
-    -L_swap on its three parts (20 random draws each) with the conservative
-    theorem-style threshold 1 / (4 d_A exp(4 beta K V_max)) at
-    beta = sigma.beta, and ``kms_norm``, the KMS operator norm of the swap
-    generator that scales the kernel and cross-term tests.  The cross terms
-    and the quotients each draw from their own ``default_rng(seed)``.
+    A-off-diagonal blocks.  Every number is read off the compression
+    R = -Q^T L_hat Q onto that sector (``_sector_basis``): the kernel of R;
+    the cross terms, the spectral norm of the block of R between two parts
+    over ``kms_norm``, the KMS operator norm of the swap generator that
+    scales the kernel and cross-term tests; and the least KMS Rayleigh
+    quotient of -L_swap on each part, the least eigenvalue of its block of
+    R.  On diag_A that is the second one, since Phi(I), sigma-orthogonal to
+    the rest of the part, spans the block's kernel.  The minima come with the
+    conservative theorem-style threshold 1 / (4 d_A exp(4 beta K V_max)) at
+    beta = sigma.beta.
     """
-    d_a, d_b = js.d_a, js.d_b
     sigma = swap.sigma
-    Lhat, phi = symmetrize(swap), kms_scaling(sigma)
-    column, entry, size = _sector_basis(js, phi)
+    Lhat = symmetrize(swap)
+    column, entry, part = _sector_basis(js, kms_scaling(sigma))
     r, c = column[Lhat.row], column[Lhat.col]  # Q^T L_hat Q: Q's column supports are disjoint
     e = (r >= 0) & (c >= 0)
     R = -canonical(r[e], c[e], entry[Lhat.row[e]] * Lhat.val[e] * entry[Lhat.col[e]],
-                   size).toarray()
-    evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
+                   part.size).toarray()
+    R = 0.5 * (R + R.conj().T)
+    evals = block_eigvalsh(R)
     scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
-    kernel_dim = int(np.sum(evals <= KERNEL_TOL * scale))
-    eye_b, eye_a = np.eye(d_b), np.eye(d_a)
+    diag_a, off_a, off_diag, off_off = part == 0, part > 0, part == 1, part == 2
 
-    # cross terms of the diagonal/off-diagonal decompositions
-    rng = np.random.default_rng(seed)
-    worst = {"diagA_vs_offA": 0.0, "offA_vs_diagA": 0.0,
-             "offdiagB_vs_offoffB": 0.0, "offoffB_vs_offdiagB": 0.0}
-    for _ in range(10):
-        Xd = np.kron(np.kron(np.diag(rng.standard_normal(d_a)), eye_b), eye_a)
-        Xo = _random_off_a(rng, d_a, d_b, "any")
-        Xod, Xoo = _random_off_a(rng, d_a, d_b, "diag"), _random_off_a(rng, d_a, d_b, "off")
-        pairs = {
-            "diagA_vs_offA": (Xd, Xo),
-            "offA_vs_diagA": (Xo, Xd),
-            "offdiagB_vs_offoffB": (Xod, Xoo),
-            "offoffB_vs_offdiagB": (Xoo, Xod),
-        }
-        for key, (Xl, Xr) in pairs.items():
-            # <Xl, L(Xr)>_sigma = xl^dag L_hat xr and <X, X>_sigma = |x|^2
-            xl, xr = phi * vec(Xl), phi * vec(Xr)
-            norm = np.linalg.norm(xl) * max(np.linalg.norm(xr), 1e-300)
-            worst[key] = max(worst[key], abs(np.vdot(xl, Lhat @ xr)) / max(norm * scale, 1e-300))
+    def cross(rows, cols):
+        return float(np.linalg.norm(R[np.ix_(rows, cols)], 2) / scale)
 
-    # Rayleigh quotients on the three kernel sectors
-    rng = np.random.default_rng(seed)
+    def least(rows, k=0):
+        return float(block_eigvalsh(R[np.ix_(rows, rows)])[k])
 
-    def quotient(X):
-        x = phi * vec(X)
-        return -np.vdot(x, Lhat @ x).real / np.vdot(x, x).real
-
-    mins = {"diag_A": np.inf, "offA_diagB": np.inf, "offA_offB": np.inf}
-    marg = sigma.weights.reshape(d_a, -1).sum(axis=1)  # A-marginal of the Gibbs weights
-    for _ in range(20):
-        a = rng.standard_normal(d_a)
-        a -= np.dot(marg, a) / marg.sum()  # sigma-orthogonal to the identity
-        X = np.kron(np.kron(np.diag(a), eye_b), eye_a)
-        mins["diag_A"] = min(mins["diag_A"], quotient(X))
-        mins["offA_diagB"] = min(mins["offA_diagB"],
-                                 quotient(_random_off_a(rng, d_a, d_b, "diag")))
-        mins["offA_offB"] = min(mins["offA_offB"], quotient(_random_off_a(rng, d_a, d_b, "off")))
-
-    threshold = 1.0 / (4.0 * js.bound_scale(sigma.beta))
     return {
-        "restricted_kernel_dim": kernel_dim,
+        "restricted_kernel_dim": int(np.sum(evals <= KERNEL_TOL * scale)),
         "restricted_evals_head": [float(v) for v in evals[:5]],
-        "cross_term_residuals": worst,
-        "sector_dim": size,
+        "cross_term_residuals": {"diagA_vs_offA": cross(diag_a, off_a),
+                                 "offA_vs_diagA": cross(off_a, diag_a),
+                                 "offdiagB_vs_offoffB": cross(off_diag, off_off),
+                                 "offoffB_vs_offdiagB": cross(off_off, off_diag)},
+        "sector_dim": part.size,
         "kms_norm": float(scale),
-        "sector_minima": {k: float(v) for k, v in mins.items()},
-        "threshold": float(threshold),
+        "sector_minima": {"diag_A": least(diag_a, 1), "offA_diagB": least(off_diag),
+                          "offA_offB": least(off_off)},
+        "threshold": float(1.0 / (4.0 * js.bound_scale(sigma.beta))),
     }

@@ -307,12 +307,14 @@ def spectral_norm(X):
     return float(np.sqrt(top))
 
 
-def gap_from_eigenvalues(evals) -> GapReport:
+def gap_from_eigenvalues(evals, expected_kernel=1) -> GapReport:
     """Kernel dimension and gap from the ascending eigenvalues of -L_hat.
 
     The kernel is every eigenvalue up to KERNEL_TOL times the largest.
-    Raises UnresolvedGapError if no eigenvalue clears the kernel threshold or
-    the first one is within 10x of it (a near-degenerate cluster is split).
+    Raises UnresolvedGapError if no eigenvalue clears the kernel threshold,
+    the first one is within 10x of it (a near-degenerate cluster is split),
+    or the kernel does not have ``expected_kernel`` eigenvalues: a slow mode
+    below the threshold would leave the gap read off the rest wrong.
     """
     scale = max(np.abs(evals).max(), 1e-300)
     threshold = KERNEL_TOL * scale
@@ -324,6 +326,10 @@ def gap_from_eigenvalues(evals) -> GapReport:
         raise UnresolvedGapError(
             f"ambiguous kernel cluster: gap {gap:.3e} within 10x of threshold {threshold:.3e}"
         )
+    if kernel_dim != expected_kernel:
+        raise UnresolvedGapError(
+            f"kernel dimension {kernel_dim}, expected {expected_kernel}: a slow mode lies "
+            f"below the kernel threshold {threshold:.3e}, so the gap is unresolved")
     return GapReport(
         gap=gap,
         kernel_dim=kernel_dim,
@@ -333,10 +339,13 @@ def gap_from_eigenvalues(evals) -> GapReport:
     )
 
 
-def spectral_gap(L: Superoperator) -> GapReport:
-    """Kernel dimension and smallest nonzero eigenvalue of -L_hat, with its block structure."""
+def spectral_gap(L: Superoperator, expected_kernel=1) -> GapReport:
+    """Kernel dimension and smallest nonzero eigenvalue of -L_hat, with its block structure.
+
+    The kernel must have ``expected_kernel`` eigenvalues (``gap_from_eigenvalues``).
+    """
     groups = block_eigh(-symmetrize(L), vectors=False)
-    return replace(gap_from_eigenvalues(block_spectrum(groups)),
+    return replace(gap_from_eigenvalues(block_spectrum(groups), expected_kernel),
                    blocks=sum(int(idx.shape[0] + twin.sum()) for idx, _, _, twin in groups),
                    blocks_solved=sum(idx.shape[0] for idx, _, _, _ in groups),
                    largest_block=max(idx.shape[1] for idx, _, _, _ in groups))
@@ -443,7 +452,7 @@ def a_diagonal_restriction_gap(js, w: WeightFunction):
     built in the product labels |i_A j_B> of the caller's
     replica.JointStructure ``js``, which diagonalize H, so L_hat is a sparse
     scaling, and its principal submatrix on the A-diagonal vec indices is
-    kept, renumbered in order.
+    kept, renumbered in order.  Its kernel holds one state per A label.
     """
     es = js.system_es
     couplings = single_site_paulis(js.n, sites=js.cut.perm_order[js.n_a:])
@@ -454,4 +463,4 @@ def a_diagonal_restriction_gap(js, w: WeightFunction):
     keep = a_label[r % d] == a_label[r // d]
     new, e = np.cumsum(keep, dtype=np.int32) - 1, keep[Lhat.row] & keep[Lhat.col]
     sub = Triplets(new[Lhat.row[e]], new[Lhat.col[e]], -Lhat.val[e], int(keep.sum()))
-    return gap_from_eigenvalues(block_eigvalsh(sub)).gap
+    return gap_from_eigenvalues(block_eigvalsh(sub), js.d_a).gap

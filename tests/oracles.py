@@ -18,12 +18,14 @@ as test oracles only:
   dense swap unitary over the grouped joint Bohr frequencies;
   ``qrex.replica.build_global_replica_generator`` takes the swap in closed
   form, as the local_A builder does.
-* ``swap_only_kernel_analysis`` and ``swap_sector_lower_bounds`` are
-  ``qrex.replica.swap_sector_analysis`` the direct way: the KMS inner
-  product summed from the joint Gibbs weights (``kms_diag``), the
-  K (x) I_A sector basis from nested Kronecker products and orthonormalized
-  by QR.  The library scatters that basis at its vec indices and takes its
-  KMS products from one ``symmetrize``.
+* ``swap_sector_analysis_dense`` is ``qrex.replica.swap_sector_analysis``
+  the direct way: the K (x) I_A sector basis from nested Kronecker
+  products, orthonormalized by QR, and the same slices of the dense
+  compression of L_hat.  The library scatters that basis at its vec
+  indices and compresses the sparse L_hat.  ``sector_rayleigh_quotients``
+  samples the sector parts with random operators (``random_off_a``), the
+  KMS inner product summed from the joint Gibbs weights (``kms_diag``):
+  each quotient bounds the exact minimum from above.
 * ``detailed_balance_residual`` probes KMS self-adjointness with random
   operator pairs; the library's detailed-balance check is the Hermiticity
   residual of L_hat in ``qrex.spectral.symmetrize``.
@@ -92,7 +94,7 @@ from itertools import product
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_triangular
 from scipy.sparse.csgraph import connected_components
 
 from qrex.hamiltonians import assemble_dense, compress_onto
@@ -118,7 +120,6 @@ from qrex.lindblad import (
 from qrex.mixing import BISECTION_RTOL, SpectralPropagator, _check_state, chi_square
 from qrex.pauli import PAULIS, pauli_string_matrix, single_site_paulis
 from qrex.replica import (
-    _random_off_a,
     check_global_size,
     joint_structure,
     lift,
@@ -292,74 +293,98 @@ def kms_diag(Xv, Yv, s3):
     return complex(np.einsum("i,ij,j,ij->", r, X.conj(), r, Y))
 
 
-def swap_only_kernel_analysis(js, beta, seed=42, n_random=10):
-    """``qrex.replica.swap_only_kernel_analysis`` with a Kronecker-built, QR-orthonormalized sector basis."""
+def random_off_a(rng, d_a, d_b, b_part):
+    """Random X (x) I_A, a dense matrix in the labeled basis, with zero A-diagonal blocks.
+
+    X has entries X[(i, b), (i', b')] with i != i'; ``b_part`` is "any" for
+    every B part, "diag" for b = b' only and "off" for b != b' only.
+    """
+    shape = (d_a, d_b, d_a, d_b)
+    T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    i, b, ip, bp = np.indices(shape, sparse=True)
+    mask = i != ip
+    if b_part != "any":
+        mask = mask & ((b == bp) == (b_part == "diag"))
+    return np.kron((T * mask).reshape(d_a * d_b, d_a * d_b), np.eye(d_a))
+
+
+def swap_sector_analysis_dense(js, beta):
+    """``qrex.replica.swap_sector_analysis`` with a Kronecker-built, Cholesky-orthonormalized basis.
+
+    Each basis operator is a nested sparse Kronecker product, vectorized and
+    scaled by Phi, one column of C.  With G = C^dag C = F F^dag (Cholesky;
+    F^dag is the R factor of C's QR), Q = C F^-dag is orthonormal, and every
+    number is the library's slice of the dense R = -Q^dag L_hat Q.
+    """
     d_a, d_b = js.d_a, js.d_b
     S = swap_generator_closed_form(js, beta)
-    sigma = S.sigma
-    M, s3 = S.local, sigma.weights
-    Lhat = symmetrize(S).toarray()
-    phi = kms_scaling(sigma)
+    L = symmetrize(S)
+    Lhat = sparse.csr_array((L.val, (L.row, L.col)), shape=(L.side, L.side))
+    phi, D = kms_scaling(S.sigma), js.joint_dim
 
-    def e_op(mat):
-        return mat.reshape(-1, order="F")
+    def unit(i, j, d):
+        E = np.zeros((d, d))
+        E[i, j] = 1.0
+        return E
 
-    basis_vecs = []
-    eye_b = np.eye(d_b)
-    eye_a = np.eye(d_a)
+    def vec_support(op):
+        """The vec indices i + D*j of the entries (i, j) of op, all equal to 1."""
+        i, j = np.nonzero(op)
+        return i + D * j
+
+    cols, parts = [], []
     for i in range(d_a):
-        proj = np.zeros((d_a, d_a))
-        proj[i, i] = 1.0
-        basis_vecs.append(e_op(np.kron(np.kron(proj, eye_b), eye_a)))
-    for i in range(d_a):
-        for ip in range(d_a):
-            if i == ip:
-                continue
-            eij = np.zeros((d_a, d_a))
-            eij[i, ip] = 1.0
-            for b in range(d_b):
-                for v in range(d_b):
-                    unit_b = np.zeros((d_b, d_b))
-                    unit_b[b, v] = 1.0
-                    basis_vecs.append(e_op(np.kron(np.kron(eij, unit_b), eye_a)))
-    C = np.stack([phi * v for v in basis_vecs], axis=1)
-    Q, _ = np.linalg.qr(C)
-    R = -(Q.conj().T @ (Lhat @ Q))
-    evals = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
-    scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
-    kernel_dim = int(np.sum(evals <= 1e-9 * scale))
+        cols.append(vec_support(np.kron(np.kron(unit(i, i, d_a), np.eye(d_b)), np.eye(d_a))))
+        parts.append("diag_A")
+    for i, ip in product(range(d_a), repeat=2):
+        for b, v in product(range(d_b), repeat=2):
+            if i != ip:
+                cols.append(vec_support(np.kron(np.kron(unit(i, ip, d_a), unit(b, v, d_b)),
+                                                np.eye(d_a))))
+                parts.append("offA_diagB" if b == v else "offA_offB")
+    C = sparse.csc_array((np.concatenate([phi[r] for r in cols]),
+                          (np.concatenate(cols), np.repeat(np.arange(len(cols)),
+                                                           [r.size for r in cols]))),
+                         shape=(D * D, len(cols)))
+    F = np.linalg.cholesky((C.T.conj() @ C).toarray())
+    B = (C.T.conj() @ (Lhat @ C)).toarray()  # C^dag L_hat C
+    X = solve_triangular(F, B, lower=True)  # F^-1 B
+    R = -solve_triangular(F, X.conj().T, lower=True).conj().T  # -F^-1 B F^-dag
+    R = 0.5 * (R + R.conj().T)
+    evals = np.linalg.eigvalsh(R)
+    scale = max(np.abs(block_eigvalsh(L)).max(), 1e-300)
+    parts = np.array(parts)
+    diag_a, off_a = parts == "diag_A", parts != "diag_A"
+    off_diag, off_off = parts == "offA_diagB", parts == "offA_offB"
 
-    rng = np.random.default_rng(seed)
-    worst = {"diagA_vs_offA": 0.0, "offA_vs_diagA": 0.0,
-             "offdiagB_vs_offoffB": 0.0, "offoffB_vs_offdiagB": 0.0}
-    for _ in range(n_random):
-        Xd = np.kron(np.kron(np.diag(rng.standard_normal(d_a)), eye_b), eye_a)
-        Xo = _random_off_a(rng, d_a, d_b, "any")
-        Xod, Xoo = _random_off_a(rng, d_a, d_b, "diag"), _random_off_a(rng, d_a, d_b, "off")
-        pairs = {
-            "diagA_vs_offA": (Xd, Xo),
-            "offA_vs_diagA": (Xo, Xd),
-            "offdiagB_vs_offoffB": (Xod, Xoo),
-            "offoffB_vs_offdiagB": (Xoo, Xod),
-        }
-        for key, (Xl, Xr) in pairs.items():
-            lv, rv = e_op(Xl), M @ e_op(Xr)
-            val = abs(kms_diag(lv, rv, s3))
-            norm = np.sqrt(abs(kms_diag(e_op(Xl), e_op(Xl), s3))) * max(
-                np.sqrt(abs(kms_diag(e_op(Xr), e_op(Xr), s3))), 1e-300
-            )
-            worst[key] = max(worst[key], val / max(norm * scale, 1e-300))
+    def cross(rows, cols):
+        return float(np.linalg.norm(R[np.ix_(rows, cols)], 2) / scale)
+
+    def least(rows, k=0):
+        return float(np.linalg.eigvalsh(R[np.ix_(rows, rows)])[k])
 
     return {
-        "restricted_kernel_dim": kernel_dim,
+        "restricted_kernel_dim": int(np.sum(evals <= 1e-9 * scale)),
         "restricted_evals_head": [float(v) for v in evals[:5]],
-        "cross_term_residuals": worst,
-        "sector_dim": len(basis_vecs),
+        "cross_term_residuals": {"diagA_vs_offA": cross(diag_a, off_a),
+                                 "offA_vs_diagA": cross(off_a, diag_a),
+                                 "offdiagB_vs_offoffB": cross(off_diag, off_off),
+                                 "offoffB_vs_offdiagB": cross(off_off, off_diag)},
+        "sector_dim": len(cols),
+        "sector_minima": {"diag_A": least(diag_a, 1), "offA_diagB": least(off_diag),
+                          "offA_offB": least(off_off)},
+        "threshold": float(1.0 / (4.0 * d_a * np.exp(4.0 * beta * js.cut.k_count
+                                                      * js.cut.v_max))),
     }
 
 
-def swap_sector_lower_bounds(js, beta, seed=42, n_random=20):
-    """``qrex.replica.swap_sector_lower_bounds`` with the KMS products summed from the Gibbs weights."""
+def sector_rayleigh_quotients(js, beta, seed=42, n_random=20):
+    """KMS Rayleigh quotients of -L_swap at ``n_random`` random operators of each sector part.
+
+    The KMS products are summed from the Gibbs weights (``kms_diag``); the
+    diag_A operators are sigma-orthogonal to the identity.  Any such quotient
+    bounds the part's minimum from above.
+    """
     d_a, d_b = js.d_a, js.d_b
     M = swap_generator_closed_form(js, beta).local
     w2, s3 = labeled_sigma_weights(js, beta)
@@ -368,24 +393,17 @@ def swap_sector_lower_bounds(js, beta, seed=42, n_random=20):
 
     def quotient(X):
         Xv = X.reshape(-1, order="F")
-        num = -kms_diag(Xv, M @ Xv, s3).real
-        den = kms_diag(Xv, Xv, s3).real
-        return num / den
+        return -kms_diag(Xv, M @ Xv, s3).real / kms_diag(Xv, Xv, s3).real
 
-    mins = {"diag_A": np.inf, "offA_diagB": np.inf, "offA_offB": np.inf}
+    out = {"diag_A": [], "offA_diagB": [], "offA_offB": []}
     marg = w2.sum(axis=1)  # A-marginal of the Gibbs weights
     for _ in range(n_random):
         a = rng.standard_normal(d_a)
         a -= np.dot(marg, a) / marg.sum()  # sigma-orthogonal to the identity
-        X = np.kron(np.kron(np.diag(a), eye_b), eye_a)
-        mins["diag_A"] = min(mins["diag_A"], quotient(X))
-        mins["offA_diagB"] = min(mins["offA_diagB"],
-                                 quotient(_random_off_a(rng, d_a, d_b, "diag")))
-        mins["offA_offB"] = min(mins["offA_offB"], quotient(_random_off_a(rng, d_a, d_b, "off")))
-
-    threshold = 1.0 / (4.0 * d_a * np.exp(4.0 * beta * js.cut.k_count * js.cut.v_max))
-    return {"sector_minima": {k: float(v) for k, v in mins.items()},
-            "threshold": float(threshold)}
+        out["diag_A"].append(quotient(np.kron(np.kron(np.diag(a), eye_b), eye_a)))
+        out["offA_diagB"].append(quotient(random_off_a(rng, d_a, d_b, "diag")))
+        out["offA_offB"].append(quotient(random_off_a(rng, d_a, d_b, "off")))
+    return out
 
 
 def global_replica_generator_generic(es, w: WeightFunction, beta2):

@@ -11,7 +11,7 @@ import qrex.mixing
 import qrex.replica
 import qrex.spectral
 import qrex.verify
-from qrex.cli import main
+from qrex.cli import build_parser, main
 from qrex.hamiltonians import defected_heisenberg_2d, defected_ising_1d
 from qrex.harness import (
     ConfigError,
@@ -378,6 +378,17 @@ class TestScenarios:
         assert report.summary["n_failed"] == 0
         assert all(set(r) == {"check", "passed", "detail"} for r in report.records)
 
+    def test_verify_keeps_its_report_when_a_gap_is_unresolved(self):
+        # at beta = 2 the local_A joint gap of the n = 3 ring sits within 10x of
+        # the kernel threshold; verify once stopped there and printed no row
+        names = [r["check"] for r in qrex.verify.run_verification(beta=1.0)]
+        rows = qrex.verify.run_verification(beta=2.0)
+        assert len(rows) == 25 and [r["check"] for r in rows] == names
+        failed = {r["check"]: r["detail"] for r in rows if not r["passed"]}
+        assert list(failed) == ["replica.joint_kernel_dim"]
+        assert failed["replica.joint_kernel_dim"].startswith(
+            "numerical error: ambiguous kernel cluster: gap ")
+
     def test_verify_makes_no_joint_size_congruence(self):
         # the swap generators are compared in their shared labeled basis, and
         # the spectrum check compares eigenvalues of the stored matrix, so no
@@ -497,6 +508,45 @@ class TestCli:
     def test_config_error_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, {"weight": "nope"})
         assert main(["gap", "--config", cfg]) == 2
+
+    def test_gap_with_slow_mode_in_kernel_exits_four(self, tmp_path, capsys):
+        # the n = 3 Metropolis ring at beta = 2, J = 5 once printed gap 2.00067
+        # with kernel_dim 2; the true gap, 3.019e-10, lies below the kernel threshold
+        cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": 3, "J": 5.0},
+                                      "beta": 2.0, "replica": {"mode": "none"}})
+        assert main(["gap", "--config", cfg]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical error: kernel dimension 2, expected 1")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_low_temperature_sweep_keeps_the_misread_point_unresolved(self):
+        # the beta = 2 local_A sweep once marked J = 5 ok with gap_single 2.0007
+        config = validate_config({"scenario": "sweep", "beta": 2.0,
+                                  "system": {"model": "defected_ising", "n": 3},
+                                  "sweep": {"param": "J", "values": [1.0, 5.0]}})
+        ok, low = run_scenario(config).records
+        assert ok["status"] == "ok" and ok["gap_single"] == pytest.approx(1.4323e-3, rel=1e-4)
+        assert low["status"] == "unresolved" and np.isnan(low["gap_single"])
+        assert low["error"].startswith("kernel dimension 2, expected 1")
+
+    @pytest.mark.parametrize("scenario", ["gap", "sweep", "mixing", "verify", "theta",
+                                          "classical"])
+    def test_one_parser_takes_every_option_for_every_scenario(self, scenario):
+        args = build_parser().parse_args([scenario, "--config", "c.json", "--out", "o",
+                                          "--format", "json", "--seed", "3", "--max-dim", "9",
+                                          "--parallel", "2"])
+        assert vars(args) == {"scenario": scenario, "config": "c.json", "out": "o",
+                              "format": "json", "seed": 3, "max_dim": 9, "parallel": 2}
+        assert vars(build_parser().parse_args([scenario])) == {
+            "scenario": scenario, "config": None, "out": None, "format": None, "seed": None,
+            "max_dim": None, "parallel": 1}
+
+    def test_unknown_scenario_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_resource_guard_exit_three(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from qrex.hamiltonians import HamiltonianSpec, PauliTerm, assemble_dense, defected_ising_1d
+from qrex.hamiltonians import (
+    HamiltonianSpec,
+    PauliTerm,
+    assemble_dense,
+    defected_heisenberg_2d,
+    defected_ising_1d,
+)
 from qrex.lindblad import (
     Triplets,
     WeightFunction,
@@ -17,6 +23,8 @@ from qrex.lindblad import (
 )
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
+    _local_swap,
+    _swap_entries,
     build_global_replica_generator,
     build_replica_exchange_generator,
     global_gibbs,
@@ -295,6 +303,23 @@ class TestGlobalGenerator:
         assert abs(gap_new - gap_old) <= 1e-12 * gap_old
 
 
+@pytest.mark.parametrize("spec", [defected_ising_1d(3, 2.0), defected_ising_1d(6, 5.0),
+                                  defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 4.0)],
+                         ids=["ring3", "ring6", "grid2x3"])
+@pytest.mark.parametrize("beta", [0.05, 1.0, 2.0])
+def test_swap_alpha_table_over_distinct_frequencies_is_the_dense_table(spec, beta):
+    # the swap's coefficients come from alpha over the few distinct omega; the
+    # d x d table of alpha_coeff they replace gives the same entries, bit for bit
+    omega, p = _local_swap(joint_structure(spec))
+    d = omega.size
+    dense = alpha_coeff(omega[:, None], omega[None, :], WeightFunction("metropolis", beta))
+    r = np.arange(d * d)
+    i, j = r % d, r // d
+    th = np.diagonal(dense)
+    val = _swap_entries(omega, p, beta)[2]
+    assert np.array_equal(val, np.concatenate([dense[i, j], -0.5 * (th[i] + th[j])]))
+
+
 class TestSwapKernelAnalysis:
     def test_restricted_kernel_is_identity_only(self):
         js = joint_structure(defected_ising_1d(3, 2.0))
@@ -307,25 +332,49 @@ class TestSwapKernelAnalysis:
         for key, val in rep["cross_term_residuals"].items():
             assert val < 1e-10, (key, val)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_sector_analyses_match_kronecker_oracles(self, n):
-        js = joint_structure(defected_ising_1d(n, 2.0))
-        new, old = (swap_sector_analysis(js, swap_generator_closed_form(js, 1.0)),
-                    oracles.swap_only_kernel_analysis(js, 1.0))
+    @pytest.mark.parametrize("spec, beta", [
+        (defected_ising_1d(3, 2.0), 1.0),
+        (defected_ising_1d(4, 2.0), 1.0),
+        (defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 4.0), 0.05),
+    ], ids=["3", "4", "grid2x3"])
+    def test_sector_analyses_match_kronecker_oracles(self, spec, beta):
+        # the exact dense oracle: the same slices of R in a Kronecker-built basis
+        js = joint_structure(spec)
+        new = swap_sector_analysis(js, swap_generator_closed_form(js, beta))
+        old = oracles.swap_sector_analysis_dense(js, beta)
         assert new["sector_dim"] == old["sector_dim"]
         assert new["restricted_kernel_dim"] == old["restricted_kernel_dim"] == 1
         assert new["restricted_evals_head"] == pytest.approx(old["restricted_evals_head"],
                                                              rel=1e-12, abs=1e-12)
-        for key, val in old["cross_term_residuals"].items():
-            assert abs(new["cross_term_residuals"][key] - val) <= 1e-12, key
-        new = new["sector_minima"]
-        old = oracles.swap_sector_lower_bounds(js, 1.0)["sector_minima"]
-        for key, val in old.items():
-            assert new[key] == pytest.approx(val, rel=1e-12, abs=1e-12), key
+        for key in ("cross_term_residuals", "sector_minima"):
+            assert new[key].keys() == old[key].keys()
+            for part, val in old[key].items():
+                assert abs(new[key][part] - val) <= 1e-12, (key, part, new[key][part], val)
+        assert new["threshold"] == pytest.approx(old["threshold"], rel=1e-12)
+
+    @pytest.mark.parametrize("n, J, beta", [(3, 2.0, 1.0), (3, 5.0, 2.0), (4, 1.0, 0.5),
+                                            (5, 1.0, 0.5)])
+    def test_exact_minima_below_every_sampled_quotient(self, n, J, beta):
+        # a minimum over random draws overestimates the true one: on the n = 5
+        # ring at J = 1, beta = 0.5 the 20 draws give 0.4984 on offA_offB
+        js = joint_structure(defected_ising_1d(n, J))
+        mins = swap_sector_analysis(js, swap_generator_closed_form(js, beta))["sector_minima"]
+        sampled = oracles.sector_rayleigh_quotients(js, beta, n_random=20)
+        for part, quotients in sampled.items():
+            assert len(quotients) == 20
+            assert all(mins[part] <= q + 1e-12 for q in quotients), (part, mins[part])
+
+    def test_offa_offb_minimum_pinned(self):
+        js = joint_structure(defected_ising_1d(5, 1.0))
+        mins = swap_sector_analysis(js, swap_generator_closed_form(js, 0.5))["sector_minima"]
+        assert mins["offA_offB"] == pytest.approx(0.2536, abs=5e-5)
 
     def test_sector_lower_bounds_dominate_threshold(self):
-        for J in (1.0, 3.0, 5.0):
-            js = joint_structure(defected_ising_1d(3, J))
-            rep = swap_sector_analysis(js, swap_generator_closed_form(js, 1.0))
+        cases = [(defected_ising_1d(n, J), beta) for n in (3, 4, 5) for J in (1.0, 3.0, 5.0)
+                 for beta in (0.5, 1.0)]
+        cases += [(defected_heisenberg_2d(2, 3, (0, 3), (0, 3), J), 0.05) for J in (1.0, 5.0)]
+        for spec, beta in cases:
+            js = joint_structure(spec)
+            rep = swap_sector_analysis(js, swap_generator_closed_form(js, beta))
             for key, val in rep["sector_minima"].items():
-                assert val >= rep["threshold"], (J, key, val, rep["threshold"])
+                assert val >= rep["threshold"], (spec.n, beta, key, val, rep["threshold"])

@@ -227,6 +227,20 @@ class TestSpectralGap:
         with pytest.raises(UnresolvedGapError, match=message):
             gap_from_eigenvalues(np.array(evals))
 
+    def test_kernel_dimension_checked_after_the_ambiguity_check(self):
+        # the n = 3 Metropolis ring at beta = 2, J = 5: once reported as gap 2.0007
+        evals = np.array([-1.5e-16, 3.019e-10, 2.0007, 8.9])
+        with pytest.raises(UnresolvedGapError, match="kernel dimension 2, expected 1: "):
+            gap_from_eigenvalues(evals)
+        rep = gap_from_eigenvalues(evals, expected_kernel=2)
+        assert (rep.gap, rep.kernel_dim) == (2.0007, 2)
+        with pytest.raises(UnresolvedGapError, match="ambiguous kernel cluster"):
+            gap_from_eigenvalues(np.array([0.0, 5e-9, 1.0]), expected_kernel=2)
+
+    def test_ring_with_slow_mode_below_threshold_refused(self):
+        with pytest.raises(UnresolvedGapError, match="kernel dimension 2, expected 1"):
+            spectral_gap(ising_generator(J=5.0, w=WeightFunction("metropolis", 2.0)))
+
 
 class TestKmsOperatorNorm:
     def test_zero_map(self):
@@ -328,6 +342,21 @@ class TestPartialLindbladian:
         gap = a_diagonal_restriction_gap(joint_structure(spec), GM)
         assert gap == pytest.approx(rep["g_b"], rel=1e-7)
         assert gap >= rep["g_b"] - 1e-9
+
+    @pytest.mark.parametrize("spec", [defected_ising_1d(3, 2.0), defected_ising_1d(4, 5.0)])
+    def test_restriction_kernel_holds_one_state_per_a_label(self, spec, monkeypatch):
+        js = joint_structure(spec)
+        kernels = []
+        reader = qrex.spectral.gap_from_eigenvalues
+
+        def spy(evals, expected_kernel=1):
+            rep = reader(evals, expected_kernel)
+            kernels.append(rep.kernel_dim)
+            return rep
+
+        monkeypatch.setattr(qrex.spectral, "gap_from_eigenvalues", spy)
+        a_diagonal_restriction_gap(js, GM)
+        assert kernels == [js.d_a] and js.d_a > 1
 
     def test_empty_a_edge_case_equals_full_gap(self):
         spec0 = defected_ising_1d(3, 2.0)
