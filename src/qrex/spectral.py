@@ -307,6 +307,11 @@ def spectral_norm(X):
     return float(np.sqrt(top))
 
 
+def kernel_threshold(evals):
+    """KERNEL_TOL times the largest |eigenvalue|: the eigenvalues up to it are the kernel."""
+    return KERNEL_TOL * max(np.abs(evals).max(), 1e-300)
+
+
 def gap_from_eigenvalues(evals, expected_kernel=1) -> GapReport:
     """Kernel dimension and gap from the ascending eigenvalues of -L_hat.
 
@@ -316,8 +321,7 @@ def gap_from_eigenvalues(evals, expected_kernel=1) -> GapReport:
     or the kernel does not have ``expected_kernel`` eigenvalues: a slow mode
     below the threshold would leave the gap read off the rest wrong.
     """
-    scale = max(np.abs(evals).max(), 1e-300)
-    threshold = KERNEL_TOL * scale
+    threshold = kernel_threshold(evals)
     kernel_dim = int(np.sum(evals <= threshold))
     if kernel_dim == evals.size:
         raise UnresolvedGapError("generator has no spectrum above the kernel threshold")
@@ -339,13 +343,10 @@ def gap_from_eigenvalues(evals, expected_kernel=1) -> GapReport:
     )
 
 
-def spectral_gap(L: Superoperator, expected_kernel=1) -> GapReport:
-    """Kernel dimension and smallest nonzero eigenvalue of -L_hat, with its block structure.
-
-    The kernel must have ``expected_kernel`` eigenvalues (``gap_from_eigenvalues``).
-    """
+def spectral_gap(L: Superoperator) -> GapReport:
+    """Kernel dimension and smallest nonzero eigenvalue of -L_hat, with its block structure."""
     groups = block_eigh(-symmetrize(L), vectors=False)
-    return replace(gap_from_eigenvalues(block_spectrum(groups), expected_kernel),
+    return replace(gap_from_eigenvalues(block_spectrum(groups)),
                    blocks=sum(int(idx.shape[0] + twin.sum()) for idx, _, _, twin in groups),
                    blocks_solved=sum(idx.shape[0] for idx, _, _, _ in groups),
                    largest_block=max(idx.shape[1] for idx, _, _, _ in groups))
