@@ -62,7 +62,8 @@ def _csum(index, values, size):  # out[k] = sum of the complex values at index k
 class Triplets:
     """Square sparse matrix: entry e is val[e] at (row[e], col[e]) of a side x side matrix.
 
-    Sorted by (row, col), each position once, no exact zeros; made by ``canonical``.
+    Sorted by (row, col), each position once, no exact zeros; made by ``canonical``,
+    whose ``val`` is float64 when every entry is real and complex128 otherwise.
     ``paired`` marks a matrix on the vec indices r = i + d j of d x d
     operators with A[T r, T c] = conj(A[r, c]) under the transpose map
     T(i + d j) = j + d i, as the L_hat of ``spectral.symmetrize`` has;
@@ -99,7 +100,10 @@ def canonical(row, col, val, side):
 
     The one kernel every producer of a sparse generator goes through: entries
     are stably sorted by (row, col), each run of duplicates is summed in input
-    order and exact zeros are dropped.
+    order and exact zeros are dropped.  Complex sums whose imaginary parts are
+    all exactly 0 are stored as their float64 real parts, which loses nothing:
+    every downstream stage (``spectral.symmetrize``, ``spectral.block_eigh``,
+    the propagation of ``mixing``) then runs in real arithmetic.
     """
     key = np.multiply(row, side, dtype=np.int64) + col
     order = np.argsort(key, kind="stable")
@@ -112,7 +116,9 @@ def canonical(row, col, val, side):
     np.add.at(total, np.cumsum(new) - 1, val)
     keep = total != 0
     row, col = np.divmod(key[start[keep]], side)
-    return Triplets(row.astype(np.int32), col.astype(np.int32), total[keep], side)
+    real = np.iscomplexobj(total) and not total.imag.any()
+    return Triplets(row.astype(np.int32), col.astype(np.int32),
+                    total.real[keep] if real else total[keep], side)
 
 
 def add(*parts):

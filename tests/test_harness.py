@@ -34,6 +34,10 @@ from oracles import partial_lindbladian_check
 # a raw open chain -Z0 Z1 - Z1 Z2, with no partition
 RAW_CHAIN = [{"coeff": -1.0, "paulis": [[0, "Z"], [1, "Z"]]},
              {"coeff": -1.0, "paulis": [[1, "Z"], [2, "Z"]]}]
+# -X0 Y1 - Z1 Z2 - 0.5 X2: the Y term makes H, its eigenbasis and the generator complex
+COMPLEX_CHAIN = [{"coeff": -1.0, "paulis": [[0, "X"], [1, "Y"]]},
+                 {"coeff": -1.0, "paulis": [[1, "Z"], [2, "Z"]]},
+                 {"coeff": -0.5, "paulis": [[2, "X"]]}]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -353,6 +357,18 @@ class TestScenarios:
         assert (record["blocks"], record["blocks_solved"], record["largest_block"]) \
             == (243, 122, 32)
         assert render_csv(report).startswith("J,beta,gap,kernel_dim,kms_norm,eigs,tol\n3.0,")
+
+    @pytest.mark.parametrize("system, arithmetic", [
+        ({"model": "defected_ising", "n": 3, "J": 3.0}, "real"),
+        ({"n": 3, "terms": COMPLEX_CHAIN}, "complex"),
+    ], ids=["ring", "complex"])
+    def test_gap_report_names_its_arithmetic(self, system, arithmetic):
+        # the JSON record says whether L_hat was real; the CSV columns stay as they were
+        config = validate_config({"scenario": "gap", "replica": {"mode": "none"},
+                                  "system": system})
+        report = run_scenario(config)
+        assert json.loads(emit(report, "json", None))["records"][0]["arithmetic"] == arithmetic
+        assert render_csv(report).startswith("J,beta,gap,kernel_dim,kms_norm,eigs,tol\n")
 
     def test_theta_scenario_shape_and_accuracy(self):
         config = validate_config({"scenario": "theta"})

@@ -488,6 +488,11 @@ class TestFirstCrossingTimes:
         for budget in (2**19, 2 * 16 * 256):  # one chunk; four chunks of two states
             monkeypatch.setattr(mixing, "CROSSING_STACK_BYTES", budget)
             assert np.array_equal(first_crossing_times(prop, states, 1e-2, t_cap), oracle)
+        # a lazy family longer than one batch: occupied two states (16 d^2 bytes each) at a time
+        batches, occupy = [], prop.occupy
+        monkeypatch.setattr(prop, "occupy", lambda batch: batches.append(len(batch)) or occupy(batch))
+        assert np.array_equal(first_crossing_times(prop, iter(states), 1e-2, t_cap), oracle)
+        assert batches == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("H", [assemble_dense(defected_ising_1d(3, 3.0)),
                                    transverse_field_ring(3)], ids=["ring", "transverse"])

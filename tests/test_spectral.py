@@ -7,7 +7,13 @@ from scipy.special import erfc
 import qrex.lindblad
 import qrex.mixing
 import qrex.spectral
-from qrex.hamiltonians import HamiltonianSpec, assemble_dense, defected_ising_1d
+from qrex.hamiltonians import (
+    HamiltonianSpec,
+    PauliTerm,
+    assemble_dense,
+    defected_heisenberg_2d,
+    defected_ising_1d,
+)
 from qrex.lindblad import (
     Superoperator,
     Triplets,
@@ -17,12 +23,23 @@ from qrex.lindblad import (
     gibbs_state,
     vec,
 )
-from qrex.mixing import SpectralPropagator
+from qrex.mixing import (
+    BISECTION_RTOL,
+    SpectralPropagator,
+    _initial_family,
+    first_crossing_times,
+    mixing_bounds_from_gap,
+)
 from qrex.pauli import X, Y, Z, single_site_paulis
-from qrex.replica import build_replica_exchange_generator, joint_structure
+from qrex.replica import (
+    build_global_replica_generator,
+    build_replica_exchange_generator,
+    joint_structure,
+)
 from qrex.spectral import (
     UnresolvedGapError,
     a_diagonal_restriction_gap,
+    block_eigh,
     block_eigvalsh,
     gap_composition_suite,
     gap_from_eigenvalues,
@@ -32,6 +49,7 @@ from qrex.spectral import (
 
 import oracles
 from oracles import kms_inner, matrix, partial_lindbladian_check
+from test_dense_oracle import generic_hamiltonian
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -363,3 +381,66 @@ class TestPartialLindbladian:
         spec = HamiltonianSpec(n=3, terms=spec0.terms, partition=((), (0, 1, 2)))
         gap = a_diagonal_restriction_gap(joint_structure(spec), GM)
         assert gap == pytest.approx(spectral_gap(ising_generator(J=2.0)).gap, rel=1e-8)
+
+
+def as_complex(L):
+    """The generator L with its stored values cast to complex128."""
+    A = L.local
+    return Superoperator(Triplets(A.row, A.col, A.val.astype(complex), A.side), L.sigma)
+
+
+GRID = defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0)
+REAL_GENERATORS = {
+    **{f"ring{n}-{w.kind}": (lambda n=n, w=w: ising_generator(n, 3.0, w))
+       for n in (3, 4, 5) for w in (GM, GG)},
+    "local_A": lambda: build_replica_exchange_generator(joint_structure(defected_ising_1d(3, 3.0)),
+                                                        GG),
+    "global": lambda: build_global_replica_generator(
+        eigensystem(assemble_dense(defected_ising_1d(3, 3.0))), GM, 0.5),
+    "grid2x3": lambda: build_ckg_generator(eigensystem(assemble_dense(GRID)),
+                                           single_site_paulis(6), WeightFunction("metropolis", 0.05)),
+    "grid2x3-local_A": lambda: build_replica_exchange_generator(
+        joint_structure(GRID), WeightFunction("gaussian", 0.05)),
+}
+# -X0 Y1 - Z1 Z2 - 0.5 X2: the Y term makes H, its eigenbasis and the generator complex
+COMPLEX_CHAIN = HamiltonianSpec(n=3, terms=(PauliTerm(-1.0, ((0, "X"), (1, "Y"))),
+                                            PauliTerm(-1.0, ((1, "Z"), (2, "Z"))),
+                                            PauliTerm(-0.5, ((2, "X"),))))
+
+
+class TestRealArithmetic:
+    """Generators whose entries are all real are stored, symmetrized and solved as float64."""
+
+    @pytest.mark.parametrize("name", REAL_GENERATORS)
+    def test_real_generator_stays_real(self, name):
+        L = REAL_GENERATORS[name]()
+        Lhat = symmetrize(L)
+        assert L.local.val.dtype == Lhat.val.dtype == np.float64
+        assert all(V.dtype == np.float64 for _, _, V, _ in block_eigh(Lhat))
+        rep, ref = spectral_gap(L), spectral_gap(as_complex(L))
+        assert (rep.arithmetic, ref.arithmetic) == ("real", "complex")
+        # both eigensolvers are backward stable, so the two gaps agree to a few
+        # eps ||L_hat||: within 1e-12 relative unless the gap is below about
+        # 1e-3 ||L_hat||, as on the Gaussian rings (2.1e-12 at n = 5, 0.27 eps ||L_hat||)
+        tol = max(1e-12 * ref.gap, 4 * np.finfo(float).eps * ref.kms_norm)
+        assert abs(rep.gap - ref.gap) <= tol
+        assert rep.kernel_dim == ref.kernel_dim
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
+    def test_crossing_times_match_complex_route(self, n, w):
+        L = ising_generator(n, 3.0, w)
+        props = [SpectralPropagator(L), SpectralPropagator(as_complex(L))]
+        t_cap = mixing_bounds_from_gap(spectral_gap(L).gap, L.sigma.lambda_min, 1e-2)[1]
+        states = [psi for _, psi in _initial_family(L.sigma, n_haar=6, seed=11)]
+        real, ref = (first_crossing_times(prop, states, 1e-2, t_cap) for prop in props)
+        assert np.all(np.abs(real - ref) <= BISECTION_RTOL * ref)
+
+    @pytest.mark.parametrize("H", [assemble_dense(COMPLEX_CHAIN),
+                                   generic_hamiltonian()], ids=["X0Y1", "generic"])
+    def test_complex_generator_stays_complex(self, H):
+        L = build_ckg_generator(eigensystem(H), single_site_paulis(3), GM)
+        Lhat = symmetrize(L)
+        assert L.local.val.dtype == Lhat.val.dtype == np.complex128
+        assert all(V.dtype == np.complex128 for _, _, V, _ in block_eigh(Lhat))
+        assert spectral_gap(L).arithmetic == "complex"
