@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import UnresolvedGapError
+
 STATE_GUARD = 14  # spins; 2^14 states is the largest dense chain we build
 
 
@@ -150,5 +152,10 @@ def classical_re_generator(energy_fn, n_spins, beta1, beta2) -> ClassicalChain:
 
 
 def classical_gap(chain: ClassicalChain) -> float:
-    """Second-smallest eigenvalue of the pi-symmetrized -Q."""
-    return float(np.linalg.eigvalsh(_symmetrized(chain)[0])[1])
+    """Second-smallest eigenvalue of the pi-symmetrized -Q, S; UnresolvedGapError at or
+    below 64 eps ||S||, where the absolute error of ``eigvalsh`` leaves noise."""
+    evals = np.linalg.eigvalsh(_symmetrized(chain)[0])
+    if evals[1] <= (floor := 64 * np.finfo(float).eps * np.abs(evals).max()):
+        raise UnresolvedGapError(f"classical gap {evals[1]:.3e} is below the resolvable floor "
+                                 f"{floor:.3e} (64 eps ||S||)")
+    return float(evals[1])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import pauli_string_matrix, qubit_permutation
+from .pauli import pauli_string, qubit_permutation
 
 COMMUTATOR_RTOL = 1e-10
 HERMITICITY_RTOL = 1e-12
@@ -124,7 +124,7 @@ def assemble_dense(spec: HamiltonianSpec) -> np.ndarray:
     dim = 2**spec.n
     H = np.zeros((dim, dim), dtype=complex)
     for t in spec.terms:
-        H += pauli_string_matrix(spec.n, t.factors, t.coefficient)
+        H += pauli_string(spec.n, t.factors, t.coefficient).toarray()
     scale = np.linalg.norm(H)
     if scale > 0 and np.linalg.norm(H - H.conj().T) > HERMITICITY_RTOL * scale:
         raise ValueError("assembled Hamiltonian failed the hermiticity check")
@@ -209,7 +209,7 @@ def defected_heisenberg_2d(rows, cols, a_sites, defect_edge, J) -> HamiltonianSp
 def _embedded(factors, sites, n_sub):
     """Pauli string matrix on the sub-register, sites relabeled by position."""
     pos = {s: k for k, s in enumerate(sites)}
-    return pauli_string_matrix(n_sub, [(pos[s], lab) for s, lab in factors])
+    return pauli_string(n_sub, [(pos[s], lab) for s, lab in factors]).toarray()
 
 
 def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:

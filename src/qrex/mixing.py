@@ -53,7 +53,7 @@ gap mode off the caller's propagator and propagates it by
 ``np.linalg.eig`` of the propagator's generator.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 import numpy as np
@@ -100,19 +100,7 @@ class MixingReport:
     eigensolves: int
 
     def to_json_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "t_measured": self.t_measured,
-            "t_lower": self.t_lower,
-            "t_upper": self.t_upper,
-            "family": self.family,
-            "crossings": [[sid, t] for sid, t in self.crossings],
-            "gap": self.gap,
-            "lambda_min": self.lambda_min,
-            "chunks": self.chunks,
-            "rounds": self.rounds,
-            "eigensolves": self.eigensolves,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -329,12 +317,7 @@ class SpectralPropagator:
         of one state (a single column) may be taken at several times.  The
         entries off the support are zero.
         """
-        growth = coeffs.rates[:, None] * np.atleast_1d(np.asarray(t, dtype=float))
-        # one unmasked exp: the clamped exponents give exp(EXP_FLOOR) and are then zeroed
-        low = growth <= EXP_FLOOR
-        np.maximum(growth, EXP_FLOOR, out=growth)
-        np.exp(growth, out=growth)
-        growth[low] = 0.0
+        growth = _exp(coeffs.rates[:, None] * np.atleast_1d(np.asarray(t, dtype=float)))
         S = max(coeffs.size, growth.shape[1])
         x = np.empty((coeffs.rates.size, S), dtype=complex)
         start = 0
@@ -368,11 +351,6 @@ class SpectralPropagator:
         Y[:, diag, diag] -= self.sigma.weights
         return Y
 
-    def state_at(self, coeffs, t):
-        """The propagated states rho_s(t), an (S, d, d) stack (see ``_propagate``)."""
-        rho = self._U @ self._scatter(self._propagate(coeffs, t), coeffs) @ self._Uh
-        return 0.5 * (rho + rho.conj().swapaxes(1, 2))
-
     def deviations(self, coeffs, t):
         """Hermitian U^dag (rho_s(t) - sigma) U for each column, in sigma.basis.
 
@@ -385,6 +363,15 @@ class SpectralPropagator:
     def distances(self, coeffs, t):
         """Exact trace distances ||rho_s(t) - sigma||_1, from the eigenvalues of ``deviations``."""
         return np.abs(np.linalg.eigvalsh(self.deviations(coeffs, t))).sum(axis=-1)
+
+
+def _exp(x):
+    """exp(x) in place, 0 where x <= EXP_FLOOR: one unmasked exp of the clamped exponents."""
+    low = x <= EXP_FLOOR
+    np.maximum(x, EXP_FLOOR, out=x)
+    np.exp(x, out=x)
+    x[low] = 0.0
+    return x
 
 
 def _joined(arrays):
@@ -550,8 +537,9 @@ def first_crossing_times(prop: SpectralPropagator, states, epsilon, t_cap, work=
     bisection: 0 if it starts within epsilon; else ``hi`` doubles from
     ``t_cap`` until it is within (RuntimeError after 6 doublings), and
     [lo, hi] is halved until hi - lo <= BISECTION_RTOL * hi; the result is
-    hi.  The states (any iterable of state vectors or density matrices) are
-    taken as they come and rotated a batch at a time (``_occupied_batches``),
+    hi, the halvings that a chi-square bound decides taking no round.  The
+    states (any iterable of state vectors or density matrices) are taken as
+    they come and rotated a batch at a time (``_occupied_batches``),
     and bisected together a chunk at a time: a state joins the chunk while
     (states + 1) x (vec indices of the blocks they occupy) x 16 bytes fits
     CROSSING_STACK_BYTES, else the chunk is bisected and a new one starts
@@ -590,11 +578,32 @@ def _occupied_batches(prop, states):
         yield prop.occupy(batch)
 
 
+def _certified_halvings(coeffs, epsilon, t_cap, far):
+    """How many leading points t_cap / 2^j, j = 0, 1, ..., each ``far`` state is certified at.
+
+    ||rho_t - sigma||_1^2 <= chi2(t) = sum_k m_k |c_k|^2 e^{2 w_k t} - 1 (Temme et al.,
+    J. Math. Phys. 51, 122201, 2010), m_k = 2 on twin blocks, else 1, the kernel
+    mode carrying tr(rho) = 1.  chi2 falls with t; a state is certified where it is
+    below epsilon^2 by 64 eps_mach (1 + chi2(0)), over the coefficients' rounding.
+    """
+    S = coeffs.size
+    weight = np.concatenate([np.abs(c.reshape(-1, S))**2 for _, c in coeffs.blocks])
+    weight *= 1.0 + coeffs.mirrored[:, None]
+    bound = epsilon**2 - 64 * np.finfo(float).eps * weight.sum(axis=0)
+    count, open_, t = np.zeros(S, dtype=int), far.copy(), float(t_cap)
+    while open_.any() and t > 0.0:
+        open_ &= _exp(2.0 * t * coeffs.rates) @ weight - 1.0 <= bound
+        count += open_
+        t *= 0.5
+    return count
+
+
 def _bisect(prop, coeffs, epsilon, t_cap, work):
     """Crossing times of the coefficient columns (see ``first_crossing_times``).
 
-    ``cols`` are the states whose bracket is still open and ``sub`` their
-    coefficients, copied only when the set shrinks.
+    The halvings of [0, t_cap] that ``_certified_halvings`` decides take no
+    round.  ``cols`` are the states whose bracket is still open and ``sub``
+    their coefficients, copied only when the set shrinks.
     """
     work.chunks += 1
     bounds = SupportBounds(coeffs.support, prop.sigma.weights, mirrored=coeffs.mirrored)
@@ -602,6 +611,9 @@ def _bisect(prop, coeffs, epsilon, t_cap, work):
     lo, hi = np.zeros(S), np.full(S, float(t_cap))
     far = ~_within(prop, coeffs, 0.0, epsilon, bounds, work)
     hi[~far] = 0.0
+    count = _certified_halvings(coeffs, epsilon, t_cap, far)
+    hi[count > 0] *= 0.5 ** (count[count > 0] - 1)
+    far &= count == 0
     cols, sub = np.flatnonzero(far), coeffs.columns(far)
     grow = 0
     while cols.size:

@@ -8,6 +8,8 @@ Conventions used throughout the package:
 
 import numpy as np
 
+from .lindblad import Triplets
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -17,13 +19,13 @@ PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 PAULI_LABELS = ("X", "Y", "Z")
 
 
-def pauli_string_matrix(n, factors, coeff=1.0):
-    """Dense matrix of coeff * prod_(site,label) P_label acting on n qubits.
+def pauli_string(n, factors, coeff=1.0):
+    """coeff * prod_(site,label) P_label on n qubits as ``Triplets``: its d = 2^n nonzeros.
 
     ``factors`` is an iterable of (site, label) pairs with distinct sites.
     The string maps |b> to phase(b) |b ^ flip>: X and Y flip the bit of
-    their site, Y and Z multiply by (-1)^bit, and each Y by i.  So the
-    matrix is one scatter of d = 2^n phases.
+    their site, Y and Z multiply by (-1)^bit, and each Y by i.  So row r
+    holds one entry, coeff * phase(r ^ flip) in column r ^ flip, complex.
     """
     flip = sign = n_y = 0
     seen = set()
@@ -39,21 +41,20 @@ def pauli_string_matrix(n, factors, coeff=1.0):
         flip |= bit if label in "XY" else 0
         sign |= bit if label in "YZ" else 0
         n_y += label == "Y"
-    b = np.arange(2**n)
-    odd = np.zeros(b.size, dtype=int)  # parity of the bits of b under sign
-    for k in range(n):
-        odd ^= (b >> k) & (sign >> k) & 1
+    row = np.arange(2**n, dtype=np.int32)
+    col = row ^ flip
+    odd = np.zeros(row.size, dtype=np.int32)  # parity of the bits of col under sign
+    for k in (k for k in range(n) if sign >> k & 1):
+        odd ^= (col >> k) & 1
     phase = (1, 1j, -1, -1j)[n_y % 4] * (1.0 - 2.0 * odd)
-    M = np.zeros((b.size, b.size), dtype=complex)
-    M[b ^ flip, b] = coeff * phase
-    return M
+    return Triplets(row, col, (coeff * phase).astype(complex), row.size)
 
 
 def single_site_paulis(n, sites=None):
-    """All single-site Pauli operators on the given sites (default: every site)."""
+    """All single-site Pauli operators on the given sites (default: every site), as ``Triplets``."""
     if sites is None:
         sites = range(n)
-    return [pauli_string_matrix(n, [(s, lab)]) for s in sites for lab in PAULI_LABELS]
+    return [pauli_string(n, [(s, lab)]) for s in sites for lab in PAULI_LABELS]
 
 
 def qubit_permutation(n, order):

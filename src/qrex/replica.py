@@ -58,14 +58,6 @@ def _swap_permutation(d_a, d_b):
     return np.arange(d, dtype=np.int32).reshape(d_a, d_b, d_a).transpose(2, 1, 0).reshape(-1)
 
 
-def local_swap_unitary(d_a, d_b):
-    """Permutation exchanging the two A registers of C^{d_a} (x) C^{d_b} (x) C^{d_a}."""
-    d = d_a * d_b * d_a
-    U = np.zeros((d, d), dtype=complex)
-    U[_swap_permutation(d_a, d_b), np.arange(d)] = 1.0
-    return U
-
-
 @dataclass
 class JointStructure:
     """Labeled product-basis data for the joint (system, auxiliary-A) space.
@@ -187,31 +179,18 @@ def swap_generator_closed_form(js: JointStructure, beta) -> Superoperator:
                          joint_gibbs(js, beta))
 
 
-def swap_unitary_original(js: JointStructure):
-    """The local swap in the original joint ordering (basis independent).
-
-    P_J^dag U P_J for the site reordering P_J = P (x) I_A, i.e. the entries
-    of U scattered to the rows and columns p_J.
-    """
-    pj = (js.perm[:, None] * js.d_a + np.arange(js.d_a)).reshape(-1)
-    U = local_swap_unitary(js.d_a, js.d_b)
-    out = np.empty_like(U)
-    out[np.ix_(pj, pj)] = U
-    return out
-
-
 def swap_generator_generic(js: JointStructure, beta) -> Superoperator:
     """Swap generator via the generic construction; cross-validates the closed form.
 
-    ``build_ckg_generator`` is applied to the swap unitary in the original
-    joint ordering, with the labeled |i_A j_B m_A> vectors as the eigenbasis
-    of H_joint = H (x) I + I (they diagonalize it, as ``joint_structure``
-    checks for H).  The generator does not depend on the eigenbasis chosen
-    inside a degenerate eigenspace, so the result is stored in the same basis
-    as ``swap_generator_closed_form`` and the two compare entry by entry.
+    ``build_ckg_generator`` is applied to the swap P_J^dag U P_J (P_J = P (x) I_A,
+    one entry per column) with the labeled |i_A j_B m_A> vectors as the eigenbasis
+    of H_joint = H (x) I + I: the generator does not depend on the eigenbasis chosen
+    in a degenerate eigenspace, so the two compare entry by entry in one basis.
     """
     es = eigensystem_from_pairs(np.repeat(js.system_es.eigenvalues, js.d_a) + 1.0, js.joint_basis)
-    return build_ckg_generator(es, [swap_unitary_original(js)], WeightFunction("metropolis", beta))
+    pj = (js.perm[:, None] * js.d_a + np.arange(js.d_a)).reshape(-1)
+    swap = canonical(pj[_swap_permutation(js.d_a, js.d_b)], pj, np.ones(pj.size), pj.size)
+    return build_ckg_generator(es, [swap], WeightFunction("metropolis", beta))
 
 
 def lift(M, dims, factor):

@@ -115,7 +115,7 @@ def run_verification(seed=42, beta=1.0):
     min_ev = 0.0
     for S in single_site_paulis(3):
         # the Bohr frequencies of the coupling entries the assembly keeps
-        nus = es3.bohr[np.unique(es3.gid[eigenbasis_entries(S, es3.eigenvectors) != 0])]
+        nus = es3.bohr[np.unique(es3.gid.reshape(-1)[eigenbasis_entries(S, es3)[0]])]
         A = alpha_coeff(nus[:, None], nus[None, :], gm)
         ev = np.linalg.eigvalsh(A).min()
         min_ev = min(min_ev, ev)
@@ -239,9 +239,11 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("classical.bottleneck_law", law_ok,
                           f"ratios {[f'{p2/p1:.3f}' for p1, p2 in zip(phis, phis[1:])]}"))
 
-    re_gap = classical_gap(classical_re_generator(efn, 4, beta, 0.2))
-    single_gap = classical_gap(chain)
-    results.append(_check("classical.re_acceleration", re_gap > single_gap,
-                          f"re {re_gap:.4f} vs single {single_gap:.4f}"))
+    def re_acceleration():
+        re_gap = classical_gap(classical_re_generator(efn, 4, beta, 0.2))
+        single_gap = classical_gap(chain)
+        return re_gap > single_gap, f"re {re_gap:.4f} vs single {single_gap:.4f}"
+
+    results.append(_gap_check("classical.re_acceleration", re_acceleration))
 
     return results

@@ -10,6 +10,10 @@ as test oracles only:
   reorders the sites with its own dense permutation matrix
   (``qubit_permutation_matrix``), where the library gathers by the index
   array of ``qrex.pauli.qubit_permutation``.
+* ``local_swap_unitary`` and ``swap_unitary_original`` form the A-register
+  swap as dense matrices, by transposing the identity's row index;
+  ``qrex.replica.swap_generator_generic`` hands ``build_ckg_generator`` the
+  swap as its one entry per column.
 * ``joint_hamiltonian`` forms H (x) I + I on the joint space, whose Gibbs
   state the library builds diagonal in the labeled basis
   (``qrex.replica.joint_gibbs``).
@@ -48,9 +52,9 @@ as test oracles only:
   diagonal in.  ``matrix`` is the dense computational-basis matrix of a
   generator, rotated out of its stored basis by ``congruence``, the
   leg-wise O(d^5) basis change, and ``apply`` its action on one
-  observable.  ``evolve`` propagates one state through a
-  ``SpectralPropagator``, and ``expm_flow`` by a dense matrix exponential
-  of the stored matrix.
+  observable.  ``state_at`` rotates the states a ``SpectralPropagator``
+  carries in sigma.basis back out, ``evolve`` propagates one state through
+  it, and ``expm_flow`` by a dense matrix exponential of the stored matrix.
 * ``component_labels_csgraph`` and ``blocks_csgraph`` label the connected
   components of a pattern with ``scipy.sparse.csgraph``, and
   ``blocks_csgraph`` pairs them by transposing each component's index set;
@@ -65,7 +69,8 @@ as test oracles only:
   ``sparse.kron`` with an identity, and ``(A + A^dag) / 2`` of a CSR array.
 
 * ``kron_all`` builds a Pauli string as a product of Kronecker factors;
-  ``qrex.pauli.pauli_string_matrix`` scatters its d phases directly.
+  ``qrex.pauli.pauli_string`` holds its d phases as ``Triplets``, whose
+  ``toarray`` is ``pauli_string_matrix``.
 * ``trace_norm_bounds`` forms the sandwich sum_i |Y_ii| <= ||Y||_1 <=
   sum_ij |Y_ij| from whole matrices; ``qrex.mixing.SupportBounds`` takes
   it from the entries on a support.
@@ -118,12 +123,11 @@ from qrex.lindblad import (
     weight,
 )
 from qrex.mixing import BISECTION_RTOL, SpectralPropagator, _check_state, chi_square
-from qrex.pauli import PAULIS, pauli_string_matrix, single_site_paulis
+from qrex.pauli import PAULIS, pauli_string, single_site_paulis
 from qrex.replica import (
     check_global_size,
     joint_structure,
     lift,
-    local_swap_unitary,
     swap_generator_closed_form,
 )
 from qrex.spectral import (
@@ -160,6 +164,14 @@ def apply(L, X):
     return L.from_basis(unvec(L.local @ vec(L.to_basis(X))))
 
 
+def state_at(prop, coeffs, t):
+    """The propagated states rho_s(t) of a ``SpectralPropagator``, an (S, d, d) stack, rotated
+    out of sigma.basis: the library keeps them there (``deviations``)."""
+    U = prop.sigma.basis
+    rho = U @ prop._scatter(prop._propagate(coeffs, t), coeffs) @ U.conj().T
+    return 0.5 * (rho + rho.conj().swapaxes(1, 2))
+
+
 def evolve(L, rho0, t):
     """rho0 propagated to time t under e^{t L^dag} by one ``SpectralPropagator`` of L.
 
@@ -168,7 +180,7 @@ def evolve(L, rho0, t):
     """
     rho0 = _check_state(rho0, L.dim, "rho0")
     prop = SpectralPropagator(L)
-    return prop.state_at(prop.coefficients([rho0]), t)[0]
+    return state_at(prop, prop.coefficients([rho0]), t)[0]
 
 
 def expm_flow(L, rho0, t):
@@ -197,6 +209,26 @@ def qubit_permutation_matrix(n, order):
     P = np.zeros((dim, dim), dtype=complex)
     P[new_idx, idx] = 1.0
     return P
+
+
+def local_swap_unitary(d_a, d_b):
+    """Dense permutation exchanging the two A registers of C^{d_a} (x) C^{d_b} (x) C^{d_a}:
+    the identity with its row index (a, b, c) read as (c, b, a)."""
+    d = d_a * d_b * d_a
+    return np.eye(d, dtype=complex).reshape(d_a, d_b, d_a, d).transpose(2, 1, 0, 3).reshape(d, d)
+
+
+def swap_unitary_original(js):
+    """The local swap in the original joint ordering (basis independent).
+
+    P_J^dag U P_J for the site reordering P_J = P (x) I_A, i.e. the entries
+    of U scattered to the rows and columns p_J.
+    """
+    pj = (js.perm[:, None] * js.d_a + np.arange(js.d_a)).reshape(-1)
+    U = local_swap_unitary(js.d_a, js.d_b)
+    out = np.empty_like(U)
+    out[np.ix_(pj, pj)] = U
+    return out
 
 
 def joint_hamiltonian(spec):
@@ -507,7 +539,7 @@ def first_crossing_time(prop, rho0, epsilon, t_cap):
     coeffs = prop.coefficients([np.asarray(rho0, dtype=complex)])
 
     def dist(t):
-        return float(np.abs(np.linalg.eigvalsh(prop.state_at(coeffs, t)[0] - sig)).sum())
+        return float(np.abs(np.linalg.eigvalsh(state_at(prop, coeffs, t)[0] - sig)).sum())
 
     if dist(0.0) <= epsilon:
         return 0.0
@@ -656,6 +688,11 @@ def hermitian_part_csr(A):
     return H.toarray(), float(resid)
 
 
+def pauli_string_matrix(n, factors, coeff=1.0):
+    """Dense matrix of the Pauli string ``qrex.pauli.pauli_string``."""
+    return pauli_string(n, factors, coeff).toarray()
+
+
 def kron_all(mats):
     """Kronecker product of a sequence of matrices, left factor most significant."""
     mats = list(mats)
@@ -691,6 +728,11 @@ def pauli_support(M, n, tol=1e-10):
     return supp
 
 
+def dense(S):
+    """A coupling as a dense complex matrix; ``Triplets`` (a Pauli string) through ``toarray``."""
+    return np.asarray(S.toarray() if isinstance(S, Triplets) else S, dtype=complex)
+
+
 def jump_components(S, es: Eigensystem):
     """Energy-resolved components {nu: S_nu} with sum_nu S_nu = S exactly.
 
@@ -698,7 +740,7 @@ def jump_components(S, es: Eigensystem):
     original (computational) basis.
     """
     U = es.eigenvectors
-    St = U.conj().T @ np.asarray(S, dtype=complex) @ U
+    St = U.conj().T @ dense(S) @ U
     out = {}
     for g, nu in enumerate(es.bohr):
         mask = es.gid == g

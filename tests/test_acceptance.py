@@ -42,7 +42,6 @@ from qrex.replica import (
     swap_generator_closed_form,
     swap_generator_generic,
     swap_sector_analysis,
-    swap_unitary_original,
 )
 from qrex.spectral import (
     gap_composition_suite,
@@ -56,6 +55,7 @@ from oracles import (
     jump_components,
     matrix,
     partial_lindbladian_check,
+    swap_unitary_original,
 )
 
 BETA = 1.0

@@ -12,6 +12,7 @@ from qrex.classical import (
     glauber_generator,
     spin_table,
 )
+from qrex.spectral import UnresolvedGapError
 
 from oracles import bottleneck_ratio_whole_table, subset_masks
 
@@ -274,6 +275,26 @@ class TestClassicalGap:
             gap = classical_gap(chain)
             phi, _ = bottleneck_ratio(chain)
             assert gap <= 2 * phi + 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_gap_below_the_resolvable_floor_is_refused(self, n):
+        # at beta = 4, J = 5 eigvalsh returned noise (3.93e-16 at n = 3, where the
+        # exact Cheeger constant bounds the gap by 1.14e-20)
+        with pytest.raises(UnresolvedGapError, match="below the resolvable floor"):
+            classical_gap(glauber_generator(ising_fn(5.0), n, 4.0))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_resolved_gaps_are_unchanged(self, n, beta):
+        chain = glauber_generator(ising_fn(5.0), n, beta)
+        S = -chain.generator * np.sqrt(chain.stationary)[:, None] / np.sqrt(chain.stationary)
+        assert classical_gap(chain) == pytest.approx(np.linalg.eigvalsh(0.5 * (S + S.T))[1],
+                                                     rel=1e-12)
+
+    def test_smallest_resolved_ring_gap(self):
+        # the n = 3 ring at beta = 2, J = 5, 2.6e3 times the floor
+        assert classical_gap(glauber_generator(ising_fn(5.0), 3, 2.0)) == pytest.approx(
+            1.510e-10, rel=1e-3)
 
     def test_positive_for_irreducible(self):
         chain = glauber_generator(ising_fn(2.0), 4, 1.0)

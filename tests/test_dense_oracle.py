@@ -23,20 +23,29 @@ import pytest
 import qrex.harness
 import qrex.lindblad
 import qrex.replica
-from qrex.hamiltonians import HamiltonianSpec, PauliTerm, assemble_dense, defected_ising_1d
+from qrex.hamiltonians import (
+    HamiltonianSpec,
+    PauliTerm,
+    assemble_dense,
+    defected_heisenberg_2d,
+    defected_ising_1d,
+)
 from qrex.harness import run_scenario, validate_config
 from qrex.lindblad import (
     Superoperator,
+    Triplets,
     WeightFunction,
     alpha_coeff,
     build_ckg_generator,
+    eigenbasis_entries,
     eigensystem,
+    eigensystem_from_pairs,
     gibbs_state,
     unvec,
     vec,
 )
 from qrex.mixing import SpectralPropagator
-from qrex.pauli import single_site_paulis
+from qrex.pauli import PAULI_LABELS, single_site_paulis
 from qrex.replica import (
     build_global_replica_generator,
     build_replica_exchange_generator,
@@ -47,13 +56,24 @@ from qrex.replica import (
 )
 from qrex.spectral import (
     KERNEL_TOL,
+    a_diagonal_restriction_gap,
     block_eigvalsh,
     gap_from_eigenvalues,
     spectral_gap,
     symmetrize,
 )
 
-from oracles import apply, congruence, joint_hamiltonian, matrix, sigma_power
+from oracles import (
+    apply,
+    congruence,
+    dense,
+    joint_hamiltonian,
+    matrix,
+    pauli_string_matrix,
+    sigma_power,
+    swap_unitary_original,
+)
+from oracles import state_at as oracle_state_at
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -70,7 +90,7 @@ def dense_ckg(H, couplings, w):
     eye = np.eye(d)
     tilted, used = [], set()
     for S in couplings:
-        St = U.conj().T @ np.asarray(S, dtype=complex) @ U
+        St = U.conj().T @ dense(S) @ U
         cut = 1e-13 * max(np.abs(St).max(), 1e-300)
         St = np.where(np.abs(St) > cut, St, 0.0)
         tilted.append(St)
@@ -240,7 +260,8 @@ def test_ckg_generator_with_coherent_term_matches_dense_route(w):
     # on the classical Ising ring the coherent term vanishes for single-site
     # Pauli couplings; a transverse field makes it nonzero
     n = 3
-    H = assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * sum(single_site_paulis(n)[0::3])
+    H = assemble_dense(defected_ising_1d(n, 2.0))
+    H += 0.7 * sum(pauli_string_matrix(n, [(s, "X")]) for s in range(n))
     es = eigensystem(H)
     heis = build_ckg_generator(es, single_site_paulis(n), w)
     M_dense = dense_ckg(H, single_site_paulis(n), w)
@@ -332,7 +353,8 @@ def test_joint_gibbs_matches_joint_hamiltonian(spec):
 
 
 def transverse_field_ring(n=3):
-    return assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * sum(single_site_paulis(n)[0::3])
+    field = sum(pauli_string_matrix(n, [(s, "X")]) for s in range(n))
+    return assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * field
 
 
 def generic_hamiltonian(n=3, seed=0):
@@ -378,7 +400,7 @@ def test_block_eigensolves_match_dense_eigh(H, n, shapes):
     c_blocks = np.concatenate([x.reshape(-1, len(rhos)) for _, x in c.blocks])
     multiplicity = 1 + c.mirrored
     for t in (0.0, 0.5, 3.0):
-        states = prop.state_at(c, t)
+        states = oracle_state_at(prop, c, t)
         for s, rho0 in enumerate(rhos):
             c_dense = coefficients(rho0)
             measure = np.sum(multiplicity * np.abs(c_blocks[:, s]) ** 2 * np.exp(t * w_blocks))
@@ -476,3 +498,132 @@ def test_global_sweep_matches_dense_oracle_with_one_eigh_of_h_per_point(monkeypa
         M_old, sigma = computational_global_sum(spec, rec["beta"], beta2, w, w)
         old = spectral_gap(in_sigma_basis(M_old, sigma))
         assert rec["gap_re"] == pytest.approx(old.gap, rel=RTOL)
+
+
+# The couplings rotated by the blocks of U against the dense U^dag S U. On the
+# ring U is a permutation, and the dense products add only exact zeros to each
+# entry, so the two routes agree bit for bit; a dense U is one block, taken by
+# the same gather and one product with U as the dense route.
+
+
+def dense_eigenbasis_entries(S, es):
+    """``eigenbasis_entries`` the dense way: U^dag S U by two dense products, the same cut."""
+    U = es.eigenvectors
+    St = U.conj().T @ dense(S) @ U
+    flat = np.where(np.abs(St) > 1e-13 * max(np.abs(St).max(), 1e-300), St, 0.0).reshape(-1)
+    p = np.flatnonzero(flat)
+    return p, flat[p]
+
+
+def dense_paulis(n):
+    """The single-site Paulis as dense matrices."""
+    return [pauli_string_matrix(n, [(s, lab)]) for s in range(n) for lab in PAULI_LABELS]
+
+
+@pytest.fixture
+def dense_route(monkeypatch):
+    """Runs a build with the dense U^dag S U in place of the blocks of U."""
+    def run(build):
+        with monkeypatch.context() as m:
+            m.setattr(qrex.lindblad, "eigenbasis_entries", dense_eigenbasis_entries)
+            return build()
+    return run
+
+
+def assert_same_triplets(A, B):
+    assert A.val.dtype == B.val.dtype
+    for field in ("row", "col", "val"):
+        assert np.array_equal(getattr(A, field), getattr(B, field))
+
+
+@pytest.mark.parametrize("J", [1.0, 3.0, 5.0])
+@pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_ring_generator_by_blocks_of_u_is_bitwise_the_dense_route(n, w, J, dense_route):
+    es = eigensystem(assemble_dense(defected_ising_1d(n, J)))
+    L = build_ckg_generator(es, single_site_paulis(n), w)
+    assert_same_triplets(L.local, dense_route(lambda: build_ckg_generator(es, dense_paulis(n), w)).local)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
+def test_ring_replica_and_g_b_builds_are_bitwise_the_dense_route(n, w, dense_route):
+    js = joint_structure(defected_ising_1d(n, 3.0))
+    assert_same_triplets(build_replica_exchange_generator(js, w).local,
+                         dense_route(lambda: build_replica_exchange_generator(js, w)).local)
+    assert a_diagonal_restriction_gap(js, w) == dense_route(lambda: a_diagonal_restriction_gap(js, w))
+
+
+GRID = defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0)
+
+
+def rotated_couplings():
+    """(eigensystem, couplings) beyond the ring's permutation U: the 2x3 grid, the
+    transverse-field ring (one dense block), and the joint structures' labeled bases."""
+    cases = [(eigensystem(assemble_dense(GRID)), single_site_paulis(6))]
+    for n in (3, 4):
+        cases.append((eigensystem(transverse_field_ring(n)), single_site_paulis(n)))
+    for spec in (defected_ising_1d(4, 3.0), hopping_cut_spec(2.0), GRID):
+        js = joint_structure(spec)
+        cases += [(js.system_es, single_site_paulis(js.n)), (js.aux_es, single_site_paulis(js.n_a)),
+                  (eigensystem_from_pairs(np.ones(js.joint_dim), js.joint_basis),
+                   [swap_unitary_original(js)])]
+    return cases
+
+
+def test_coupling_entries_by_blocks_of_u_match_the_dense_route():
+    for es, couplings in rotated_couplings():
+        d = es.dim
+        for S in couplings:
+            S = S if isinstance(S, Triplets) else Triplets.of(S)
+            new, old = np.zeros(d * d, dtype=complex), np.zeros(d * d, dtype=complex)
+            p, v = eigenbasis_entries(S, es)
+            new[p] = v
+            p, v = dense_eigenbasis_entries(S, es)
+            old[p] = v
+            assert np.abs(new - old).max() <= 1e-15 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("mode", ["single", "local_A"])
+def test_grid_gap_by_blocks_of_u_matches_the_dense_route(mode, dense_route):
+    w = WeightFunction("metropolis", 0.05)
+    if mode == "single":
+        es = eigensystem(assemble_dense(GRID))
+        new = spectral_gap(build_ckg_generator(es, single_site_paulis(6), w)).gap
+        old = dense_route(lambda: spectral_gap(build_ckg_generator(es, dense_paulis(6), w)).gap)
+    else:
+        js = joint_structure(GRID)
+        new = spectral_gap(build_replica_exchange_generator(js, w)).gap
+        old = dense_route(lambda: spectral_gap(build_replica_exchange_generator(js, w)).gap)
+    assert abs(new - old) <= max(1e-12 * old, 1e-14)
+
+
+def test_ring_build_forms_no_dense_coupling(monkeypatch):
+    """U of the ring is a permutation, so no build holds a d x d coupling: the Pauli
+    strings stay Triplets, nothing dense is converted, and each block pair is 1 x 1."""
+    n = 6
+    d = 2**n
+    es = eigensystem(assemble_dense(defected_ising_1d(n, 3.0)))
+    js = joint_structure(defected_ising_1d(n, 3.0))
+    formed = []
+
+    def refuse(*args):
+        formed.append(args)
+        raise AssertionError("a dense coupling was formed")
+
+    zeros = np.zeros
+
+    def zeros_spy(shape, *args, **kwargs):
+        if np.ndim(shape) and len(shape) >= 2 and min(shape[-2:]) >= d:
+            formed.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(Triplets, "toarray", refuse)
+    monkeypatch.setattr(Triplets, "of", refuse)
+    monkeypatch.setattr(np, "zeros", zeros_spy)
+    build_ckg_generator(es, single_site_paulis(n), GM)
+    build_replica_exchange_generator(js, GG)
+    a_diagonal_restriction_gap(js, GG)
+    assert formed == []
+    for e in (es, js.system_es, js.aux_es):
+        assert [V.shape[1:] for _, V in e.blocks[0]] == [(1, 1)]

@@ -14,14 +14,20 @@ from qrex.hamiltonians import (
 )
 from qrex.pauli import (
     PAULIS,
-    pauli_string_matrix,
+    pauli_string,
     qubit_permutation,
     single_site_paulis,
 )
 
 from qrex.replica import joint_structure
 
-from oracles import kron_all, pauli_decompose, pauli_support, qubit_permutation_matrix
+from oracles import (
+    kron_all,
+    pauli_decompose,
+    pauli_string_matrix,
+    pauli_support,
+    qubit_permutation_matrix,
+)
 
 
 def ising_energy(z, J):
@@ -309,6 +315,11 @@ class TestPauliHelpers:
         for site, label in factors:
             ops[site] = PAULIS[label]
         assert np.array_equal(pauli_string_matrix(n, factors, coeff), coeff * kron_all(ops))
+
+    def test_string_holds_its_d_nonzeros_as_triplets(self):
+        S = pauli_string(3, [(0, "X"), (2, "Y")], 0.3)
+        assert np.array_equal(S.row, np.arange(8)) and np.array_equal(S.col, np.arange(8) ^ 0b101)
+        assert S.val.dtype == complex and np.all(np.abs(S.val) == 0.3)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(KeyError):

@@ -695,6 +695,17 @@ class TestCli:
         assert err.startswith("resource guard: classical replica chain gated at n <= 6")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_classical_gap_below_double_precision_exit_four(self, tmp_path, capsys):
+        # the n = 3 ring at beta = 4, J = 5 printed 3.93e-16, below the floor 5.7e-14
+        cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": 3}, "beta": 4.0,
+                                      "sweep": {"param": "J", "values": [1.0, 5.0]}})
+        assert main(["classical", "--config", cfg]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical error: classical gap 3.930e-16 is below the resolvable "
+                              "floor")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_classical_reports_the_sweep_cut(self, n, beta):

@@ -38,6 +38,8 @@ from oracles import (
     first_crossing_time,
     gap_mode_state,
     matrix,
+    pauli_string_matrix,
+    state_at,
     trace_distance,
     trace_norm_bounds,
 )
@@ -324,7 +326,7 @@ class TestTraceDistanceMonotone:
         prop = SpectralPropagator(heis)
         coeffs = prop.coefficients([rho0])
         ts = np.linspace(0.0, 8.0, 17)
-        dists = [trace_distance(prop.state_at(coeffs, t)[0], sg.sigma) for t in ts]
+        dists = [trace_distance(state_at(prop, coeffs, t)[0], sg.sigma) for t in ts]
         assert all(d2 <= d1 + 1e-10 for d1, d2 in zip(dists, dists[1:]))
 
     def test_distances_in_sigma_basis_match_rotated_states(self):
@@ -337,7 +339,7 @@ class TestTraceDistanceMonotone:
         coeffs = prop.coefficients([rho0])
         ts = np.linspace(0.0, 8.0, 17)
         dists = prop.distances(coeffs, ts)
-        oracle = [trace_distance(prop.state_at(coeffs, t)[0], sg.sigma) for t in ts]
+        oracle = [trace_distance(state_at(prop, coeffs, t)[0], sg.sigma) for t in ts]
         assert np.abs(dists - oracle).max() <= 1e-12
 
 
@@ -347,7 +349,8 @@ def ring_propagator(H, n, w):
 
 
 def transverse_field_ring(n):
-    return assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * sum(single_site_paulis(n)[0::3])
+    field = sum(pauli_string_matrix(n, [(s, "X")]) for s in range(n))
+    return assemble_dense(defected_ising_1d(n, 2.0)) + 0.7 * field
 
 
 def density(psi):
@@ -377,6 +380,19 @@ class TestFirstCrossingTimes:
         batched = first_crossing_times(prop, states, 1e-2, t_cap)
         oracle = oracle_times(prop, states, t_cap)
         assert np.all(np.abs(batched - oracle) <= BISECTION_RTOL * oracle)
+
+    def test_certified_descent_keeps_the_times_and_flat_rounds_in_j(self):
+        # t_cap grows like exp(2 beta J); the halvings from it that the chi-square
+        # certificate decides take no round (the full rule took 30 / 36 / 42 here)
+        rounds = []
+        for J in (1.0, 3.0, 5.0):
+            prop, sg = ring_propagator(assemble_dense(defected_ising_1d(5, J)), 5, GM)
+            states, t_cap = family_and_cap(prop, sg, 1e-2)
+            work = SearchWork()
+            times = first_crossing_times(prop, states, 1e-2, t_cap, work)
+            assert np.array_equal(times, oracle_times(prop, states, t_cap))
+            rounds.append(work.rounds)
+        assert max(rounds) - min(rounds) <= 1
 
     @pytest.mark.parametrize("kind", ["metropolis", "gaussian"])
     def test_transverse_field_ring_takes_eigenvalue_path(self, kind, monkeypatch):
@@ -553,7 +569,7 @@ class TestBlockSparseSearch:
         ts = np.array([0.0, 0.3, 2.0, 9.0])
         dists = prop.distances(coeffs, ts)
         for t, dist in zip(ts, dists):
-            rho_t = prop.state_at(coeffs, t)[0]
+            rho_t = state_at(prop, coeffs, t)[0]
             assert np.abs(rho_t - oracles.expm_flow(heis, rho0, t)).max() <= 1e-12
             assert abs(dist - trace_distance(rho_t, sg.sigma)) <= 1e-12
 

@@ -31,16 +31,22 @@ from qrex.replica import (
     joint_gibbs,
     joint_structure,
     lift,
-    local_swap_unitary,
     swap_generator_closed_form,
     swap_generator_generic,
     swap_sector_analysis,
-    swap_unitary_original,
 )
 from qrex.spectral import spectral_gap, spectral_norm
 
 import oracles
-from oracles import apply, coherent_term, joint_hamiltonian, jump_components, matrix
+from oracles import (
+    apply,
+    coherent_term,
+    joint_hamiltonian,
+    jump_components,
+    local_swap_unitary,
+    matrix,
+    swap_unitary_original,
+)
 
 GM = WeightFunction("metropolis", 1.0)
 
