@@ -4,8 +4,8 @@ The one positional argument names the scenario: gap, sweep, mixing,
 verify, theta, classical; every option applies to each.  Exit codes:
 0 success, 1 invariant failure, 2 config error, 3 resource guard,
 4 numerical error (a gap double precision cannot resolve).
-A sweep keeps its unresolved points: it writes the whole report, prints one
-``numerical error:`` line per such point and exits 4.
+A sweep, quantum or classical, keeps its unresolved points: it writes the
+whole report, prints one ``numerical error:`` line per such point and exits 4.
 """
 
 import argparse
@@ -81,7 +81,7 @@ def main(argv=None):
     text = emit(report, config.output["format"], config.output["path"])
     if config.output["path"] is None:
         sys.stdout.write(text)
-    if args.scenario == "sweep":
+    if args.scenario in ("sweep", "classical"):
         unresolved = [rec for rec in report.records if rec["status"] != "ok"]
         for rec in unresolved:
             print(f"numerical error: {rec['error']} (J = {rec['J']}, beta = {rec['beta']})",

@@ -466,14 +466,19 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
         for J in config.sweep["values"]:
             efn = lambda z: classical_defected_ising_energy(z, float(J))
             chain = glauber_generator(efn, n, beta1)
-            records.append({"J": float(J), "beta": beta1,
-                            "gap_single": classical_gap(chain),
-                            "gap_re": classical_gap(classical_re_generator(efn, n, beta1, beta2)),
-                            "phi_star": bottleneck_ratio(chain)[0], "phi_mode": "sweep"})
-        gaps = [r["gap_single"] for r in records]
+            rec = {"J": float(J), "beta": beta1, "phi_star": bottleneck_ratio(chain)[0],
+                   "phi_mode": "sweep", "status": "ok", "error": ""}
+            try:  # an unresolved gap is kept as in the quantum sweep (_sweep_point)
+                rec["gap_single"] = classical_gap(chain)
+                rec["gap_re"] = classical_gap(classical_re_generator(efn, n, beta1, beta2))
+            except UnresolvedGapError as exc:
+                rec.update(gap_single=float("nan"), gap_re=float("nan"), status="unresolved",
+                           error=str(exc))
+            records.append(rec)
+        gaps = [r["gap_single"] for r in records if r["status"] == "ok"]
         if len(gaps) > 1:
             summary["single_collapse"] = max(gaps) / min(gaps)
-            res = [r["gap_re"] for r in records]
+            res = [r["gap_re"] for r in records if r["status"] == "ok"]
             summary["re_max_over_min"] = max(res) / min(res)
 
     else:  # pragma: no cover - validate_config blocks this
@@ -495,7 +500,7 @@ CSV_COLUMNS = {
     "mixing": ["state_id", "t_cross"],
     "verify": ["check", "passed", "detail"],
     "theta": ["beta_omega", "theta_closed", "theta_quadrature", "abs_diff"],
-    "classical": ["J", "beta", "gap_single", "gap_re", "phi_star", "phi_mode"],
+    "classical": ["J", "beta", "gap_single", "gap_re", "phi_star", "phi_mode", "status", "error"],
 }
 
 

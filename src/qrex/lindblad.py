@@ -121,20 +121,6 @@ def canonical(row, col, val, side):
                     total.real[keep] if real else total[keep], side)
 
 
-def _component_labels(n, rows, cols):
-    """Weak component of each of n vertices under the edges (rows, cols), numbered as csgraph does.
-
-    Rounds hook each edge's larger root to its smaller one and jump pointers
-    to the roots; roots only decrease, ending at each component's least vertex.
-    """
-    root = np.arange(n)
-    while not np.array_equal(rr := root[rows], rc := root[cols]):
-        np.minimum.at(root, np.maximum(rr, rc), np.minimum(rr, rc))
-        while not np.array_equal(hop := root[root], root):
-            root = hop
-    return np.unique(root, return_inverse=True)[1]
-
-
 def add(*parts):
     """The canonical sum of Triplets of one side."""
     row, col, val = (np.concatenate([getattr(p, f) for p in parts]) for f in ("row", "col", "val"))
@@ -161,25 +147,13 @@ class Eigensystem:
         return self.eigenvalues.size
 
     @cached_property
-    def blocks(self):
-        """U's blocks, the components of its nonzero pattern (row k and column i linked
-        where U[k, i] != 0): one (cols, V = U[rows][:, cols]) stack of m blocks per side s,
-        (m, s) and (m, s, s), and ``where``, the (stack, slot, place) of each row there."""
-        U = self.eigenvectors
-        d = U.shape[0]
-        r, c = np.nonzero(U)
-        label = _component_labels(2 * d, r, d + c).reshape(2, d)  # rows, then columns
-        sizes = np.bincount(label[0])
-        if not np.array_equal(np.bincount(label[1], minlength=sizes.size), sizes):
-            raise ValueError("eigenvectors are not unitary: a block of U is not square")
-        order, starts = np.argsort(label, axis=1, kind="stable"), np.cumsum(sizes) - sizes
-        stacks, where = [], np.empty((3, d), dtype=np.int64)
-        for g, side in enumerate(np.unique(sizes)):
-            at = starts[sizes == side][:, None] + np.arange(side)
-            rows, cols = order[0][at], order[1][at]
-            stacks.append((cols, U[rows[:, :, None], cols[:, None, :]]))
-            where[:, rows] = np.broadcast_arrays(g, np.arange(at.shape[0])[:, None], np.arange(side))
-        return stacks, where
+    def permutation(self):
+        """(i, u) where U = eigenvectors holds one nonzero per row, row k's u[k] in column
+        i[k]: a permutation with phases, as for a diagonal H; else None."""
+        k, i = np.nonzero(self.eigenvectors)
+        if not np.array_equal(k, np.arange(self.dim)):
+            return None
+        return i, self.eigenvectors[k, i]
 
 
 @dataclass(frozen=True)
@@ -429,28 +403,21 @@ def alpha_quadrature(nu1, nu2, w: WeightFunction):
 
 
 def eigenbasis_entries(S, es: Eigensystem):
-    """Positions k*d + i and values of the entries of U^dag S U (U = es.eigenvectors) above
-    1e-13 of the largest: V_a^dag S_ab V_b on each pair of U's blocks that the ``Triplets`` S
-    connects, one matmul per pair of block sides; one product per entry for a permutation U."""
-    stacks, (stack, slot, pos) = es.blocks
-    d, n = es.dim, len(stacks)
-    if stacks[-1][1].shape[1] == 1:  # U a permutation with phases: row k holds u[k] at i[k]
-        i, u = stacks[0][0][slot, 0], stacks[0][1][slot, 0, 0]
-        p, s = i[S.row] * d + i[S.col], u[S.row].conj() * S.val * u[S.col]
+    """Positions k*d + i and values of the entries of U^dag S U (U = es.eigenvectors, S
+    ``Triplets``) above 1e-13 of the largest magnitude.
+
+    These are the coupling entries the generator assembly uses: only the
+    Bohr groups of the kept entries enter its alpha table.  Where U is a
+    permutation with phases (``Eigensystem.permutation``) each entry of S
+    moves to one place, scaled by two phases; otherwise two dense products.
+    """
+    if es.permutation is None:
+        U = es.eigenvectors
+        p = np.flatnonzero(s := (U.conj().T @ S.toarray() @ U).reshape(-1))
+        s = s[p]
     else:
-        ga, gb, sa = stack[S.row], stack[S.col], slot[S.row]
-        pair, inv = np.unique(((ga * n + gb) * d + sa) * d + slot[S.col], return_inverse=True)
-        group, pa, pb = pair // d**2, pair // d % d, pair % d  # the pairs, by pair of stacks
-        out = [(np.zeros(0, np.int64), np.zeros(0, complex))]  # (positions, values) per group
-        for g in np.unique(group):
-            (cols_a, Va), (cols_b, Vb) = stacks[g // n], stacks[g % n]
-            q, e = np.flatnonzero(group == g), np.flatnonzero(group[inv] == g)
-            W = np.zeros((q.size, Va.shape[1], Vb.shape[1]), dtype=complex)  # V_a^dag S_ab
-            np.add.at(W, (inv[e] - q[0], slice(None), pos[S.col[e]]),
-                      Va[sa[e], pos[S.row[e]]].conj() * S.val[e][:, None])
-            ka, kb = cols_a[pa[q]], cols_b[pb[q]]
-            out.append(((ka[:, :, None] * d + kb[:, None, :]).ravel(), (W @ Vb[pb[q]]).ravel()))
-        p, s = (np.concatenate(x) for x in zip(*out))
+        i, u = es.permutation
+        p, s = i[S.row] * es.dim + i[S.col], u[S.row].conj() * S.val * u[S.col]
     keep = np.abs(s) > 1e-13 * max(np.abs(s).max(initial=0.0), 1e-300)
     return p[keep], s[keep]
 
@@ -490,7 +457,7 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     gibbs_state(es, w.beta).  The generator does not depend on the basis
     chosen inside a degenerate eigenspace (arXiv:2311.09207), so any
     eigenbasis of H serves.  Couplings are ``Triplets`` (a dense matrix is
-    converted) of H's dimension, rotated by U's blocks; hermiticity is not required.  The
+    converted) of H's dimension; hermiticity is not required.  The
     double Bohr sum is evaluated element-wise in the eigenbasis:
 
       (L_diss X)_{ij} = sum_{kl} alpha(nu_ki, nu_lj) conj(S_ki) X_kl S_lj - ...

@@ -53,7 +53,7 @@ gap mode off the caller's propagator and propagates it by
 ``np.linalg.eig`` of the propagator's generator.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -100,7 +100,19 @@ class MixingReport:
     eigensolves: int
 
     def to_json_dict(self):
-        return asdict(self)
+        return {
+            "epsilon": self.epsilon,
+            "t_measured": self.t_measured,
+            "t_lower": self.t_lower,
+            "t_upper": self.t_upper,
+            "family": self.family,
+            "crossings": [[sid, t] for sid, t in self.crossings],
+            "gap": self.gap,
+            "lambda_min": self.lambda_min,
+            "chunks": self.chunks,
+            "rounds": self.rounds,
+            "eigensolves": self.eigensolves,
+        }
 
 
 @dataclass(frozen=True)
@@ -350,6 +362,11 @@ class SpectralPropagator:
         diag = np.arange(self.sigma.dim)
         Y[:, diag, diag] -= self.sigma.weights
         return Y
+
+    def state_at(self, coeffs, t):
+        """The propagated states rho_s(t), an (S, d, d) stack (see ``_propagate``)."""
+        rho = self._U @ self._scatter(self._propagate(coeffs, t), coeffs) @ self._Uh
+        return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
     def deviations(self, coeffs, t):
         """Hermitian U^dag (rho_s(t) - sigma) U for each column, in sigma.basis.

@@ -43,8 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lindblad import (Superoperator, Triplets, WeightFunction, _component_labels,
-                       build_ckg_generator)
+from .lindblad import Superoperator, Triplets, WeightFunction, build_ckg_generator
 from .pauli import single_site_paulis
 
 KERNEL_TOL = 1e-9
@@ -140,6 +139,20 @@ def _hermitian_part(A: Triplets):
     h = np.insert(h, place, 0.5 * val[by_t[new]].conj())
     nz = h != 0
     return Triplets(row[nz], col[nz], h[nz], side), float(resid / max(1.0, np.linalg.norm(val)))
+
+
+def _component_labels(n, rows, cols):
+    """Weak component of each of n vertices under the edges (rows, cols), numbered as csgraph does.
+
+    Rounds hook each edge's larger root to its smaller one and jump pointers
+    to the roots; roots only decrease, ending at each component's least vertex.
+    """
+    root = np.arange(n)
+    while not np.array_equal(rr := root[rows], rc := root[cols]):
+        np.minimum.at(root, np.maximum(rr, rc), np.minimum(rr, rc))
+        while not np.array_equal(hop := root[root], root):
+            root = hop
+    return np.unique(root, return_inverse=True)[1]
 
 
 def transpose_map(side):

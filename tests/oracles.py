@@ -52,9 +52,9 @@ as test oracles only:
   diagonal in.  ``matrix`` is the dense computational-basis matrix of a
   generator, rotated out of its stored basis by ``congruence``, the
   leg-wise O(d^5) basis change, and ``apply`` its action on one
-  observable.  ``state_at`` rotates the states a ``SpectralPropagator``
-  carries in sigma.basis back out, ``evolve`` propagates one state through
-  it, and ``expm_flow`` by a dense matrix exponential of the stored matrix.
+  observable.  ``evolve`` propagates one state through a
+  ``SpectralPropagator``, and ``expm_flow`` by a dense matrix exponential
+  of the stored matrix.
 * ``component_labels_csgraph`` and ``blocks_csgraph`` label the connected
   components of a pattern with ``scipy.sparse.csgraph``, and
   ``blocks_csgraph`` pairs them by transposing each component's index set;
@@ -164,14 +164,6 @@ def apply(L, X):
     return L.from_basis(unvec(L.local @ vec(L.to_basis(X))))
 
 
-def state_at(prop, coeffs, t):
-    """The propagated states rho_s(t) of a ``SpectralPropagator``, an (S, d, d) stack, rotated
-    out of sigma.basis: the library keeps them there (``deviations``)."""
-    U = prop.sigma.basis
-    rho = U @ prop._scatter(prop._propagate(coeffs, t), coeffs) @ U.conj().T
-    return 0.5 * (rho + rho.conj().swapaxes(1, 2))
-
-
 def evolve(L, rho0, t):
     """rho0 propagated to time t under e^{t L^dag} by one ``SpectralPropagator`` of L.
 
@@ -180,7 +172,7 @@ def evolve(L, rho0, t):
     """
     rho0 = _check_state(rho0, L.dim, "rho0")
     prop = SpectralPropagator(L)
-    return state_at(prop, prop.coefficients([rho0]), t)[0]
+    return prop.state_at(prop.coefficients([rho0]), t)[0]
 
 
 def expm_flow(L, rho0, t):
@@ -539,7 +531,7 @@ def first_crossing_time(prop, rho0, epsilon, t_cap):
     coeffs = prop.coefficients([np.asarray(rho0, dtype=complex)])
 
     def dist(t):
-        return float(np.abs(np.linalg.eigvalsh(state_at(prop, coeffs, t)[0] - sig)).sum())
+        return float(np.abs(np.linalg.eigvalsh(prop.state_at(coeffs, t)[0] - sig)).sum())
 
     if dist(0.0) <= epsilon:
         return 0.0

@@ -73,7 +73,6 @@ from oracles import (
     sigma_power,
     swap_unitary_original,
 )
-from oracles import state_at as oracle_state_at
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -400,7 +399,7 @@ def test_block_eigensolves_match_dense_eigh(H, n, shapes):
     c_blocks = np.concatenate([x.reshape(-1, len(rhos)) for _, x in c.blocks])
     multiplicity = 1 + c.mirrored
     for t in (0.0, 0.5, 3.0):
-        states = oracle_state_at(prop, c, t)
+        states = prop.state_at(c, t)
         for s, rho0 in enumerate(rhos):
             c_dense = coefficients(rho0)
             measure = np.sum(multiplicity * np.abs(c_blocks[:, s]) ** 2 * np.exp(t * w_blocks))
@@ -500,10 +499,9 @@ def test_global_sweep_matches_dense_oracle_with_one_eigh_of_h_per_point(monkeypa
         assert rec["gap_re"] == pytest.approx(old.gap, rel=RTOL)
 
 
-# The couplings rotated by the blocks of U against the dense U^dag S U. On the
-# ring U is a permutation, and the dense products add only exact zeros to each
-# entry, so the two routes agree bit for bit; a dense U is one block, taken by
-# the same gather and one product with U as the dense route.
+# ``eigenbasis_entries`` against the dense U^dag S U. On the ring U is a
+# permutation with phases, and the dense products add only exact zeros to each
+# entry, so its gather agrees bit for bit; any other U takes the same two products.
 
 
 def dense_eigenbasis_entries(S, es):
@@ -522,7 +520,7 @@ def dense_paulis(n):
 
 @pytest.fixture
 def dense_route(monkeypatch):
-    """Runs a build with the dense U^dag S U in place of the blocks of U."""
+    """Runs a build with the dense U^dag S U in place of ``eigenbasis_entries``."""
     def run(build):
         with monkeypatch.context() as m:
             m.setattr(qrex.lindblad, "eigenbasis_entries", dense_eigenbasis_entries)
@@ -539,7 +537,7 @@ def assert_same_triplets(A, B):
 @pytest.mark.parametrize("J", [1.0, 3.0, 5.0])
 @pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_ring_generator_by_blocks_of_u_is_bitwise_the_dense_route(n, w, J, dense_route):
+def test_ring_generator_by_gather_is_bitwise_the_dense_route(n, w, J, dense_route):
     es = eigensystem(assemble_dense(defected_ising_1d(n, J)))
     L = build_ckg_generator(es, single_site_paulis(n), w)
     assert_same_triplets(L.local, dense_route(lambda: build_ckg_generator(es, dense_paulis(n), w)).local)
@@ -549,6 +547,7 @@ def test_ring_generator_by_blocks_of_u_is_bitwise_the_dense_route(n, w, J, dense
 @pytest.mark.parametrize("w", [GM, GG], ids=["metropolis", "gaussian"])
 def test_ring_replica_and_g_b_builds_are_bitwise_the_dense_route(n, w, dense_route):
     js = joint_structure(defected_ising_1d(n, 3.0))
+    assert js.system_es.permutation is not None and js.aux_es.permutation is not None
     assert_same_triplets(build_replica_exchange_generator(js, w).local,
                          dense_route(lambda: build_replica_exchange_generator(js, w)).local)
     assert a_diagonal_restriction_gap(js, w) == dense_route(lambda: a_diagonal_restriction_gap(js, w))
@@ -558,8 +557,8 @@ GRID = defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0)
 
 
 def rotated_couplings():
-    """(eigensystem, couplings) beyond the ring's permutation U: the 2x3 grid, the
-    transverse-field ring (one dense block), and the joint structures' labeled bases."""
+    """(eigensystem, couplings) beyond the ring's single system: the 2x3 grid and the
+    transverse-field ring (U not a permutation), and the joint structures' labeled bases."""
     cases = [(eigensystem(assemble_dense(GRID)), single_site_paulis(6))]
     for n in (3, 4):
         cases.append((eigensystem(transverse_field_ring(n)), single_site_paulis(n)))
@@ -571,8 +570,10 @@ def rotated_couplings():
     return cases
 
 
-def test_coupling_entries_by_blocks_of_u_match_the_dense_route():
-    for es, couplings in rotated_couplings():
+def test_coupling_entries_are_bitwise_the_dense_route():
+    cases = rotated_couplings()
+    assert cases[0][0].permutation is None and cases[1][0].permutation is None
+    for es, couplings in cases:
         d = es.dim
         for S in couplings:
             S = S if isinstance(S, Triplets) else Triplets.of(S)
@@ -581,11 +582,11 @@ def test_coupling_entries_by_blocks_of_u_match_the_dense_route():
             new[p] = v
             p, v = dense_eigenbasis_entries(S, es)
             old[p] = v
-            assert np.abs(new - old).max() <= 1e-15 * np.abs(old).max()
+            assert np.array_equal(new, old)
 
 
 @pytest.mark.parametrize("mode", ["single", "local_A"])
-def test_grid_gap_by_blocks_of_u_matches_the_dense_route(mode, dense_route):
+def test_grid_gap_matches_the_dense_route(mode, dense_route):
     w = WeightFunction("metropolis", 0.05)
     if mode == "single":
         es = eigensystem(assemble_dense(GRID))
@@ -600,7 +601,7 @@ def test_grid_gap_by_blocks_of_u_matches_the_dense_route(mode, dense_route):
 
 def test_ring_build_forms_no_dense_coupling(monkeypatch):
     """U of the ring is a permutation, so no build holds a d x d coupling: the Pauli
-    strings stay Triplets, nothing dense is converted, and each block pair is 1 x 1."""
+    strings stay Triplets, nothing dense is converted, and each U is taken by its gather."""
     n = 6
     d = 2**n
     es = eigensystem(assemble_dense(defected_ising_1d(n, 3.0)))
@@ -626,4 +627,4 @@ def test_ring_build_forms_no_dense_coupling(monkeypatch):
     a_diagonal_restriction_gap(js, GG)
     assert formed == []
     for e in (es, js.system_es, js.aux_es):
-        assert [V.shape[1:] for _, V in e.blocks[0]] == [(1, 1)]
+        assert e.permutation is not None

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -696,14 +698,20 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_classical_gap_below_double_precision_exit_four(self, tmp_path, capsys):
-        # the n = 3 ring at beta = 4, J = 5 printed 3.93e-16, below the floor 5.7e-14
+        # the n = 3 ring at beta = 4, J = 5 printed 3.93e-16, below the floor 5.7e-14;
+        # the resolved J = 1 row is kept, as a quantum sweep keeps its resolved points
         cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": 3}, "beta": 4.0,
                                       "sweep": {"param": "J", "values": [1.0, 5.0]}})
-        assert main(["classical", "--config", cfg]) == 4
+        assert main(["classical", "--config", cfg, "--format", "csv"]) == 4
         out, err = capsys.readouterr()
-        assert out == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["status"] for r in rows] == ["ok", "unresolved"]
+        assert float(rows[0]["gap_single"]) > 0 and rows[0]["error"] == ""
+        assert np.isnan(float(rows[1]["gap_single"])) and np.isnan(float(rows[1]["gap_re"]))
+        assert rows[1]["error"].startswith("classical gap 3.930e-16 is below the resolvable floor")
         assert err.startswith("numerical error: classical gap 3.930e-16 is below the resolvable "
                               "floor")
+        assert err.endswith("(J = 5.0, beta = 4.0)\n")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("n", [3, 4, 5])

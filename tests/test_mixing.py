@@ -39,7 +39,6 @@ from oracles import (
     gap_mode_state,
     matrix,
     pauli_string_matrix,
-    state_at,
     trace_distance,
     trace_norm_bounds,
 )
@@ -326,7 +325,7 @@ class TestTraceDistanceMonotone:
         prop = SpectralPropagator(heis)
         coeffs = prop.coefficients([rho0])
         ts = np.linspace(0.0, 8.0, 17)
-        dists = [trace_distance(state_at(prop, coeffs, t)[0], sg.sigma) for t in ts]
+        dists = [trace_distance(prop.state_at(coeffs, t)[0], sg.sigma) for t in ts]
         assert all(d2 <= d1 + 1e-10 for d1, d2 in zip(dists, dists[1:]))
 
     def test_distances_in_sigma_basis_match_rotated_states(self):
@@ -339,7 +338,7 @@ class TestTraceDistanceMonotone:
         coeffs = prop.coefficients([rho0])
         ts = np.linspace(0.0, 8.0, 17)
         dists = prop.distances(coeffs, ts)
-        oracle = [trace_distance(state_at(prop, coeffs, t)[0], sg.sigma) for t in ts]
+        oracle = [trace_distance(prop.state_at(coeffs, t)[0], sg.sigma) for t in ts]
         assert np.abs(dists - oracle).max() <= 1e-12
 
 
@@ -569,7 +568,7 @@ class TestBlockSparseSearch:
         ts = np.array([0.0, 0.3, 2.0, 9.0])
         dists = prop.distances(coeffs, ts)
         for t, dist in zip(ts, dists):
-            rho_t = state_at(prop, coeffs, t)[0]
+            rho_t = prop.state_at(coeffs, t)[0]
             assert np.abs(rho_t - oracles.expm_flow(heis, rho0, t)).max() <= 1e-12
             assert abs(dist - trace_distance(rho_t, sg.sigma)) <= 1e-12
 
