@@ -94,6 +94,11 @@ class Triplets:
     def __neg__(self):
         return Triplets(self.row, self.col, -self.val, self.side, self.paired)
 
+    def restrict(self, keep):
+        """Principal submatrix on the indices where the mask ``keep`` holds, numbered in order."""
+        new, e = np.cumsum(keep, dtype=np.int32) - 1, keep[self.row] & keep[self.col]
+        return Triplets(new[self.row[e]], new[self.col[e]], self.val[e], int(keep.sum()))
+
 
 def canonical(row, col, val, side):
     """Triplets of the side x side matrix with entries val[e] at (row[e], col[e]).

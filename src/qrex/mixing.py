@@ -47,7 +47,7 @@ bounds coincide and no d x d matrix is formed.  Solving and carrying one
 block of each conjugate pair halves the eigensolve and the work of every
 round, and a chunk holds twice the states (``BENCH_20_conjugate_pairs.json``).
 
-Propagation has one route: a generator that ``symmetrize`` rejects (not
+Propagation has one route: a generator that ``block_eigh`` rejects (not
 detailed balanced) raises its ValueError.  ``chi_square_rate_fit`` reads its
 gap mode off the caller's propagator and propagates it by
 ``np.linalg.eig`` of the propagator's generator.

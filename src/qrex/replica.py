@@ -39,6 +39,7 @@ from .lindblad import (
     Eigensystem,
     GibbsState,
     Superoperator,
+    Triplets,
     WeightFunction,
     alpha_table,
     build_ckg_generator,
@@ -47,7 +48,7 @@ from .lindblad import (
     gibbs_state,
 )
 from .pauli import qubit_permutation, single_site_paulis
-from .spectral import KERNEL_TOL, block_eigvalsh, kms_scaling, symmetrize
+from .spectral import KERNEL_TOL, block_eigvalsh, kms_scaling, spectral_norm, symmetrize
 
 CLOSED_FORM_RTOL = 1e-9
 
@@ -324,21 +325,20 @@ def swap_sector_analysis(js: JointStructure, swap):
     """
     sigma = swap.sigma
     Lhat = symmetrize(swap)
+    scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
     column, entry, part = _sector_basis(js, kms_scaling(sigma))
     r, c = column[Lhat.row], column[Lhat.col]  # Q^T L_hat Q: Q's column supports are disjoint
     e = (r >= 0) & (c >= 0)
-    R = -canonical(r[e], c[e], entry[Lhat.row[e]] * Lhat.val[e] * entry[Lhat.col[e]],
-                   part.size).toarray()
-    R = 0.5 * (R + R.conj().T)
+    R = -canonical(r[e], c[e], entry[Lhat.row[e]] * Lhat.val[e] * entry[Lhat.col[e]], part.size)
     evals = block_eigvalsh(R)
-    scale = max(np.abs(block_eigvalsh(Lhat)).max(), 1e-300)
     diag_a, off_a, off_diag, off_off = part == 0, part > 0, part == 1, part == 2
 
     def cross(rows, cols):
-        return float(np.linalg.norm(R[np.ix_(rows, cols)], 2) / scale)
+        b = rows[R.row] & cols[R.col]  # the entries of R between the two parts
+        return float(spectral_norm(Triplets(R.row[b], R.col[b], R.val[b], R.side)) / scale)
 
     def least(rows, k=0):
-        return float(block_eigvalsh(R[np.ix_(rows, rows)])[k])
+        return float(block_eigvalsh(R.restrict(rows))[k])
 
     return {
         "restricted_kernel_dim": int(np.sum(evals <= KERNEL_TOL * scale)),

@@ -13,7 +13,7 @@ global: U (x) U).  There Phi is the diagonal
 scaling diag(phi) L diag(1/phi) of the sparse stored matrix
 (Chen-Kastoryano-Gilyen, arXiv:2311.09207), so ``symmetrize`` forms L_hat
 as ``Triplets`` with the pattern of L.  L is detailed balanced exactly when
-L_hat is Hermitian, so that residual is the detailed-balance check.
+L_hat is Hermitian, which ``block_eigh`` checks on the blocks it forms.
 
 Every eigensolve of L_hat goes through ``block_eigh``: single-site jumps in
 a basis where H is diagonal leave most entries of L_hat exactly zero, and
@@ -98,47 +98,16 @@ def kms_scaling(sigma):
 
 
 def symmetrize(L: Superoperator):
-    """Hermitian matrix of Phi o L o Phi^(-1), as Triplets in the basis L is stored in.
+    """Phi o L o Phi^(-1) as ``paired`` Triplets in the basis L is stored in, with no check.
 
     L is stored in the basis its Gibbs state L.sigma is diagonal in; there
     Phi is the diagonal scaling diag(phi) L diag(1/phi) with
-    phi = kms_scaling(L.sigma).  L_hat has the dtype of L's stored values:
-    float64 (real symmetric) for a generator that ``lindblad.canonical``
-    stored real, complex128 otherwise.  Raises ValueError when the
-    Hermiticity residual of L_hat exceeds HERMITICITY_TOL (L is not
-    detailed balanced).
+    phi = kms_scaling(L.sigma), so L_hat has the pattern and the dtype of L:
+    float64 for a generator that ``lindblad.canonical`` stored real,
+    complex128 otherwise.  ``block_eigh`` checks that L_hat is Hermitian.
     """
     A, phi = L.local, kms_scaling(L.sigma)
-    Lhat, herm = _hermitian_part(Triplets(A.row, A.col, phi[A.row] * A.val * (1.0 / phi)[A.col],
-                                          A.side))
-    if herm > HERMITICITY_TOL:
-        raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
-                         f"L_hat {herm:.2e})")
-    return Triplets(Lhat.row, Lhat.col, Lhat.val, Lhat.side, paired=True)
-
-
-def _hermitian_part(A: Triplets):
-    """(A + A^dag) / 2 of the Triplets A, and ||A - A^dag|| / max(1, ||A||).
-
-    Entry (i, j) of the result is (a_ij + conj(a_ji)) / 2, a_ji = 0 where (j, i) holds
-    no entry, and entry (j, i) its conjugate, so the result is exactly Hermitian.
-    """
-    side, val = A.side, A.val
-    key = np.multiply(A.row, side, dtype=np.int64) + A.col
-    by_t = np.argsort(A.col, kind="stable")  # A is canonical: this is its (col, row) order
-    tcol = A.col[by_t]
-    tkey = np.multiply(tcol, side, dtype=np.int64) + A.row[by_t]  # sorted keys of the mirrors
-    at = np.minimum(np.searchsorted(tkey, key), max(key.size - 1, 0))
-    lone = tkey[at] != key
-    mirror = np.where(lone, 0.0, val[by_t[at]].conj())
-    resid = np.hypot(np.linalg.norm(val - mirror), np.linalg.norm(val[lone]))
-    h = 0.5 * (val + mirror)
-    new = lone[by_t]  # the lone entries, in the order of their mirror keys
-    place = np.searchsorted(key, tkey[new])
-    row, col = np.insert(A.row, place, tcol[new]), np.insert(A.col, place, A.row[by_t[new]])
-    h = np.insert(h, place, 0.5 * val[by_t[new]].conj())
-    nz = h != 0
-    return Triplets(row[nz], col[nz], h[nz], side), float(resid / max(1.0, np.linalg.norm(val)))
+    return Triplets(A.row, A.col, phi[A.row] * A.val * (1.0 / phi)[A.col], A.side, paired=True)
 
 
 def _component_labels(n, rows, cols):
@@ -273,22 +242,34 @@ def _blocks(A):
 
 
 def block_eigh(A, vectors=True):
-    """Eigendecomposition of the Hermitian A (dense or Triplets), one batched eigh per block size.
+    """Eigendecomposition of the Hermitian part H = (A + A^dag) / 2 of A, one eigh per block size.
 
-    Returns a list of (idx, w, V, twin), one per distinct block size b:
-    ``idx`` is the (k, b) array of the indices of k blocks, ``w`` their
-    (k, b) ascending eigenvalues and ``V`` their (k, b, b) eigenvectors
-    (None without ``vectors``), so that A[i][:, i] @ V[c] = V[c] * w[c] with
-    i = idx[c].  For a ``paired`` A one block of each conjugate pair is
-    solved (see ``_blocks``): where ``twin[c]`` holds, the partner block on
-    the indices T(idx[c]) has the same eigenvalues w[c] and the conjugate
-    eigenvectors conj(V[c]).  The stacks take the dtype of A: a real A is
-    solved as real symmetric blocks, with float64 eigenvectors (a twin's
-    partner then holds the same matrix and eigenvectors), in half the bytes
-    and about half the time of the complex route.
+    A is dense or Triplets.  Returns a list of (idx, w, V, twin), one per
+    distinct block size b: ``idx`` is the (k, b) array of the indices of k
+    blocks, ``w`` their (k, b) ascending eigenvalues and ``V`` their
+    (k, b, b) eigenvectors (None without ``vectors``), so that
+    H[i][:, i] @ V[c] = V[c] * w[c] with i = idx[c].  For a ``paired`` A one
+    block of each conjugate pair is solved (see ``_blocks``): where
+    ``twin[c]`` holds, the partner block on the indices T(idx[c]) has the
+    same eigenvalues w[c] and the conjugate eigenvectors conj(V[c]).  Before
+    any eigensolve, a relative residual ||A - A^dag|| / max(1, ||A||) of the
+    blocks and their partners above HERMITICITY_TOL is a ValueError: L is
+    not detailed balanced.  A real A is solved as real symmetric blocks, in
+    half the bytes and about half the time of the complex route.
     """
+    A = A if isinstance(A, Triplets) else Triplets.of(A)
+    blocks, sq = _blocks(A), 0.0
+    for _, sub, twin in blocks:
+        sub_h = sub.conj().swapaxes(1, 2)
+        sq += (1 + twin) @ np.linalg.norm(sub - sub_h, axis=(1, 2)) ** 2
+        sub += sub_h
+        sub *= 0.5
+    herm = float(np.sqrt(sq) / max(1.0, np.linalg.norm(A.val)))
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
+                         f"L_hat {herm:.2e})")
     groups = []
-    for idx, sub, twin in _blocks(A):
+    for idx, sub, twin in blocks:
         if vectors:
             w, V = np.linalg.eigh(sub)
         else:
@@ -464,15 +445,12 @@ def a_diagonal_restriction_gap(js, w: WeightFunction):
     built in the product labels |i_A j_B> of the caller's
     replica.JointStructure ``js``, which diagonalize H, so L_hat is a sparse
     scaling, and its principal submatrix on the A-diagonal vec indices is
-    kept, renumbered in order.  Its kernel holds one state per A label.
+    kept (``Triplets.restrict``).  Its kernel holds one state per A label.
     """
     es = js.system_es
     couplings = single_site_paulis(js.n, sites=js.cut.perm_order[js.n_a:])
     Lhat = symmetrize(build_ckg_generator(es, couplings, w))
     d = es.dim
     a_label = np.arange(d) // js.d_b  # A label of each stored basis index
-    r = np.arange(d * d)  # vec index r = i + d*j
-    keep = a_label[r % d] == a_label[r // d]
-    new, e = np.cumsum(keep, dtype=np.int32) - 1, keep[Lhat.row] & keep[Lhat.col]
-    sub = Triplets(new[Lhat.row[e]], new[Lhat.col[e]], -Lhat.val[e], int(keep.sum()))
+    sub = -Lhat.restrict((a_label[:, None] == a_label).ravel())  # symmetric, so in vec order
     return gap_from_eigenvalues(block_eigvalsh(sub), js.d_a).gap

@@ -26,6 +26,7 @@ from .classical import (
 from .hamiltonians import assemble_dense, compress_onto, defected_ising_1d
 from .lindblad import (
     Superoperator,
+    Triplets,
     WeightFunction,
     add,
     alpha_coeff,
@@ -193,7 +194,8 @@ def run_verification(seed=42, beta=1.0):
 
     def gap_rescaling():
         gap1 = gap_from_eigenvalues(evals).gap
-        gap2 = spectral_gap(Superoperator(2.5 * L_m.local.toarray(), L_m.sigma)).gap
+        A, sigma = L_m.local, L_m.sigma
+        gap2 = spectral_gap(Superoperator(Triplets(A.row, A.col, 2.5 * A.val, A.side), sigma)).gap
         return abs(gap2 - 2.5 * gap1) <= 1e-9 * gap2, f"{gap2 / gap1:.12f}"
 
     results.append(_gap_check("spectral.gap_rescaling", gap_rescaling))

@@ -32,7 +32,7 @@ as test oracles only:
   each quotient bounds the exact minimum from above.
 * ``detailed_balance_residual`` probes KMS self-adjointness with random
   operator pairs; the library's detailed-balance check is the Hermiticity
-  residual of L_hat in ``qrex.spectral.symmetrize``.
+  residual of the blocks of L_hat in ``qrex.spectral.block_eigh``.
 * ``kms_inner`` and ``sigma_power`` form the KMS inner product and the
   fractional powers of sigma densely, from ``GibbsState.basis`` and
   ``GibbsState.weights``.
@@ -64,9 +64,14 @@ as test oracles only:
   every block, the reference for the one-block-per-pair route.
 * ``csr_entries``, ``lift_kron`` and ``hermitian_part_csr`` are the
   scipy.sparse expressions that ``qrex.lindblad.canonical``,
-  ``qrex.replica.lift`` and ``qrex.spectral._hermitian_part`` replace:
+  ``qrex.replica.lift`` and ``qrex.spectral.block_eigh`` replace:
   ``coo_array(...).tocsr()`` with its zeros eliminated, the relabeled
-  ``sparse.kron`` with an identity, and ``(A + A^dag) / 2`` of a CSR array.
+  ``sparse.kron`` with an identity, and ``(A + A^dag) / 2`` of a CSR array
+  with its Hermiticity residual.  ``block_eigh`` takes that part block by
+  block: ``hermitian_stacks`` records the blocks its eigh receives,
+  ``refused_at`` whether its gate refuses A at a given bound before any
+  eigensolve (``no_eigensolve``), and ``assert_gate_at`` brackets the
+  residual by that bound.
 
 * ``kron_all`` builds a Pauli string as a product of Kronecker factors;
   ``qrex.pauli.pauli_string`` holds its d phases as ``Triplets``, whose
@@ -94,14 +99,17 @@ Pauli decomposition ``pauli_decompose``/``pauli_support``, and
 defect bond (no scenario reports it).
 """
 
+from contextlib import contextmanager
 from functools import reduce
 from itertools import product
+from unittest import mock
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm, solve_triangular
 from scipy.sparse.csgraph import connected_components
 
+import qrex.spectral
 from qrex.hamiltonians import assemble_dense, compress_onto
 from qrex.lindblad import (
     QUAD_PANELS,
@@ -678,6 +686,63 @@ def hermitian_part_csr(A):
     H = A + Ah
     H *= 0.5
     return H.toarray(), float(resid)
+
+
+def hermitian_stacks(A):
+    """The blocks that ``qrex.spectral.block_eigh(A)`` hands to eigh, written into a dense matrix.
+
+    The detailed-balance gate is lifted for the call, and each block is
+    written at its indices as ``np.linalg.eigh`` receives it; a partner
+    block, which is never formed, stays zero.
+    """
+    seen, eigh = [], np.linalg.eigh
+
+    def spy(sub):
+        seen.append(sub.copy())
+        return eigh(sub)
+
+    with mock.patch.object(qrex.spectral, "HERMITICITY_TOL", np.inf), \
+            mock.patch.object(np.linalg, "eigh", spy):
+        groups = block_eigh(A)
+    H = np.zeros(A.shape, dtype=seen[0].dtype)
+    for (idx, _, _, _), stack in zip(groups, seen):
+        for i, block in zip(idx, stack):
+            H[np.ix_(i, i)] = block
+    return H
+
+
+def assert_gate_at(A, resid, rel):
+    """``block_eigh`` refuses A under a bound ``rel`` below ``resid`` and accepts it ``rel`` above."""
+    if resid == 0.0:
+        assert not refused_at(A, 0.0)
+    else:
+        assert refused_at(A, resid * (1 - rel)) and not refused_at(A, resid * (1 + rel))
+
+
+def refused_at(A, tol):
+    """Whether ``block_eigh(A)`` refuses A as not detailed balanced when HERMITICITY_TOL is tol.
+
+    No eigensolver may run first (``no_eigensolve``).
+    """
+    with mock.patch.object(qrex.spectral, "HERMITICITY_TOL", tol), no_eigensolve():
+        try:
+            block_eigh(A)
+        except AssertionError:
+            return False
+        except ValueError as exc:
+            if "not detailed balanced" in str(exc):
+                return True
+            raise
+    return False
+
+
+@contextmanager
+def no_eigensolve():
+    """np.linalg.eigh and eigvalsh raise AssertionError while the context is open."""
+    stop = AssertionError("eigensolve before the detailed-balance gate")
+    with mock.patch.object(np.linalg, "eigh", side_effect=stop), \
+            mock.patch.object(np.linalg, "eigvalsh", side_effect=stop):
+        yield
 
 
 def pauli_string_matrix(n, factors, coeff=1.0):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrex.hamiltonians import assemble_dense, defected_ising_1d
-from qrex.lindblad import Triplets, WeightFunction, build_ckg_generator, eigensystem
+from qrex.lindblad import (
+    Superoperator,
+    Triplets,
+    WeightFunction,
+    build_ckg_generator,
+    eigensystem,
+)
 from qrex.pauli import single_site_paulis
 from qrex.replica import (
     build_replica_exchange_generator,
@@ -15,6 +21,7 @@ from qrex.replica import (
     swap_generator_closed_form,
 )
 from qrex.spectral import (
+    HERMITICITY_TOL,
     _blocks,
     _component_labels,
     block_eigh,
@@ -22,9 +29,16 @@ from qrex.spectral import (
     spectral_gap,
     spectral_norm,
     symmetrize,
+    transpose_map,
 )
 
-from oracles import blocks_csgraph, component_labels_csgraph, unpaired
+from oracles import (
+    assert_gate_at,
+    blocks_csgraph,
+    component_labels_csgraph,
+    no_eigensolve,
+    unpaired,
+)
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -287,3 +301,44 @@ def test_solved_entry_without_a_mirror_counts_whole():
                           _component_labels(Lhat.side, Lhat.row, Lhat.col))
     with pytest.raises(ValueError, match="pairing residual"):
         block_eigh(bad)
+
+
+def ring_generator():
+    es = eigensystem(assemble_dense(defected_ising_1d(3, 3.0)))
+    return build_ckg_generator(es, single_site_paulis(3), GM)
+
+
+def test_perturbation_inside_a_solved_twin_block_is_refused():
+    # an off-diagonal entry of a solved twin block and its T-image in the partner
+    # block moved alike: the pair stays conjugate, so only the Hermiticity gate
+    # sees it, and its residual counts the partner block as well
+    Lhat = symmetrize(ring_generator())
+    twin_idx = np.concatenate([idx[twin].ravel() for idx, _, twin in blocks_csgraph(Lhat)])
+    e = np.flatnonzero(np.isin(Lhat.row, twin_idx) & (Lhat.row != Lhat.col))[0]
+    t = transpose_map(Lhat.side)
+    key = Lhat.row.astype(np.int64) * Lhat.side + Lhat.col
+    image = np.searchsorted(key, t[Lhat.row[e]] * Lhat.side + t[Lhat.col[e]])
+    val = Lhat.val.copy()
+    val[e] += 1e-6 * np.abs(Lhat.val).max()
+    val[image] = np.conj(val[e])
+    bad = Triplets(Lhat.row, Lhat.col, val, Lhat.side, paired=True)
+    D = bad.toarray()
+    resid = np.linalg.norm(D - D.conj().T) / max(1.0, np.linalg.norm(D))
+    assert resid > HERMITICITY_TOL
+    assert_gate_at(bad, resid, rel=1e-12)
+    with pytest.raises(ValueError, match="not detailed balanced"):
+        block_eigh(bad)
+
+
+def test_perturbation_inside_a_partner_block_is_refused_by_the_mirror_check():
+    # the generator itself perturbed, on one entry of a partner block of its L_hat
+    L = ring_generator()
+    Lhat = symmetrize(L)
+    solved = np.concatenate([idx.ravel() for idx, _, _ in blocks_csgraph(Lhat)])
+    partner = np.flatnonzero(~np.isin(Lhat.row, solved))
+    e = partner[np.argmax(np.abs(Lhat.val[partner]))]
+    val = L.local.val.copy()
+    val[e] *= 1.0 + 1e-4
+    bad = Superoperator(Triplets(L.local.row, L.local.col, val, L.local.side), L.sigma)
+    with no_eigensolve(), pytest.raises(ValueError, match="pairing residual"):
+        spectral_gap(bad)

@@ -10,6 +10,7 @@ from qrex.hamiltonians import (
     defected_ising_1d,
 )
 from qrex.lindblad import (
+    Superoperator,
     Triplets,
     WeightFunction,
     add,
@@ -35,7 +36,7 @@ from qrex.replica import (
     swap_generator_generic,
     swap_sector_analysis,
 )
-from qrex.spectral import spectral_gap, spectral_norm
+from qrex.spectral import spectral_gap, spectral_norm, transpose_map
 
 import oracles
 from oracles import (
@@ -337,6 +338,18 @@ class TestSwapKernelAnalysis:
         rep = swap_sector_analysis(js, swap_generator_closed_form(js, 1.0))
         for key, val in rep["cross_term_residuals"].items():
             assert val < 1e-10, (key, val)
+
+    def test_perturbed_swap_generator_is_refused(self):
+        # rows scaled by factors that the transpose map T carries onto themselves:
+        # L_hat stays paired, so the Hermiticity gate refuses it, before any eigensolve
+        js = joint_structure(defected_ising_1d(3, 2.0))
+        swap = swap_generator_closed_form(js, 1.0)
+        A = swap.local
+        u = np.random.default_rng(5).random(A.side)
+        f = 1.0 + 1e-3 * (u + u[transpose_map(A.side)])
+        bad = Superoperator(Triplets(A.row, A.col, f[A.row] * A.val, A.side), swap.sigma)
+        with oracles.no_eigensolve(), pytest.raises(ValueError, match="not detailed balanced"):
+            swap_sector_analysis(js, bad)
 
     @pytest.mark.parametrize("spec, beta", [
         (defected_ising_1d(3, 2.0), 1.0),

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.special import erfc
 
 import qrex.lindblad
@@ -107,7 +108,14 @@ class TestSymmetrize:
         bad = Superoperator(M + 1e-2 * np.linalg.norm(M, 2) * R / np.linalg.norm(R, 2),
                             heis.sigma)
         with pytest.raises(ValueError, match="not detailed balanced"):
-            symmetrize(bad)
+            spectral_gap(bad)
+        with pytest.raises(ValueError, match="not detailed balanced"):
+            block_eigh(symmetrize(bad))
+        # refused before any eigensolve, on every route that solves L_hat
+        with oracles.no_eigensolve():
+            for call in (spectral_gap, SpectralPropagator):
+                with pytest.raises(ValueError, match="not detailed balanced"):
+                    call(bad)
 
     def test_spectrum_matches_direct_diagonalization(self):
         heis = ising_generator(n=3, J=1.5)
@@ -192,11 +200,11 @@ class TestSymmetrizeRoutes:
         expected = A + A.conj().T
         expected *= 0.5
         resid = np.linalg.norm(A - A.conj().T) / max(1.0, np.linalg.norm(A))
-        got, got_resid = qrex.spectral._hermitian_part(Triplets.of(A))
-        assert got_resid == pytest.approx(resid, rel=1e-12)
-        got = got.toarray()
+        got = oracles.hermitian_stacks(Triplets.of(A))
         assert np.array_equal(got, expected)
         assert np.array_equal(got, got.conj().T)
+        assert np.array_equal(got, oracles.hermitian_part_csr(scipy.sparse.csr_array(A))[0])
+        oracles.assert_gate_at(Triplets.of(A), resid, rel=1e-12)
 
 
 class TestSpectralGap:

@@ -2,7 +2,8 @@
 
 ``qrex.lindblad.canonical`` against ``coo_array(...).tocsr()``,
 ``qrex.replica.lift`` against the relabeled ``sparse.kron``,
-``qrex.spectral._hermitian_part`` against the CSR expression it replaced,
+the Hermitian part that ``qrex.spectral.block_eigh`` takes of each block,
+and its Hermiticity residual, against ``(A + A^dag) / 2`` of a CSR array,
 and ``erfc`` and ``theta`` against ``scipy.special``.
 """
 
@@ -26,9 +27,8 @@ from qrex.lindblad import (
     theta,
 )
 from qrex.replica import lift
-from qrex.spectral import _hermitian_part
 
-from oracles import csr_entries, hermitian_part_csr, lift_kron
+from oracles import assert_gate_at, csr_entries, hermitian_part_csr, hermitian_stacks, lift_kron
 
 # dyadic values, whose sums are exact in any order, with exact cancellations
 # (1 and -1, 1j and -1j) and explicit zeros
@@ -128,19 +128,20 @@ def test_lift_matches_relabeled_sparse_kron(d1, d2, factor, seed):
 def test_hermitian_part_matches_csr_expression(entries):
     row, col, val, side = entries
     A = canonical(row, col, val, side)
-    H, resid = _hermitian_part(A)
     ref, ref_resid = hermitian_part_csr(scipy.sparse.csr_array(dense_of(row, col, val, side)))
-    assert np.array_equal(H.toarray(), ref)
-    assert np.array_equal(H.toarray(), H.toarray().conj().T)
-    assert np.all(H.val != 0)
-    assert resid == pytest.approx(ref_resid, rel=1e-14, abs=1e-300)
+    H = hermitian_stacks(A)
+    assert np.array_equal(H, ref)
+    assert np.array_equal(H, H.conj().T)
+    assert_gate_at(A, ref_resid, rel=1e-14)
 
 
 def test_hermitian_part_of_a_lone_entry_adds_its_mirror():
     A = canonical(np.array([0]), np.array([1]), np.array([2.0 + 2.0j]), 2)
-    H, resid = _hermitian_part(A)
-    assert np.array_equal(H.toarray(), [[0, 1 + 1j], [1 - 1j, 0]])
-    assert resid == pytest.approx(np.sqrt(2) * abs(2 + 2j) / abs(2 + 2j))
+    ref, ref_resid = hermitian_part_csr(scipy.sparse.csr_array(A.toarray()))
+    assert np.array_equal(hermitian_stacks(A), [[0, 1 + 1j], [1 - 1j, 0]])
+    assert np.array_equal(hermitian_stacks(A), ref)
+    assert ref_resid == pytest.approx(np.sqrt(2) * abs(2 + 2j) / abs(2 + 2j))
+    assert_gate_at(A, ref_resid, rel=1e-14)
 
 
 GRID = np.linspace(-60.0, 60.0, 24001)
