@@ -134,18 +134,11 @@ def add(*parts):
 
 @dataclass
 class Eigensystem:
-    """Eigendecomposition plus the grouped Bohr-frequency structure.
-
-    ``eigenvalues[i]`` belongs to column i of ``eigenvectors`` (ascending when
-    built by ``eigensystem``).  ``bohr`` holds one representative per group
-    (the group containing zero is pinned to exactly 0.0); ``gid[i, j]`` is the
-    group index of eigenvalues[i] - eigenvalues[j].
-    """
+    """Eigenpairs of a Hermitian H: ``eigenvalues[i]`` belongs to column i of
+    ``eigenvectors`` (ascending when built by ``eigensystem``, any order otherwise)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    bohr: np.ndarray
-    gid: np.ndarray
 
     @property
     def dim(self):
@@ -257,42 +250,36 @@ class Superoperator:
 
 
 def eigensystem(H) -> Eigensystem:
-    """Diagonalize H and group its Bohr frequencies (see eigensystem_from_pairs)."""
+    """Diagonalize H, checking the eigensolver's residual."""
     H = np.asarray(H, dtype=complex)
     lam, U = np.linalg.eigh(H)
     scale = max(1.0, float(np.abs(lam).max()))  # ||H||_2 of the Hermitian H
     resid = np.linalg.norm(H @ U - U * lam)  # ||U^dag H U - diag(lam)|| for the unitary U
     if resid > 1e-11 * scale:
         raise ValueError(f"eigensolver residual {resid:.2e} too large")
-    return eigensystem_from_pairs(lam, U)
+    return Eigensystem(lam, U)
 
 
-def eigensystem_from_pairs(lam, U) -> Eigensystem:
-    """Eigensystem of known eigenpairs: column i of U has eigenvalue lam[i], any order.
+def group_frequencies(nu, scale):
+    """Bohr groups of the frequencies ``nu``: (the groups' values, ascending; each nu's group).
 
-    Two differences land in the same group iff they are within
-    BOHR_GROUP_TOL * max(1, max |lam|) (max |lam| is the norm of the Hermitian
-    matrix the pairs diagonalize) after transitive chaining of the sorted gaps.
+    Sorted neighbours within BOHR_GROUP_TOL * max(1, scale), scale the norm
+    max |lam| of the Hamiltonian, chain into one group, and a group's value
+    is the mean of its members.  0 joins the chain whether or not it is
+    among ``nu``, and the group holding it is exactly 0.0.
     """
-    lam = np.asarray(lam, dtype=float)
-    tol = BOHR_GROUP_TOL * max(1.0, float(np.abs(lam).max()))
-    diffs = (lam[:, None] - lam[None, :]).reshape(-1)
-    order = np.argsort(diffs, kind="stable")
-    # a new group starts wherever consecutive sorted differences exceed tol
-    group_of_sorted = np.concatenate(([0], np.cumsum(np.diff(diffs[order]) > tol)))
-    gid_flat = np.empty(diffs.size, dtype=np.int64)
-    gid_flat[order] = group_of_sorted
-    reps = np.bincount(gid_flat, weights=diffs) / np.bincount(gid_flat)
-    # the group holding the diagonal differences is exactly zero
-    zero_gid = gid_flat[0]  # difference lam[0] - lam[0]
-    reps[zero_gid] = 0.0
-    d = lam.size
-    return Eigensystem(
-        eigenvalues=lam,
-        eigenvectors=U,
-        bohr=reps,
-        gid=gid_flat.reshape(d, d),
-    )
+    tol = BOHR_GROUP_TOL * max(1.0, scale)
+    nu = np.append(nu, 0.0)
+    order = np.argsort(nu, kind="stable")
+    gid = np.empty(nu.size, dtype=np.int64)
+    # a new group starts wherever consecutive sorted frequencies exceed tol
+    gid[order] = np.concatenate(([0], np.cumsum(np.diff(nu[order]) > tol)))
+    count = np.bincount(gid)
+    values = np.bincount(gid, weights=nu) / count
+    values[gid[-1]] = 0.0
+    count[gid[-1]] -= 1  # the appended 0 is no member: its group goes if it has no other
+    keep = count > 0
+    return values[keep], (np.cumsum(keep) - 1)[gid[:-1]]
 
 
 def gibbs_state(es: Eigensystem, beta: float) -> GibbsState:
@@ -482,14 +469,13 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     # couplings in the eigenbasis: positions k*d + i of the nonzero entries, and their values
     rotated = (eigenbasis_entries(S, es) for S in couplings)
     entries = [(p.astype(np.int32), s) for p, s in rotated if p.size]
-    gid = es.gid.reshape(-1)  # Bohr group of nu_ki at k*d + i
-    # the alpha table over the Bohr groups of the nonzero coupling entries
-    used_groups = np.unique(gid[np.concatenate([p for p, _ in entries] + [np.zeros(0, int)])])
-    nus = es.bohr[used_groups]
+    # the alpha table over the Bohr groups of nu_ki = lam[k] - lam[i] at the nonzero entries
+    used = np.unique(np.concatenate([p for p, _ in entries] + [np.zeros(0, np.int32)]))
+    lam = es.eigenvalues
+    nus, group = group_frequencies(lam[used // d] - lam[used % d], float(np.abs(lam).max()))
     table = alpha_table(nus, w)
-    slot = np.zeros(es.bohr.size, dtype=np.int32)
-    slot[used_groups] = np.arange(used_groups.size)
-    slot = slot[gid]  # alpha-table slot of nu_ki at k*d + i
+    slot = np.zeros(d * d, dtype=np.int32)  # alpha-table slot of nu_ki at k*d + i
+    slot[used] = group
     Ktab = (np.tanh(-w.beta * (nus[:, None] - nus[None, :]) / 4.0) / 2.0j) * table
 
     # the anticommutator and coherent cores come from the k = l entries:

@@ -44,7 +44,6 @@ from .lindblad import (
     alpha_table,
     build_ckg_generator,
     canonical,
-    eigensystem_from_pairs,
     gibbs_state,
 )
 from .pauli import qubit_permutation, single_site_paulis
@@ -68,15 +67,13 @@ class JointStructure:
     the A-side family {H_A} u {V_A}.  ``system_es`` is the labeled
     eigensystem of H: its eigenvectors ``system_basis`` are the |i_A j_B>
     vectors in the original site ordering, with the eigenvalues ``lam2``.
-    The system generator and g_B are both built from it.  ``joint_basis``
-    holds the |i_A j_B m_A> vectors in the original joint ordering.
+    The system generator and g_B are both built from it.
     """
 
     cut: CutReport
     basis_a: np.ndarray
     perm: np.ndarray
     system_es: Eigensystem
-    joint_basis: np.ndarray
     n: int
 
     @property
@@ -92,7 +89,7 @@ class JointStructure:
     @property
     def aux_es(self):
         """Eigensystem of the auxiliary copy of A: the trivial Hamiltonian I in ``basis_a``."""
-        return eigensystem_from_pairs(np.ones(self.d_a), self.basis_a)
+        return Eigensystem(np.ones(self.d_a), self.basis_a)
 
     @property
     def d_a(self):
@@ -138,8 +135,7 @@ def joint_structure(spec) -> JointStructure:
     system_basis = np.empty_like(W)
     system_basis[p] = W  # P^dag W: the labels in the original site ordering
     return JointStructure(cut=cut, basis_a=basis_a, perm=p,
-                          system_es=eigensystem_from_pairs(np.diag(Hw).real.copy(), system_basis),
-                          joint_basis=np.kron(system_basis, basis_a), n=spec.n)
+                          system_es=Eigensystem(np.diag(Hw).real.copy(), system_basis), n=spec.n)
 
 
 def _swap_entries(omega, p, beta):
@@ -188,7 +184,8 @@ def swap_generator_generic(js: JointStructure, beta) -> Superoperator:
     of H_joint = H (x) I + I: the generator does not depend on the eigenbasis chosen
     in a degenerate eigenspace, so the two compare entry by entry in one basis.
     """
-    es = eigensystem_from_pairs(np.repeat(js.system_es.eigenvalues, js.d_a) + 1.0, js.joint_basis)
+    es = Eigensystem(np.repeat(js.system_es.eigenvalues, js.d_a) + 1.0,
+                     np.kron(js.system_basis, js.basis_a))
     pj = (js.perm[:, None] * js.d_a + np.arange(js.d_a)).reshape(-1)
     swap = canonical(pj[_swap_permutation(js.d_a, js.d_b)], pj, np.ones(pj.size), pj.size)
     return build_ckg_generator(es, [swap], WeightFunction("metropolis", beta))

@@ -35,6 +35,7 @@ from .lindblad import (
     eigenbasis_entries,
     eigensystem,
     erfc,
+    group_frequencies,
     theta,
 )
 from .mixing import SpectralPropagator, chi_square_rate_fit, trace_norm
@@ -114,9 +115,11 @@ def run_verification(seed=42, beta=1.0):
 
     psd_ok = True
     min_ev = 0.0
+    lam = es3.eigenvalues
     for S in single_site_paulis(3):
-        # the Bohr frequencies of the coupling entries the assembly keeps
-        nus = es3.bohr[np.unique(es3.gid.reshape(-1)[eigenbasis_entries(S, es3)[0]])]
+        # the Bohr groups of the coupling entries the assembly keeps, at k*d + i
+        k, i = np.divmod(eigenbasis_entries(S, es3)[0], es3.dim)
+        nus = group_frequencies(lam[k] - lam[i], float(np.abs(lam).max()))[0]
         A = alpha_coeff(nus[:, None], nus[None, :], gm)
         ev = np.linalg.eigvalsh(A).min()
         min_ev = min(min_ev, ev)

@@ -16,7 +16,7 @@ as test oracles only:
   swap as its one entry per column.
 * ``joint_hamiltonian`` forms H (x) I + I on the joint space, whose Gibbs
   state the library builds diagonal in the labeled basis
-  (``qrex.replica.joint_gibbs``).
+  (``qrex.replica.joint_gibbs``), the columns of ``joint_basis``.
 * ``global_replica_generator_generic`` is the global two-temperature
   generator with its swap piece from ``build_ckg_generator`` applied to the
   dense swap unitary over the grouped joint Bohr frequencies;
@@ -79,11 +79,14 @@ as test oracles only:
 * ``trace_norm_bounds`` forms the sandwich sum_i |Y_ii| <= ||Y||_1 <=
   sum_ij |Y_ij| from whole matrices; ``qrex.mixing.SupportBounds`` takes
   it from the entries on a support.
-* ``jump_components`` splits a coupling into its energy-resolved
-  components and ``coherent_term`` sums the coherent part G over Bohr pairs,
-  both loop-based and in the computational basis;
-  ``qrex.lindblad.build_ckg_generator`` assembles the same terms entry-wise
-  in the eigenbasis.
+* ``bohr_groups_all_pairs`` groups all d^2 Bohr frequencies of an
+  eigensystem into a d x d table; ``qrex.lindblad.group_frequencies``
+  groups only the frequencies of the coupling entries the assembly keeps.
+  ``jump_components`` splits a coupling into its energy-resolved
+  components over the all-pairs groups and ``coherent_term`` sums the
+  coherent part G over Bohr pairs, both loop-based and in the computational
+  basis; ``qrex.lindblad.build_ckg_generator`` assembles the same terms
+  entry-wise in the eigenbasis.
 
 * ``bottleneck_ratio_whole_table`` is the exact Cheeger constant, minimized
   over the whole (2^m, m) subset table of ``subset_masks`` at once;
@@ -112,6 +115,7 @@ from scipy.sparse.csgraph import connected_components
 import qrex.spectral
 from qrex.hamiltonians import assemble_dense, compress_onto
 from qrex.lindblad import (
+    BOHR_GROUP_TOL,
     QUAD_PANELS,
     QUAD_PANELS_FINE,
     Eigensystem,
@@ -123,7 +127,6 @@ from qrex.lindblad import (
     build_ckg_generator,
     canonical,
     eigensystem,
-    eigensystem_from_pairs,
     filter_fhat,
     gibbs_state,
     unvec,
@@ -231,6 +234,11 @@ def swap_unitary_original(js):
     return out
 
 
+def joint_basis(js):
+    """The labeled |i_A j_B m_A> vectors in the original joint ordering, as columns."""
+    return np.kron(js.system_basis, js.basis_a)
+
+
 def joint_hamiltonian(spec):
     """H (x) I_A + I on the local_A joint space: its Gibbs state is the joint generator's fixed point."""
     H = assemble_dense(spec)
@@ -266,7 +274,7 @@ def partial_lindbladian_check(spec, w: WeightFunction, n_random=10, seed=77, js=
     lam, W = js.lam2.reshape(-1), P @ js.system_basis
     if np.linalg.norm(W.conj().T @ H_perm @ W - np.diag(lam)) > 1e-10 * max(1.0, abs(lam).max()):
         raise ValueError("the labels do not diagonalize H in the A-first ordering")
-    es_full = eigensystem_from_pairs(lam, W)
+    es_full = Eigensystem(lam, W)
     L_b = build_ckg_generator(es_full, _b_position_couplings(n_a, n_b), w)
     # unnormalized exp(-beta H) for the compressed-Gibbs comparison
     expH = (W * np.exp(-w.beta * (lam - lam.min()))) @ W.conj().T
@@ -442,8 +450,7 @@ def global_replica_generator_generic(es, w: WeightFunction, beta2):
     """``qrex.replica.build_global_replica_generator`` with the swap by the generic construction.
 
     ``build_ckg_generator`` is applied to the dense swap unitary, with U (x) U
-    as the eigenbasis of w.beta H (x) I + beta2 I (x) H and its Bohr
-    frequencies grouped by ``eigensystem_from_pairs``, at unit temperature;
+    as the eigenbasis of w.beta H (x) I + beta2 I (x) H, at unit temperature;
     the library takes the swap in closed form from the swap frequencies.
     """
     n, d_n = es.dim.bit_length() - 1, es.dim
@@ -453,8 +460,7 @@ def global_replica_generator_generic(es, w: WeightFunction, beta2):
     lam, U = es.eigenvalues, es.eigenvectors
     sigma = GibbsState(np.kron(gibbs_state(es, w.beta).weights, gibbs_state(es, beta2).weights),
                        np.kron(U, U), w.beta)
-    es_swap = eigensystem_from_pairs((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1),
-                                     sigma.basis)
+    es_swap = Eigensystem((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1), sigma.basis)
     swap = build_ckg_generator(es_swap, [local_swap_unitary(d_n, 1)],
                                WeightFunction("metropolis", 1.0)).local
     parts = [(swap.row, swap.col, swap.val), lift(L1.local, (d_n, d_n), 0),
@@ -790,17 +796,39 @@ def dense(S):
     return np.asarray(S.toarray() if isinstance(S, Triplets) else S, dtype=complex)
 
 
+def bohr_groups_all_pairs(lam):
+    """(bohr, gid): every Bohr frequency lam[i] - lam[j] grouped, gid[i, j] its group.
+
+    Two differences land in the same group iff they are within
+    BOHR_GROUP_TOL * max(1, max |lam|) after transitive chaining of the
+    sorted differences; ``bohr`` holds each group's mean, and the group of
+    the diagonal differences is exactly 0.0.
+    """
+    lam = np.asarray(lam, dtype=float)
+    tol = BOHR_GROUP_TOL * max(1.0, float(np.abs(lam).max()))
+    diffs = (lam[:, None] - lam[None, :]).reshape(-1)
+    order = np.argsort(diffs, kind="stable")
+    # a new group starts wherever consecutive sorted differences exceed tol
+    group_of_sorted = np.concatenate(([0], np.cumsum(np.diff(diffs[order]) > tol)))
+    gid = np.empty(diffs.size, dtype=np.int64)
+    gid[order] = group_of_sorted
+    bohr = np.bincount(gid, weights=diffs) / np.bincount(gid)
+    bohr[gid[0]] = 0.0  # the group of lam[0] - lam[0]
+    return bohr, gid.reshape(lam.size, lam.size)
+
+
 def jump_components(S, es: Eigensystem):
     """Energy-resolved components {nu: S_nu} with sum_nu S_nu = S exactly.
 
-    Keys are the Bohr group representatives; components are returned in the
-    original (computational) basis.
+    Keys are the representatives of ``bohr_groups_all_pairs``; components
+    are returned in the original (computational) basis.
     """
     U = es.eigenvectors
     St = U.conj().T @ dense(S) @ U
     out = {}
-    for g, nu in enumerate(es.bohr):
-        mask = es.gid == g
+    bohr, gid = bohr_groups_all_pairs(es.eigenvalues)
+    for g, nu in enumerate(bohr):
+        mask = gid == g
         if not mask.any():
             continue
         comp = np.where(mask, St, 0.0)

@@ -32,6 +32,7 @@ from qrex.hamiltonians import (
 )
 from qrex.harness import run_scenario, validate_config
 from qrex.lindblad import (
+    Eigensystem,
     Superoperator,
     Triplets,
     WeightFunction,
@@ -39,7 +40,6 @@ from qrex.lindblad import (
     build_ckg_generator,
     eigenbasis_entries,
     eigensystem,
-    eigensystem_from_pairs,
     gibbs_state,
     unvec,
     vec,
@@ -66,8 +66,10 @@ from qrex.spectral import (
 
 from oracles import (
     apply,
+    bohr_groups_all_pairs,
     congruence,
     dense,
+    joint_basis,
     joint_hamiltonian,
     matrix,
     pauli_string_matrix,
@@ -86,7 +88,7 @@ def dense_ckg(H, couplings, w):
     d = H.shape[0]
     es = eigensystem(H)
     U = es.eigenvectors
-    gid = es.gid
+    bohr, gid = bohr_groups_all_pairs(es.eigenvalues)
     eye = np.eye(d)
     tilted, used = [], set()
     for S in couplings:
@@ -96,9 +98,9 @@ def dense_ckg(H, couplings, w):
         tilted.append(St)
         used.update(np.unique(gid[np.abs(St) > 0]).tolist())
     M = np.zeros((d * d, d * d), dtype=complex)
-    nus = es.bohr[sorted(used)]
+    nus = bohr[sorted(used)]
     table = alpha_coeff(nus[:, None], nus[None, :], w)
-    slot = np.zeros(es.bohr.size, dtype=np.int64)
+    slot = np.zeros(bohr.size, dtype=np.int64)
     for k, g in enumerate(sorted(used)):
         slot[g] = k
     sg = slot[gid]
@@ -271,7 +273,7 @@ def test_ckg_generator_with_coherent_term_matches_dense_route(w):
 def test_closed_form_swap_matches_dense_route():
     js = joint_structure(defected_ising_1d(3, 2.0))
     heis = swap_generator_closed_form(js, 1.0)
-    M_dense = dense_conjugate(heis.local.toarray(), js.joint_basis)
+    M_dense = dense_conjugate(heis.local.toarray(), joint_basis(js))
     check_against_oracle(heis, M_dense, joint_gibbs(js, 1.0))
 
 
@@ -280,10 +282,10 @@ def test_local_a_joint_generator_matches_dense_route():
     js = joint_structure(spec)
     d_a, d_n = js.d_a, 2**spec.n
     heis = build_replica_exchange_generator(js, GG)
-    assert np.array_equal(heis.basis, js.joint_basis)
+    assert np.array_equal(heis.basis, joint_basis(js))
     M_dense = superop_kron_left(dense_ckg(assemble_dense(spec), single_site_paulis(3), GG), d_a)
     M_dense += superop_kron_right(dense_ckg(np.eye(d_a), single_site_paulis(2), GG), d_n)
-    M_dense += dense_conjugate(swap_generator_closed_form(js, 1.0).local.toarray(), js.joint_basis)
+    M_dense += dense_conjugate(swap_generator_closed_form(js, 1.0).local.toarray(), joint_basis(js))
     check_against_oracle(heis, M_dense, joint_gibbs(js, 1.0))
 
 
@@ -566,7 +568,7 @@ def rotated_couplings():
     for spec in (defected_ising_1d(4, 3.0), hopping_cut_spec(2.0), GRID):
         js = joint_structure(spec)
         cases += [(js.system_es, single_site_paulis(js.n)), (js.aux_es, single_site_paulis(js.n_a)),
-                  (eigensystem_from_pairs(np.ones(js.joint_dim), js.joint_basis),
+                  (Eigensystem(np.ones(js.joint_dim), joint_basis(js)),
                    [swap_unitary_original(js)])]
     return cases
 

@@ -181,22 +181,22 @@ class TestSweepGB:
     def test_one_labeled_eigensystem_and_two_assemblies_per_point(self, monkeypatch):
         n = 3
         assembled, labeled = [], []
-        assemble, from_pairs = qrex.hamiltonians.assemble_dense, qrex.lindblad.eigensystem_from_pairs
+        assemble, eigenpairs = qrex.hamiltonians.assemble_dense, qrex.lindblad.Eigensystem
 
         def assemble_spy(spec):
             assembled.append(spec.n)
             return assemble(spec)
 
-        def from_pairs_spy(lam, U):
+        def eigenpairs_spy(lam, U):
             if np.size(lam) == 2**n:  # the labeled system eigensystem (not the A side's)
                 labeled.append(U)
-            return from_pairs(lam, U)
+            return eigenpairs(lam, U)
 
         for module in (qrex.hamiltonians, qrex.harness, qrex.replica, qrex.verify):
             monkeypatch.setattr(module, "assemble_dense", assemble_spy, raising=False)
         # qrex.lindblad.eigensystem diagonalizes H itself and is not counted
         for module in (qrex.replica, qrex.spectral):
-            monkeypatch.setattr(module, "eigensystem_from_pairs", from_pairs_spy, raising=False)
+            monkeypatch.setattr(module, "Eigensystem", eigenpairs_spy, raising=False)
         self.point({"model": "defected_ising", "n": n, "J": 3.0}, 1.0, 3.0)
         # the single-system gap and the cut analysis; the joint structure takes
         # the cut's permuted H and holds the labeled eigensystem

@@ -4,27 +4,31 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from qrex import lindblad
-from qrex.hamiltonians import assemble_dense, defected_ising_1d
+from qrex.hamiltonians import assemble_dense, defected_heisenberg_2d, defected_ising_1d
 from qrex.lindblad import (
     BOHR_GROUP_TOL,
+    Eigensystem,
     Superoperator,
+    Triplets,
     WeightFunction,
     alpha_coeff,
     alpha_quadrature,
     build_ckg_generator,
+    eigenbasis_entries,
     eigensystem,
-    eigensystem_from_pairs,
     filter_fhat,
     gibbs_state,
+    group_frequencies,
     unvec,
     vec,
     weight,
 )
-from qrex.pauli import X, Y, Z, single_site_paulis
+from qrex.pauli import X, Y, Z, pauli_string, single_site_paulis
 
 from oracles import (
     alpha_quadrature_whole_cube,
     apply,
+    bohr_groups_all_pairs,
     coherent_term,
     congruence,
     detailed_balance_residual,
@@ -38,44 +42,52 @@ GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
 
 
+def all_pair_groups(es):
+    """``group_frequencies`` over all d^2 differences lam[i] - lam[j]: (values, d x d groups)."""
+    lam = es.eigenvalues
+    values, group = group_frequencies((lam[:, None] - lam[None, :]).reshape(-1),
+                                      float(np.abs(lam).max()))
+    return values, group.reshape(lam.size, lam.size)
+
+
 class TestEigensystem:
     def test_single_z(self):
         es = eigensystem(Z)
         assert np.allclose(es.eigenvalues, [-1.0, 1.0])
-        assert set(np.round(es.bohr, 12)) == {-2.0, 0.0, 2.0}
+        assert set(np.round(all_pair_groups(es)[0], 12)) == {-2.0, 0.0, 2.0}
 
     def test_zero_hamiltonian(self):
         es = eigensystem(np.zeros((4, 4)))
-        assert np.allclose(es.bohr, [0.0])
+        assert np.allclose(all_pair_groups(es)[0], [0.0])
 
     def test_grouping_matches_brute_force(self):
         H = assemble_dense(defected_ising_1d(3, 2.0))
         es = eigensystem(H)
         lam = np.linalg.eigvalsh(H)
         brute = sorted({round(a - b, 6) for a in lam for b in lam})
-        assert sorted(round(v, 6) for v in es.bohr) == brute
+        assert sorted(round(v, 6) for v in all_pair_groups(es)[0]) == brute
 
     def test_bohr_closed_under_negation(self):
         rng = np.random.default_rng(5)
         M = rng.standard_normal((6, 6))
         H = M + M.T
-        es = eigensystem(H)
-        assert np.allclose(np.sort(es.bohr), np.sort(-es.bohr), atol=1e-9)
-        assert 0.0 in es.bohr
+        bohr = all_pair_groups(eigensystem(H))[0]
+        assert np.allclose(np.sort(bohr), np.sort(-bohr), atol=1e-9)
+        assert 0.0 in bohr
 
     def test_groups_chain_across_tolerance(self):
         # 0, 0.6 tol, 1.2 tol: the outer pair is 1.2 tol apart, but each
         # neighbour is within tol, so the three chain into one group
         tol = BOHR_GROUP_TOL  # ||H|| = 1 sets the scale to 1
-        es = eigensystem(np.diag([0.0, 0.6 * tol, 1.2 * tol, 1.0]))
-        assert es.bohr.size == 3
-        assert es.bohr[1] == 0.0
-        assert es.bohr[0] == pytest.approx(-(1.0 - 0.6 * tol), abs=1e-15)
-        assert es.bohr[2] == pytest.approx(1.0 - 0.6 * tol, abs=1e-15)
+        bohr, gid = all_pair_groups(eigensystem(np.diag([0.0, 0.6 * tol, 1.2 * tol, 1.0])))
+        assert bohr.size == 3
+        assert bohr[1] == 0.0
+        assert bohr[0] == pytest.approx(-(1.0 - 0.6 * tol), abs=1e-15)
+        assert bohr[2] == pytest.approx(1.0 - 0.6 * tol, abs=1e-15)
         expected = np.ones((4, 4), dtype=np.int64)
         expected[3, :3] = 2
         expected[:3, 3] = 0
-        assert np.array_equal(es.gid, expected)
+        assert np.array_equal(gid, expected)
 
     def test_grouping_matches_loop_reference(self):
         # the sequential chaining rule, one sorted difference at a time
@@ -92,7 +104,70 @@ class TestEigensystem:
             if k and diffs[i] - diffs[order[k - 1]] > tol:
                 g += 1
             gid[i] = g
-        assert np.array_equal(es.gid, gid.reshape(7, 7))
+        assert np.array_equal(all_pair_groups(es)[1], gid.reshape(7, 7))
+        assert np.array_equal(all_pair_groups(es)[1], bohr_groups_all_pairs(es.eigenvalues)[1])
+
+    def test_zero_group_is_exact_without_diagonal_entries(self):
+        # the upper triangle of X couplings on the degenerate ring, its levels split below the
+        # tolerance: no kept entry is diagonal and the near-zero frequencies are all negative,
+        # yet their group, the zero group, is exactly 0.0
+        lam = np.diag(assemble_dense(defected_ising_1d(3, 1.0))).real + 1e-12 * np.arange(8)
+        es = eigensystem(np.diag(lam))
+        for s in range(3):
+            S = pauli_string(3, [(s, "X")])
+            up = S.row < S.col
+            S = Triplets(S.row[up], S.col[up], S.val[up], S.side)
+            k, i = np.divmod(eigenbasis_entries(S, es)[0], 8)
+            assert np.all(k != i)
+            nu = es.eigenvalues[k] - es.eigenvalues[i]
+            values, group = group_frequencies(nu, float(np.abs(es.eigenvalues).max()))
+            near = np.abs(nu) < BOHR_GROUP_TOL
+            assert near.any() and np.all(nu[near] < 0.0)
+            assert np.all(values[group[near]] == 0.0)
+            assert np.all(values[group[~near]] != 0.0)
+
+    def test_zero_chains_the_frequencies_around_it(self):
+        # -0.6 tol and 0.7 tol are 1.3 tol apart, but each is within tol of 0, which joins
+        # the chain though it is not among the frequencies; the group's value is exactly 0.0
+        tol = BOHR_GROUP_TOL
+        values, group = group_frequencies([0.7 * tol, 2.0, -0.6 * tol], 1.0)
+        assert values.tolist() == [0.0, 2.0]
+        assert group.tolist() == [0, 1, 0]
+
+
+# the systems of the production-table check: the rings' exact integer and half-integer
+# levels, and the 2x3 grid's from eigh
+GROUPING_CASES = [pytest.param(defected_ising_1d(n, J), 0.0, id=f"ring{n}-J{J}")
+                  for n in (3, 4, 5) for J in (1.0, 2.5, 3.0)]
+GROUPING_CASES.append(pytest.param(defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0), 1e-14,
+                                   id="grid2x3"))
+
+
+@pytest.mark.parametrize("spec,tol", GROUPING_CASES)
+def test_assembly_groups_are_the_all_pairs_groups_restricted(monkeypatch, spec, tol):
+    # build_ckg_generator groups only the frequencies of the entries it keeps: into the
+    # all-pairs groups, each valued as its all-pairs group, bitwise on the rings and within
+    # tol of the norm on the grid, whose group means now run over the kept frequencies
+    es, couplings = eigensystem(assemble_dense(spec)), single_site_paulis(spec.n)
+    seen = []
+
+    def spy(nu, scale):
+        seen.append((nu, group_frequencies(nu, scale)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(lindblad, "group_frequencies", spy)
+    build_ckg_generator(es, couplings, GM)
+    (nu, (values, group)), = seen
+    d, lam = es.dim, es.eigenvalues
+    used = np.unique(np.concatenate([eigenbasis_entries(S, es)[0] for S in couplings]))
+    assert np.array_equal(nu, lam[used // d] - lam[used % d])
+    bohr, gid = bohr_groups_all_pairs(lam)
+    assert np.array_equal(group, np.unique(gid.reshape(-1)[used], return_inverse=True)[1])
+    expected = bohr[gid.reshape(-1)[used]]
+    if tol == 0.0:
+        assert np.array_equal(values[group], expected)
+    else:
+        assert np.abs(values[group] - expected).max() <= tol * max(1.0, np.abs(lam).max())
 
 
 class TestGibbsState:
@@ -382,7 +457,7 @@ class TestSuperoperator:
         Xm, Ym = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
         # stored in the eigenbasis V of the Gibbs state of V diag(0, 1, 2, 3) V^dag
         for V in (np.eye(4), U):
-            s = Superoperator(M, gibbs_state(eigensystem_from_pairs(np.arange(4.0), V), 1.0))
+            s = Superoperator(M, gibbs_state(Eigensystem(np.arange(4.0), V), 1.0))
             assert np.vdot(Ym, apply(s, Xm)) == pytest.approx(np.vdot(s.apply_adjoint(Ym), Xm),
                                                               rel=1e-12)
 
