@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy import ma, random  # noqa: F401  numpy loads these on first use: keep that in set-up
-from numpy.polynomial.legendre import leggauss
+# numpy loads random on first use: keep that in set-up.  numpy.ma, which np.unique loads
+# for its masked-array check, and numpy.polynomial stay unloaded (distinct, GL_NODES)
+from numpy import random  # noqa: F401
 
 BOHR_GROUP_TOL = 1e-9
 QUAD_ABS_TOL = 1e-12
@@ -44,6 +45,17 @@ QUAD_PANELS_FINE = 64
 QUAD_CHUNK = 64
 # entries of the coupling products C that build_ckg_generator holds densely at once
 PRODUCT_CHUNK = 2**20
+# the 15-point Gauss-Legendre rule on [-1, 1], bitwise numpy's leggauss(15)
+GL_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0, 0.20119409399743451,
+    0.3941513470775634, 0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854])
+GL_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
 
 
 def vec(X):
@@ -53,6 +65,14 @@ def vec(X):
 def unvec(v):
     d = int(round(np.sqrt(v.size)))
     return v.reshape((d, d), order="F")
+
+
+def distinct(a):
+    """np.unique(a) of an integer array, without the masked-array check that loads numpy.ma."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]  # the first of each run of equal values
+    return a[keep]
 
 
 def _csum(index, values, size):  # out[k] = sum of the complex values at index k, k < size
@@ -366,7 +386,6 @@ def alpha_quadrature(nu1, nu2, w: WeightFunction):
     """
     nu1, nu2 = np.broadcast_arrays(np.asarray(nu1, dtype=float), np.asarray(nu2, dtype=float))
     b = w.beta
-    gl_nodes, gl_weights = leggauss(15)
 
     def rule(v1, v2, panels):
         lo = np.minimum(v1, v2)[:, None] - 12.0 / b
@@ -375,10 +394,10 @@ def alpha_quadrature(nu1, nu2, w: WeightFunction):
         t = np.linspace(0.0, 1.0, panels + 1)
         edges = np.concatenate([lo + (cut - lo) * t, cut + (hi - cut) * t[1:]], axis=-1)
         half = 0.5 * np.diff(edges, axis=-1)  # [points, 2 * panels]
-        nodes = (edges[:, :-1] + half)[..., None] + half[..., None] * gl_nodes
+        nodes = (edges[:, :-1] + half)[..., None] + half[..., None] * GL_NODES
         vals = weight(nodes, w) * filter_fhat(nodes - v1[:, None, None], b) \
             * filter_fhat(nodes - v2[:, None, None], b)
-        return np.sum(half * (vals @ gl_weights), axis=-1)
+        return np.sum(half * (vals @ GL_WEIGHTS), axis=-1)
 
     v1, v2 = nu1.reshape(-1), nu2.reshape(-1)
     coarse, fine = np.empty(v1.size), np.empty(v1.size)
@@ -425,12 +444,12 @@ def _coupling_products(entries, size):
     owner = np.full(size, -1)  # the cluster holding each position, named by its last coupling
     clusters = {}
     for a, (p, _) in enumerate(entries):
-        hit = np.unique(owner[p])
+        hit = distinct(owner[p])
         clusters[a] = [a] + [m for h in hit[hit >= 0].tolist() for m in clusters.pop(h)]
         for m in clusters[a]:
             owner[entries[m][0]] = a
     for members in clusters.values():
-        P = np.unique(np.concatenate([entries[m][0] for m in members]))
+        P = distinct(np.concatenate([entries[m][0] for m in members]))
         W = np.zeros((len(members), P.size), dtype=complex)  # the cluster's couplings on P
         for w, m in zip(W, members):
             w[np.searchsorted(P, entries[m][0])] = entries[m][1]
@@ -470,7 +489,7 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     rotated = (eigenbasis_entries(S, es) for S in couplings)
     entries = [(p.astype(np.int32), s) for p, s in rotated if p.size]
     # the alpha table over the Bohr groups of nu_ki = lam[k] - lam[i] at the nonzero entries
-    used = np.unique(np.concatenate([p for p, _ in entries] + [np.zeros(0, np.int32)]))
+    used = distinct(np.concatenate([p for p, _ in entries] + [np.zeros(0, np.int32)]))
     lam = es.eigenvalues
     nus, group = group_frequencies(lam[used // d] - lam[used % d], float(np.abs(lam).max()))
     table = alpha_table(nus, w)

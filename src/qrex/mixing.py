@@ -58,7 +58,7 @@ from itertools import islice
 
 import numpy as np
 
-from .lindblad import Superoperator, unvec, vec
+from .lindblad import Superoperator, distinct, unvec, vec
 from .spectral import (
     block_eigh,
     block_spectrum,
@@ -244,7 +244,7 @@ class SpectralPropagator:
             B = (self._Uh @ np.stack([states[k] for k in vectors], axis=1)).T / self._sqrt_w
             nonzero = B != 0
             count = nonzero.sum(axis=1)
-            for c in np.unique(count[count > 0]):
+            for c in distinct(count[count > 0]):
                 rows = np.flatnonzero(count == c)
                 Br = B[rows]
                 if c * c > self._order.size:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lindblad import Superoperator, Triplets, WeightFunction, build_ckg_generator
+from .lindblad import Superoperator, Triplets, WeightFunction, build_ckg_generator, distinct
 from .pauli import single_site_paulis
 
 KERNEL_TOL = 1e-9
@@ -421,7 +421,7 @@ def gap_composition_suite(seed=42, n_instances=200, dim=6):
     kernel_dim = np.sum(evals <= 1e-10 * np.maximum(evals[:, -1:], 1.0), axis=1)
     B = _random_psd(rng, n, dim)
     g_b = np.empty(n)
-    for kd in np.unique(kernel_dim):  # the kernel is the leading kd eigenvectors
+    for kd in distinct(kernel_dim):  # the kernel is the leading kd eigenvectors
         sel = kernel_dim == kd
         K = V[sel][:, :, :kd]
         g_b[sel] = np.linalg.eigvalsh(_dag(K) @ B[sel] @ K)[:, 0]

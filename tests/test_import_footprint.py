@@ -15,10 +15,16 @@ import qrex
 # no scipy (checked in the source too), and only ``--parallel`` above 1
 # starts a process pool
 UNNEEDED = ("scipy", "concurrent.futures.process")
+# numpy packages that no scenario uses: numpy 2 loads them on first use only
+# (numpy.ma for np.unique's masked-array check, numpy.polynomial for leggauss),
+# numpy 1.x with numpy itself, so a run may load only those a bare ``import numpy`` did
+UNUSED_NUMPY = ("numpy.ma", "numpy.polynomial")
 
 RUN_ALL = """
 import contextlib, io, json, sys
 unneeded = json.loads(sys.argv[2])
+def loaded():
+    return sorted(m for m in sys.modules if any(m == u or m.startswith(u + ".") for u in unneeded))
 if len(sys.argv) > 3:
     class Refuse:
         # a meta path finder that makes every unneeded package unimportable
@@ -26,13 +32,14 @@ if len(sys.argv) > 3:
             if any(name == u or name.startswith(u + ".") for u in unneeded):
                 raise ImportError(f"{name} is refused")
     sys.meta_path.insert(0, Refuse())
+import numpy
+baseline = loaded()
 from qrex.cli import main
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
-loaded = [m for m in sys.modules if any(m == u or m.startswith(u + ".") for u in unneeded)]
-print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
+print(json.dumps({"codes": codes, "baseline": baseline, "loaded": loaded()}))
 """
 
 
@@ -50,15 +57,22 @@ def write_config(tmp_path, name, payload):
 
 
 def scenario_runs(tmp_path):
-    """CLI argument lists for every scenario, the sweep in local_A and global mode."""
+    """CLI argument lists for every scenario: the sweep in local_A and global mode and on
+    the 2x3 Heisenberg grid, the gap also as the default local_A CSV."""
     ring = {"model": "defected_ising", "n": 3, "J": 3.0}
+    grid = {"model": "defected_heisenberg", "rows": 2, "cols": 3, "A": [0, 3],
+            "defect_edge": [0, 3], "J": 3.0}
     single = write_config(tmp_path, "single", {"system": ring, "replica": {"mode": "none"}})
     sweeps = [write_config(tmp_path, f"sweep_{mode}", {
         "system": ring, "replica": {"mode": mode, "beta2": 0.5},
         "sweep": {"param": "J", "values": [1.0, 5.0]}}) for mode in ("local_A", "global")]
-    return [["gap", "--config", single], ["sweep", "--config", sweeps[0]],
-            ["sweep", "--config", sweeps[1]], ["mixing", "--config", single], ["verify"],
-            ["theta"], ["classical"]]
+    grid_sweep = write_config(tmp_path, "grid_sweep", {
+        "system": grid, "beta": 0.05, "replica": {"mode": "local_A"},
+        "sweep": {"param": "J", "values": [1.0, 5.0]}})
+    return [["gap", "--config", single], ["gap", "--format", "csv"],
+            ["sweep", "--config", sweeps[0]], ["sweep", "--config", sweeps[1]],
+            ["sweep", "--config", grid_sweep, "--max-dim", "65536"],
+            ["mixing", "--config", single], ["verify"], ["theta"], ["classical"]]
 
 
 def test_scenarios_leave_unneeded_modules_unloaded(tmp_path):
@@ -74,17 +88,31 @@ def test_scenarios_run_with_scipy_unimportable(tmp_path):
     runs = scenario_runs(tmp_path)
     proc = run_qrex(["-c", RUN_ALL, json.dumps(runs), json.dumps(["scipy"]), "refuse"])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * len(runs), "loaded": []}
+    assert json.loads(proc.stdout) == {"codes": [0] * len(runs), "baseline": [], "loaded": []}
+
+
+def test_scenarios_load_no_unused_numpy_package_that_numpy_left_unloaded(tmp_path):
+    runs = scenario_runs(tmp_path)
+    proc = run_qrex(["-c", RUN_ALL, json.dumps(runs), json.dumps(UNUSED_NUMPY)])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(runs)
+    unloaded = [p for p in UNUSED_NUMPY if p not in result["baseline"]]
+    assert [m for m in result["loaded"]
+            if any(m == p or m.startswith(p + ".") for p in unloaded)] == []
 
 
 def test_import_loads_the_lazy_modules_a_first_call_uses():
-    # numpy loads these submodules, and argparse loads locale, on first use;
-    # the package imports them itself so that set-up, not the first call, pays
-    lazy = ["locale", "numpy.ma", "numpy.polynomial.legendre", "numpy.random"]
-    code = f"import json, sys, qrex.cli; print(json.dumps([m in sys.modules for m in {lazy!r}]))"
+    # argparse loads locale, and numpy numpy.random, on first use: the package imports
+    # them itself so that set-up, not the first call, pays.  The unused numpy packages
+    # stay as a bare ``import numpy`` left them
+    modules = ["locale", "numpy.random", *UNUSED_NUMPY]
+    code = (f"import json, sys, numpy; bare = [m in sys.modules for m in {modules!r}]; "
+            f"import qrex.cli; print(json.dumps([bare, [m in sys.modules for m in {modules!r}]]))")
     proc = run_qrex(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [True] * len(lazy)
+    bare, imported = json.loads(proc.stdout)
+    assert imported == [True, True, *bare[2:]]
 
 
 def test_unresolvable_gap_exits_four_without_traceback(tmp_path):

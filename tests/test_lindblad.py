@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -14,6 +16,7 @@ from qrex.lindblad import (
     alpha_coeff,
     alpha_quadrature,
     build_ckg_generator,
+    distinct,
     eigenbasis_entries,
     eigensystem,
     filter_fhat,
@@ -235,6 +238,28 @@ class TestFilter:
         for beta in (0.5, 1.0, 2.0):
             val, _ = quad(lambda w: filter_fhat(w, beta) ** 2, -50 / beta, 50 / beta)
             assert abs(val - 1.0) < 1e-10
+
+
+INT_ARRAYS = hnp.arrays(st.sampled_from([np.int32, np.int64]),
+                        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+                        elements=st.integers(-6, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(INT_ARRAYS)
+@example(np.zeros(0, np.int32))
+@example(np.zeros(0, np.int64))
+def test_distinct_is_unique(a):
+    # few values: negatives and repeats in most draws
+    got, want = distinct(a), np.unique(a)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_gauss_legendre_constants_are_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert np.array_equal(lindblad.GL_NODES, nodes) and np.array_equal(lindblad.GL_WEIGHTS, weights)
+    assert (lindblad.GL_NODES.tobytes(), lindblad.GL_WEIGHTS.tobytes()) == (nodes.tobytes(),
+                                                                            weights.tobytes())
 
 
 class TestAlphaCoeff:
