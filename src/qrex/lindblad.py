@@ -41,8 +41,8 @@ QUAD_ABS_TOL = 1e-12
 QUAD_PANELS = 32
 QUAD_PANELS_FINE = 64
 # points per chunk of alpha_quadrature: a chunk's node array holds
-# QUAD_CHUNK * 2 * QUAD_PANELS_FINE * 15 floats
-QUAD_CHUNK = 64
+# QUAD_CHUNK * 2 * QUAD_PANELS_FINE * 15 floats (240 KB), and the rule holds three
+QUAD_CHUNK = 16
 # entries of the coupling products C that build_ckg_generator holds densely at once
 PRODUCT_CHUNK = 2**20
 # the 15-point Gauss-Legendre rule on [-1, 1], bitwise numpy's leggauss(15)
@@ -270,14 +270,25 @@ class Superoperator:
 
 
 def eigensystem(H) -> Eigensystem:
-    """Diagonalize H, checking the eigensolver's residual."""
+    """Diagonalize H, checking the eigensolver's residual ||H U - U diag(lam)||.
+
+    Where U is a permutation with phases (``Eigensystem.permutation``), column
+    i[k] of H U is column k of H times u[k], so the residual is taken from H's
+    columns scaled in place of the dense product.
+    """
     H = np.asarray(H, dtype=complex)
-    lam, U = np.linalg.eigh(H)
+    es = Eigensystem(*np.linalg.eigh(H))
+    lam, U = es.eigenvalues, es.eigenvectors
     scale = max(1.0, float(np.abs(lam).max()))  # ||H||_2 of the Hermitian H
-    resid = np.linalg.norm(H @ U - U * lam)  # ||U^dag H U - diag(lam)|| for the unitary U
-    if resid > 1e-11 * scale:
+    if es.permutation is None:
+        R = H @ U - U * lam  # U^dag H U - diag(lam) rotated by the unitary U
+    else:  # the same residual with its columns permuted by i
+        i, u = es.permutation
+        R = H * u
+        R[np.arange(es.dim), np.arange(es.dim)] -= u * lam[i]
+    if (resid := np.linalg.norm(R)) > 1e-11 * scale:
         raise ValueError(f"eigensolver residual {resid:.2e} too large")
-    return Eigensystem(lam, U)
+    return es
 
 
 def group_frequencies(nu, scale):
@@ -308,24 +319,6 @@ def gibbs_state(es: Eigensystem, beta: float) -> GibbsState:
         raise ValueError("beta must be finite and non-negative")
     w = np.exp(-beta * (es.eigenvalues - es.eigenvalues.min()))
     return GibbsState(w / w.sum(), es.eigenvectors, beta)
-
-
-def weight(omega, w: WeightFunction):
-    """Evaluate gamma(omega); accepts scalars or arrays."""
-    omega = np.asarray(omega, dtype=float)
-    b = w.beta
-    if w.kind == "gaussian":
-        out = np.exp(-((b * omega + 1.0) ** 2) / 2.0)
-    else:
-        out = np.exp(-b * np.maximum(omega + 1.0 / (2.0 * b), 0.0))
-    return out if out.ndim else float(out)
-
-
-def filter_fhat(omega, beta):
-    """Gaussian frequency filter f^(omega); normalized so int f^2 = 1."""
-    omega = np.asarray(omega, dtype=float)
-    out = np.sqrt(beta / np.sqrt(2.0 * np.pi)) * np.exp(-(beta**2) * omega**2 / 4.0)
-    return out if out.ndim else float(out)
 
 
 def erfc(x):
@@ -374,6 +367,31 @@ def alpha_table(nus, w: WeightFunction):
     return table
 
 
+def alpha_integrand(nodes, v1, v2, w: WeightFunction):
+    """gamma(x) f^(x - v1) f^(x - v2) at the nodes x of the (points, panels, 15) cube
+    ``nodes``, point p at v1[p], v2[p]: one exp of the summed exponents, which are
+    formed in place in two arrays of the cube's size."""
+    b = w.beta
+    total, other = nodes - v1[:, None, None], nodes - v2[:, None, None]
+    total *= total
+    other *= other
+    total += other
+    total *= -(b * b) / 4.0  # the two filters' exponents
+    if w.kind == "gaussian":  # the weight's exponent is -(beta x + 1)^2 / 2
+        np.multiply(nodes, b, out=other)
+        other += 1.0
+        other *= other
+        other *= 0.5
+    else:  # and -beta max(x + 1/(2 beta), 0) for the Metropolis weight
+        np.add(nodes, 0.5 / b, out=other)
+        np.maximum(other, 0.0, out=other)
+        other *= b
+    total -= other
+    np.exp(total, out=total)
+    total *= b / np.sqrt(2.0 * np.pi)  # the filters' prefactors
+    return total
+
+
 def alpha_quadrature(nu1, nu2, w: WeightFunction):
     """alpha(v1, v2) by numerical quadrature: the independent check of alpha_coeff.
 
@@ -382,7 +400,7 @@ def alpha_quadrature(nu1, nu2, w: WeightFunction):
     lies inside, with QUAD_PANELS and QUAD_PANELS_FINE equal panels on each
     piece.  Returns the finer result; raises RuntimeError when the two differ
     by more than QUAD_ABS_TOL.  Vectorized over broadcastable arrays, whose
-    points are integrated QUAD_CHUNK at a time.
+    points are integrated QUAD_CHUNK at a time, by ``alpha_integrand``.
     """
     nu1, nu2 = np.broadcast_arrays(np.asarray(nu1, dtype=float), np.asarray(nu2, dtype=float))
     b = w.beta
@@ -395,9 +413,7 @@ def alpha_quadrature(nu1, nu2, w: WeightFunction):
         edges = np.concatenate([lo + (cut - lo) * t, cut + (hi - cut) * t[1:]], axis=-1)
         half = 0.5 * np.diff(edges, axis=-1)  # [points, 2 * panels]
         nodes = (edges[:, :-1] + half)[..., None] + half[..., None] * GL_NODES
-        vals = weight(nodes, w) * filter_fhat(nodes - v1[:, None, None], b) \
-            * filter_fhat(nodes - v2[:, None, None], b)
-        return np.sum(half * (vals @ GL_WEIGHTS), axis=-1)
+        return np.sum(half * (alpha_integrand(nodes, v1, v2, w) @ GL_WEIGHTS), axis=-1)
 
     v1, v2 = nu1.reshape(-1), nu2.reshape(-1)
     coarse, fine = np.empty(v1.size), np.empty(v1.size)

@@ -93,8 +93,16 @@ as test oracles only:
   ``qrex.classical.bottleneck_ratio`` takes the sweep cut of the slow mode,
   an upper bound on it that needs no enumeration.
   ``alpha_quadrature_whole_cube`` evaluates both panel rules on the whole
-  (points, 2 * panels, 15) node cube; ``qrex.lindblad.alpha_quadrature``
-  runs the same formulas a fixed-size chunk at a time.
+  (points, 2 * panels, 15) node cube, with the one-exponential integrand or
+  the product of its three factors, the transition weight ``weight`` and
+  two Gaussian filters ``filter_fhat``; ``qrex.lindblad.alpha_quadrature`` runs
+  the same formulas a fixed-size chunk at a time.
+* ``glauber_generator_dense`` and ``classical_re_generator_dense`` build the
+  classical chains as dense rate matrices (the replica chain as ``np.kron``
+  products) and ``classical_gap_dense`` solves the whole symmetrized chain;
+  ``qrex.classical`` emits the rates as sparse triplets and solves the two
+  sectors of the global spin flip apart.  ``dense_generator`` is the dense
+  ``Q`` of a ``ClassicalChain``.
 
 Helpers that only the tests use live here too: ``gap_mode_state``, the
 Pauli decomposition ``pauli_decompose``/``pauli_support``, and
@@ -124,14 +132,13 @@ from qrex.lindblad import (
     Triplets,
     WeightFunction,
     alpha_coeff,
+    alpha_integrand,
     build_ckg_generator,
     canonical,
     eigensystem,
-    filter_fhat,
     gibbs_state,
     unvec,
     vec,
-    weight,
 )
 from qrex.mixing import BISECTION_RTOL, SpectralPropagator, _check_state, chi_square
 from qrex.pauli import PAULIS, pauli_string, single_site_paulis
@@ -865,11 +872,70 @@ def subset_masks(m, start, stop):
     return bits.astype(float)
 
 
+def dense_generator(chain):
+    """The dense rate matrix Q of a ``qrex.classical.ClassicalChain``: its rates, less the
+    row sums on the diagonal."""
+    Q = chain.rates.toarray()
+    Q[np.diag_indices_from(Q)] -= Q.sum(axis=1)
+    return Q
+
+
+def glauber_generator_dense(energy_fn, n_spins, beta):
+    """(Q, pi) of the single-spin-flip Metropolis chain, built densely spin by spin."""
+    states = 1 - 2 * ((np.arange(2**n_spins)[:, None] >> np.arange(n_spins)[::-1]) & 1)
+    E = np.asarray(energy_fn(states), dtype=float)
+    m = E.size
+    Q = np.zeros((m, m))
+    idx = np.arange(m)
+    for s in range(n_spins):
+        flipped = idx ^ (1 << (n_spins - 1 - s))
+        Q[idx, flipped] += np.minimum(1.0, np.exp(-beta * (E[flipped] - E)))
+    Q[idx, idx] = -Q.sum(axis=1)
+    w = np.exp(-beta * (E - E.min()))
+    return Q, w / w.sum()
+
+
+def classical_re_generator_dense(energy_fn, n_spins, beta1, beta2):
+    """(Q, pi) of the replica chain as dense np.kron products of the two Glauber chains plus
+    the swaps (x1, x2) -> (x2, x1) at rate min(1, e^{(b1-b2)(H(x1)-H(x2))}), state x1 m + x2."""
+    (Q1, pi1), (Q2, pi2) = (glauber_generator_dense(energy_fn, n_spins, b) for b in (beta1, beta2))
+    m = pi1.size
+    E = np.asarray(energy_fn(1 - 2 * ((np.arange(m)[:, None] >> np.arange(n_spins)[::-1]) & 1)),
+                   dtype=float)
+    Q = np.kron(Q1, np.eye(m))
+    for x1 in range(m):  # + kron(I, Q2), block by block
+        Q[x1 * m:(x1 + 1) * m, x1 * m:(x1 + 1) * m] += Q2
+    x1, x2 = np.divmod(np.arange(m * m), m)
+    moving = x1 != x2
+    here, swapped = (x1 * m + x2)[moving], (x2 * m + x1)[moving]
+    rates = np.minimum(1.0, np.exp((beta1 - beta2) * (E[x1] - E[x2])))[moving]
+    Q[here, swapped] += rates
+    Q[here, here] -= rates
+    return Q, np.kron(pi1, pi2)
+
+
+def classical_gap_dense(Q, pi):
+    """Second-smallest eigenvalue of the whole pi-symmetrized -Q, S = (S' + S'^T) / 2 with
+    S' = diag(sqrt pi) (-Q) diag(sqrt pi)^{-1}, by one dense ``eigvalsh``, and ||S||.
+
+    Q is overwritten.  ``eigvalsh`` reads the lower triangle only, so only that
+    triangle of S is formed, a block of columns at a time.
+    """
+    r = np.sqrt(pi)
+    Q *= -r[:, None]
+    Q /= r[None, :]
+    for a in range(0, Q.shape[0], 256):
+        b = a + 256
+        Q[a:, a:b] = 0.5 * (Q[a:, a:b] + Q[a:b, a:].T)
+    evals = np.linalg.eigvalsh(Q)
+    return float(evals[1]), float(np.abs(evals).max())
+
+
 def bottleneck_ratio_whole_table(chain):
     """Exact Cheeger constant (phi, members) of a chain from its whole subset table at once."""
-    Q = chain.generator
+    Q = dense_generator(chain)
     pi = chain.stationary
-    m = chain.n_states
+    m = chain.rates.side
     flow = pi[:, None] * (Q - np.diag(np.diag(Q)))
     masks = subset_masks(m, 1, 2**m - 1)  # skip empty and full
     p = masks @ pi
@@ -881,26 +947,51 @@ def bottleneck_ratio_whole_table(chain):
     return float(ratios[best]), members
 
 
-def alpha_quadrature_whole_cube(nu1, nu2, w: WeightFunction):
+def weight(omega, w: WeightFunction):
+    """Evaluate the transition weight gamma(omega); accepts scalars or arrays."""
+    omega = np.asarray(omega, dtype=float)
+    b = w.beta
+    if w.kind == "gaussian":
+        out = np.exp(-((b * omega + 1.0) ** 2) / 2.0)
+    else:
+        out = np.exp(-b * np.maximum(omega + 1.0 / (2.0 * b), 0.0))
+    return out if out.ndim else float(out)
+
+
+def filter_fhat(omega, beta):
+    """Gaussian frequency filter f^(omega); normalized so int f^2 = 1."""
+    omega = np.asarray(omega, dtype=float)
+    out = np.sqrt(beta / np.sqrt(2.0 * np.pi)) * np.exp(-(beta**2) * omega**2 / 4.0)
+    return out if out.ndim else float(out)
+
+
+def alpha_quadrature_whole_cube(nu1, nu2, w: WeightFunction, factors=False):
     """Both composite panel rules of ``qrex.lindblad.alpha_quadrature`` on the whole node cube.
 
-    Returns the (coarse, fine) results, shaped like the broadcast inputs.
+    The integrand is ``qrex.lindblad.alpha_integrand``, one exp of the summed
+    exponents; with ``factors`` it is the product of the three factors
+    ``weight * filter_fhat * filter_fhat`` instead.  Returns the (coarse, fine)
+    results, shaped like the broadcast inputs.
     """
     nu1, nu2 = np.broadcast_arrays(np.asarray(nu1, dtype=float), np.asarray(nu2, dtype=float))
+    v1, v2 = nu1.reshape(-1), nu2.reshape(-1)
     b = w.beta
-    lo = np.minimum(nu1, nu2)[..., None] - 12.0 / b
-    hi = np.maximum(nu1, nu2)[..., None] + 12.0 / b
+    lo = np.minimum(v1, v2)[:, None] - 12.0 / b
+    hi = np.maximum(v1, v2)[:, None] + 12.0 / b
     cut = np.clip(-0.5 / b, lo, hi) if w.kind == "metropolis" else hi
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(15)
 
     def rule(panels):
         t = np.linspace(0.0, 1.0, panels + 1)
         edges = np.concatenate([lo + (cut - lo) * t, cut + (hi - cut) * t[1:]], axis=-1)
-        half = 0.5 * np.diff(edges, axis=-1)  # [..., 2 * panels]
-        nodes = (edges[..., :-1] + half)[..., None] + half[..., None] * gl_nodes
-        vals = weight(nodes, w) * filter_fhat(nodes - nu1[..., None, None], b) \
-            * filter_fhat(nodes - nu2[..., None, None], b)
-        return np.sum(half * (vals @ gl_weights), axis=-1)
+        half = 0.5 * np.diff(edges, axis=-1)  # [points, 2 * panels]
+        nodes = (edges[:, :-1] + half)[..., None] + half[..., None] * gl_nodes
+        if factors:
+            vals = weight(nodes, w) * filter_fhat(nodes - v1[:, None, None], b) \
+                * filter_fhat(nodes - v2[:, None, None], b)
+        else:
+            vals = alpha_integrand(nodes, v1, v2, w)
+        return np.sum(half * (vals @ gl_weights), axis=-1).reshape(nu1.shape)
 
     return rule(QUAD_PANELS), rule(QUAD_PANELS_FINE)
 

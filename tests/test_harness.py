@@ -698,8 +698,9 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_classical_gap_below_double_precision_exit_four(self, tmp_path, capsys):
-        # the n = 3 ring at beta = 4, J = 5 printed 3.93e-16, below the floor 5.7e-14;
-        # the resolved J = 1 row is kept, as a quantum sweep keeps its resolved points
+        # the n = 3 ring at beta = 4, J = 5 printed 3.93e-16, below the floor 5.7e-14; the
+        # two flip sectors read 5.744e-21 (the 60-digit gap is 5.7007e-21), still below it.
+        # The resolved J = 1 row is kept, as a quantum sweep keeps its resolved points
         cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": 3}, "beta": 4.0,
                                       "sweep": {"param": "J", "values": [1.0, 5.0]}})
         assert main(["classical", "--config", cfg, "--format", "csv"]) == 4
@@ -708,8 +709,8 @@ class TestCli:
         assert [r["status"] for r in rows] == ["ok", "unresolved"]
         assert float(rows[0]["gap_single"]) > 0 and rows[0]["error"] == ""
         assert np.isnan(float(rows[1]["gap_single"])) and np.isnan(float(rows[1]["gap_re"]))
-        assert rows[1]["error"].startswith("classical gap 3.930e-16 is below the resolvable floor")
-        assert err.startswith("numerical error: classical gap 3.930e-16 is below the resolvable "
+        assert rows[1]["error"].startswith("classical gap 5.744e-21 is below the resolvable floor")
+        assert err.startswith("numerical error: classical gap 5.744e-21 is below the resolvable "
                               "floor")
         assert err.endswith("(J = 5.0, beta = 4.0)\n")
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,12 +21,10 @@ from qrex.lindblad import (
     distinct,
     eigenbasis_entries,
     eigensystem,
-    filter_fhat,
     gibbs_state,
     group_frequencies,
     unvec,
     vec,
-    weight,
 )
 from qrex.pauli import X, Y, Z, pauli_string, single_site_paulis
 
@@ -35,14 +35,17 @@ from oracles import (
     coherent_term,
     congruence,
     detailed_balance_residual,
+    filter_fhat,
     jump_components,
     kms_inner,
     matrix,
     sigma_power,
+    weight,
 )
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
+GL_POINTS = lindblad.GL_NODES.size
 
 
 def all_pair_groups(es):
@@ -58,6 +61,33 @@ class TestEigensystem:
         es = eigensystem(Z)
         assert np.allclose(es.eigenvalues, [-1.0, 1.0])
         assert set(np.round(all_pair_groups(es)[0], 12)) == {-2.0, 0.0, 2.0}
+
+    @pytest.mark.parametrize("permutation", [True, False])
+    @pytest.mark.parametrize("factor, refused", [(0.9, False), (1.1, True)])
+    def test_residual_gate(self, permutation, factor, refused, monkeypatch):
+        # an eigenvalue moved by t leaves the residual ||H U - U diag(lam)|| = t, gated at
+        # 1e-11 ||H||: taken by gathering H's columns where U is a permutation with phases
+        # (a diagonal H), and by the dense product otherwise
+        rng = np.random.default_rng(11)
+        if permutation:
+            h = np.array([0.7, -2.0, 3.5, 1.25])
+            H = np.diag(h).astype(complex)
+            lam = np.sort(h)
+            U = np.zeros((4, 4), dtype=complex)
+            U[np.arange(4), np.argsort(np.argsort(h))] = np.exp(1j * rng.uniform(0, 6, 4))
+        else:
+            M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            H = M + M.conj().T
+            lam, U = np.linalg.eigh(H)
+        scale = np.abs(lam).max()
+        lam = lam.copy()
+        lam[2] += factor * 1e-11 * scale
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (lam, U))
+        if refused:
+            with pytest.raises(ValueError, match="eigensolver residual"):
+                eigensystem(H)
+        else:
+            assert (eigensystem(H).permutation is not None) == permutation
 
     def test_zero_hamiltonian(self):
         es = eigensystem(np.zeros((4, 4)))
@@ -296,6 +326,28 @@ class TestAlphaCoeff:
             assert got.shape == fine.shape and np.array_equal(got, fine)
         else:
             assert type(got) is float and got == fine
+        # one exp of the summed exponents against the product of the three factors
+        for one, three in zip(alpha_quadrature_whole_cube(nu1, nu2, w),
+                              alpha_quadrature_whole_cube(nu1, nu2, w, factors=True)):
+            assert np.all(np.abs(one - three) <= 1e-15 * np.abs(three))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "metropolis"])
+    def test_quadrature_peak_holds_a_few_chunk_cubes(self, kind):
+        # the qrex theta grid: 401 points.  The rule holds three node cubes of one chunk at
+        # once; the whole-grid cube of the three-factor integrand peaked at 5.1 MB
+        xs = np.linspace(-20.0, 20.0, 401)
+        w = WeightFunction(kind, 1.0)
+        cube = lindblad.QUAD_CHUNK * 2 * lindblad.QUAD_PANELS_FINE * GL_POINTS * 8
+        alpha_quadrature(xs, xs, w)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            alpha_quadrature(xs, xs, w)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert cube <= 250_000 and peak <= 4 * cube
 
     @pytest.mark.parametrize("kind", ["gaussian", "metropolis"])
     def test_quadrature_convergence_check_reads_every_chunk(self, kind, monkeypatch):
