@@ -106,7 +106,6 @@ class CutReport:
     k_count: int
     v_max: float
     h_perm: np.ndarray  # H in the A-first site order perm_order
-    commutator_residuals: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     perm_order: tuple = ()  # site order (A sorted) + (B sorted)
 
@@ -244,7 +243,6 @@ def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:
             pairs.append((va, vb))
 
     holds = True
-    residuals = []
 
     def _check_family(ops, side):
         nonlocal holds
@@ -253,7 +251,6 @@ def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:
                 o1, o2 = ops[i], ops[j]
                 scale = max(np.linalg.norm(o1) * np.linalg.norm(o2), 1e-300)
                 r = np.linalg.norm(o1 @ o2 - o2 @ o1) / scale
-                residuals.append(r)
                 if r > COMMUTATOR_RTOL:
                     holds = False
                     diagnostics.append(f"non-commuting pair on side {side} (residual {r:.2e})")
@@ -271,7 +268,6 @@ def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:
         H_re += np.kron(va, vb)
     scale = max(np.linalg.norm(H), 1.0)
     rec = np.linalg.norm(H_perm - H_re) / scale
-    residuals.append(rec)
     if rec > COMMUTATOR_RTOL:
         holds = False
         diagnostics.append(f"reassembly mismatch (residual {rec:.2e})")
@@ -286,7 +282,6 @@ def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:
         k_count=len(pairs),
         v_max=float(v_max),
         h_perm=H_perm,
-        commutator_residuals=residuals,
         diagnostics=diagnostics,
         perm_order=tuple(order),
     )

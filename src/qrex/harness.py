@@ -258,7 +258,8 @@ def _system_spec(config: ExperimentConfig, J) -> HamiltonianSpec:
     sys = config.system
     model = sys.get("model")
     if model == "defected_ising":
-        return defected_ising_1d(sys.get("n", 3), float(J if J is not None else sys.get("J", 3.0)))
+        return defected_ising_1d(sys.get("n", DEFAULT_CONFIG["system"]["n"]),
+                                 float(J if J is not None else sys.get("J", 3.0)))
     if model == "defected_heisenberg":
         return defected_heisenberg_2d(
             sys["rows"], sys["cols"], tuple(sys["A"]),
@@ -307,7 +308,7 @@ def _classical_ring_size(config: ExperimentConfig):
                           f"defected_ising ring, not {config.system.get('model')!r}")
     if config.sweep["param"] != "J":
         raise ConfigError("field 'sweep.param': the classical baseline sweeps J only")
-    n = config.system.get("n", 4)
+    n = config.system.get("n", DEFAULT_CONFIG["system"]["n"])
     if n < 3:
         raise ConfigError(f"field 'system.n': the ring needs n >= 3, got {n}")
     if n > 6:

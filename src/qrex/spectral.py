@@ -29,10 +29,10 @@ each block B of L_hat onto a block T(B), B itself or a partner with the
 conjugate matrix, the same eigenvalues and the conjugate eigenvectors.
 ``symmetrize`` marks its L_hat ``paired``, and ``block_eigh`` then solves
 one block of each pair (``_conjugate_pairs``), checks each entry of the
-partner blocks against the conjugate of its T-image (``_mirror_residual``;
-ValueError above HERMITICITY_TOL), and counts a twin block's eigenvalues
-twice (``block_spectrum``); the partner blocks are never formed.  Other
-input takes the general route, every block solved.
+partner blocks against the conjugate of its T-image among the solved ones
+(``_blocks``; ValueError above HERMITICITY_TOL), and counts a twin block's
+eigenvalues twice (``block_spectrum``); the partner blocks are never
+formed.  Other input takes the general route, every block solved.
 
 The bound g_B of the main theorem, the smallest gap of the pinned B
 generators, is read off one generator: ``a_diagonal_restriction_gap``.
@@ -152,27 +152,6 @@ def _conjugate_pairs(label, least):
     return partner >= comp, partner != comp, t
 
 
-def _mirror_residual(flat, val, place, own, mirror):
-    """Squared residual of A[T r, T c] = conj(A[r, c]) on one stack of solved blocks.
-
-    ``flat`` is the stack, raveled, ``place[e]`` the place there of entry e
-    or, for an entry of a partner block, of its T-image; ``own`` are the
-    stack's entries in twin blocks and ``mirror`` the partner entries whose
-    T-images fall in it.  Each partner entry is compared with the conjugate
-    of the solved entry at its T-image, and an own entry that no partner
-    entry reaches counts whole.
-    """
-    image = flat[place[mirror]]
-    sq = np.linalg.norm(val[mirror] - image.conj()) ** 2
-    # T is one to one: when the partner entries reach as many solved entries as
-    # there are, every own entry has its mirror
-    if np.count_nonzero(image) != own.size:
-        reached = np.zeros(flat.size, dtype=bool)
-        reached[place[mirror]] = True
-        sq += np.linalg.norm(val[own[~reached[place[own]]]]) ** 2
-    return sq
-
-
 def _blocks(A):
     """Diagonal blocks of the square A along the connected components of its nonzero pattern.
 
@@ -183,16 +162,17 @@ def _blocks(A):
     ``idx`` is the (k, b) array of the indices of k components, ascending
     within a row, ``sub`` the dense (k, b, b) stack of the blocks
     A[i][:, i], i = idx[c], and ``twin`` the (k,) mask of the blocks that
-    stand for a partner block too.  The entries are grouped by stack with
-    one counting sort, and each stack is filled by one scatter.
+    stand for a partner block too.  The kept blocks lie one after another in
+    one buffer, by size and in label order within a size, each entry
+    scattered there once, and each stack is a view of it.
 
     Every block is kept, with no twin, unless A is ``paired``.  Then only
     one block of each conjugate pair is kept and formed
     (``_conjugate_pairs``), and the partner of a twin block is
     A[T i][:, T i] = conj(A[i][:, i]): each entry of a partner block is
-    checked against the conjugate of its T-image in the stack
-    (``_mirror_residual``), and a relative residual above HERMITICITY_TOL is
-    a ValueError.
+    checked against the conjugate of its T-image in the buffer, an entry of
+    a twin block that no partner entry reaches counts whole, and a relative
+    residual above HERMITICITY_TOL is a ValueError.
     """
     A = A if isinstance(A, Triplets) else Triplets.of(A)
     n = A.side
@@ -208,36 +188,37 @@ def _blocks(A):
         home = np.where(solve[label], np.arange(n), t)  # an index of a partner block reads T of it
     kept = np.flatnonzero(solve)
     kept = kept[np.argsort(sizes[kept], kind="stable")]  # by size, in label order within one
-    side, first, count = np.unique(sizes[kept], return_index=True, return_counts=True)
-    stack = np.zeros(sizes.size, dtype=np.int64)  # the stack of each kept component
-    stack[kept] = np.repeat(np.arange(side.size), count)
-    slot = np.zeros(sizes.size, dtype=np.int64)  # and its place in the stack
-    slot[kept] = np.arange(kept.size) - np.repeat(first, count)
-    width = sizes[label]
-    corner = (slot[label] * width + pos) * width  # the place of entry (i, least index of its block)
+    area = sizes[kept] ** 2
+    lead = np.zeros(sizes.size, dtype=np.int64)  # where each kept block starts in the buffer
+    lead[kept] = np.cumsum(area) - area
+    corner = lead[label] + pos * sizes[label]  # the place of entry (i, least index of its block)
     row, col = (A.row, A.col) if home is None else (home[A.row], home[A.col])
     place = corner[row] + pos[col]
-    # each entry's stack, and whether it lies in a twin block (1) or a partner block (2)
-    kind = (twin.astype(np.int8) + ~solve)[label[A.row]]
-    key = (3 * stack[label][row] + kind).astype(np.min_scalar_type(3 * side.size))
-    by = np.argsort(key, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=3 * side.size))])
-    out, sq = [], 0.0
-    for g, (b, k, f) in enumerate(zip(side, count, first)):
-        comps = kept[f:f + k]
-        sub = np.zeros((k, b, b), dtype=A.val.dtype)
-        solved = by[bounds[3 * g]:bounds[3 * g + 2]]
-        sub.reshape(-1)[place[solved]] = A.val[solved]
-        if bounds[3 * g + 3] > bounds[3 * g + 1]:  # the stack holds twin blocks
-            sq += _mirror_residual(sub.reshape(-1), A.val, place,
-                                   by[bounds[3 * g + 1]:bounds[3 * g + 2]],
-                                   by[bounds[3 * g + 2]:bounds[3 * g + 3]])
-        out.append((order[starts[comps][:, None] + np.arange(b)], sub, twin[comps]))
+    del row, col
+    mine = solve[label][A.row]  # the entries of kept blocks; the others are partner entries
+    buf = np.zeros(area.sum(), dtype=A.val.dtype)
+    buf[place[mine]] = A.val[mine]
     if A.paired:
+        mirror = place[~mine]  # the place of the T-image of each partner entry
+        image = buf[mirror]
+        sq = np.linalg.norm(A.val[~mine] - image.conj()) ** 2
+        own = (solve & twin)[label][A.row]  # the entries of kept twin blocks
+        # T is one to one: when the partner entries reach as many entries of twin
+        # blocks as there are, every one of those has its mirror
+        if np.count_nonzero(image) != np.count_nonzero(own):
+            reached = np.zeros(buf.size, dtype=bool)
+            reached[mirror] = True
+            sq += np.linalg.norm(A.val[own & ~reached[place]]) ** 2
         resid = float(np.sqrt(sq) / max(1.0, np.linalg.norm(A.val)))
         if resid > HERMITICITY_TOL:
             raise ValueError(f"L_hat is not conjugate under the transpose map (pairing residual "
                              f"{resid:.2e})")
+    side, first, count = np.unique(sizes[kept], return_index=True, return_counts=True)
+    out = []
+    for b, k, f in zip(side, count, first):
+        comps, o = kept[f:f + k], lead[kept[f]]
+        out.append((order[starts[comps][:, None] + np.arange(b)],
+                    buf[o:o + k * b * b].reshape(k, b, b), twin[comps]))
     return out
 
 

@@ -643,11 +643,11 @@ def blocks_csgraph(A):
     """The (idx, sub, twin) triples of ``qrex.spectral._blocks``, one csgraph component at a time.
 
     Components of each size are stacked in label order, their indices
-    ascending, and each block is cut from the dense A.  For a ``paired`` A
-    the partner of a component is the set of its transposed vec indices
-    (i + d j -> j + d i); a component is kept when its least index is at
-    most its partner's, and is a twin when the partner is another
-    component.
+    ascending, and each block is cut from A held as a CSR array, so no dense
+    copy of A is made.  For a ``paired`` A the partner of a component is
+    the set of its transposed vec indices (i + d j -> j + d i); a component
+    is kept when its least index is at most its partner's, and is a twin
+    when the partner is another component.
     """
     paired = isinstance(A, Triplets) and A.paired
     A = sparse.coo_array((A.val, (A.row, A.col)), shape=A.shape) if isinstance(A, Triplets) \
@@ -655,11 +655,11 @@ def blocks_csgraph(A):
     A.sum_duplicates()
     nz = A.data != 0
     label = component_labels_csgraph(A.shape[0], A.row[nz], A.col[nz])
-    dense = A.toarray()
+    csr = A.tocsr()
     d = int(round(np.sqrt(A.shape[0])))
+    by_label = np.argsort(label, kind="stable")
     members, twins = [], []
-    for k in range(label.max() + 1):
-        m = np.nonzero(label == k)[0]
+    for m in np.split(by_label, np.cumsum(np.bincount(label))[:-1]):
         partner = np.sort((m % d) * d + m // d)
         if paired and partner[0] < m[0]:
             continue
@@ -669,7 +669,7 @@ def blocks_csgraph(A):
     for b in sorted({m.size for m in members}):
         keep = [c for c, m in enumerate(members) if m.size == b]
         idx = np.array([members[c] for c in keep])
-        out.append((idx, np.stack([dense[np.ix_(m, m)] for m in idx]),
+        out.append((idx, np.stack([csr[m][:, m].toarray() for m in idx]),
                     np.array([twins[c] for c in keep], dtype=bool)))
     return out
 

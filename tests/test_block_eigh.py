@@ -39,6 +39,7 @@ from oracles import (
     no_eigensolve,
     unpaired,
 )
+from test_spectral import COMPLEX_CHAIN, REAL_GENERATORS
 
 GM = WeightFunction("metropolis", 1.0)
 GG = WeightFunction("gaussian", 1.0)
@@ -221,22 +222,36 @@ def assert_blocks_match_csgraph(A):
         assert np.array_equal(twin, ref_twin)
 
 
-def test_ring_n5_blocks_match_csgraph():
-    H = assemble_dense(defected_ising_1d(5, 3.0))
-    es = eigensystem(H)
-    L = build_ckg_generator(es, single_site_paulis(5), GM)
-    assert_blocks_match_csgraph(symmetrize(L))
+# the real generator families, and the complex -X0 Y1 - Z1 Z2 - 0.5 X2 chain
+BLOCK_GENERATORS = {**REAL_GENERATORS, "complex3": lambda: build_ckg_generator(
+    eigensystem(assemble_dense(COMPLEX_CHAIN)), single_site_paulis(3), GM)}
 
 
-def test_labeled_joint_blocks_match_csgraph():
-    js = joint_structure(defected_ising_1d(3, 3.0))
-    L = build_replica_exchange_generator(js, GG)
-    assert_blocks_match_csgraph(symmetrize(L))
+@pytest.mark.parametrize("paired", [True, False], ids=["paired", "unpaired"])
+@pytest.mark.parametrize("name", BLOCK_GENERATORS)
+def test_blocks_match_csgraph(name, paired):
+    Lhat = symmetrize(BLOCK_GENERATORS[name]())
+    assert Lhat.val.dtype == (np.complex128 if name == "complex3" else np.float64)
+    assert_blocks_match_csgraph(Lhat if paired else unpaired(Lhat))
 
 
-def test_labeled_joint_unpaired_blocks_match_csgraph():
-    js = joint_structure(defected_ising_1d(3, 3.0))
-    assert_blocks_match_csgraph(unpaired(symmetrize(build_replica_exchange_generator(js, GG))))
+def test_blocks_temporaries_stay_within_an_allowance_per_entry():
+    # ring n = 8: 327,680 entries and 6.98 MB of stacks.  The peak beyond the
+    # stacks was 32.2 bytes per entry with one buffer scattered once, against
+    # 46.9 with a counting sort of the entries by stack
+    es = eigensystem(assemble_dense(defected_ising_1d(8, 3.0)))
+    Lhat = symmetrize(build_ckg_generator(es, single_site_paulis(8), GM))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        blocks = _blocks(Lhat)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    stacks = sum(sub.nbytes for _, sub, _ in blocks)
+    assert Lhat.nnz == 327680 and stacks == 6980608
+    assert peak < stacks + 40 * Lhat.nnz
 
 
 def generic_generator(n, w, seed):

@@ -688,6 +688,18 @@ class TestCli:
         assert err.startswith(f"config error: field {field}")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("scenario", ["sweep", "classical"])
+    def test_ring_without_n_is_the_n3_ring(self, scenario):
+        # classical once read a missing n as 4, while sweep, gap and mixing read it as 3
+        def gaps(system):
+            config = validate_config({"scenario": scenario, "system": system,
+                                      "replica": {"mode": "none"},
+                                      "sweep": {"param": "J", "values": [2.0]}})
+            return [rec["gap_single"] for rec in run_scenario(config).records]
+
+        ring = {"model": "defected_ising", "J": 2.0}
+        assert gaps(ring) == gaps({**ring, "n": 3}) != gaps({**ring, "n": 4})
+
     def test_classical_ring_above_six_spins_exit_three(self, tmp_path, capsys):
         # once a ValueError traceback with exit 1, the code of a failed verify check
         cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": 7}})
