@@ -51,7 +51,7 @@ def main(argv=None):
             config = parse_config(args.config)
         else:
             config = validate_config(dict(DEFAULT_CONFIG))
-        overrides = config.to_dict()
+        overrides = dict(vars(config))
         overrides["scenario"] = args.scenario
         if args.seed is not None:
             overrides["seed"] = args.seed

@@ -122,8 +122,9 @@ def assemble_dense(spec: HamiltonianSpec) -> np.ndarray:
     """Dense Hermitian matrix of the Hamiltonian, site 0 most significant."""
     dim = 2**spec.n
     H = np.zeros((dim, dim), dtype=complex)
-    for t in spec.terms:
-        H += pauli_string(spec.n, t.factors, t.coefficient).toarray()
+    for t in spec.terms:  # a Pauli string has one entry a row, so no index repeats
+        P = pauli_string(spec.n, t.factors, t.coefficient)
+        H[P.row, P.col] += P.val
     scale = np.linalg.norm(H)
     if scale > 0 and np.linalg.norm(H - H.conj().T) > HERMITICITY_RTOL * scale:
         raise ValueError("assembled Hamiltonian failed the hermiticity check")

@@ -26,6 +26,7 @@ from .classical import (
 from .hamiltonians import HamiltonianSpec, assemble_dense, defected_heisenberg_2d, defected_ising_1d
 from .lindblad import (
     QUAD_ABS_TOL,
+    WEIGHT_KINDS,
     WeightFunction,
     alpha_quadrature,
     build_ckg_generator,
@@ -58,8 +59,16 @@ class ResourceGuardError(RuntimeError):
     """Requested problem exceeds the configured superoperator dimension."""
 
 
-SCENARIOS = ("gap", "sweep", "mixing", "verify", "theta", "classical")
-WEIGHTS = ("metropolis", "gaussian")
+# the CSV columns of each scenario's records, in order; its keys are the scenarios
+CSV_COLUMNS = {
+    "gap": ["J", "beta", "gap", "kernel_dim", "kms_norm", "eigs", "tol"],
+    "sweep": ["J", "beta", "gap_single", "gap_re", "g_B", "bound_ratio", "status", "error"],
+    "mixing": ["state_id", "t_cross"],
+    "verify": ["check", "passed", "detail"],
+    "theta": ["beta_omega", "theta_closed", "theta_quadrature", "abs_diff"],
+    "classical": ["J", "beta", "gap_single", "gap_re", "phi_star", "phi_mode", "status", "error"],
+}
+SCENARIOS = tuple(CSV_COLUMNS)
 # the main theorem's lower bound on gap_re carries a factor 1/4 that
 # ``bound_ratio`` leaves out, so the bound holds where the ratio is at least this
 BOUND_RATIO_FLOOR = 0.25
@@ -93,50 +102,17 @@ class ExperimentConfig:
     max_dim: int
     output: dict
 
-    def to_dict(self):
-        return {
-            "system": self.system,
-            "beta": self.beta,
-            "weight": self.weight,
-            "replica": self.replica,
-            "scenario": self.scenario,
-            "sweep": self.sweep,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "max_dim": self.max_dim,
-            "output": self.output,
-        }
-
 
 @dataclass
 class Report:
+    """A scenario's result; its fields are the keys of the JSON report (``emit``)."""
+
     scenario: str
     records: list
     wall_time: float
     version: str
     tolerances: dict
     summary: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {
-            "scenario": self.scenario,
-            "records": self.records,
-            "wall_time": self.wall_time,
-            "version": self.version,
-            "tolerances": self.tolerances,
-            "summary": self.summary,
-        }
-
-    @staticmethod
-    def from_json_dict(d):
-        return Report(
-            scenario=d["scenario"],
-            records=d["records"],
-            wall_time=d["wall_time"],
-            version=d["version"],
-            tolerances=d["tolerances"],
-            summary=d.get("summary", {}),
-        )
 
 
 def validate_config(raw) -> ExperimentConfig:
@@ -157,14 +133,14 @@ def validate_config(raw) -> ExperimentConfig:
     if merged["scenario"] not in SCENARIOS:
         raise ConfigError(f"field 'scenario': unknown value {merged['scenario']!r}, "
                           f"expected one of {SCENARIOS}")
-    if merged["weight"] not in WEIGHTS:
+    if merged["weight"] not in WEIGHT_KINDS:
         raise ConfigError(f"field 'weight': unknown value {merged['weight']!r}")
     rep = merged["replica"]
     if rep["mode"] not in MODE_BUILDERS:
         raise ConfigError(f"field 'replica.mode': unknown value {rep['mode']!r}")
     if rep["swap_weight"] != "metropolis":
         raise ConfigError("field 'replica.swap_weight': only 'metropolis' is supported")
-    if rep.get("weight", "gaussian") not in WEIGHTS:
+    if rep["weight"] not in WEIGHT_KINDS:
         raise ConfigError(f"field 'replica.weight': unknown value {rep['weight']!r}")
     if rep["beta2"] is not None:
         rep["beta2"] = _number(rep["beta2"], "replica.beta2")
@@ -257,14 +233,12 @@ def build_system(config: ExperimentConfig, J=None) -> HamiltonianSpec:
 def _system_spec(config: ExperimentConfig, J) -> HamiltonianSpec:
     sys = config.system
     model = sys.get("model")
+    strength = J if J is not None else sys.get("J", DEFAULT_CONFIG["system"]["J"])
     if model == "defected_ising":
-        return defected_ising_1d(sys.get("n", DEFAULT_CONFIG["system"]["n"]),
-                                 float(J if J is not None else sys.get("J", 3.0)))
+        return defected_ising_1d(sys.get("n", DEFAULT_CONFIG["system"]["n"]), float(strength))
     if model == "defected_heisenberg":
-        return defected_heisenberg_2d(
-            sys["rows"], sys["cols"], tuple(sys["A"]),
-            tuple(sys["defect_edge"]), float(J if J is not None else sys.get("J", 3.0)),
-        )
+        return defected_heisenberg_2d(sys["rows"], sys["cols"], tuple(sys["A"]),
+                                      tuple(sys["defect_edge"]), float(strength))
     if "terms" in sys:
         spec = HamiltonianSpec.from_json_dict(sys)
         if J is not None:
@@ -415,7 +389,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
         _guard_dims(config, spec)
         rep = spectral_gap(MODE_BUILDERS[config.replica["mode"]](_Point(spec, config.beta), config))
         records = [{"J": spec.defect[1] if spec.defect else float("nan"),
-                    "beta": config.beta, **rep.to_json_dict()}]
+                    "beta": config.beta, **vars(rep)}]
 
     elif scenario == "sweep":
         jobs = [(config, v) for v in config.sweep["values"]]
@@ -442,7 +416,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
         L = _single_system(_Point(spec, config.beta), config)
         mrep = mixing_time_estimate(L, config.epsilon, seed=config.seed)
         records = [{"state_id": sid, "t_cross": t} for sid, t in mrep.crossings]
-        summary = {k: v for k, v in mrep.to_json_dict().items() if k != "crossings"}
+        summary = {k: v for k, v in vars(mrep).items() if k != "crossings"}
 
     elif scenario == "verify":
         records = run_verification(seed=config.seed, beta=config.beta)
@@ -495,16 +469,6 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
     )
 
 
-CSV_COLUMNS = {
-    "gap": ["J", "beta", "gap", "kernel_dim", "kms_norm", "eigs", "tol"],
-    "sweep": ["J", "beta", "gap_single", "gap_re", "g_B", "bound_ratio", "status", "error"],
-    "mixing": ["state_id", "t_cross"],
-    "verify": ["check", "passed", "detail"],
-    "theta": ["beta_omega", "theta_closed", "theta_quadrature", "abs_diff"],
-    "classical": ["J", "beta", "gap_single", "gap_re", "phi_star", "phi_mode", "status", "error"],
-}
-
-
 def _csv_cell(value):
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -529,7 +493,7 @@ def emit(report: Report, fmt: str, path) -> str:
     if fmt == "csv":
         text = render_csv(report)
     elif fmt == "json":
-        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"field 'output.format': unknown format {fmt!r}")
     if path is not None:

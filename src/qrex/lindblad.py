@@ -35,6 +35,8 @@ import numpy as np
 from numpy import random  # noqa: F401
 
 BOHR_GROUP_TOL = 1e-9
+# the transition weights gamma(omega) a WeightFunction can be
+WEIGHT_KINDS = ("metropolis", "gaussian")
 QUAD_ABS_TOL = 1e-12
 # alpha_quadrature evaluates its composite rule at both panel counts and
 # raises when they differ by more than QUAD_ABS_TOL
@@ -182,7 +184,7 @@ class WeightFunction:
     beta: float
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "metropolis"):
+        if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be positive and finite")

@@ -99,21 +99,6 @@ class MixingReport:
     rounds: int
     eigensolves: int
 
-    def to_json_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "t_measured": self.t_measured,
-            "t_lower": self.t_lower,
-            "t_upper": self.t_upper,
-            "family": self.family,
-            "crossings": [[sid, t] for sid, t in self.crossings],
-            "gap": self.gap,
-            "lambda_min": self.lambda_min,
-            "chunks": self.chunks,
-            "rounds": self.rounds,
-            "eigensolves": self.eigensolves,
-        }
-
 
 @dataclass(frozen=True)
 class Occupied:
@@ -368,18 +353,15 @@ class SpectralPropagator:
         rho = self._U @ self._scatter(self._propagate(coeffs, t), coeffs) @ self._Uh
         return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
-    def deviations(self, coeffs, t):
-        """Hermitian U^dag (rho_s(t) - sigma) U for each column, in sigma.basis.
-
-        The trace norm is unitarily invariant, so these carry the trace
-        distances to sigma without rotating out of sigma.basis, where sigma
-        is diag(weights).
-        """
-        return self._deviation(self._scatter(self._propagate(coeffs, t), coeffs))
-
     def distances(self, coeffs, t):
-        """Exact trace distances ||rho_s(t) - sigma||_1, from the eigenvalues of ``deviations``."""
-        return np.abs(np.linalg.eigvalsh(self.deviations(coeffs, t))).sum(axis=-1)
+        """Exact trace distances ||rho_s(t) - sigma||_1 for each coefficient column.
+
+        Read off the eigenvalues of the Hermitian U^dag (rho_s(t) - sigma) U in
+        sigma.basis, where sigma is diag(weights): the trace norm is unitarily
+        invariant, so nothing is rotated out of sigma.basis.
+        """
+        Y = self._deviation(self._scatter(self._propagate(coeffs, t), coeffs))
+        return np.abs(np.linalg.eigvalsh(Y)).sum(axis=-1)
 
 
 def _exp(x):

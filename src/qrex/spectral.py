@@ -61,34 +61,23 @@ class UnresolvedGapError(ValueError):
 class GapReport:
     """Gap and kernel of -L_hat; ``spectral_gap`` adds the block structure of its eigensolve.
 
-    ``blocks`` counts the blocks of L_hat, ``blocks_solved`` those solved
-    (one of each conjugate pair) and ``largest_block`` the side of the
-    largest; ``arithmetic`` is "real" when L_hat is stored as float64, else
-    "complex".  All four are None where the spectrum came from elsewhere.
+    ``eigs`` holds the (up to) eight smallest eigenvalues and ``tol`` the
+    kernel threshold.  ``blocks`` counts the blocks of L_hat,
+    ``blocks_solved`` those solved (one of each conjugate pair) and
+    ``largest_block`` the side of the largest; ``arithmetic`` is "real" when
+    L_hat is stored as float64, else "complex".  All four are None where the
+    spectrum came from elsewhere.
     """
 
     gap: float
     kernel_dim: int
     kms_norm: float
-    eigenvalue_tail: list
-    tolerance: float
+    eigs: list
+    tol: float
     blocks: int | None = None
     blocks_solved: int | None = None
     largest_block: int | None = None
     arithmetic: str | None = None
-
-    def to_json_dict(self):
-        return {
-            "gap": self.gap,
-            "kernel_dim": self.kernel_dim,
-            "kms_norm": self.kms_norm,
-            "eigs": list(self.eigenvalue_tail),
-            "tol": self.tolerance,
-            "blocks": self.blocks,
-            "blocks_solved": self.blocks_solved,
-            "largest_block": self.largest_block,
-            "arithmetic": self.arithmetic,
-        }
 
 
 def kms_scaling(sigma):
@@ -121,7 +110,7 @@ def _component_labels(n, rows, cols):
         np.minimum.at(root, np.maximum(rr, rc), np.minimum(rr, rc))
         while not np.array_equal(hop := root[root], root):
             root = hop
-    return np.unique(root, return_inverse=True)[1]
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def transpose_map(side):
@@ -309,8 +298,8 @@ def gap_from_eigenvalues(evals, expected_kernel=1) -> GapReport:
         gap=gap,
         kernel_dim=kernel_dim,
         kms_norm=float(evals[-1]),
-        eigenvalue_tail=[float(v) for v in evals[:8]],
-        tolerance=float(threshold),
+        eigs=[float(v) for v in evals[:8]],
+        tol=float(threshold),
     )
 
 

@@ -190,8 +190,9 @@ def edge_lists(draw):
 @given(edge_lists())
 def test_component_labels_match_csgraph(case):
     n, rows, cols = case
-    assert np.array_equal(_component_labels(n, rows, cols),
-                          component_labels_csgraph(n, rows, cols))
+    label = _component_labels(n, rows, cols)
+    assert label.dtype == np.intp
+    assert np.array_equal(label, component_labels_csgraph(n, rows, cols))
 
 
 @pytest.mark.parametrize("loops", [False, True])

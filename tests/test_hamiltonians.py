@@ -90,6 +90,20 @@ class TestAssembleDense:
             H = assemble_dense(HamiltonianSpec(n=n, terms=tuple(terms)))
             assert np.linalg.norm(H - H.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(H))
 
+    @pytest.mark.parametrize("spec", [defected_ising_1d(n, 3.0) for n in range(3, 9)]
+                             + [defected_heisenberg_2d(2, 3, (0, 1), (0, 1), 3.0),
+                                HamiltonianSpec(n=3, terms=(PauliTerm(-1.0, ((0, "X"), (1, "Y"))),
+                                                            PauliTerm(-1.0, ((1, "Z"), (2, "Z"))),
+                                                            PauliTerm(-0.5, ((2, "X"),))))],
+                             ids=[f"ring{n}" for n in range(3, 9)] + ["grid2x3", "complex"])
+    def test_bitwise_the_sum_of_dense_strings(self, spec):
+        # scattering each string's d entries in place gives the sum of the dense
+        # strings, term by term, to the bit (signed zeros included)
+        ref = np.zeros((2**spec.n, 2**spec.n), dtype=complex)
+        for t in spec.terms:
+            ref = ref + pauli_string(spec.n, t.factors, t.coefficient).toarray()
+        assert assemble_dense(spec).tobytes() == ref.tobytes()
+
 
 class TestDefectedIsing:
     def test_uniform_ring_all_up_energy(self):

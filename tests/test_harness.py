@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestParseConfig:
         path = write_config(tmp_path, {"couplings": {"sites": [0, 1]}})
         with pytest.raises(ConfigError, match="couplings"):
             parse_config(path)
-        assert "couplings" not in validate_config({}).to_dict()
+        assert "couplings" not in asdict(validate_config({}))
 
     def test_bad_sweep_param(self, tmp_path):
         path = write_config(tmp_path, {"sweep": {"param": "gamma", "values": [1]}})
@@ -473,7 +474,45 @@ class TestScenarios:
         assert calls == []
 
 
+GAP_KEYS = ["J", "beta", "gap", "kernel_dim", "kms_norm", "eigs", "tol", "blocks", "blocks_solved",
+            "largest_block", "arithmetic"]
+SWEEP_COLUMNS = ["J", "beta", "gap_single", "gap_re", "g_B", "bound_ratio", "status", "error"]
+CLASSICAL_COLUMNS = ["J", "beta", "gap_single", "gap_re", "phi_star", "phi_mode", "status", "error"]
+THETA_COLUMNS = ["beta_omega", "theta_closed", "theta_quadrature", "abs_diff"]
+# scenario, config, record keys, summary keys, CSV header
+SCHEMAS = {
+    "gap-none": ("gap", {"replica": {"mode": "none"}}, GAP_KEYS, [],
+                 "J,beta,gap,kernel_dim,kms_norm,eigs,tol"),
+    "gap-local_A": ("gap", {}, GAP_KEYS, [], "J,beta,gap,kernel_dim,kms_norm,eigs,tol"),
+    "gap-global": ("gap", {"replica": {"mode": "global", "beta2": 0.5}}, GAP_KEYS, [],
+                   "J,beta,gap,kernel_dim,kms_norm,eigs,tol"),
+    "sweep": ("sweep", {"sweep": {"param": "J", "values": [1.0, 5.0]}}, SWEEP_COLUMNS,
+              ["gap_single_ratio", "gap_re_max_over_min", "bound_ratio_min", "bound_holds"],
+              ",".join(SWEEP_COLUMNS)),
+    "mixing": ("mixing", {"replica": {"mode": "none"}}, ["state_id", "t_cross"],
+               ["epsilon", "t_measured", "t_lower", "t_upper", "family", "gap", "lambda_min",
+                "chunks", "rounds", "eigensolves"], "state_id,t_cross"),
+    "verify": ("verify", {}, ["check", "passed", "detail"], ["passed", "n_failed"],
+               "check,passed,detail"),
+    "theta": ("theta", {}, THETA_COLUMNS, ["max_abs_diff"], ",".join(THETA_COLUMNS)),
+    "classical": ("classical", {"sweep": {"param": "J", "values": [1.0, 5.0]}}, CLASSICAL_COLUMNS,
+                  ["single_collapse", "re_max_over_min"], ",".join(CLASSICAL_COLUMNS)),
+}
+
+
 class TestEmit:
+    @pytest.mark.parametrize("case", SCHEMAS)
+    def test_output_schema(self, case):
+        # the report dataclasses are the JSON schema: these keys and the CSV
+        # columns are what every reader of a qrex report sees
+        scenario, raw, record_keys, summary_keys, header = SCHEMAS[case]
+        report = run_scenario(validate_config({**raw, "scenario": scenario}))
+        doc = json.loads(emit(report, "json", None))
+        assert set(doc) == {"scenario", "records", "wall_time", "version", "tolerances", "summary"}
+        assert doc["records"] and all(set(r) == set(record_keys) for r in doc["records"])
+        assert set(doc["summary"]) == set(summary_keys)
+        assert emit(report, "csv", None).split("\n", 1)[0] == header
+
     def test_header_only_for_empty_records(self):
         report = Report(scenario="sweep", records=[], wall_time=0.0,
                         version="0", tolerances={})
@@ -488,7 +527,7 @@ class TestEmit:
         report = run_scenario(config)
         path = tmp_path / "out.json"
         emit(report, "json", str(path))
-        loaded = Report.from_json_dict(json.loads(path.read_text()))
+        loaded = Report(**json.loads(path.read_text()))
         assert loaded == report
 
     def test_json_tolerances_are_the_constants_in_force(self, tmp_path):

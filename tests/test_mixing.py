@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,7 +179,7 @@ class TestMixingTimeEstimate:
         rep = mixing_time_estimate(build_ckg_generator(es, single_site_paulis(4), GM), 1e-2)
         assert rep.eigensolves > 0
         assert rep.chunks == 1 and rep.rounds > 0
-        assert {"chunks", "rounds", "eigensolves"} <= rep.to_json_dict().keys()
+        assert {"chunks", "rounds", "eigensolves"} <= asdict(rep).keys()
 
     def test_empty_family_rejected(self):
         heis = two_qubit_ising()
