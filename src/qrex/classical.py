@@ -22,11 +22,10 @@ STATE_GUARD = 14  # spins; 2^14 states is the largest chain we build
 @dataclass
 class ClassicalChain:
     """Continuous-time reversible chain: off-diagonal rates q_xy as ``Triplets`` sorted by
-    (row, col), stationary law, beta.  Q is ``rates`` less the diagonal of its row sums q_x."""
+    (row, col), and stationary law.  Q is ``rates`` less the diagonal of its row sums q_x."""
 
     rates: Triplets
     stationary: np.ndarray
-    beta: float
 
     def __post_init__(self):
         R, pi = self.rates, self.stationary
@@ -62,13 +61,13 @@ def classical_defected_ising_energy(z, J, n_spins=None):
     return float(e[0]) if single else e
 
 
-def _metropolis(F, target, beta) -> ClassicalChain:
+def _metropolis(F, target) -> ClassicalChain:
     """Chain with rates min(1, e^{-(F[y] - F[x])}) from each state x to the states y != x of
     row x of ``target``, and law pi = e^{-F} / Z; F is the energy table times beta."""
     x, y = np.broadcast_arrays(np.arange(F.size)[:, None], target)
     x, y, w = x[x != y], y[x != y], np.exp(-(F - F.min()))
     rates = np.minimum(1.0, np.exp(-(F[y] - F[x])))
-    return ClassicalChain(canonical(x, y, rates, F.size), w / w.sum(), float(beta))
+    return ClassicalChain(canonical(x, y, rates, F.size), w / w.sum())
 
 
 def glauber_generator(energy_fn, n_spins, beta) -> ClassicalChain:
@@ -77,7 +76,7 @@ def glauber_generator(energy_fn, n_spins, beta) -> ClassicalChain:
     if n_spins > STATE_GUARD:
         raise ValueError(f"state space too large (n_spins > {STATE_GUARD})")
     E = np.asarray(energy_fn(spin_table(n_spins)), dtype=float)
-    return _metropolis(beta * E, np.arange(E.size)[:, None] ^ (1 << np.arange(n_spins)), beta)
+    return _metropolis(beta * E, np.arange(E.size)[:, None] ^ (1 << np.arange(n_spins)))
 
 
 def _symmetrized(chain: ClassicalChain):
@@ -132,7 +131,7 @@ def classical_re_generator(energy_fn, n_spins, beta1, beta2) -> ClassicalChain:
     s, m = np.arange(E.size**2), E.size
     flips = s[:, None] ^ (1 << np.arange(2 * n_spins))  # the bits of x1, then of x2
     return _metropolis(np.add.outer(beta1 * E, beta2 * E).ravel(),
-                       np.column_stack([flips, s % m * m + s // m]), beta1)
+                       np.column_stack([flips, s % m * m + s // m]))
 
 
 def _sectors(S):

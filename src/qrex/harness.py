@@ -122,21 +122,21 @@ def validate_config(raw) -> ExperimentConfig:
     merged = {**DEFAULT_CONFIG, **raw}
     # system is a whole value (a raw fragment must not inherit the default
     # model name); the other dict fields merge field-by-field
-    merged["system"] = dict(raw.get("system") or DEFAULT_CONFIG["system"])
+    merged["system"] = dict(_section(raw, "system") or DEFAULT_CONFIG["system"])
     for key in ("n", "rows", "cols"):
         if key in merged["system"]:
             merged["system"][key] = _integer(merged["system"][key], f"system.{key}")
+    if "J" in merged["system"]:
+        merged["system"]["J"] = _number(merged["system"]["J"], "system.J")
     for key in ("replica", "sweep", "output"):
-        base = dict(DEFAULT_CONFIG[key])
-        base.update(merged.get(key) or {})
-        merged[key] = base
+        merged[key] = {**DEFAULT_CONFIG[key], **_section(raw, key)}
     if merged["scenario"] not in SCENARIOS:
         raise ConfigError(f"field 'scenario': unknown value {merged['scenario']!r}, "
                           f"expected one of {SCENARIOS}")
     if merged["weight"] not in WEIGHT_KINDS:
         raise ConfigError(f"field 'weight': unknown value {merged['weight']!r}")
     rep = merged["replica"]
-    if rep["mode"] not in MODE_BUILDERS:
+    if rep["mode"] not in tuple(MODE_BUILDERS):  # a tuple: a JSON list or object is not hashable
         raise ConfigError(f"field 'replica.mode': unknown value {rep['mode']!r}")
     if rep["swap_weight"] != "metropolis":
         raise ConfigError("field 'replica.swap_weight': only 'metropolis' is supported")
@@ -159,12 +159,18 @@ def validate_config(raw) -> ExperimentConfig:
         raise ConfigError("field 'epsilon': must lie in (0, 1)")
     if merged["output"]["format"] not in ("csv", "json"):
         raise ConfigError(f"field 'output.format': must be 'csv' or 'json'")
+    path = merged["output"]["path"]
+    if path is not None and not (isinstance(path, str) and path):
+        raise ConfigError("field 'output.path': must be null or a file name")
     beta = _number(merged["beta"], "beta")
     if beta <= 0:
         raise ConfigError("field 'beta': must be positive")
     max_dim = _integer(merged["max_dim"], "max_dim")
     if max_dim < 1:
         raise ConfigError("field 'max_dim': must be at least 1")
+    seed = _integer(merged["seed"], "seed")
+    if seed < 0:
+        raise ConfigError("field 'seed': must be non-negative")
     return ExperimentConfig(
         system=merged["system"],
         beta=beta,
@@ -172,15 +178,25 @@ def validate_config(raw) -> ExperimentConfig:
         replica=merged["replica"],
         scenario=merged["scenario"],
         sweep=merged["sweep"],
-        seed=_integer(merged["seed"], "seed"),
+        seed=seed,
         epsilon=epsilon,
         max_dim=max_dim,
         output=merged["output"],
     )
 
 
+def _section(raw, key):
+    """The config section ``key``, {} when absent or null; ConfigError if it is not an object."""
+    value = raw.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"field {key!r}: not a JSON object")
+    return value or {}
+
+
 def _number(value, field):
     """``value`` as a finite float; ConfigError naming the field if it is not one."""
+    if isinstance(value, bool):  # JSON true and false are not 1 and 0
+        raise ConfigError(f"field {field!r}: not a number")
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -192,7 +208,7 @@ def _number(value, field):
 
 def _integer(value, field):
     """``value`` as an int; a float must be integral (3.0 is 3, 3.7 is a ConfigError)."""
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"field {field!r}: not an integer")
     try:
         return int(value)

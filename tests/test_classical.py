@@ -45,7 +45,7 @@ def random_reversible_chain(m, seed, density):
     W = W + W.T
     pi = 10.0 ** rng.uniform(-1.0, 0.0, size=m)
     pi /= pi.sum()
-    return ClassicalChain(rates=Triplets.of(W / pi[:, None]), stationary=pi, beta=1.0)
+    return ClassicalChain(rates=Triplets.of(W / pi[:, None]), stationary=pi)
 
 
 def random_flip_invariant_chain(h, seed, density):
@@ -65,7 +65,7 @@ def random_flip_invariant_chain(h, seed, density):
     p = 10.0 ** rng.uniform(-1.0, 0.0, size=m)
     p = p + p[::-1]
     pi = p / p.sum()
-    return ClassicalChain(rates=Triplets.of(W / pi[:, None]), stationary=pi, beta=1.0)
+    return ClassicalChain(rates=Triplets.of(W / pi[:, None]), stationary=pi)
 
 
 def eigvalsh_sides(monkeypatch):
@@ -221,7 +221,7 @@ class TestBottleneckRatio:
         assert phi == pytest.approx(cut / mass, rel=1e-12)
 
     def test_needs_two_states(self):
-        chain = ClassicalChain(rates=Triplets.of(np.zeros((1, 1))), stationary=np.ones(1), beta=1.0)
+        chain = ClassicalChain(rates=Triplets.of(np.zeros((1, 1))), stationary=np.ones(1))
         with pytest.raises(ValueError, match="at least 2 states"):
             bottleneck_ratio(chain)
 
@@ -253,7 +253,7 @@ class TestBottleneckRatio:
     def test_two_state_closed_form(self):
         p, q = 0.3, 0.7
         pi = np.array([q, p]) / (p + q)
-        chain = ClassicalChain(rates=Triplets.of([[0.0, p], [q, 0.0]]), stationary=pi, beta=1.0)
+        chain = ClassicalChain(rates=Triplets.of([[0.0, p], [q, 0.0]]), stationary=pi)
         phi, members = bottleneck_ratio(chain)
         # the smaller-pi side is state 1 (weight p/(p+q)); its exit rate is q
         assert members == (1,)
@@ -341,7 +341,7 @@ class TestClassicalGap:
     def test_two_state_closed_form(self):
         p, q = 0.4, 1.1
         pi = np.array([q, p]) / (p + q)
-        chain = ClassicalChain(rates=Triplets.of([[0.0, p], [q, 0.0]]), stationary=pi, beta=1.0)
+        chain = ClassicalChain(rates=Triplets.of([[0.0, p], [q, 0.0]]), stationary=pi)
         assert classical_gap(chain) == pytest.approx(p + q)
 
     def test_cheeger_upper_bound(self):
@@ -387,8 +387,7 @@ class TestChainChecks:
     PI = np.array([0.5, 0.3, 0.2])
 
     def chain(self, Q, pi=None):
-        return ClassicalChain(rates=Triplets.of(Q), stationary=self.PI if pi is None else pi,
-                              beta=1.0)
+        return ClassicalChain(rates=Triplets.of(Q), stationary=self.PI if pi is None else pi)
 
     def reversible(self):
         W = np.array([[0.0, 0.3, 0.1], [0.3, 0.0, 0.2], [0.1, 0.2, 0.0]])  # symmetric flows
@@ -407,7 +406,7 @@ class TestChainChecks:
 
     def test_rate_at_the_tolerance_is_kept(self):
         Q = np.array([[0.0, -1e-14], [0.0, 0.0]])  # a rounding-level negative rate, no flow
-        chain = ClassicalChain(rates=Triplets.of(Q), stationary=np.array([0.0, 1.0]), beta=1.0)
+        chain = ClassicalChain(rates=Triplets.of(Q), stationary=np.array([0.0, 1.0]))
         assert chain.reversibility == 0.0
 
     def test_law_that_is_not_stationary_refused(self):
@@ -492,7 +491,7 @@ class TestSectorRoute:
         Q[0, 1] = np.nextafter(Q[0, 1], 1.0)
         Q[1, 0] = Q[0, 1] * chain.stationary[0] / chain.stationary[1]
         sides = eigvalsh_sides(monkeypatch)
-        classical_gap(ClassicalChain(rates=Triplets.of(Q), stationary=chain.stationary, beta=1.0))
+        classical_gap(ClassicalChain(rates=Triplets.of(Q), stationary=chain.stationary))
         assert sides == [8]
 
     @pytest.mark.parametrize("J", [1.0, 5.0])
@@ -514,7 +513,7 @@ class TestSectorRoute:
             assert abs(rec["gap_single"] - single[0]) <= EPS * single[1]
             assert rec["gap_single"] == pytest.approx(float(mp_single_gap(n, 1.0, J)), rel=1e-12)
             Q, pi = glauber_generator_dense(ising_fn(J), n, 1.0)
-            phi = bottleneck_ratio(ClassicalChain(Triplets.of(Q - np.diag(np.diag(Q))), pi, 1.0))
+            phi = bottleneck_ratio(ClassicalChain(Triplets.of(Q - np.diag(np.diag(Q))), pi))
             assert rec["phi_star"] == pytest.approx(phi[0], rel=1e-12)
             replica = classical_gap_dense(*classical_re_generator_dense(ising_fn(J), n, 1.0, 0.2))
             assert rec["gap_re"] == pytest.approx(replica[0], rel=1e-12)

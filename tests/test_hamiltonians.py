@@ -234,19 +234,57 @@ class TestASideEigenbasis:
         rng = np.random.default_rng(3)
         d = 8
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        ops = [Q @ np.diag(rng.standard_normal(d)) @ Q.conj().T for _ in range(3)]
-        V, res = simultaneous_eigenbasis(ops, seed=5)
-        assert res < 1e-10
-        for o in ops:
-            m = V.conj().T @ o @ V
-            off = m - np.diag(np.diag(m))
-            assert np.linalg.norm(off) < 1e-9 * max(1.0, np.linalg.norm(m))
+        Z, I2 = pauli_string_matrix(1, [(0, "Z")]), np.eye(2)
+        families = [
+            [Q @ np.diag(rng.standard_normal(d)) @ Q.conj().T for _ in range(3)],
+            # the first op leaves one cluster; the second splits it
+            [np.eye(d), Q @ np.diag(np.repeat([1.0, -2.0], 4)) @ Q.conj().T,
+             Q @ np.diag(np.tile([0.5, 1.5], 4)) @ Q.conj().T],
+            # only the second op splits the blocks the first one leaves degenerate
+            [np.kron(Z, I2), np.kron(I2, Z)],
+        ]
+        for ops in families:
+            V, eigenvalues = simultaneous_eigenbasis(ops)
+            assert np.linalg.norm(V.conj().T @ V - np.eye(len(V))) < 1e-12
+            for o, lam in zip(ops, eigenvalues):
+                m = V.conj().T @ o @ V
+                off = m - np.diag(np.diag(m))
+                assert np.linalg.norm(off) < 1e-9 * max(1.0, np.linalg.norm(m))
+                assert np.array_equal(lam, np.diag(m).real)
+            V2, eigenvalues2 = simultaneous_eigenbasis(ops)
+            assert V2.tobytes() == V.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(eigenvalues, eigenvalues2))
+        # the two-qubit pair is labeled by its four distinct eigenvalue pairs
+        V, (z0, z1) = simultaneous_eigenbasis(families[2])
+        assert sorted(zip(z0.round(12), z1.round(12))) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
     def test_non_commuting_pair_raises(self):
         X = pauli_string_matrix(1, [(0, "X")])
         Z = pauli_string_matrix(1, [(0, "Z")])
         with pytest.raises(ValueError):
-            simultaneous_eigenbasis([X, Z], seed=5)
+            simultaneous_eigenbasis([X, Z])
+
+    @pytest.mark.parametrize("spec", [defected_ising_1d(n, 3.0) for n in range(3, 9)]
+                             + [defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0),
+                                defected_heisenberg_2d(2, 4, (0, 4), (0, 4), 3.0)],
+                             ids=[f"ring{n}" for n in range(3, 9)] + ["grid2x3", "grid2x4"])
+    def test_labeled_eigensystem_diagonalizes_h(self, spec):
+        # the energies are read off the factor eigenvalues, never off a rotation of H
+        es = joint_structure(spec).system_es
+        H, U, lam = assemble_dense(spec), es.eigenvectors, es.eigenvalues
+        assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) < 1e-12
+        assert np.linalg.norm(H @ U - U * lam) <= 1e-12 * np.linalg.norm(H)
+
+    @pytest.mark.parametrize("spec", [defected_ising_1d(n, 3.0) for n in (3, 4, 5)]
+                             + [defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0)],
+                             ids=["ring3", "ring4", "ring5", "grid2x3"])
+    def test_labels_draw_no_random_numbers(self, spec, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the joint structure drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        js = joint_structure(spec)
+        assert js.system_es.eigenvalues.shape == (2**spec.n,)
 
 
 class TestCompressOnto:

@@ -179,7 +179,7 @@ class TestSweepGB:
         # single system, joint system and auxiliary pieces, B-site restriction
         assert len(calls) == 4
 
-    def test_one_labeled_eigensystem_and_two_assemblies_per_point(self, monkeypatch):
+    def test_one_labeled_eigensystem_and_one_assembly_per_point(self, monkeypatch):
         n = 3
         assembled, labeled = [], []
         assemble, eigenpairs = qrex.hamiltonians.assemble_dense, qrex.lindblad.Eigensystem
@@ -199,9 +199,9 @@ class TestSweepGB:
         for module in (qrex.replica, qrex.spectral):
             monkeypatch.setattr(module, "Eigensystem", eigenpairs_spy, raising=False)
         self.point({"model": "defected_ising", "n": n, "J": 3.0}, 1.0, 3.0)
-        # the single-system gap and the cut analysis; the joint structure takes
-        # the cut's permuted H and holds the labeled eigensystem
-        assert len(assembled) == 2
+        # the single-system gap; the joint structure reads its labeled
+        # eigensystem off the cut's factors and never assembles H
+        assert len(assembled) == 1
         assert len(labeled) == 1
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -256,7 +256,7 @@ class TestSweepGB:
                     monkeypatch.setattr(module, name, spy)
         rows = qrex.verify.run_verification()
         assert len(rows) == 25 and all(row["passed"] for row in rows)
-        assert counts == {"assemble_dense": 4, "build_ckg_generator": 6}
+        assert counts == {"assemble_dense": 3, "build_ckg_generator": 6}
 
 
 class TestTheoremBound:
@@ -618,7 +618,20 @@ class TestCli:
         ({"max_dim": "big"}, "'max_dim'"),
         ({"max_dim": -5}, "'max_dim'"),
         ({"system": {"model": "defected_ising", "n": 2, "J": 1.0}}, "'system'"),
-    ], ids=["seed", "epsilon", "max_dim_text", "max_dim_negative", "ring_n2"])
+        ({"system": "ring"}, "'system'"),
+        ({"replica": "x"}, "'replica'"),
+        ({"sweep": [1, 2]}, "'sweep'"),
+        ({"output": 5}, "'output'"),
+        ({"seed": -1}, "'seed'"),
+        ({"output": {"path": 7}}, "'output.path'"),
+        ({"output": {"path": True}}, "'output.path'"),
+        ({"beta": True}, "'beta'"),
+        ({"system": {"model": "defected_ising", "n": True, "J": 1.0}}, "'system.n'"),
+        ({"system": {"model": "defected_ising", "n": 3, "J": True}}, "'system.J'"),
+        ({"replica": {"mode": []}}, "'replica.mode'"),
+    ], ids=["seed", "epsilon", "max_dim_text", "max_dim_negative", "ring_n2", "system_text",
+            "replica_text", "sweep_list", "output_number", "seed_negative", "path_number",
+            "path_true", "beta_true", "n_true", "J_true", "mode_list"])
     def test_malformed_config_exit_two_names_field(self, tmp_path, capsys, payload, field):
         cfg = write_config(tmp_path, payload)
         assert main(["gap", "--config", cfg]) == 2
