@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lindblad import Triplets, add
 from .pauli import pauli_string, qubit_permutation
 
 COMMUTATOR_RTOL = 1e-10
@@ -120,15 +121,13 @@ class CutReport:
         return self.h_b.shape[0]
 
 
-def assemble_dense(spec: HamiltonianSpec) -> np.ndarray:
-    """Dense Hermitian matrix of the Hamiltonian, site 0 most significant."""
-    dim = 2**spec.n
-    H = np.zeros((dim, dim), dtype=complex)
-    for t in spec.terms:  # a Pauli string has one entry a row, so no index repeats
-        P = pauli_string(spec.n, t.factors, t.coefficient)
-        H[P.row, P.col] += P.val
-    scale = np.linalg.norm(H)
-    if scale > 0 and np.linalg.norm(H - H.conj().T) > HERMITICITY_RTOL * scale:
+def assemble(spec: HamiltonianSpec) -> Triplets:
+    """The Hamiltonian (site 0 most significant) as ``Triplets``, checked to be Hermitian:
+    ``lindblad.canonical`` sums the strings term by term and stores a real sum as float64."""
+    empty = Triplets(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0), 2**spec.n)
+    H = add(empty, *(pauli_string(spec.n, t.factors, t.coefficient) for t in spec.terms))
+    adjoint = Triplets(H.col, H.row, -H.val.conj(), H.side)
+    if np.linalg.norm(add(H, adjoint).val) > HERMITICITY_RTOL * np.linalg.norm(H.val):
         raise ValueError("assembled Hamiltonian failed the hermiticity check")
     return H
 

@@ -23,7 +23,7 @@ from .classical import (
     classical_re_generator,
     glauber_generator,
 )
-from .hamiltonians import HamiltonianSpec, assemble_dense, defected_heisenberg_2d, defected_ising_1d
+from .hamiltonians import HamiltonianSpec, assemble, defected_heisenberg_2d, defected_ising_1d
 from .lindblad import (
     QUAD_ABS_TOL,
     WEIGHT_KINDS,
@@ -195,7 +195,7 @@ def _section(raw, key):
 
 def _number(value, field):
     """``value`` as a finite float; ConfigError naming the field if it is not one."""
-    if isinstance(value, bool):  # JSON true and false are not 1 and 0
+    if isinstance(value, (bool, str)):  # JSON true, false and "2" are not 1, 0 and 2
         raise ConfigError(f"field {field!r}: not a number")
     try:
         number = float(value)
@@ -208,7 +208,7 @@ def _number(value, field):
 
 def _integer(value, field):
     """``value`` as an int; a float must be integral (3.0 is 3, 3.7 is a ConfigError)."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"field {field!r}: not an integer")
     try:
         return int(value)
@@ -315,7 +315,7 @@ class _Point:
 
     @cached_property
     def es(self):
-        return eigensystem(assemble_dense(self.spec))
+        return eigensystem(assemble(self.spec))
 
     @cached_property
     def js(self):

@@ -156,8 +156,7 @@ def add(*parts):
 
 @dataclass
 class Eigensystem:
-    """Eigenpairs of a Hermitian H: ``eigenvalues[i]`` belongs to column i of
-    ``eigenvectors`` (ascending when built by ``eigensystem``, any order otherwise)."""
+    """Eigenpairs of a Hermitian H: ``eigenvalues[i]`` belongs to column i of ``eigenvectors``."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -169,11 +168,9 @@ class Eigensystem:
     @cached_property
     def permutation(self):
         """(i, u) where U = eigenvectors holds one nonzero per row, row k's u[k] in column
-        i[k]: a permutation with phases, as for a diagonal H; else None."""
+        i[k]: a permutation with phases, as the ring's bases are; else None."""
         k, i = np.nonzero(self.eigenvectors)
-        if not np.array_equal(k, np.arange(self.dim)):
-            return None
-        return i, self.eigenvectors[k, i]
+        return (i, self.eigenvectors[k, i]) if np.array_equal(k, np.arange(self.dim)) else None
 
 
 @dataclass(frozen=True)
@@ -272,25 +269,29 @@ class Superoperator:
 
 
 def eigensystem(H) -> Eigensystem:
-    """Diagonalize H, checking the eigensolver's residual ||H U - U diag(lam)||.
+    """Diagonalize the Hermitian H (dense or ``Triplets``) by the blocks of its nonzero pattern.
 
-    Where U is a permutation with phases (``Eigensystem.permutation``), column
-    i[k] of H U is column k of H times u[k], so the residual is taken from H's
-    columns scaled in place of the dense product.
+    A diagonal H gets U = I and its diagonal, in computational order, with no
+    eigensolve.  Otherwise ``spectral.block_eigh`` solves each block, in real
+    arithmetic for a real H, its eigenvectors filling U on the block's indices,
+    and a residual ||H_b V - V diag(w)|| over the blocks above 1e-11 ||H|| is a
+    ValueError.  A basis that mixes no blocks of H keeps L_hat as sparse as H allows.
     """
-    H = np.asarray(H, dtype=complex)
-    es = Eigensystem(*np.linalg.eigh(H))
-    lam, U = es.eigenvalues, es.eigenvectors
-    scale = max(1.0, float(np.abs(lam).max()))  # ||H||_2 of the Hermitian H
-    if es.permutation is None:
-        R = H @ U - U * lam  # U^dag H U - diag(lam) rotated by the unitary U
-    else:  # the same residual with its columns permuted by i
-        i, u = es.permutation
-        R = H * u
-        R[np.arange(es.dim), np.arange(es.dim)] -= u * lam[i]
-    if (resid := np.linalg.norm(R)) > 1e-11 * scale:
+    from .spectral import block_eigh  # spectral imports this module
+
+    H = H if isinstance(H, Triplets) else Triplets.of(H)
+    lam = np.zeros(H.side)
+    if np.array_equal(H.row, H.col):
+        lam[H.row] = H.val.real
+        return Eigensystem(lam, np.eye(H.side))
+    U, dense, sq = np.zeros(H.shape, dtype=H.val.dtype), H.toarray(), 0.0
+    for idx, w, V, _ in block_eigh(H):
+        block = idx[:, :, None], idx[:, None, :]
+        lam[idx], U[block] = w, V
+        sq += np.linalg.norm(dense[block] @ V - V * w[:, None, :]) ** 2
+    if (resid := math.sqrt(sq)) > 1e-11 * max(1.0, float(np.abs(lam).max())):  # ||H||_2
         raise ValueError(f"eigensolver residual {resid:.2e} too large")
-    return es
+    return Eigensystem(lam, U)
 
 
 def group_frequencies(nu, scale):

@@ -23,7 +23,7 @@ from .classical import (
     classical_re_generator,
     glauber_generator,
 )
-from .hamiltonians import assemble_dense, compress_onto, defected_ising_1d
+from .hamiltonians import assemble, compress_onto, defected_ising_1d
 from .lindblad import (
     Superoperator,
     Triplets,
@@ -77,7 +77,7 @@ def run_verification(seed=42, beta=1.0):
     gm = WeightFunction("metropolis", beta)
     gg = WeightFunction("gaussian", beta)
     spec3 = defected_ising_1d(3, 3.0)
-    H3 = assemble_dense(spec3)
+    H3 = assemble(spec3).toarray()
     es3 = eigensystem(H3)
 
     # hamiltonians
@@ -94,7 +94,7 @@ def run_verification(seed=42, beta=1.0):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
-    H4 = assemble_dense(defected_ising_1d(4, 2.0))
+    H4 = assemble(defected_ising_1d(4, 2.0)).toarray()
     comp = compress_onto(H4, v, ((0, 1), (2, 3)), 4)
     contractive = np.linalg.norm(comp, 2) <= np.linalg.norm(H4, 2) + 1e-12
     results.append(_check("hamiltonians.compress_contractive", contractive,
@@ -219,7 +219,7 @@ def run_verification(seed=42, beta=1.0):
     results.append(_check("mixing.trace_distance_monotone", mono, "11-point grid"))
 
     spec2 = defected_ising_1d(3, 1.0)
-    es2 = eigensystem(assemble_dense(spec2))
+    es2 = eigensystem(assemble(spec2))
 
     def chi2_gap_consistency():
         # one decomposition for the gap and the rate fit

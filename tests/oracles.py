@@ -121,7 +121,7 @@ from scipy.linalg import expm, solve_triangular
 from scipy.sparse.csgraph import connected_components
 
 import qrex.spectral
-from qrex.hamiltonians import assemble_dense, compress_onto
+from qrex.hamiltonians import assemble, compress_onto
 from qrex.lindblad import (
     BOHR_GROUP_TOL,
     QUAD_PANELS,
@@ -156,6 +156,11 @@ from qrex.spectral import (
     spectral_gap,
     symmetrize,
 )
+
+
+def assemble_dense(spec):
+    """The Hamiltonian of ``spec`` as a dense complex128 matrix: ``assemble`` scattered."""
+    return assemble(spec).toarray().astype(complex)
 
 
 def congruence(M, P, R):

@@ -17,7 +17,6 @@ from qrex.classical import (
     glauber_generator,
 )
 from qrex.hamiltonians import (
-    assemble_dense,
     check_commuting_cut,
     defected_heisenberg_2d,
     defected_ising_1d,
@@ -49,6 +48,7 @@ from qrex.spectral import (
 )
 
 from oracles import (
+    assemble_dense,
     bottleneck_witness,
     coherent_term,
     detailed_balance_residual,

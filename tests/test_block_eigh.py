@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrex.hamiltonians import assemble_dense, defected_ising_1d
+from qrex.hamiltonians import defected_ising_1d
 from qrex.lindblad import (
     Superoperator,
     Triplets,
@@ -33,6 +33,7 @@ from qrex.spectral import (
 )
 
 from oracles import (
+    assemble_dense,
     assert_gate_at,
     blocks_csgraph,
     component_labels_csgraph,

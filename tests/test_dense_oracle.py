@@ -26,7 +26,6 @@ import qrex.replica
 from qrex.hamiltonians import (
     HamiltonianSpec,
     PauliTerm,
-    assemble_dense,
     defected_heisenberg_2d,
     defected_ising_1d,
 )
@@ -56,6 +55,7 @@ from qrex.replica import (
 )
 from qrex.spectral import (
     KERNEL_TOL,
+    UnresolvedGapError,
     a_diagonal_restriction_gap,
     block_eigh,
     block_eigvalsh,
@@ -65,6 +65,7 @@ from qrex.spectral import (
 )
 
 from oracles import (
+    assemble_dense,
     apply,
     bohr_groups_all_pairs,
     congruence,
@@ -82,11 +83,25 @@ GG = WeightFunction("gaussian", 1.0)
 RTOL = 1e-12
 
 
+def dense_eigensystem(H):
+    """H's eigensystem by one complex eigh of all of H, its residual gated at 1e-11 ||H||.
+
+    The oracle for ``eigensystem``, which solves H by the blocks of its pattern:
+    inside a degenerate eigenspace this basis may mix H's blocks, which leaves
+    the generator unchanged but may make it less sparse.
+    """
+    H = np.asarray(H, dtype=complex)
+    lam, U = np.linalg.eigh(H)
+    if (resid := np.linalg.norm(H @ U - U * lam)) > 1e-11 * max(1.0, np.abs(lam).max()):
+        raise ValueError(f"eigensolver residual {resid:.2e} too large")
+    return Eigensystem(lam, U)
+
+
 def dense_ckg(H, couplings, w):
     """Heisenberg generator in the computational basis, gathered per coupling."""
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
-    es = eigensystem(H)
+    es = dense_eigensystem(H)
     U = es.eigenvectors
     bohr, gid = bohr_groups_all_pairs(es.eigenvalues)
     eye = np.eye(d)
@@ -180,11 +195,11 @@ def computational_joint_sum(spec, beta, w1, w2):
     n_a = len(spec.partition[0])
     d_a, d_n = 2**n_a, H.shape[0]
     M = superop_kron_left(
-        matrix(build_ckg_generator(eigensystem(H), single_site_paulis(spec.n), w1)), d_a)
-    M += superop_kron_right(
-        matrix(build_ckg_generator(eigensystem(np.eye(d_a)), single_site_paulis(n_a), w2)), d_n)
-    M += matrix(swap_generator_closed_form(joint_structure(spec), beta))
-    return M
+        matrix(build_ckg_generator(dense_eigensystem(H), single_site_paulis(spec.n), w1)), d_a)
+    M = M + superop_kron_right(  # the pieces are real or complex by their bases
+        matrix(build_ckg_generator(dense_eigensystem(np.eye(d_a)), single_site_paulis(n_a), w2)),
+        d_n)
+    return M + matrix(swap_generator_closed_form(joint_structure(spec), beta))
 
 
 def computational_global_sum(spec, beta, beta2, w1, w2):
@@ -631,3 +646,69 @@ def test_ring_build_forms_no_dense_coupling(monkeypatch):
     assert formed == []
     for e in (es, js.system_es, js.aux_es):
         assert e.permutation is not None
+
+
+def ring_config(n, J, **extra):
+    return {"system": {"model": "defected_ising", "n": n, "J": J}, "replica": {"mode": "none"},
+            **extra}
+
+
+FIELD_RING = HamiltonianSpec(n=3, terms=defected_ising_1d(3, 2.0).terms + tuple(
+    PauliTerm(-0.7, ((s, "X"),)) for s in range(3)))
+COMPLEX_SYSTEM = HamiltonianSpec(n=3, terms=(PauliTerm(-1.0, ((0, "X"), (1, "Y"))),
+                                             PauliTerm(-1.0, ((1, "Z"), (2, "Z"))),
+                                             PauliTerm(-0.5, ((2, "X"),))))
+GRID_SYSTEM = {"model": "defected_heisenberg", "rows": 2, "cols": 3, "A": [0, 3],
+               "defect_edge": [0, 3], "J": 3.0}
+ROUTE_CASES = (
+    [(f"ring{n}-{weight}-J{J:g}", ring_config(n, J, weight=weight))
+     for n in range(3, 9) for weight in ("metropolis", "gaussian") for J in (1.0, 3.0, 5.0)]
+    + [(f"joint{n}", ring_config(n, 3.0, replica={"mode": "local_A"})) for n in (3, 4, 5)]
+    + [(f"global{n}", ring_config(n, 3.0, replica={"mode": "global"})) for n in (3, 4)]
+    + [(f"grid-{mode}", {"system": GRID_SYSTEM, "beta": 0.05, "replica": {"mode": mode}})
+       for mode in ("none", "local_A")]
+    + [(name, {"system": spec.to_json_dict(), "replica": {"mode": "none"}})
+       for name, spec in (("field_ring", FIELD_RING), ("complex", COMPLEX_SYSTEM))])
+
+
+def route_reports(config):
+    """The gap scenario's record of ``config``, and for local_A the sweep's too: local_A
+    reads its joint basis off the commuting cut, and the sweep adds the single-system gap.
+    An unresolved gap stands as the text before the numbers of its error."""
+    out = []
+    for scenario in ("gap", "sweep")[:1 + (config["replica"]["mode"] == "local_A")]:
+        raw = {**config, "scenario": scenario, "max_dim": 2**20,
+               "sweep": {"param": "beta", "values": [config.get("beta", 1.0)]}}
+        try:
+            out.append(run_scenario(validate_config(raw)).records[0])
+        except UnresolvedGapError as exc:
+            out.append({"status": str(exc).split(",")[0]})
+    return out
+
+
+@pytest.mark.parametrize("name, config", ROUTE_CASES, ids=[name for name, _ in ROUTE_CASES])
+def test_gap_report_matches_the_dense_eigensystem(name, config, monkeypatch):
+    """Every number agrees with the route that solves H by one complex eigh of all of H.
+
+    So do the block counts, except where an eigenvalue of H is shared by two of
+    its blocks: the dense eigh may mix them, and the complex system, each of
+    whose eigenvalues lies in both of its blocks, gets the coarser L_hat.
+    """
+    new_reports = route_reports(config)
+    with monkeypatch.context() as m:
+        m.setattr(qrex.harness, "eigensystem", lambda H: dense_eigensystem(H.toarray()))
+        old_reports = route_reports(config)
+    for new, old in zip(new_reports, old_reports):
+        assert new.get("kernel_dim") == old.get("kernel_dim")
+        assert new.get("status") == old.get("status")
+        if name == "complex":
+            assert (new["blocks"], new["largest_block"]) == (4, 16)
+            assert (old["blocks"], old["largest_block"]) == (2, 32)
+        else:
+            for key in ("blocks", "blocks_solved", "largest_block"):
+                assert new.get(key) == old.get(key), key
+        for key in ("gap", "kms_norm", "eigs", "tol", "gap_single", "gap_re", "g_B",
+                    "bound_ratio"):
+            if key in old:
+                a, b = np.atleast_1d(new[key]), np.atleast_1d(old[key])
+                assert np.all(np.abs(a - b) <= np.maximum(1e-12 * np.abs(b), 1e-14)), key

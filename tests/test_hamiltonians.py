@@ -4,7 +4,7 @@ import pytest
 from qrex.hamiltonians import (
     HamiltonianSpec,
     PauliTerm,
-    assemble_dense,
+    assemble,
     check_commuting_cut,
     compress_onto,
     defected_heisenberg_2d,
@@ -22,6 +22,7 @@ from qrex.pauli import (
 from qrex.replica import joint_structure
 
 from oracles import (
+    assemble_dense,
     kron_all,
     pauli_decompose,
     pauli_string_matrix,
@@ -97,12 +98,14 @@ class TestAssembleDense:
                                                             PauliTerm(-0.5, ((2, "X"),))))],
                              ids=[f"ring{n}" for n in range(3, 9)] + ["grid2x3", "complex"])
     def test_bitwise_the_sum_of_dense_strings(self, spec):
-        # scattering each string's d entries in place gives the sum of the dense
-        # strings, term by term, to the bit (signed zeros included)
+        # the canonical sum of the strings' entries, term by term, is the sum of the
+        # dense strings to the bit (signed zeros included), stored real where it is real
         ref = np.zeros((2**spec.n, 2**spec.n), dtype=complex)
         for t in spec.terms:
             ref = ref + pauli_string(spec.n, t.factors, t.coefficient).toarray()
-        assert assemble_dense(spec).tobytes() == ref.tobytes()
+        H = assemble(spec)
+        assert H.val.dtype == (np.complex128 if ref.imag.any() else np.float64)
+        assert H.toarray().astype(complex).tobytes() == ref.tobytes()
 
 
 class TestDefectedIsing:

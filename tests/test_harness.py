@@ -182,7 +182,7 @@ class TestSweepGB:
     def test_one_labeled_eigensystem_and_one_assembly_per_point(self, monkeypatch):
         n = 3
         assembled, labeled = [], []
-        assemble, eigenpairs = qrex.hamiltonians.assemble_dense, qrex.lindblad.Eigensystem
+        assemble, eigenpairs = qrex.hamiltonians.assemble, qrex.lindblad.Eigensystem
 
         def assemble_spy(spec):
             assembled.append(spec.n)
@@ -194,7 +194,7 @@ class TestSweepGB:
             return eigenpairs(lam, U)
 
         for module in (qrex.hamiltonians, qrex.harness, qrex.replica, qrex.verify):
-            monkeypatch.setattr(module, "assemble_dense", assemble_spy, raising=False)
+            monkeypatch.setattr(module, "assemble", assemble_spy, raising=False)
         # qrex.lindblad.eigensystem diagonalizes H itself and is not counted
         for module in (qrex.replica, qrex.spectral):
             monkeypatch.setattr(module, "Eigensystem", eigenpairs_spy, raising=False)
@@ -240,10 +240,10 @@ class TestSweepGB:
     def test_verification_assembles_and_builds_once_each(self, monkeypatch):
         # the cut check reads the joint structure's cut and the Metropolis n = 3
         # generator is built once for every check that uses it
-        counts = {"assemble_dense": 0, "build_ckg_generator": 0}
+        counts = {"assemble": 0, "build_ckg_generator": 0}
         modules = (qrex.hamiltonians, qrex.lindblad, qrex.harness, qrex.mixing, qrex.replica,
                    qrex.spectral, qrex.verify)
-        for name, owner in (("assemble_dense", qrex.hamiltonians),
+        for name, owner in (("assemble", qrex.hamiltonians),
                             ("build_ckg_generator", qrex.lindblad)):
             original = getattr(owner, name)
 
@@ -256,7 +256,7 @@ class TestSweepGB:
                     monkeypatch.setattr(module, name, spy)
         rows = qrex.verify.run_verification()
         assert len(rows) == 25 and all(row["passed"] for row in rows)
-        assert counts == {"assemble_dense": 3, "build_ckg_generator": 6}
+        assert counts == {"assemble": 3, "build_ckg_generator": 6}
 
 
 class TestTheoremBound:
@@ -661,6 +661,24 @@ class TestCli:
         config = validate_config({"seed": 7.0, "system": {"model": "defected_ising", "n": 3.0}})
         assert (config.seed, config.system["n"]) == (7, 3)
         assert type(config.seed) is int and type(config.system["n"]) is int
+
+    @pytest.mark.parametrize("scenario, payload, field", [
+        ("gap", {"beta": "2"}, "'beta': not a number"),
+        ("gap", {"seed": "7"}, "'seed': not an integer"),
+        ("gap", {"system": {"model": "defected_ising", "n": "3", "J": 1.0}},
+         "'system.n': not an integer"),
+        ("gap", {"system": {"model": "defected_ising", "n": 3, "J": "1.5"}},
+         "'system.J': not a number"),
+        ("mixing", {"epsilon": "0.01"}, "'epsilon': not a number"),
+        ("sweep", {"sweep": {"param": "J", "values": [1.0, "5"]}}, "'sweep.values': not a number"),
+    ], ids=["beta", "seed", "n", "J", "epsilon", "sweep_value"])
+    def test_numeric_strings_exit_two_names_field(self, tmp_path, capsys, scenario, payload,
+                                                  field):
+        # a JSON string is refused, not parsed: "2" is not the number 2
+        cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": 3, "J": 2.0},
+                                      "replica": {"mode": "none"}, **payload})
+        assert main([scenario, "--config", cfg]) == 2
+        assert f"config error: field {field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario, payload, field", [
         ("sweep", {"sweep": {"param": "J", "values": []}}, "'sweep.values'"),

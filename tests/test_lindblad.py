@@ -8,7 +8,14 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from qrex import lindblad
-from qrex.hamiltonians import assemble_dense, defected_heisenberg_2d, defected_ising_1d
+import qrex.harness
+from qrex.hamiltonians import (
+    HamiltonianSpec,
+    PauliTerm,
+    assemble,
+    defected_heisenberg_2d,
+    defected_ising_1d,
+)
 from qrex.lindblad import (
     BOHR_GROUP_TOL,
     Eigensystem,
@@ -29,6 +36,7 @@ from qrex.lindblad import (
 from qrex.pauli import X, Y, Z, pauli_string, single_site_paulis
 
 from oracles import (
+    assemble_dense,
     alpha_quadrature_whole_cube,
     apply,
     bohr_groups_all_pairs,
@@ -59,35 +67,60 @@ def all_pair_groups(es):
 class TestEigensystem:
     def test_single_z(self):
         es = eigensystem(Z)
-        assert np.allclose(es.eigenvalues, [-1.0, 1.0])
+        assert np.array_equal(es.eigenvalues, [1.0, -1.0])  # computational order
         assert set(np.round(all_pair_groups(es)[0], 12)) == {-2.0, 0.0, 2.0}
 
     @pytest.mark.parametrize("permutation", [True, False])
     @pytest.mark.parametrize("factor, refused", [(0.9, False), (1.1, True)])
     def test_residual_gate(self, permutation, factor, refused, monkeypatch):
-        # an eigenvalue moved by t leaves the residual ||H U - U diag(lam)|| = t, gated at
-        # 1e-11 ||H||: taken by gathering H's columns where U is a permutation with phases
-        # (a diagonal H), and by the dense product otherwise
+        # an eigenvalue of one block moved by t leaves the residual ||H_b V - V diag(w)|| = t
+        # over the blocks, gated at 1e-11 ||H||: on two 2 x 2 blocks that a permutation
+        # interleaves (indices {0, 2} and {1, 3}), and on one dense 4 x 4 block
         rng = np.random.default_rng(11)
+        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        H = M + M.conj().T
         if permutation:
-            h = np.array([0.7, -2.0, 3.5, 1.25])
-            H = np.diag(h).astype(complex)
-            lam = np.sort(h)
-            U = np.zeros((4, 4), dtype=complex)
-            U[np.arange(4), np.argsort(np.argsort(h))] = np.exp(1j * rng.uniform(0, 6, 4))
-        else:
-            M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            H = M + M.conj().T
-            lam, U = np.linalg.eigh(H)
-        scale = np.abs(lam).max()
-        lam = lam.copy()
-        lam[2] += factor * 1e-11 * scale
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: (lam, U))
+            H[np.add.outer(range(4), range(4)) % 2 == 1] = 0.0  # no entry links {0, 2} and {1, 3}
+        scale = np.abs(np.linalg.eigvalsh(H)).max()
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            w, V = eigh(a)
+            w[0, -1] += factor * 1e-11 * scale  # the top eigenvalue of the first block
+            return w, V
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
         if refused:
             with pytest.raises(ValueError, match="eigensolver residual"):
                 eigensystem(H)
         else:
-            assert (eigensystem(H).permutation is not None) == permutation
+            U = eigensystem(H).eigenvectors
+            assert np.count_nonzero(U) == (8 if permutation else 16)
+
+    def test_diagonal_hamiltonian_is_not_solved(self, monkeypatch):
+        # the ring's H is diagonal: U = I and the diagonal in computational order, no LAPACK call
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("eigh was called"))
+        H = assemble(defected_ising_1d(5, 3.0))
+        es = eigensystem(H)
+        assert es.eigenvectors.dtype == np.float64
+        assert np.array_equal(es.eigenvectors, np.eye(32))
+        assert np.array_equal(es.eigenvalues, np.diag(H.toarray()))
+
+    def test_real_hamiltonian_gets_real_eigenvectors(self):
+        H = assemble(defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0))
+        es = eigensystem(H)
+        assert H.val.dtype == np.float64 and es.eigenvectors.dtype == np.float64
+        U, lam = es.eigenvectors, es.eigenvalues
+        assert np.allclose(H.toarray() @ U, U * lam, atol=1e-12)
+        assert np.allclose(U.T @ U, np.eye(64), atol=1e-12)
+        # each column lies in one block of H: no entry of U links two indices H leaves apart
+        assert np.count_nonzero(U) < 64 * 64 // 4
+
+    def test_non_hermitian_terms_fail_the_hermiticity_check(self):
+        spec = HamiltonianSpec(n=2, terms=(PauliTerm(-1.0, ((0, "X"), (1, "X"))),
+                                           PauliTerm(1j, ((0, "Z"),))))
+        with pytest.raises(ValueError, match="assembled Hamiltonian failed the hermiticity"):
+            qrex.harness._Point(spec, 1.0).es
 
     def test_zero_hamiltonian(self):
         es = eigensystem(np.zeros((4, 4)))

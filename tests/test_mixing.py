@@ -9,7 +9,7 @@ from scipy.special import erfc
 
 from qrex import mixing
 
-from qrex.hamiltonians import HamiltonianSpec, PauliTerm, assemble_dense, defected_ising_1d
+from qrex.hamiltonians import HamiltonianSpec, PauliTerm, defected_ising_1d
 from qrex.lindblad import (
     WeightFunction,
     build_ckg_generator,
@@ -34,6 +34,7 @@ from qrex.spectral import UnresolvedGapError, block_eigh, spectral_gap, symmetri
 
 import oracles
 from oracles import (
+    assemble_dense,
     bottleneck_witness,
     chi_square_rate_fit_expm,
     evolve,

@@ -5,7 +5,6 @@ from scipy.special import erfc
 from qrex.hamiltonians import (
     HamiltonianSpec,
     PauliTerm,
-    assemble_dense,
     defected_heisenberg_2d,
     defected_ising_1d,
 )
@@ -40,6 +39,7 @@ from qrex.spectral import spectral_gap, spectral_norm, transpose_map
 
 import oracles
 from oracles import (
+    assemble_dense,
     apply,
     coherent_term,
     joint_basis,

@@ -11,7 +11,6 @@ import qrex.spectral
 from qrex.hamiltonians import (
     HamiltonianSpec,
     PauliTerm,
-    assemble_dense,
     defected_heisenberg_2d,
     defected_ising_1d,
 )
@@ -49,7 +48,7 @@ from qrex.spectral import (
 )
 
 import oracles
-from oracles import kms_inner, matrix, partial_lindbladian_check
+from oracles import assemble_dense, kms_inner, matrix, partial_lindbladian_check
 from test_dense_oracle import generic_hamiltonian
 
 GM = WeightFunction("metropolis", 1.0)
