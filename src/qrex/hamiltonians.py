@@ -220,7 +220,8 @@ def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:
     on the A side), so H = H_A (x) I + I (x) H_B + sum_k V_A^k (x) V_B^k in the
     A-first site order ``perm_order`` by construction.  ``holds`` requires
     every pairwise commutator within the A-side set {H_A} u {V_A} and the
-    B-side set {H_B} u {V_B} to vanish to 1e-10 relative.
+    B-side set {H_B} u {V_B} to vanish to 1e-10 relative.  ``v_max`` is the
+    largest |coefficient| of a crossing term, the norm of its V_A (x) V_B.
     """
     if spec.partition is None:
         raise ValueError("partition required for the cut analysis")
@@ -232,6 +233,7 @@ def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:
     h_b = np.zeros((d_b, d_b), dtype=complex)
     pairs = []
     diagnostics = []
+    v_max = 0.0
     for t in spec.terms:
         supp = t.support
         if supp <= in_a:
@@ -244,34 +246,23 @@ def check_commuting_cut(spec: HamiltonianSpec) -> CutReport:
             va = t.coefficient * _embedded(fa, A, na)
             vb = _embedded(fb, B, nb)
             pairs.append((va, vb))
-
-    holds = True
+            # V_A (x) V_B is the coefficient times a Pauli string, whose norm is 1
+            v_max = max(v_max, abs(t.coefficient))
 
     def _check_family(ops, side):
-        nonlocal holds
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
                 o1, o2 = ops[i], ops[j]
                 scale = max(np.linalg.norm(o1) * np.linalg.norm(o2), 1e-300)
                 r = np.linalg.norm(o1 @ o2 - o2 @ o1) / scale
                 if r > COMMUTATOR_RTOL:
-                    holds = False
                     diagnostics.append(f"non-commuting pair on side {side} (residual {r:.2e})")
 
     _check_family([h_a] + [va for va, _ in pairs], "A")
     _check_family([h_b] + [vb for _, vb in pairs], "B")
 
-    # the singular values of a kron are the products of its factors'
-    v_max = max((np.linalg.norm(va, 2) * np.linalg.norm(vb, 2) for va, vb in pairs), default=0.0)
-    return CutReport(
-        holds=holds,
-        h_a=h_a,
-        h_b=h_b,
-        interaction=pairs,
-        v_max=float(v_max),
-        diagnostics=diagnostics,
-        perm_order=A + B,
-    )
+    return CutReport(holds=not diagnostics, h_a=h_a, h_b=h_b, interaction=pairs,
+                     v_max=float(v_max), diagnostics=diagnostics, perm_order=A + B)
 
 
 def simultaneous_eigenbasis(ops):
@@ -279,7 +270,9 @@ def simultaneous_eigenbasis(ops):
 
     Each op in turn is diagonalized inside the clusters of columns of V that
     the ops before it leave degenerate (eigenvalues within 1e-8 of the
-    cluster's scale), so the basis is deterministic.  Errors if an op keeps
+    cluster's scale), so the basis is deterministic: where the op is already
+    diagonal on a cluster (the ring's Z strings), a stable sort of that
+    diagonal orders the columns, and otherwise ``eigh``.  Errors if an op keeps
     off-diagonal mass above ``COMMUTATOR_RTOL`` relative in V; otherwise the
     eigenvalues are the real diagonals of V^dag o V, one array per op.
     """
@@ -292,8 +285,13 @@ def simultaneous_eigenbasis(ops):
         for c in clusters:
             if len(c) > 1:
                 sub = V[:, c]
-                evals, W = np.linalg.eigh(sub.conj().T @ o @ sub)
-                V[:, c] = sub @ W
+                m = sub.conj().T @ o @ sub
+                if np.count_nonzero(m) == np.count_nonzero(w := m.diagonal().real):
+                    evals = w[k := np.argsort(w, kind="stable")]  # diagonal: sorted, no eigh
+                    V[:, c] = sub[:, k]
+                else:
+                    evals, W = np.linalg.eigh(m)
+                    V[:, c] = sub @ W
                 scale = max(1.0, float(np.abs(evals).max()))
                 split += np.split(c, np.nonzero(np.diff(evals) > 1e-8 * scale)[0] + 1)
             else:

@@ -27,6 +27,7 @@ from .hamiltonians import HamiltonianSpec, assemble, defected_heisenberg_2d, def
 from .lindblad import (
     QUAD_ABS_TOL,
     WEIGHT_KINDS,
+    Plan,
     WeightFunction,
     alpha_quadrature,
     build_ckg_generator,
@@ -273,18 +274,19 @@ def _system_spec(config: ExperimentConfig, J) -> HamiltonianSpec:
     raise ConfigError(f"field 'system': unknown model {model!r} and no raw terms")
 
 
-def _guard_dims(config: ExperimentConfig, spec: HamiltonianSpec):
+def _guard_dims(config: ExperimentConfig, spec: HamiltonianSpec, mode):
+    """Refuse the generator of replica ``mode``, the one built, above ``max_dim``."""
     dim = 2**spec.n
-    if config.replica["mode"] == "local_A" and spec.partition is not None:
+    if mode == "local_A" and spec.partition is not None:
         dim *= 2 ** len(spec.partition[0])
-    elif config.replica["mode"] == "global":
+    elif mode == "global":
         dim = dim * dim
     if dim * dim > config.max_dim:
         raise ResourceGuardError(
             f"superoperator dimension {dim * dim} exceeds guard {config.max_dim}; "
             "raise --max-dim to override"
         )
-    if config.replica["mode"] == "global":
+    if mode == "global":
         try:
             check_global_size(spec.n)
         except ValueError as exc:
@@ -308,10 +310,11 @@ def _classical_ring_size(config: ExperimentConfig):
 
 
 class _Point:
-    """``spec`` at ``beta``; H's eigensystem and the cut analysis are made on first use, once."""
+    """``spec`` at ``beta`` in a sweep's ``plan`` (or None); H's eigensystem and the cut
+    analysis are made on first use, once."""
 
-    def __init__(self, spec, beta):
-        self.spec, self.beta = spec, beta
+    def __init__(self, spec, beta, plan=None):
+        self.spec, self.beta, self.plan = spec, beta, plan
 
     @cached_property
     def es(self):
@@ -330,62 +333,68 @@ class _Point:
 def _single_system(p: _Point, config):
     """The single-system generator, with the weight ``config.weight``."""
     return build_ckg_generator(p.es, single_site_paulis(p.spec.n),
-                               WeightFunction(config.weight, p.beta))
+                               WeightFunction(config.weight, p.beta), p.plan)
 
 
 def _local_a(p: _Point, config):
     """The local_A replica-exchange generator on the commuting-cut labels."""
     w = WeightFunction(config.replica["weight"], p.beta)
-    return build_replica_exchange_generator(p.js, w)
+    return build_replica_exchange_generator(p.js, w, p.plan)
 
 
 def _global(p: _Point, config):
     """The two-temperature global replica-exchange generator; beta2 defaults to beta."""
     beta2 = p.beta if config.replica["beta2"] is None else config.replica["beta2"]
     w = WeightFunction(config.replica["weight"], p.beta)
-    return build_global_replica_generator(p.es, w, beta2)
+    return build_global_replica_generator(p.es, w, beta2, p.plan)
 
 
 # the one place the replica mode picks a generator; each carries its Gibbs state
 MODE_BUILDERS = {"none": _single_system, "local_A": _local_a, "global": _global}
 
 
-def _sweep_point(args):
-    """The record of one sweep value; ``args`` is (validated config, value), picklable for a pool.
+def _sweep_points(args):
+    """The records of a run of sweep values; ``args`` is (validated config, values), picklable.
 
-    A point whose gap double precision cannot resolve (UnresolvedGapError)
-    is kept with ``status`` "unresolved", the error text in ``error`` and
-    NaN numbers; a resolved point has ``status`` "ok" and an empty ``error``.
+    The points share one ``lindblad.Plan``, freed at the end, and a point whose spec is the
+    point before's (a beta sweep) its eigensystem and cut labels.  A point whose gap double
+    precision cannot resolve (UnresolvedGapError) is kept with ``status`` "unresolved", the
+    error text in ``error`` and NaN numbers; else ``status`` is "ok" and ``error`` empty.
     """
-    config, value = args
-    if config.sweep["param"] == "J":
-        spec = build_system(config, J=value)
-        beta = config.beta
-        J = float(value)
-    else:
-        spec = build_system(config)
-        beta = float(value)
-        J = spec.defect[1] if spec.defect else float("nan")
-    _guard_dims(config, spec)
-    try:
-        return {"J": J, "beta": beta, **_sweep_numbers(_Point(spec, beta), config),
-                "status": "ok", "error": ""}
-    except UnresolvedGapError as exc:
-        return {"J": J, "beta": beta, **dict.fromkeys(SWEEP_NUMBERS, float("nan")),
-                "status": "unresolved", "error": str(exc)}
+    config, values = args
+    plan, p, records = Plan(), None, []
+    for value in values:
+        if config.sweep["param"] == "J":
+            spec, beta, J = build_system(config, J=value), config.beta, float(value)
+        else:
+            spec, beta = build_system(config), float(value)
+            J = spec.defect[1] if spec.defect else float("nan")
+        _guard_dims(config, spec, config.replica["mode"])
+        if p is None or p.spec != spec:
+            p = _Point(spec, beta, plan)
+        p.beta = beta
+        plan.start()
+        try:
+            records.append({"J": J, "beta": beta, **_sweep_numbers(p, config),
+                            "status": "ok", "error": ""})
+        except UnresolvedGapError as exc:
+            records.append({"J": J, "beta": beta, **dict.fromkeys(SWEEP_NUMBERS, float("nan")),
+                            "status": "unresolved", "error": str(exc)})
+    return records
 
 
 def _sweep_numbers(p: _Point, config):
     """gap_single, gap_re, g_B and bound_ratio of one sweep point (NaN where the mode has none)."""
     beta, mode = p.beta, config.replica["mode"]
     rec = dict.fromkeys(SWEEP_NUMBERS, float("nan"))
-    rec["gap_single"] = spectral_gap(_single_system(p, config)).gap
+    rec["gap_single"] = spectral_gap(_single_system(p, config), p.plan).gap
     if mode != "none":
-        rec["gap_re"] = spectral_gap(MODE_BUILDERS[mode](p, config)).gap
+        rec["gap_re"] = spectral_gap(MODE_BUILDERS[mode](p, config), p.plan).gap
     if mode == "local_A":
         # the theorem's bound reads the same commuting-cut analysis as the generator
         js = p.js
-        rec["g_B"] = a_diagonal_restriction_gap(js, WeightFunction(config.replica["weight"], beta))
+        w = WeightFunction(config.replica["weight"], beta)
+        rec["g_B"] = a_diagonal_restriction_gap(js, w, p.plan)
         denom = min(rec["g_B"], 1.0)
         rec["bound_ratio"] = rec["gap_re"] * js.bound_scale(beta) / denom
     return rec
@@ -402,20 +411,22 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
 
     if scenario == "gap":
         spec = build_system(config)
-        _guard_dims(config, spec)
+        _guard_dims(config, spec, config.replica["mode"])
         rep = spectral_gap(MODE_BUILDERS[config.replica["mode"]](_Point(spec, config.beta), config))
         records = [{"J": spec.defect[1] if spec.defect else float("nan"),
                     "beta": config.beta, **vars(rep)}]
 
     elif scenario == "sweep":
-        jobs = [(config, v) for v in config.sweep["values"]]
-        if parallel > 1:
+        values = config.sweep["values"]
+        if parallel > 1:  # one contiguous run of the values per worker
             from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
+            step = -(-len(values) // parallel)
+            runs = [(config, values[i:i + step]) for i in range(0, len(values), step)]
             with ProcessPoolExecutor(max_workers=parallel) as pool:
-                records = list(pool.map(_sweep_point, jobs))
+                records = [r for run in pool.map(_sweep_points, runs) for r in run]
         else:
-            records = [_sweep_point(j) for j in jobs]
+            records = _sweep_points((config, values))
         gaps = [r["gap_single"] for r in records]
         summary["gap_single_ratio"] = gaps[-1] / gaps[0] if gaps[0] else float("nan")
         res = [r["gap_re"] for r in records if np.isfinite(r["gap_re"])]
@@ -428,7 +439,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
 
     elif scenario == "mixing":
         spec = build_system(config)
-        _guard_dims(config, spec)
+        _guard_dims(config, spec, "none")  # mixing builds the single system only
         L = _single_system(_Point(spec, config.beta), config)
         mrep = mixing_time_estimate(L, config.epsilon, seed=config.seed)
         records = [{"state_id": sid, "t_cross": t} for sid, t in mrep.crossings]
@@ -459,7 +470,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
             chain = glauber_generator(efn, n, beta1)
             rec = {"J": float(J), "beta": beta1, "phi_star": bottleneck_ratio(chain)[0],
                    "phi_mode": "sweep", "status": "ok", "error": ""}
-            try:  # an unresolved gap is kept as in the quantum sweep (_sweep_point)
+            try:  # an unresolved gap is kept as in the quantum sweep (_sweep_points)
                 rec["gap_single"] = classical_gap(chain)
                 rec["gap_re"] = classical_gap(classical_re_generator(efn, n, beta1, beta2))
             except UnresolvedGapError as exc:

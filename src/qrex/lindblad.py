@@ -122,30 +122,67 @@ class Triplets:
         return Triplets(new[self.row[e]], new[self.col[e]], self.val[e], int(keep.sum()))
 
 
-def canonical(row, col, val, side):
+class Plan:
+    """The symbolic phase of a sweep: what ``canonical``, ``_coupling_products`` and
+    ``spectral._blocks`` derive from positions alone, one record per call.  The points make
+    the same calls in the same order (``start`` begins one), so a point's k-th call reuses
+    the k-th record when its positions are exactly the recorded ones, else replaces it.
+    """
+
+    def __init__(self):
+        self.records, self.k = [], 0
+
+    def start(self):
+        self.k = 0
+
+    def record(self, analyse, fits, *args):
+        """The next call's record: the one kept, if ``analyse`` made it and ``fits`` accepts it,
+        else ``analyse(*args)``, kept in its place."""
+        self.k += 1
+        made_by, rec = self.records[self.k - 1] if self.k <= len(self.records) else (None, None)
+        if made_by is not analyse or not fits(rec):
+            rec = analyse(*args)
+            self.records[self.k - 1:self.k] = [(analyse, rec)]
+        return rec
+
+
+def _runs(row, col, side):
+    """The symbolic phase of ``canonical``: the run of each entry (int32) when the entries are
+    stably sorted by (row, col), and the row and column of each run."""
+    key = np.multiply(row, side, dtype=np.int64) + col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(key.size, dtype=bool)  # the first entry of each run
+    new[1:] = key[1:] != key[:-1]
+    run = np.empty(key.size, dtype=np.int32)
+    run[order] = np.cumsum(new, dtype=np.int32) - 1
+    del order
+    r, c = np.divmod(key[new], side)
+    return run, r.astype(np.int32), c.astype(np.int32)
+
+
+def canonical(row, col, val, side, plan=None):
     """Triplets of the side x side matrix with entries val[e] at (row[e], col[e]).
 
     The one kernel every producer of a sparse generator goes through: entries
     are stably sorted by (row, col), each run of duplicates is summed in input
-    order and exact zeros are dropped.  Complex sums whose imaginary parts are
-    all exactly 0 are stored as their float64 real parts, which loses nothing:
-    every downstream stage (``spectral.symmetrize``, ``spectral.block_eigh``,
-    the propagation of ``mixing``) then runs in real arithmetic.
+    order and exact zeros are dropped.  Complex sums whose
+    imaginary parts are all exactly 0 are stored as their float64 real parts,
+    which loses nothing: every downstream stage (``spectral.symmetrize``,
+    ``spectral.block_eigh``, the propagation of ``mixing``) then runs in real
+    arithmetic.  A ``plan``'s runs are reused when every entry sits at its
+    run's recorded position, which holds exactly when the positions are equal.
     """
-    key = np.multiply(row, side, dtype=np.int64) + col
-    order = np.argsort(key, kind="stable")
-    key, val = key[order], val[order]
-    del order
-    new = np.ones(key.size, dtype=bool)  # the first entry of each run
-    new[1:] = key[1:] != key[:-1]
-    start = np.flatnonzero(new)
-    total = np.zeros(start.size, dtype=val.dtype)
-    np.add.at(total, np.cumsum(new) - 1, val)
-    keep = total != 0
-    row, col = np.divmod(key[start[keep]], side)
+    def fits(rec):
+        return np.array_equal(rec[1][rec[0]], row) and np.array_equal(rec[2][rec[0]], col)
+
+    run, r, c = (plan or Plan()).record(_runs, fits, row, col, side)
+    total = np.zeros(r.size, dtype=val.dtype)
+    np.add.at(total, run, val)
+    if not (keep := total != 0).all():
+        r, c, total = r[keep], c[keep], total[keep]
     real = np.iscomplexobj(total) and not total.imag.any()
-    return Triplets(row.astype(np.int32), col.astype(np.int32),
-                    total.real[keep] if real else total[keep], side)
+    return Triplets(r, c, total.real.copy() if real else total, side)
 
 
 def add(*parts):
@@ -452,26 +489,40 @@ def eigenbasis_entries(S, es: Eigensystem):
     return p[keep], s[keep]
 
 
-def _coupling_products(entries, size):
+def _clusters(positions, size):
+    """The symbolic phase of ``_coupling_products``: (``positions``, and for each cluster its
+    members, the union P of their positions and where each member's positions sit in P)."""
+    owner = np.full(size, -1)  # the cluster holding each position, named by its last coupling
+    clusters = {}
+    for a, p in enumerate(positions):
+        hit = distinct(owner[p])
+        clusters[a] = [a] + [m for h in hit[hit >= 0].tolist() for m in clusters.pop(h)]
+        for m in clusters[a]:
+            owner[positions[m]] = a
+    out = []
+    for members in clusters.values():
+        P = distinct(np.concatenate([positions[m] for m in members]))
+        out.append((members, P, [np.searchsorted(P, positions[m]) for m in members]))
+    return positions, out
+
+
+def _coupling_products(entries, size, plan=None):
     """The nonzero entries (kd, ld, C[kd, ld]) of C = sum_a conj(s_a) s_a^T, a chunk at a time.
 
     ``entries`` holds the nonempty positions p < size and values s of each
     coupling.  Couplings whose positions intersect form a cluster, whose C
     is the dense product W^dag W of its couplings on the union of their
-    positions, formed PRODUCT_CHUNK entries at a time.
+    positions, formed PRODUCT_CHUNK entries at a time (``plan``: see ``Plan``).
     """
-    owner = np.full(size, -1)  # the cluster holding each position, named by its last coupling
-    clusters = {}
-    for a, (p, _) in enumerate(entries):
-        hit = distinct(owner[p])
-        clusters[a] = [a] + [m for h in hit[hit >= 0].tolist() for m in clusters.pop(h)]
-        for m in clusters[a]:
-            owner[entries[m][0]] = a
-    for members in clusters.values():
-        P = distinct(np.concatenate([entries[m][0] for m in members]))
+    positions = [p for p, _ in entries]
+
+    def fits(rec):
+        return len(rec[0]) == len(positions) and all(map(np.array_equal, rec[0], positions))
+
+    for members, P, places in (plan or Plan()).record(_clusters, fits, positions, size)[1]:
         W = np.zeros((len(members), P.size), dtype=complex)  # the cluster's couplings on P
-        for w, m in zip(W, members):
-            w[np.searchsorted(P, entries[m][0])] = entries[m][1]
+        for w, m, k in zip(W, members, places):
+            w[k] = entries[m][1]
         step = max(1, PRODUCT_CHUNK // P.size)
         for start in range(0, P.size, step):
             part = W[:, start:start + step].conj().T @ W
@@ -479,7 +530,7 @@ def _coupling_products(entries, size):
             yield P[start + r], P[c], part[r, c]
 
 
-def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
+def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction, plan=None):
     """Assemble the detailed-balanced generator for (H, couplings, gamma) from es, H's eigensystem.
 
     Returns the generator on observables as a Superoperator stored in the
@@ -496,7 +547,8 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     C[(k,i),(l,j)] = sum_a conj(S_a[k,i]) S_a[l,j], formed over the nonzero
     coupling entries by ``_coupling_products``.  Each nonzero entry of C is
     one sandwich entry, at row i + d*j and column k + d*l; the k = l
-    entries also make the anticommutator and coherent cores.
+    entries also make the anticommutator and coherent cores.  A sweep passes
+    its ``Plan``.
     """
     d = es.dim
     couplings = [S if isinstance(S, Triplets) else Triplets.of(S) for S in couplings]
@@ -521,7 +573,7 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     # Ktab[g(k,j), g(k,i)]; M = -N/2 + iG and M2 = -N/2 - iG at cell i + d*j
     parts = []  # (rows, cols, values) of the generator's entries
     cores = [(np.zeros(0, np.int32),) * 2 + (np.zeros(0, complex),) * 2]  # (kd, cell, N, G) terms
-    for kd, ld, c_val in _coupling_products(entries, d * d):  # k*d + i, l*d + j, C
+    for kd, ld, c_val in _coupling_products(entries, d * d, plan):  # k*d + i, l*d + j, C
         on = kd // d == ld // d
         a_on, b_on = slot[kd[on]], slot[ld[on]]
         cores.append((kd[on], kd[on] % d + d * (ld[on] % d), table[a_on, b_on] * c_val[on],
@@ -543,4 +595,4 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction):
     parts += [((ci[:, None] + d * t).ravel(), (cj[:, None] + d * t).ravel(), M[cells].repeat(d)),
               ((t + d * cj[:, None]).ravel(), (t + d * ci[:, None]).ravel(), M2[cells].repeat(d))]
     parts = [np.concatenate(x) for x in zip(*parts)]  # the pieces are dropped once joined
-    return Superoperator(canonical(*parts, d * d), sigma)
+    return Superoperator(canonical(*parts, d * d, plan), sigma)

@@ -212,7 +212,7 @@ def _product(s1: GibbsState, s2: GibbsState):
     return GibbsState(np.kron(s1.weights, s2.weights), np.kron(s1.basis, s2.basis), s1.beta)
 
 
-def _replica_pair(L1, L2, omega, p, beta_swap) -> Superoperator:
+def _replica_pair(L1, L2, omega, p, beta_swap, plan=None) -> Superoperator:
     """L1 (x) Id + Id (x) L2 + the Metropolis swap at ``beta_swap``, stored in the kron of their bases.
 
     ``omega`` and ``p`` are the swap's frequencies and permutation there
@@ -221,11 +221,12 @@ def _replica_pair(L1, L2, omega, p, beta_swap) -> Superoperator:
     """
     dims = (L1.dim, L2.dim)
     parts = [_swap_entries(omega, p, beta_swap), lift(L1.local, dims, 0), lift(L2.local, dims, 1)]
-    M = canonical(*(np.concatenate(x) for x in zip(*parts)), L1.local.side * L2.local.side)
+    M = canonical(*(np.concatenate(x) for x in zip(*parts)), L1.local.side * L2.local.side, plan)
     return Superoperator(M, _product(L1.sigma, L2.sigma))
 
 
-def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> Superoperator:
+def build_replica_exchange_generator(js: JointStructure, w: WeightFunction,
+                                     plan=None) -> Superoperator:
     """local_A joint generator L1 (x) Id + Id (x) L2 + L_swap on observables.
 
     The system couplings are all single-site Paulis; the auxiliary is a
@@ -234,9 +235,9 @@ def build_replica_exchange_generator(js: JointStructure, w: WeightFunction) -> S
     ``w.beta``).  The result is stored in the labeled |i_A j_B m_A> basis
     of ``js`` with the joint Gibbs state ``joint_gibbs(js, w.beta)``.
     """
-    L1 = build_ckg_generator(js.system_es, single_site_paulis(js.n), w)
-    L2 = build_ckg_generator(js.aux_es, single_site_paulis(js.n_a), w)
-    return _replica_pair(L1, L2, *_local_swap(js), w.beta)
+    L1 = build_ckg_generator(js.system_es, single_site_paulis(js.n), w, plan)
+    L2 = build_ckg_generator(js.aux_es, single_site_paulis(js.n_a), w, plan)
+    return _replica_pair(L1, L2, *_local_swap(js), w.beta, plan)
 
 
 def joint_gibbs(js: JointStructure, beta):
@@ -250,7 +251,8 @@ def check_global_size(n):
         raise ValueError("global swap gated at n <= 4")
 
 
-def build_global_replica_generator(es: Eigensystem, w: WeightFunction, beta2) -> Superoperator:
+def build_global_replica_generator(es: Eigensystem, w: WeightFunction, beta2,
+                                   plan=None) -> Superoperator:
     """Two full replicas at (w.beta, beta2) coupled by the global swap, stored in U (x) U.
 
     ``es`` is the eigensystem of H.  Replica 1 uses the weight ``w``,
@@ -260,12 +262,12 @@ def build_global_replica_generator(es: Eigensystem, w: WeightFunction, beta2) ->
     """
     n, d_n = es.dim.bit_length() - 1, es.dim
     check_global_size(n)
-    L1 = build_ckg_generator(es, single_site_paulis(n), w)
-    L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w.kind, beta2))
+    L1 = build_ckg_generator(es, single_site_paulis(n), w, plan)
+    L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w.kind, beta2), plan)
     lam = es.eigenvalues
     E = (w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1)
     p = _swap_permutation(d_n, 1)
-    return _replica_pair(L1, L2, E[p] - E, p, 1.0)
+    return _replica_pair(L1, L2, E[p] - E, p, 1.0, plan)
 
 
 def global_gibbs(es: Eigensystem, beta, beta2):

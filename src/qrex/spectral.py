@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lindblad import Superoperator, Triplets, WeightFunction, build_ckg_generator, distinct
+from .lindblad import Plan, Superoperator, Triplets, WeightFunction, build_ckg_generator, distinct
 from .pauli import single_site_paulis
 
 KERNEL_TOL = 1e-9
@@ -141,7 +141,7 @@ def _conjugate_pairs(label, least):
     return partner >= comp, partner != comp, t
 
 
-def _blocks(A):
+def _blocks(A, plan=None):
     """Diagonal blocks of the square A along the connected components of its nonzero pattern.
 
     Entry (i, j) links i and j whichever triangle it sits in (weak
@@ -162,8 +162,42 @@ def _blocks(A):
     checked against the conjugate of its T-image in the buffer, an entry of
     a twin block that no partner entry reaches counts whole, and a relative
     residual above HERMITICITY_TOL is a ValueError.
+
+    A ``plan`` (``lindblad.Plan``) reuses the ``_layout`` of A's positions.
     """
     A = A if isinstance(A, Triplets) else Triplets.of(A)
+
+    def fits(rec):
+        return rec[0] == A.paired and all(map(np.array_equal, rec[1:3], (A.row, A.col)))
+
+    _, _, _, solved, twinned, corner, pos, size, groups = (plan or Plan()).record(_layout, fits, A)
+    place = corner[A.row] + pos[A.col]
+    mine = solved[A.row]  # the entries of kept blocks; the others are partner entries
+    buf = np.zeros(size, dtype=A.val.dtype)
+    buf[place[mine]] = A.val[mine]
+    if A.paired:
+        mirror = place[~mine]  # the place of the T-image of each partner entry
+        image = buf[mirror]
+        sq = np.linalg.norm(A.val[~mine] - image.conj()) ** 2
+        own = twinned[A.row]  # the entries of kept twin blocks
+        # T is one to one: when the partner entries reach as many entries of twin
+        # blocks as there are, every one of those has its mirror
+        if np.count_nonzero(image) != np.count_nonzero(own):
+            reached = np.zeros(buf.size, dtype=bool)
+            reached[mirror] = True
+            sq += np.linalg.norm(A.val[own & ~reached[place]]) ** 2
+        resid = float(np.sqrt(sq) / max(1.0, np.linalg.norm(A.val)))
+        if resid > HERMITICITY_TOL:
+            raise ValueError(f"L_hat is not conjugate under the transpose map (pairing residual "
+                             f"{resid:.2e})")
+    return [(idx, buf[o:o + idx.size * idx.shape[1]].reshape(*idx.shape, -1), twin)
+            for idx, o, twin in groups]
+
+
+def _layout(A):
+    """The symbolic phase of ``_blocks``, from A's positions alone: (paired, row, col, each
+    index's solved and twin masks, corner and pos with place = corner[row] + pos[col] in the
+    buffer, its size, and (idx, offset, twin) per block size)."""
     n = A.side
     label = _component_labels(n, A.row, A.col)
     sizes = np.bincount(label)
@@ -181,37 +215,16 @@ def _blocks(A):
     lead = np.zeros(sizes.size, dtype=np.int64)  # where each kept block starts in the buffer
     lead[kept] = np.cumsum(area) - area
     corner = lead[label] + pos * sizes[label]  # the place of entry (i, least index of its block)
-    row, col = (A.row, A.col) if home is None else (home[A.row], home[A.col])
-    place = corner[row] + pos[col]
-    del row, col
-    mine = solve[label][A.row]  # the entries of kept blocks; the others are partner entries
-    buf = np.zeros(area.sum(), dtype=A.val.dtype)
-    buf[place[mine]] = A.val[mine]
-    if A.paired:
-        mirror = place[~mine]  # the place of the T-image of each partner entry
-        image = buf[mirror]
-        sq = np.linalg.norm(A.val[~mine] - image.conj()) ** 2
-        own = (solve & twin)[label][A.row]  # the entries of kept twin blocks
-        # T is one to one: when the partner entries reach as many entries of twin
-        # blocks as there are, every one of those has its mirror
-        if np.count_nonzero(image) != np.count_nonzero(own):
-            reached = np.zeros(buf.size, dtype=bool)
-            reached[mirror] = True
-            sq += np.linalg.norm(A.val[own & ~reached[place]]) ** 2
-        resid = float(np.sqrt(sq) / max(1.0, np.linalg.norm(A.val)))
-        if resid > HERMITICITY_TOL:
-            raise ValueError(f"L_hat is not conjugate under the transpose map (pairing residual "
-                             f"{resid:.2e})")
+    if home is not None:
+        corner, pos = corner[home], pos[home]
     side, first, count = np.unique(sizes[kept], return_index=True, return_counts=True)
-    out = []
-    for b, k, f in zip(side, count, first):
-        comps, o = kept[f:f + k], lead[kept[f]]
-        out.append((order[starts[comps][:, None] + np.arange(b)],
-                    buf[o:o + k * b * b].reshape(k, b, b), twin[comps]))
-    return out
+    groups = [(order[starts[kept[f:f + k]][:, None] + np.arange(b)], lead[kept[f]],
+               twin[kept[f:f + k]]) for b, k, f in zip(side, count, first)]
+    return (A.paired, A.row, A.col, solve[label], (solve & twin)[label], corner, pos,
+            int(area.sum()), groups)
 
 
-def block_eigh(A, vectors=True):
+def block_eigh(A, vectors=True, plan=None):
     """Eigendecomposition of the Hermitian part H = (A + A^dag) / 2 of A, one eigh per block size.
 
     A is dense or Triplets.  Returns a list of (idx, w, V, twin), one per
@@ -228,18 +241,20 @@ def block_eigh(A, vectors=True):
     half the bytes and about half the time of the complex route.
     """
     A = A if isinstance(A, Triplets) else Triplets.of(A)
-    blocks, sq = _blocks(A), 0.0
-    for _, sub, twin in blocks:
-        sub_h = sub.conj().swapaxes(1, 2)
-        sq += (1 + twin) @ np.linalg.norm(sub - sub_h, axis=(1, 2)) ** 2
-        sub += sub_h
-        sub *= 0.5
+    blocks, sq, diff = _blocks(A, plan), 0.0, None
+    for _, sub, twin in blocks:  # ||diff||^2 of each block by einsum, with no further temporary
+        diff = sub - sub.conj().swapaxes(1, 2)
+        sq += (1 + twin) @ np.einsum("kij,kij->k", diff, diff.conj()).real
+    del diff
     herm = float(np.sqrt(sq) / max(1.0, np.linalg.norm(A.val)))
     if herm > HERMITICITY_TOL:
         raise ValueError(f"generator is not detailed balanced (Hermiticity residual of "
                          f"L_hat {herm:.2e})")
     groups = []
     for idx, sub, twin in blocks:
+        # into a new array: adding a transposed view of sub into sub would copy it first
+        sub = sub + sub.conj().swapaxes(1, 2)
+        sub *= 0.5
         if vectors:
             w, V = np.linalg.eigh(sub)
         else:
@@ -254,9 +269,9 @@ def block_spectrum(groups):
                                    for _, w, _, twin in groups]))
 
 
-def block_eigvalsh(A):
+def block_eigvalsh(A, plan=None):
     """Ascending eigenvalues of the Hermitian A, solved block by block."""
-    return block_spectrum(block_eigh(A, vectors=False))
+    return block_spectrum(block_eigh(A, False, plan))
 
 
 def spectral_norm(X):
@@ -303,10 +318,10 @@ def gap_from_eigenvalues(evals, expected_kernel=1) -> GapReport:
     )
 
 
-def spectral_gap(L: Superoperator) -> GapReport:
+def spectral_gap(L: Superoperator, plan=None) -> GapReport:
     """Kernel dimension and smallest nonzero eigenvalue of -L_hat, with its block structure."""
     Lhat = -symmetrize(L)
-    groups = block_eigh(Lhat, vectors=False)
+    groups = block_eigh(Lhat, False, plan)
     return replace(gap_from_eigenvalues(block_spectrum(groups)),
                    blocks=sum(int(idx.shape[0] + twin.sum()) for idx, _, _, twin in groups),
                    blocks_solved=sum(idx.shape[0] for idx, _, _, _ in groups),
@@ -406,7 +421,7 @@ def gap_composition_suite(seed=42, n_instances=200, dim=6):
     return {"cases": cases, "passed": all(c["violations"] == 0 for c in cases.values())}
 
 
-def a_diagonal_restriction_gap(js, w: WeightFunction):
+def a_diagonal_restriction_gap(js, w: WeightFunction, plan=None):
     """g_B: gap of the B-site generator restricted to the A-diagonal sector.
 
     Zeroing the A-off-diagonal sector block-diagonalizes the generator over
@@ -419,8 +434,8 @@ def a_diagonal_restriction_gap(js, w: WeightFunction):
     """
     es = js.system_es
     couplings = single_site_paulis(js.n, sites=js.cut.perm_order[js.n_a:])
-    Lhat = symmetrize(build_ckg_generator(es, couplings, w))
+    Lhat = symmetrize(build_ckg_generator(es, couplings, w, plan))
     d = es.dim
     a_label = np.arange(d) // js.d_b  # A label of each stored basis index
     sub = -Lhat.restrict((a_label[:, None] == a_label).ravel())  # symmetric, so in vec order
-    return gap_from_eigenvalues(block_eigvalsh(sub), js.d_a).gap
+    return gap_from_eigenvalues(block_eigvalsh(sub, plan), js.d_a).gap

@@ -73,6 +73,9 @@ as test oracles only:
   eigensolve (``no_eigensolve``), and ``assert_gate_at`` brackets the
   residual by that bound.
 
+* ``v_max_svd`` is the largest spectral norm of a cut's V_A (x) V_B from the
+  singular values of its factors; ``qrex.hamiltonians.check_commuting_cut``
+  reads it off the crossing terms' coefficients.
 * ``kron_all`` builds a Pauli string as a product of Kronecker factors;
   ``qrex.pauli.pauli_string`` holds its d phases as ``Triplets``, whose
   ``toarray`` is ``pauli_string_matrix``.
@@ -761,6 +764,13 @@ def no_eigensolve():
     with mock.patch.object(np.linalg, "eigh", side_effect=stop), \
             mock.patch.object(np.linalg, "eigvalsh", side_effect=stop):
         yield
+
+
+def v_max_svd(cut):
+    """max_k ||V_A^k (x) V_B^k||_2 of a CutReport: the singular values of a kron are the
+    products of its factors'."""
+    return max((np.linalg.norm(va, 2) * np.linalg.norm(vb, 2) for va, vb in cut.interaction),
+               default=0.0)
 
 
 def pauli_string_matrix(n, factors, coeff=1.0):

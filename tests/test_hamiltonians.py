@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,14 @@ from oracles import (
     pauli_string_matrix,
     pauli_support,
     qubit_permutation_matrix,
+    v_max_svd,
 )
+
+# the LAPACK drivers a dense route would take: eigensolves and the SVD of a 2-norm, which
+# np.linalg.norm calls inside numpy's implementation module (numpy.linalg.linalg before 2.0)
+LAPACK = ("eigh", "eigvalsh", "svd")
+LINALG = importlib.import_module("numpy.linalg._linalg" if hasattr(np.linalg, "_linalg")
+                                 else "numpy.linalg.linalg")
 
 
 def ising_energy(z, J):
@@ -214,6 +223,19 @@ class TestCommutingCut:
             assert np.linalg.norm(H - H_re) <= 1e-10 * np.linalg.norm(H)
         assert check_commuting_cut(grid).perm_order == (0, 3, 1, 2, 4, 5)
 
+    @pytest.mark.parametrize("spec", [defected_ising_1d(n, J) for n in (3, 5, 8)
+                                      for J in (1.0, 2.5)]
+                             + [defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0),
+                                HamiltonianSpec(3, (PauliTerm(-2.5, ((0, "Z"), (2, "Z"))),
+                                                    PauliTerm(0.7, ((1, "X"), (2, "Y"))),
+                                                    PauliTerm(1.3, ((0, "Z"), (1, "Z")))),
+                                                partition=((0, 1), (2,)))],
+                             ids=[f"ring{n}-J{J}" for n in (3, 5, 8) for J in (1.0, 2.5)]
+                             + ["grid2x3", "mixed"])
+    def test_v_max_is_the_largest_kron_norm(self, spec):
+        cut = check_commuting_cut(spec)
+        assert abs(cut.v_max - v_max_svd(cut)) <= 1e-15 * v_max_svd(cut)
+
     def test_hab_norm_bounded_by_k_vmax(self):
         for spec in (defected_ising_1d(4, 2.5), defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0)):
             cut = check_commuting_cut(spec)
@@ -266,6 +288,32 @@ class TestASideEigenbasis:
         Z = pauli_string_matrix(1, [(0, "Z")])
         with pytest.raises(ValueError):
             simultaneous_eigenbasis([X, Z])
+        # Z is diagonal and sorted with no eigh; X then fails the same gate with the same message
+        with pytest.raises(ValueError, match=r"^simultaneous diagonalization residual 1\.00e\+00 "
+                                             r"exceeds 1e-10; inputs may not commute$"):
+            simultaneous_eigenbasis([Z, X])
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_ring_cut_takes_no_lapack_call(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LAPACK call in the ring's cut analysis")
+
+        for module in (np.linalg, LINALG):
+            for name in LAPACK:
+                monkeypatch.setattr(module, name, refuse)
+        js = joint_structure(defected_ising_1d(n, 3.0))
+        assert js.cut.v_max == 1.0 and js.system_es.eigenvalues.shape == (2**n,)
+
+    def test_grid_clusters_still_take_eigh(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+
+        def spy(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        joint_structure(defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0))
+        assert calls  # the B side's Heisenberg term is not diagonal
 
     @pytest.mark.parametrize("spec", [defected_ising_1d(n, 3.0) for n in range(3, 9)]
                              + [defected_heisenberg_2d(2, 3, (0, 3), (0, 3), 3.0),

@@ -20,7 +20,7 @@ from qrex.harness import (
     ConfigError,
     Report,
     ResourceGuardError,
-    _sweep_point,
+    _sweep_points,
     build_system,
     emit,
     parse_config,
@@ -144,6 +144,20 @@ class TestResourceGuard:
         with pytest.raises(ResourceGuardError):
             run_scenario(config)
 
+    def test_mixing_guards_the_single_system_it_builds(self, tmp_path, capsys):
+        # the default replica is local_A, whose joint side mixing never builds: the ring at
+        # n = 6 is 64^2 = 4,096, the default guard, and n = 7 names its own 16,384
+        for n, code in ((6, 0), (7, 3)):
+            cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": n}})
+            assert main(["mixing", "--config", cfg]) == code
+        assert "superoperator dimension 16384 exceeds guard 4096" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["gap", "sweep"])
+    def test_gap_and_sweep_guard_the_joint_system(self, tmp_path, capsys, scenario):
+        cfg = write_config(tmp_path, {"system": {"model": "defected_ising", "n": 6}})
+        assert main([scenario, "--config", cfg]) == 3
+        assert "superoperator dimension 65536 exceeds guard 4096" in capsys.readouterr().err
+
     def test_override_allows_single_system(self):
         config = validate_config({
             "scenario": "gap",
@@ -163,7 +177,7 @@ class TestSweepGB:
         config = validate_config({"scenario": "sweep", "system": system, "beta": beta,
                                   "replica": {"mode": "local_A"}, "max_dim": 2**20,
                                   "sweep": {"param": "J", "values": [J]}})
-        return _sweep_point((config, J))
+        return _sweep_points((config, [J]))[0]
 
     def test_four_generator_builds_per_point(self, monkeypatch):
         calls = []
@@ -837,3 +851,17 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["sweep", "--config", cfg, "--out", str(out2), "--parallel", "2"]) == 0
         assert out1.read_text() == out2.read_text()
+        # local_A over four values: each of the two workers sweeps two, the second reusing the
+        # first's symbolic phase, and every record (all resolved: exit 0) is the serial one
+        cfg = write_config(tmp_path, {"scenario": "sweep", "replica": {"mode": "local_A"},
+                                      "sweep": {"param": "J", "values": [1.0, 2.0, 3.0, 5.0]}},
+                           name="local_a.json")
+        for fmt in ("csv", "json"):
+            texts = []
+            for parallel in ("1", "2"):
+                out = tmp_path / f"local_a-{parallel}.{fmt}"
+                assert main(["sweep", "--config", cfg, "--out", str(out), "--format", fmt,
+                             "--parallel", parallel]) == 0
+                text = out.read_text()
+                texts.append(text if fmt == "csv" else json.dumps(json.loads(text)["records"]))
+            assert texts[0] == texts[1]
