@@ -423,7 +423,7 @@ def run_scenario(config: ExperimentConfig, parallel=1) -> Report:
 
             step = -(-len(values) // parallel)
             runs = [(config, values[i:i + step]) for i in range(0, len(values), step)]
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
+            with ProcessPoolExecutor(max_workers=len(runs)) as pool:
                 records = [r for run in pool.map(_sweep_points, runs) for r in run]
         else:
             records = _sweep_points((config, values))

@@ -13,14 +13,15 @@ the finite alpha table over Bohr-frequency pairs, whose entries have closed
 forms for both weights (alpha_coeff).  States evolve under the
 Hilbert-Schmidt adjoint L^dag (Superoperator.apply_adjoint).
 
-A Superoperator carries the GibbsState its generator is detailed balanced
-for, and stores the generator as ``Triplets`` (made by ``canonical``) in the
-operator basis where that state is diagonal: in the eigenbasis every entry
-comes from one pair of nonzero coupling entries, so build_ckg_generator
-never forms a dense d^2 x d^2 array, and attaches gibbs_state(es, w.beta).
-A GibbsState is its weights in its basis; the dense sigma is formed only on
-first use.  No computational-basis matrix is formed; the dense rotation out
-of the stored basis is a test oracle.
+Every matrix here is ``Triplets`` (made by ``canonical``): H, the couplings,
+the eigenbasis U of an Eigensystem, which is the basis of its GibbsState,
+and the generator, which a Superoperator stores in the operator basis where
+its Gibbs state is diagonal.  ``eigenbasis_entries`` rotates the couplings
+of a build into U by one sparse join, and each entry of the generator comes
+from one pair of nonzero rotated entries, so build_ckg_generator forms no
+dense basis and no dense d^2 x d^2 array.  A GibbsState is its weights in
+its basis; the dense sigma is formed only on first use.  No
+computational-basis matrix is formed; the dense rotation is a test oracle.
 
 Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
 """
@@ -185,6 +186,13 @@ def canonical(row, col, val, side, plan=None):
     return Triplets(r, c, total.real.copy() if real else total, side)
 
 
+def kron(A, B, plan=None, perm=None):
+    """A (x) B of two Triplets, its row k moved to row perm[k] when ``perm`` is given."""
+    row, col = ((a[:, None] * B.side + b).ravel() for a, b in ((A.row, B.row), (A.col, B.col)))
+    return canonical(row if perm is None else perm[row].astype(np.int32), col,
+                     (A.val[:, None] * B.val).ravel(), A.side * B.side, plan)
+
+
 def add(*parts):
     """The canonical sum of Triplets of one side."""
     row, col, val = (np.concatenate([getattr(p, f) for p in parts]) for f in ("row", "col", "val"))
@@ -193,21 +201,19 @@ def add(*parts):
 
 @dataclass
 class Eigensystem:
-    """Eigenpairs of a Hermitian H: ``eigenvalues[i]`` belongs to column i of ``eigenvectors``."""
+    """Eigenpairs of a Hermitian H: ``eigenvalues[i]`` belongs to column i of ``eigenvectors``,
+    the ``Triplets`` of a unitary (a dense matrix is converted)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: Triplets
+
+    def __post_init__(self):
+        U = self.eigenvectors
+        self.eigenvectors = U if isinstance(U, Triplets) else Triplets.of(U)
 
     @property
     def dim(self):
         return self.eigenvalues.size
-
-    @cached_property
-    def permutation(self):
-        """(i, u) where U = eigenvectors holds one nonzero per row, row k's u[k] in column
-        i[k]: a permutation with phases, as the ring's bases are; else None."""
-        k, i = np.nonzero(self.eigenvectors)
-        return (i, self.eigenvectors[k, i]) if np.array_equal(k, np.arange(self.dim)) else None
 
 
 @dataclass(frozen=True)
@@ -228,23 +234,23 @@ class WeightFunction:
 class GibbsState:
     """Thermal state sigma = U diag(weights) U^dag at inverse temperature beta.
 
-    ``basis`` is the unitary U it is diagonal in and ``weights`` are its
-    eigenvalues in the column order of U; they sum to one.  Every function
-    of sigma that the library needs is a function of ``weights`` in that
-    basis; the dense ``sigma`` is formed on first use.
+    ``basis`` is the unitary U it is diagonal in, as ``Triplets`` (a dense
+    matrix is converted), and ``weights`` are its eigenvalues in U's column
+    order, summing to one.  Every function of sigma the library needs is one
+    of ``weights`` in that basis; the dense ``sigma`` is formed on first use.
     """
 
     weights: np.ndarray
-    basis: np.ndarray
+    basis: Triplets
     beta: float
 
     def __post_init__(self):
         self.beta = float(self.beta)
+        self.basis = self.basis if isinstance(self.basis, Triplets) else Triplets.of(self.basis)
 
     @cached_property
     def sigma(self):
-        U = self.basis
-        sigma = (U * self.weights) @ U.conj().T
+        sigma = self.from_basis(np.diag(self.weights))
         return 0.5 * (sigma + sigma.conj().T)
 
     @property
@@ -252,13 +258,28 @@ class GibbsState:
         return float(self.weights.min())
 
     @property
-    def eigenvectors(self):
-        """Columns of ``basis`` in ascending order of their weights."""
-        return self.basis[:, np.argsort(self.weights)]
-
-    @property
     def dim(self):
         return self.weights.size
+
+    def to_basis(self, X):
+        """Coordinates U^dag X U in ``basis`` of each operator of the stack X (..., d, d)."""
+        return _times(self.basis, _dag(_times(self.basis, _dag(np.asarray(X)), True)), True)
+
+    def from_basis(self, Y):
+        """The operators U Y U^dag with coordinates Y (..., d, d) in ``basis``."""
+        return _times(self.basis, _dag(_times(self.basis, _dag(Y))))
+
+
+def _dag(X):
+    return X.conj().swapaxes(-1, -2)
+
+
+def _times(U, X, adjoint=False):
+    """U X, or U^dag X with ``adjoint``, for the Triplets U and each matrix of the stack X."""
+    to, at, u = (U.col, U.row, U.val.conj()) if adjoint else (U.row, U.col, U.val)
+    out = np.zeros(X.shape, dtype=np.result_type(u, X))
+    np.add.at(out, (..., to, slice(None)), u[:, None] * X[..., at, :])
+    return out
 
 
 class Superoperator:
@@ -280,29 +301,16 @@ class Superoperator:
         if sigma.basis.shape != (d, d):
             raise ValueError(f"Gibbs state basis of shape {sigma.basis.shape} does not match "
                              f"operator dimension {d}")
-        self.local = local
-        self.sigma = sigma
-
-    @property
-    def basis(self):
-        return self.sigma.basis
+        self.local, self.sigma = local, sigma
 
     @property
     def dim(self):
         return self.sigma.dim
 
-    def to_basis(self, X):
-        """Coordinates U^dag X U of an operator in the stored basis."""
-        return self.basis.conj().T @ np.asarray(X) @ self.basis
-
-    def from_basis(self, Y):
-        """The operator U Y U^dag with coordinates Y in the stored basis."""
-        return self.basis @ Y @ self.basis.conj().T
-
     def apply_adjoint(self, rho):
         """L^dag(rho): entry (r, c) of the stored matrix adds conj(val) v[r] to output c."""
-        v, A = vec(self.to_basis(rho)), self.local
-        return self.from_basis(unvec(_csum(A.col, A.val.conj() * v[A.row], A.side)))
+        v, A = vec(self.sigma.to_basis(rho)), self.local
+        return self.sigma.from_basis(unvec(_csum(A.col, A.val.conj() * v[A.row], A.side)))
 
 
 def eigensystem(H) -> Eigensystem:
@@ -310,25 +318,27 @@ def eigensystem(H) -> Eigensystem:
 
     A diagonal H gets U = I and its diagonal, in computational order, with no
     eigensolve.  Otherwise ``spectral.block_eigh`` solves each block, in real
-    arithmetic for a real H, its eigenvectors filling U on the block's indices,
-    and a residual ||H_b V - V diag(w)|| over the blocks above 1e-11 ||H|| is a
-    ValueError.  A basis that mixes no blocks of H keeps L_hat as sparse as H allows.
+    arithmetic for a real H, and U holds its eigenvectors on the block's
+    indices; a residual ||H_b V - V diag(w)|| over the blocks above 1e-11 ||H||
+    is a ValueError.  A basis that mixes no blocks of H keeps U, ``Triplets``,
+    and L_hat as sparse as H allows.
     """
-    from .spectral import block_eigh  # spectral imports this module
+    from .spectral import _blocks, block_eigh  # spectral imports this module
 
     H = H if isinstance(H, Triplets) else Triplets.of(H)
     lam = np.zeros(H.side)
     if np.array_equal(H.row, H.col):
-        lam[H.row] = H.val.real
-        return Eigensystem(lam, np.eye(H.side))
-    U, dense, sq = np.zeros(H.shape, dtype=H.val.dtype), H.toarray(), 0.0
-    for idx, w, V, _ in block_eigh(H):
-        block = idx[:, :, None], idx[:, None, :]
-        lam[idx], U[block] = w, V
-        sq += np.linalg.norm(dense[block] @ V - V * w[:, None, :]) ** 2
+        lam[H.row], t = H.val.real, np.arange(H.side, dtype=np.int32)
+        return Eigensystem(lam, Triplets(t, t, np.ones(H.side), H.side))
+    parts, sq = [], 0.0
+    for (idx, sub, _), (_, w, V, _) in zip(_blocks(H), block_eigh(H)):
+        lam[idx] = w
+        sq += np.linalg.norm(sub @ V - V * w[:, None, :]) ** 2
+        rows, cols = (np.broadcast_to(i, V.shape).ravel() for i in (idx[..., None], idx[:, None]))
+        parts.append((rows, cols, V.ravel()))
     if (resid := math.sqrt(sq)) > 1e-11 * max(1.0, float(np.abs(lam).max())):  # ||H||_2
         raise ValueError(f"eigensolver residual {resid:.2e} too large")
-    return Eigensystem(lam, U)
+    return Eigensystem(lam, canonical(*map(np.concatenate, zip(*parts)), H.side))
 
 
 def group_frequencies(nu, scale):
@@ -469,24 +479,33 @@ def alpha_quadrature(nu1, nu2, w: WeightFunction):
     return fine if fine.ndim else float(fine)
 
 
-def eigenbasis_entries(S, es: Eigensystem):
-    """Positions k*d + i and values of the entries of U^dag S U (U = es.eigenvectors, S
-    ``Triplets``) above 1e-13 of the largest magnitude.
+def _row_entries(start, rows):
+    """(i, j) for each entry j in row rows[i], row r holding entries start[r] to start[r + 1]."""
+    n = start[rows + 1] - start[rows]
+    i = np.repeat(np.arange(rows.size), n)
+    return i, np.arange(i.size) + (start[rows] + n - np.cumsum(n))[i]
 
-    These are the coupling entries the generator assembly uses: only the
-    Bohr groups of the kept entries enter its alpha table.  Where U is a
-    permutation with phases (``Eigensystem.permutation``) each entry of S
-    moves to one place, scaled by two phases; otherwise two dense products.
+
+def eigenbasis_entries(couplings, U, plan=None):
+    """Positions k*d + l and values of the entries of U^dag S U above 1e-13 of its largest
+    magnitude, for each coupling S of the list and the basis U, all ``Triplets``: the entries
+    the generator assembly uses.  An entry s of S at (r, c) gives conj(U[r, k]) s U[c, l] at
+    (k, l) for each entry of U's rows r and c, one join for all couplings, and one
+    ``canonical`` (``plan``: see ``Plan``) of them all sums each position in the order of S.
     """
-    if es.permutation is None:
-        U = es.eigenvectors
-        p = np.flatnonzero(s := (U.conj().T @ S.toarray() @ U).reshape(-1))
-        s = s[p]
-    else:
-        i, u = es.permutation
-        p, s = i[S.row] * es.dim + i[S.col], u[S.row].conj() * S.val * u[S.col]
-    keep = np.abs(s) > 1e-13 * max(np.abs(s).max(initial=0.0), 1e-300)
-    return p[keep], s[keep]
+    d, m, start = U.side, len(couplings), np.searchsorted(U.row, np.arange(U.side + 1))
+    r, c, s = (np.concatenate([getattr(S, f) for S in couplings] + [np.zeros(0, np.int32)])
+               for f in ("row", "col", "val"))
+    e, j = _row_entries(start, r)  # U[r, k] is U.val[j], k = U.col[j]
+    f, l = _row_entries(start, c[e])  # U[c, l] is U.val[l] for the pair f
+    e, j = e[f], j[f]
+    a = np.repeat(np.arange(m, dtype=np.int32), [S.nnz for S in couplings])[e]
+    R = canonical(a * d + U.col[j], U.col[l], U.val[j].conj() * s[e] * U.val[l], m * d, plan)
+    a, mag, top = R.row // d, np.abs(R.val), np.zeros(m)
+    np.maximum.at(top, a, mag)
+    keep = mag > 1e-13 * np.maximum(top, 1e-300)[a]
+    cuts = np.searchsorted(a[keep], np.arange(1, m))
+    return list(zip(np.split((R.row % d * d + R.col)[keep], cuts), np.split(R.val[keep], cuts)))[:m]
 
 
 def _clusters(positions, size):
@@ -557,8 +576,7 @@ def build_ckg_generator(es: Eigensystem, couplings, w: WeightFunction, plan=None
     sigma = gibbs_state(es, w.beta)
 
     # couplings in the eigenbasis: positions k*d + i of the nonzero entries, and their values
-    rotated = (eigenbasis_entries(S, es) for S in couplings)
-    entries = [(p.astype(np.int32), s) for p, s in rotated if p.size]
+    entries = [(p, s) for p, s in eigenbasis_entries(couplings, es.eigenvectors, plan) if p.size]
     # the alpha table over the Bohr groups of nu_ki = lam[k] - lam[i] at the nonzero entries
     used = distinct(np.concatenate([p for p, _ in entries] + [np.zeros(0, np.int32)]))
     lam = es.eigenvalues

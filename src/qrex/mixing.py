@@ -4,48 +4,36 @@ For a detailed-balanced generator the Schrodinger flow factors through the
 symmetrized matrix: e^{t L^dag}(rho) = Phi(e^{t L_hat}(Phi^{-1}(rho))) with
 Phi(X) = sigma^{1/4} X sigma^{1/4}, so one Hermitian eigendecomposition
 serves every initial state and every time.  sigma is the Gibbs state the
-generator carries (``Superoperator.sigma``), and L_hat is taken in the
-basis U = sigma.basis that the generator is stored in and sigma is diagonal
-in (``symmetrize``).  There Phi is the elementwise scaling by
-phi = kron(q, q), q = weights^(1/4), so a state only needs the rotation
-U^dag rho U and that scaling; L_hat is sparse ``lindblad.Triplets``, decomposed
-block by block along the connected components of its zero pattern
-(``block_eigh``), so only the dense blocks are ever formed, one of each
-conjugate pair under the transpose map T(i + d j) = j + d i.  A generator
-with real entries (every CKG generator of a real H, ``lindblad.canonical``)
-has a real L_hat and real eigenvector stacks, which apply to the complex
-coefficients of the states as one real matmul on their float view
-(``_matmul``).  A state is carried by the Hermitian part of U^dag rho U on
-those solved blocks: the flow preserves Hermiticity, so on the partner of a
-solved block that part stays the conjugate transpose of its entries on the
-solved one, and it is written in as a mirror only where a whole matrix is
-formed.
+generator carries (``Superoperator.sigma``), and L_hat is taken in its basis
+U = sigma.basis, the ``Triplets`` the generator is stored in (``symmetrize``).
+There Phi is the elementwise scaling by phi = kron(q, q), q = weights^(1/4),
+so a state needs only that scaling and the rotation U^dag rho U, sparse
+products with U (``GibbsState.to_basis``; a permutation on the Ising ring):
+no dense U is formed.  L_hat is decomposed block by block along the
+connected components of its zero pattern (``block_eigh``), one block of each
+conjugate pair under the transpose map T(i + d j) = j + d i.  A real L_hat
+(every CKG generator of a real H) has real eigenvector stacks, which apply
+to the complex coefficients of the states as one real matmul on their float
+view (``_matmul``).  A state is carried by the Hermitian part of
+U^dag rho U on the solved blocks: on the partner of a solved block that part
+is the conjugate transpose of its entries on the solved one, mirrored in
+only where a whole matrix is formed.
 
-Trace distances are taken in sigma.basis too: the trace norm is unitarily
-invariant, so ||rho(t) - sigma||_1 is that of the Hermitian part of
-U^dag rho(t) U - diag(weights), with no rotation back.  The mixing-time
-search ``first_crossing_times`` bisects a family of initial states
-together, each state by its own rule, with one matmul per block size and
-round for all of them.  The states are taken as they come, a batch at a
-time (CROSSING_STACK_BYTES), and each batch is rotated once
-(``SpectralPropagator.occupy``: one U^dag Psi for its state vectors and
-one ragged outer product, U^dag rho U for a density matrix); each state is
-kept by its entries on the blocks of L_hat it occupies: a block is an
-invariant subspace, so a state that is zero on it stays zero there.  A
-chunk of states is sized by the union of those blocks (CROSSING_STACK_BYTES)
-and propagated only through it (``Coefficients``), each round's growth
-factors coming from one exp.  Each round yields the entries on those
-blocks' vec indices, the support, and decides each distance test first by
-the exact sandwich sum_i |Y_ii| <= ||Y||_1 <= sum_ij |Y_ij| taken from them
-(``SupportBounds``, one pass over |x|).  A mirrored entry x_ij stands for
-itself and its conjugate at (j, i), and enters the upper bound as
-2 |x_ij|.  A whole deviation is formed, and its
-eigenvalues computed, only for the states that fall between the bounds.
+Trace distances are taken in sigma.basis too, the trace norm being unitarily
+invariant: ||rho(t) - sigma||_1 is that of the Hermitian part of
+U^dag rho(t) U - diag(weights).  ``first_crossing_times`` bisects a family
+of initial states together, each by its own rule.  The states are taken as
+they come, rotated a batch at a time (CROSSING_STACK_BYTES;
+``SpectralPropagator.occupy``) and kept by their entries on the blocks of
+L_hat they occupy: a block is an invariant subspace.  A chunk of states is
+sized by the union of those blocks and propagated only through it
+(``Coefficients``), one matmul per block size and round.  Each round decides
+each distance test first by the exact sandwich
+sum_i |Y_ii| <= ||Y||_1 <= sum_ij |Y_ij| on those entries (``SupportBounds``;
+a mirrored entry counts twice), and forms a whole deviation, and its
+eigenvalues, only for the states that fall between the bounds.
 Computational and sigma-eigenbasis states of a commuting H occupy only the
-population block, whose support is the diagonal, d entries; there the
-bounds coincide and no d x d matrix is formed.  Solving and carrying one
-block of each conjugate pair halves the eigensolve and the work of every
-round, and a chunk holds twice the states (``BENCH_20_conjugate_pairs.json``).
+population block, the diagonal, where the bounds coincide.
 
 Propagation has one route: a generator that ``block_eigh`` rejects (not
 detailed balanced) raises its ValueError.  ``chi_square_rate_fit`` reads its
@@ -58,7 +46,7 @@ from itertools import islice
 
 import numpy as np
 
-from .lindblad import Superoperator, distinct, unvec, vec
+from .lindblad import Superoperator, _csum, _times, distinct, unvec, vec
 from .spectral import (
     block_eigh,
     block_spectrum,
@@ -175,14 +163,11 @@ class SpectralPropagator:
     place of each vec index (-1 in a partner block).
 
     A state is carried by the Hermitian part of U^dag rho U on the solved
-    blocks.  The flow is Hermiticity preserving, so on the partner T(B) of
-    a twin block B that part stays the conjugate transpose of its entries
-    on B, and every distance reads only the Hermitian part.  A state is
-    kept by the blocks it occupies (``occupy``), and a stack of them is
-    propagated through the union of those blocks only (``Coefficients``),
-    with one matmul per block size for the whole stack, and yields its
-    entries on their vec indices; a whole (S, d, d) stack is formed only
-    where a matrix is needed, with the partner entries mirrored in.
+    blocks it occupies (``occupy``); every distance reads only that part.  A
+    stack of states is propagated through the union of their blocks only
+    (``Coefficients``) and yields its entries on their vec indices; a whole
+    (S, d, d) stack is formed only where a matrix is needed, with the
+    partner entries mirrored in.
     """
 
     def __init__(self, L: Superoperator):
@@ -193,7 +178,6 @@ class SpectralPropagator:
             V *= phi[idx][:, :, None]
         self.evals = block_spectrum(self.blocks)
         self._phi_sq, self._sqrt_w = phi * phi, np.sqrt(self.sigma.weights)
-        self._U, self._Uh = L.basis, L.basis.conj().T
         self._order = np.concatenate([idx.ravel() for idx, _, _, _ in self.blocks])
         self._sizes = np.concatenate([np.full(idx.shape[0], idx.shape[1])
                                       for idx, _, _, _ in self.blocks])
@@ -206,27 +190,28 @@ class SpectralPropagator:
     def occupy(self, states) -> Occupied:
         """State vectors psi (rho = psi psi^dag) or density matrices rho, by the blocks they occupy.
 
-        Each state is rotated once: U^dag psi for a vector, whose outer
-        product is U^dag rho U, else U^dag rho U itself; the vectors of the
-        batch go through one U^dag Psi and the matrices through one stacked
-        product.  The Hermitian part is kept on the solved blocks: an outer
-        product is Hermitian as it is, and a matrix Y gives
-        (y_r + conj(y_{T r})) / 2 at each vec index r.  A block is occupied
-        when that part is nonzero on one of its vec indices; the test is
-        exact.  The entries kept are the nonzero ones of conj(vec) / phi^2,
-        for a vector b_j conj(b_i) at i + d j with b = U^dag psi / sqrt(weights),
-        as phi^2 is sqrt(w_i w_j) there.  The k vectors with c nonzero
-        entries b share one ragged outer product: when c^2 exceeds the
-        number of solved vec indices it is taken on all of those at once,
-        else as a (k c, c) array of the nonzero entries' products, the rest
-        being zero.
+        Each state is rotated once, by sparse products with U: U^dag psi for
+        a vector, whose outer product is U^dag rho U, else U^dag rho U itself;
+        the vectors of the batch go through one U^dag Psi and the matrices
+        through one ``sigma.to_basis`` of their stack.  The Hermitian part is
+        kept on the solved blocks: an outer product is Hermitian as it is, and
+        a matrix Y gives (y_r + conj(y_{T r})) / 2 at each vec index r.  A
+        block is occupied when that part is nonzero on one of its vec indices;
+        the test is exact.  The entries kept are the nonzero ones of
+        conj(vec) / phi^2, for a vector b_j conj(b_i) at i + d j with
+        b = U^dag psi / sqrt(weights), as phi^2 is sqrt(w_i w_j) there.  The k
+        vectors with c nonzero entries b share one ragged outer product: when
+        c^2 exceeds the number of solved vec indices it is taken on all of
+        those at once, else as a (k c, c) array of the nonzero entries'
+        products, the rest being zero.
         """
         states = [np.asarray(s, dtype=complex) for s in states]
         d, S = self.sigma.dim, len(states)
         parts = []  # (states, places, entries): a row of entries per state, places alike
         vectors = np.array([k for k, s in enumerate(states) if s.ndim == 1], dtype=int)
         if vectors.size:
-            B = (self._Uh @ np.stack([states[k] for k in vectors], axis=1)).T / self._sqrt_w
+            B = _times(self.sigma.basis, np.array([states[k] for k in vectors]).T, True).T
+            B /= self._sqrt_w
             nonzero = B != 0
             count = nonzero.sum(axis=1)
             for c in distinct(count[count > 0]):
@@ -249,9 +234,9 @@ class SpectralPropagator:
                 parts.append((vectors[rows], at, v))
         matrices = np.array([k for k, s in enumerate(states) if s.ndim != 1], dtype=int)
         if matrices.size:
-            # vec(U^dag rho U) = (U^T rho^T conj(U)) raveled
-            rho = np.stack([states[k] for k in matrices])
-            y = (self._U.T @ rho.swapaxes(1, 2) @ self._U.conj()).reshape(matrices.size, -1)
+            # vec(U^dag rho U) is its transpose raveled
+            rho = self.sigma.to_basis(np.stack([states[k] for k in matrices]))
+            y = rho.swapaxes(1, 2).reshape(matrices.size, -1)
             v = 0.5 * (y[:, self._order] + y[:, self._transpose[self._order]].conj())
             v /= self._phi_sq[self._order]
             parts.append((matrices, np.arange(self._order.size), np.conj(v, out=v)))
@@ -350,7 +335,7 @@ class SpectralPropagator:
 
     def state_at(self, coeffs, t):
         """The propagated states rho_s(t), an (S, d, d) stack (see ``_propagate``)."""
-        rho = self._U @ self._scatter(self._propagate(coeffs, t), coeffs) @ self._Uh
+        rho = self.sigma.from_basis(self._scatter(self._propagate(coeffs, t), coeffs))
         return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
     def distances(self, coeffs, t):
@@ -423,8 +408,7 @@ def mixing_bounds_from_gap(gap, lambda_min, epsilon):
 
 def chi_square(rho, sigma):
     """KMS chi-square divergence Tr[(rho-sigma) sigma^{-1/2} (rho-sigma) sigma^{-1/2}]."""
-    U = sigma.basis
-    delta = U.conj().T @ (np.asarray(rho, dtype=complex) - sigma.sigma) @ U
+    delta = sigma.to_basis(np.asarray(rho, dtype=complex) - sigma.sigma)
     r = sigma.weights**-0.5  # sigma^(-1/2) is diag(r) in sigma.basis
     return float(np.real(np.sum(delta * delta.T * np.outer(r, r))))
 
@@ -441,9 +425,8 @@ def _initial_family(sigma, n_haar=20, seed=314):
         v = np.zeros(d, dtype=complex)
         v[k] = 1.0
         yield f"comp_{k}", v
-    V = sigma.eigenvectors
-    for k in range(d):
-        yield f"eig_{k}", V[:, k]
+    for k, e in enumerate(sigma.basis.col == c for c in np.argsort(sigma.weights)):
+        yield f"eig_{k}", _csum(sigma.basis.row[e], sigma.basis.val[e], d)  # column c of U
     rng = np.random.default_rng(seed)
     for k in range(n_haar):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -701,8 +684,7 @@ def _gap_and_mode(prop: SpectralPropagator):
         if c.size:  # the first block holding the gap eigenvalue
             x[idx[c[0]]] = V[c[0], :, j[0]]
             break
-    U = sigma.basis
-    Z = U @ unvec(x) @ U.conj().T
+    Z = sigma.from_basis(unvec(x))
     Y = Z + Z.conj().T
     if np.linalg.norm(Y) < 1e-12:
         Y = 1j * (Z - Z.conj().T)
@@ -726,9 +708,9 @@ def chi_square_rate_fit(prop: SpectralPropagator):
     # complex eig also for a real L: at the n = 3 ring's beta = 3 (lambda_min 3e-6)
     # the real route's rounding moves the fitted rate 8.8e-6 off 2 gap, this 2.8e-7
     w, V = np.linalg.eig(L.local.toarray().conj().T.astype(complex))
-    c = np.linalg.solve(V, vec(L.to_basis(rho0)))
+    c = np.linalg.solve(V, vec(prop.sigma.to_basis(rho0)))
     ts = np.linspace(1.0 / gap, 3.0 / gap, 8)
-    logs = [np.log(chi_square(L.from_basis(unvec(V @ (np.exp(w * t) * c))), prop.sigma))
+    logs = [np.log(chi_square(prop.sigma.from_basis(unvec(V @ (np.exp(w * t) * c))), prop.sigma))
             for t in ts]
     slope = np.polyfit(ts, logs, 1)[0]
     return float(-slope)

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   * operator vectorization is column-stacking, vec(A X B) = (B^T (x) A) vec(X).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .lindblad import Triplets
@@ -50,11 +52,15 @@ def pauli_string(n, factors, coeff=1.0):
     return Triplets(row, col, (coeff * phase).astype(complex), row.size)
 
 
+@lru_cache(maxsize=None)
 def single_site_paulis(n, sites=None):
-    """All single-site Pauli operators on the given sites (default: every site), as ``Triplets``."""
-    if sites is None:
-        sites = range(n)
-    return [pauli_string(n, [(s, lab)]) for s in sites for lab in PAULI_LABELS]
+    """All single-site Pauli operators on the given sites (default: every site; a tuple or range),
+    as a tuple of ``Triplets`` made once per (n, sites) and shared: their arrays are read-only."""
+    sites = range(n) if sites is None else sites
+    out = tuple(pauli_string(n, [(s, lab)]) for s in sites for lab in PAULI_LABELS)
+    for S in out:
+        S.row.flags.writeable = S.col.flags.writeable = S.val.flags.writeable = False
+    return out
 
 
 def qubit_permutation(n, order):

@@ -45,6 +45,7 @@ from .lindblad import (
     build_ckg_generator,
     canonical,
     gibbs_state,
+    kron,
 )
 from .pauli import qubit_permutation, single_site_paulis
 from .spectral import KERNEL_TOL, block_eigvalsh, kms_scaling, spectral_norm, symmetrize
@@ -64,14 +65,14 @@ class JointStructure:
 
     ``perm`` is the index array of the A-first site order
     (``pauli.qubit_permutation``).  ``basis_a`` is the shared eigenbasis of
-    the A-side family {H_A} u {V_A}.  ``system_es`` is the labeled
-    eigensystem of H: its eigenvectors ``system_basis`` are the |i_A j_B>
-    vectors in the original site ordering, with the eigenvalues ``lam2``.
-    The system generator and g_B are both built from it.
+    the A-side family {H_A} u {V_A}, ``Triplets``.  ``system_es`` is the
+    labeled eigensystem of H: its eigenvectors are the |i_A j_B> vectors in
+    the original site ordering, with the eigenvalues ``lam2``.  The system
+    generator and g_B are both built from it.
     """
 
     cut: CutReport
-    basis_a: np.ndarray
+    basis_a: Triplets
     perm: np.ndarray
     system_es: Eigensystem
     n: int
@@ -80,11 +81,6 @@ class JointStructure:
     def lam2(self):
         """(d_a, d_b) eigenvalues of H in the |i_A j_B> labels."""
         return self.system_es.eigenvalues.reshape(self.d_a, self.d_b)
-
-    @property
-    def system_basis(self):
-        """The |i_A j_B> vectors in the original site ordering, as columns."""
-        return self.system_es.eigenvectors
 
     @property
     def aux_es(self):
@@ -120,6 +116,8 @@ def joint_structure(spec) -> JointStructure:
     bases diagonalizes H in the A-first site order, since H = H_A (x) I +
     I (x) H_B + sum_k V_A^k (x) V_B^k there, so the energy of |i_A j_B> is
     h_A[i] + h_B[j] + sum_k v_A^k[i] v_B^k[j] in the factors' eigenvalues.
+    The labeled basis is the sparse kron of the factor bases, its rows
+    relabeled to the original site ordering.
     """
     cut = check_commuting_cut(spec)
     if not cut.holds:
@@ -130,10 +128,9 @@ def joint_structure(spec) -> JointStructure:
     ea, eb = np.array(ea), np.array(eb)  # (K + 1, d_a) and (K + 1, d_b)
     lam = ea[0][:, None] + eb[0] + ea[1:].T @ eb[1:]
     p = qubit_permutation(spec.n, cut.perm_order)
-    system_basis = np.empty((p.size, p.size), dtype=complex)
-    system_basis[p] = np.kron(basis_a, basis_b)  # the labels in the original site ordering
-    return JointStructure(cut=cut, basis_a=basis_a, perm=p,
-                          system_es=Eigensystem(lam.reshape(-1), system_basis), n=spec.n)
+    basis_a = Triplets.of(basis_a)
+    return JointStructure(cut=cut, basis_a=basis_a, perm=p, n=spec.n, system_es=Eigensystem(
+        lam.reshape(-1), kron(basis_a, Triplets.of(basis_b), perm=p)))
 
 
 def _swap_entries(omega, p, beta):
@@ -183,7 +180,7 @@ def swap_generator_generic(js: JointStructure, beta) -> Superoperator:
     in a degenerate eigenspace, so the two compare entry by entry in one basis.
     """
     es = Eigensystem(np.repeat(js.system_es.eigenvalues, js.d_a) + 1.0,
-                     np.kron(js.system_basis, js.basis_a))
+                     kron(js.system_es.eigenvectors, js.basis_a))
     pj = (js.perm[:, None] * js.d_a + np.arange(js.d_a)).reshape(-1)
     swap = canonical(pj[_swap_permutation(js.d_a, js.d_b)], pj, np.ones(pj.size), pj.size)
     return build_ckg_generator(es, [swap], WeightFunction("metropolis", beta))
@@ -207,9 +204,9 @@ def lift(M, dims, factor):
             np.repeat(M.val, rest.size))
 
 
-def _product(s1: GibbsState, s2: GibbsState):
+def _product(s1: GibbsState, s2: GibbsState, plan=None):
     """s1 (x) s2, diagonal in the kron of their bases, at the inverse temperature of s1."""
-    return GibbsState(np.kron(s1.weights, s2.weights), np.kron(s1.basis, s2.basis), s1.beta)
+    return GibbsState(np.kron(s1.weights, s2.weights), kron(s1.basis, s2.basis, plan), s1.beta)
 
 
 def _replica_pair(L1, L2, omega, p, beta_swap, plan=None) -> Superoperator:
@@ -222,7 +219,7 @@ def _replica_pair(L1, L2, omega, p, beta_swap, plan=None) -> Superoperator:
     dims = (L1.dim, L2.dim)
     parts = [_swap_entries(omega, p, beta_swap), lift(L1.local, dims, 0), lift(L2.local, dims, 1)]
     M = canonical(*(np.concatenate(x) for x in zip(*parts)), L1.local.side * L2.local.side, plan)
-    return Superoperator(M, _product(L1.sigma, L2.sigma))
+    return Superoperator(M, _product(L1.sigma, L2.sigma, plan))
 
 
 def build_replica_exchange_generator(js: JointStructure, w: WeightFunction,

@@ -43,7 +43,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lindblad import Plan, Superoperator, Triplets, WeightFunction, build_ckg_generator, distinct
+from .lindblad import (Plan, Superoperator, Triplets, WeightFunction, _dag, build_ckg_generator,
+                       distinct)
 from .pauli import single_site_paulis
 
 KERNEL_TOL = 1e-9
@@ -341,10 +342,6 @@ def _gap_of_psd(M, tol=1e-10):
     first = np.take_along_axis(evals, pos.argmax(axis=-1)[..., None], axis=-1)[..., 0]
     gap = np.where(pos.any(axis=-1), first, 0.0)
     return float(gap) if gap.ndim == 0 else gap
-
-
-def _dag(X):
-    return X.conj().swapaxes(-1, -2)
 
 
 def _random_psd(rng, count, dim, rank=None):

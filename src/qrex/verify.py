@@ -116,9 +116,8 @@ def run_verification(seed=42, beta=1.0):
     psd_ok = True
     min_ev = 0.0
     lam = es3.eigenvalues
-    for S in single_site_paulis(3):
-        # the Bohr groups of the coupling entries the assembly keeps, at k*d + i
-        k, i = np.divmod(eigenbasis_entries(S, es3)[0], es3.dim)
+    for p, _ in eigenbasis_entries(single_site_paulis(3), es3.eigenvectors):
+        k, i = np.divmod(p, es3.dim)  # the Bohr groups of the entries the assembly keeps
         nus = group_frequencies(lam[k] - lam[i], float(np.abs(lam).max()))[0]
         A = alpha_coeff(nus[:, None], nus[None, :], gm)
         ev = np.linalg.eigvalsh(A).min()
@@ -165,7 +164,7 @@ def run_verification(seed=42, beta=1.0):
     swap_closed = swap_generator_closed_form(js3, beta)
     swap_generic = swap_generator_generic(js3, beta)
     # both are stored in the labeled basis, so their triplets compare directly
-    same_basis = np.array_equal(swap_closed.basis, swap_generic.basis)
+    same_basis = add(swap_closed.sigma.basis, -swap_generic.sigma.basis).nnz == 0
     rel = (spectral_norm(add(swap_closed.local, -swap_generic.local))
            / spectral_norm(swap_generic.local))
     results.append(_check("replica.closed_vs_generic", same_basis and rel <= CLOSED_FORM_RTOL,

@@ -182,12 +182,13 @@ def congruence(M, P, R):
 
 def matrix(L):
     """Dense computational-basis matrix of the Superoperator L, rotated out of its stored basis."""
-    return congruence(L.local.toarray(), L.basis.conj().T, L.basis)
+    U = L.sigma.basis.toarray()
+    return congruence(L.local.toarray(), U.conj().T, U)
 
 
 def apply(L, X):
     """L(X) for an observable X in the computational basis, through the stored basis of L."""
-    return L.from_basis(unvec(L.local @ vec(L.to_basis(X))))
+    return L.sigma.from_basis(unvec(L.local @ vec(L.sigma.to_basis(X))))
 
 
 def evolve(L, rho0, t):
@@ -203,12 +204,14 @@ def evolve(L, rho0, t):
 
 def expm_flow(L, rho0, t):
     """e^{t L^dag}(rho0) by a dense matrix exponential in the generator's own basis."""
-    return L.from_basis(unvec(expm(t * L.local.toarray().conj().T) @ vec(L.to_basis(rho0))))
+    flow = expm(t * L.local.toarray().conj().T)
+    return L.sigma.from_basis(unvec(flow @ vec(L.sigma.to_basis(rho0))))
 
 
 def sigma_power(sigma, p):
     """sigma^p as a dense matrix: U diag(weights^p) U^dag."""
-    return (sigma.basis * sigma.weights**p) @ sigma.basis.conj().T
+    U = sigma.basis.toarray()
+    return (U * sigma.weights**p) @ U.conj().T
 
 
 def qubit_permutation_matrix(n, order):
@@ -251,7 +254,7 @@ def swap_unitary_original(js):
 
 def joint_basis(js):
     """The labeled |i_A j_B m_A> vectors in the original joint ordering, as columns."""
-    return np.kron(js.system_basis, js.basis_a)
+    return np.kron(js.system_es.eigenvectors.toarray(), js.basis_a.toarray())
 
 
 def joint_hamiltonian(spec):
@@ -278,7 +281,7 @@ def partial_lindbladian_check(spec, w: WeightFunction, n_random=10, seed=77, js=
     """
     if js is None:
         js = joint_structure(spec)
-    basis = js.basis_a
+    basis = js.basis_a.toarray()
     n = spec.n
     n_a = len(spec.partition[0])
     n_b = n - n_a
@@ -286,7 +289,7 @@ def partial_lindbladian_check(spec, w: WeightFunction, n_random=10, seed=77, js=
     P = qubit_permutation_matrix(n, list(js.cut.perm_order))
     H_perm = P @ assemble_dense(spec) @ P.conj().T
     # H_perm is diagonal in the product labels |i_A j_B> with eigenvalues lam2
-    lam, W = js.lam2.reshape(-1), P @ js.system_basis
+    lam, W = js.lam2.reshape(-1), P @ js.system_es.eigenvectors.toarray()
     if np.linalg.norm(W.conj().T @ H_perm @ W - np.diag(lam)) > 1e-10 * max(1.0, abs(lam).max()):
         raise ValueError("the labels do not diagonalize H in the A-first ordering")
     es_full = Eigensystem(lam, W)
@@ -472,7 +475,7 @@ def global_replica_generator_generic(es, w: WeightFunction, beta2):
     check_global_size(n)
     L1 = build_ckg_generator(es, single_site_paulis(n), w)
     L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w.kind, beta2))
-    lam, U = es.eigenvalues, es.eigenvectors
+    lam, U = es.eigenvalues, es.eigenvectors.toarray()
     sigma = GibbsState(np.kron(gibbs_state(es, w.beta).weights, gibbs_state(es, beta2).weights),
                        np.kron(U, U), w.beta)
     es_swap = Eigensystem((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1), sigma.basis)
@@ -604,7 +607,7 @@ def _gap_and_mode(L):
             x[idx[c]] = V[c, :, j]
             break
         k -= w.size
-    U = sigma.basis
+    U = sigma.basis.toarray()
     # U Phi(x) U^dag = sigma^{1/2} X sigma^{1/2} for the KMS eigenoperator X of L
     Z = U @ unvec(kms_scaling(sigma) * x) @ U.conj().T
     Y = Z + Z.conj().T
@@ -845,7 +848,7 @@ def jump_components(S, es: Eigensystem):
     Keys are the representatives of ``bohr_groups_all_pairs``; components
     are returned in the original (computational) basis.
     """
-    U = es.eigenvectors
+    U = es.eigenvectors.toarray()
     St = U.conj().T @ dense(S) @ U
     out = {}
     bohr, gid = bohr_groups_all_pairs(es.eigenvalues)

@@ -245,13 +245,13 @@ class TestCommutingCut:
 
 class TestASideEigenbasis:
     def test_diagonal_family_returns_computational_basis(self):
-        V = np.abs(joint_structure(defected_ising_1d(3, 2.0)).basis_a)
+        V = np.abs(joint_structure(defected_ising_1d(3, 2.0)).basis_a.toarray())
         # each column is a computational basis vector up to phase
         assert np.allclose(np.sort(V, axis=0)[-1], 1.0)
         assert np.allclose(V.sum(axis=0), 1.0)
 
     def test_basis_is_unitary(self):
-        basis = joint_structure(defected_ising_1d(4, 3.0)).basis_a
+        basis = joint_structure(defected_ising_1d(4, 3.0)).basis_a.toarray()
         gram = basis.conj().T @ basis
         assert np.linalg.norm(gram - np.eye(4)) < 1e-12
 
@@ -322,7 +322,7 @@ class TestASideEigenbasis:
     def test_labeled_eigensystem_diagonalizes_h(self, spec):
         # the energies are read off the factor eigenvalues, never off a rotation of H
         es = joint_structure(spec).system_es
-        H, U, lam = assemble_dense(spec), es.eigenvectors, es.eigenvalues
+        H, U, lam = assemble_dense(spec), es.eigenvectors.toarray(), es.eigenvalues
         assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) < 1e-12
         assert np.linalg.norm(H @ U - U * lam) <= 1e-12 * np.linalg.norm(H)
 
@@ -430,7 +430,18 @@ class TestPauliHelpers:
 
     def test_single_site_paulis_count(self):
         assert len(single_site_paulis(3)) == 9
-        assert len(single_site_paulis(3, sites=[1])) == 3
+        assert len(single_site_paulis(3, sites=(1,))) == 3
+
+    def test_single_site_paulis_are_made_once_and_read_only(self):
+        # a sweep reads the same strings at every point: one tuple per (n, sites), shared
+        paulis = single_site_paulis(4, sites=(2, 3))
+        assert isinstance(paulis, tuple) and single_site_paulis(4, sites=(2, 3)) is paulis
+        assert single_site_paulis(4) is single_site_paulis(4)
+        for S, (s, lab) in zip(paulis, [(s, lab) for s in (2, 3) for lab in "XYZ"]):
+            assert np.array_equal(S.toarray(), pauli_string_matrix(4, [(s, lab)]))
+            for a in (S.row, S.col, S.val):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
 
     def test_decompose_roundtrip(self):
         rng = np.random.default_rng(2)

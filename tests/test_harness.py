@@ -840,6 +840,36 @@ class TestCli:
         assert main(["gap", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_process_pool_is_sized_to_its_runs(self, monkeypatch):
+        # the fork start method launches every worker up front, so a pool wider than the
+        # runs would fork processes that get no work; a fake executor starts none
+        import concurrent.futures
+
+        widths = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+        for values, parallel, runs in (([1.0, 5.0], 8, 2), ([1.0, 2.0, 3.0], 2, 2),
+                                       ([1.0, 2.0, 3.0, 4.0, 5.0], 3, 3)):
+            config = validate_config({"scenario": "sweep", "replica": {"mode": "none"},
+                                      "sweep": {"param": "J", "values": values}})
+            records = run_scenario(config, parallel=parallel).records
+            assert widths.pop() == runs
+            assert [r["J"] for r in records] == values
+            assert json.dumps(records) == json.dumps(run_scenario(config).records)
+
     def test_parallel_sweep_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path, {
             "scenario": "sweep",

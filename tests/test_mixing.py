@@ -210,7 +210,7 @@ class TestChiSquare:
 
     def test_saturated_by_min_weight_eigenstate(self):
         sg = two_qubit_ising().sigma
-        v = sg.eigenvectors[:, 0]  # eigenvalues stored ascending
+        v = sg.basis.toarray()[:, np.argmin(sg.weights)]
         rho = np.outer(v, v.conj())
         assert chi_square(rho, sg) == pytest.approx(1 / sg.lambda_min - 1, rel=1e-10)
 

@@ -171,7 +171,7 @@ class TestSymmetrizeRoutes:
         heis = ising_generator(n=5, J=3.0)
         spectral_gap(heis)
         assert "sigma" not in heis.sigma.__dict__
-        U, weights = heis.sigma.basis, heis.sigma.weights
+        U, weights = heis.sigma.basis.toarray(), heis.sigma.weights
         assert np.allclose(heis.sigma.sigma, (U * weights) @ U.conj().T, atol=1e-15)
         assert "sigma" in heis.sigma.__dict__  # formed on first use, then kept
 

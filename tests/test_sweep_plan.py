@@ -75,8 +75,9 @@ def test_symbolic_phase_runs_once_per_generator_per_sweep(symbolic_calls, system
         return sorted(c for c in symbolic_calls if c[1] != 2 ** (6 if system is GRID else 3))
 
     one = generator_calls([2.0])
-    # single system, joint system, auxiliary A, joint pair and B restriction; three L_hat
-    assert [kind for kind, _ in one].count("sort") == 5
+    # single system, joint system, auxiliary A, joint pair and B restriction; the coupling
+    # rotation of each of the four CKG builds; the joint pair's product basis; three L_hat
+    assert [kind for kind, _ in one].count("sort") == 5 + 4 + 1
     assert [kind for kind, _ in one].count("labels") == 3
     assert generator_calls([1.0, 2.0, 3.0, 5.0]) == one
 
