@@ -202,14 +202,10 @@ def add(*parts):
 @dataclass
 class Eigensystem:
     """Eigenpairs of a Hermitian H: ``eigenvalues[i]`` belongs to column i of ``eigenvectors``,
-    the ``Triplets`` of a unitary (a dense matrix is converted)."""
+    the ``Triplets`` of a unitary."""
 
     eigenvalues: np.ndarray
     eigenvectors: Triplets
-
-    def __post_init__(self):
-        U = self.eigenvectors
-        self.eigenvectors = U if isinstance(U, Triplets) else Triplets.of(U)
 
     @property
     def dim(self):
@@ -234,10 +230,9 @@ class WeightFunction:
 class GibbsState:
     """Thermal state sigma = U diag(weights) U^dag at inverse temperature beta.
 
-    ``basis`` is the unitary U it is diagonal in, as ``Triplets`` (a dense
-    matrix is converted), and ``weights`` are its eigenvalues in U's column
-    order, summing to one.  Every function of sigma the library needs is one
-    of ``weights`` in that basis; the dense ``sigma`` is formed on first use.
+    ``basis`` is the unitary U it is diagonal in, as ``Triplets``, and ``weights`` are its
+    eigenvalues in U's column order, summing to one.  Every function of sigma the library
+    needs is one of ``weights`` in that basis; the dense ``sigma`` is formed on first use.
     """
 
     weights: np.ndarray
@@ -246,7 +241,6 @@ class GibbsState:
 
     def __post_init__(self):
         self.beta = float(self.beta)
-        self.basis = self.basis if isinstance(self.basis, Triplets) else Triplets.of(self.basis)
 
     @cached_property
     def sigma(self):
@@ -317,13 +311,12 @@ def eigensystem(H) -> Eigensystem:
     """Diagonalize the Hermitian H (dense or ``Triplets``) by the blocks of its nonzero pattern.
 
     A diagonal H gets U = I and its diagonal, in computational order, with no
-    eigensolve.  Otherwise ``spectral.block_eigh`` solves each block, in real
-    arithmetic for a real H, and U holds its eigenvectors on the block's
-    indices; a residual ||H_b V - V diag(w)|| over the blocks above 1e-11 ||H||
-    is a ValueError.  A basis that mixes no blocks of H keeps U, ``Triplets``,
-    and L_hat as sparse as H allows.
+    eigensolve.  Otherwise each block stack of ``spectral._blocks`` takes one eigh of its
+    Hermitian part, real for a real H, U holding the eigenvectors on the block's indices; a
+    residual ||H_b V - V diag(w)|| over the blocks above 1e-11 ||H|| is a ValueError.  A U
+    that mixes no blocks of H keeps L_hat as sparse as H allows.
     """
-    from .spectral import _blocks, block_eigh  # spectral imports this module
+    from .spectral import _blocks  # spectral imports this module
 
     H = H if isinstance(H, Triplets) else Triplets.of(H)
     lam = np.zeros(H.side)
@@ -331,7 +324,8 @@ def eigensystem(H) -> Eigensystem:
         lam[H.row], t = H.val.real, np.arange(H.side, dtype=np.int32)
         return Eigensystem(lam, Triplets(t, t, np.ones(H.side), H.side))
     parts, sq = [], 0.0
-    for (idx, sub, _), (_, w, V, _) in zip(_blocks(H), block_eigh(H)):
+    for idx, sub, _ in _blocks(H):
+        w, V = np.linalg.eigh(0.5 * (sub + sub.conj().swapaxes(1, 2)))
         lam[idx] = w
         sq += np.linalg.norm(sub @ V - V * w[:, None, :]) ** 2
         rows, cols = (np.broadcast_to(i, V.shape).ravel() for i in (idx[..., None], idx[:, None]))

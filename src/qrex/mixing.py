@@ -408,8 +408,12 @@ def mixing_bounds_from_gap(gap, lambda_min, epsilon):
 
 def chi_square(rho, sigma):
     """KMS chi-square divergence Tr[(rho-sigma) sigma^{-1/2} (rho-sigma) sigma^{-1/2}]."""
-    delta = sigma.to_basis(np.asarray(rho, dtype=complex) - sigma.sigma)
-    r = sigma.weights**-0.5  # sigma^(-1/2) is diag(r) in sigma.basis
+    return _chi_square(sigma.to_basis(np.asarray(rho, dtype=complex) - sigma.sigma), sigma.weights)
+
+
+def _chi_square(delta, weights):
+    """``chi_square`` of the difference with coordinates ``delta`` in sigma's eigenbasis."""
+    r = weights**-0.5  # sigma^(-1/2) is diag(r) in that basis
     return float(np.real(np.sum(delta * delta.T * np.outer(r, r))))
 
 
@@ -698,8 +702,9 @@ def chi_square_rate_fit(prop: SpectralPropagator):
 
     Starts in the gap mode of the caller's propagator (``_gap_and_mode``)
     and fits the rate of chi^2(t) under its generator L = prop.L at 8 times
-    in [1/gap, 3/gap]; for a detailed-balanced generator this equals twice
-    the spectral gap.  L is similar to the Hermitian L_hat, so
+    in [1/gap, 3/gap], each read off the state's coordinates in sigma's
+    eigenbasis; for a detailed-balanced generator this equals twice the
+    spectral gap.  L is similar to the Hermitian L_hat, so
     ``np.linalg.eig`` of L^dag diagonalizes it, independently of
     ``block_eigh``.
     """
@@ -710,7 +715,8 @@ def chi_square_rate_fit(prop: SpectralPropagator):
     w, V = np.linalg.eig(L.local.toarray().conj().T.astype(complex))
     c = np.linalg.solve(V, vec(prop.sigma.to_basis(rho0)))
     ts = np.linspace(1.0 / gap, 3.0 / gap, 8)
-    logs = [np.log(chi_square(prop.sigma.from_basis(unvec(V @ (np.exp(w * t) * c))), prop.sigma))
+    weights = prop.sigma.weights
+    logs = [np.log(_chi_square(unvec(V @ (np.exp(w * t) * c)) - np.diag(weights), weights))
             for t in ts]
     slope = np.polyfit(ts, logs, 1)[0]
     return float(-slope)

@@ -292,7 +292,7 @@ def partial_lindbladian_check(spec, w: WeightFunction, n_random=10, seed=77, js=
     lam, W = js.lam2.reshape(-1), P @ js.system_es.eigenvectors.toarray()
     if np.linalg.norm(W.conj().T @ H_perm @ W - np.diag(lam)) > 1e-10 * max(1.0, abs(lam).max()):
         raise ValueError("the labels do not diagonalize H in the A-first ordering")
-    es_full = Eigensystem(lam, W)
+    es_full = Eigensystem(lam, Triplets.of(W))
     L_b = build_ckg_generator(es_full, _b_position_couplings(n_a, n_b), w)
     # unnormalized exp(-beta H) for the compressed-Gibbs comparison
     expH = (W * np.exp(-w.beta * (lam - lam.min()))) @ W.conj().T
@@ -477,7 +477,7 @@ def global_replica_generator_generic(es, w: WeightFunction, beta2):
     L2 = build_ckg_generator(es, single_site_paulis(n), WeightFunction(w.kind, beta2))
     lam, U = es.eigenvalues, es.eigenvectors.toarray()
     sigma = GibbsState(np.kron(gibbs_state(es, w.beta).weights, gibbs_state(es, beta2).weights),
-                       np.kron(U, U), w.beta)
+                       Triplets.of(np.kron(U, U)), w.beta)
     es_swap = Eigensystem((w.beta * lam[:, None] + beta2 * lam[None, :]).reshape(-1), sigma.basis)
     swap = build_ckg_generator(es_swap, [local_swap_unitary(d_n, 1)],
                                WeightFunction("metropolis", 1.0)).local

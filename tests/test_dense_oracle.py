@@ -96,7 +96,7 @@ def dense_eigensystem(H):
     lam, U = np.linalg.eigh(H)
     if (resid := np.linalg.norm(H @ U - U * lam)) > 1e-11 * max(1.0, np.abs(lam).max()):
         raise ValueError(f"eigensolver residual {resid:.2e} too large")
-    return Eigensystem(lam, U)
+    return Eigensystem(lam, Triplets.of(U))
 
 
 def dense_ckg(H, couplings, w):
@@ -591,7 +591,7 @@ def rotated_couplings():
     for spec in (defected_ising_1d(4, 3.0), hopping_cut_spec(2.0), GRID):
         js = joint_structure(spec)
         cases += [(js.system_es, single_site_paulis(js.n)), (js.aux_es, single_site_paulis(js.n_a)),
-                  (Eigensystem(np.ones(js.joint_dim), joint_basis(js)),
+                  (Eigensystem(np.ones(js.joint_dim), Triplets.of(joint_basis(js))),
                    [swap_unitary_original(js)])]
     return cases
 
@@ -631,46 +631,50 @@ def test_grid_gap_matches_the_dense_route(mode, dense_route):
 
 def test_ring_build_forms_no_dense_coupling(monkeypatch):
     """U of the ring is a permutation, so no build holds a d x d coupling or basis, d = 2^n or
-    larger: the Pauli strings and every basis stay Triplets, nothing of side d is converted
-    to or from a dense matrix, and each ring basis holds one entry per row.  Likewise the
-    propagator of the single ring and its occupation of the initial family and of a density
-    matrix, whose rotation is a stack of one whole matrix.  The global pair is gated at n <= 4."""
-    formed, side = [], {}
+    larger: the Pauli strings and every basis stay Triplets, nothing is converted to or from a
+    dense matrix, and each ring basis holds one entry per row.  Likewise the propagator of the
+    single ring and its occupation of the initial family.  ``joint_structure`` runs before the
+    spies, as it forms its factors' matrices, of side below d, to label the cut; a density
+    matrix's occupation rotates one whole matrix, its result, and only that is let through.
+    The global pair is gated at n <= 4."""
+    formed, whole, allowed = [], [], {"shape": None}
 
-    def refuse(method):
-        def spy(A, *args):
-            if min(np.shape(A)) >= side["d"]:
-                formed.append((method.__name__, np.shape(A)))
-            return method(A, *args)
-        return spy
+    def refuse(*args):
+        formed.append(args)
+        raise AssertionError("a dense coupling or basis was formed")
 
     zeros = np.zeros
 
     def zeros_spy(shape, *args, **kwargs):
-        if np.ndim(shape) and len(shape) == 2 and min(shape) >= side["d"]:
-            formed.append(("zeros", shape))
+        if np.ndim(shape) and len(shape) >= 2 and min(shape[-2:]) >= d:
+            (whole if tuple(shape) == allowed["shape"] else formed).append(shape)
         return zeros(shape, *args, **kwargs)
 
-    monkeypatch.setattr(Triplets, "toarray", refuse(Triplets.toarray))
-    monkeypatch.setattr(Triplets, "of", staticmethod(refuse(Triplets.of)))
-    monkeypatch.setattr(np, "zeros", zeros_spy)
     for n in (4, 6):
         spec, d = defected_ising_1d(n, 3.0), 2**n
-        side["d"] = d
-        es, js = eigensystem(assemble(spec)), joint_structure(spec)
-        L = build_ckg_generator(es, single_site_paulis(n), GM)
-        joint = build_replica_exchange_generator(js, GG)
-        a_diagonal_restriction_gap(js, GG)
-        bases = [es.eigenvectors, js.system_es.eigenvectors, js.aux_es.eigenvectors,
-                 joint.sigma.basis]
-        if n <= 4:
-            bases.append(build_global_replica_generator(es, GG, 0.5).sigma.basis)
-        prop = SpectralPropagator(L)
-        family = [psi for _, psi in qrex.mixing._initial_family(L.sigma)]
-        for k in range(0, len(family), d // 2):  # narrower than d: a (d, d) stack is no basis
-            prop.occupy(family[k:k + d // 2])
-        prop.occupy([np.diag(L.sigma.weights)])
-        assert formed == []
+        js = joint_structure(spec)
+        with monkeypatch.context() as m:
+            m.setattr(Triplets, "toarray", refuse)
+            m.setattr(Triplets, "of", refuse)
+            m.setattr(np, "zeros", zeros_spy)
+            es = eigensystem(assemble(spec))
+            L = build_ckg_generator(es, single_site_paulis(n), GM)
+            joint = build_replica_exchange_generator(js, GG)
+            a_diagonal_restriction_gap(js, GG)
+            bases = [es.eigenvectors, js.system_es.eigenvectors, js.aux_es.eigenvectors,
+                     joint.sigma.basis]
+            if n <= 4:
+                bases.append(build_global_replica_generator(es, GG, 0.5).sigma.basis)
+            prop = SpectralPropagator(L)
+            family = [psi for _, psi in qrex.mixing._initial_family(L.sigma)]
+            for k in range(0, len(family), d // 2):  # narrower than d: a (d, d) stack is no basis
+                prop.occupy(family[k:k + d // 2])
+            assert formed == [] and whole == []
+            rho, allowed["shape"] = np.diag(L.sigma.weights), (1, d, d)
+            prop.occupy([rho])
+            allowed["shape"] = None
+            assert formed == [] and whole
+            whole.clear()
         for U in bases:
             assert np.array_equal(U.row, np.arange(U.side))
             assert np.array_equal(np.sort(U.col), np.arange(U.side))

@@ -566,7 +566,7 @@ class TestSuperoperator:
         Xm, Ym = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
         # stored in the eigenbasis V of the Gibbs state of V diag(0, 1, 2, 3) V^dag
         for V in (np.eye(4), U):
-            s = Superoperator(M, gibbs_state(Eigensystem(np.arange(4.0), V), 1.0))
+            s = Superoperator(M, gibbs_state(Eigensystem(np.arange(4.0), Triplets.of(V)), 1.0))
             assert np.vdot(Ym, apply(s, Xm)) == pytest.approx(np.vdot(s.apply_adjoint(Ym), Xm),
                                                               rel=1e-12)
 
